@@ -6,9 +6,20 @@ characters chi_0, chi_1, ... with the Clebsch-Gordan product
     chi_m * chi_n = chi_{m+n} + chi_{m+n-2} + ... + chi_{|m-n|}.
 
 The level-k fusion ring is the quotient by the ideal generated by
-chi_{k+1}; it is free on the images tau_0, ..., tau_k.  Characters are
-evaluated at the special torus points t_l = j(q^{l+1}), q = exp(i*pi/(k+2)),
-where the ideal vanishes, so
+chi_{k+1}; it is free on the images tau_0, ..., tau_k, and chi_j maps to
+0 or +-tau_i by affine reflection (``_fold``).
+
+The exact product never expands chi_m * chi_n term by term, which costs
+O(k^3) for dense level-k vectors.  By the Weyl character formula
+chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the product's Weyl numerator is the
+numerator of one factor times the Laurent expansion of the other, whose
+coefficients are O(k) suffix sums.  Both are packed into Python ints with
+signed digits (Kronecker substitution), so a product is O(k) Python steps
+plus one big-integer multiplication, then one fold into level k.  A factor
+that is a scaled basis element skips the multiplication.
+
+Characters are evaluated at the special torus points t_l = j(q^{l+1}),
+q = exp(i*pi/(k+2)), where the ideal vanishes, so
 
     tau_m(t_l) = sin((m+1)(l+1)pi/(k+2)) / sin((l+1)pi/(k+2)).
 
@@ -27,8 +38,11 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -185,13 +199,10 @@ class CharacterPoly:
             return CharacterPoly({m: c * int(other) for m, c in self.coeffs.items()})
         if not isinstance(other, CharacterPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for m, cm in self.coeffs.items():
-            for n, cn in other.coeffs.items():
-                c = cm * cn
-                for j in range(abs(m - n), m + n + 1, 2):
-                    out[j] = out.get(j, 0) + c
-        return CharacterPoly(out)
+        if not (self and other):
+            return CharacterPoly()
+        a, b = _dense(self), _dense(other)
+        return CharacterPoly(dict(enumerate(_clebsch_gordan(a, _support(a), b, _support(b)))))
 
     __rmul__ = __mul__
 
@@ -212,59 +223,159 @@ class CharacterPoly:
         return f"CharacterPoly({terms})"
 
 
-@lru_cache(maxsize=None)
-def _fold_table(k: int) -> tuple[tuple[int, int] | None, ...]:
-    """Image of chi_j in R_k(SU(2)) for j = 0..2k, as (sign, index) or None.
+def _dense(p: CharacterPoly) -> list[int]:
+    """Coefficients of chi_0..chi_degree as a list."""
+    out = [0] * (p.degree + 1)
+    for m, c in p.coeffs.items():
+        out[m] = c
+    return out
 
-    Affine folding: with a = (j+1) mod 2(k+2), the character chi_j maps to 0
-    when a is 0 or k+2, to +tau_{a-1} when 1 <= a <= k+1, and to
-    -tau_{2(k+2)-a-1} when k+2 < a < 2(k+2).
+
+def _fold(k: int, c: Sequence) -> list:
+    """Level-k tau-vector of sum_j c_j chi_j, given c_0..c_{2k+3} (or fewer).
+
+    Affine folding: chi_j maps to tau_j for j <= k, to 0 for j = k+1 and
+    j = 2k+3, and to -tau_{2k+2-j} for k+2 <= j <= 2k+2; beyond that the
+    rule repeats with period 2(k+2).
     """
-    period = 2 * (k + 2)
-    table: list[tuple[int, int] | None] = []
-    for j in range(2 * k + 1):
-        a = (j + 1) % period
-        if a == 0 or a == k + 2:
-            table.append(None)
-        elif a <= k + 1:
-            table.append((1, a - 1))
-        else:
-            table.append((-1, period - a - 1))
-    return tuple(table)
+    c = list(c) + [0] * (2 * k + 4 - len(c))
+    return list(map(sub, c[:k + 1], c[2 * k + 2:k + 1:-1]))
 
 
-def _fold_degree(k: int, j: int) -> tuple[int, int] | None:
-    if j <= 2 * k:
-        return _fold_table(k)[j]
-    a = (j + 1) % (2 * (k + 2))
-    if a == 0 or a == k + 2:
-        return None
-    if a <= k + 1:
-        return (1, a - 1)
-    return (-1, 2 * (k + 2) - a - 1)
+def _support(v: Sequence[int]) -> tuple[int, int]:
+    """First and last index of a nonzero entry; (-1, -1) for a zero vector."""
+    nonzero = bytes(map(bool, v))
+    return nonzero.find(1), nonzero.rfind(1)
 
 
-def multiply_coeff_vectors(k: int, a: Sequence, b: Sequence) -> list:
-    """Fusion product of two level-k coefficient vectors.
+# array typecodes of the machine-word digit widths, by increasing width in bytes
+_WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
-    Coefficient-type agnostic (exact for ints, approximate for floats): the
-    Clebsch-Gordan expansion is folded back into the level-k basis term by
-    term.
+
+def _digit_width(bound: int) -> int:
+    """Bytes per signed digit holding any value of absolute value <= bound:
+    the smallest machine word that fits, else the exact byte count."""
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in _WORD_CODES if w >= width), width)
+
+
+def _bias(width: int, n: int) -> int:
+    """sum_{i<n} 2^(8 width - 1) B^i with B = 2^(8 width): half of every digit."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(v: Sequence[int], width: int) -> int:
+    """Kronecker substitution sum_i v_i B^i, B = 2^(8 width), |v_i| < B/2."""
+    half = 1 << (8 * width - 1)
+    code = _WORD_CODES.get(width)
+    if code:
+        digits = array(code, [c + half for c in v]).tobytes()
+    else:
+        digits = b"".join([(c + half).to_bytes(width, "little") for c in v])
+    return int.from_bytes(digits, "little") - _bias(width, len(v))
+
+
+def _unpack(x: int, width: int, n: int) -> list[int]:
+    """The n signed base-B digits of x, each of absolute value below B/2."""
+    half = 1 << (8 * width - 1)
+    data = (x + _bias(width, n)).to_bytes(width * n, "little")
+    code = _WORD_CODES.get(width)
+    if code:
+        return [d - half for d in memoryview(data).cast(code).tolist()]
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
+
+
+def _laurent(b: Sequence[int], hi: int) -> list[int]:
+    """beta_0..beta_hi of sum_n b_n chi_n = sum_e beta_|e| x^e (b_n = 0 past hi):
+    beta_e = sum_{n >= e, n = e mod 2} b_n, a parity-strided suffix sum."""
+    beta = list(b[hi::-1])
+    beta[0::2] = accumulate(beta[0::2])
+    beta[1::2] = accumulate(beta[1::2])
+    beta.reverse()
+    return beta
+
+
+def _times_basis(k: int, c: int, m: int, b: Sequence[int], hi_b: int) -> list[int]:
+    """c tau_m * b at level k, b nonzero with last nonzero entry at hi_b.
+
+    The unfolded product chi_m * sum_n b_n chi_n has Weyl numerator
+    (x^(m+1) - x^(-m-1)) sum_e beta_|e| x^e, so its chi_j coefficient is
+    beta_|j-m| - beta_{j+m+2}, with beta from ``_laurent`` and beta_e = 0
+    for e > hi_b.  Folding chi_{2k+2-i} onto -tau_i adds
+    -beta_{2k+2-i-m}, so tau_i has coefficient
+    c (beta_|i-m| - beta_{i+m+2} - beta_{2k+2-i-m}).
     """
-    fold = _fold_table(k)
-    zero = a[0] - a[0] if len(a) else 0
-    out = [zero] * (k + 1)
-    for m, cm in enumerate(a):
-        if not cm:
-            continue
-        for n, cn in enumerate(b):
-            if not cn:
-                continue
-            c = cm * cn
-            for j in range(abs(m - n), m + n + 1, 2):
-                f = fold[j]
-                if f is not None:
-                    out[f[1]] += f[0] * c
+    beta = _laurent(b, hi_b) + [0] * (2 * k + 2 - hi_b)
+    near = beta[m:0:-1] + beta[:k + 1 - m]
+    out = list(map(sub, map(sub, near, beta[m + 2:]), beta[2 * k + 2 - m:k + 1 - m:-1]))
+    return out if c == 1 else [c * x for x in out]
+
+
+def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
+                    b: Sequence[int], support_b: tuple[int, int]) -> list[int]:
+    """Unfolded product in R(SU(2)): (sum a_m chi_m)(sum b_n chi_n) = sum c_j chi_j.
+
+    a and b are nonzero exact-integer coefficient vectors indexed by degree,
+    with their supports as given by ``_support``; the result is c_0..c_J,
+    J the sum of the two degrees.
+
+    With the Weyl character formula chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x),
+    the product's Weyl numerator is sum_m a_m (x^(m+1) - x^(-m-1)) times the
+    Laurent polynomial sum_n b_n chi_n = sum_e beta_e x^e, whose coefficient
+    beta_e = sum_{n >= |e|, n = e mod 2} b_n is a parity-strided suffix sum.
+    As that Laurent polynomial is symmetric, only Q = (sum_m a_m x^(m+1)) *
+    (sum_e beta_e x^e) is formed, and c_j = [x^(j+1)]Q - [x^(-j-1)]Q.  The
+    numerator (from the operand of narrower support, trimmed to it) and the
+    Laurent coefficients beta_-hi..beta_hi are packed into one Python int
+    each, with signed digits wide enough for every coefficient of Q, so Q
+    costs one big-integer multiplication (Kronecker substitution).
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = support_a, support_b
+    # The operand with the narrower support supplies the numerator.
+    if hi_a - lo_a > hi_b - lo_b:
+        a, b, lo_a, hi_a, hi_b = b, a, lo_b, hi_b, hi_a
+    numerator = a[lo_a:hi_a + 1]
+    beta = _laurent(b, hi_b)
+    laurent = beta[:0:-1] + beta  # beta_|e| for e = -hi_b..hi_b
+    width = _digit_width(sum(map(abs, numerator)) * max(map(abs, beta)))
+    n = len(numerator) + len(laurent) - 1
+    q = _unpack(_pack(numerator, width) * _pack(laurent, width), width, n)
+    # q[t] is the coefficient of x^(t + lo_a + 1 - hi_b) in Q.
+    shift = hi_b - lo_a
+    out = q[shift:] if shift >= 0 else [0] * -shift + q
+    if shift >= 2:
+        out[:shift - 1] = map(sub, out[:shift - 1], q[shift - 2::-1])
+    return out
+
+
+def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Fusion product of two level-k tau-coefficient vectors of exact ints.
+
+    Two scaled basis elements c tau_m * d tau_n follow the level-k fusion
+    rule, cd tau_j for j = |m-n|, |m-n|+2, ..., min(m+n, 2k-m-n); one scaled
+    basis element times a general vector is read off suffix sums of the
+    latter (``_times_basis``).  Otherwise the unfolded Clebsch-Gordan
+    product comes from one big-integer multiplication of Kronecker-packed
+    vectors (``_clebsch_gordan``) and is folded once into level k.  Every
+    case takes O(k) Python-level steps plus, in the last, one Karatsuba
+    multiplication of two ints of O(k (log k + bits)) bits, where the
+    term-by-term Clebsch-Gordan expansion takes O(k^3) for dense inputs.
+    """
+    support_a, support_b = _support(a), _support(b)
+    if support_a[1] < 0 or support_b[1] < 0:
+        return [0] * (k + 1)
+    if support_b[0] == support_b[1]:  # put a scaled basis element first
+        a, b, support_a, support_b = b, a, support_b, support_a
+    m, hi_a = support_a
+    if m < hi_a:
+        return _fold(k, _clebsch_gordan(a, support_a, b, support_b))
+    n, hi_b = support_b
+    if n < hi_b:
+        return _times_basis(k, a[m], m, b, hi_b)
+    out = [0] * (k + 1)
+    span = range(abs(m - n), min(m + n, 2 * k - m - n) + 1, 2)
+    out[span.start:span.stop:2] = [a[m] * b[n]] * len(span)
     return out
 
 
@@ -277,7 +388,7 @@ class FusionElement:
 
     def __post_init__(self):
         k = _check_level(self.level)
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if len(coeffs) != k + 1:
             raise ValueError(f"need {k + 1} coefficients at level {k}, got {len(coeffs)}")
         object.__setattr__(self, "level", k)
@@ -289,8 +400,9 @@ class FusionElement:
 
     @classmethod
     def tau(cls, k: int, m: int) -> "FusionElement":
-        _check_index(_check_level(k), m, "m")
-        return cls(k, tuple(1 if i == m else 0 for i in range(k + 1)))
+        k = _check_level(k)
+        m = _check_index(k, m, "m")
+        return cls(k, (0,) * m + (1,) + (0,) * (k - m))
 
     @classmethod
     def one(cls, k: int) -> "FusionElement":
@@ -412,12 +524,11 @@ class IdempotentVector:
 def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
     """Image of a character polynomial under R(SU(2)) -> R_k(SU(2))."""
     _check_level(k)
-    out = [0] * (k + 1)
-    for m, c in p.coeffs.items():
-        f = _fold_degree(k, m)
-        if f is not None:
-            out[f[1]] += f[0] * c
-    return FusionElement(k, tuple(out))
+    period = 2 * (k + 2)
+    c = [0] * period
+    for m, x in p.coeffs.items():
+        c[m % period] += x
+    return FusionElement(k, tuple(_fold(k, c)))
 
 
 def to_idempotent(a: FusionElement) -> IdempotentVector:

@@ -25,8 +25,8 @@ from .fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     _check_level,
+    _fold,
     from_idempotent,
-    multiply_coeff_vectors,
     reduce_character,
     round_to_integer,
     s_matrix,
@@ -41,6 +41,7 @@ from .prequant import (
     phase_factor,
 )
 from .quantization import (
+    chi_element,
     fs_formula,
     fs_formula_with_phases,
     localization_evaluate,
@@ -134,13 +135,6 @@ def classical_verlinde_number(k: int, genus: int, tol: float | None = None) -> i
     return round_to_integer(value, tol, NonIntegralValue, "Verlinde number")
 
 
-def _alternating_element(k: int) -> FusionElement:
-    coeffs = [0] * (k + 1)
-    for m in range(0, k + 1, 2):
-        coeffs[m] = 1 if (m // 2) % 2 == 0 else -1
-    return FusionElement(k, tuple(coeffs))
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise NotAdmissible(f"inadmissible: {message}")
@@ -214,7 +208,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
         raise ValueError(
             f"r=4 classes are 'trivial', 'sum_zero', 'sum_minus_two', got {choice_class!r}")
     base = closed_form_tables(k, 4, "base")
-    chi = _alternating_element(k)
+    chi = chi_element(k)
     total = [b + chi_coeff * c for b, c in zip(base.coeffs, chi.coeffs)]
     return FusionElement(k, _exact_scale(total, 8))
 
@@ -308,6 +302,28 @@ def check_evaluation_homomorphism(max_k: int, n_pairs: int = 200,
                        worst < tol, worst, tol)
 
 
+def _float_fusion_product(k: int, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Level-k fusion product of float tau-coefficient vectors.
+
+    Independent of the exact product's route: the Weyl numerators
+    W_v = sum_m v_m (x^(m+1) - x^(-m-1)) are multiplied by convolution, and
+    the product's numerator W_a W_b / (x - 1/x) is recovered by division,
+    its coefficient of x^(j+1) being sum_{t >= 0} [x^(j+2+2t)] W_a W_b.
+    """
+    def weyl(v):  # coefficients of x^-(k+1) .. x^(k+1)
+        w = np.zeros(2 * k + 3)
+        w[k + 2:] = v
+        w[k::-1] = -v
+        return w
+
+    # exponents 2 .. 2k+2 of the product, which runs from -2(k+1) to 2(k+1)
+    upper = np.convolve(weyl(a), weyl(b))[2 * k + 4:]
+    unfolded = np.empty_like(upper)
+    unfolded[0::2] = np.cumsum(upper[0::2][::-1])[::-1]
+    unfolded[1::2] = np.cumsum(upper[1::2][::-1])[::-1]
+    return _fold(k, unfolded.tolist())
+
+
 def check_idempotent_products(max_k: int, seed: int = 0, tol: float = 1e-8) -> CheckResult:
     """taut_m taut_n = delta_{mn} taut_m, via float tau-basis products."""
     rng = random.Random(seed)
@@ -318,9 +334,9 @@ def check_idempotent_products(max_k: int, seed: int = 0, tol: float = 1e-8) -> C
         while len(pairs) < min((k + 1) ** 2, 12):
             pairs.add((rng.randint(0, k), rng.randint(0, k)))
         for m, n in sorted(pairs):
-            cm = (smat[0][m] * smat[:, m]).tolist()
-            cn = (smat[0][n] * smat[:, n]).tolist()
-            out = multiply_coeff_vectors(k, cm, cn)
+            cm = smat[0][m] * smat[:, m]
+            cn = smat[0][n] * smat[:, n]
+            out = _float_fusion_product(k, cm, cn)
             evals = np.asarray(out) @ (smat / smat[0])
             expected = np.zeros(k + 1)
             if m == n:

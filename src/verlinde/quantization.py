@@ -222,15 +222,15 @@ def quantize_conjugacy_class(k: int, m: int) -> FusionElement:
     return FusionElement.tau(k, m)
 
 
-@lru_cache(maxsize=None)
 def quantize_double_su2(k: int) -> FusionElement:
-    """sum_m tau_m^2, the quantization of the SU(2) double."""
+    """sum_m tau_m^2, the quantization of the SU(2) double.
+
+    In closed form sum_{j even} (k - j + 1) tau_j: tau_m^2 is
+    tau_0 + tau_2 + ... + tau_{min(2m, 2k-2m)}, so an even j occurs for the
+    k - j + 1 labels j/2 <= m <= k - j/2.
+    """
     k = _check_level(k)
-    total = FusionElement.zero(k)
-    for m in range(k + 1):
-        t = FusionElement.tau(k, m)
-        total = total + t * t
-    return total
+    return FusionElement(k, tuple(0 if j % 2 else k - j + 1 for j in range(k + 1)))
 
 
 @lru_cache(maxsize=None)

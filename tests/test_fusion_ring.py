@@ -11,11 +11,53 @@ from verlinde.fusion_ring import (
     IdempotentVector,
     NonIntegralCoefficient,
     from_idempotent,
+    multiply_coeff_vectors,
     reduce_character,
     s_matrix,
     s_matrix_entry,
     to_idempotent,
 )
+from verlinde.quantization import quantize_double_su2
+
+
+def term_by_term_product(k, a, b):
+    """Reference fusion product: expand every chi_m chi_n by Clebsch-Gordan
+    and fold each chi_j into level k by the affine reflection rule."""
+    period = 2 * (k + 2)
+    out = [0] * (k + 1)
+    for m, cm in enumerate(a):
+        if not cm:
+            continue
+        for n, cn in enumerate(b):
+            if not cn:
+                continue
+            for j in range(abs(m - n), m + n + 1, 2):
+                r = (j + 1) % period
+                if r == 0 or r == k + 2:
+                    continue
+                if r <= k + 1:
+                    out[r - 1] += cm * cn
+                else:
+                    out[period - r - 1] -= cm * cn
+    return out
+
+
+COEFFS = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def level_vectors(draw, k):
+    """A level-k coefficient vector: zero, a scaled basis element, sparse or dense."""
+    kind = draw(st.sampled_from(["zero", "basis", "sparse", "dense"]))
+    coeffs = [0] * (k + 1)
+    if kind == "basis":
+        coeffs[draw(st.integers(0, k))] = draw(COEFFS.filter(bool))
+    elif kind == "sparse":
+        for m, c in draw(st.dictionaries(st.integers(0, k), COEFFS, max_size=4)).items():
+            coeffs[m] = c
+    elif kind == "dense":
+        coeffs = draw(st.lists(COEFFS, min_size=k + 1, max_size=k + 1))
+    return coeffs
 
 
 def tau(k, m):
@@ -73,6 +115,35 @@ class TestMultiply:
         big = 10**30
         x = big * tau(2, 1)
         assert (x * x).coeffs == (big * big, 0, big * big)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_product(self, data):
+        k = data.draw(st.integers(min_value=0, max_value=80))
+        a = data.draw(level_vectors(k))
+        b = data.draw(level_vectors(k))
+        assert multiply_coeff_vectors(k, a, b) == term_by_term_product(k, a, b)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+    def test_basis_products_match_term_by_term(self, k):
+        for m in range(k + 1):
+            for n in range(k + 1):
+                assert (tau(k, m) * tau(k, n)).coeffs == tuple(
+                    term_by_term_product(k, tau(k, m).coeffs, tau(k, n).coeffs))
+
+    def test_double_su2_closed_form(self):
+        for k in range(61):
+            total = FusionElement.zero(k)
+            for m in range(k + 1):
+                total = total + tau(k, m) * tau(k, m)
+            assert quantize_double_su2(k) == total
+
+    def test_star_powers_at_level_400(self):
+        star = tau(400, 200)
+        repeated = FusionElement.one(400)
+        for r in range(1, 9):
+            repeated = repeated * star
+            assert star ** r == repeated
 
 
 class TestSMatrix:
@@ -195,6 +266,19 @@ def test_evaluation_is_multiplicative(data):
 def test_character_poly_product_rule():
     # chi_2 chi_3 = chi_5 + chi_3 + chi_1
     assert CharacterPoly.chi(2) * CharacterPoly.chi(3) == CharacterPoly({5: 1, 3: 1, 1: 1})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_character_poly_product_matches_term_by_term(data):
+    polys = st.dictionaries(st.integers(0, 30), COEFFS, max_size=5).map(CharacterPoly)
+    p, q = data.draw(polys), data.draw(polys)
+    expected = {}
+    for m, cm in p.coeffs.items():
+        for n, cn in q.coeffs.items():
+            for j in range(abs(m - n), m + n + 1, 2):
+                expected[j] = expected.get(j, 0) + cm * cn
+    assert p * q == CharacterPoly(expected)
 
 
 def test_character_poly_canonical_form():
