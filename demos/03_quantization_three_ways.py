@@ -17,7 +17,7 @@ from verlinde import (
     quantize_surface,
     reduced_quantization,
 )
-from verlinde.quantization import _phase_vector, fs_formula_with_phases
+from verlinde.oracles import fs_formula_with_phases, phase_vector
 
 surface = SurfaceData(8, 1, (4, 4, 2))
 print(f"surface: level {surface.level}, genus {surface.genus}, "
@@ -43,7 +43,7 @@ for l in range(9):
 print("\n— the built-in alarm: corrupt one phase and the rounding fails\n")
 control = SurfaceData(4, 0, (2, 2, 2))
 choice = enumerate_choices(control)[0]
-phases = list(_phase_vector(control, choice))
+phases = phase_vector(control, choice)
 phases[1] = -phases[1]
 try:
     fs_formula_with_phases(control, phases)

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 inadmissible input, 2 internal consistency
 failure (an exact division or integrality rounding that a theorem
 guarantees failed, which indicates a bug or a wrong phase convention).
 The VERLINDE_TOLERANCE environment variable overrides the integrality
-tolerance (default 1e-6).
+tolerance (default 1e-6); a value outside (0, 0.5) is an error (exit 1).
 """
 
 from __future__ import annotations

@@ -81,10 +81,7 @@ class NonIntegralValue(ArithmeticError):
 
 def integrality_tolerance() -> float:
     """Integrality tolerance, overridable through VERLINDE_TOLERANCE."""
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    return float(raw)
+    return float(os.environ.get(TOLERANCE_ENV_VAR, DEFAULT_TOLERANCE))
 
 
 def round_to_integer(value: float, tol: float | None = None,
@@ -95,9 +92,12 @@ def round_to_integer(value: float, tol: float | None = None,
     The allowed deviation scales with the magnitude of the value (floating
     point error in the Verlinde-type sums grows with their size) but is
     capped below 1/2 so a genuinely half-integral result always raises.
+    A tolerance outside (0, 0.5), nan included, raises ValueError.
     """
     if tol is None:
         tol = integrality_tolerance()
+    if not 0.0 < tol < 0.5:  # also rejects nan
+        raise ValueError(f"integrality tolerance must be in (0, 0.5), got {tol!r}")
     nearest = round(value)
     allowed = min(tol * (1.0 + abs(value)), 0.499)
     if abs(value - nearest) > allowed:

@@ -4,8 +4,9 @@ Everything here recomputes results along a second route: structure
 constants through the Verlinde diagonalization sum, character reduction
 through special-point evaluation, star-block quantizations through the
 literal multiplicity tables, and classical Verlinde numbers through the
-S-matrix power sum.  ``run_verification_suite`` packages all module
-invariants into a report over a parameter box.
+S-matrix power sum, and the S-matrix formula as the literal Gamma sum.
+``run_verification_suite`` packages all module invariants into a report
+over a parameter box.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .fusion_ring import (
 from .prequant import (
     GammaElement,
     NotAdmissible,
+    PrequantChoice,
     SurfaceData,
     check_prequantization,
     enumerate_choices,
@@ -43,7 +45,6 @@ from .prequant import (
 from .quantization import (
     chi_element,
     fs_formula,
-    fs_formula_with_phases,
     localization_evaluate,
     quantize_double_su2,
     quantize_star_block,
@@ -51,7 +52,6 @@ from .quantization import (
     reduced_quantization,
     tau_power,
     verlinde_baseline,
-    _phase_vector,
 )
 
 __all__ = [
@@ -63,6 +63,8 @@ __all__ = [
     "star_choice_class",
     "classical_verlinde_number",
     "sweep_surfaces",
+    "phase_vector",
+    "fs_formula_with_phases",
     "run_verification_suite",
 ]
 
@@ -233,6 +235,31 @@ def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
             return "sum_minus_two"
         return "trivial"
     raise ValueError(f"no classification for r={r}")
+
+
+def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
+    """phi'(gamma) for every gamma in ``enumerate_gamma`` order."""
+    return [phase_factor(surface.level, choice, gamma)
+            for gamma in enumerate_gamma(surface, cap=2**9)]
+
+
+def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
+                           tol: float | None = None) -> FusionElement:
+    """The literal sum over Gamma (|Gamma| <= 2^9, ``enumerate_gamma`` order)
+    of phases[gamma] prod_j S^(gamma_j)[m_j, l] / S[0, l]^(s+2h), non-identity
+    terms at l = k/2 only: the reference for ``fs_formula``'s block sum.  Any
+    wrong phase makes the rounding raise NonIntegralCoefficient."""
+    k, half = surface.level, surface.level // 2
+    smat = s_matrix(k)
+    gammas = enumerate_gamma(surface, cap=2**9)
+    if len(phases) != len(gammas):
+        raise ValueError(f"need {len(gammas)} phases, got {len(phases)}")
+    rows = np.zeros((len(gammas), k + 1))
+    rows[0] = np.prod(smat[list(surface.labels)], axis=0)
+    for row, gamma in zip(rows[1:], gammas[1:]):
+        row[half] = math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits) if not c)
+    values = np.asarray(phases, dtype=np.float64) @ (rows / smat[0] ** surface.num_slots)
+    return from_idempotent(IdempotentVector(k, tuple(values / len(gammas))), tol)
 
 
 def sweep_surfaces(max_k: int, max_r: int, max_h: int,
@@ -600,7 +627,7 @@ def check_negative_control() -> CheckResult:
     undetected = 0
     flips = 0
     for choice in enumerate_choices(surface):
-        phases = list(_phase_vector(surface, choice))
+        phases = phase_vector(surface, choice)
         for i in range(len(phases)):
             flips += 1
             corrupted = list(phases)

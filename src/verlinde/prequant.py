@@ -35,6 +35,8 @@ __all__ = [
     "enumerate_choices",
     "canonicalize_choice",
     "phase_factor",
+    "star_sign",
+    "double_sign",
     "GAMMA_SIZE_CAP",
 ]
 
@@ -316,32 +318,34 @@ def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:
     return out
 
 
+def star_sign(level: int, star_count: int, star_weight: int) -> int:
+    """sigma_star: (-1)^(k*l_star/8) for star count >= 3, else 1 (psi alone)."""
+    if not star_weight or star_count < 3:
+        return 1
+    num = level * star_weight
+    if num % 8:
+        raise NotAdmissible(f"phase exponent k*l_star/8 = {num}/8 is not an integer; "
+                            f"(k={level}, l_star={star_weight}) needs k in 4N")
+    return -1 if (num // 8) % 2 else 1
+
+
+def double_sign(level: int) -> int:
+    """sigma_double: the phase (-1)^(k/2) of a double pair other than (0,0)."""
+    if level % 2:
+        raise NotAdmissible(f"phase exponent k/2 = {level}/2 is not an integer; "
+                            "double factors need k in 2N")
+    return -1 if (level // 2) % 2 else 1
+
+
 def phase_factor(level: int, choice: PrequantChoice, gamma: GammaElement) -> int:
     """Phase phi'(gamma) entering the S-matrix quantization formula.
 
-    Multiplicative over the star block and the double factors:
-    psi(gamma) times (-1)^(k*l_star/8) on the star block (when the star
-    count is >= 3; for two stars the sign is carried by psi alone), times
-    (-1)^(k/2) for every double pair of gamma different from (0,0).
-    phi'(identity) = 1 always.
+    Multiplicative over the blocks: psi(gamma) times ``star_sign`` times
+    ``double_sign`` for every double pair other than (0,0); phi'(e) = 1.
     """
     k = _check_level(level)
-    sign = choice.psi(gamma)
-    ls = gamma.star_weight
-    if ls and len(gamma.star_slots) >= 3:
-        num = k * ls
-        if num % 8:
-            raise NotAdmissible(
-                f"phase exponent k*l_star/8 = {num}/8 is not an integer; "
-                f"(k={k}, l_star={ls}) needs k in 4N")
-        if (num // 8) % 2:
-            sign = -sign
+    sign = choice.psi(gamma) * star_sign(k, len(gamma.star_slots), gamma.star_weight)
     for pair in gamma.double_pairs:
         if pair != (0, 0):
-            if k % 2:
-                raise NotAdmissible(
-                    f"phase exponent k/2 = {k}/2 is not an integer; "
-                    "double factors need k in 2N")
-            if (k // 2) % 2:
-                sign = -sign
+            sign *= double_sign(k)
     return sign

@@ -7,11 +7,11 @@ Three mutually cross-checking routes are implemented:
   even-parity sign group), plain conjugacy classes, and double factors;
   quantization is multiplicative over blocks, and each block has an exact
   integer formula.
-* ``fs_formula`` - the S-matrix (generalized Verlinde) formula, summing
-  over Gamma with phase factors phi'(gamma) and the twisted entries
-  S^(z)[m,l] (equal to 1 for z = c and to S[m,l] for z = e).  This path is
-  floating point; the final integrality rounding doubles as a detector for
-  wrong phase conventions.
+* ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
+  over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
+  (1 for z = c, S[m,l] for z = e), taken block by block as both factor
+  over blocks.  This path is floating point; the final integrality
+  rounding doubles as a detector for wrong phase conventions.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
   block at a special point.
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +43,11 @@ from .prequant import (
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
+    _star_patterns,
     canonicalize_choice,
-    enumerate_gamma,
-    phase_factor,
+    double_sign,
     require_admissible,
+    star_sign,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "quantize_double_so3",
     "quantize_surface",
     "fs_formula",
-    "fs_formula_with_phases",
     "reduced_quantization",
     "verlinde_baseline",
     "localization_evaluate",
@@ -165,10 +163,6 @@ def _normalize_star_psi(psi, r: int) -> tuple[int, ...]:
     return bits
 
 
-def _star_gamma_patterns(r: int) -> list[tuple[int, ...]]:
-    return [pat for pat in product((0, 1), repeat=r) if sum(pat) % 2 == 0]
-
-
 @lru_cache(maxsize=None)
 def _star_block(k: int, r: int, psi_bits: tuple[int, ...]) -> FusionElement:
     if r == 0:
@@ -184,7 +178,7 @@ def _star_block(k: int, r: int, psi_bits: tuple[int, ...]) -> FusionElement:
     half = k // 2
     quarter = k // 4
     total = 0
-    for pat in _star_gamma_patterns(r):
+    for pat in _star_patterns(r):
         lw = sum(pat)
         if lw == 0:
             continue
@@ -246,12 +240,13 @@ def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     phi = tuple(int(b) for b in phi)
     if len(phi) != 2 or any(b not in (0, 1) for b in phi):
         raise ValueError(f"phi must be two 0/1 bits, got {phi!r}")
-    sign = -1 if (k // 2) % 2 else 1
-    phi_sum = 0
-    for pair in ((0, 1), (1, 0), (1, 1)):
-        phi_sum += -1 if (phi[0] * pair[0] + phi[1] * pair[1]) % 2 else 1
-    total = quantize_double_su2(k) + (sign * phi_sum) * chi_element(k)
+    total = quantize_double_su2(k) + (double_sign(k) * _phi_sum(phi)) * chi_element(k)
     return _exact_divide(total, 4)
+
+
+def _phi_sum(phi: tuple[int, int]) -> int:
+    """phi(gamma) summed over the three gamma != e in Z x Z."""
+    return 3 if phi == (0, 0) else -1
 
 
 @lru_cache(maxsize=None)
@@ -299,86 +294,58 @@ def quantize_surface(surface: SurfaceData,
 
 @lru_cache(maxsize=512)
 def _fs_gamma_data(surface: SurfaceData):
-    """Per-gamma contribution rows of the S-matrix sum, and the identity row.
-
-    Row i holds, for each l in the range of sum_l^(gamma_i), the product
-    prod_j S^(gamma_j)[m_j, l] / S[0, l]^(s+2h); non-identity rows are
-    supported at l = k/2 only.  The reduced variant (exponent s+2h-2) is a
-    scalar per gamma.  Also precomputed: the gamma bit matrix and the
-    choice-independent part of the phases, so per-choice work is a couple
-    of matrix-vector products.
-    """
-    k = surface.level
-    gammas = tuple(enumerate_gamma(surface))
+    """Choice-independent O(k) data of the S-matrix sum: the identity term
+    prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, its reduced form (exponent
+    s+2h-2) summed over l != k/2, prod S[m, k/2] over the non-star labels,
+    S[k/2, k/2] and S[0, k/2].  (For odd k, Gamma = {e} and the block sum at
+    l = (k-1)/2 is the identity term.)"""
+    k, n, half = surface.level, surface.num_slots, surface.level // 2
     smat = s_matrix(k)
-    s0 = smat[0]
-    exponent = surface.num_slots
-    rows = np.zeros((len(gammas), k + 1))
-    reduced = np.zeros(len(gammas))
-    full = np.ones(k + 1)
-    for m in surface.labels:
-        full = full * smat[m]
-    rows[0] = full / s0 ** exponent
-    reduced[0] = math.fsum(full / s0 ** (exponent - 2))
-    for i, gamma in enumerate(gammas):
-        if i == 0:
-            continue
-        half = k // 2
-        numer = 1.0
-        for j, m in enumerate(surface.labels):
-            if not gamma.bits[j]:
-                numer *= smat[m][half]
-        rows[i][half] = numer / s0[half] ** exponent
-        reduced[i] = numer / s0[half] ** (exponent - 2)
-    bit_matrix = np.array([g.bits for g in gammas], dtype=np.int64)
-    trivial = PrequantChoice((0,) * surface.num_slots)
-    fixed_signs = np.array([phase_factor(k, trivial, g) for g in gammas], dtype=np.float64)
-    for arr in (rows, reduced, bit_matrix, fixed_signs):
-        arr.setflags(write=False)
-    return gammas, rows, reduced, bit_matrix, fixed_signs
+    full = np.prod(smat[list(surface.labels)], axis=0)
+    identity = full / smat[0] ** n
+    identity.setflags(write=False)
+    reduced = math.fsum(np.delete(full / smat[0] ** (n - 2), half).tolist())
+    nonstar = math.prod(float(smat[m][half]) for m in surface.nonstar_labels)
+    return identity, reduced, nonstar, float(smat[half][half]), float(smat[0][half])
 
 
-def _phase_vector(surface: SurfaceData, choice: PrequantChoice) -> np.ndarray:
-    """phi'(gamma) for every gamma in enumeration order, as +-1 floats."""
-    _, _, _, bit_matrix, fixed_signs = _fs_gamma_data(surface)
-    psi = np.asarray(choice.psi_bits, dtype=np.int64)
-    if psi.shape[0] != bit_matrix.shape[1]:
-        raise ValueError("psi functional and gamma have different slot counts")
-    psi_values = 1.0 - 2.0 * ((bit_matrix @ psi) % 2)
-    return fixed_signs * psi_values
-
-
-def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
-                           tol: float | None = None) -> FusionElement:
-    """S-matrix sum with explicitly supplied phases, one per gamma.
-
-    The phases follow the ``enumerate_gamma`` order.  Used to probe phase
-    conventions: any wrong sign makes the rounding step raise
-    NonIntegralCoefficient.
-    """
-    gammas, rows, _, _, _ = _fs_gamma_data(surface)
-    if len(phases) != len(gammas):
-        raise ValueError(f"need {len(gammas)} phases, got {len(phases)}")
-    values = np.asarray(phases, dtype=np.float64) @ rows / len(gammas)
-    return from_idempotent(IdempotentVector(surface.level, tuple(values)), tol)
+def _block_sum(surface: SurfaceData, choice: PrequantChoice, exponent: int) -> float:
+    """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent,
+    a product of block sums: the weight-w star patterns signed by psi count
+    K_w(a), a = psi bits on star slots; a double gives 1 + double_sign * phi_sum."""
+    k, stars = surface.level, surface.star_slots
+    r, a = len(stars), sum(choice.psi_bits[j] for j in stars)
+    _, _, nonstar, s_star, s0_star = _fs_gamma_data(surface)
+    star = sum(star_sign(k, r, w) * s_star ** (r - w)
+               * sum((-1) ** i * math.comb(a, i) * math.comb(r - a, w - i) for i in range(w + 1))
+               for w in range(0, r + 1, 2))
+    doubles = math.prod(1 + double_sign(k) * _phi_sum(phi)
+                        for phi in _choice_phi_pairs(surface, choice))
+    return nonstar / s0_star ** exponent * star * doubles
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
                tol: float | None = None) -> QuantizationResult:
-    """Quantization through the S-matrix formula (floating point + rounding)."""
+    """Quantization through the S-matrix formula, summed block by block:
+    the identity term / |Gamma| at l != k/2, ``_block_sum`` / |Gamma| at
+    l = k/2 (floating point, then integrality rounding)."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
-    element = fs_formula_with_phases(surface, _phase_vector(surface, choice), tol)
+    k, size = surface.level, surface.gamma_size()
+    values = _fs_gamma_data(surface)[0] / size
+    values[k // 2] = _block_sum(surface, choice, surface.num_slots) / size
+    element = from_idempotent(IdempotentVector(k, tuple(values)), tol)
     return QuantizationResult.of(element, "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None,
                          tol: float | None = None) -> int:
-    """The scalar S-matrix sum: quantization of the symplectic quotient."""
+    """The scalar S-matrix sum (quantization of the symplectic quotient),
+    summed block by block with exponent s+2h-2."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
-    _, _, reduced, _, _ = _fs_gamma_data(surface)
-    value = float(_phase_vector(surface, choice) @ reduced) / len(reduced)
+    value = (_fs_gamma_data(surface)[1]
+             + _block_sum(surface, choice, surface.num_slots - 2)) / surface.gamma_size()
     return round_to_integer(value, tol, NonIntegralValue, "reduced quantization")
 
 
@@ -417,7 +384,7 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     total = 0.0
     if chi_val:
         quarter = k // 4
-        for pat in _star_gamma_patterns(r):
+        for pat in _star_patterns(r):
             lw = sum(pat)
             if lw == 0:
                 continue

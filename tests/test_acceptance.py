@@ -19,6 +19,8 @@ from verlinde.fusion_ring import (
 )
 from verlinde.oracles import (
     classical_verlinde_number,
+    fs_formula_with_phases,
+    phase_vector as _phase_vector,
     star_choice_class,
     structure_constants_from_multiply,
     structure_constants_verlinde,
@@ -28,14 +30,12 @@ from verlinde.prequant import PrequantChoice, SurfaceData, enumerate_choices
 from verlinde.quantization import (
     chi_element,
     fs_formula,
-    fs_formula_with_phases,
     localization_evaluate,
     quantize_star_block,
     quantize_surface,
     reduced_quantization,
     tau_power,
     verlinde_baseline,
-    _phase_vector,
 )
 
 import random

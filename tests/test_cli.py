@@ -125,6 +125,21 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "0.5"])
+def test_bad_tolerance_env_is_an_error(capsys, monkeypatch, tol):
+    monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
+    code = main(["quantize", "--level", "4", "--labels", "2,2", "--path", "both"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: integrality tolerance")
+
+
+def test_quantize_beyond_gamma_enumeration_cap(capsys):
+    code, out = run(capsys, "quantize", "--level", "2", "--genus", "11",
+                    "--psi", ",".join("0" * 22), "--path", "both", "--reduced")
+    assert code == 0
+    assert "coeffs [0, 0, 1]  reduced 0" in out
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     # force an inconsistency to check the exit-code mapping
     from verlinde import cli

@@ -10,9 +10,11 @@ from verlinde.fusion_ring import (
     FusionElement,
     IdempotentVector,
     NonIntegralCoefficient,
+    NonIntegralValue,
     from_idempotent,
     multiply_coeff_vectors,
     reduce_character,
+    round_to_integer,
     s_matrix,
     s_matrix_entry,
     to_idempotent,
@@ -215,6 +217,27 @@ class TestIdempotentBasis:
         coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1))
         x = FusionElement(k, tuple(coeffs))
         assert from_idempotent(to_idempotent(x)) == x
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, -1e-6, 0.5]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_argument_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            round_to_integer(2.5, tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_environment_rejected(self, tol, monkeypatch):
+        monkeypatch.setenv("VERLINDE_TOLERANCE", repr(tol))
+        with pytest.raises(ValueError, match="tolerance"):
+            round_to_integer(2.0)
+
+    def test_valid_tolerance_still_checks(self):
+        assert round_to_integer(2.0 + 1e-9, 1e-6) == 2
+        with pytest.raises(NonIntegralValue):
+            round_to_integer(2.5, 0.49)
 
 
 class TestTrace:

@@ -4,15 +4,17 @@ import pytest
 
 from verlinde.fusion_ring import FusionElement, NonIntegralCoefficient
 from verlinde.prequant import (
+    GroupTooLarge,
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
+    canonicalize_choice,
     enumerate_choices,
+    enumerate_gamma,
 )
 from verlinde.quantization import (
     chi_element,
     fs_formula,
-    fs_formula_with_phases,
     localization_evaluate,
     quantize_conjugacy_class,
     quantize_double_so3,
@@ -22,7 +24,11 @@ from verlinde.quantization import (
     reduced_quantization,
     tau_power,
     verlinde_baseline,
-    _phase_vector,
+)
+from verlinde.oracles import (
+    fs_formula_with_phases,
+    phase_vector as _phase_vector,
+    sweep_surfaces,
 )
 
 
@@ -165,6 +171,26 @@ class TestFsFormula:
         phases[2] = -phases[2]
         with pytest.raises(NonIntegralCoefficient):
             fs_formula_with_phases(surf, phases)
+
+    def test_block_sum_matches_literal_gamma_sum(self):
+        for surf in sweep_surfaces(20, 5, 2, gamma_cap=2**6):
+            for choice in enumerate_choices(surf):
+                literal = fs_formula_with_phases(surf, _phase_vector(surf, choice))
+                assert fs_formula(surf, choice).element == literal
+                assert reduced_quantization(surf, choice) == literal.trace
+
+    @pytest.mark.parametrize("surf", [SurfaceData(2, 11, ()), SurfaceData(4, 10, (2, 2, 2))])
+    def test_gamma_beyond_enumeration_cap(self, surf):
+        # |Gamma| = 2^22: too large to list, but the block sum never lists it
+        all_ones = canonicalize_choice(surf, (1,) * surf.num_slots)
+        for choice in (None, all_ones):
+            closed = quantize_surface(surf, choice)
+            assert fs_formula(surf, choice).element == closed.element
+            assert reduced_quantization(surf, choice) == closed.reduced
+        with pytest.raises(GroupTooLarge):
+            enumerate_gamma(surf)
+        with pytest.raises(GroupTooLarge):
+            enumerate_choices(surf)
 
 
 class TestReducedQuantization:
