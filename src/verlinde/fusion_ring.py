@@ -84,6 +84,15 @@ def integrality_tolerance() -> float:
     return float(os.environ.get(TOLERANCE_ENV_VAR, DEFAULT_TOLERANCE))
 
 
+def _valid_tolerance(tol: float | None) -> float:
+    """``tol``, or the configured tolerance when None; ValueError outside (0, 0.5)."""
+    if tol is None:
+        tol = integrality_tolerance()
+    if not 0.0 < tol < 0.5:  # also rejects nan
+        raise ValueError(f"integrality tolerance must be in (0, 0.5), got {tol!r}")
+    return tol
+
+
 def round_to_integer(value: float, tol: float | None = None,
                      exc: type[ArithmeticError] = NonIntegralValue,
                      context: str = "value") -> int:
@@ -94,10 +103,7 @@ def round_to_integer(value: float, tol: float | None = None,
     capped below 1/2 so a genuinely half-integral result always raises.
     A tolerance outside (0, 0.5), nan included, raises ValueError.
     """
-    if tol is None:
-        tol = integrality_tolerance()
-    if not 0.0 < tol < 0.5:  # also rejects nan
-        raise ValueError(f"integrality tolerance must be in (0, 0.5), got {tol!r}")
+    tol = _valid_tolerance(tol)
     nearest = round(value)
     allowed = min(tol * (1.0 + abs(value)), 0.499)
     if abs(value - nearest) > allowed:
@@ -133,7 +139,7 @@ def s_matrix_entry(k: int, m: int, l: int) -> float:
     return math.sin((m + 1) * special_angle(k, l)) / math.sqrt(k / 2 + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def s_matrix(k: int) -> np.ndarray:
     """The full (k+1) x (k+1) S-matrix as a read-only float array."""
     _check_level(k)
@@ -541,8 +547,10 @@ def from_idempotent(v: IdempotentVector, tol: float | None = None) -> FusionElem
 
     Raises NonIntegralCoefficient when a coefficient is not integral within
     tolerance; that signals an inconsistent vector (or a wrong phase factor
-    upstream), not a numerical hiccup.
+    upstream), not a numerical hiccup.  The tolerance is read and checked
+    once per call, then passed to ``round_to_integer`` for every coefficient.
     """
+    tol = _valid_tolerance(tol)
     k = v.level
     smat = s_matrix(k)
     weighted = (smat[0] * np.asarray(v.values)) * smat  # row m: v[l] S[0,l] S[m,l]

@@ -37,7 +37,6 @@ from .prequant import (
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
-    check_prequantization,
     enumerate_choices,
     enumerate_gamma,
     phase_factor,
@@ -284,7 +283,7 @@ def sweep_surfaces(max_k: int, max_r: int, max_h: int,
                             continue
                         seen.add(key)
                         surface = SurfaceData(k, h, labels)
-                        if not check_prequantization(surface).admissible:
+                        if not surface.admissibility.admissible:
                             continue
                         if surface.gamma_size() > gamma_cap:
                             continue

@@ -16,6 +16,7 @@ zeroes every coordinate the constraints force to act trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -86,18 +87,26 @@ class SurfaceData:
     def num_slots(self) -> int:
         return len(self.labels) + 2 * self.genus
 
-    @property
+    # Derived data, computed once per instance; cached_property stores it in
+    # the instance __dict__, so equality, hash and repr still see the fields.
+
+    @cached_property
     def star_slots(self) -> tuple[int, ...]:
         """Boundary slots carrying the trace-zero class, i.e. 2*m_j = k."""
         return tuple(j for j, m in enumerate(self.labels) if 2 * m == self.level)
 
-    @property
+    @cached_property
     def star_count(self) -> int:
         return len(self.star_slots)
 
-    @property
+    @cached_property
     def nonstar_labels(self) -> tuple[int, ...]:
         return tuple(m for m in self.labels if 2 * m != self.level)
+
+    @cached_property
+    def admissibility(self) -> "AdmissibilityReport":
+        """The ``check_prequantization`` report of this surface."""
+        return check_prequantization(self)
 
     def gamma_size(self) -> int:
         r = self.star_count
@@ -119,6 +128,15 @@ class GammaElement:
     bits: tuple[int, ...]
     star_slots: tuple[int, ...]
     num_boundary: int
+
+    @classmethod
+    def _trusted(cls, bits: tuple[int, ...], star_slots: tuple[int, ...],
+                 num_boundary: int) -> "GammaElement":
+        """An element from bits already known to satisfy the invariants (they
+        were generated, or combined from valid elements); skips the checks."""
+        self = object.__new__(cls)
+        vars(self).update(bits=bits, star_slots=star_slots, num_boundary=num_boundary)
+        return self
 
     def __post_init__(self):
         bits = _check_bits(self.bits, "gamma bits")
@@ -161,8 +179,8 @@ class GammaElement:
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         if (self.star_slots, self.num_boundary) != (other.star_slots, other.num_boundary):
             raise ValueError("gamma elements belong to different groups")
-        return GammaElement(tuple(a ^ b for a, b in zip(self.bits, other.bits)),
-                            self.star_slots, self.num_boundary)
+        return GammaElement._trusted(tuple(a ^ b for a, b in zip(self.bits, other.bits)),
+                                     self.star_slots, self.num_boundary)
 
 
 @dataclass(frozen=True)
@@ -250,7 +268,12 @@ def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
 
 
 def require_admissible(surface: SurfaceData) -> None:
-    report = check_prequantization(surface)
+    """Raise NotAdmissible unless the surface admits a pre-quantization.
+
+    Reads the report the surface computed once (``SurfaceData.admissibility``),
+    so every path that checks the same surface shares one evaluation.
+    """
+    report = surface.admissibility
     if not report.admissible:
         raise NotAdmissible(f"inadmissible: {report.failure_message()}")
 
@@ -275,7 +298,7 @@ def enumerate_gamma(surface: SurfaceData, cap: int = GAMMA_SIZE_CAP) -> list[Gam
         for j, bit in zip(stars, star_pat):
             boundary[j] = bit
         for double_bits in product((0, 1), repeat=2 * h):
-            out.append(GammaElement(tuple(boundary) + double_bits, stars, s))
+            out.append(GammaElement._trusted(tuple(boundary) + double_bits, stars, s))
     return out
 
 

@@ -43,7 +43,6 @@ from .prequant import (
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
-    _star_patterns,
     canonicalize_choice,
     double_sign,
     require_admissible,
@@ -121,7 +120,7 @@ def chi_element(k: int) -> FusionElement:
     return FusionElement(k, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def tau_power(k: int, r: int) -> FusionElement:
     """(tau_{k/2})^r, cached; k must be even for r >= 1."""
     if r == 0:
@@ -163,31 +162,33 @@ def _normalize_star_psi(psi, r: int) -> tuple[int, ...]:
     return bits
 
 
-@lru_cache(maxsize=None)
+def _star_sum(k: int, r: int, a: int, term, lowest: int = 0):
+    """psi(pattern) star_sign(k, r, w) term(w) summed over the even-parity star
+    patterns of weight w >= lowest, psi having a bits set on the r star slots.
+    Grouped by weight: sum_w star_sign(k, r, w) term(w) K_w(a), where
+    K_w(a) = sum_i (-1)^i C(a, i) C(r-a, w-i) sums psi over the weight-w
+    patterns; O(r^2) steps, not 2^(r-1)."""
+    return sum(star_sign(k, r, w) * term(w)
+               * sum((-1) ** i * math.comb(a, i) * math.comb(r - a, w - i) for i in range(w + 1))
+               for w in range(lowest, r + 1, 2))
+
+
+def _chi_coefficient(k: int, r: int, a: int) -> int:
+    """sum_{gamma != e} psi(gamma) (k/2+1)^(l/2 - 1) (-1)^(k/4 (r - l/2)) over
+    the star block, l = l(gamma); for r <= 2 the sign is psi alone.  The
+    sign equals (-1)^(kr/4) star_sign(k, r, l)."""
+    total = _star_sum(k, r, a, lambda w: (k // 2 + 1) ** (w // 2 - 1), lowest=2)
+    return -total if r >= 3 and (k * r // 4) % 2 else total
+
+
+@lru_cache(maxsize=512)
 def _star_block(k: int, r: int, psi_bits: tuple[int, ...]) -> FusionElement:
     if r == 0:
         return FusionElement.one(k)
     if r == 1:
         return FusionElement.tau(k, k // 2)
-    chi = chi_element(k)
-    base = tau_power(k, r)
-    if r == 2:
-        sign = -1 if sum(psi_bits) % 2 else 1
-        return _exact_divide(base + sign * chi, 2)
-    # r >= 3: exact integer sum over the nontrivial even-parity sign vectors
-    half = k // 2
-    quarter = k // 4
-    total = 0
-    for pat in _star_patterns(r):
-        lw = sum(pat)
-        if lw == 0:
-            continue
-        psi_val = -1 if sum(p & b for p, b in zip(psi_bits, pat)) % 2 else 1
-        term = psi_val * (half + 1) ** (lw // 2 - 1)
-        if (quarter * (r - lw // 2)) % 2:
-            term = -term
-        total += term
-    return _exact_divide(base + total * chi, 2 ** (r - 1))
+    total = _chi_coefficient(k, r, sum(psi_bits))
+    return _exact_divide(tau_power(k, r) + total * chi_element(k), 2 ** (r - 1))
 
 
 def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
@@ -227,7 +228,7 @@ def quantize_double_su2(k: int) -> FusionElement:
     return FusionElement(k, tuple(0 if j % 2 else k - j + 1 for j in range(k + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     """Quantization of the SO(3) double for the choice phi in Hom(Z x Z, {+-1}).
 
@@ -249,7 +250,7 @@ def _phi_sum(phi: tuple[int, int]) -> int:
     return 3 if phi == (0, 0) else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     out = FusionElement.one(k)
     for m in labels:
@@ -257,7 +258,7 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _star_and_doubles(k: int, r: int, psi_star: tuple[int, ...],
                       phi_pairs: tuple[tuple[int, int], ...]) -> FusionElement:
     out = _star_block(k, r, psi_star)
@@ -267,9 +268,21 @@ def _star_and_doubles(k: int, r: int, psi_star: tuple[int, ...],
 
 
 def _resolve_choice(surface: SurfaceData, choice: PrequantChoice | None) -> PrequantChoice:
+    """The canonical representative of ``choice`` on this surface (None: trivial).
+
+    A PrequantChoice that is already canonical (one bit per slot, none on a
+    non-star boundary slot, first star bit 0) is returned as it is: its bits
+    were checked to be 0/1 when it was built.  Anything else goes through
+    ``canonicalize_choice``, which raises for a wrong length or bad bits.
+    """
     if choice is None:
         return PrequantChoice((0,) * surface.num_slots)
-    return canonicalize_choice(surface, choice.psi_bits)
+    bits, stars = choice.psi_bits, surface.star_slots
+    if (isinstance(choice, PrequantChoice) and len(bits) == surface.num_slots
+            and not (stars and bits[stars[0]])
+            and sum(bits[:surface.num_boundary]) == sum(bits[j] for j in stars)):
+        return choice
+    return canonicalize_choice(surface, bits)
 
 
 def _choice_phi_pairs(surface: SurfaceData, choice: PrequantChoice) -> tuple[tuple[int, int], ...]:
@@ -284,8 +297,8 @@ def quantize_surface(surface: SurfaceData,
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
     k, r = surface.level, surface.star_count
-    psi_star = _normalize_star_psi(
-        tuple(choice.psi_bits[j] for j in surface.star_slots), r) if r >= 2 else ()
+    # canonical, so the star bits are in _normalize_star_psi's form already
+    psi_star = tuple(choice.psi_bits[j] for j in surface.star_slots) if r >= 2 else ()
     phi_pairs = tuple(sorted(_choice_phi_pairs(surface, choice)))
     element = _star_and_doubles(k, r, psi_star, phi_pairs) \
         * _label_product(k, tuple(sorted(surface.nonstar_labels)))
@@ -294,34 +307,38 @@ def quantize_surface(surface: SurfaceData,
 
 @lru_cache(maxsize=512)
 def _fs_gamma_data(surface: SurfaceData):
-    """Choice-independent O(k) data of the S-matrix sum: the identity term
-    prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, its reduced form (exponent
-    s+2h-2) summed over l != k/2, prod S[m, k/2] over the non-star labels,
-    S[k/2, k/2] and S[0, k/2].  (For odd k, Gamma = {e} and the block sum at
-    l = (k-1)/2 is the identity term.)"""
+    """Choice-independent O(k + r^2) data of the S-matrix sum: the identity
+    term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, its reduced form
+    (exponent s+2h-2) summed over l != k/2, prod S[m, k/2] over the non-star
+    labels, S[0, k/2], the star factor for each number a = 0..r of psi bits
+    set on star slots, and the double factor for phi = (0, 0) and for any
+    other phi.  (For odd k, Gamma = {e} and the block sum at l = (k-1)/2 is
+    the identity term.)"""
     k, n, half = surface.level, surface.num_slots, surface.level // 2
+    r = surface.star_count
     smat = s_matrix(k)
     full = np.prod(smat[list(surface.labels)], axis=0)
     identity = full / smat[0] ** n
     identity.setflags(write=False)
     reduced = math.fsum(np.delete(full / smat[0] ** (n - 2), half).tolist())
     nonstar = math.prod(float(smat[m][half]) for m in surface.nonstar_labels)
-    return identity, reduced, nonstar, float(smat[half][half]), float(smat[0][half])
+    s_star = float(smat[half][half])
+    star = tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
+    doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1))) \
+        if surface.genus else ()
+    return identity, reduced, nonstar, float(smat[0][half]), star, doubles
 
 
 def _block_sum(surface: SurfaceData, choice: PrequantChoice, exponent: int) -> float:
     """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent,
-    a product of block sums: the weight-w star patterns signed by psi count
-    K_w(a), a = psi bits on star slots; a double gives 1 + double_sign * phi_sum."""
-    k, stars = surface.level, surface.star_slots
-    r, a = len(stars), sum(choice.psi_bits[j] for j in stars)
-    _, _, nonstar, s_star, s0_star = _fs_gamma_data(surface)
-    star = sum(star_sign(k, r, w) * s_star ** (r - w)
-               * sum((-1) ** i * math.comb(a, i) * math.comb(r - a, w - i) for i in range(w + 1))
-               for w in range(0, r + 1, 2))
-    doubles = math.prod(1 + double_sign(k) * _phi_sum(phi)
-                        for phi in _choice_phi_pairs(surface, choice))
-    return nonstar / s0_star ** exponent * star * doubles
+    a product of block sums: the star factor sum_w star_sign(w) S[k/2, k/2]^(r-w)
+    K_w(a), a = psi bits set on star slots, and per double
+    1 + double_sign * phi_sum, both read from ``_fs_gamma_data``."""
+    _, _, nonstar, s0_star, star, double = _fs_gamma_data(surface)
+    bits, s = choice.psi_bits, surface.num_boundary
+    a = sum(bits[j] for j in surface.star_slots)
+    doubles = math.prod(double[x | y] for x, y in zip(bits[s::2], bits[s + 1::2]))
+    return nonstar / s0_star ** exponent * star[a] * doubles
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
@@ -381,15 +398,5 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     psi_bits = _normalize_star_psi(psi, r)
     half = k // 2
     chi_val = float(half + 1) if l == half else 0.0
-    total = 0.0
-    if chi_val:
-        quarter = k // 4
-        for pat in _star_patterns(r):
-            lw = sum(pat)
-            if lw == 0:
-                continue
-            psi_val = -1 if sum(p & b for p, b in zip(psi_bits, pat)) % 2 else 1
-            if r >= 3 and (quarter * (r - lw // 2)) % 2:
-                psi_val = -psi_val
-            total += psi_val * float(half + 1) ** (lw // 2 - 1)
+    total = _chi_coefficient(k, r, sum(psi_bits)) if chi_val else 0
     return (tau_val ** r + chi_val * total) / 2 ** (r - 1)

@@ -234,6 +234,15 @@ class TestTolerance:
         with pytest.raises(ValueError, match="tolerance"):
             round_to_integer(2.0)
 
+    def test_from_idempotent_reads_tolerance_once(self, monkeypatch):
+        from verlinde import fusion_ring
+        reads = []
+        monkeypatch.setattr(fusion_ring, "integrality_tolerance",
+                            lambda: reads.append(1) or 1e-6)
+        x = FusionElement(10, tuple(range(11)))
+        assert from_idempotent(to_idempotent(x)) == x
+        assert len(reads) == 1
+
     def test_valid_tolerance_still_checks(self):
         assert round_to_integer(2.0 + 1e-9, 1e-6) == 2
         with pytest.raises(NonIntegralValue):

@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlinde.oracles import sweep_surfaces
 from verlinde.prequant import (
     GammaElement,
     GroupTooLarge,
@@ -35,6 +39,21 @@ class TestSurfaceData:
         surf = SurfaceData(6, 2, (3, 1))
         assert SurfaceData.from_json_dict(surf.to_json_dict()) == surf
 
+    def test_derived_data_leaves_value_semantics_alone(self):
+        fresh = SurfaceData(8, 1, (4, 0, 4, 4))
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        assert surf.star_slots == (0, 2, 3) and surf.nonstar_labels == (0,)
+        assert surf.star_count == 3 and surf.admissibility.admissible
+        assert surf == fresh and hash(surf) == hash(fresh) and repr(surf) == repr(fresh)
+        assert surf.admissibility == check_prequantization(fresh)
+        copy = pickle.loads(pickle.dumps(surf))
+        assert copy == surf and hash(copy) == hash(surf)
+        assert copy.star_slots == (0, 2, 3) and copy.admissibility.admissible
+        moved = dataclasses.replace(surf, level=6)
+        assert moved == SurfaceData(6, 1, (4, 0, 4, 4))
+        assert moved.star_slots == () and moved.nonstar_labels == (4, 0, 4, 4)
+        assert len({surf, fresh, copy, moved}) == 2
+
 
 class TestAdmissibility:
     @pytest.mark.parametrize("k,h,labels,expected", [
@@ -56,6 +75,13 @@ class TestAdmissibility:
     def test_require_admissible_raises(self):
         with pytest.raises(NotAdmissible, match=r"\(ii\)"):
             require_admissible(SurfaceData(3, 1, ()))
+
+    def test_report_computed_once_per_surface(self):
+        surf = SurfaceData(6, 0, (3, 3, 3))
+        assert surf.admissibility is surf.admissibility
+        for _ in range(2):
+            with pytest.raises(NotAdmissible, match=r"\(iii\)"):
+                require_admissible(surf)
 
 
 class TestGammaEnumeration:
@@ -85,6 +111,17 @@ class TestGammaEnumeration:
     def test_cap(self):
         with pytest.raises(GroupTooLarge):
             enumerate_gamma(SurfaceData(2, 2, ()), cap=8)
+
+    def test_enumerated_elements_pass_the_public_checks(self):
+        for surf in sweep_surfaces(8, 4, 2, gamma_cap=2**6):
+            gammas = enumerate_gamma(surf)
+            for g in gammas:
+                assert g == GammaElement(g.bits, g.star_slots, g.num_boundary)
+            last = gammas[-1]
+            for g in gammas:
+                product = g * last
+                assert product == GammaElement(product.bits, product.star_slots,
+                                               product.num_boundary)
 
     def test_invalid_bits_rejected(self):
         surf = SurfaceData(4, 0, (2, 1))

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -191,6 +192,111 @@ class TestFsFormula:
             enumerate_gamma(surf)
         with pytest.raises(GroupTooLarge):
             enumerate_choices(surf)
+
+
+def _noncanonical_variants(surf, bits):
+    """bits with every non-star boundary bit set, with the first star bit
+    flipped, with all star bits flipped, and with both changes at once."""
+    stars = surf.star_slots
+    nonstar = [j for j in range(surf.num_boundary) if j not in stars]
+
+    def flip(slots, base):
+        return tuple(b ^ 1 if j in slots else b for j, b in enumerate(base))
+
+    padded = tuple(1 if j in nonstar else b for j, b in enumerate(bits))
+    return {padded, flip(stars[:1], bits), flip(stars, bits), flip(stars, padded)} - {bits}
+
+
+class TestChoiceResolution:
+    def test_noncanonical_bits_match_their_canonical_form(self):
+        checked = 0
+        for surf in sweep_surfaces(8, 4, 1, gamma_cap=2**5):
+            for choice in enumerate_choices(surf):
+                for bits in _noncanonical_variants(surf, choice.psi_bits):
+                    canonical = canonicalize_choice(surf, bits)
+                    raw = PrequantChoice(bits)
+                    closed = quantize_surface(surf, raw)
+                    assert closed == quantize_surface(surf, canonical)
+                    assert closed.choice == canonical
+                    through_s = fs_formula(surf, raw)
+                    assert through_s == fs_formula(surf, canonical)
+                    assert through_s.choice == canonical
+                    assert reduced_quantization(surf, raw) == \
+                        reduced_quantization(surf, canonical)
+                    checked += 1
+        assert checked > 500
+
+    def test_canonical_choice_passes_through(self):
+        surf = SurfaceData(4, 1, (2, 0, 2))
+        choice = PrequantChoice((0, 0, 1, 1, 0))
+        assert quantize_surface(surf, choice).choice is choice
+        assert fs_formula(surf, choice).choice is choice
+
+    def test_wrong_length_still_rejected(self):
+        surf = SurfaceData(4, 1, (2, 0, 2))
+        for path in (quantize_surface, fs_formula, reduced_quantization):
+            with pytest.raises(ValueError, match="need 5 psi bits"):
+                path(surf, PrequantChoice((0, 0, 0, 0)))
+
+
+class TestToleranceOverride:
+    SURFACE = SurfaceData(20, 2, (10, 10, 10))  # rounding error ~1e-11
+
+    def test_each_call_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-12")
+        with pytest.raises(NonIntegralCoefficient):
+            fs_formula(self.SURFACE)
+        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-6")
+        closed = quantize_surface(self.SURFACE)
+        assert fs_formula(self.SURFACE).element == closed.element
+        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-12")
+        with pytest.raises(NonIntegralCoefficient):
+            fs_formula(self.SURFACE)
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "0.5"])
+    def test_invalid_environment_value_raises(self, monkeypatch, tol):
+        monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            fs_formula(self.SURFACE)
+
+
+def _pattern_loop_chi_coefficient(k, r, psi_bits):
+    """The sum over the 2^(r-1) star patterns, one pattern at a time: psi
+    times (k/2+1)^(l/2-1), sign (-1)^((k/4)(r - l/2)) for r >= 3."""
+    total = 0
+    for pat in product((0, 1), repeat=r):
+        lw = sum(pat)
+        if lw == 0 or lw % 2:
+            continue
+        term = (-1) ** sum(p & b for p, b in zip(psi_bits, pat)) * (k // 2 + 1) ** (lw // 2 - 1)
+        if r >= 3 and (k // 4 * (r - lw // 2)) % 2:
+            term = -term
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 40])
+def test_star_sum_matches_pattern_loop(k):
+    half = k // 2
+    theta = math.pi * (half + 1) / (k + 2)
+    tau_val = math.sin((half + 1) * theta) / math.sin(theta)
+    for r in range(2, 11):
+        base, chi = tau_power(k, r), chi_element(k)
+        for free in product((0, 1), repeat=r - 1):
+            psi = (0,) + free
+            total = _pattern_loop_chi_coefficient(k, r, psi)
+            block = quantize_star_block(k, r, psi)
+            assert block * 2 ** (r - 1) == base + total * chi
+            loc = (tau_val ** r + (half + 1) * total) / 2 ** (r - 1)
+            assert localization_evaluate(k, r, psi, half) == pytest.approx(loc, rel=1e-12)
+
+
+def test_caches_are_bounded():
+    from verlinde import fusion_ring, oracles, prequant, quantization
+    for module in (fusion_ring, prequant, quantization, oracles):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
 
 
 class TestReducedQuantization:
