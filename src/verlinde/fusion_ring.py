@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,6 +149,14 @@ def s_matrix(k: int) -> np.ndarray:
     return mat
 
 
+def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
+    """sum c chi_m(t_l) over the (m, c) in ``terms``, by the Weyl character
+    formula: sum c sin((m+1) theta) / sin(theta), theta the angle of t_l,
+    the sum exactly rounded (math.fsum)."""
+    theta = special_angle(k, _check_index(k, l, "l"))
+    return math.fsum(c * math.sin((m + 1) * theta) for m, c in terms) / math.sin(theta)
+
+
 class CharacterPoly:
     """Finitely supported integer combination of SU(2) characters chi_m.
 
@@ -218,9 +226,7 @@ class CharacterPoly:
 
     def special_point_value(self, k: int, l: int) -> float:
         """Evaluate at the level-k special point t_l via the Weyl quotient."""
-        theta = special_angle(k, _check_index(k, l, "l"))
-        denom = math.sin(theta)
-        return math.fsum(c * math.sin((m + 1) * theta) for m, c in self.coeffs.items()) / denom
+        return _weyl_quotient(k, l, self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
@@ -472,11 +478,7 @@ class FusionElement:
 
     def evaluate(self, l: int) -> float:
         """Value at the special point t_l (the evaluation homomorphism)."""
-        k = self.level
-        theta = special_angle(k, _check_index(k, l, "l"))
-        denom = math.sin(theta)
-        return math.fsum(c * math.sin((m + 1) * theta)
-                         for m, c in enumerate(self.coeffs) if c) / denom
+        return _weyl_quotient(self.level, l, ((m, c) for m, c in enumerate(self.coeffs) if c))
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -236,10 +237,16 @@ def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
     raise ValueError(f"no classification for r={r}")
 
 
+@lru_cache(maxsize=16)
+def _listed_gamma(surface: SurfaceData) -> tuple[GammaElement, ...]:
+    """``enumerate_gamma(surface, cap=2**9)`` as a tuple, listed once per
+    surface for all its choices (GroupTooLarge above 2^9 is not cached)."""
+    return tuple(enumerate_gamma(surface, cap=2**9))
+
+
 def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
     """phi'(gamma) for every gamma in ``enumerate_gamma`` order."""
-    return [phase_factor(surface.level, choice, gamma)
-            for gamma in enumerate_gamma(surface, cap=2**9)]
+    return [phase_factor(surface.level, choice, gamma) for gamma in _listed_gamma(surface)]
 
 
 def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
@@ -250,7 +257,7 @@ def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
     wrong phase makes the rounding raise NonIntegralCoefficient."""
     k, half = surface.level, surface.level // 2
     smat = s_matrix(k)
-    gammas = enumerate_gamma(surface, cap=2**9)
+    gammas = _listed_gamma(surface)
     if len(phases) != len(gammas):
         raise ValueError(f"need {len(gammas)} phases, got {len(phases)}")
     rows = np.zeros((len(gammas), k + 1))

@@ -18,6 +18,12 @@ Three mutually cross-checking routes are implemented:
 ``reduced_quantization`` computes the scalar (tau_0-coefficient) variant of
 the S-matrix formula directly, and ``verlinde_baseline`` the simply
 connected SU(2) product with no sign group at all.
+
+A pre-quantization choice enters every path only through its phases, which
+depend on two numbers: a, the psi bits set on star slots, and d, the
+doubles with phi != (0, 0).  Each path computes its result once per class
+(surface, a, d) in a bounded cache and wraps it with the request's own
+canonical choice.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .fusion_ring import (
     NonIntegralValue,
     _check_index,
     _check_level,
+    _valid_tolerance,
     from_idempotent,
     round_to_integer,
     s_matrix,
@@ -182,12 +189,13 @@ def _chi_coefficient(k: int, r: int, a: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _star_block(k: int, r: int, psi_bits: tuple[int, ...]) -> FusionElement:
+def _star_block(k: int, r: int, a: int) -> FusionElement:
+    """The star block for psi with a bits set on the r star slots."""
     if r == 0:
         return FusionElement.one(k)
     if r == 1:
         return FusionElement.tau(k, k // 2)
-    total = _chi_coefficient(k, r, sum(psi_bits))
+    total = _chi_coefficient(k, r, a)
     return _exact_divide(tau_power(k, r) + total * chi_element(k), 2 ** (r - 1))
 
 
@@ -208,7 +216,7 @@ def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
     if r < 0:
         raise ValueError(f"star count must be non-negative, got {r}")
     _check_star_admissible(k, r)
-    return _star_block(k, r, _normalize_star_psi(psi, r) if r >= 2 else ())
+    return _star_block(k, r, sum(_normalize_star_psi(psi, r)) if r >= 2 else 0)
 
 
 def quantize_conjugacy_class(k: int, m: int) -> FusionElement:
@@ -259,10 +267,11 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
 
 
 @lru_cache(maxsize=4096)
-def _star_and_doubles(k: int, r: int, psi_star: tuple[int, ...],
-                      phi_pairs: tuple[tuple[int, int], ...]) -> FusionElement:
-    out = _star_block(k, r, psi_star)
-    for phi in phi_pairs:
+def _star_and_doubles(k: int, r: int, a: int, h: int, d: int) -> FusionElement:
+    """The star block times h SO(3) doubles, d of them with phi != (0, 0)
+    (every such phi gives the same double)."""
+    out = _star_block(k, r, a)
+    for phi in ((0, 0),) * (h - d) + ((0, 1),) * d:
         out = out * quantize_double_so3(k, phi)
     return out
 
@@ -285,10 +294,24 @@ def _resolve_choice(surface: SurfaceData, choice: PrequantChoice | None) -> Preq
     return canonicalize_choice(surface, bits)
 
 
-def _choice_phi_pairs(surface: SurfaceData, choice: PrequantChoice) -> tuple[tuple[int, int], ...]:
-    s = surface.num_boundary
-    bits = choice.psi_bits
-    return tuple((bits[s + 2 * i], bits[s + 2 * i + 1]) for i in range(surface.genus))
+def _choice_class(surface: SurfaceData, choice: PrequantChoice) -> tuple[int, int]:
+    """(a, d) of a canonical choice: a psi bits set on star slots, and d
+    doubles with phi != (0, 0).  The phases, and so every path's result,
+    depend on the choice only through this class."""
+    bits, s = choice.psi_bits, surface.num_boundary
+    return (sum(bits[j] for j in surface.star_slots),
+            sum(x | y for x, y in zip(bits[s::2], bits[s + 1::2])))
+
+
+# Per-class results.  lru_cache stores no exception, so a class whose
+# rounding fails raises again, with the same message, on every request.
+
+@lru_cache(maxsize=1024)
+def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
+    """Star block x doubles x the non-star labels' product for the class (a, d)."""
+    k = surface.level
+    return _star_and_doubles(k, surface.star_count, a, surface.genus, d) \
+        * _label_product(k, tuple(sorted(surface.nonstar_labels)))
 
 
 def quantize_surface(surface: SurfaceData,
@@ -296,12 +319,7 @@ def quantize_surface(surface: SurfaceData,
     """Closed-form quantization: star block x plain classes x doubles."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
-    k, r = surface.level, surface.star_count
-    # canonical, so the star bits are in _normalize_star_psi's form already
-    psi_star = tuple(choice.psi_bits[j] for j in surface.star_slots) if r >= 2 else ()
-    phi_pairs = tuple(sorted(_choice_phi_pairs(surface, choice)))
-    element = _star_and_doubles(k, r, psi_star, phi_pairs) \
-        * _label_product(k, tuple(sorted(surface.nonstar_labels)))
+    element = _closed_form_element(surface, *_choice_class(surface, choice))
     return QuantizationResult.of(element, "closed_form", choice)
 
 
@@ -329,41 +347,52 @@ def _fs_gamma_data(surface: SurfaceData):
     return identity, reduced, nonstar, float(smat[0][half]), star, doubles
 
 
-def _block_sum(surface: SurfaceData, choice: PrequantChoice, exponent: int) -> float:
-    """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent,
-    a product of block sums: the star factor sum_w star_sign(w) S[k/2, k/2]^(r-w)
-    K_w(a), a = psi bits set on star slots, and per double
+def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
+    """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent
+    for the class (a, d), a product of block sums: the star factor
+    sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), and per double
     1 + double_sign * phi_sum, both read from ``_fs_gamma_data``."""
     _, _, nonstar, s0_star, star, double = _fs_gamma_data(surface)
-    bits, s = choice.psi_bits, surface.num_boundary
-    a = sum(bits[j] for j in surface.star_slots)
-    doubles = math.prod(double[x | y] for x, y in zip(bits[s::2], bits[s + 1::2]))
+    h = surface.genus
+    doubles = double[0] ** (h - d) * double[1] ** d if h else 1
     return nonstar / s0_star ** exponent * star[a] * doubles
+
+
+@lru_cache(maxsize=1024)
+def _fs_element(surface: SurfaceData, a: int, d: int, tol: float) -> FusionElement:
+    k, size = surface.level, surface.gamma_size()
+    values = _fs_gamma_data(surface)[0] / size
+    values[k // 2] = _block_sum(surface, a, d, surface.num_slots) / size
+    return from_idempotent(IdempotentVector(k, tuple(values)), tol)
+
+
+@lru_cache(maxsize=1024)
+def _reduced_value(surface: SurfaceData, a: int, d: int, tol: float) -> int:
+    value = (_fs_gamma_data(surface)[1]
+             + _block_sum(surface, a, d, surface.num_slots - 2)) / surface.gamma_size()
+    return round_to_integer(value, tol, NonIntegralValue, "reduced quantization")
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
                tol: float | None = None) -> QuantizationResult:
     """Quantization through the S-matrix formula, summed block by block:
     the identity term / |Gamma| at l != k/2, ``_block_sum`` / |Gamma| at
-    l = k/2 (floating point, then integrality rounding)."""
+    l = k/2 (floating point, then integrality rounding), once per choice
+    class and tolerance."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
-    k, size = surface.level, surface.gamma_size()
-    values = _fs_gamma_data(surface)[0] / size
-    values[k // 2] = _block_sum(surface, choice, surface.num_slots) / size
-    element = from_idempotent(IdempotentVector(k, tuple(values)), tol)
+    element = _fs_element(surface, *_choice_class(surface, choice), _valid_tolerance(tol))
     return QuantizationResult.of(element, "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None,
                          tol: float | None = None) -> int:
     """The scalar S-matrix sum (quantization of the symplectic quotient),
-    summed block by block with exponent s+2h-2."""
+    summed block by block with exponent s+2h-2, once per choice class and
+    tolerance."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
-    value = (_fs_gamma_data(surface)[1]
-             + _block_sum(surface, choice, surface.num_slots - 2)) / surface.gamma_size()
-    return round_to_integer(value, tol, NonIntegralValue, "reduced quantization")
+    return _reduced_value(surface, *_choice_class(surface, choice), _valid_tolerance(tol))
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:

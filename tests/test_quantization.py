@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from verlinde.fusion_ring import FusionElement, NonIntegralCoefficient
+from verlinde import quantization
+from verlinde.fusion_ring import FusionElement, NonIntegralCoefficient, NonIntegralValue
 from verlinde.prequant import (
     GroupTooLarge,
     NotAdmissible,
@@ -237,6 +238,76 @@ class TestChoiceResolution:
         for path in (quantize_surface, fs_formula, reduced_quantization):
             with pytest.raises(ValueError, match="need 5 psi bits"):
                 path(surf, PrequantChoice((0, 0, 0, 0)))
+
+
+def _clear_quantization_caches():
+    for obj in vars(quantization).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _choice_class(surf, choice):
+    """(psi bits set on star slots, doubles with phi != (0, 0))."""
+    bits, s = choice.psi_bits, surf.num_boundary
+    doubles = zip(bits[s::2], bits[s + 1::2])
+    return sum(bits[j] for j in surf.star_slots), sum(pair != (0, 0) for pair in doubles)
+
+
+class TestChoiceClasses:
+    def test_cached_results_match_a_cold_computation(self):
+        requests = [(surf, choice) for surf in sweep_surfaces(8, 4, 2, gamma_cap=2**6)
+                    for choice in enumerate_choices(surf)]
+        warm = [(quantize_surface(surf, choice), fs_formula(surf, choice),
+                 reduced_quantization(surf, choice)) for surf, choice in requests]
+        members = {}
+        for (surf, choice), (closed, through_s, reduced) in zip(requests, warm):
+            assert closed.choice is choice and through_s.choice is choice
+            _clear_quantization_caches()
+            assert closed == quantize_surface(surf, choice)
+            assert through_s == fs_formula(surf, choice)
+            assert reduced == reduced_quantization(surf, choice)
+            members.setdefault((surf, _choice_class(surf, choice)), []).append(
+                (closed.element, through_s.element, reduced))
+        shared = [results for results in members.values() if len(results) > 1]
+        assert len(shared) > 100
+        for results in shared:
+            assert results.count(results[0]) == len(results)
+
+    def test_class_members_keep_their_own_choice(self):
+        surf = SurfaceData(8, 2, (4, 4, 4, 1))
+        a_class = [c for c in enumerate_choices(surf) if _choice_class(surf, c) == (2, 1)]
+        assert len(a_class) == 6
+        elements = set()
+        for choice in a_class:
+            for path in (quantize_surface, fs_formula):
+                result = path(surf, choice)
+                assert result.choice is choice
+                elements.add(result.element)
+        assert len(elements) == 1
+
+    def test_failure_is_not_cached(self):
+        surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # |Gamma| = 2^14
+        first, same_class = enumerate_choices(surf)[1:3]
+        assert _choice_class(surf, first) == _choice_class(surf, same_class)
+        for path, exc in ((fs_formula, NonIntegralCoefficient),
+                          (reduced_quantization, NonIntegralValue)):
+            messages = set()
+            for choice in (first, first, same_class):
+                with pytest.raises(exc) as info:
+                    path(surf, choice)
+                messages.add(str(info.value))
+            assert len(messages) == 1
+
+    def test_tolerance_change_recomputes_the_reduced_value(self, monkeypatch):
+        # fs_formula's counterpart is TestToleranceOverride below
+        surf = SurfaceData(24, 3, (12, 12, 12, 12))  # reduced value off by ~2e-7
+        expected = quantize_surface(surf).reduced
+        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-6")
+        assert reduced_quantization(surf) == expected
+        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-14")
+        with pytest.raises(NonIntegralValue):
+            reduced_quantization(surf)
+        assert reduced_quantization(surf, tol=1e-6) == expected
 
 
 class TestToleranceOverride:
