@@ -12,6 +12,7 @@ from .fusion_ring import (
     IdempotentVector,
     NonIntegralCoefficient,
     NonIntegralValue,
+    PrecisionExhausted,
     from_idempotent,
     integrality_tolerance,
     reduce_character,
@@ -58,7 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterPoly", "FusionElement", "IdempotentVector",
-    "NonIntegralCoefficient", "NonIntegralValue", "from_idempotent",
+    "NonIntegralCoefficient", "NonIntegralValue", "PrecisionExhausted",
+    "from_idempotent",
     "integrality_tolerance", "reduce_character", "s_matrix", "s_matrix_entry",
     "to_idempotent",
     "AdmissibilityReport", "GammaElement", "GroupTooLarge", "NotAdmissible",

@@ -4,7 +4,9 @@ verification sweep.
 
 Exit codes: 0 success, 1 inadmissible input, 2 internal consistency
 failure (an exact division or integrality rounding that a theorem
-guarantees failed, which indicates a bug or a wrong phase convention).
+guarantees failed, which indicates a bug or a wrong phase convention),
+3 precision exhausted (the float S-matrix path's rounding-error bound
+reached 1/2, so it cannot certify the integers; not a bug).
 The VERLINDE_TOLERANCE environment variable overrides the integrality
 tolerance (default 1e-6); a value outside (0, 0.5) is an error (exit 1).
 """
@@ -21,6 +23,7 @@ from .fusion_ring import (
     FusionElement,
     NonIntegralCoefficient,
     NonIntegralValue,
+    PrecisionExhausted,
     s_matrix,
 )
 from .oracles import closed_form_tables, run_verification_suite
@@ -44,6 +47,7 @@ from .quantization import (
 EXIT_OK = 0
 EXIT_NOT_ADMISSIBLE = 1
 EXIT_INCONSISTENT = 2
+EXIT_PRECISION_EXHAUSTED = 3
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -281,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except GroupTooLarge as exc:
         _print(f"error: {exc}")
         return EXIT_NOT_ADMISSIBLE
+    except PrecisionExhausted as exc:  # a NonIntegralCoefficient, but no bug
+        sys.stderr.write(f"precision exhausted: {exc}\n")
+        return EXIT_PRECISION_EXHAUSTED
     except (InexactDivision, NonIntegralCoefficient, NonIntegralValue) as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return EXIT_INCONSISTENT

@@ -32,6 +32,15 @@ which diagonalizes the fusion product.  All tau-basis coefficients are
 arbitrary-precision Python integers; floating point enters only through
 evaluation and the basis change, which are cross-checks against the exact
 path, never the authority.
+
+Both basis changes are one type-I discrete sine transform (DST-I) of
+length k+1, computed as the real FFT of its odd extension: O(k log k) time
+and O(k) memory, with no S-matrix formed.  ``from_idempotent`` also bounds
+the rounding error of its own arithmetic a priori (the FFT bound of Higham,
+*Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
+weighting of the inputs) and rounds only when that bound is below 1/2;
+otherwise it raises ``PrecisionExhausted``.  The bound covers the basis
+change alone, not the error already in the values it is given.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -46,11 +56,13 @@ from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import numpy.fft  # loaded with the package, not by the first transform
 
 __all__ = [
     "DEFAULT_TOLERANCE",
     "NonIntegralCoefficient",
     "NonIntegralValue",
+    "PrecisionExhausted",
     "CharacterPoly",
     "FusionElement",
     "IdempotentVector",
@@ -73,6 +85,15 @@ _JSON_SAFE_BOUND = 2**53
 
 class NonIntegralCoefficient(ArithmeticError):
     """A reconstructed tau-coefficient is not within tolerance of an integer."""
+
+
+class PrecisionExhausted(NonIntegralCoefficient):
+    """The a priori rounding-error bound of a float basis change is not below
+    1/2, so double precision cannot certify the integer coefficients.
+
+    A limit of the float path, not an inconsistency; it subclasses
+    NonIntegralCoefficient so that existing handlers still catch it.
+    """
 
 
 class NonIntegralValue(ArithmeticError):
@@ -139,14 +160,57 @@ def s_matrix_entry(k: int, m: int, l: int) -> float:
     return math.sin((m + 1) * special_angle(k, l)) / math.sqrt(k / 2 + 1)
 
 
-@lru_cache(maxsize=64)
-def s_matrix(k: int) -> np.ndarray:
-    """The full (k+1) x (k+1) S-matrix as a read-only float array."""
-    _check_level(k)
+def _s_rows(k: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of the level-k S-matrix as a new read-only array.  Every
+    S-matrix entry is computed by this one elementwise expression, so a row
+    read alone is bit-identical to the same row of ``s_matrix``."""
     mm = np.arange(1, k + 2)
-    mat = np.sin(np.outer(mm, mm) * (math.pi / (k + 2))) / math.sqrt(k / 2 + 1)
+    mat = np.sin(np.outer(np.asarray(rows) + 1, mm) * (math.pi / (k + 2))) \
+        / math.sqrt(k / 2 + 1)
     mat.setflags(write=False)
     return mat
+
+
+class _ArrayCache:
+    """Least recently used arrays by key, at most ``max_bytes`` of them in
+    total; an array larger than that is returned but not kept."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._arrays: OrderedDict = OrderedDict()
+
+    def get(self, key, build) -> np.ndarray:
+        """The array under ``key``, from ``build()`` on a miss."""
+        arr = self._arrays.pop(key, None)
+        if arr is None:
+            arr = build()
+        else:
+            self.nbytes -= arr.nbytes
+        if arr.nbytes <= self.max_bytes:
+            self._arrays[key] = arr
+            self.nbytes += arr.nbytes
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+        return arr
+
+
+# A k = 2000 matrix alone takes 32 MB; only the CLI and the oracles read
+# whole matrices, the quantization paths read single rows (``_s_row``).
+_S_MATRICES = _ArrayCache(32 * 2**20)
+
+
+def s_matrix(k: int) -> np.ndarray:
+    """The full (k+1) x (k+1) S-matrix as a read-only float array (the most
+    recently used ones are cached, 32 MB in total)."""
+    k = _check_level(k)
+    return _S_MATRICES.get(k, lambda: _s_rows(k, range(k + 1)))
+
+
+@lru_cache(maxsize=1024)
+def _s_row(k: int, m: int) -> np.ndarray:
+    """Row m of ``s_matrix(k)`` without the matrix, read-only and bit-identical."""
+    return _s_rows(k, (m,))[0]
 
 
 def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
@@ -529,6 +593,135 @@ class IdempotentVector:
         object.__setattr__(self, "values", values)
 
 
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+# Per-stage error of the FFT.  Higham, *Accuracy and Stability of Numerical
+# Algorithms* (2nd ed.), Thm 24.2: a radix-2 FFT of length n computes y = F x
+# with ||y^ - y||_2 <= t eta / (1 - t eta) ||y||_2, t = log2 n,
+# eta = mu + gamma_4 (sqrt(2) + mu), mu the error of the computed twiddle
+# factors.  For mu <= u, eta < 6.7u; 8u also absorbs the denominator.
+_FFT_ETA = 8 * _UNIT_ROUNDOFF
+
+# Relative error of a weighted input sin(theta_l) v_l, of the final 2/N
+# scaling and of one later sum per coefficient (``_add_star_idempotent``):
+# the angle (three roundings; folded to theta <= pi/2, where the sine's
+# condition number is at most 1), the sine (4 ulp = 8u), two products and
+# the sum.
+_WEIGHT_ERROR = 13 * _UNIT_ROUNDOFF
+
+# Absolute allowance for gradual underflow: each operation loses at most
+# 2^-1075 absolutely, and no transform here makes 2^52 operations.
+_UNDERFLOW = 2.0 ** -1022
+
+
+def _fft_error(n: int) -> float:
+    """Relative 2-norm error bound of numpy's FFT of length n.  numpy's FFT
+    is mixed radix, and for lengths with a large prime factor it uses
+    Bluestein's algorithm: three transforms of length below 4n and a chirp
+    product.  So the bound takes 3 eta per stage and log2(4n) stages, a
+    conservative reading of Thm 24.2 for both."""
+    return 3 * _FFT_ETA * math.ceil(math.log2(4 * n))
+
+
+@lru_cache(maxsize=256)
+def _sines(k: int) -> np.ndarray:
+    """sin((l+1) pi/(k+2)) for l = 0..k, read-only, the angle folded into
+    (0, pi/2]."""
+    l = np.arange(1, k + 2)
+    sines = np.sin(np.minimum(l, k + 2 - l) * (math.pi / (k + 2)))
+    sines.setflags(write=False)
+    return sines
+
+
+@lru_cache(maxsize=256)
+def _odd_extension(k: int, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (index, factor) that map v = (v_0, ..., v_k) to the odd
+    extension (0, y, 0, -reversed y) of length 2(k+2) as v[index] * factor,
+    where y = v, or y_l = sin((l+1) pi/(k+2)) v_l when ``weighted``."""
+    index = np.concatenate(([0], np.arange(k + 1), [0], np.arange(k, -1, -1)))
+    y = _sines(k) if weighted else np.ones(k + 1)
+    factor = np.concatenate(([0.0], y, [0.0], -y[::-1]))
+    index.setflags(write=False)
+    factor.setflags(write=False)
+    return index, factor
+
+
+def _sine_transform(v: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2, of
+    y as in ``_odd_extension``, and that odd extension: the real FFT of the
+    odd extension has p-th term -2i sum_j y_j sin(p (j+1) pi/N)."""
+    index, factor = _odd_extension(len(v) - 1, weighted)
+    odd = v[index] * factor
+    return np.fft.rfft(odd).imag[1:len(v) + 1] * -0.5, odd
+
+
+def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
+    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
+    vector v (a read-only array), and an a priori bound on the rounding error
+    of computing them.
+
+    c = (2/N) DST-I(x) with x_l = sin((l+1) pi/N) v_l, N = k+2.  The
+    transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per entry
+    (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N) times
+    that, and the DST takes half an imaginary part); the weighting, the
+    scaling and one later sum add at most _WEIGHT_ERROR sum |x_l| <=
+    _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
+    scaled by 2/N, and _UNDERFLOW is added.  The values themselves are
+    taken as exact.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    transform, odd = _sine_transform(v, weighted=True)
+    scale = 2.0 / (n + 1)
+    coeffs = transform * scale
+    coeffs.setflags(write=False)
+    norm = math.hypot(*odd[1:n + 1].tolist())  # ||x||_2; neither underflows nor overflows
+    bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
+    return coeffs, bound + _UNDERFLOW
+
+
+@lru_cache(maxsize=256)
+def _star_idempotent(k: int) -> np.ndarray:
+    """The tau-coefficients of taut_{k/2} for even k, read-only: exactly
+    (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as S[m, k/2] S[0, k/2]
+    = (2/N) sin((m+1) pi/2)."""
+    out = np.zeros(k + 1)
+    out[0::4] = 2.0 / (k + 2)
+    out[2::4] = -2.0 / (k + 2)
+    out.setflags(write=False)
+    return out
+
+
+def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
+                         delta: float) -> tuple[np.ndarray, float]:
+    """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (rounding
+    error at most ``bound``) plus delta taut_{k/2}, k even.  The bound grows
+    by the rounding of the step delta 2/N (forming delta as a difference of
+    two values, 2/N and the product: 3u) and of its part in each sum (u);
+    the sum's part from ``coeffs`` is in their bound already."""
+    out = coeffs + delta * _star_idempotent(k)
+    out.setflags(write=False)
+    return out, bound + 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
+
+
+def _round_coefficients(k: int, coeffs: np.ndarray, bound: float,
+                        tol: float) -> FusionElement:
+    """Round raw tau-coefficients whose rounding error is at most ``bound``.
+
+    Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
+    and NonIntegralCoefficient, at the first coefficient that fails, from
+    ``round_to_integer``, the only integrality check.
+    """
+    if not bound < 0.5:
+        raise PrecisionExhausted(
+            f"the tau-coefficients at level {k} have a rounding error bound of "
+            f"{bound:.3e}, not below 1/2: double precision cannot certify them")
+    return FusionElement(k, [
+        round_to_integer(c, tol, NonIntegralCoefficient, f"tau_{m} coefficient")
+        for m, c in enumerate(coeffs.tolist())])
+
+
 def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
     """Image of a character polynomial under R(SU(2)) -> R_k(SU(2))."""
     _check_level(k)
@@ -540,25 +733,24 @@ def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
 
 
 def to_idempotent(a: FusionElement) -> IdempotentVector:
-    """Expand in the idempotent basis by evaluating at every special point."""
-    return IdempotentVector(a.level, tuple(a.evaluate(l) for l in range(a.level + 1)))
+    """Expand in the idempotent basis: the values at every special point,
+    sum_m c_m sin((m+1)(l+1) pi/N) / sin((l+1) pi/N), all at once by one
+    sine transform (``FusionElement.evaluate`` is the per-point route)."""
+    k = a.level
+    values = _sine_transform(np.array(a.coeffs, dtype=np.float64), weighted=False)[0] / _sines(k)
+    return IdempotentVector(k, tuple(values.tolist()))
 
 
 def from_idempotent(v: IdempotentVector, tol: float | None = None) -> FusionElement:
     """Recover tau-coefficients sum_l v[l] S[0,l] S[m,l], rounded to integers.
 
-    Raises NonIntegralCoefficient when a coefficient is not integral within
-    tolerance; that signals an inconsistent vector (or a wrong phase factor
-    upstream), not a numerical hiccup.  The tolerance is read and checked
-    once per call, then passed to ``round_to_integer`` for every coefficient.
+    The coefficients come from one sine transform with an a priori bound on
+    its rounding error (``_sine_coefficients``).  Raises PrecisionExhausted
+    when that bound is not below 1/2, and NonIntegralCoefficient when a
+    coefficient is not integral within tolerance; the latter signals an
+    inconsistent vector (or a wrong phase factor upstream), not a numerical
+    hiccup.  The tolerance is read and checked once per call, then passed
+    to ``round_to_integer`` for every coefficient.
     """
     tol = _valid_tolerance(tol)
-    k = v.level
-    smat = s_matrix(k)
-    weighted = (smat[0] * np.asarray(v.values)) * smat  # row m: v[l] S[0,l] S[m,l]
-    coeffs = []
-    for m in range(k + 1):
-        raw = math.fsum(weighted[m].tolist())
-        coeffs.append(round_to_integer(raw, tol, NonIntegralCoefficient,
-                                       f"tau_{m} coefficient"))
-    return FusionElement(k, tuple(coeffs))
+    return _round_coefficients(v.level, *_sine_coefficients(v.values), tol)

@@ -249,23 +249,36 @@ def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
     return [phase_factor(surface.level, choice, gamma) for gamma in _listed_gamma(surface)]
 
 
+@lru_cache(maxsize=16)
+def _gamma_terms(surface: SurfaceData) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-free terms of the literal Gamma sum, built once per surface:
+    the identity term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, and for
+    every gamma (``_listed_gamma`` order) its term at l = k/2,
+    prod_{j: gamma_j = e} S[m_j, k/2] / S[0, k/2]^(s+2h)."""
+    k, half = surface.level, surface.level // 2
+    smat = s_matrix(k)
+    scale = smat[0] ** surface.num_slots
+    identity = np.prod(smat[list(surface.labels)], axis=0) / scale
+    column = np.array([math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits)
+                                 if not c) for gamma in _listed_gamma(surface)]) / scale[half]
+    identity.setflags(write=False)
+    column.setflags(write=False)
+    return identity, column
+
+
 def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
                            tol: float | None = None) -> FusionElement:
     """The literal sum over Gamma (|Gamma| <= 2^9, ``enumerate_gamma`` order)
     of phases[gamma] prod_j S^(gamma_j)[m_j, l] / S[0, l]^(s+2h), non-identity
-    terms at l = k/2 only: the reference for ``fs_formula``'s block sum.  Any
-    wrong phase makes the rounding raise NonIntegralCoefficient."""
-    k, half = surface.level, surface.level // 2
-    smat = s_matrix(k)
-    gammas = _listed_gamma(surface)
-    if len(phases) != len(gammas):
-        raise ValueError(f"need {len(gammas)} phases, got {len(phases)}")
-    rows = np.zeros((len(gammas), k + 1))
-    rows[0] = np.prod(smat[list(surface.labels)], axis=0)
-    for row, gamma in zip(rows[1:], gammas[1:]):
-        row[half] = math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits) if not c)
-    values = np.asarray(phases, dtype=np.float64) @ (rows / smat[0] ** surface.num_slots)
-    return from_idempotent(IdempotentVector(k, tuple(values / len(gammas))), tol)
+    terms at l = k/2 only: the reference for ``fs_formula``'s block sum.  The
+    phases are applied per call to terms built once per surface.  Any wrong
+    phase makes the rounding raise NonIntegralCoefficient."""
+    identity, column = _gamma_terms(surface)
+    if len(phases) != len(column):
+        raise ValueError(f"need {len(column)} phases, got {len(phases)}")
+    values = phases[0] * identity
+    values[surface.level // 2] = np.asarray(phases, dtype=np.float64) @ column
+    return from_idempotent(IdempotentVector(surface.level, tuple(values / len(column))), tol)
 
 
 def sweep_surfaces(max_k: int, max_r: int, max_h: int,

@@ -31,19 +31,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .fusion_ring import (
     FusionElement,
-    IdempotentVector,
     NonIntegralValue,
+    _add_star_idempotent,
     _check_index,
     _check_level,
+    _round_coefficients,
+    _s_row,
+    _sine_coefficients,
     _valid_tolerance,
-    from_idempotent,
     round_to_integer,
-    s_matrix,
     special_angle,
 )
 from .prequant import (
@@ -323,28 +325,40 @@ def quantize_surface(surface: SurfaceData,
     return QuantizationResult.of(element, "closed_form", choice)
 
 
+class _GammaData(NamedTuple):
+    """Choice-independent O(k + r^2) data of one surface's S-matrix sum."""
+
+    coeffs: np.ndarray  # tau-coefficients of the identity term / |Gamma|
+    bound: float  # their rounding-error bound
+    at_half: float  # the identity term / |Gamma| at l = k/2
+    reduced: float  # the reduced identity term summed over l != k/2
+    nonstar: float  # prod S[m, k/2] over the non-star labels
+    s0_half: float  # S[0, k/2]
+    star: tuple  # the star factor for a = 0..r psi bits set on star slots
+    doubles: tuple  # the double factor for phi = (0, 0) and for any other phi
+
+
 @lru_cache(maxsize=512)
-def _fs_gamma_data(surface: SurfaceData):
-    """Choice-independent O(k + r^2) data of the S-matrix sum: the identity
-    term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, its reduced form
-    (exponent s+2h-2) summed over l != k/2, prod S[m, k/2] over the non-star
-    labels, S[0, k/2], the star factor for each number a = 0..r of psi bits
-    set on star slots, and the double factor for phi = (0, 0) and for any
-    other phi.  (For odd k, Gamma = {e} and the block sum at l = (k-1)/2 is
-    the identity term.)"""
+def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
+    """The identity term prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| for every
+    l, taken to the tau basis by one sine transform; its reduced form
+    (exponent s+2h-2) summed over l != k/2; and the factors of the block
+    sum at l = k/2.  Only the S-matrix rows of the labels, 0 and k/2 are
+    read, from the row cache."""
     k, n, half = surface.level, surface.num_slots, surface.level // 2
     r = surface.star_count
-    smat = s_matrix(k)
-    full = np.prod(smat[list(surface.labels)], axis=0)
-    identity = full / smat[0] ** n
-    identity.setflags(write=False)
-    reduced = math.fsum(np.delete(full / smat[0] ** (n - 2), half).tolist())
-    nonstar = math.prod(float(smat[m][half]) for m in surface.nonstar_labels)
-    s_star = float(smat[half][half])
+    row0 = _s_row(k, 0)
+    rows = np.array([_s_row(k, m) for m in surface.labels]).reshape(len(surface.labels), k + 1)
+    full = np.prod(rows, axis=0)
+    identity = full / row0 ** n / surface.gamma_size()
+    reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist())
+    nonstar = math.prod(float(_s_row(k, m)[half]) for m in surface.nonstar_labels)
+    s_star = float(_s_row(k, half)[half])
     star = tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
     doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1))) \
         if surface.genus else ()
-    return identity, reduced, nonstar, float(smat[0][half]), star, doubles
+    return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
+                      nonstar, float(row0[half]), star, doubles)
 
 
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
@@ -352,23 +366,42 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
     for the class (a, d), a product of block sums: the star factor
     sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), and per double
     1 + double_sign * phi_sum, both read from ``_fs_gamma_data``."""
-    _, _, nonstar, s0_star, star, double = _fs_gamma_data(surface)
+    data = _fs_gamma_data(surface)
     h = surface.genus
-    doubles = double[0] ** (h - d) * double[1] ** d if h else 1
-    return nonstar / s0_star ** exponent * star[a] * doubles
+    doubles = data.doubles[0] ** (h - d) * data.doubles[1] ** d if h else 1
+    return data.nonstar / data.s0_half ** exponent * data.star[a] * doubles
+
+
+# Only a class whose rounding fails is read here again (``_fs_element``
+# keeps the successes), so this holds the classes of the last few surfaces
+# served, not as many as the result caches.
+@lru_cache(maxsize=128)
+def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
+    """The raw tau-coefficients of the class (a, d) and their rounding-error
+    bound, before any tolerance: a failing class, which ``_fs_element``
+    never stores, only re-rounds.
+
+    The class's values differ from the identity term / |Gamma| only at
+    l = k/2, where they are ``_block_sum`` / |Gamma|, so the coefficients
+    are the identity term's (one sine transform per surface) plus the
+    difference times taut_{k/2} (``fusion_ring._add_star_idempotent``).
+    For odd k, Gamma = {e} and the identity term is the whole sum.
+    """
+    data = _fs_gamma_data(surface)
+    if surface.level % 2:
+        return data.coeffs, data.bound
+    delta = _block_sum(surface, a, d, surface.num_slots) / surface.gamma_size() - data.at_half
+    return _add_star_idempotent(surface.level, data.coeffs, data.bound, delta)
 
 
 @lru_cache(maxsize=1024)
 def _fs_element(surface: SurfaceData, a: int, d: int, tol: float) -> FusionElement:
-    k, size = surface.level, surface.gamma_size()
-    values = _fs_gamma_data(surface)[0] / size
-    values[k // 2] = _block_sum(surface, a, d, surface.num_slots) / size
-    return from_idempotent(IdempotentVector(k, tuple(values)), tol)
+    return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d), tol)
 
 
 @lru_cache(maxsize=1024)
 def _reduced_value(surface: SurfaceData, a: int, d: int, tol: float) -> int:
-    value = (_fs_gamma_data(surface)[1]
+    value = (_fs_gamma_data(surface).reduced
              + _block_sum(surface, a, d, surface.num_slots - 2)) / surface.gamma_size()
     return round_to_integer(value, tol, NonIntegralValue, "reduced quantization")
 
@@ -377,8 +410,11 @@ def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
                tol: float | None = None) -> QuantizationResult:
     """Quantization through the S-matrix formula, summed block by block:
     the identity term / |Gamma| at l != k/2, ``_block_sum`` / |Gamma| at
-    l = k/2 (floating point, then integrality rounding), once per choice
-    class and tolerance."""
+    l = k/2 (floating point), back to the tau basis by a sine transform (once
+    per surface) and an update along taut_{k/2} (once per choice class),
+    then integrality rounding, once per class and tolerance.  Raises
+    PrecisionExhausted when the rounding-error bound is not below 1/2, and
+    NonIntegralCoefficient when a coefficient fails to round."""
     require_admissible(surface)
     choice = _resolve_choice(surface, choice)
     element = _fs_element(surface, *_choice_class(surface, choice), _valid_tolerance(tol))

@@ -140,6 +140,15 @@ def test_quantize_beyond_gamma_enumeration_cap(capsys):
     assert "coeffs [0, 0, 1]  reduced 0" in out
 
 
+def test_precision_exhausted_exit_code(capsys):
+    # the float path cannot certify coefficients near 1e89: exit 3, no output
+    code = main(["quantize", "--level", "60", "--genus", "30", "--path", "fs"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted:")
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     # force an inconsistency to check the exit-code mapping
     from verlinde import cli

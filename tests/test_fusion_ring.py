@@ -11,6 +11,8 @@ from verlinde.fusion_ring import (
     IdempotentVector,
     NonIntegralCoefficient,
     NonIntegralValue,
+    PrecisionExhausted,
+    _sine_coefficients,
     from_idempotent,
     multiply_coeff_vectors,
     reduce_character,
@@ -163,6 +165,25 @@ class TestSMatrix:
         with pytest.raises(IndexError):
             s_matrix_entry(4, 5, 0)
 
+    def test_cache_is_bounded_in_bytes(self):
+        from verlinde import fusion_ring
+        cache = fusion_ring._S_MATRICES
+        assert cache.max_bytes == 32 * 2**20
+        for k in (1100, 1200, 1300, 1100):  # 9.7 to 13.6 MB each
+            mat = s_matrix(k)
+            assert not mat.flags.writeable
+            assert cache.nbytes <= cache.max_bytes
+        assert s_matrix(1100) is mat  # the most recently used stays
+        s_matrix(2100)  # 35 MB: returned, but not kept
+        assert s_matrix(1100) is mat
+
+    def test_rows_are_bit_identical_to_the_matrix(self):
+        from verlinde.fusion_ring import _s_row
+        for k in (0, 1, 7, 64, 401):
+            smat = s_matrix(k)
+            for m in {0, min(1, k), k // 2, k}:
+                assert _s_row(k, m).tobytes() == smat[m].tobytes()
+
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
         smat = s_matrix(k)
@@ -210,6 +231,23 @@ class TestIdempotentBasis:
         with pytest.raises(NonIntegralCoefficient):
             from_idempotent(v)
 
+    def test_precision_exhausted(self):
+        # values past 2^53 relative to their spread: no integer is certified
+        v = IdempotentVector(4, (1e20, 0.0, 3.0, 0.0, 1e20))
+        with pytest.raises(PrecisionExhausted, match="precision"):
+            from_idempotent(v)
+        assert issubclass(PrecisionExhausted, NonIntegralCoefficient)
+        import verlinde
+        assert verlinde.PrecisionExhausted is PrecisionExhausted
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 399, 400])
+    def test_to_idempotent_matches_evaluation(self, k):
+        rng = np.random.default_rng(k)
+        x = FusionElement(k, tuple(int(c) for c in rng.integers(-1000, 1001, k + 1)))
+        scale = sum(map(abs, x.coeffs))
+        for l, value in enumerate(to_idempotent(x).values):
+            assert abs(value - x.evaluate(l)) <= 1e-12 * scale / math.sin((l + 1) * math.pi / (k + 2))
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, data):
@@ -217,6 +255,30 @@ class TestIdempotentBasis:
         coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1))
         x = FusionElement(k, tuple(coeffs))
         assert from_idempotent(to_idempotent(x)) == x
+
+
+def dense_coefficients(k, values):
+    """Reference basis change: the dense S-matrix product with one exactly
+    rounded sum per tau-coefficient (math.fsum), O(k^2)."""
+    mm = np.arange(1, k + 2)
+    smat = np.sin(np.outer(mm, mm) * (math.pi / (k + 2))) / math.sqrt(k / 2 + 1)
+    weighted = (smat[0] * np.asarray(values)) * smat
+    return [math.fsum(row.tolist()) for row in weighted]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sine_transform_within_its_bound_of_the_dense_route(data):
+    # The dense route errs too: its S-matrix entries carry the rounding of
+    # angles up to about (k+2) pi, which on random inputs stays below half
+    # the transform's bound for k <= 400.
+    k = data.draw(st.integers(min_value=0, max_value=400))
+    magnitude = data.draw(st.sampled_from([1.0, 1e6, 1e15, 1e30]))
+    values = data.draw(st.lists(st.floats(-magnitude, magnitude), min_size=k + 1,
+                                max_size=k + 1))
+    coeffs, bound = _sine_coefficients(values)
+    assert len(coeffs) == k + 1
+    assert max(abs(c - d) for c, d in zip(coeffs, dense_coefficients(k, values))) <= bound
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, -1e-6, 0.5]

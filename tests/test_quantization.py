@@ -1,10 +1,20 @@
 import math
+import random
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from verlinde import quantization
-from verlinde.fusion_ring import FusionElement, NonIntegralCoefficient, NonIntegralValue
+from verlinde.fusion_ring import (
+    FusionElement,
+    NonIntegralCoefficient,
+    NonIntegralValue,
+    PrecisionExhausted,
+    _sine_coefficients,
+    s_matrix,
+)
 from verlinde.prequant import (
     GroupTooLarge,
     NotAdmissible,
@@ -168,11 +178,15 @@ class TestFsFormula:
         assert res.path == "fs_float"
 
     def test_flipped_phase_detected(self):
+        # by the rounding, not by the precision bound
         surf = SurfaceData(4, 0, (2, 2, 2))
-        phases = list(_phase_vector(surf, PrequantChoice((0, 0, 0))))
-        phases[2] = -phases[2]
-        with pytest.raises(NonIntegralCoefficient):
-            fs_formula_with_phases(surf, phases)
+        for choice in enumerate_choices(surf):
+            phases = _phase_vector(surf, choice)
+            for i in range(len(phases)):
+                flipped = phases[:i] + [-phases[i]] + phases[i + 1:]
+                with pytest.raises(NonIntegralCoefficient) as info:
+                    fs_formula_with_phases(surf, flipped)
+                assert type(info.value) is NonIntegralCoefficient
 
     def test_block_sum_matches_literal_gamma_sum(self):
         for surf in sweep_surfaces(20, 5, 2, gamma_cap=2**6):
@@ -193,6 +207,75 @@ class TestFsFormula:
             enumerate_gamma(surf)
         with pytest.raises(GroupTooLarge):
             enumerate_choices(surf)
+
+
+def _frontier_box(seed, n):
+    """n admissible (surface, canonical choice) pairs across the float
+    path's precision frontier: half at k <= 40 with genus up to 30, half at
+    k <= 200 with genus up to 6, each with up to four star labels (two when
+    k is not in 4N) and up to three random labels."""
+    rng = random.Random(seed)
+    box = []
+    while len(box) < n:
+        if rng.random() < 0.5:
+            k, h = rng.randrange(2, 41, 2), rng.randint(0, 30)
+        else:
+            k, h = rng.randrange(2, 201, 2), rng.randint(0, 6)
+        r = rng.randint(0, 4 if k % 4 == 0 else 2)
+        labels = (k // 2,) * r + tuple(rng.randint(0, k) for _ in range(rng.randint(0, 3)))
+        surf = SurfaceData(k, h, labels)
+        if surf.admissibility.admissible:
+            bits = [rng.randint(0, 1) for _ in range(surf.num_slots)]
+            box.append((surf, canonicalize_choice(surf, bits)))
+    return box
+
+
+def test_fs_formula_is_exact_or_raises_across_the_precision_frontier():
+    # Past 2^53 the float path used to return wrong integers silently.
+    outcomes = Counter()
+    for surf, choice in _frontier_box(2026, 4000):
+        closed = quantize_surface(surf, choice).element
+        try:
+            element = fs_formula(surf, choice).element
+        except PrecisionExhausted:
+            outcomes["exhausted"] += 1
+        except NonIntegralCoefficient:
+            outcomes["non-integral"] += 1
+        else:
+            assert element == closed, (surf, choice)
+            outcomes["exact"] += 1
+    assert min(outcomes["exact"], outcomes["exhausted"]) > 500, outcomes
+
+
+def test_precision_bound_below_half_on_every_sweep_class():
+    # Each class's coefficients are the surface's identity term plus an
+    # update along taut_{k/2}; a direct transform of the class's values must
+    # agree within both bounds.
+    classes = 0
+    for surf in sweep_surfaces(20, 5, 2):
+        k, size = surf.level, surf.gamma_size()
+        smat = s_matrix(k)
+        identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots / size
+        for a, d in {quantization._choice_class(surf, c) for c in enumerate_choices(surf)}:
+            coeffs, bound = quantization._fs_coefficients(surf, a, d)
+            assert bound < 0.5
+            values = identity.copy()
+            values[k // 2] = quantization._block_sum(surf, a, d, surf.num_slots) / size
+            direct, direct_bound = _sine_coefficients(values)
+            assert np.abs(coeffs - direct).max() <= bound + direct_bound
+            classes += 1
+    assert classes == 4912
+
+
+def test_failing_class_is_transformed_once():
+    surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # fails to round at 1e-6
+    choice = enumerate_choices(surf)[1]
+    quantization._fs_coefficients.cache_clear()
+    for _ in range(3):
+        with pytest.raises(NonIntegralCoefficient):
+            fs_formula(surf, choice)
+    info = quantization._fs_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def _noncanonical_variants(surf, bits):
