@@ -50,5 +50,5 @@ print(f"\nS-matrix orthogonality defect: {np.abs(S @ S.T - np.eye(k + 1)).max():
 x = FusionElement(k, (3, -1, 0, 7, 2))
 vec = to_idempotent(x)
 print(f"\nx = {x}")
-print(f"idempotent coordinates of x: {[round(v, 6) for v in vec.values]}")
+print(f"idempotent coordinates of x: {[round(v, 6) for v in vec.tolist()]}")
 print(f"back in the tau basis:       {from_idempotent(vec)}")

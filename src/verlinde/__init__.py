@@ -9,7 +9,6 @@ independent brute-force validators and a verification suite.
 from .fusion_ring import (
     CharacterPoly,
     FusionElement,
-    IdempotentVector,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
@@ -58,7 +57,7 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacterPoly", "FusionElement", "IdempotentVector",
+    "CharacterPoly", "FusionElement",
     "NonIntegralCoefficient", "NonIntegralValue", "PrecisionExhausted",
     "from_idempotent",
     "integrality_tolerance", "reduce_character", "s_matrix", "s_matrix_entry",

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -65,7 +64,6 @@ __all__ = [
     "PrecisionExhausted",
     "CharacterPoly",
     "FusionElement",
-    "IdempotentVector",
     "integrality_tolerance",
     "round_to_integer",
     "reduce_character",
@@ -171,40 +169,11 @@ def _s_rows(k: int, rows: Sequence[int]) -> np.ndarray:
     return mat
 
 
-class _ArrayCache:
-    """Least recently used arrays by key, at most ``max_bytes`` of them in
-    total; an array larger than that is returned but not kept."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._arrays: OrderedDict = OrderedDict()
-
-    def get(self, key, build) -> np.ndarray:
-        """The array under ``key``, from ``build()`` on a miss."""
-        arr = self._arrays.pop(key, None)
-        if arr is None:
-            arr = build()
-        else:
-            self.nbytes -= arr.nbytes
-        if arr.nbytes <= self.max_bytes:
-            self._arrays[key] = arr
-            self.nbytes += arr.nbytes
-            while self.nbytes > self.max_bytes:
-                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
-        return arr
-
-
-# A k = 2000 matrix alone takes 32 MB; only the CLI and the oracles read
-# whole matrices, the quantization paths read single rows (``_s_row``).
-_S_MATRICES = _ArrayCache(32 * 2**20)
-
-
 def s_matrix(k: int) -> np.ndarray:
-    """The full (k+1) x (k+1) S-matrix as a read-only float array (the most
-    recently used ones are cached, 32 MB in total)."""
+    """The full (k+1) x (k+1) S-matrix as a new read-only float array; the
+    quantization paths read single rows (``_s_row``) instead."""
     k = _check_level(k)
-    return _S_MATRICES.get(k, lambda: _s_rows(k, range(k + 1)))
+    return _s_rows(k, range(k + 1))
 
 
 @lru_cache(maxsize=1024)
@@ -573,26 +542,6 @@ class FusionElement:
         return text
 
 
-@dataclass(frozen=True)
-class IdempotentVector:
-    """Values of a fusion element at the special points t_0, ..., t_k.
-
-    Entry l is the coefficient in the idempotent basis taut_l, which equals
-    the evaluation at t_l.
-    """
-
-    level: int
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        k = _check_level(self.level)
-        values = tuple(float(v) for v in self.values)
-        if len(values) != k + 1:
-            raise ValueError(f"need {k + 1} values at level {k}, got {len(values)}")
-        object.__setattr__(self, "level", k)
-        object.__setattr__(self, "values", values)
-
-
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -732,17 +681,21 @@ def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
     return FusionElement(k, tuple(_fold(k, c)))
 
 
-def to_idempotent(a: FusionElement) -> IdempotentVector:
-    """Expand in the idempotent basis: the values at every special point,
+def to_idempotent(a: FusionElement) -> np.ndarray:
+    """Expand in the idempotent basis: the values at the special points
+    t_0, ..., t_k as a read-only float64 array, entry l being
     sum_m c_m sin((m+1)(l+1) pi/N) / sin((l+1) pi/N), all at once by one
     sine transform (``FusionElement.evaluate`` is the per-point route)."""
-    k = a.level
-    values = _sine_transform(np.array(a.coeffs, dtype=np.float64), weighted=False)[0] / _sines(k)
-    return IdempotentVector(k, tuple(values.tolist()))
+    values = _sine_transform(np.array(a.coeffs, dtype=np.float64), weighted=False)[0] \
+        / _sines(a.level)
+    values.setflags(write=False)
+    return values
 
 
-def from_idempotent(v: IdempotentVector, tol: float | None = None) -> FusionElement:
-    """Recover tau-coefficients sum_l v[l] S[0,l] S[m,l], rounded to integers.
+def from_idempotent(values: Sequence[float], tol: float | None = None) -> FusionElement:
+    """Recover tau-coefficients sum_l v[l] S[0,l] S[m,l], rounded to integers,
+    from the values v at t_0, ..., t_k; the level k is len(values) - 1, and
+    empty or not one-dimensional values raise ValueError.
 
     The coefficients come from one sine transform with an a priori bound on
     its rounding error (``_sine_coefficients``).  Raises PrecisionExhausted
@@ -753,4 +706,7 @@ def from_idempotent(v: IdempotentVector, tol: float | None = None) -> FusionElem
     to ``round_to_integer`` for every coefficient.
     """
     tol = _valid_tolerance(tol)
-    return _round_coefficients(v.level, *_sine_coefficients(v.values), tol)
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or not len(v):
+        raise ValueError(f"need a non-empty 1-D vector of values, got shape {v.shape}")
+    return _round_coefficients(len(v) - 1, *_sine_coefficients(v), tol)

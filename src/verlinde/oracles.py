@@ -23,7 +23,6 @@ import numpy as np
 from .fusion_ring import (
     CharacterPoly,
     FusionElement,
-    IdempotentVector,
     NonIntegralCoefficient,
     NonIntegralValue,
     _check_level,
@@ -278,7 +277,7 @@ def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int],
         raise ValueError(f"need {len(column)} phases, got {len(phases)}")
     values = phases[0] * identity
     values[surface.level // 2] = np.asarray(phases, dtype=np.float64) @ column
-    return from_idempotent(IdempotentVector(surface.level, tuple(values / len(column))), tol)
+    return from_idempotent(values / len(column), tol)
 
 
 def sweep_surfaces(max_k: int, max_r: int, max_h: int,
@@ -399,8 +398,8 @@ def check_reduce_character(max_k: int) -> CheckResult:
     for k in range(min(max_k, 32) + 1):
         for m in range(4 * (k + 2) + 1):
             chi_m = CharacterPoly.chi(m)
-            values = tuple(chi_m.special_point_value(k, l) for l in range(k + 1))
-            oracle = from_idempotent(IdempotentVector(k, values))
+            values = np.array([chi_m.special_point_value(k, l) for l in range(k + 1)])
+            oracle = from_idempotent(values)
             total += 1
             if oracle != reduce_character(k, chi_m):
                 failures += 1

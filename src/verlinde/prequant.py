@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fusion_ring import _check_level
 
@@ -220,7 +221,7 @@ class AdmissibilityReport:
     surface: SurfaceData
     conditions: tuple[ConditionCheck, ...]
 
-    @property
+    @cached_property  # read on every request through require_admissible
     def admissible(self) -> bool:
         return all(c.holds for c in self.conditions)
 
@@ -229,10 +230,7 @@ class AdmissibilityReport:
         return tuple(c for c in self.conditions if not c.holds)
 
     def failure_message(self) -> str:
-        if self.admissible:
-            return ""
-        return "; ".join(f"condition {c.code} requires {c.description}"
-                         for c in self.failures)
+        return _failure_message(self.conditions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,6 +243,22 @@ class AdmissibilityReport:
         }
 
 
+def _failure_message(conditions: Iterable[ConditionCheck]) -> str:
+    return "; ".join(f"condition {c.code} requires {c.description}"
+                     for c in conditions if not c.holds)
+
+
+def _star_conditions(level: int, star_count: int) -> tuple[ConditionCheck, ...]:
+    """Conditions (iii) and (ii'), the ones r star labels impose on k."""
+    k, r = level, star_count
+    return (
+        ConditionCheck("(iii)", "k in 4N when the star count is >= 3",
+                       r < 3 or k % 4 == 0),
+        ConditionCheck("(ii')", "k in 2N when the star count is >= 1",
+                       r < 1 or k % 2 == 0),
+    )
+
+
 def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
     """Decide whether the surface data admits a level-k pre-quantization.
 
@@ -253,17 +267,13 @@ def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
     star label already forces k even, which holds automatically since the
     star condition 2*m = k has no solution at odd k.
     """
-    k, h, r = surface.level, surface.genus, surface.star_count
+    k, h = surface.level, surface.genus
     conditions = (
         ConditionCheck("(i)", f"all labels in 0..{k}",
                        all(0 <= m <= k for m in surface.labels)),
         ConditionCheck("(ii)", "k in 2N when genus >= 1",
                        h == 0 or k % 2 == 0),
-        ConditionCheck("(iii)", "k in 4N when the star count is >= 3",
-                       r < 3 or k % 4 == 0),
-        ConditionCheck("(ii')", "k in 2N when the star count is >= 1",
-                       r < 1 or k % 2 == 0),
-    )
+    ) + _star_conditions(k, surface.star_count)
     return AdmissibilityReport(surface, conditions)
 
 
@@ -276,6 +286,15 @@ def require_admissible(surface: SurfaceData) -> None:
     report = surface.admissibility
     if not report.admissible:
         raise NotAdmissible(f"inadmissible: {report.failure_message()}")
+
+
+def _require_star_admissible(level: int, star_count: int) -> None:
+    """Raise NotAdmissible unless r star labels alone are admissible at
+    level k, with the wording of ``require_admissible``.  (At odd k no
+    surface carries a star label, so this is not a surface's report.)"""
+    message = _failure_message(_star_conditions(level, star_count))
+    if message:
+        raise NotAdmissible(f"inadmissible: {message}")
 
 
 def _star_patterns(r: int) -> Iterator[tuple[int, ...]]:
@@ -321,6 +340,34 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
         for j in stars:
             bits[j] ^= 1
     return PrequantChoice(tuple(bits))
+
+
+def _canonical_class(surface: SurfaceData,
+                     choice: PrequantChoice | None) -> tuple[PrequantChoice, int, int]:
+    """The canonical form of ``choice`` on an admissible surface, and its
+    class (a, d): a psi bits set on star slots, and d doubles with
+    phi != (0, 0).  The phases, and so every quantization path's result,
+    depend on the choice only through this class.
+
+    Raises NotAdmissible unless the surface's report is admissible.  None is
+    the trivial choice.  A PrequantChoice that is already canonical (one bit
+    per slot, none on a non-star boundary slot, first star bit 0) is
+    returned as it is: its bits were checked to be 0/1 when it was built.
+    Any other goes through ``canonicalize_choice``, which raises for a wrong
+    length; anything that is not a PrequantChoice raises TypeError.
+    """
+    require_admissible(surface)
+    if choice is None:
+        return PrequantChoice((0,) * surface.num_slots), 0, 0
+    if not isinstance(choice, PrequantChoice):
+        raise TypeError(f"choice must be a PrequantChoice or None, got {choice!r}")
+    bits, s, stars = choice.psi_bits, surface.num_boundary, surface.star_slots
+    if (len(bits) != surface.num_slots or (stars and bits[stars[0]])
+            or sum(bits[:s]) != sum(map(bits.__getitem__, stars))):
+        choice = canonicalize_choice(surface, bits)
+        bits = choice.psi_bits
+    # canonical: the boundary bits set are star bits
+    return choice, sum(bits[:s]), sum(map(or_, bits[s::2], bits[s + 1::2]))
 
 
 def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:

@@ -21,9 +21,14 @@ connected SU(2) product with no sign group at all.
 
 A pre-quantization choice enters every path only through its phases, which
 depend on two numbers: a, the psi bits set on star slots, and d, the
-doubles with phi != (0, 0).  Each path computes its result once per class
-(surface, a, d) in a bounded cache and wraps it with the request's own
-canonical choice.
+doubles with phi != (0, 0).  One front end, ``prequant._canonical_class``,
+serves all three surface paths: it checks the surface's cached
+admissibility report and returns the request's canonical choice with its
+class (a, d).  Each path then computes its result once per class
+(surface, a, d) in a bounded cache and wraps it with that choice.  The star
+entry points (``quantize_star_block``, ``localization_evaluate``) take
+their class from the same front end on a star-only surface, after the
+star conditions (ii') and (iii) of ``check_prequantization``.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from .prequant import (
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
-    canonicalize_choice,
+    _canonical_class,
+    _require_star_admissible,
     double_sign,
-    require_admissible,
     star_sign,
 )
 
@@ -139,36 +144,30 @@ def tau_power(k: int, r: int) -> FusionElement:
     return FusionElement.tau(k, k // 2) ** r
 
 
-def _check_star_admissible(k: int, r: int) -> None:
-    if r >= 1 and k % 2:
-        raise NotAdmissible(f"inadmissible: condition (ii') requires k in 2N (k={k}, r={r})")
-    if r >= 3 and k % 4:
-        raise NotAdmissible(f"inadmissible: condition (iii) requires k in 4N (k={k}, r={r})")
-
-
-def _normalize_star_psi(psi, r: int) -> tuple[int, ...]:
-    """Star-slot psi bits in canonical form (first bit 0).
-
-    Accepts the shorthand "+"/"-" for the two r = 2 choices.
-    """
+def _star_class(k: int, r: int, psi) -> int:
+    """a, the psi bits set in the canonical form of ``psi`` on r star slots
+    at level k, from ``_canonical_class`` on the star-only surface; 0 for
+    r < 2, where psi is not read.  Raises NotAdmissible unless conditions
+    (ii') and (iii) hold.  Accepts the shorthand "+"/"-" for the two r = 2
+    choices."""
+    if r < 0:
+        raise ValueError(f"star count must be non-negative, got {r}")
+    _require_star_admissible(k, r)
+    if r < 2:
+        return 0
     if isinstance(psi, str):
-        if psi == "+":
-            bits = (0,) * r
-        elif psi == "-":
-            if r != 2:
-                raise ValueError("the +/- shorthand labels the two r=2 choices")
-            bits = (0, 1)
-        else:
+        if psi not in ("+", "-"):
             raise ValueError(f"unknown psi shorthand {psi!r}")
-    else:
-        bits = tuple(int(b) for b in psi)
-        if len(bits) != r:
-            raise ValueError(f"need {r} star psi bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("psi bits must be 0/1")
-        if r and bits[0]:
-            bits = tuple(b ^ 1 for b in bits)
-    return bits
+        if psi == "-" and r != 2:
+            raise ValueError("the +/- shorthand labels the two r=2 choices")
+        psi = (0,) * r if psi == "+" else (0, 1)
+    return _canonical_class(_star_surface(k, r), PrequantChoice(tuple(psi)))[1]
+
+
+@lru_cache(maxsize=256)
+def _star_surface(k: int, r: int) -> SurfaceData:
+    """r star labels k/2 at genus 0, with its admissibility report kept."""
+    return SurfaceData(k, 0, (k // 2,) * r)
 
 
 def _star_sum(k: int, r: int, a: int, term, lowest: int = 0):
@@ -215,10 +214,7 @@ def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
     All divisions are checked to be exact.
     """
     k = _check_level(k)
-    if r < 0:
-        raise ValueError(f"star count must be non-negative, got {r}")
-    _check_star_admissible(k, r)
-    return _star_block(k, r, sum(_normalize_star_psi(psi, r)) if r >= 2 else 0)
+    return _star_block(k, r, _star_class(k, r, psi))
 
 
 def quantize_conjugacy_class(k: int, m: int) -> FusionElement:
@@ -278,33 +274,6 @@ def _star_and_doubles(k: int, r: int, a: int, h: int, d: int) -> FusionElement:
     return out
 
 
-def _resolve_choice(surface: SurfaceData, choice: PrequantChoice | None) -> PrequantChoice:
-    """The canonical representative of ``choice`` on this surface (None: trivial).
-
-    A PrequantChoice that is already canonical (one bit per slot, none on a
-    non-star boundary slot, first star bit 0) is returned as it is: its bits
-    were checked to be 0/1 when it was built.  Anything else goes through
-    ``canonicalize_choice``, which raises for a wrong length or bad bits.
-    """
-    if choice is None:
-        return PrequantChoice((0,) * surface.num_slots)
-    bits, stars = choice.psi_bits, surface.star_slots
-    if (isinstance(choice, PrequantChoice) and len(bits) == surface.num_slots
-            and not (stars and bits[stars[0]])
-            and sum(bits[:surface.num_boundary]) == sum(bits[j] for j in stars)):
-        return choice
-    return canonicalize_choice(surface, bits)
-
-
-def _choice_class(surface: SurfaceData, choice: PrequantChoice) -> tuple[int, int]:
-    """(a, d) of a canonical choice: a psi bits set on star slots, and d
-    doubles with phi != (0, 0).  The phases, and so every path's result,
-    depend on the choice only through this class."""
-    bits, s = choice.psi_bits, surface.num_boundary
-    return (sum(bits[j] for j in surface.star_slots),
-            sum(x | y for x, y in zip(bits[s::2], bits[s + 1::2])))
-
-
 # Per-class results.  lru_cache stores no exception, so a class whose
 # rounding fails raises again, with the same message, on every request.
 
@@ -319,10 +288,8 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
 def quantize_surface(surface: SurfaceData,
                      choice: PrequantChoice | None = None) -> QuantizationResult:
     """Closed-form quantization: star block x plain classes x doubles."""
-    require_admissible(surface)
-    choice = _resolve_choice(surface, choice)
-    element = _closed_form_element(surface, *_choice_class(surface, choice))
-    return QuantizationResult.of(element, "closed_form", choice)
+    choice, a, d = _canonical_class(surface, choice)
+    return QuantizationResult.of(_closed_form_element(surface, a, d), "closed_form", choice)
 
 
 class _GammaData(NamedTuple):
@@ -415,10 +382,9 @@ def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
     then integrality rounding, once per class and tolerance.  Raises
     PrecisionExhausted when the rounding-error bound is not below 1/2, and
     NonIntegralCoefficient when a coefficient fails to round."""
-    require_admissible(surface)
-    choice = _resolve_choice(surface, choice)
-    element = _fs_element(surface, *_choice_class(surface, choice), _valid_tolerance(tol))
-    return QuantizationResult.of(element, "fs_float", choice)
+    choice, a, d = _canonical_class(surface, choice)
+    return QuantizationResult.of(_fs_element(surface, a, d, _valid_tolerance(tol)),
+                                 "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None,
@@ -426,9 +392,8 @@ def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = N
     """The scalar S-matrix sum (quantization of the symplectic quotient),
     summed block by block with exponent s+2h-2, once per choice class and
     tolerance."""
-    require_admissible(surface)
-    choice = _resolve_choice(surface, choice)
-    return _reduced_value(surface, *_choice_class(surface, choice), _valid_tolerance(tol))
+    _, a, d = _canonical_class(surface, choice)
+    return _reduced_value(surface, a, d, _valid_tolerance(tol))
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:
@@ -452,7 +417,7 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     torus contribution weighted by its phase.
     """
     k = _check_level(k)
-    _check_star_admissible(k, r)
+    a = _star_class(k, r, psi)
     _check_index(k, l, "l")
     if r == 0:
         return 1.0
@@ -460,8 +425,7 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     tau_val = math.sin((k // 2 + 1) * theta) / math.sin(theta)
     if r == 1:
         return tau_val
-    psi_bits = _normalize_star_psi(psi, r)
     half = k // 2
     chi_val = float(half + 1) if l == half else 0.0
-    total = _chi_coefficient(k, r, sum(psi_bits)) if chi_val else 0
+    total = _chi_coefficient(k, r, a) if chi_val else 0
     return (tau_val ** r + chi_val * total) / 2 ** (r - 1)

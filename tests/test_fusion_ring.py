@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from verlinde.fusion_ring import (
     CharacterPoly,
     FusionElement,
-    IdempotentVector,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
@@ -165,17 +164,13 @@ class TestSMatrix:
         with pytest.raises(IndexError):
             s_matrix_entry(4, 5, 0)
 
-    def test_cache_is_bounded_in_bytes(self):
-        from verlinde import fusion_ring
-        cache = fusion_ring._S_MATRICES
-        assert cache.max_bytes == 32 * 2**20
-        for k in (1100, 1200, 1300, 1100):  # 9.7 to 13.6 MB each
+    def test_matrix_is_read_only_and_equals_its_rows(self):
+        from verlinde.fusion_ring import _s_row
+        for k in (0, 1, 6, 33):
             mat = s_matrix(k)
             assert not mat.flags.writeable
-            assert cache.nbytes <= cache.max_bytes
-        assert s_matrix(1100) is mat  # the most recently used stays
-        s_matrix(2100)  # 35 MB: returned, but not kept
-        assert s_matrix(1100) is mat
+            assert mat.dtype == np.float64 and mat.shape == (k + 1, k + 1)
+            assert np.array_equal(mat, np.array([_s_row(k, m) for m in range(k + 1)]))
 
     def test_rows_are_bit_identical_to_the_matrix(self):
         from verlinde.fusion_ring import _s_row
@@ -223,17 +218,17 @@ class TestIdempotentBasis:
             assert np.abs(evals - expected).max() < 1e-10
 
     def test_chi_vector_reconstruction(self):
-        v = IdempotentVector(4, (0.0, 0.0, 3.0, 0.0, 0.0))
+        v = np.array([0.0, 0.0, 3.0, 0.0, 0.0])
         assert from_idempotent(v) == FusionElement(4, (1, 0, -1, 0, 1))
 
     def test_non_integral_raises(self):
-        v = IdempotentVector(4, (0.0, 0.0, 1.0, 0.0, 0.0))
+        v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(NonIntegralCoefficient):
             from_idempotent(v)
 
     def test_precision_exhausted(self):
         # values past 2^53 relative to their spread: no integer is certified
-        v = IdempotentVector(4, (1e20, 0.0, 3.0, 0.0, 1e20))
+        v = np.array([1e20, 0.0, 3.0, 0.0, 1e20])
         with pytest.raises(PrecisionExhausted, match="precision"):
             from_idempotent(v)
         assert issubclass(PrecisionExhausted, NonIntegralCoefficient)
@@ -245,8 +240,23 @@ class TestIdempotentBasis:
         rng = np.random.default_rng(k)
         x = FusionElement(k, tuple(int(c) for c in rng.integers(-1000, 1001, k + 1)))
         scale = sum(map(abs, x.coeffs))
-        for l, value in enumerate(to_idempotent(x).values):
+        for l, value in enumerate(to_idempotent(x)):
             assert abs(value - x.evaluate(l)) <= 1e-12 * scale / math.sin((l + 1) * math.pi / (k + 2))
+
+    def test_to_idempotent_is_a_read_only_array(self):
+        values = to_idempotent(FusionElement(4, (3, -1, 0, 7, 2)))
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.shape == (5,)
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("values", [[], np.zeros(0), np.zeros((2, 3)), 1.0])
+    def test_from_idempotent_rejects_empty_or_not_1d(self, values):
+        with pytest.raises(ValueError, match="1-D"):
+            from_idempotent(values)
+
+    def test_from_idempotent_reads_the_level_from_the_length(self):
+        assert from_idempotent([5.0]) == FusionElement(0, (5,))
+        assert from_idempotent((0.0, 0.0, 3.0, 0.0, 0.0)).level == 4
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -378,3 +388,22 @@ def test_character_poly_product_matches_term_by_term(data):
 def test_character_poly_canonical_form():
     p = CharacterPoly({0: 1, 2: 0, 5: -3})
     assert p.coeffs == {0: 1, 5: -3}
+
+
+def test_public_api_is_pinned():
+    # A change here is a public-API change: list it in CHANGES.md.
+    import verlinde
+    assert sorted(verlinde.__all__) == [
+        "AdmissibilityReport", "CharacterPoly", "FusionElement", "GammaElement",
+        "GroupTooLarge", "InexactDivision", "NonIntegralCoefficient", "NonIntegralValue",
+        "NotAdmissible", "PrecisionExhausted", "PrequantChoice", "QuantizationResult",
+        "SurfaceData", "VerificationReport", "canonicalize_choice", "check_prequantization",
+        "chi_element", "classical_verlinde_number", "closed_form_tables",
+        "enumerate_choices", "enumerate_gamma", "from_idempotent", "fs_formula",
+        "integrality_tolerance", "localization_evaluate", "phase_factor",
+        "quantize_conjugacy_class", "quantize_double_so3", "quantize_double_su2",
+        "quantize_star_block", "quantize_surface", "reduce_character",
+        "reduced_quantization", "run_verification_suite", "s_matrix", "s_matrix_entry",
+        "structure_constants_verlinde", "to_idempotent", "verlinde_baseline",
+    ]
+    assert all(hasattr(verlinde, name) for name in verlinde.__all__)

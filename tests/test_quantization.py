@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from verlinde import quantization
+from verlinde import prequant, quantization
 from verlinde.fusion_ring import (
     FusionElement,
     NonIntegralCoefficient,
@@ -256,7 +256,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
         k, size = surf.level, surf.gamma_size()
         smat = s_matrix(k)
         identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots / size
-        for a, d in {quantization._choice_class(surf, c) for c in enumerate_choices(surf)}:
+        for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
             coeffs, bound = quantization._fs_coefficients(surf, a, d)
             assert bound < 0.5
             values = identity.copy()
@@ -321,6 +321,56 @@ class TestChoiceResolution:
         for path in (quantize_surface, fs_formula, reduced_quantization):
             with pytest.raises(ValueError, match="need 5 psi bits"):
                 path(surf, PrequantChoice((0, 0, 0, 0)))
+
+    def test_none_is_the_trivial_choice(self):
+        for surf in (SurfaceData(4, 1, (2, 0, 2)), SurfaceData(7, 0, (1, 3)),
+                     SurfaceData(8, 2, (4, 4, 4, 1))):
+            trivial = PrequantChoice((0,) * surf.num_slots)
+            for path in (quantize_surface, fs_formula):
+                result = path(surf)
+                assert result == path(surf, trivial)
+                assert result.choice == trivial
+            assert reduced_quantization(surf) == reduced_quantization(surf, trivial)
+
+    def test_inadmissible_surface_has_one_message(self):
+        surf = SurfaceData(6, 1, (3, 3, 3))  # fails (iii)
+        messages = set()
+        for path in (quantize_surface, fs_formula, reduced_quantization):
+            for choice in (None, PrequantChoice((0,) * 5), (0,) * 5):
+                with pytest.raises(NotAdmissible) as info:
+                    path(surf, choice)
+                messages.add(str(info.value))
+        for star_path in (lambda: quantize_star_block(6, 3, (0, 0, 0)),
+                          lambda: localization_evaluate(6, 3, (0, 0, 0), 0)):
+            with pytest.raises(NotAdmissible) as info:
+                star_path()
+            messages.add(str(info.value))
+        assert messages == {"inadmissible: condition (iii) requires k in 4N "
+                            "when the star count is >= 3"}
+
+    def test_plain_tuple_is_rejected(self):
+        surf = SurfaceData(4, 1, (2, 0, 2))
+        for path in (quantize_surface, fs_formula, reduced_quantization):
+            with pytest.raises(TypeError, match="PrequantChoice"):
+                path(surf, (0, 0, 1, 1, 0))
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_star_entry_points_agree_on_every_psi_and_its_flip(self, k):
+        for r in range(2, 7):
+            for psi in product((0, 1), repeat=r):
+                flipped = tuple(b ^ 1 for b in psi)
+                block = quantize_star_block(k, r, psi)
+                assert quantize_star_block(k, r, flipped) == block
+                for l in range(k + 1):
+                    loc = localization_evaluate(k, r, psi, l)
+                    assert localization_evaluate(k, r, flipped, l) == loc
+                    assert loc == pytest.approx(block.evaluate(l), rel=1e-9, abs=1e-9)
+        for shorthand, psi in (("+", (0, 0)), ("-", (0, 1))):
+            block = quantize_star_block(k, 2, shorthand)
+            assert block == quantize_star_block(k, 2, psi)
+            for l in range(k + 1):
+                assert localization_evaluate(k, 2, shorthand, l) == \
+                    localization_evaluate(k, 2, psi, l)
 
 
 def _clear_quantization_caches():
