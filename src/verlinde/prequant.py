@@ -54,8 +54,8 @@ class GroupTooLarge(ValueError):
 
 
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"{what} must consist of 0/1 entries, got {bits!r}")
     return out
 
@@ -190,6 +190,14 @@ class PrequantChoice:
 
     psi_bits: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, psi_bits: tuple[int, ...]) -> "PrequantChoice":
+        """A choice from a tuple of 0/1 ints already known to be valid (it
+        was generated); skips the checks."""
+        self = object.__new__(cls)
+        vars(self)["psi_bits"] = psi_bits
+        return self
+
     def __post_init__(self):
         object.__setattr__(self, "psi_bits", _check_bits(self.psi_bits, "psi bits"))
 
@@ -291,10 +299,12 @@ def require_admissible(surface: SurfaceData) -> None:
 def _require_star_admissible(level: int, star_count: int) -> None:
     """Raise NotAdmissible unless r star labels alone are admissible at
     level k, with the wording of ``require_admissible``.  (At odd k no
-    surface carries a star label, so this is not a surface's report.)"""
-    message = _failure_message(_star_conditions(level, star_count))
-    if message:
-        raise NotAdmissible(f"inadmissible: {message}")
+    surface carries a star label, so this is not a surface's report.)  The
+    conditions are tested as booleans; the checks and their message are
+    built only on failure."""
+    if (star_count >= 3 and level % 4) or (star_count >= 1 and level % 2):
+        raise NotAdmissible(
+            f"inadmissible: {_failure_message(_star_conditions(level, star_count))}")
 
 
 def _star_patterns(r: int) -> Iterator[tuple[int, ...]]:
@@ -384,7 +394,7 @@ def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:
         for j, bit in zip(free_stars, star_bits):
             bits[j] = bit
         for double_bits in product((0, 1), repeat=2 * h):
-            out.append(PrequantChoice(tuple(bits) + double_bits))
+            out.append(PrequantChoice._trusted(tuple(bits) + double_bits))
     return out
 
 

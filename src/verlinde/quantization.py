@@ -6,7 +6,12 @@ Three mutually cross-checking routes are implemented:
   factors into a star block (r copies of the trace-zero class modulo the
   even-parity sign group), plain conjugacy classes, and double factors;
   quantization is multiplicative over blocks, and each block has an exact
-  integer formula.
+  integer formula.  A choice changes only the blocks' multiples of the
+  alternating element chi, and chi x = x(t_{k/2}) chi with integer values
+  x(t_{k/2}), so the product is (X + mu chi) / (2^(r-1) 4^h): one exact
+  base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, O(log h) exact
+  products, and per choice class an integer mu and one exact division,
+  O(k + r^2 + h) steps.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
   (1 for z = c, S[m,l] for z = e), taken block by block as both factor
@@ -36,7 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import cycle
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,15 +115,23 @@ class QuantizationResult:
         return data
 
 
-def _exact_divide(element: FusionElement, divisor: int) -> FusionElement:
+def _exact_divide(k: int, coeffs: Iterable[int], divisor: int) -> FusionElement:
+    """The level-k element with coefficients ``coeffs`` / ``divisor``, in
+    one pass; raises InexactDivision at the first remainder."""
     out = []
-    for m, c in enumerate(element.coeffs):
+    for m, c in enumerate(coeffs):
         q, rem = divmod(c, divisor)
         if rem:
             raise InexactDivision(
                 f"tau_{m} coefficient {c} is not divisible by {divisor}")
         out.append(q)
-    return FusionElement(element.level, tuple(out))
+    return FusionElement(k, tuple(out))
+
+
+def _plus_chi(x: FusionElement, mu: int) -> Iterator[int]:
+    """The tau-coefficients of x + mu chi, lazily: chi is +1 at m = 0 mod 4,
+    -1 at m = 2 mod 4 and 0 at odd m."""
+    return map(add, x.coeffs, cycle((mu, 0, -mu, 0)))
 
 
 def chi_element(k: int) -> FusionElement:
@@ -181,6 +196,7 @@ def _star_sum(k: int, r: int, a: int, term, lowest: int = 0):
                for w in range(lowest, r + 1, 2))
 
 
+@lru_cache(maxsize=1024)
 def _chi_coefficient(k: int, r: int, a: int) -> int:
     """sum_{gamma != e} psi(gamma) (k/2+1)^(l/2 - 1) (-1)^(k/4 (r - l/2)) over
     the star block, l = l(gamma); for r <= 2 the sign is psi alone.  The
@@ -196,8 +212,7 @@ def _star_block(k: int, r: int, a: int) -> FusionElement:
         return FusionElement.one(k)
     if r == 1:
         return FusionElement.tau(k, k // 2)
-    total = _chi_coefficient(k, r, a)
-    return _exact_divide(tau_power(k, r) + total * chi_element(k), 2 ** (r - 1))
+    return _exact_divide(k, _plus_chi(tau_power(k, r), _chi_coefficient(k, r, a)), 2 ** (r - 1))
 
 
 def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
@@ -247,8 +262,7 @@ def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     phi = tuple(int(b) for b in phi)
     if len(phi) != 2 or any(b not in (0, 1) for b in phi):
         raise ValueError(f"phi must be two 0/1 bits, got {phi!r}")
-    total = quantize_double_su2(k) + (double_sign(k) * _phi_sum(phi)) * chi_element(k)
-    return _exact_divide(total, 4)
+    return _exact_divide(k, _plus_chi(quantize_double_su2(k), double_sign(k) * _phi_sum(phi)), 4)
 
 
 def _phi_sum(phi: tuple[int, int]) -> int:
@@ -264,25 +278,74 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _star_and_doubles(k: int, r: int, a: int, h: int, d: int) -> FusionElement:
-    """The star block times h SO(3) doubles, d of them with phi != (0, 0)
-    (every such phi gives the same double)."""
-    out = _star_block(k, r, a)
-    for phi in ((0, 0),) * (h - d) + ((0, 1),) * d:
-        out = out * quantize_double_so3(k, phi)
+@lru_cache(maxsize=512)
+def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
+    """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
+    h SO(3) doubles: D^h by binary powering, O(log h) exact products, then
+    tau_{k/2} r times as a basis element, O(k) steps each."""
+    out = quantize_double_su2(k) ** h
+    for _ in range(r):
+        out = out * FusionElement.tau(k, k // 2)
     return out
 
 
+def _value_at_half(m: int) -> int:
+    """tau_m(t_{k/2}) = sin((m+1) pi/2): (-1)^(m/2) for even m, else 0."""
+    return 0 if m % 2 else 1 - 2 * (m // 2 % 2)
+
+
+class _ClosedBase(NamedTuple):
+    """Choice-independent data of one surface's closed form."""
+
+    element: FusionElement  # X = tau_{k/2}^r D_SU(2)^h prod tau_m, non-star m
+    divisor: int  # 2^(r-1) 4^h, with 2^(r-1) read as 1 for r = 0
+    star: int  # tau_{k/2}^r at t_{k/2}, 0 or +-1
+    weight: int  # (D_SU(2)^h prod tau_m)(t_{k/2}) = (k/2+1)^h or its negative, or 0
+    doubles: tuple  # 4 Q(double)(t_{k/2}) / (k/2+1) for phi = (0, 0) and any other
+
+
+@lru_cache(maxsize=512)
+def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
+    """X and the integers that give each class's multiple of chi; the
+    non-star labels are multiplied in one basis element at a time."""
+    k, r, h = surface.level, surface.star_count, surface.genus
+    base = _star_and_doubles(k, r, h)
+    for m in surface.nonstar_labels:
+        base = base * FusionElement.tau(k, m)
+    if k % 2:  # then r = h = 0: X is the whole answer
+        return _ClosedBase(base, 1, 0, 0, ())
+    weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
+    doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1)))
+    return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r,
+                       weight, doubles)
+
+
 # Per-class results.  lru_cache stores no exception, so a class whose
-# rounding fails raises again, with the same message, on every request.
+# division fails raises again, with the same message, on every request.
 
 @lru_cache(maxsize=1024)
 def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
-    """Star block x doubles x the non-star labels' product for the class (a, d)."""
-    k = surface.level
-    return _star_and_doubles(k, surface.star_count, a, surface.genus, d) \
-        * _label_product(k, tuple(sorted(surface.nonstar_labels)))
+    """The class (a, d)'s star block x doubles x non-star labels, as
+    (X + mu chi) / (2^(r-1) 4^h).
+
+    Every block is a choice-free part plus a multiple of chi: the star block
+    (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
+    double (D_SU(2) + double_sign phi_sum chi) / 4.  As chi x = x(t_{k/2}) chi
+    (chi vanishes at every other special point), the product is the product
+    of the choice-free parts, X, plus mu chi, where mu (k/2+1) is the
+    product's value at t_{k/2} minus X's.  Those values are integers:
+    tau_m(t_{k/2}) is 0 or +-1 and D_SU(2)(t_{k/2}) = chi(t_{k/2}) = k/2+1.
+    So a class costs O(r^2 + h) integer steps and one O(k) pass."""
+    base = _closed_form_base(surface)
+    mu = 0
+    if base.weight:
+        c, h = surface.level // 2 + 1, surface.genus
+        star = base.star + _chi_coefficient(surface.level, surface.star_count, a) * c
+        doubles = base.doubles[0] ** (h - d) * base.doubles[1] ** d
+        mu = base.weight * (star * doubles - base.star) // c  # exact: see above
+    if not mu and base.divisor == 1:
+        return base.element
+    return _exact_divide(surface.level, _plus_chi(base.element, mu), base.divisor)
 
 
 def quantize_surface(surface: SurfaceData,

@@ -145,6 +145,19 @@ class TestChoices:
         with pytest.raises(NotAdmissible):
             enumerate_choices(SurfaceData(6, 0, (3, 3, 3)))
 
+    def test_enumerated_choices_equal_their_public_copies(self):
+        for surf in sweep_surfaces(8, 4, 2):
+            for choice in enumerate_choices(surf):
+                copy = PrequantChoice(choice.psi_bits)
+                assert choice == copy and hash(choice) == hash(copy)
+                assert type(choice.psi_bits) is tuple
+                assert all(type(b) is int for b in choice.psi_bits)
+                assert len(choice.psi_bits) == surf.num_slots
+
+    def test_public_constructor_still_checks_bits(self):
+        with pytest.raises(ValueError, match="0/1"):
+            PrequantChoice((0, 2))
+
     def test_pairwise_inequivalent(self):
         surf = SurfaceData(4, 1, (2, 2, 2))
         gammas = enumerate_gamma(surf)

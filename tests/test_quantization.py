@@ -348,6 +348,19 @@ class TestChoiceResolution:
         assert messages == {"inadmissible: condition (iii) requires k in 4N "
                             "when the star count is >= 3"}
 
+    @pytest.mark.parametrize("k,r,message", [
+        (5, 1, "condition (ii') requires k in 2N when the star count is >= 1"),
+        (5, 3, "condition (iii) requires k in 4N when the star count is >= 3; "
+               "condition (ii') requires k in 2N when the star count is >= 1"),
+        (10, 4, "condition (iii) requires k in 4N when the star count is >= 3"),
+    ])
+    def test_star_entry_point_messages(self, k, r, message):
+        for star_path in (lambda: quantize_star_block(k, r, (0,) * r),
+                          lambda: localization_evaluate(k, r, (0,) * r, 0)):
+            with pytest.raises(NotAdmissible) as info:
+                star_path()
+            assert str(info.value) == f"inadmissible: {message}"
+
     def test_plain_tuple_is_rejected(self):
         surf = SurfaceData(4, 1, (2, 0, 2))
         for path in (quantize_surface, fs_formula, reduced_quantization):
@@ -501,6 +514,87 @@ def test_caches_are_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
+    # the closed form's caches, and those the benchmark's tracer reads by name
+    for name in ("_star_block", "_star_and_doubles", "_label_product", "tau_power",
+                 "quantize_double_so3", "_closed_form_base", "_closed_form_element",
+                 "_chi_coefficient", "_fs_gamma_data"):
+        assert getattr(quantization, name).cache_info().maxsize is not None, name
+
+
+def _class_choices(surf):
+    """One canonical choice per class (a, d) of the surface, with the class."""
+    r, h, s = surf.star_count, surf.genus, surf.num_boundary
+    for a in range(max(r, 1)):
+        for d in range(h + 1):
+            bits = [0] * surf.num_slots
+            for j in surf.star_slots[1:1 + a]:
+                bits[j] = 1
+            for i in range(d):
+                bits[s + 2 * i + 1] = 1
+            yield (a, d), PrequantChoice(tuple(bits))
+
+
+def _product_of_blocks(surf, a, d):
+    """The closed form block by block: the star block, h - d doubles with
+    phi = (0, 0), d with phi = (0, 1), and the non-star labels' product."""
+    k, h = surf.level, surf.genus
+    out = quantization._star_block(k, surf.star_count, a)
+    if h:
+        out = out * quantize_double_so3(k, (0, 0)) ** (h - d) \
+            * quantize_double_so3(k, (0, 1)) ** d
+    return out * quantization._label_product(k, tuple(sorted(surf.nonstar_labels)))
+
+
+BIG_GAMMA_SURFACES = (SurfaceData(4, 4, (2, 2, 2, 2, 2)),
+                      SurfaceData(8, 3, (3, 4, 4, 4, 4, 4, 4, 4, 4, 6)),
+                      SurfaceData(12, 6, (4, 6, 6, 6, 7)),
+                      SurfaceData(4, 5, (1, 1, 2, 2, 2, 2, 2, 2)),
+                      SurfaceData(8, 7, (3, 4, 4, 4, 6)))
+
+
+def test_closed_form_equals_the_product_of_blocks_on_every_class():
+    surfaces = list(sweep_surfaces(20, 5, 2)) + list(BIG_GAMMA_SURFACES) + [
+        SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8))]
+    assert {min(s.star_count, 3) for s in surfaces} == {0, 1, 2, 3}
+    assert any(s.level % 2 for s in surfaces)
+    classes = 0
+    for surf in surfaces:
+        for (a, d), choice in _class_choices(surf):
+            assert prequant._canonical_class(surf, choice)[1:] == (a, d)
+            got = quantize_surface(surf, choice).element
+            assert got.coeffs == _product_of_blocks(surf, a, d).coeffs, (surf, a, d)
+            classes += 1
+    assert classes > 5000
+
+
+def test_closed_form_products_per_surface_and_class(monkeypatch):
+    from verlinde import fusion_ring
+    calls = []
+    multiply = fusion_ring.multiply_coeff_vectors
+    monkeypatch.setattr(fusion_ring, "multiply_coeff_vectors",
+                        lambda *args: calls.append(args[0]) or multiply(*args))
+    _clear_quantization_caches()
+    surf = SurfaceData(12, 64, (6, 6, 6, 6, 5))  # r = 4, one non-star label
+    (_, first), *rest = _class_choices(surf)
+    quantize_surface(surf, first)
+    # 6 squarings for D^64, then tau_6 four times and tau_5 once as basis elements
+    assert len(calls) <= 2 * math.log2(surf.genus) + surf.star_count + 1
+    assert len(rest) == 4 * 65 - 1
+    before = len(calls)
+    for _, choice in rest:
+        quantize_surface(surf, choice)
+    assert len(calls) == before
+
+
+def test_inexact_division_is_raised(monkeypatch):
+    surf = SurfaceData(8, 1, (4, 4, 4))
+    _clear_quantization_caches()
+    base = quantization._closed_form_base(surf)
+    monkeypatch.setattr(quantization, "_closed_form_base",
+                        lambda s: base._replace(weight=base.weight + 1))
+    with pytest.raises(quantization.InexactDivision, match="not divisible by 16"):
+        quantize_surface(surf, PrequantChoice((0, 1, 0, 0, 1)))
+    _clear_quantization_caches()
 
 
 class TestReducedQuantization:
