@@ -440,6 +440,14 @@ class FusionElement:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
+    def _trusted(cls, k: int, coeffs: tuple[int, ...]) -> "FusionElement":
+        """An element from a checked level and a tuple of k + 1 exact ints
+        (they were computed from valid elements); skips the checks."""
+        self = object.__new__(cls)
+        vars(self).update(level=k, coeffs=coeffs)
+        return self
+
+    @classmethod
     def zero(cls, k: int) -> "FusionElement":
         return cls(k, (0,) * (k + 1))
 
@@ -479,8 +487,8 @@ class FusionElement:
             return other
         if other._is_unit():
             return self
-        return FusionElement(self.level,
-                             tuple(multiply_coeff_vectors(self.level, self.coeffs, other.coeffs)))
+        return FusionElement._trusted(
+            self.level, tuple(multiply_coeff_vectors(self.level, self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 

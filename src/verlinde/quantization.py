@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle
-from operator import add
+from itertools import cycle, repeat
+from operator import add, and_, rshift
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -116,16 +116,13 @@ class QuantizationResult:
 
 
 def _exact_divide(k: int, coeffs: Iterable[int], divisor: int) -> FusionElement:
-    """The level-k element with coefficients ``coeffs`` / ``divisor``, in
-    one pass; raises InexactDivision at the first remainder."""
-    out = []
-    for m, c in enumerate(coeffs):
-        q, rem = divmod(c, divisor)
-        if rem:
-            raise InexactDivision(
-                f"tau_{m} coefficient {c} is not divisible by {divisor}")
-        out.append(q)
-    return FusionElement(k, tuple(out))
+    """The level-k element with coefficients ``coeffs`` / ``divisor``, a
+    power of two; raises InexactDivision at the first remainder."""
+    coeffs, mask = list(coeffs), divisor - 1
+    if any(map(and_, coeffs, repeat(mask))):
+        m, c = next((m, c) for m, c in enumerate(coeffs) if c & mask)
+        raise InexactDivision(f"tau_{m} coefficient {c} is not divisible by {divisor}")
+    return FusionElement._trusted(k, tuple(map(rshift, coeffs, repeat(mask.bit_length()))))
 
 
 def _plus_chi(x: FusionElement, mu: int) -> Iterator[int]:
@@ -281,12 +278,9 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
 @lru_cache(maxsize=512)
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
-    h SO(3) doubles: D^h by binary powering, O(log h) exact products, then
-    tau_{k/2} r times as a basis element, O(k) steps each."""
-    out = quantize_double_su2(k) ** h
-    for _ in range(r):
-        out = out * FusionElement.tau(k, k // 2)
-    return out
+    h SO(3) doubles: both powers by binary powering (tau_{k/2}^r cached per
+    (k, r)), O(log r + log h) exact products."""
+    return tau_power(k, r) * quantize_double_su2(k) ** h
 
 
 def _value_at_half(m: int) -> int:
@@ -306,16 +300,17 @@ class _ClosedBase(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
-    """X and the integers that give each class's multiple of chi; the
-    non-star labels are multiplied in one basis element at a time."""
+    """X and the integers that give each class's multiple of chi.  X is
+    ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
+    times the non-star labels' product, cached per label tuple: one exact
+    product per surface."""
     k, r, h = surface.level, surface.star_count, surface.genus
-    base = _star_and_doubles(k, r, h)
-    for m in surface.nonstar_labels:
-        base = base * FusionElement.tau(k, m)
+    base = _star_and_doubles(k, r, h) * _label_product(k, tuple(sorted(surface.nonstar_labels)))
     if k % 2:  # then r = h = 0: X is the whole answer
         return _ClosedBase(base, 1, 0, 0, ())
     weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
-    doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1)))
+    sign = double_sign(k)
+    doubles = (1 + sign * _phi_sum((0, 0)), 1 + sign * _phi_sum((0, 1)))
     return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r,
                        weight, doubles)
 
