@@ -9,9 +9,9 @@ Three mutually cross-checking routes are implemented:
   integer formula.  A choice changes only the blocks' multiples of the
   alternating element chi, and chi x = x(t_{k/2}) chi with integer values
   x(t_{k/2}), so the product is (X + mu chi) / (2^(r-1) 4^h): one exact
-  base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, O(log h) exact
-  products, and per choice class an integer mu and one exact division,
-  O(k + r^2 + h) steps.
+  base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, O(log r + log h)
+  exact products, and per choice class an integer mu and one exact
+  division, O(k + r^2 + h) steps.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
   (1 for z = c, S[m,l] for z = e), taken block by block as both factor
