@@ -99,17 +99,26 @@ class NonIntegralValue(ArithmeticError):
 
 
 def integrality_tolerance() -> float:
-    """Integrality tolerance, overridable through VERLINDE_TOLERANCE."""
-    return float(os.environ.get(TOLERANCE_ENV_VAR, DEFAULT_TOLERANCE))
+    """Integrality tolerance, overridable through VERLINDE_TOLERANCE; a value
+    that is not a number raises ValueError naming the variable."""
+    text = os.environ.get(TOLERANCE_ENV_VAR)
+    if text is None:
+        return DEFAULT_TOLERANCE
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"integrality tolerance {TOLERANCE_ENV_VAR}={text!r} "
+                         "is not a number") from None
 
 
 def _valid_tolerance(tol: float | None) -> float:
-    """``tol``, or the configured tolerance when None; ValueError outside (0, 0.5)."""
+    """``tol`` as a Python float, or the configured tolerance when None;
+    ValueError outside (0, 0.5)."""
     if tol is None:
         tol = integrality_tolerance()
     if not 0.0 < tol < 0.5:  # also rejects nan
         raise ValueError(f"integrality tolerance must be in (0, 0.5), got {tol!r}")
-    return tol
+    return float(tol)
 
 
 def round_to_integer(value: float, tol: float | None = None,
@@ -664,19 +673,26 @@ def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
 
 def _round_coefficients(k: int, coeffs: np.ndarray, bound: float,
                         tol: float) -> FusionElement:
-    """Round raw tau-coefficients whose rounding error is at most ``bound``.
+    """Round the k + 1 raw tau-coefficients ``coeffs``, whose rounding error
+    is at most ``bound``, with a tolerance from ``_valid_tolerance``.
 
-    Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
-    and NonIntegralCoefficient, at the first coefficient that fails, from
-    ``round_to_integer``, the only integrality check.
+    Raises PrecisionExhausted unless the bound is below 1/2 (nan included).
+    Then every coefficient is tested at once by ``round_to_integer``'s rule:
+    the nearest integer, ties to even, within min(tol (1 + |c|), 0.499).
+    The first coefficient that fails (or is not finite) goes to
+    ``round_to_integer`` itself, which raises NonIntegralCoefficient (or
+    what ``round`` raises) with its message.
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
-    return FusionElement(k, [
-        round_to_integer(c, tol, NonIntegralCoefficient, f"tau_{m} coefficient")
-        for m, c in enumerate(coeffs.tolist())])
+    nearest = np.rint(coeffs)
+    fails = ~(np.abs(coeffs - nearest) <= np.minimum(tol * (1.0 + np.abs(coeffs)), 0.499))
+    if fails.any():
+        m = int(fails.argmax())
+        round_to_integer(float(coeffs[m]), tol, NonIntegralCoefficient, f"tau_{m} coefficient")
+    return FusionElement._trusted(k, tuple(map(int, nearest.tolist())))
 
 
 def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
@@ -710,8 +726,7 @@ def from_idempotent(values: Sequence[float], tol: float | None = None) -> Fusion
     when that bound is not below 1/2, and NonIntegralCoefficient when a
     coefficient is not integral within tolerance; the latter signals an
     inconsistent vector (or a wrong phase factor upstream), not a numerical
-    hiccup.  The tolerance is read and checked once per call, then passed
-    to ``round_to_integer`` for every coefficient.
+    hiccup.  The tolerance is read and checked once per call.
     """
     tol = _valid_tolerance(tol)
     v = np.asarray(values, dtype=np.float64)

@@ -302,7 +302,7 @@ def sweep_surfaces(max_k: int, max_r: int, max_h: int,
                             continue
                         seen.add(key)
                         surface = SurfaceData(k, h, labels)
-                        if not surface.admissibility.admissible:
+                        if not surface._admissible:
                             continue
                         if surface.gamma_size() > gamma_cap:
                             continue

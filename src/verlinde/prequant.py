@@ -89,7 +89,16 @@ class SurfaceData:
         return len(self.labels) + 2 * self.genus
 
     # Derived data, computed once per instance; cached_property stores it in
-    # the instance __dict__, so equality, hash and repr still see the fields.
+    # the instance __dict__, so equality, hash and repr still see the fields
+    # (and a pickled surface carries it along).
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The field hash, taken once: every result cache is keyed by surface."""
+        return hash((self.level, self.genus, self.labels))
 
     @cached_property
     def star_slots(self) -> tuple[int, ...]:
@@ -108,6 +117,14 @@ class SurfaceData:
     def admissibility(self) -> "AdmissibilityReport":
         """The ``check_prequantization`` report of this surface."""
         return check_prequantization(self)
+
+    @cached_property
+    def _admissible(self) -> bool:
+        """Whether ``admissibility`` holds, tested as integer conditions
+        without building the report: (ii) and the star conditions.
+        Condition (i) holds by construction."""
+        return (self.genus == 0 or self.level % 2 == 0) \
+            and _star_admissible(self.level, self.star_count)
 
     def gamma_size(self) -> int:
         r = self.star_count
@@ -229,7 +246,7 @@ class AdmissibilityReport:
     surface: SurfaceData
     conditions: tuple[ConditionCheck, ...]
 
-    @cached_property  # read on every request through require_admissible
+    @property
     def admissible(self) -> bool:
         return all(c.holds for c in self.conditions)
 
@@ -288,12 +305,17 @@ def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
 def require_admissible(surface: SurfaceData) -> None:
     """Raise NotAdmissible unless the surface admits a pre-quantization.
 
-    Reads the report the surface computed once (``SurfaceData.admissibility``),
-    so every path that checks the same surface shares one evaluation.
+    Tests the boolean the surface computed once (``SurfaceData._admissible``),
+    so every path that checks the same surface shares one evaluation; the
+    report (``SurfaceData.admissibility``) is built only for the message.
     """
-    report = surface.admissibility
-    if not report.admissible:
-        raise NotAdmissible(f"inadmissible: {report.failure_message()}")
+    if not surface._admissible:
+        raise NotAdmissible(f"inadmissible: {surface.admissibility.failure_message()}")
+
+
+def _star_admissible(level: int, star_count: int) -> bool:
+    """Conditions (iii) and (ii') of ``_star_conditions``, as one boolean."""
+    return (star_count < 3 or level % 4 == 0) and (star_count < 1 or level % 2 == 0)
 
 
 def _require_star_admissible(level: int, star_count: int) -> None:
@@ -302,7 +324,7 @@ def _require_star_admissible(level: int, star_count: int) -> None:
     surface carries a star label, so this is not a surface's report.)  The
     conditions are tested as booleans; the checks and their message are
     built only on failure."""
-    if (star_count >= 3 and level % 4) or (star_count >= 1 and level % 2):
+    if not _star_admissible(level, star_count):
         raise NotAdmissible(
             f"inadmissible: {_failure_message(_star_conditions(level, star_count))}")
 
@@ -352,25 +374,10 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
     return PrequantChoice(tuple(bits))
 
 
-def _canonical_class(surface: SurfaceData,
-                     choice: PrequantChoice | None) -> tuple[PrequantChoice, int, int]:
-    """The canonical form of ``choice`` on an admissible surface, and its
-    class (a, d): a psi bits set on star slots, and d doubles with
-    phi != (0, 0).  The phases, and so every quantization path's result,
-    depend on the choice only through this class.
-
-    Raises NotAdmissible unless the surface's report is admissible.  None is
-    the trivial choice.  A PrequantChoice that is already canonical (one bit
-    per slot, none on a non-star boundary slot, first star bit 0) is
-    returned as it is: its bits were checked to be 0/1 when it was built.
-    Any other goes through ``canonicalize_choice``, which raises for a wrong
-    length; anything that is not a PrequantChoice raises TypeError.
-    """
-    require_admissible(surface)
-    if choice is None:
-        return PrequantChoice((0,) * surface.num_slots), 0, 0
-    if not isinstance(choice, PrequantChoice):
-        raise TypeError(f"choice must be a PrequantChoice or None, got {choice!r}")
+def _classify(surface: SurfaceData,
+              choice: PrequantChoice) -> tuple[PrequantChoice, int, int]:
+    """The canonical form of a PrequantChoice on ``surface`` and its class
+    (a, d), as ``_canonical_class`` describes; the surface is admissible."""
     bits, s, stars = choice.psi_bits, surface.num_boundary, surface.star_slots
     if (len(bits) != surface.num_slots or (stars and bits[stars[0]])
             or sum(bits[:s]) != sum(map(bits.__getitem__, stars))):
@@ -378,6 +385,44 @@ def _canonical_class(surface: SurfaceData,
         bits = choice.psi_bits
     # canonical: the boundary bits set are star bits
     return choice, sum(bits[:s]), sum(map(or_, bits[s::2], bits[s + 1::2]))
+
+
+# The last (surface, choice, class) that ``_canonical_class`` returned.  The
+# three paths of one request ask for the same pair in a row, so one slot
+# classifies each request once.  It holds both objects, so neither id can
+# be reused while it is compared by identity, and both are immutable; it is
+# replaced as one tuple, never updated in place.
+_last_class: tuple = (None, None, None)
+
+
+def _canonical_class(surface: SurfaceData,
+                     choice: PrequantChoice | None) -> tuple[PrequantChoice, int, int]:
+    """The canonical form of ``choice`` on an admissible surface, and its
+    class (a, d): a psi bits set on star slots, and d doubles with
+    phi != (0, 0).  The phases, and so every quantization path's result,
+    depend on the choice only through this class.
+
+    Raises NotAdmissible unless the surface is admissible.  None is the
+    trivial choice.  A PrequantChoice that is already canonical (one bit
+    per slot, none on a non-star boundary slot, first star bit 0) is
+    returned as it is: its bits were checked to be 0/1 when it was built.
+    Any other goes through ``canonicalize_choice``, which raises for a wrong
+    length; anything that is not a PrequantChoice raises TypeError.  Both
+    checks run on every call; only then is the last pair classified read
+    back (``_last_class``), so a repeated request is classified once.
+    """
+    global _last_class
+    require_admissible(surface)
+    if choice is None:
+        return PrequantChoice._trusted((0,) * surface.num_slots), 0, 0
+    if not isinstance(choice, PrequantChoice):
+        raise TypeError(f"choice must be a PrequantChoice or None, got {choice!r}")
+    last_surface, last_choice, last = _last_class
+    if last_surface is surface and last_choice is choice:
+        return last
+    result = _classify(surface, choice)
+    _last_class = (surface, choice, result)
+    return result
 
 
 def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:

@@ -27,13 +27,16 @@ connected SU(2) product with no sign group at all.
 A pre-quantization choice enters every path only through its phases, which
 depend on two numbers: a, the psi bits set on star slots, and d, the
 doubles with phi != (0, 0).  One front end, ``prequant._canonical_class``,
-serves all three surface paths: it checks the surface's cached
-admissibility report and returns the request's canonical choice with its
-class (a, d).  Each path then computes its result once per class
-(surface, a, d) in a bounded cache and wraps it with that choice.  The star
-entry points (``quantize_star_block``, ``localization_evaluate``) take
-their class from the same front end on a star-only surface, after the
-star conditions (ii') and (iii) of ``check_prequantization``.
+serves all three surface paths: it tests the admissibility boolean the
+surface computed once (the report is built only for a failure message) and
+returns the request's canonical choice with its class (a, d).  It keeps the
+last (surface, choice) pair it classified, by identity, in one slot, so the
+three paths of one request classify it once.  Each path then computes its
+result once per class (surface, a, d) in a bounded cache and wraps it with
+that choice.  The star entry points (``quantize_star_block``,
+``localization_evaluate``) take their class from the same front end on a
+star-only surface, after the star conditions (ii') and (iii) of
+``check_prequantization``.
 """
 
 from __future__ import annotations
@@ -105,7 +108,11 @@ class QuantizationResult:
     @classmethod
     def of(cls, element: FusionElement, path: str,
            choice: PrequantChoice | None = None) -> "QuantizationResult":
-        return cls(element, element.trace, path, choice)
+        """The result for ``element``, its reduced value read off the trace;
+        built like ``FusionElement._trusted``, as no field needs a check."""
+        self = object.__new__(cls)
+        vars(self).update(element=element, reduced=element.trace, path=path, choice=choice)
+        return self
 
     def to_json_dict(self) -> dict:
         data = self.element.to_json_dict()
@@ -178,7 +185,7 @@ def _star_class(k: int, r: int, psi) -> int:
 
 @lru_cache(maxsize=256)
 def _star_surface(k: int, r: int) -> SurfaceData:
-    """r star labels k/2 at genus 0, with its admissibility report kept."""
+    """r star labels k/2 at genus 0, with its admissibility kept."""
     return SurfaceData(k, 0, (k // 2,) * r)
 
 
@@ -378,12 +385,18 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     identity = full / row0 ** n / surface.gamma_size()
     reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist())
     nonstar = math.prod(float(_s_row(k, m)[half]) for m in surface.nonstar_labels)
-    s_star = float(_s_row(k, half)[half])
-    star = tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
     doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1))) \
         if surface.genus else ()
     return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
-                      nonstar, float(row0[half]), star, doubles)
+                      nonstar, float(row0[half]), _fs_star_factors(k, r), doubles)
+
+
+@lru_cache(maxsize=256)
+def _fs_star_factors(k: int, r: int) -> tuple:
+    """The S-matrix star factor sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a)
+    for a = 0..r; it depends on the surface only through (k, r)."""
+    s_star = float(_s_row(k, k // 2)[k // 2])
+    return tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
 
 
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:

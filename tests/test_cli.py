@@ -125,12 +125,21 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "0.5", "abc", ""])
 def test_bad_tolerance_env_is_an_error(capsys, monkeypatch, tol):
     monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
     code = main(["quantize", "--level", "4", "--labels", "2,2", "--path", "both"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: integrality tolerance")
+
+
+@pytest.mark.parametrize("tol", ["abc", ""])
+def test_unparsable_tolerance_env_names_the_variable(capsys, monkeypatch, tol):
+    monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
+    code = main(["quantize", "--level", "4", "--labels", "2,2", "--path", "fs"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integrality tolerance") and "VERLINDE_TOLERANCE" in err
 
 
 def test_quantize_beyond_gamma_enumeration_cap(capsys):

@@ -11,6 +11,7 @@ from verlinde.fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _round_coefficients,
     _sine_coefficients,
     from_idempotent,
     multiply_coeff_vectors,
@@ -319,6 +320,63 @@ class TestTolerance:
         assert round_to_integer(2.0 + 1e-9, 1e-6) == 2
         with pytest.raises(NonIntegralValue):
             round_to_integer(2.5, 0.49)
+
+
+# Tolerances at both ends of (0, 0.5) and in between.
+ROUNDING_TOLERANCES = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-15, 1e-6, 0.25, 0.499, 0.4999999999999999]),
+    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def _raw_coefficient(draw, tol):
+    """An integer, a half-integer, a float past 2^53, a value at (or one ulp
+    either side of) the edge of round_to_integer's allowance, +-0.499 (exactly
+    at the cap when tol >= 1/3), or any float."""
+    kind = draw(st.sampled_from(("integer", "half", "large", "edge", "cap", "any")))
+    if kind == "cap":
+        return draw(st.sampled_from((0.499, -0.499)))
+    if kind == "integer":
+        return float(draw(st.integers(-2**30, 2**30)))
+    if kind == "half":
+        return draw(st.integers(-2**30, 2**30)) + 0.5
+    if kind == "large":
+        return float(draw(st.integers(2**53, 2**70)) * draw(st.sampled_from((1, -1))))
+    if kind == "edge":
+        n = draw(st.integers(-2**30, 2**30))
+        edge = n + draw(st.sampled_from((1, -1))) * min(tol * (1.0 + abs(n)), 0.499)
+        return float(np.nextafter(edge, edge + draw(st.sampled_from((-1, 0, 1)))))
+    return draw(st.floats())
+
+
+@st.composite
+def _rounding_case(draw):
+    tol = draw(ROUNDING_TOLERANCES)
+    return draw(st.lists(_raw_coefficient(tol), min_size=1, max_size=24)), tol
+
+
+class TestOnePassRounding:
+    # inf - inf warns; such a coefficient must still fail as round_to_integer fails
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(_rounding_case())
+    def test_matches_round_to_integer_per_coefficient(self, case):
+        """The same integers as round_to_integer coefficient by coefficient,
+        or the same exception, with the same message, at the same first
+        coefficient."""
+        values, tol = case
+        coeffs = np.array(values)
+        try:
+            expected = [round_to_integer(c, tol, NonIntegralCoefficient, f"tau_{m} coefficient")
+                        for m, c in enumerate(values)]
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                _round_coefficients(len(values) - 1, coeffs, 0.0, tol)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            rounded = _round_coefficients(len(values) - 1, coeffs, 0.0, tol)
+            assert rounded.coeffs == tuple(expected)
+            assert all(type(c) is int for c in rounded.coeffs)
 
 
 class TestTrace:

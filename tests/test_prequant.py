@@ -54,6 +54,18 @@ class TestSurfaceData:
         assert moved.star_slots == () and moved.nonstar_labels == (4, 0, 4, 4)
         assert len({surf, fresh, copy, moved}) == 2
 
+    def test_hash_is_taken_once_and_survives_pickling(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        assert "_hash" not in vars(surf)
+        first = hash(surf)
+        assert vars(surf)["_hash"] == first == hash(surf)
+        assert hash(SurfaceData(8, 1, [4, 0, 4, 4])) == first
+        assert hash(SurfaceData(8, 1, (4, 4, 0, 4))) != first
+        for copy in (pickle.loads(pickle.dumps(surf)),
+                     pickle.loads(pickle.dumps(SurfaceData(8, 1, (4, 0, 4, 4))))):
+            assert copy == surf and hash(copy) == first
+            assert {copy: 1}[surf] == 1
+
 
 class TestAdmissibility:
     @pytest.mark.parametrize("k,h,labels,expected", [
@@ -82,6 +94,25 @@ class TestAdmissibility:
         for _ in range(2):
             with pytest.raises(NotAdmissible, match=r"\(iii\)"):
                 require_admissible(surf)
+
+    def test_admissible_surface_builds_no_report(self):
+        surf = SurfaceData(8, 2, (4, 4, 4, 1))
+        require_admissible(surf)
+        enumerate_choices(surf)
+        assert "admissibility" not in vars(surf)
+
+    def test_boolean_matches_the_report(self):
+        surfaces = list(sweep_surfaces(20, 5, 2))
+        assert len(surfaces) == 1141
+        odd_genus = [SurfaceData(k, h, labels) for k in range(1, 22, 2) for h in (1, 2)
+                     for labels in ((), (0,), (1, k), (k,))]
+        many_stars = [SurfaceData(k, h, (k // 2,) * r + extra) for k in range(2, 23, 4)
+                      for h in (0, 1) for r in range(3, 7) for extra in ((), (1,), (0, k))]
+        for surf in odd_genus + many_stars:
+            assert not check_prequantization(surf).admissible, surf
+        for surf in surfaces + odd_genus + many_stars:
+            fresh = SurfaceData(surf.level, surf.genus, surf.labels)
+            assert fresh._admissible is check_prequantization(fresh).admissible, surf
 
 
 class TestGammaEnumeration:

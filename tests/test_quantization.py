@@ -386,6 +386,66 @@ class TestChoiceResolution:
                     localization_evaluate(k, 2, psi, l)
 
 
+class TestClassificationMemo:
+    """``prequant._canonical_class`` keeps the last (surface, choice) pair it
+    classified, by identity, after its admissibility and type checks."""
+
+    PATHS = (quantize_surface, fs_formula, reduced_quantization)
+
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        calls = []
+        classify = prequant._classify
+        monkeypatch.setattr(prequant, "_last_class", (None, None, None))
+        monkeypatch.setattr(prequant, "_classify",
+                            lambda surf, choice: calls.append(1) or classify(surf, choice))
+        return calls
+
+    def test_one_request_classifies_once(self, classify_calls):
+        surf = SurfaceData(8, 2, (4, 4, 4, 1))
+        for choice in enumerate_choices(surf)[:6]:
+            before = len(classify_calls)
+            for path in self.PATHS:
+                path(surf, choice)
+            assert len(classify_calls) == before + 1
+
+    def test_one_choice_on_two_surfaces_is_never_stale(self, classify_calls):
+        stars_0_2, stars_0_1 = SurfaceData(4, 1, (2, 0, 2)), SurfaceData(4, 1, (2, 2, 0))
+        choice = PrequantChoice((0, 0, 1, 1, 0))  # canonical on the first only
+        expected = {surf: (prequant._classify(surf, choice),
+                           [path(surf, choice) for path in self.PATHS])
+                    for surf in (stars_0_2, stars_0_1)}
+        assert expected[stars_0_2][0][1:] == (1, 1) and expected[stars_0_1][0][1:] == (0, 1)
+        assert expected[stars_0_2][1][0] != expected[stars_0_1][1][0]
+        for surf in (stars_0_2, stars_0_1) * 3:
+            assert prequant._canonical_class(surf, choice) == expected[surf][0]
+            assert [path(surf, choice) for path in self.PATHS] == expected[surf][1]
+
+    def test_noncanonical_choice_returns_its_canonical_copy(self, classify_calls):
+        surf = SurfaceData(4, 1, (2, 0, 2))
+        raw = PrequantChoice((1, 1, 0, 1, 0))
+        canonical = canonicalize_choice(surf, raw.psi_bits)
+        assert canonical.psi_bits == (0, 0, 1, 1, 0)
+        for _ in range(3):
+            for path in (quantize_surface, fs_formula):
+                result = path(surf, raw)
+                assert result.choice == canonical and result.choice is not raw
+        assert len(classify_calls) == 1
+
+    def test_checks_run_on_every_call(self, classify_calls):
+        good, bad = SurfaceData(4, 1, (2, 0, 2)), SurfaceData(6, 1, (3, 3, 3))
+        choice = PrequantChoice((0, 0, 1, 1, 0))
+        for _ in range(3):
+            for path in self.PATHS:
+                path(good, choice)
+                with pytest.raises(NotAdmissible):
+                    path(bad, choice)
+                with pytest.raises(TypeError):
+                    path(good, choice.psi_bits)
+                path(good, choice)
+        assert len(classify_calls) == 1
+
+
 def _clear_quantization_caches():
     for obj in vars(quantization).values():
         if hasattr(obj, "cache_clear"):
@@ -470,7 +530,7 @@ class TestToleranceOverride:
         with pytest.raises(NonIntegralCoefficient):
             fs_formula(self.SURFACE)
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "0.5"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "0.5", "abc", ""])
     def test_invalid_environment_value_raises(self, monkeypatch, tol):
         monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
         with pytest.raises(ValueError, match="tolerance"):
@@ -517,7 +577,7 @@ def test_caches_are_bounded():
     # the closed form's caches, and those the benchmark's tracer reads by name
     for name in ("_star_block", "_star_and_doubles", "_label_product", "tau_power",
                  "quantize_double_so3", "_closed_form_base", "_closed_form_element",
-                 "_chi_coefficient", "_fs_gamma_data"):
+                 "_chi_coefficient", "_fs_gamma_data", "_fs_star_factors"):
         assert getattr(quantization, name).cache_info().maxsize is not None, name
 
 
