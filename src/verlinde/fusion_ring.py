@@ -7,7 +7,8 @@ characters chi_0, chi_1, ... with the Clebsch-Gordan product
 
 The level-k fusion ring is the quotient by the ideal generated by
 chi_{k+1}; it is free on the images tau_0, ..., tau_k, and chi_j maps to
-0 or +-tau_i by affine reflection (``_fold``).
+0 or +-tau_i by affine reflection.  ``_fold`` is the one statement of that
+rule: every product, reduction and float cross-check folds through it.
 
 The exact product never expands chi_m * chi_n term by term, which costs
 O(k^3) for dense level-k vectors.  By the Weyl character formula
@@ -360,14 +361,12 @@ def _times_basis(k: int, c: int, m: int, b: Sequence[int], hi_b: int) -> list[in
 
     The unfolded product chi_m * sum_n b_n chi_n has Weyl numerator
     (x^(m+1) - x^(-m-1)) sum_e beta_|e| x^e, so its chi_j coefficient is
-    beta_|j-m| - beta_{j+m+2}, with beta from ``_laurent`` and beta_e = 0
-    for e > hi_b.  Folding chi_{2k+2-i} onto -tau_i adds
-    -beta_{2k+2-i-m}, so tau_i has coefficient
-    c (beta_|i-m| - beta_{i+m+2} - beta_{2k+2-i-m}).
+    beta_|j-m| - beta_{j+m+2} (beta from ``_laurent``, beta_e = 0 for
+    e > hi_b), zero for j > m + hi_b; ``_fold`` takes it to level k.
     """
-    beta = _laurent(b, hi_b) + [0] * (2 * k + 2 - hi_b)
-    near = beta[m:0:-1] + beta[:k + 1 - m]
-    out = list(map(sub, map(sub, near, beta[m + 2:]), beta[2 * k + 2 - m:k + 1 - m:-1]))
+    beta = _laurent(b, hi_b) + [0] * (2 * m + 2)
+    near = beta[m:0:-1] + beta[:hi_b + 1]  # beta_|j-m| for j = 0..m+hi_b
+    out = _fold(k, list(map(sub, near, beta[m + 2:])))
     return out if c == 1 else [c * x for x in out]
 
 
@@ -411,15 +410,14 @@ def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
 def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Fusion product of two level-k tau-coefficient vectors of exact ints.
 
-    Two scaled basis elements c tau_m * d tau_n follow the level-k fusion
-    rule, cd tau_j for j = |m-n|, |m-n|+2, ..., min(m+n, 2k-m-n); one scaled
-    basis element times a general vector is read off suffix sums of the
-    latter (``_times_basis``).  Otherwise the unfolded Clebsch-Gordan
+    A scaled basis element times anything is read off suffix sums of the
+    other factor (``_times_basis``).  Otherwise the unfolded Clebsch-Gordan
     product comes from one big-integer multiplication of Kronecker-packed
-    vectors (``_clebsch_gordan``) and is folded once into level k.  Every
-    case takes O(k) Python-level steps plus, in the last, one Karatsuba
-    multiplication of two ints of O(k (log k + bits)) bits, where the
-    term-by-term Clebsch-Gordan expansion takes O(k^3) for dense inputs.
+    vectors (``_clebsch_gordan``).  Both unfolded products go through
+    ``_fold`` once.  Either case takes O(k) Python-level steps plus, in the
+    second, one Karatsuba multiplication of two ints of O(k (log k + bits))
+    bits, where the term-by-term Clebsch-Gordan expansion takes O(k^3) for
+    dense inputs.
     """
     support_a, support_b = _support(a), _support(b)
     if support_a[1] < 0 or support_b[1] < 0:
@@ -429,13 +427,7 @@ def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[i
     m, hi_a = support_a
     if m < hi_a:
         return _fold(k, _clebsch_gordan(a, support_a, b, support_b))
-    n, hi_b = support_b
-    if n < hi_b:
-        return _times_basis(k, a[m], m, b, hi_b)
-    out = [0] * (k + 1)
-    span = range(abs(m - n), min(m + n, 2 * k - m - n) + 1, 2)
-    out[span.start:span.stop:2] = [a[m] * b[n]] * len(span)
-    return out
+    return _times_basis(k, a[m], m, b, support_b[1])
 
 
 @dataclass(frozen=True)

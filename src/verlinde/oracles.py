@@ -34,15 +34,16 @@ from .fusion_ring import (
 )
 from .prequant import (
     GammaElement,
-    NotAdmissible,
     PrequantChoice,
     SurfaceData,
+    _require_conditions,
     enumerate_choices,
     enumerate_gamma,
     phase_factor,
 )
 from .quantization import (
-    chi_element,
+    _exact_divide,
+    _plus_chi,
     fs_formula,
     localization_evaluate,
     quantize_double_su2,
@@ -136,21 +137,6 @@ def classical_verlinde_number(k: int, genus: int, tol: float | None = None) -> i
     return round_to_integer(value, tol, NonIntegralValue, "Verlinde number")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise NotAdmissible(f"inadmissible: {message}")
-
-
-def _exact_scale(vector: Sequence[int], divisor: int) -> tuple[int, ...]:
-    out = []
-    for c in vector:
-        q, rem = divmod(c, divisor)
-        if rem:
-            raise NonIntegralValue(f"table entry {c} not divisible by {divisor}")
-        out.append(q)
-    return tuple(out)
-
-
 def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
     """Literal multiplicity tables for the star-block quantizations.
 
@@ -163,13 +149,12 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
       three-case chi coefficient.
 
     ``choice_class`` "base" returns the plain power (tau_{k/2})^r table.
+    An inadmissible (k, r) raises NotAdmissible as the star entry points do.
     """
     k = _check_level(k)
-    _require(k % 2 == 0, f"star-block tables need k in 2N, got k={k}")
     if r not in (2, 3, 4):
         raise ValueError(f"tables exist for r in {{2, 3, 4}}, got r={r}")
-    if r >= 3:
-        _require(k % 4 == 0, f"condition (iii) requires k in 4N (k={k}, r={r})")
+    _require_conditions(k, 0, r)
     half = k // 2
     coeffs = [0] * (k + 1)
 
@@ -198,7 +183,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
         for j in range(half + 1):
             base = min(2 * j, k - 2 * j) + 1
             coeffs[2 * j] = base + (4 * d - 1) * (-1) ** j
-        return FusionElement(k, _exact_scale(coeffs, 4))
+        return _exact_divide(k, coeffs, 4)
 
     chi_coeff = {
         "trivial": 6 * (-1) ** (k // 4) + (half + 1),
@@ -208,10 +193,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
     if chi_coeff is None:
         raise ValueError(
             f"r=4 classes are 'trivial', 'sum_zero', 'sum_minus_two', got {choice_class!r}")
-    base = closed_form_tables(k, 4, "base")
-    chi = chi_element(k)
-    total = [b + chi_coeff * c for b, c in zip(base.coeffs, chi.coeffs)]
-    return FusionElement(k, _exact_scale(total, 8))
+    return _exact_divide(k, _plus_chi(closed_form_tables(k, 4, "base"), chi_coeff), 8)
 
 
 def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
@@ -329,8 +311,8 @@ def check_s_matrix_orthogonality(max_k: int) -> CheckResult:
     return CheckResult("s_matrix_orthogonality", {"max_k": max_k}, worst < 1e-10, worst, 1e-10)
 
 
-def check_evaluation_homomorphism(max_k: int, n_pairs: int = 200,
-                                  seed: int = 0, tol: float = 1e-8) -> CheckResult:
+def check_evaluation_homomorphism(max_k: int, seed: int = 0) -> CheckResult:
+    n_pairs = 200
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_pairs):
@@ -344,7 +326,7 @@ def check_evaluation_homomorphism(max_k: int, n_pairs: int = 200,
             worst = max(worst, err)
     return CheckResult("evaluation_homomorphism",
                        {"max_k": max_k, "n_pairs": n_pairs, "seed": seed},
-                       worst < tol, worst, tol)
+                       worst < 1e-8, worst, 1e-8)
 
 
 def _float_fusion_product(k: int, a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -369,7 +351,7 @@ def _float_fusion_product(k: int, a: np.ndarray, b: np.ndarray) -> list[float]:
     return _fold(k, unfolded.tolist())
 
 
-def check_idempotent_products(max_k: int, seed: int = 0, tol: float = 1e-8) -> CheckResult:
+def check_idempotent_products(max_k: int, seed: int = 0) -> CheckResult:
     """taut_m taut_n = delta_{mn} taut_m, via float tau-basis products."""
     rng = random.Random(seed)
     worst = 0.0
@@ -388,7 +370,7 @@ def check_idempotent_products(max_k: int, seed: int = 0, tol: float = 1e-8) -> C
                 expected[m] = 1.0
             worst = max(worst, float(np.abs(evals - expected).max()))
     return CheckResult("idempotent_products", {"max_k": max_k, "seed": seed},
-                       worst < tol, worst, tol)
+                       worst < 1e-8, worst, 1e-8)
 
 
 def check_reduce_character(max_k: int) -> CheckResult:
@@ -520,13 +502,12 @@ def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElem
     return blocks
 
 
-def check_cross_paths(max_k: int, max_r: int, max_h: int,
-                      gamma_cap: int = 2**9) -> CheckResult:
+def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
     """Closed form vs S-matrix formula vs reduced scalar, over the sweep."""
     bad = 0
     pairs = 0
     negative = 0
-    for surface in sweep_surfaces(max_k, max_r, max_h, gamma_cap):
+    for surface in sweep_surfaces(max_k, max_r, max_h):
         for choice in enumerate_choices(surface):
             pairs += 1
             closed = quantize_surface(surface, choice)
@@ -671,8 +652,12 @@ def run_verification_suite(max_k: int = 20, max_r: int = 5, max_h: int = 2,
 
     Failures are recorded in the report, not raised.  The coefficient
     non-negativity observation rides along inside the cross-path check as a
-    count only; it is not a pass/fail criterion.
+    count only; it is not a pass/fail criterion.  A negative bound, which
+    would leave the box empty and every check passing, raises ValueError.
     """
+    for name, bound in (("max_k", max_k), ("max_r", max_r), ("max_h", max_h)):
+        if bound < 0:
+            raise ValueError(f"verification bound {name} must be non-negative, got {bound}")
     report = VerificationReport()
     for check in (
         check_s_matrix_symmetry(max_k),

@@ -120,11 +120,9 @@ class SurfaceData:
 
     @cached_property
     def _admissible(self) -> bool:
-        """Whether ``admissibility`` holds, tested as integer conditions
-        without building the report: (ii) and the star conditions.
-        Condition (i) holds by construction."""
-        return (self.genus == 0 or self.level % 2 == 0) \
-            and _star_admissible(self.level, self.star_count)
+        """Whether ``admissibility`` holds, tested on ``_CONDITIONS`` without
+        building the report.  Condition (i) holds by construction."""
+        return _conditions_hold(self.level, self.genus, self.star_count)
 
     def gamma_size(self) -> int:
         r = self.star_count
@@ -273,33 +271,38 @@ def _failure_message(conditions: Iterable[ConditionCheck]) -> str:
                      for c in conditions if not c.holds)
 
 
-def _star_conditions(level: int, star_count: int) -> tuple[ConditionCheck, ...]:
-    """Conditions (iii) and (ii'), the ones r star labels impose on k."""
-    k, r = level, star_count
-    return (
-        ConditionCheck("(iii)", "k in 4N when the star count is >= 3",
-                       r < 3 or k % 4 == 0),
-        ConditionCheck("(ii')", "k in 2N when the star count is >= 1",
-                       r < 1 or k % 2 == 0),
-    )
+# Conditions (ii), (iii) and (ii') on the level k, genus h and star count r,
+# as (code, description, predicate): their one statement.  The report, the
+# surface's cached boolean and every failure message read this table.
+_CONDITIONS = (
+    ("(ii)", "k in 2N when genus >= 1", lambda k, h, r: h == 0 or k % 2 == 0),
+    ("(iii)", "k in 4N when the star count is >= 3", lambda k, h, r: r < 3 or k % 4 == 0),
+    ("(ii')", "k in 2N when the star count is >= 1", lambda k, h, r: r < 1 or k % 2 == 0),
+)
+
+
+def _conditions_hold(k: int, h: int, r: int) -> bool:
+    return all(holds(k, h, r) for _, _, holds in _CONDITIONS)
+
+
+def _condition_checks(k: int, h: int, r: int) -> tuple[ConditionCheck, ...]:
+    return tuple(ConditionCheck(code, text, holds(k, h, r)) for code, text, holds in _CONDITIONS)
 
 
 def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
     """Decide whether the surface data admits a level-k pre-quantization.
 
-    The conditions: (i) every label lies in 0..k, (ii) positive genus needs
-    k even, (iii) three or more star labels need k divisible by 4; a single
-    star label already forces k even, which holds automatically since the
-    star condition 2*m = k has no solution at odd k.
+    The conditions: (i) every label lies in 0..k, and those of
+    ``_CONDITIONS``: (ii) positive genus needs k even, (iii) three or more
+    star labels need k divisible by 4; (ii') a single star label already
+    forces k even, which holds automatically since the star condition
+    2*m = k has no solution at odd k.
     """
-    k, h = surface.level, surface.genus
-    conditions = (
-        ConditionCheck("(i)", f"all labels in 0..{k}",
-                       all(0 <= m <= k for m in surface.labels)),
-        ConditionCheck("(ii)", "k in 2N when genus >= 1",
-                       h == 0 or k % 2 == 0),
-    ) + _star_conditions(k, surface.star_count)
-    return AdmissibilityReport(surface, conditions)
+    k = surface.level
+    label_check = ConditionCheck("(i)", f"all labels in 0..{k}",
+                                 all(0 <= m <= k for m in surface.labels))
+    return AdmissibilityReport(
+        surface, (label_check,) + _condition_checks(k, surface.genus, surface.star_count))
 
 
 def require_admissible(surface: SurfaceData) -> None:
@@ -313,20 +316,13 @@ def require_admissible(surface: SurfaceData) -> None:
         raise NotAdmissible(f"inadmissible: {surface.admissibility.failure_message()}")
 
 
-def _star_admissible(level: int, star_count: int) -> bool:
-    """Conditions (iii) and (ii') of ``_star_conditions``, as one boolean."""
-    return (star_count < 3 or level % 4 == 0) and (star_count < 1 or level % 2 == 0)
-
-
-def _require_star_admissible(level: int, star_count: int) -> None:
-    """Raise NotAdmissible unless r star labels alone are admissible at
-    level k, with the wording of ``require_admissible``.  (At odd k no
-    surface carries a star label, so this is not a surface's report.)  The
-    conditions are tested as booleans; the checks and their message are
-    built only on failure."""
-    if not _star_admissible(level, star_count):
+def _require_conditions(level: int, genus: int, star_count: int) -> None:
+    """Raise NotAdmissible unless (k, h, r) meet ``_CONDITIONS``, worded as
+    ``require_admissible``, for entry points that take no surface; the
+    checks and their message are built only on failure."""
+    if not _conditions_hold(level, genus, star_count):
         raise NotAdmissible(
-            f"inadmissible: {_failure_message(_star_conditions(level, star_count))}")
+            f"inadmissible: {_failure_message(_condition_checks(level, genus, star_count))}")
 
 
 def _star_patterns(r: int) -> Iterator[tuple[int, ...]]:

@@ -35,8 +35,12 @@ three paths of one request classify it once.  Each path then computes its
 result once per class (surface, a, d) in a bounded cache and wraps it with
 that choice.  The star entry points (``quantize_star_block``,
 ``localization_evaluate``) take their class from the same front end on a
-star-only surface, after the star conditions (ii') and (iii) of
-``check_prequantization``.
+star-only surface, after the star conditions (ii') and (iii).
+
+Each shared rule is written once: the admissibility conditions in
+``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
+doubles' phases in ``_double_factor``, the exact division in
+``_exact_divide`` and the folding rule in ``fusion_ring._fold``.
 """
 
 from __future__ import annotations
@@ -60,15 +64,15 @@ from .fusion_ring import (
     _s_row,
     _sine_coefficients,
     _valid_tolerance,
+    _weyl_quotient,
     round_to_integer,
-    special_angle,
 )
 from .prequant import (
     NotAdmissible,
     PrequantChoice,
     SurfaceData,
     _canonical_class,
-    _require_star_admissible,
+    _require_conditions,
     double_sign,
     star_sign,
 )
@@ -147,10 +151,7 @@ def chi_element(k: int) -> FusionElement:
     k = _check_level(k)
     if k % 2:
         raise ValueError(f"the alternating element needs an even level, got {k}")
-    coeffs = [0] * (k + 1)
-    for m in range(0, k + 1, 2):
-        coeffs[m] = 1 if (m // 2) % 2 == 0 else -1
-    return FusionElement(k, tuple(coeffs))
+    return FusionElement(k, tuple(_plus_chi(FusionElement.zero(k), 1)))
 
 
 @lru_cache(maxsize=128)  # the benchmark's tracer reads it by name
@@ -171,7 +172,7 @@ def _star_class(k: int, r: int, psi) -> int:
     choices."""
     if r < 0:
         raise ValueError(f"star count must be non-negative, got {r}")
-    _require_star_admissible(k, r)
+    _require_conditions(k, 0, r)
     if r < 2:
         return 0
     if isinstance(psi, str):
@@ -252,20 +253,27 @@ def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     """Quantization of the SO(3) double for the choice phi in Hom(Z x Z, {+-1}).
 
     The quarter-sum (Q(D(SU2)) + (-1)^(k/2) sum_{gamma != e} phi(gamma) chi)/4,
-    exact by construction for even k.
+    exact by construction for even k; chi's multiple is ``_double_factor`` less 1.
     """
     k = _check_level(k)
-    if k % 2:
-        raise NotAdmissible(f"inadmissible: the SO(3) double requires k in 2N, got k={k}")
+    _require_conditions(k, 1, 0)
     phi = tuple(int(b) for b in phi)
     if len(phi) != 2 or any(b not in (0, 1) for b in phi):
         raise ValueError(f"phi must be two 0/1 bits, got {phi!r}")
-    return _exact_divide(k, _plus_chi(quantize_double_su2(k), double_sign(k) * _phi_sum(phi)), 4)
+    e = _double_factor(k, 1, phi != (0, 0)) - 1
+    return _exact_divide(k, _plus_chi(quantize_double_su2(k), e), 4)
 
 
-def _phi_sum(phi: tuple[int, int]) -> int:
-    """phi(gamma) summed over the three gamma != e in Z x Z."""
-    return 3 if phi == (0, 0) else -1
+def _double_factor(k: int, h: int, d: int) -> int:
+    """(4 / (k/2+1))^h times the value at t_{k/2} of h SO(3) doubles, d with
+    phi != (0, 0): each double (D_SU(2) + e chi) / 4 gives 1 + e, e being
+    double_sign(k) times phi summed over the three gamma != e in Z x Z
+    (3 for phi = (0, 0), else -1).  1 for h = 0, so odd k, which allows
+    no double, never reaches ``double_sign``."""
+    if not h:
+        return 1
+    sign = double_sign(k)
+    return (1 + 3 * sign) ** (h - d) * (1 - sign) ** d
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
@@ -296,7 +304,6 @@ class _ClosedBase(NamedTuple):
     divisor: int  # 2^(r-1) 4^h, with 2^(r-1) read as 1 for r = 0
     star: int  # tau_{k/2}^r at t_{k/2}, 0 or +-1
     weight: int  # (D_SU(2)^h prod tau_m)(t_{k/2}) = (k/2+1)^h or its negative, or 0
-    doubles: tuple  # 4 Q(double)(t_{k/2}) / (k/2+1) for phi = (0, 0) and any other
 
 
 @lru_cache(maxsize=512)  # one per surface, read by each class: 3,771 of 4,912 sweep reads hit
@@ -308,12 +315,9 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     k, r, h = surface.level, surface.star_count, surface.genus
     base = _star_and_doubles(k, r, h) * _label_product(k, tuple(sorted(surface.nonstar_labels)))
     if k % 2:  # then r = h = 0: X is the whole answer
-        return _ClosedBase(base, 1, 0, 0, ())
+        return _ClosedBase(base, 1, 0, 0)
     weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
-    sign = double_sign(k)
-    doubles = (1 + sign * _phi_sum((0, 0)), 1 + sign * _phi_sum((0, 1)))
-    return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r,
-                       weight, doubles)
+    return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r, weight)
 
 
 # Per-class results: 26,412 of the 31,324 sweep requests repeat a class.
@@ -327,7 +331,7 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
 
     Every block is a choice-free part plus a multiple of chi: the star block
     (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
-    double (D_SU(2) + double_sign phi_sum chi) / 4.  As chi x = x(t_{k/2}) chi
+    double (D_SU(2) + e chi) / 4 (``_double_factor``).  As chi x = x(t_{k/2}) chi
     (chi vanishes at every other special point), the product is the product
     of the choice-free parts, X, plus mu chi, where mu (k/2+1) is the
     product's value at t_{k/2} minus X's.  Those values are integers:
@@ -336,9 +340,9 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     base = _closed_form_base(surface)
     mu = 0
     if base.weight:
-        c, h = surface.level // 2 + 1, surface.genus
-        star = base.star + _chi_coefficient(surface.level, surface.star_count, a) * c
-        doubles = base.doubles[0] ** (h - d) * base.doubles[1] ** d
+        k, c = surface.level, surface.level // 2 + 1
+        star = base.star + _chi_coefficient(k, surface.star_count, a) * c
+        doubles = _double_factor(k, surface.genus, d)
         mu = base.weight * (star * doubles - base.star) // c  # exact: see above
     if not mu and base.divisor == 1:
         return base.element
@@ -362,7 +366,6 @@ class _GammaData(NamedTuple):
     nonstar: float  # prod S[m, k/2] over the non-star labels
     s0_half: float  # S[0, k/2]
     star: tuple  # the star factor for a = 0..r psi bits set on star slots
-    doubles: tuple  # the double factor for phi = (0, 0) and for any other phi
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
@@ -380,10 +383,8 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     identity = full / row0 ** n / surface.gamma_size()
     reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist())
     nonstar = math.prod(float(_s_row(k, m)[half]) for m in surface.nonstar_labels)
-    doubles = tuple(1 + double_sign(k) * _phi_sum(phi) for phi in ((0, 0), (0, 1))) \
-        if surface.genus else ()
     return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
-                      nonstar, float(row0[half]), _fs_star_factors(k, r), doubles)
+                      nonstar, float(row0[half]), _fs_star_factors(k, r))
 
 
 @lru_cache(maxsize=256)  # one per (k, r): 1,079 of 1,141 sweep surfaces hit
@@ -397,12 +398,12 @@ def _fs_star_factors(k: int, r: int) -> tuple:
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
     """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent
     for the class (a, d), a product of block sums: the star factor
-    sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), and per double
-    1 + double_sign * phi_sum, both read from ``_fs_gamma_data``."""
+    sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), read from
+    ``_fs_gamma_data``, and per double the four-term sum 1 + e, whose
+    product over the doubles is the exact integer ``_double_factor``."""
     data = _fs_gamma_data(surface)
-    h = surface.genus
-    doubles = data.doubles[0] ** (h - d) * data.doubles[1] ** d if h else 1
-    return data.nonstar / data.s0_half ** exponent * data.star[a] * doubles
+    return data.nonstar / data.s0_half ** exponent * data.star[a] \
+        * _double_factor(surface.level, surface.genus, d)
 
 
 # Only a class whose rounding fails is read here again (``_fs_element``
@@ -486,8 +487,7 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     _check_index(k, l, "l")
     if r == 0:
         return 1.0
-    theta = special_angle(k, l)
-    tau_val = math.sin((k // 2 + 1) * theta) / math.sin(theta)
+    tau_val = _weyl_quotient(k, l, ((k // 2, 1),))
     if r == 1:
         return tau_val
     half = k // 2

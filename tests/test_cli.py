@@ -96,6 +96,23 @@ def test_tables_text(capsys):
     assert "tau_0 + tau_4 + tau_8" in out
 
 
+def test_tables_inadmissible_level(capsys):
+    code, out = run(capsys, "tables", "--r", "3", "--level", "6")
+    assert code == 1
+    assert out == ("inadmissible: condition (iii) requires k in 4N "
+                   "when the star count is >= 3\n")
+
+
+@pytest.mark.parametrize("flag", ["--max-level", "--max-r", "--max-genus"])
+def test_verify_rejects_an_empty_box(capsys, flag):
+    code = main(["verify", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: verification bound ")
+    assert "must be non-negative, got -1" in captured.err
+
+
 def test_verify_small_box(capsys):
     code, out = run(capsys, "verify", "--max-level", "4", "--max-r", "2",
                     "--max-genus", "1")

@@ -129,6 +129,13 @@ def test_suite_trivial_box():
     assert report.passed
 
 
+@pytest.mark.parametrize("box,name", [((-1, 0, 0), "max_k"), ((0, -1, 0), "max_r"),
+                                      ((0, 0, -1), "max_h")])
+def test_suite_rejects_a_negative_bound(box, name):
+    with pytest.raises(ValueError, match=f"bound {name} .*non-negative, got -1"):
+        run_verification_suite(*box)
+
+
 def test_report_json_shape():
     report = run_verification_suite(2, 1, 0)
     data = report.to_json_dict()

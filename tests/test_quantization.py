@@ -38,6 +38,7 @@ from verlinde.quantization import (
     verlinde_baseline,
 )
 from verlinde.oracles import (
+    closed_form_tables,
     fs_formula_with_phases,
     phase_vector as _phase_vector,
     sweep_surfaces,
@@ -131,8 +132,13 @@ class TestBuildingBlocks:
         assert elem == FusionElement(4, (2, 0, 0, 0, 1))
 
     def test_double_so3_odd_level(self):
-        with pytest.raises(NotAdmissible):
-            quantize_double_so3(3, (0, 0))
+        """The odd-level double fails as a genus-one surface does."""
+        for k, phi in product((1, 3, 7), ((0, 0), (1, 1))):
+            with pytest.raises(NotAdmissible) as surface_info:
+                quantize_surface(SurfaceData(k, 1, ()))
+            with pytest.raises(NotAdmissible) as info:
+                quantize_double_so3(k, phi)
+            assert str(info.value) == str(surface_info.value)
 
 
 class TestQuantizeSurface:
@@ -353,10 +359,19 @@ class TestChoiceResolution:
         (5, 3, "condition (iii) requires k in 4N when the star count is >= 3; "
                "condition (ii') requires k in 2N when the star count is >= 1"),
         (10, 4, "condition (iii) requires k in 4N when the star count is >= 3"),
+        (5, 2, "condition (ii') requires k in 2N when the star count is >= 1"),
+        (6, 3, "condition (iii) requires k in 4N when the star count is >= 3"),
+        (7, 4, "condition (iii) requires k in 4N when the star count is >= 3; "
+               "condition (ii') requires k in 2N when the star count is >= 1"),
     ])
     def test_star_entry_point_messages(self, k, r, message):
-        for star_path in (lambda: quantize_star_block(k, r, (0,) * r),
-                          lambda: localization_evaluate(k, r, (0,) * r, 0)):
+        """The star entry points, and the literal tables where they exist,
+        reject an inadmissible (k, r) with one message."""
+        star_paths = [lambda: quantize_star_block(k, r, (0,) * r),
+                      lambda: localization_evaluate(k, r, (0,) * r, 0)]
+        if r in (2, 3, 4):
+            star_paths.append(lambda: closed_form_tables(k, r, "base"))
+        for star_path in star_paths:
             with pytest.raises(NotAdmissible) as info:
                 star_path()
             assert str(info.value) == f"inadmissible: {message}"
