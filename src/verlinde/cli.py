@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 inadmissible input, 2 internal consistency
 failure (an exact division or integrality rounding that a theorem
 guarantees failed, which indicates a bug or a wrong phase convention),
 3 precision exhausted (the float S-matrix path's rounding-error bound
-reached 1/2, so it cannot certify the integers; not a bug).
-The VERLINDE_TOLERANCE environment variable overrides the integrality
-tolerance (default 1e-6); a value outside (0, 0.5) is an error (exit 1).
+reached 1/2, or its sums left double range, so it cannot certify the
+integers; not a bug).  The integrality tolerance is fixed at 1e-6
+(``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
+changes it.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ error already in the values it is given.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,7 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-6
-TOLERANCE_ENV_VAR = "VERLINDE_TOLERANCE"
 
 # Coefficients beyond 53 bits are serialized as decimal strings so that JSON
 # consumers relying on IEEE doubles never see them silently truncated.
@@ -92,7 +90,8 @@ class NonIntegralCoefficient(ArithmeticError):
 
 class PrecisionExhausted(NonIntegralCoefficient):
     """The a priori rounding-error bound of a float basis change is not below
-    1/2, so double precision cannot certify the integer coefficients.
+    1/2, or a float sum left double range, so double precision cannot
+    certify the integers.
 
     A limit of the float path, not an inconsistency; it subclasses
     NonIntegralCoefficient so that existing handlers still catch it.
@@ -104,41 +103,24 @@ class NonIntegralValue(ArithmeticError):
 
 
 def integrality_tolerance() -> float:
-    """Integrality tolerance, overridable through VERLINDE_TOLERANCE; a value
-    that is not a number raises ValueError naming the variable."""
-    text = os.environ.get(TOLERANCE_ENV_VAR)
-    if text is None:
-        return DEFAULT_TOLERANCE
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"integrality tolerance {TOLERANCE_ENV_VAR}={text!r} "
-                         "is not a number") from None
+    """The integrality tolerance: the constant ``DEFAULT_TOLERANCE``."""
+    return DEFAULT_TOLERANCE
 
 
-def _valid_tolerance(tol: float | None) -> float:
-    """``tol`` as a Python float, or the configured tolerance when None;
-    ValueError outside (0, 0.5)."""
-    if tol is None:
-        tol = integrality_tolerance()
-    if not 0.0 < tol < 0.5:  # also rejects nan
-        raise ValueError(f"integrality tolerance must be in (0, 0.5), got {tol!r}")
-    return float(tol)
-
-
-def round_to_integer(value: float, tol: float | None = None,
-                     exc: type[ArithmeticError] = NonIntegralValue,
+def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralValue,
                      context: str = "value") -> int:
     """Round ``value`` to the nearest integer, checking it is close enough.
 
-    The allowed deviation scales with the magnitude of the value (floating
-    point error in the Verlinde-type sums grows with their size) but is
-    capped below 1/2 so a genuinely half-integral result always raises.
-    A tolerance outside (0, 0.5), nan included, raises ValueError.
+    The allowed deviation, DEFAULT_TOLERANCE (1 + |value|), scales with the
+    magnitude of the value (floating point error in the Verlinde-type sums
+    grows with their size) but is capped below 1/2 so a genuinely
+    half-integral result always raises ``exc``.  A value that is not finite
+    (a float sum out of double range) raises PrecisionExhausted.
     """
-    tol = _valid_tolerance(tol)
+    if not math.isfinite(value):
+        raise PrecisionExhausted(f"{context} = {value!r} is out of double range")
     nearest = round(value)
-    allowed = min(tol * (1.0 + abs(value)), 0.499)
+    allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
     if abs(value - nearest) > allowed:
         raise exc(f"{context} = {value!r} is not integral "
                   f"(deviation {abs(value - nearest):.3e}, allowed {allowed:.3e})")
@@ -634,36 +616,41 @@ def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
     S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  The bound grows by the
     rounding of the step delta 2/N (forming delta as a difference of two
     values, 2/N and the product: 3u) and of its part in each sum (u); the
-    sum's part from ``coeffs`` is in their bound already."""
+    sum's part from ``coeffs`` is in their bound already.  A bound that is
+    not finite certifies nothing, and the coefficients are left as they are."""
+    bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
+    if not math.isfinite(bound):
+        return coeffs, bound
     star = np.zeros(k + 1)
     star[0::4] = 2.0 / (k + 2)
     star[2::4] = -2.0 / (k + 2)
     out = coeffs + delta * star
     out.setflags(write=False)
-    return out, bound + 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
+    return out, bound
 
 
-def _round_coefficients(k: int, coeffs: np.ndarray, bound: float,
-                        tol: float) -> FusionElement:
+def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionElement:
     """Round the k + 1 raw tau-coefficients ``coeffs``, whose rounding error
-    is at most ``bound``, with a tolerance from ``_valid_tolerance``.
+    is at most ``bound``.
 
     Raises PrecisionExhausted unless the bound is below 1/2 (nan included).
     Then every coefficient is tested at once by ``round_to_integer``'s rule:
-    the nearest integer, ties to even, within min(tol (1 + |c|), 0.499).
-    The first coefficient that fails (or is not finite) goes to
-    ``round_to_integer`` itself, which raises NonIntegralCoefficient (or
-    what ``round`` raises) with its message.
+    the nearest integer, ties to even, within
+    min(DEFAULT_TOLERANCE (1 + |c|), 0.499).  The first coefficient that
+    fails goes to ``round_to_integer`` itself, which raises
+    NonIntegralCoefficient (PrecisionExhausted if it is not finite).
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
     nearest = np.rint(coeffs)
-    fails = ~(np.abs(coeffs - nearest) <= np.minimum(tol * (1.0 + np.abs(coeffs)), 0.499))
+    allowed = np.minimum(DEFAULT_TOLERANCE * (1.0 + np.abs(coeffs)), 0.499)
+    fails = ~(np.abs(coeffs - nearest) <= allowed)
     if fails.any():
         m = int(fails.argmax())
-        round_to_integer(float(coeffs[m]), tol, NonIntegralCoefficient, f"tau_{m} coefficient")
+        round_to_integer(float(coeffs[m]), exc=NonIntegralCoefficient,
+                         context=f"tau_{m} coefficient")
     return FusionElement._trusted(k, tuple(map(int, nearest.tolist())))
 
 
@@ -687,7 +674,7 @@ def to_idempotent(a: FusionElement) -> np.ndarray:
     return values
 
 
-def from_idempotent(values: Sequence[float], tol: float | None = None) -> FusionElement:
+def from_idempotent(values: Sequence[float]) -> FusionElement:
     """Recover tau-coefficients sum_l v[l] S[0,l] S[m,l], rounded to integers,
     from the values v at t_0, ..., t_k; the level k is len(values) - 1, and
     empty or not one-dimensional values raise ValueError.
@@ -695,12 +682,11 @@ def from_idempotent(values: Sequence[float], tol: float | None = None) -> Fusion
     The coefficients come from one sine transform with an a priori bound on
     its rounding error (``_sine_coefficients``).  Raises PrecisionExhausted
     when that bound is not below 1/2, and NonIntegralCoefficient when a
-    coefficient is not integral within tolerance; the latter signals an
-    inconsistent vector (or a wrong phase factor upstream), not a numerical
-    hiccup.  The tolerance is read and checked once per call.
+    coefficient is not integral within DEFAULT_TOLERANCE; the latter signals
+    an inconsistent vector (or a wrong phase factor upstream), not a
+    numerical hiccup.
     """
-    tol = _valid_tolerance(tol)
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or not len(v):
         raise ValueError(f"need a non-empty 1-D vector of values, got shape {v.shape}")
-    return _round_coefficients(len(v) - 1, *_sine_coefficients(v), tol)
+    return _round_coefficients(len(v) - 1, *_sine_coefficients(v))

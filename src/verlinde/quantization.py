@@ -63,12 +63,10 @@ from .fusion_ring import (
     _round_coefficients,
     _s_row,
     _sine_coefficients,
-    _valid_tolerance,
     _weyl_quotient,
     round_to_integer,
 )
 from .prequant import (
-    NotAdmissible,
     PrequantChoice,
     SurfaceData,
     _canonical_class,
@@ -156,11 +154,10 @@ def chi_element(k: int) -> FusionElement:
 
 @lru_cache(maxsize=128)  # the benchmark's tracer reads it by name
 def tau_power(k: int, r: int) -> FusionElement:
-    """(tau_{k/2})^r, cached; k must be even for r >= 1."""
+    """(tau_{k/2})^r, cached; for r >= 1, k must meet condition (ii')."""
     if r == 0:
         return FusionElement.one(k)
-    if k % 2:
-        raise NotAdmissible(f"tau_{{k/2}} needs an even level, got k={k}")
+    _require_conditions(k, 0, 1)
     return FusionElement.tau(k, k // 2) ** r
 
 
@@ -362,7 +359,7 @@ class _GammaData(NamedTuple):
     coeffs: np.ndarray  # tau-coefficients of the identity term / |Gamma|
     bound: float  # their rounding-error bound
     at_half: float  # the identity term / |Gamma| at l = k/2
-    reduced: float  # the reduced identity term summed over l != k/2
+    reduced: float  # the reduced identity term summed over l != k/2, / |Gamma|
     nonstar: float  # prod S[m, k/2] over the non-star labels
     s0_half: float  # S[0, k/2]
     star: tuple  # the star factor for a = 0..r psi bits set on star slots
@@ -374,17 +371,24 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     l, taken to the tau basis by one sine transform; its reduced form
     (exponent s+2h-2) summed over l != k/2; and the factors of the block
     sum at l = k/2.  Only the S-matrix rows of the labels, 0 and k/2 are
-    read, from the row cache."""
+    read, from the row cache.  1/|Gamma| is exact, |Gamma| being a power of
+    two; a value out of double range becomes inf or nan, without a warning,
+    and its rounding raises PrecisionExhausted."""
     k, n, half = surface.level, surface.num_slots, surface.level // 2
     r = surface.star_count
+    inverse = 1 / surface.gamma_size()
     row0 = _s_row(k, 0)
     rows = np.array([_s_row(k, m) for m in surface.labels]).reshape(len(surface.labels), k + 1)
-    full = np.prod(rows, axis=0)
-    identity = full / row0 ** n / surface.gamma_size()
-    reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist())
     nonstar = math.prod(float(_s_row(k, m)[half]) for m in surface.nonstar_labels)
-    return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
-                      nonstar, float(row0[half]), _fs_star_factors(k, r))
+    with np.errstate(all="ignore"):
+        full = np.prod(rows, axis=0)
+        identity = full / row0 ** n * inverse
+        try:  # fsum raises on an intermediate overflow and on inf - inf
+            reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist()) * inverse
+        except (OverflowError, ValueError):
+            reduced = math.nan
+        return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
+                          nonstar, float(row0[half]), _fs_star_factors(k, r))
 
 
 @lru_cache(maxsize=256)  # one per (k, r): 1,079 of 1,141 sweep surfaces hit
@@ -397,13 +401,16 @@ def _fs_star_factors(k: int, r: int) -> tuple:
 
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
     """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent
-    for the class (a, d), a product of block sums: the star factor
+    / |Gamma| for the class (a, d), a product of block sums: the star factor
     sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), read from
     ``_fs_gamma_data``, and per double the four-term sum 1 + e, whose
-    product over the doubles is the exact integer ``_double_factor``."""
+    product over the doubles is the exact integer ``_double_factor``.  That
+    integer and |Gamma| are powers of two (or 0), so their quotient is an
+    exact float of absolute value at most 1."""
     data = _fs_gamma_data(surface)
-    return data.nonstar / data.s0_half ** exponent * data.star[a] \
-        * _double_factor(surface.level, surface.genus, d)
+    power = data.s0_half ** exponent  # 0.0 past double range: inf, which rounding reports
+    return (data.nonstar / power if power else math.inf) * data.star[a] \
+        * (_double_factor(surface.level, surface.genus, d) / surface.gamma_size())
 
 
 # Only a class whose rounding fails is read here again (``_fs_element``
@@ -413,11 +420,11 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
 @lru_cache(maxsize=128)
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
     """The raw tau-coefficients of the class (a, d) and their rounding-error
-    bound, before any tolerance: a failing class, which ``_fs_element``
-    never stores, only re-rounds.
+    bound, before rounding: a failing class, which ``_fs_element`` never
+    stores, only re-rounds.
 
     The class's values differ from the identity term / |Gamma| only at
-    l = k/2, where they are ``_block_sum`` / |Gamma|, so the coefficients
+    l = k/2, where they are ``_block_sum``, so the coefficients
     are the identity term's (one sine transform per surface) plus the
     difference times taut_{k/2} (``fusion_ring._add_star_idempotent``).
     For odd k, Gamma = {e} and the identity term is the whole sum.
@@ -425,43 +432,41 @@ def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, 
     data = _fs_gamma_data(surface)
     if surface.level % 2:
         return data.coeffs, data.bound
-    delta = _block_sum(surface, a, d, surface.num_slots) / surface.gamma_size() - data.at_half
+    delta = _block_sum(surface, a, d, surface.num_slots) - data.at_half
     return _add_star_idempotent(surface.level, data.coeffs, data.bound, delta)
 
 
 @lru_cache(maxsize=1024)  # per class, as ``_closed_form_element``
-def _fs_element(surface: SurfaceData, a: int, d: int, tol: float) -> FusionElement:
-    return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d), tol)
+def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
+    return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
 
 
 @lru_cache(maxsize=1024)  # per class, as ``_closed_form_element``
-def _reduced_value(surface: SurfaceData, a: int, d: int, tol: float) -> int:
-    value = (_fs_gamma_data(surface).reduced
-             + _block_sum(surface, a, d, surface.num_slots - 2)) / surface.gamma_size()
-    return round_to_integer(value, tol, NonIntegralValue, "reduced quantization")
+def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
+    value = _fs_gamma_data(surface).reduced + _block_sum(surface, a, d, surface.num_slots - 2)
+    return round_to_integer(value, exc=NonIntegralValue, context="reduced quantization")
 
 
-def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None,
-               tol: float | None = None) -> QuantizationResult:
+def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> QuantizationResult:
     """Quantization through the S-matrix formula, summed block by block:
-    the identity term / |Gamma| at l != k/2, ``_block_sum`` / |Gamma| at
-    l = k/2 (floating point), back to the tau basis by a sine transform (once
-    per surface) and an update along taut_{k/2} (once per choice class),
-    then integrality rounding, once per class and tolerance.  Raises
-    PrecisionExhausted when the rounding-error bound is not below 1/2, and
-    NonIntegralCoefficient when a coefficient fails to round."""
+    the identity term / |Gamma| at l != k/2, ``_block_sum`` at l = k/2
+    (floating point), back to the tau basis by a sine transform (once per
+    surface) and an update along taut_{k/2} (once per choice class), then
+    integrality rounding, once per class.  Raises PrecisionExhausted when
+    the rounding-error bound is not below 1/2 (a sum out of double range
+    included), and NonIntegralCoefficient when a coefficient fails to
+    round."""
     choice, a, d = _canonical_class(surface, choice)
-    return QuantizationResult.of(_fs_element(surface, a, d, _valid_tolerance(tol)),
-                                 "fs_float", choice)
+    return QuantizationResult.of(_fs_element(surface, a, d), "fs_float", choice)
 
 
-def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None,
-                         tol: float | None = None) -> int:
+def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None) -> int:
     """The scalar S-matrix sum (quantization of the symplectic quotient),
-    summed block by block with exponent s+2h-2, once per choice class and
-    tolerance."""
+    summed block by block with exponent s+2h-2, once per choice class.
+    Raises PrecisionExhausted when the sum is out of double range, and
+    NonIntegralValue when it fails to round."""
     _, a, d = _canonical_class(surface, choice)
-    return _reduced_value(surface, a, d, _valid_tolerance(tol))
+    return _reduced_value(surface, a, d)
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from verlinde.fusion_ring import (
+    DEFAULT_TOLERANCE,
     FusionElement,
     NonIntegralCoefficient,
     s_matrix,
@@ -55,7 +56,7 @@ def cross_path_sweep():
     for surface in sweep_surfaces(20, 5, 2, gamma_cap=2**9):
         for choice in enumerate_choices(surface):
             closed = quantize_surface(surface, choice)
-            through_s = fs_formula(surface, choice, tol=1e-6)
+            through_s = fs_formula(surface, choice)
             reduced = reduced_quantization(surface, choice)
             rows.append((surface, choice, closed, through_s, reduced))
     return rows, time.perf_counter() - start
@@ -123,6 +124,7 @@ def test_criterion_3_r4_tables():
 
 def test_criterion_4_cross_path_equivalence(cross_path_sweep):
     rows, build_time = cross_path_sweep
+    assert DEFAULT_TOLERANCE == 1e-6  # the criterion's stated rounding tolerance
     for surface, choice, closed, through_s, _ in rows:
         assert closed.element == through_s.element, (surface, choice)
     assert build_time < 60.0

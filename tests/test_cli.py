@@ -134,29 +134,23 @@ def test_label_out_of_range_is_reported(capsys):
     assert code == 1
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-3")
-    from verlinde.fusion_ring import integrality_tolerance
-    assert integrality_tolerance() == 1e-3
-    code, _ = run(capsys, "quantize", "--level", "4", "--labels", "2,2")
-    assert code == 0
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "0.5", "abc", ""])
-def test_bad_tolerance_env_is_an_error(capsys, monkeypatch, tol):
-    monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
-    code = main(["quantize", "--level", "4", "--labels", "2,2", "--path", "both"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: integrality tolerance")
-
-
-@pytest.mark.parametrize("tol", ["abc", ""])
-def test_unparsable_tolerance_env_names_the_variable(capsys, monkeypatch, tol):
-    monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
-    code = main(["quantize", "--level", "4", "--labels", "2,2", "--path", "fs"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: integrality tolerance") and "VERLINDE_TOLERANCE" in err
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--level", "4", "--labels", "2,2", "--path", "both", "--reduced"],
+    ["verify", "--max-level", "4", "--max-r", "2", "--max-genus", "1"],
+])
+def test_tolerance_environment_is_ignored(capsys, monkeypatch, argv):
+    # the integrality tolerance is a constant: no environment variable changes it
+    outputs = set()
+    for value in (None, "abc", "0.4"):
+        if value is None:
+            monkeypatch.delenv("VERLINDE_TOLERANCE", raising=False)
+        else:
+            monkeypatch.setenv("VERLINDE_TOLERANCE", value)
+        code = main(argv)
+        captured = capsys.readouterr()
+        outputs.add((code, captured.out, captured.err))
+    assert len(outputs) == 1
+    assert outputs.pop()[0] == 0
 
 
 def test_quantize_beyond_gamma_enumeration_cap(capsys):
@@ -173,6 +167,28 @@ def test_precision_exhausted_exit_code(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("precision exhausted:")
+
+
+# Float sums out of double range: an inf to round, |Gamma| = 2^2003 past
+# float conversion, 4^h in the double factor, +inf and -inf in one reduced
+# sum, and an infinite block sum beside a finite identity term.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["--level", "8", "--genus", "300", "--path", "closed", "--reduced"],
+    ["--level", "8", "--genus", "300", "--path", "fs"],
+    ["--level", "100", "--genus", "1000", "--labels", "50,50,50,50", "--path", "fs"],
+    ["--level", "100", "--genus", "1000", "--labels", "50,50,50,50", "--path", "closed",
+     "--reduced"],
+    ["--level", "100", "--genus", "150", "--labels", "1", "--path", "closed", "--reduced"],
+    ["--level", "100", "--genus", "180", "--labels", "50,50,50,50", "--path", "fs"],
+])
+def test_sums_out_of_double_range_exhaust_precision(capsys, argv):
+    code = main(["quantize", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted:")
+    assert captured.err.count("\n") == 1
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde.fusion_ring import (
+    DEFAULT_TOLERANCE,
     CharacterPoly,
     FusionElement,
     NonIntegralCoefficient,
@@ -15,6 +16,7 @@ from verlinde.fusion_ring import (
     _round_coefficients,
     _sine_coefficients,
     from_idempotent,
+    integrality_tolerance,
     multiply_coeff_vectors,
     reduce_character,
     round_to_integer,
@@ -299,91 +301,64 @@ def test_sine_transform_within_its_bound_of_the_dense_route(data):
     assert max(abs(c - d) for c, d in zip(coeffs, dense_coefficients(k, values))) <= bound
 
 
-BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, -1e-6, 0.5]
-
-
-class TestTolerance:
-    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-    def test_bad_argument_rejected(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
-            round_to_integer(2.5, tol)
-
-    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-    def test_bad_environment_rejected(self, tol, monkeypatch):
-        monkeypatch.setenv("VERLINDE_TOLERANCE", repr(tol))
-        with pytest.raises(ValueError, match="tolerance"):
-            round_to_integer(2.0)
-
-    def test_from_idempotent_reads_tolerance_once(self, monkeypatch):
-        from verlinde import fusion_ring
-        reads = []
-        monkeypatch.setattr(fusion_ring, "integrality_tolerance",
-                            lambda: reads.append(1) or 1e-6)
-        x = FusionElement(10, tuple(range(11)))
-        assert from_idempotent(to_idempotent(x)) == x
-        assert len(reads) == 1
-
-    def test_valid_tolerance_still_checks(self):
-        assert round_to_integer(2.0 + 1e-9, 1e-6) == 2
-        with pytest.raises(NonIntegralValue):
-            round_to_integer(2.5, 0.49)
-
-
-# Tolerances at both ends of (0, 0.5) and in between.
-ROUNDING_TOLERANCES = st.one_of(
-    st.sampled_from([5e-324, 1e-300, 1e-15, 1e-6, 0.25, 0.499, 0.4999999999999999]),
-    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
-
-
 @st.composite
-def _raw_coefficient(draw, tol):
+def _raw_coefficient(draw):
     """An integer, a half-integer, a float past 2^53, a value at (or one ulp
-    either side of) the edge of round_to_integer's allowance, +-0.499 (exactly
-    at the cap when tol >= 1/3), or any float."""
+    either side of) the edge of round_to_integer's allowance, n +- 0.499
+    with |n| large enough that the allowance is capped at 0.499, or any
+    float."""
     kind = draw(st.sampled_from(("integer", "half", "large", "edge", "cap", "any")))
+    sign = draw(st.sampled_from((1, -1)))
     if kind == "cap":
-        return draw(st.sampled_from((0.499, -0.499)))
+        return draw(st.integers(499_000, 2**30)) * sign + draw(st.sampled_from((0.499, -0.499)))
     if kind == "integer":
         return float(draw(st.integers(-2**30, 2**30)))
     if kind == "half":
         return draw(st.integers(-2**30, 2**30)) + 0.5
     if kind == "large":
-        return float(draw(st.integers(2**53, 2**70)) * draw(st.sampled_from((1, -1))))
+        return float(draw(st.integers(2**53, 2**70)) * sign)
     if kind == "edge":
         n = draw(st.integers(-2**30, 2**30))
-        edge = n + draw(st.sampled_from((1, -1))) * min(tol * (1.0 + abs(n)), 0.499)
+        edge = n + sign * min(DEFAULT_TOLERANCE * (1.0 + abs(n)), 0.499)
         return float(np.nextafter(edge, edge + draw(st.sampled_from((-1, 0, 1)))))
     return draw(st.floats())
-
-
-@st.composite
-def _rounding_case(draw):
-    tol = draw(ROUNDING_TOLERANCES)
-    return draw(st.lists(_raw_coefficient(tol), min_size=1, max_size=24)), tol
 
 
 class TestOnePassRounding:
     # inf - inf warns; such a coefficient must still fail as round_to_integer fails
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=400, deadline=None)
-    @given(_rounding_case())
-    def test_matches_round_to_integer_per_coefficient(self, case):
+    @given(st.lists(_raw_coefficient(), min_size=1, max_size=24))
+    def test_matches_round_to_integer_per_coefficient(self, values):
         """The same integers as round_to_integer coefficient by coefficient,
         or the same exception, with the same message, at the same first
         coefficient."""
-        values, tol = case
         coeffs = np.array(values)
         try:
-            expected = [round_to_integer(c, tol, NonIntegralCoefficient, f"tau_{m} coefficient")
+            expected = [round_to_integer(c, exc=NonIntegralCoefficient,
+                                         context=f"tau_{m} coefficient")
                         for m, c in enumerate(values)]
-        except (ArithmeticError, ValueError) as exc:
+        except ArithmeticError as exc:
             with pytest.raises(type(exc)) as info:
-                _round_coefficients(len(values) - 1, coeffs, 0.0, tol)
+                _round_coefficients(len(values) - 1, coeffs, 0.0)
             assert type(info.value) is type(exc) and str(info.value) == str(exc)
         else:
-            rounded = _round_coefficients(len(values) - 1, coeffs, 0.0, tol)
+            rounded = _round_coefficients(len(values) - 1, coeffs, 0.0)
             assert rounded.coeffs == tuple(expected)
             assert all(type(c) is int for c in rounded.coeffs)
+
+
+class TestRoundToInteger:
+    def test_fixed_tolerance(self):
+        assert integrality_tolerance() == DEFAULT_TOLERANCE == 1e-6
+        assert round_to_integer(2.0 + 1e-9) == 2
+        with pytest.raises(NonIntegralValue):
+            round_to_integer(2.0 + 1e-5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_value_out_of_double_range_is_precision_exhausted(self, value):
+        with pytest.raises(PrecisionExhausted, match="reduced quantization = .* out of double"):
+            round_to_integer(value, context="reduced quantization")
 
 
 class TestTrace:

@@ -131,6 +131,14 @@ class TestBuildingBlocks:
         assert elem.trace >= 0
         assert elem == FusionElement(4, (2, 0, 0, 0, 1))
 
+    def test_tau_power_needs_condition_ii_prime(self):
+        # tau_{k/2}^r exists at every even k; condition (iii) is not asked
+        assert tau_power(6, 3) == tau(6, 3) ** 3
+        with pytest.raises(NotAdmissible) as info:
+            tau_power(5, 2)
+        assert str(info.value) == ("inadmissible: condition (ii') requires k in 2N "
+                                   "when the star count is >= 1")
+
     def test_double_so3_odd_level(self):
         """The odd-level double fails as a genus-one surface does."""
         for k, phi in product((1, 3, 7), ((0, 0), (1, 1))):
@@ -266,7 +274,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
             coeffs, bound = quantization._fs_coefficients(surf, a, d)
             assert bound < 0.5
             values = identity.copy()
-            values[k // 2] = quantization._block_sum(surf, a, d, surf.num_slots) / size
+            values[k // 2] = quantization._block_sum(surf, a, d, surf.num_slots)
             direct, direct_bound = _sine_coefficients(values)
             assert np.abs(coeffs - direct).max() <= bound + direct_bound
             classes += 1
@@ -518,38 +526,6 @@ class TestChoiceClasses:
                     path(surf, choice)
                 messages.add(str(info.value))
             assert len(messages) == 1
-
-    def test_tolerance_change_recomputes_the_reduced_value(self, monkeypatch):
-        # fs_formula's counterpart is TestToleranceOverride below
-        surf = SurfaceData(24, 3, (12, 12, 12, 12))  # reduced value off by ~2e-7
-        expected = quantize_surface(surf).reduced
-        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-6")
-        assert reduced_quantization(surf) == expected
-        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-14")
-        with pytest.raises(NonIntegralValue):
-            reduced_quantization(surf)
-        assert reduced_quantization(surf, tol=1e-6) == expected
-
-
-class TestToleranceOverride:
-    SURFACE = SurfaceData(20, 2, (10, 10, 10))  # rounding error ~1e-11
-
-    def test_each_call_reads_the_environment(self, monkeypatch):
-        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-12")
-        with pytest.raises(NonIntegralCoefficient):
-            fs_formula(self.SURFACE)
-        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-6")
-        closed = quantize_surface(self.SURFACE)
-        assert fs_formula(self.SURFACE).element == closed.element
-        monkeypatch.setenv("VERLINDE_TOLERANCE", "1e-12")
-        with pytest.raises(NonIntegralCoefficient):
-            fs_formula(self.SURFACE)
-
-    @pytest.mark.parametrize("tol", ["nan", "0", "0.5", "abc", ""])
-    def test_invalid_environment_value_raises(self, monkeypatch, tol):
-        monkeypatch.setenv("VERLINDE_TOLERANCE", tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            fs_formula(self.SURFACE)
 
 
 def _pattern_loop_chi_coefficient(k, r, psi_bits):
