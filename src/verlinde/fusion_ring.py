@@ -8,16 +8,22 @@ characters chi_0, chi_1, ... with the Clebsch-Gordan product
 The level-k fusion ring is the quotient by the ideal generated by
 chi_{k+1}; it is free on the images tau_0, ..., tau_k, and chi_j maps to
 0 or +-tau_i by affine reflection.  ``_fold`` is the one statement of that
-rule: every product, reduction and float cross-check folds through it.
+rule: every dense product, reduction and float cross-check folds through
+it.  On basis elements it gives the level-k fusion rule
+tau_m tau_n = tau_|m-n| + tau_(|m-n|+2) + ... + tau_min(m+n, 2k-m-n),
+which ``_times_basis`` applies directly (tests check it against the fold).
 
 The exact product never expands chi_m * chi_n term by term, which costs
-O(k^3) for dense level-k vectors.  By the Weyl character formula
-chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the product's Weyl numerator is the
-numerator of one factor times the Laurent expansion of the other, whose
-coefficients are O(k) suffix sums.  Both are packed into Python ints with
-signed digits (Kronecker substitution), so a product is O(k) Python steps
-plus one big-integer multiplication, then one fold into level k.  A factor
-that is a scaled basis element skips the multiplication.
+O(k^3) for dense level-k vectors.  A factor that is a scaled basis element
+tau_m costs one linear pass (``_times_basis``): each coefficient of the
+product is a difference of two parity-strided prefix sums of the other
+factor, so it takes O(k) additions, with no fold.  For two dense factors,
+by the Weyl character formula chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the
+product's Weyl numerator is the numerator of one factor times the Laurent
+expansion of the other, whose coefficients are O(k) suffix sums.  Both are
+packed into Python ints with signed digits (Kronecker substitution), so a
+product is O(k) Python steps plus one big-integer multiplication, then one
+fold into level k.
 
 Characters are evaluated at the special torus points t_l = j(q^{l+1}),
 q = exp(i*pi/(k+2)), where the ideal vanishes, so
@@ -328,28 +334,22 @@ def _unpack(x: int, width: int, n: int) -> list[int]:
             for i in range(0, width * n, width)]
 
 
-def _laurent(b: Sequence[int], hi: int) -> list[int]:
-    """beta_0..beta_hi of sum_n b_n chi_n = sum_e beta_|e| x^e (b_n = 0 past hi):
-    beta_e = sum_{n >= e, n = e mod 2} b_n, a parity-strided suffix sum."""
-    beta = list(b[hi::-1])
-    beta[0::2] = accumulate(beta[0::2])
-    beta[1::2] = accumulate(beta[1::2])
-    beta.reverse()
-    return beta
+def _times_basis(k: int, m: int, b: Sequence[int]) -> list[int]:
+    """tau_m * b at level k, b the k + 1 tau-coefficients of any element.
 
-
-def _times_basis(k: int, c: int, m: int, b: Sequence[int], hi_b: int) -> list[int]:
-    """c tau_m * b at level k, b nonzero with last nonzero entry at hi_b.
-
-    The unfolded product chi_m * sum_n b_n chi_n has Weyl numerator
-    (x^(m+1) - x^(-m-1)) sum_e beta_|e| x^e, so its chi_j coefficient is
-    beta_|j-m| - beta_{j+m+2} (beta from ``_laurent``, beta_e = 0 for
-    e > hi_b), zero for j > m + hi_b; ``_fold`` takes it to level k.
+    By the level-k fusion rule, tau_m tau_n has tau_j for j = |m-n|,
+    |m-n|+2, ..., min(m+n, 2k-m-n), a set symmetric in n and j; so the tau_j
+    coefficient is b_lo + b_(lo+2) + ... + b_hi, lo = |j-m| and
+    hi = min(j+m, 2k-j-m), a difference P[hi+2] - P[lo] of the parity-strided
+    prefix sums P[i] = sum_{n < i, n = i mod 2} b_n.  As j runs over 0..k,
+    hi+2 and lo each trace one rising and one falling run of P: four slices.
     """
-    beta = _laurent(b, hi_b) + [0] * (2 * m + 2)
-    near = beta[m:0:-1] + beta[:hi_b + 1]  # beta_|j-m| for j = 0..m+hi_b
-    out = _fold(k, list(map(sub, near, beta[m + 2:])))
-    return out if c == 1 else [c * x for x in out]
+    prefix = [0, 0, *b]
+    prefix[0::2] = accumulate(prefix[0::2])
+    prefix[1::2] = accumulate(prefix[1::2])
+    upper = prefix[m + 2:k + 3] + prefix[k + 1:k - m + 1:-1]
+    lower = prefix[m:0:-1] + prefix[:k - m + 1]
+    return list(map(sub, upper, lower))
 
 
 def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
@@ -376,7 +376,10 @@ def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
     if hi_a - lo_a > hi_b - lo_b:
         a, b, lo_a, hi_a, hi_b = b, a, lo_b, hi_b, hi_a
     numerator = a[lo_a:hi_a + 1]
-    beta = _laurent(b, hi_b)
+    beta = list(b[hi_b::-1])  # accumulated by parity: beta_hi_b, ..., beta_0
+    beta[0::2] = accumulate(beta[0::2])
+    beta[1::2] = accumulate(beta[1::2])
+    beta.reverse()
     laurent = beta[:0:-1] + beta  # beta_|e| for e = -hi_b..hi_b
     width = _digit_width(sum(map(abs, numerator)) * max(map(abs, beta)))
     n = len(numerator) + len(laurent) - 1
@@ -392,14 +395,14 @@ def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
 def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Fusion product of two level-k tau-coefficient vectors of exact ints.
 
-    A scaled basis element times anything is read off suffix sums of the
-    other factor (``_times_basis``).  Otherwise the unfolded Clebsch-Gordan
-    product comes from one big-integer multiplication of Kronecker-packed
-    vectors (``_clebsch_gordan``).  Both unfolded products go through
-    ``_fold`` once.  Either case takes O(k) Python-level steps plus, in the
-    second, one Karatsuba multiplication of two ints of O(k (log k + bits))
-    bits, where the term-by-term Clebsch-Gordan expansion takes O(k^3) for
-    dense inputs.
+    A scaled basis element c tau_m times anything is the basis step
+    ``_times_basis`` (prefix sums of the other factor, already at level k),
+    scaled by c.  Otherwise the unfolded Clebsch-Gordan product comes from
+    one big-integer multiplication of Kronecker-packed vectors
+    (``_clebsch_gordan``), folded to level k once by ``_fold``.  Either case
+    takes O(k) Python-level steps plus, in the second, one Karatsuba
+    multiplication of two ints of O(k (log k + bits)) bits, where the
+    term-by-term Clebsch-Gordan expansion takes O(k^3) for dense inputs.
     """
     support_a, support_b = _support(a), _support(b)
     if support_a[1] < 0 or support_b[1] < 0:
@@ -409,7 +412,8 @@ def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[i
     m, hi_a = support_a
     if m < hi_a:
         return _fold(k, _clebsch_gordan(a, support_a, b, support_b))
-    return _times_basis(k, a[m], m, b, support_b[1])
+    out = _times_basis(k, m, b)
+    return out if a[m] == 1 else [a[m] * x for x in out]
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,10 @@ def classical_verlinde_number(k: int, genus: int) -> int:
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
     s0 = s_matrix(k)[0]
-    value = math.fsum(float(x) ** (2 - 2 * genus) for x in s0)
+    try:  # a term or the sum out of double range: inf, which rounding reports
+        value = math.fsum(float(x) ** (2 - 2 * genus) for x in s0)
+    except OverflowError:
+        value = math.inf
     return round_to_integer(value, exc=NonIntegralValue, context="Verlinde number")
 
 

@@ -9,9 +9,11 @@ Three mutually cross-checking routes are implemented:
   integer formula.  A choice changes only the blocks' multiples of the
   alternating element chi, and chi x = x(t_{k/2}) chi with integer values
   x(t_{k/2}), so the product is (X + mu chi) / (2^(r-1) 4^h): one exact
-  base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, O(log r + log h)
-  exact products, and per choice class an integer mu and one exact
-  division, O(k + r^2 + h) steps.
+  base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, and per choice
+  class an integer mu and one exact division, O(k + r^2 + h) steps.  X
+  costs O(log h) dense exact products, for D_SU(2)^h by binary powering
+  (none for h <= 1), then one linear basis step (O(k) additions) per star
+  and per label.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
   (1 for z = c, S[m,l] for z = e), taken block by block as both factor
@@ -40,7 +42,8 @@ star-only surface, after the star conditions (ii') and (iii).
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
 doubles' phases in ``_double_factor``, the exact division in
-``_exact_divide`` and the folding rule in ``fusion_ring._fold``.
+``_exact_divide``, the folding rule in ``fusion_ring._fold`` and the
+basis step it implies in ``fusion_ring._times_basis``.
 """
 
 from __future__ import annotations
@@ -57,12 +60,14 @@ import numpy as np
 from .fusion_ring import (
     FusionElement,
     NonIntegralValue,
+    PrecisionExhausted,
     _add_star_idempotent,
     _check_index,
     _check_level,
     _round_coefficients,
     _s_row,
     _sine_coefficients,
+    _times_basis,
     _weyl_quotient,
     round_to_integer,
 )
@@ -273,20 +278,29 @@ def _double_factor(k: int, h: int, d: int) -> int:
     return (1 + 3 * sign) ** (h - d) * (1 - sign) ** d
 
 
+def _times_labels(x: FusionElement, labels: Iterable[int]) -> FusionElement:
+    """x tau_m1 tau_m2 ...: one linear basis step (``fusion_ring._times_basis``)
+    per label on a plain list, wrapped as an element once at the end."""
+    k, coeffs = x.level, x.coeffs
+    for m in labels:
+        coeffs = _times_basis(k, m, coeffs)
+    return FusionElement._trusted(k, tuple(coeffs))
+
+
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
-    out = FusionElement.one(k)
-    for m in labels:
-        out = out * FusionElement.tau(k, m)
-    return out
+    """prod tau_m over ``labels``, by basis steps.  No quantization path
+    reads it: ``_closed_form_base`` steps through its labels directly."""
+    return _times_labels(FusionElement.one(k), labels)
 
 
-@lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
+@lru_cache(maxsize=512)  # one per (k, r, h): 975 of the sweep's 1,141 surfaces hit
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
-    h SO(3) doubles: both powers by binary powering (tau_{k/2}^r cached per
-    (k, r)), O(log r + log h) exact products."""
-    return tau_power(k, r) * quantize_double_su2(k) ** h
+    h SO(3) doubles: D_SU(2)^h by binary powering, the only dense exact
+    products of the closed form (none for h <= 1, one for h = 2, at most
+    2 log2 h), then r basis steps by tau_{k/2}, O(r k) integer additions."""
+    return _times_labels(quantize_double_su2(k) ** h, repeat(k // 2, r))
 
 
 def _value_at_half(m: int) -> int:
@@ -307,10 +321,9 @@ class _ClosedBase(NamedTuple):
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     """X and the integers that give each class's multiple of chi.  X is
     ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
-    times the non-star labels' product, cached per label tuple: one exact
-    product per surface."""
+    times one basis step per non-star label: no dense product."""
     k, r, h = surface.level, surface.star_count, surface.genus
-    base = _star_and_doubles(k, r, h) * _label_product(k, tuple(sorted(surface.nonstar_labels)))
+    base = _times_labels(_star_and_doubles(k, r, h), surface.nonstar_labels)
     if k % 2:  # then r = h = 0: X is the whole answer
         return _ClosedBase(base, 1, 0, 0)
     weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
@@ -394,9 +407,17 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
 @lru_cache(maxsize=256)  # one per (k, r): 1,079 of 1,141 sweep surfaces hit
 def _fs_star_factors(k: int, r: int) -> tuple:
     """The S-matrix star factor sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a)
-    for a = 0..r; it depends on the surface only through (k, r)."""
+    for a = 0..r; it depends on the surface only through (k, r).  Raises
+    PrecisionExhausted when a count K_w(a) is out of double range: then
+    K_w(0) = C(r, w), the largest of them, is too, and no class's sum can
+    be formed in double precision."""
     s_star = float(_s_row(k, k // 2)[k // 2])
-    return tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
+    try:
+        return tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
+    except OverflowError:
+        raise PrecisionExhausted(
+            f"the star sum over {r} star labels at level {k} has counts out of double "
+            f"range: double precision cannot form it") from None
 
 
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:

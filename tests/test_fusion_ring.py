@@ -15,6 +15,7 @@ from verlinde.fusion_ring import (
     PrecisionExhausted,
     _round_coefficients,
     _sine_coefficients,
+    _times_basis,
     from_idempotent,
     integrality_tolerance,
     multiply_coeff_vectors,
@@ -130,6 +131,16 @@ class TestMultiply:
         a = data.draw(level_vectors(k))
         b = data.draw(level_vectors(k))
         assert multiply_coeff_vectors(k, a, b) == term_by_term_product(k, a, b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_basis_step_matches_term_by_term(self, data):
+        k = data.draw(st.integers(min_value=0, max_value=12))
+        m = data.draw(st.integers(min_value=0, max_value=k))
+        b = data.draw(st.lists(st.integers(min_value=-2**70, max_value=2**70),
+                               min_size=k + 1, max_size=k + 1))
+        expected = reduce_character(k, CharacterPoly.chi(m) * CharacterPoly(dict(enumerate(b))))
+        assert tuple(_times_basis(k, m, b)) == expected.coeffs
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
     def test_basis_products_match_term_by_term(self, k):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from verlinde.fusion_ring import FusionElement
+from verlinde.fusion_ring import FusionElement, PrecisionExhausted
 from verlinde.oracles import (
     check_negative_control,
     classical_verlinde_number,
@@ -96,6 +96,11 @@ class TestClassicalVerlinde:
     def test_big_values_round_cleanly(self):
         # genus 4 at k = 32 stresses the scaled integrality window
         assert classical_verlinde_number(32, 4) > 10**9
+
+    def test_power_out_of_double_range_exhausts_precision(self):
+        # S[0, l]^(2 - 2g) overflows the Python float power at genus 100
+        with pytest.raises(PrecisionExhausted, match="out of double range"):
+            classical_verlinde_number(32, 100)
 
 
 class TestSweep:

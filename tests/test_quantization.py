@@ -261,6 +261,14 @@ def test_fs_formula_is_exact_or_raises_across_the_precision_frontier():
     assert min(outcomes["exact"], outcomes["exhausted"]) > 500, outcomes
 
 
+def test_star_counts_out_of_double_range_exhaust_precision():
+    # C(1100, w) passes 2^1024, so the star sum's counts have no float value
+    surf = SurfaceData(4, 0, (2,) * 1100)
+    for path in (fs_formula, reduced_quantization):
+        with pytest.raises(PrecisionExhausted, match="star sum over 1100 star labels"):
+            path(surf)
+
+
 def test_precision_bound_below_half_on_every_sweep_class():
     # Each class's coefficients are the surface's identity term plus an
     # update along taut_{k/2}; a direct transform of the class's values must
@@ -623,7 +631,11 @@ BIG_GAMMA_SURFACES = (SurfaceData(4, 4, (2, 2, 2, 2, 2)),
 
 def test_closed_form_equals_the_product_of_blocks_on_every_class():
     surfaces = list(sweep_surfaces(20, 5, 2)) + list(BIG_GAMMA_SURFACES) + [
-        SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8))]
+        SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8)),
+        # high_level sizes, where every label is a basis step at large k
+        SurfaceData(288, 2, (42, 143, 144, 144, 165, 234)),
+        SurfaceData(364, 0, (134, 150, 182, 182, 182, 182, 200, 282)),
+        SurfaceData(396, 2, (71, 250, 283, 343))]
     assert {min(s.star_count, 3) for s in surfaces} == {0, 1, 2, 3}
     assert any(s.level % 2 for s in surfaces)
     classes = 0
@@ -637,22 +649,33 @@ def test_closed_form_equals_the_product_of_blocks_on_every_class():
 
 
 def test_closed_form_products_per_surface_and_class(monkeypatch):
+    # Labels and stars are basis steps; only the binary powering of
+    # D_SU(2)^h makes dense (Clebsch-Gordan) products, and a class none.
     from verlinde import fusion_ring
     calls = []
-    multiply = fusion_ring.multiply_coeff_vectors
-    monkeypatch.setattr(fusion_ring, "multiply_coeff_vectors",
-                        lambda *args: calls.append(args[0]) or multiply(*args))
+    dense = fusion_ring._clebsch_gordan
+    monkeypatch.setattr(fusion_ring, "_clebsch_gordan",
+                        lambda *args: calls.append(len(args[0])) or dense(*args))
+    for surf in (SurfaceData(12, 0, (6, 6, 6, 6, 5)), SurfaceData(12, 1, (6, 6, 6, 6, 5)),
+                 SurfaceData(4, 1, (2,) * 40 + (1, 3)), SurfaceData(396, 1, (71, 250, 283, 343)),
+                 SurfaceData(364, 0, (134, 150, 182, 182, 182, 182, 200, 282))):
+        _clear_quantization_caches()
+        for _, choice in _class_choices(surf):
+            quantize_surface(surf, choice)
+        assert calls == [], surf
+    _clear_quantization_caches()
+    quantize_surface(SurfaceData(288, 2, (42, 143, 144, 144, 165, 234)))
+    assert len(calls) == 1  # D_SU(2)^2 = D_SU(2) D_SU(2)
+    calls.clear()
     _clear_quantization_caches()
     surf = SurfaceData(12, 64, (6, 6, 6, 6, 5))  # r = 4, one non-star label
     (_, first), *rest = _class_choices(surf)
     quantize_surface(surf, first)
-    # 6 squarings for D^64, then tau_6 four times and tau_5 once as basis elements
-    assert len(calls) <= 2 * math.log2(surf.genus) + surf.star_count + 1
+    assert len(calls) == math.log2(surf.genus)  # six squarings for D^64
     assert len(rest) == 4 * 65 - 1
-    before = len(calls)
     for _, choice in rest:
         quantize_surface(surf, choice)
-    assert len(calls) == before
+    assert len(calls) == math.log2(surf.genus)
 
 
 def test_inexact_division_is_raised(monkeypatch):
@@ -697,6 +720,9 @@ class TestVerlindeBaseline:
     def test_odd_level_genus_allowed(self):
         # the baseline has no sign group, so no parity constraint applies
         assert verlinde_baseline(SurfaceData(3, 1, ())).reduced == 4
+
+    def test_many_stars_equal_the_star_power(self):
+        assert verlinde_baseline(SurfaceData(4, 0, (2,) * 1100)).element == tau_power(4, 1100)
 
     def test_equals_the_simply_connected_product(self):
         surfaces = list(sweep_surfaces(8, 4, 2)) + [
