@@ -109,7 +109,7 @@ def _cmd_smatrix(args) -> int:
 def _cmd_prequant(args) -> int:
     surface = SurfaceData(args.level, args.genus, _parse_int_list(args.labels))
     report = check_prequantization(surface)
-    n_choices = len(enumerate_choices(surface)) if report.admissible else 0
+    n_choices = surface.gamma_size() if report.admissible else 0  # |Hom(Gamma, +-1)| = |Gamma|
     if args.format == "json":
         data = report.to_json_dict()
         data["num_choices"] = n_choices

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fusion_ring import _check_level
@@ -53,8 +53,16 @@ class GroupTooLarge(ValueError):
     """Gamma enumeration would exceed the configured size cap."""
 
 
+def _check_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    # operator.index takes Python and numpy ints, and no float
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise TypeError(f"{what} must be integers, got {values!r}") from None
+
+
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(map(int, bits))
+    out = _check_ints(bits, what)
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"{what} must consist of 0/1 entries, got {bits!r}")
     return out
@@ -70,15 +78,15 @@ class SurfaceData:
 
     def __post_init__(self):
         k = _check_level(self.level)
-        if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
-        labels = tuple(int(m) for m in self.labels)
+        genus, *labels = _check_ints((self.genus, *self.labels), "the genus and labels")
+        if genus < 0:
+            raise ValueError(f"genus must be non-negative, got {genus}")
         for m in labels:
             if not 0 <= m <= k:
                 raise ValueError(f"label {m} out of range 0..{k}")
         object.__setattr__(self, "level", k)
-        object.__setattr__(self, "genus", int(self.genus))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def num_boundary(self) -> int:

@@ -10,7 +10,7 @@ Three mutually cross-checking routes are implemented:
   alternating element chi, and chi x = x(t_{k/2}) chi with integer values
   x(t_{k/2}), so the product is (X + mu chi) / (2^(r-1) 4^h): one exact
   base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, and per choice
-  class an integer mu and one exact division, O(k + r^2 + h) steps.  X
+  class an integer mu and one exact division, O(k + r + h) steps.  X
   costs O(log h) dense exact products, for D_SU(2)^h by binary powering
   (none for h <= 1), then one linear basis step (O(k) additions) per star
   and per label.
@@ -41,9 +41,10 @@ star-only surface, after the star conditions (ii') and (iii).
 
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
-doubles' phases in ``_double_factor``, the exact division in
-``_exact_divide``, the folding rule in ``fusion_ring._fold`` and the
-basis step it implies in ``fusion_ring._times_basis``.
+star block's sign-group sum in ``_krawtchouk_sum``, the doubles' phases in
+``_double_factor``, the exact division in ``_exact_divide``, the folding
+rule in ``fusion_ring._fold`` and the basis step it implies in
+``fusion_ring._times_basis``.
 """
 
 from __future__ import annotations
@@ -186,34 +187,32 @@ def _star_class(k: int, r: int, psi) -> int:
     return _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
-def _star_sum(k: int, r: int, a: int, term, lowest: int = 0):
-    """psi(pattern) star_sign(k, r, w) term(w) summed over the even-parity star
-    patterns of weight w >= lowest, psi having a bits set on the r star slots.
-    Grouped by weight: sum_w star_sign(k, r, w) term(w) K_w(a), where
-    K_w(a) = sum_i (-1)^i C(a, i) C(r-a, w-i) sums psi over the weight-w
-    patterns; O(r^2) steps, not 2^(r-1)."""
-    return sum(star_sign(k, r, w) * term(w)
-               * sum((-1) ** i * math.comb(a, i) * math.comb(r - a, w - i) for i in range(w + 1))
-               for w in range(lowest, r + 1, 2))
+@lru_cache(maxsize=1024)  # one per (k, r, a): 11,218 of 11,340 sweep reads hit
+def _krawtchouk_sum(k: int, r: int, a: int) -> int:
+    """E = sum_w star_sign(k, r, w) (k/2+1)^(w/2) K_w(a) over even w, psi
+    having a bits set on the r star slots: K_w(a), the y^w coefficient of
+    (1-y)^a (1+y)^(r-a), sums psi over the weight-w star patterns.  As
+    star_sign(k, r, w) = sigma^(w/2), sigma = star_sign(k, r, 2), E is the
+    even part at y^2 = x = sigma (k/2+1): (1-x)^min(a, r-a) sum_i C(|r-2a|, 2i) x^i."""
+    x, n = star_sign(k, r, 2) * (k // 2 + 1), abs(r - 2 * a)
+    return (1 - x) ** min(a, r - a) * sum(math.comb(n, 2 * i) * x ** i for i in range(n // 2 + 1))
 
 
-@lru_cache(maxsize=1024)  # one per (k, r, a): 2,410 of 2,532 sweep reads hit
 def _chi_coefficient(k: int, r: int, a: int) -> int:
     """sum_{gamma != e} psi(gamma) (k/2+1)^(l/2 - 1) (-1)^(k/4 (r - l/2)) over
     the star block, l = l(gamma); for r <= 2 the sign is psi alone.  The
-    sign equals (-1)^(kr/4) star_sign(k, r, l)."""
-    total = _star_sum(k, r, a, lambda w: (k // 2 + 1) ** (w // 2 - 1), lowest=2)
+    sign equals (-1)^(kr/4) star_sign(k, r, l), so this is +-(E - 1)/(k/2+1)
+    for E = ``_krawtchouk_sum``, exact: E's terms past w = 0 have the factor k/2+1."""
+    total = (_krawtchouk_sum(k, r, a) - 1) // (k // 2 + 1)
     return -total if r >= 3 and (k * r // 4) % 2 else total
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _star_block(k: int, r: int, a: int) -> FusionElement:
-    """The star block for psi with a bits set on the r star slots."""
-    if r == 0:
-        return FusionElement.one(k)
-    if r == 1:
-        return FusionElement.tau(k, k // 2)
-    return _exact_divide(k, _plus_chi(tau_power(k, r), _chi_coefficient(k, r, a)), 2 ** (r - 1))
+    """The star block for psi with a bits set on the r star slots (chi's
+    multiple is 0 for r <= 1)."""
+    return _exact_divide(k, _plus_chi(tau_power(k, r), _chi_coefficient(k, r, a)),
+                         2 ** (max(r, 1) - 1))
 
 
 def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
@@ -346,7 +345,7 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     of the choice-free parts, X, plus mu chi, where mu (k/2+1) is the
     product's value at t_{k/2} minus X's.  Those values are integers:
     tau_m(t_{k/2}) is 0 or +-1 and D_SU(2)(t_{k/2}) = chi(t_{k/2}) = k/2+1.
-    So a class costs O(r^2 + h) integer steps and one O(k) pass."""
+    So a class costs O(r + h) integer steps and one O(k) pass."""
     base = _closed_form_base(surface)
     mu = 0
     if base.weight:
@@ -367,7 +366,7 @@ def quantize_surface(surface: SurfaceData,
 
 
 class _GammaData(NamedTuple):
-    """Choice-independent O(k + r^2) data of one surface's S-matrix sum."""
+    """Choice-independent O(k) data of one surface's S-matrix sum."""
 
     coeffs: np.ndarray  # tau-coefficients of the identity term / |Gamma|
     bound: float  # their rounding-error bound
@@ -375,7 +374,6 @@ class _GammaData(NamedTuple):
     reduced: float  # the reduced identity term summed over l != k/2, / |Gamma|
     nonstar: float  # prod S[m, k/2] over the non-star labels
     s0_half: float  # S[0, k/2]
-    star: tuple  # the star factor for a = 0..r psi bits set on star slots
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
@@ -388,7 +386,6 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     two; a value out of double range becomes inf or nan, without a warning,
     and its rounding raises PrecisionExhausted."""
     k, n, half = surface.level, surface.num_slots, surface.level // 2
-    r = surface.star_count
     inverse = 1 / surface.gamma_size()
     row0 = _s_row(k, 0)
     rows = np.array([_s_row(k, m) for m in surface.labels]).reshape(len(surface.labels), k + 1)
@@ -401,37 +398,38 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
         except (OverflowError, ValueError):
             reduced = math.nan
         return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
-                          nonstar, float(row0[half]), _fs_star_factors(k, r))
+                          nonstar, float(row0[half]))
 
 
-@lru_cache(maxsize=256)  # one per (k, r): 1,079 of 1,141 sweep surfaces hit
-def _fs_star_factors(k: int, r: int) -> tuple:
-    """The S-matrix star factor sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a)
-    for a = 0..r; it depends on the surface only through (k, r).  Raises
-    PrecisionExhausted when a count K_w(a) is out of double range: then
-    K_w(0) = C(r, w), the largest of them, is too, and no class's sum can
-    be formed in double precision."""
-    s_star = float(_s_row(k, k // 2)[k // 2])
+def _fs_star_factor(k: int, r: int, a: int) -> float:
+    """sum_w star_sign(k, r, w) S[k/2, k/2]^(r-w) K_w(a).  For k in 4N,
+    S[k/2, k/2]^2 = 1/(k/2+1): S[k/2, k/2]^(r mod 2) E / (k/2+1)^(r//2) for
+    E = ``_krawtchouk_sum``, one correctly rounded division (PrecisionExhausted
+    past double range).  Else r <= 2 and S[k/2, k/2] = 0 (the float row holds
+    about 1e-16): only w = r is left, 1, 0 or the chi coefficient for r = 0, 1, 2."""
+    if k % 4:
+        return _chi_coefficient(k, r, a) if r == 2 else 1 - r
     try:
-        return tuple(_star_sum(k, r, a, lambda w: s_star ** (r - w)) for a in range(r + 1))
+        return float(_s_row(k, k // 2)[k // 2]) ** (r % 2) \
+            * (_krawtchouk_sum(k, r, a) / (k // 2 + 1) ** (r // 2))
     except OverflowError:
-        raise PrecisionExhausted(
-            f"the star sum over {r} star labels at level {k} has counts out of double "
-            f"range: double precision cannot form it") from None
+        raise PrecisionExhausted(f"the star factor of {r} star labels at level {k} is out "
+                                 "of double range") from None
 
 
 def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
     """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent
     / |Gamma| for the class (a, d), a product of block sums: the star factor
-    sum_w star_sign(w) S[k/2, k/2]^(r-w) K_w(a), read from
-    ``_fs_gamma_data``, and per double the four-term sum 1 + e, whose
+    ``_fs_star_factor`` of the class, the non-star labels' S[m, k/2] read
+    from ``_fs_gamma_data``, and per double the four-term sum 1 + e, whose
     product over the doubles is the exact integer ``_double_factor``.  That
     integer and |Gamma| are powers of two (or 0), so their quotient is an
     exact float of absolute value at most 1."""
-    data = _fs_gamma_data(surface)
+    k, data = surface.level, _fs_gamma_data(surface)
     power = data.s0_half ** exponent  # 0.0 past double range: inf, which rounding reports
-    return (data.nonstar / power if power else math.inf) * data.star[a] \
-        * (_double_factor(surface.level, surface.genus, d) / surface.gamma_size())
+    return (data.nonstar / power if power else math.inf) \
+        * _fs_star_factor(k, surface.star_count, a) \
+        * (_double_factor(k, surface.genus, d) / surface.gamma_size())
 
 
 # Only a class whose rounding fails is read here again (``_fs_element``
@@ -511,12 +509,6 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     k = _check_level(k)
     a = _star_class(k, r, psi)
     _check_index(k, l, "l")
-    if r == 0:
-        return 1.0
-    tau_val = _weyl_quotient(k, l, ((k // 2, 1),))
-    if r == 1:
-        return tau_val
     half = k // 2
-    chi_val = float(half + 1) if l == half else 0.0
-    total = _chi_coefficient(k, r, a) if chi_val else 0
-    return (tau_val ** r + chi_val * total) / 2 ** (r - 1)
+    chi = float(half + 1) * _chi_coefficient(k, r, a) if l == half else 0.0
+    return (_weyl_quotient(k, l, ((half, 1),)) ** r + chi) / 2 ** (max(r, 1) - 1)

@@ -4,7 +4,7 @@ import pytest
 
 from verlinde.cli import main
 from verlinde.fusion_ring import FusionElement
-from verlinde.prequant import SurfaceData
+from verlinde.prequant import SurfaceData, enumerate_choices
 
 
 def run(capsys, *argv):
@@ -33,6 +33,18 @@ def test_prequant_admissible_reports_choices(capsys):
     code, out = run(capsys, "prequant", "--level", "4", "--labels", "2,2,2")
     assert code == 0
     assert "4 pre-quantization choice(s)" in out
+
+
+def test_prequant_counts_choices_without_listing_them(capsys):
+    # |Hom(Gamma, +-1)| = |Gamma| = 2^22, past the enumeration cap
+    code, out = run(capsys, "prequant", "--level", "4", "--genus", "11", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["num_choices"] == 4194304
+    for k, h, labels in ((4, 0, "2,2,2"), (8, 2, "4,4,1"), (6, 1, "3,3"), (5, 0, "1,2")):
+        code, out = run(capsys, "prequant", "--level", str(k), "--genus", str(h),
+                        "--labels", labels, "--format", "json")
+        surface = SurfaceData(k, h, tuple(map(int, labels.split(","))))
+        assert json.loads(out)["num_choices"] == len(enumerate_choices(surface))
 
 
 def test_quantize_inadmissible_exit_code(capsys):

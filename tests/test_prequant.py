@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,17 @@ class TestSurfaceData:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             SurfaceData(4, 0, (5,))
+
+    @pytest.mark.parametrize("genus, labels", [(1.5, (2, 2)), (1, (2.7, 2)), (1, (2, "2")),
+                                               (np.float64(1.0), ()), (0, (np.float64(2.0),))])
+    def test_non_integer_fields_rejected(self, genus, labels):
+        with pytest.raises(TypeError, match="must be integers"):
+            SurfaceData(4, genus, labels)
+
+    def test_numpy_integers_accepted(self):
+        surf = SurfaceData(np.int64(4), np.int32(1), (np.int64(2), np.uint8(2), 1))
+        assert surf == SurfaceData(4, 1, (2, 2, 1))
+        assert all(type(x) is int for x in (surf.genus, *surf.labels))
 
     def test_json_round_trip(self):
         surf = SurfaceData(6, 2, (3, 1))
@@ -184,6 +196,14 @@ class TestChoices:
                 assert type(choice.psi_bits) is tuple
                 assert all(type(b) is int for b in choice.psi_bits)
                 assert len(choice.psi_bits) == surf.num_slots
+
+    @pytest.mark.parametrize("bits", [(0, 0.5), (0.0, 1), ("0", 1), (0, np.float64(1.0))])
+    def test_non_integer_bits_rejected(self, bits):
+        with pytest.raises(TypeError, match="must be integers"):
+            PrequantChoice(bits)
+
+    def test_numpy_integer_bits_accepted(self):
+        assert PrequantChoice((np.int64(0), np.uint8(1))).psi_bits == (0, 1)
 
     def test_public_constructor_still_checks_bits(self):
         with pytest.raises(ValueError, match="0/1"):

@@ -262,11 +262,25 @@ def test_fs_formula_is_exact_or_raises_across_the_precision_frontier():
 
 
 def test_star_counts_out_of_double_range_exhaust_precision():
-    # C(1100, w) passes 2^1024, so the star sum's counts have no float value
+    # The star factor is in double range, but S[0, l]^-1100 is not
     surf = SurfaceData(4, 0, (2,) * 1100)
     for path in (fs_formula, reduced_quantization):
-        with pytest.raises(PrecisionExhausted, match="star sum over 1100 star labels"):
+        with pytest.raises(PrecisionExhausted):
             path(surf)
+    # (1 + S[4, 4])^2000 is past 2^1024 at level 8
+    with pytest.raises(PrecisionExhausted, match="star factor of 2000 star labels"):
+        quantization._fs_star_factor(8, 2000, 0)
+
+
+@pytest.mark.parametrize("r", [100, 150, 200, 400])
+def test_many_star_labels_agree_on_every_path(r):
+    # The float star factor comes from one exact integer, so no counts cancel
+    surf = SurfaceData(4, 0, (2,) * r)
+    for a in (0, 1):
+        choice = PrequantChoice((0,) * (r - a) + (1,) * a)
+        closed = quantize_surface(surf, choice)
+        assert fs_formula(surf, choice).element == closed.element
+        assert reduced_quantization(surf, choice) == closed.reduced
 
 
 def test_precision_bound_below_half_on_every_sweep_class():
@@ -536,35 +550,47 @@ class TestChoiceClasses:
             assert len(messages) == 1
 
 
-def _pattern_loop_chi_coefficient(k, r, psi_bits):
-    """The sum over the 2^(r-1) star patterns, one pattern at a time: psi
-    times (k/2+1)^(l/2-1), sign (-1)^((k/4)(r - l/2)) for r >= 3."""
-    total = 0
+def _pattern_loop_star_sums(k, r, psi_bits, s_star):
+    """The chi coefficient and the S-matrix star factor summed over the
+    2^(r-1) star patterns, one pattern at a time.  A pattern of weight l has
+    phase psi times prequant.star_sign(k, r, l) = (-1)^(kl/8) for r >= 3; the
+    chi coefficient sums it times (k/2+1)^(l/2-1) over l >= 2, with the sign
+    (-1)^((k/4)(r - l/2)) for r >= 3, and the star factor times
+    S[k/2, k/2]^(r-l) over every pattern."""
+    chi_total, factor = 0, 0.0
     for pat in product((0, 1), repeat=r):
         lw = sum(pat)
-        if lw == 0 or lw % 2:
+        if lw % 2:
             continue
-        term = (-1) ** sum(p & b for p, b in zip(psi_bits, pat)) * (k // 2 + 1) ** (lw // 2 - 1)
-        if r >= 3 and (k // 4 * (r - lw // 2)) % 2:
-            term = -term
-        total += term
-    return total
+        psi = (-1) ** sum(p & b for p, b in zip(psi_bits, pat))
+        factor += psi * (-1) ** (r >= 3 and k * lw // 8 % 2) * s_star ** (r - lw)
+        if lw:
+            term = psi * (k // 2 + 1) ** (lw // 2 - 1)
+            chi_total += -term if r >= 3 and (k // 4 * (r - lw // 2)) % 2 else term
+    return chi_total, factor
 
 
-@pytest.mark.parametrize("k", [4, 8, 12, 40])
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 40])
 def test_star_sum_matches_pattern_loop(k):
+    # Every a on up to 12 stars (k in 4N) or 2 (k = 2 mod 4, where
+    # S[k/2, k/2] = 0 leaves one term of the star factor)
     half = k // 2
     theta = math.pi * (half + 1) / (k + 2)
     tau_val = math.sin((half + 1) * theta) / math.sin(theta)
-    for r in range(2, 11):
+    s_star = float(s_matrix(k)[half, half])
+    for r in range(13 if k % 4 == 0 else 3):
         base, chi = tau_power(k, r), chi_element(k)
-        for free in product((0, 1), repeat=r - 1):
-            psi = (0,) + free
-            total = _pattern_loop_chi_coefficient(k, r, psi)
-            block = quantize_star_block(k, r, psi)
-            assert block * 2 ** (r - 1) == base + total * chi
-            loc = (tau_val ** r + (half + 1) * total) / 2 ** (r - 1)
-            assert localization_evaluate(k, r, psi, half) == pytest.approx(loc, rel=1e-12)
+        for a in range(r + 1):
+            psi = (0,) * (r - a) + (1,) * a
+            total, factor = _pattern_loop_star_sums(k, r, psi, s_star)
+            assert quantization._chi_coefficient(k, r, a) == total
+            assert quantization._fs_star_factor(k, r, a) == pytest.approx(factor, rel=1e-12,
+                                                                          abs=1e-12)
+            if r:
+                block = quantize_star_block(k, r, psi)
+                assert block * 2 ** (r - 1) == base + total * chi
+                loc = (tau_val ** r + (half + 1) * total) / 2 ** (r - 1)
+                assert localization_evaluate(k, r, psi, half) == pytest.approx(loc, rel=1e-12)
 
 
 # Every lru cache of the package, each kept for traffic it was measured to
@@ -573,12 +599,12 @@ def test_star_sum_matches_pattern_loop(k):
 # and then a place in this list.
 AUDITED_CACHES = {
     "fusion_ring._s_row",
-    "quantization.tau_power", "quantization._chi_coefficient", "quantization._star_block",
+    "quantization.tau_power", "quantization._krawtchouk_sum", "quantization._star_block",
     "quantization.quantize_double_so3", "quantization._label_product",
     "quantization._star_and_doubles", "quantization._closed_form_base",
     "quantization._closed_form_element", "quantization._fs_gamma_data",
-    "quantization._fs_star_factors", "quantization._fs_coefficients",
-    "quantization._fs_element", "quantization._reduced_value",
+    "quantization._fs_coefficients", "quantization._fs_element",
+    "quantization._reduced_value",
     "oracles._listed_gamma", "oracles._gamma_terms",
 }
 
