@@ -2,14 +2,15 @@
 reports, quantizations along any path, multiplicity tables, and the
 verification sweep.
 
-Exit codes: 0 success, 1 inadmissible input, 2 internal consistency
-failure (an exact division or integrality rounding that a theorem
-guarantees failed, which indicates a bug or a wrong phase convention),
-3 precision exhausted (the float S-matrix path's rounding-error bound
-reached 1/2, or its sums left double range, so it cannot certify the
-integers; not a bug).  The integrality tolerance is fixed at 1e-6
-(``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
-changes it.
+Exit codes: 0 success (``--help`` too), 1 inadmissible or malformed input
+(a usage error included, where argparse alone would exit 2), 2 internal
+consistency failure (an exact division or integrality rounding that a
+theorem guarantees failed, which indicates a bug or a wrong phase
+convention), 3 precision exhausted (the float S-matrix path's
+rounding-error bound reached 1/2, or its sums left double range, so it
+cannot certify the integers; not a bug).  The integrality tolerance is
+fixed at 1e-6 (``fusion_ring.DEFAULT_TOLERANCE``); no option or
+environment variable changes it.
 """
 
 from __future__ import annotations
@@ -276,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code and EXIT_NOT_ADMISSIBLE
     try:
         return args.func(args)
     except NotAdmissible as exc:

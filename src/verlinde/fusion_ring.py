@@ -60,8 +60,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -133,23 +133,35 @@ def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralVa
     return int(nearest)
 
 
+def _check_int(value, what: str) -> int:
+    """The one integer rule of every public entry point: a Python or numpy
+    integer (``operator.index``) other than a bool, as an int; anything else,
+    a float or a string too, raises TypeError.  Range checks stay with each
+    entry point."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return index(value)
+
+
+def _check_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    try:  # one TypeError that shows all the values
+        return tuple(map(_check_int, values, repeat(what)))
+    except TypeError:
+        raise TypeError(f"{what} must be integers, got {values!r}") from None
+
+
 def _check_level(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise TypeError(f"level must be an integer, got {k!r}")
+    k = _check_int(k, "level")
     if k < 0:
         raise ValueError(f"level must be non-negative, got {k}")
-    return int(k)
+    return k
 
 
 def _check_index(k: int, idx: int, name: str) -> int:
+    idx = _check_int(idx, name)
     if not 0 <= idx <= k:
         raise IndexError(f"{name}={idx} out of range 0..{k}")
-    return int(idx)
-
-
-def special_angle(k: int, l: int) -> float:
-    """Torus angle of the special point t_l, i.e. (l+1)*pi/(k+2)."""
-    return (l + 1) * math.pi / (k + 2)
+    return idx
 
 
 def s_matrix_entry(k: int, m: int, l: int) -> float:
@@ -188,8 +200,8 @@ def _s_row(k: int, m: int) -> np.ndarray:
 def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
     """sum c chi_m(t_l) over the (m, c) in ``terms``, by the Weyl character
     formula: sum c sin((m+1) theta) / sin(theta), theta the angle of t_l,
-    the sum exactly rounded (math.fsum)."""
-    theta = special_angle(k, _check_index(k, l, "l"))
+    the sum exactly rounded (math.fsum); k and l are checked by the caller."""
+    theta = (l + 1) * math.pi / (k + 2)
     return math.fsum(c * math.sin((m + 1) * theta) for m, c in terms) / math.sin(theta)
 
 
@@ -205,8 +217,7 @@ class CharacterPoly:
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
         for m, c in (coeffs or {}).items():
-            m = int(m)
-            c = int(c)
+            m, c = _check_int(m, "character degree"), _check_int(c, "coefficient")
             if m < 0:
                 raise ValueError(f"character degree must be non-negative, got {m}")
             if c != 0:
@@ -245,10 +256,9 @@ class CharacterPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            return CharacterPoly({m: c * int(other) for m, c in self.coeffs.items()})
         if not isinstance(other, CharacterPoly):
-            return NotImplemented
+            c = _check_int(other, "scalar")
+            return CharacterPoly({m: c * x for m, x in self.coeffs.items()})
         if not (self and other):
             return CharacterPoly()
         a, b = _dense(self), _dense(other)
@@ -262,7 +272,8 @@ class CharacterPoly:
 
     def special_point_value(self, k: int, l: int) -> float:
         """Evaluate at the level-k special point t_l via the Weyl quotient."""
-        return _weyl_quotient(k, l, self.coeffs.items())
+        k = _check_level(k)
+        return _weyl_quotient(k, _check_index(k, l, "l"), self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
@@ -425,7 +436,7 @@ class FusionElement:
 
     def __post_init__(self):
         k = _check_level(self.level)
-        coeffs = tuple(map(int, self.coeffs))
+        coeffs = _check_ints(self.coeffs, "coefficients")
         if len(coeffs) != k + 1:
             raise ValueError(f"need {k + 1} coefficients at level {k}, got {len(coeffs)}")
         object.__setattr__(self, "level", k)
@@ -441,13 +452,14 @@ class FusionElement:
 
     @classmethod
     def zero(cls, k: int) -> "FusionElement":
-        return cls(k, (0,) * (k + 1))
+        k = _check_level(k)
+        return cls._trusted(k, (0,) * (k + 1))
 
     @classmethod
     def tau(cls, k: int, m: int) -> "FusionElement":
         k = _check_level(k)
         m = _check_index(k, m, "m")
-        return cls(k, (0,) * m + (1,) + (0,) * (k - m))
+        return cls._trusted(k, (0,) * m + (1,) + (0,) * (k - m))
 
     @classmethod
     def one(cls, k: int) -> "FusionElement":
@@ -459,21 +471,19 @@ class FusionElement:
 
     def __add__(self, other: "FusionElement") -> "FusionElement":
         self._require_same_level(other)
-        return FusionElement(self.level, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return FusionElement._trusted(self.level, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FusionElement") -> "FusionElement":
         self._require_same_level(other)
-        return FusionElement(self.level, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return FusionElement._trusted(self.level, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FusionElement":
-        return FusionElement(self.level, tuple(-x for x in self.coeffs))
+        return FusionElement._trusted(self.level, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            c = int(other)
-            return FusionElement(self.level, tuple(c * x for x in self.coeffs))
         if not isinstance(other, FusionElement):
-            return NotImplemented
+            c = _check_int(other, "scalar")
+            return FusionElement._trusted(self.level, tuple(c * x for x in self.coeffs))
         self._require_same_level(other)
         if self._is_unit():
             return other
@@ -485,6 +495,7 @@ class FusionElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "FusionElement":
+        n = _check_int(n, "exponent")
         if n < 0:
             raise ValueError("negative powers are not defined in the fusion ring")
         result = FusionElement.one(self.level)
@@ -511,7 +522,8 @@ class FusionElement:
 
     def evaluate(self, l: int) -> float:
         """Value at the special point t_l (the evaluation homomorphism)."""
-        return _weyl_quotient(self.level, l, ((m, c) for m, c in enumerate(self.coeffs) if c))
+        return _weyl_quotient(self.level, _check_index(self.level, l, "l"),
+                              ((m, c) for m, c in enumerate(self.coeffs) if c))
 
     def to_json_dict(self) -> dict:
         return {
@@ -521,7 +533,8 @@ class FusionElement:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FusionElement":
-        return cls(int(data["level"]), tuple(int(c) for c in data["coeffs"]))
+        # to_json_dict writes a coefficient past 2^53 as a decimal string
+        return cls(data["level"], [int(c) if isinstance(c, str) else c for c in data["coeffs"]])
 
     def __str__(self):
         terms = []
@@ -660,12 +673,12 @@ def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionEleme
 
 def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
     """Image of a character polynomial under R(SU(2)) -> R_k(SU(2))."""
-    _check_level(k)
+    k = _check_level(k)
     period = 2 * (k + 2)
     c = [0] * period
     for m, x in p.coeffs.items():
         c[m % period] += x
-    return FusionElement(k, tuple(_fold(k, c)))
+    return FusionElement._trusted(k, tuple(_fold(k, c)))
 
 
 def to_idempotent(a: FusionElement) -> np.ndarray:

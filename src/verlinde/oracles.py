@@ -26,6 +26,7 @@ from .fusion_ring import (
     FusionElement,
     NonIntegralCoefficient,
     NonIntegralValue,
+    _check_int,
     _check_level,
     _fold,
     from_idempotent,
@@ -37,6 +38,7 @@ from .prequant import (
     GammaElement,
     PrequantChoice,
     SurfaceData,
+    _check_bits,
     _require_conditions,
     enumerate_choices,
     enumerate_gamma,
@@ -105,7 +107,6 @@ def structure_constants_verlinde(k: int) -> np.ndarray:
     product.  Raises NonIntegralValue if any entry is further than
     DEFAULT_TOLERANCE from an integer.
     """
-    _check_level(k)
     smat = s_matrix(k)
     raw = np.einsum("al,bl,cl->abc", smat, smat, smat / smat[0])
     table = np.rint(raw)
@@ -131,7 +132,7 @@ def structure_constants_from_multiply(k: int) -> np.ndarray:
 
 def classical_verlinde_number(k: int, genus: int) -> int:
     """Classical SU(2) Verlinde number round(sum_l S[0,l]^(2-2g))."""
-    _check_level(k)
+    genus = _check_int(genus, "genus")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
     s0 = s_matrix(k)[0]
@@ -156,7 +157,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
     ``choice_class`` "base" returns the plain power (tau_{k/2})^r table.
     An inadmissible (k, r) raises NotAdmissible as the star entry points do.
     """
-    k = _check_level(k)
+    k, r = _check_level(k), _check_int(r, "star count")
     if r not in (2, 3, 4):
         raise ValueError(f"tables exist for r in {{2, 3, 4}}, got r={r}")
     _require_conditions(k, 0, r)
@@ -203,7 +204,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
 
 def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
     """Classify a star-block psi by the quantities entering the tables."""
-    bits = tuple(int(b) for b in psi_bits)
+    r, bits = _check_int(r, "star count"), _check_bits(psi_bits, "psi bits")
     if len(bits) != r:
         raise ValueError(f"need {r} psi bits, got {len(bits)}")
     if r == 2:
@@ -499,13 +500,13 @@ def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElem
     star = [0] * n
     star[:s] = gamma.bits[:s]
     if any(star):
-        blocks.append(GammaElement(tuple(star), gamma.star_slots, s))
+        blocks.append(GammaElement._trusted(tuple(star), gamma.star_slots, s))
     for i in range(surface.genus):
         part = [0] * n
         part[s + 2 * i] = gamma.bits[s + 2 * i]
         part[s + 2 * i + 1] = gamma.bits[s + 2 * i + 1]
         if any(part):
-            blocks.append(GammaElement(tuple(part), gamma.star_slots, s))
+            blocks.append(GammaElement._trusted(tuple(part), gamma.star_slots, s))
     return blocks
 
 
@@ -662,7 +663,10 @@ def run_verification_suite(max_k: int = 20, max_r: int = 5,
     count only; it is not a pass/fail criterion.  A negative bound, which
     would leave the box empty and every check passing, raises ValueError.
     """
-    for name, bound in (("max_k", max_k), ("max_r", max_r), ("max_h", max_h)):
+    names = ("max_k", "max_r", "max_h")
+    max_k, max_r, max_h = bounds = [_check_int(bound, f"verification bound {name}")
+                                    for name, bound in zip(names, (max_k, max_r, max_h))]
+    for name, bound in zip(names, bounds):
         if bound < 0:
             raise ValueError(f"verification bound {name} must be non-negative, got {bound}")
     report = VerificationReport()

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import index, or_
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fusion_ring import _check_level
+from .fusion_ring import _check_int, _check_ints, _check_level
 
 __all__ = [
     "SurfaceData",
@@ -51,14 +51,6 @@ class NotAdmissible(ValueError):
 
 class GroupTooLarge(ValueError):
     """Gamma enumeration would exceed the configured size cap."""
-
-
-def _check_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
-    # operator.index takes Python and numpy ints, and no float
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise TypeError(f"{what} must be integers, got {values!r}") from None
 
 
 def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
@@ -141,8 +133,7 @@ class SurfaceData:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SurfaceData":
-        return cls(int(data["level"]), int(data["genus"]),
-                   tuple(int(m) for m in data.get("labels", ())))
+        return cls(data["level"], data["genus"], data.get("labels", ()))
 
 
 @dataclass(frozen=True)
@@ -164,13 +155,15 @@ class GammaElement:
 
     def __post_init__(self):
         bits = _check_bits(self.bits, "gamma bits")
+        stars = _check_ints(self.star_slots, "star slots")
+        s = _check_int(self.num_boundary, "boundary count")
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "star_slots", tuple(int(j) for j in self.star_slots))
-        stars = set(self.star_slots)
-        for j in range(self.num_boundary):
+        object.__setattr__(self, "star_slots", stars)
+        object.__setattr__(self, "num_boundary", s)
+        for j in range(s):
             if j not in stars and bits[j]:
                 raise ValueError(f"slot {j} is not a star class, bit must be 0")
-        if sum(bits[:self.num_boundary]) % 2:
+        if sum(bits[:s]) % 2:
             raise ValueError("boundary bits must have even parity")
 
     @classmethod
@@ -237,7 +230,7 @@ class PrequantChoice:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PrequantChoice":
-        return cls(tuple(int(b) for b in data["psi_bits"]))
+        return cls(data["psi_bits"])
 
 
 @dataclass(frozen=True)
@@ -375,7 +368,7 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
     if stars and bits[stars[0]]:
         for j in stars:
             bits[j] ^= 1
-    return PrequantChoice(tuple(bits))
+    return PrequantChoice._trusted(tuple(bits))
 
 
 def _classify(surface: SurfaceData,

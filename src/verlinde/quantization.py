@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
 from typing import Iterable, Iterator, NamedTuple
@@ -64,6 +64,7 @@ from .fusion_ring import (
     PrecisionExhausted,
     _add_star_idempotent,
     _check_index,
+    _check_int,
     _check_level,
     _round_coefficients,
     _s_row,
@@ -76,6 +77,7 @@ from .prequant import (
     PrequantChoice,
     SurfaceData,
     _canonical_class,
+    _check_bits,
     _require_conditions,
     double_sign,
     star_sign,
@@ -155,10 +157,23 @@ def chi_element(k: int) -> FusionElement:
     k = _check_level(k)
     if k % 2:
         raise ValueError(f"the alternating element needs an even level, got {k}")
-    return FusionElement(k, tuple(_plus_chi(FusionElement.zero(k), 1)))
+    return FusionElement._trusted(k, tuple(_plus_chi(FusionElement.zero(k), 1)))
 
 
-@lru_cache(maxsize=128)  # the benchmark's tracer reads it by name
+def _checked_cache(check):
+    """An lru cache of 128 entries read with the arguments ``check`` returns,
+    so every call is checked, a hit too (the cache compares keys by ==, and
+    True == 1.0 == 1); its counters stay on the function."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=128)(fn)
+        checked = wraps(fn)(lambda *args, **kwargs: cached(*check(*args, **kwargs)))
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+    return decorate
+
+
+# the benchmark's tracer reads it by name
+@_checked_cache(lambda k, r: (_check_level(k), _check_int(r, "star count")))
 def tau_power(k: int, r: int) -> FusionElement:
     """(tau_{k/2})^r, cached; for r >= 1, k must meet condition (ii')."""
     if r == 0:
@@ -167,24 +182,25 @@ def tau_power(k: int, r: int) -> FusionElement:
     return FusionElement.tau(k, k // 2) ** r
 
 
-def _star_class(k: int, r: int, psi) -> int:
-    """a, the psi bits set in the canonical form of ``psi`` on r star slots
-    at level k, from ``_canonical_class`` on the star-only surface; 0 for
-    r < 2, where psi is not read.  Raises NotAdmissible unless conditions
-    (ii') and (iii) hold.  Accepts the shorthand "+"/"-" for the two r = 2
-    choices."""
+def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
+    """k and r, checked, and a, the psi bits set in the canonical form of
+    ``psi`` on r star slots at level k, from ``_canonical_class`` on the
+    star-only surface; a = 0 for r < 2, where psi is not read.  Raises
+    NotAdmissible unless conditions (ii') and (iii) hold.  Accepts the
+    shorthand "+"/"-" for the two r = 2 choices."""
+    k, r = _check_level(k), _check_int(r, "star count")
     if r < 0:
         raise ValueError(f"star count must be non-negative, got {r}")
     _require_conditions(k, 0, r)
     if r < 2:
-        return 0
+        return k, r, 0
     if isinstance(psi, str):
         if psi not in ("+", "-"):
             raise ValueError(f"unknown psi shorthand {psi!r}")
         if psi == "-" and r != 2:
             raise ValueError("the +/- shorthand labels the two r=2 choices")
         psi = (0,) * r if psi == "+" else (0, 1)
-    return _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
+    return k, r, _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
 @lru_cache(maxsize=1024)  # one per (k, r, a): 11,218 of 11,340 sweep reads hit
@@ -228,13 +244,11 @@ def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
 
     All divisions are checked to be exact.
     """
-    k = _check_level(k)
-    return _star_block(k, r, _star_class(k, r, psi))
+    return _star_block(*_star_class(k, r, psi))
 
 
 def quantize_conjugacy_class(k: int, m: int) -> FusionElement:
     """tau_m: the quantization of the conjugacy class with label m."""
-    _check_index(_check_level(k), m, "m")
     return FusionElement.tau(k, m)
 
 
@@ -246,22 +260,19 @@ def quantize_double_su2(k: int) -> FusionElement:
     k - j + 1 labels j/2 <= m <= k - j/2.
     """
     k = _check_level(k)
-    return FusionElement(k, tuple(0 if j % 2 else k - j + 1 for j in range(k + 1)))
+    return FusionElement._trusted(k, tuple(0 if j % 2 else k - j + 1 for j in range(k + 1)))
 
 
-@lru_cache(maxsize=128)  # the benchmark's tracer reads it by name
+# the benchmark's tracer reads it by name
+@_checked_cache(lambda k, phi=(0, 0): (_check_level(k), _check_bits(phi, "psi bits")))
 def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     """Quantization of the SO(3) double for the choice phi in Hom(Z x Z, {+-1}).
 
     The quarter-sum (Q(D(SU2)) + (-1)^(k/2) sum_{gamma != e} phi(gamma) chi)/4,
     exact by construction for even k; chi's multiple is ``_double_factor`` less 1.
     """
-    k = _check_level(k)
-    _require_conditions(k, 1, 0)
-    phi = tuple(int(b) for b in phi)
-    if len(phi) != 2 or any(b not in (0, 1) for b in phi):
-        raise ValueError(f"phi must be two 0/1 bits, got {phi!r}")
-    e = _double_factor(k, 1, phi != (0, 0)) - 1
+    _, _, d = _canonical_class(SurfaceData(k, 1, ()), PrequantChoice._trusted(phi))
+    e = _double_factor(k, 1, d) - 1
     return _exact_divide(k, _plus_chi(quantize_double_su2(k), e), 4)
 
 
@@ -299,7 +310,8 @@ def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     h SO(3) doubles: D_SU(2)^h by binary powering, the only dense exact
     products of the closed form (none for h <= 1, one for h = 2, at most
     2 log2 h), then r basis steps by tau_{k/2}, O(r k) integer additions."""
-    return _times_labels(quantize_double_su2(k) ** h, repeat(k // 2, r))
+    doubles = quantize_double_su2(k) ** h if h else FusionElement.one(k)
+    return _times_labels(doubles, repeat(k // 2, r))
 
 
 def _value_at_half(m: int) -> int:
@@ -506,9 +518,7 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     2^(1-r) tau_{k/2}(t_l)^r; at l = k/2 each nontrivial sign vector adds a
     torus contribution weighted by its phase.
     """
-    k = _check_level(k)
-    a = _star_class(k, r, psi)
-    _check_index(k, l, "l")
-    half = k // 2
+    k, r, a = _star_class(k, r, psi)
+    l, half = _check_index(k, l, "l"), k // 2
     chi = float(half + 1) * _chi_coefficient(k, r, a) if l == half else 0.0
     return (_weyl_quotient(k, l, ((half, 1),)) ** r + chi) / 2 ** (max(r, 1) - 1)

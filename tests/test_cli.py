@@ -214,3 +214,23 @@ def test_internal_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "quantize_surface", boom)
     code = main(["quantize", "--level", "4", "--labels", "2,2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--level", "4.5"],
+    ["quantize"],
+    ["tables", "--r", "5", "--level", "4"],
+    ["verify", "--max-level", "x"],
+    ["quantize", "--level", "4", "--labels", "2.5"],
+])
+def test_malformed_arguments_exit_1(capsys, argv):
+    # exit 2 is kept for internal consistency failures
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["quantize", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
