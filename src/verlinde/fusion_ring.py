@@ -12,18 +12,22 @@ rule: every dense product, reduction and float cross-check folds through
 it.  On basis elements it gives the level-k fusion rule
 tau_m tau_n = tau_|m-n| + tau_(|m-n|+2) + ... + tau_min(m+n, 2k-m-n),
 which ``_times_basis`` applies directly (tests check it against the fold).
+The fold's ghosts tau_(-1) = tau_(k+1) = 0, tau_(-2) = -tau_0 and
+tau_(k+2) = -tau_k are also the boundary conditions of ``_times_double``,
+which multiplies by D_SU(2) = sum_m tau_m^2 through one tridiagonal solve.
 
 The exact product never expands chi_m * chi_n term by term, which costs
 O(k^3) for dense level-k vectors.  A factor that is a scaled basis element
 tau_m costs one linear pass (``_times_basis``): each coefficient of the
 product is a difference of two parity-strided prefix sums of the other
-factor, so it takes O(k) additions, with no fold.  For two dense factors,
-by the Weyl character formula chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the
-product's Weyl numerator is the numerator of one factor times the Laurent
-expansion of the other, whose coefficients are O(k) suffix sums.  Both are
-packed into Python ints with signed digits (Kronecker substitution), so a
-product is O(k) Python steps plus one big-integer multiplication, then one
-fold into level k.
+factor, so it takes O(k) additions, with no fold.  So does the factor
+D_SU(2) (``_times_double``), which the closed form applies once per double.
+For two dense factors, by the Weyl character formula
+chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the product's Weyl numerator is the
+numerator of one factor times the Laurent expansion of the other, whose
+coefficients are O(k) suffix sums.  Both are packed into Python ints with
+signed digits (Kronecker substitution), so a product is O(k) Python steps
+plus one big-integer multiplication, then one fold into level k.
 
 Characters are evaluated at the special torus points t_l = j(q^{l+1}),
 q = exp(i*pi/(k+2)), where the ideal vanishes, so
@@ -61,7 +65,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, index, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,6 +75,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "NonIntegralCoefficient",
     "NonIntegralValue",
+    "InexactDivision",
     "PrecisionExhausted",
     "CharacterPoly",
     "FusionElement",
@@ -106,6 +111,14 @@ class PrecisionExhausted(NonIntegralCoefficient):
 
 class NonIntegralValue(ArithmeticError):
     """A numeric sum expected to be an integer failed the integrality check."""
+
+
+class InexactDivision(ArithmeticError):
+    """A division that integrality theorems promise to be exact was not.
+
+    Reaching this indicates an implementation bug or a wrong phase factor,
+    never bad input.
+    """
 
 
 def integrality_tolerance() -> float:
@@ -363,6 +376,50 @@ def _times_basis(k: int, m: int, b: Sequence[int]) -> list[int]:
     return list(map(sub, upper, lower))
 
 
+def _times_double(k: int, b: Sequence[int]) -> list[int]:
+    """D_SU(2) * b at level k, b the k + 1 tau-coefficients of any element,
+    D_SU(2) = sum_m tau_m^2, with no dense product.  At t_l,
+    theta = (l+1) pi/(k+2), D_SU(2) is S[0, l]^-2 = (k+2)/(2 sin^2 theta) and
+    3 - tau_2 is 4 sin^2 theta, so D_SU(2) = 2(k+2) / (3 - tau_2)."""
+    return _over_3_minus_tau2(k, b, 2 * (k + 2))
+
+
+def _over_3_minus_tau2(k: int, b: Sequence[int], scale: int) -> list[int]:
+    """scale b / (3 - tau_2) at level k, which must have integer coefficients:
+    the solution y of (3 - tau_2) y = scale b, in O(k) additions.
+
+    As tau_2 tau_n = tau_(n-2) + tau_n + tau_(n+2) with the ghosts that
+    ``_fold`` gives, tau_(-1) = tau_(k+1) = 0, tau_(-2) = -tau_0 and
+    tau_(k+2) = -tau_k, this is a second difference
+    2 z_i - z_(i-1) - z_(i+1) = scale b_(2i+p) on each parity class
+    z_i = y_(2i+p).  Shooting from the bottom ghost (z_(-1) = -z_0 on the
+    even class, 0 on the odd one) gives z_i = s A_i + scale B_i, with
+    A_i = 2i+1 on the even class and i+1 on the odd one, and B the negated
+    double prefix sum of the class's b.  The top ghost (z_n = 0 or
+    -z_(n-1)) fixes the start s by one integer division; y is integral
+    exactly when every such division is, so a remainder raises
+    InexactDivision.
+    """
+    out = [0] * (k + 1)
+    for p in (0, 1):
+        n = len(out[p::2])
+        if not n:  # the odd class at k = 0
+            continue
+        neg = list(accumulate(accumulate(b[p::2]), sub, initial=0))  # B_0..B_n
+        step = 2 - p  # A_i = step i + 1
+        if p + 2 * n == k + 2:  # top ghost tau_(k+2) = -tau_k: z_n + z_(n-1) = 0
+            num, den = -scale * (neg[n] + neg[n - 1]), step * (2 * n - 1) + 2
+        else:  # top ghost tau_(k+1) = 0: z_n = 0
+            num, den = -scale * neg[n], step * n + 1
+        s, rem = divmod(num, den)
+        if rem:
+            raise InexactDivision(f"the tau_{p} coefficient of {scale} b / (3 - tau_2) "
+                                  f"at level {k}, {num}/{den}, is not an integer")
+        out[p::2] = map(add, accumulate(repeat(step * s, n - 1), initial=s),
+                        map(mul, repeat(scale), neg[:n]))
+    return out
+
+
 def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],
                     b: Sequence[int], support_b: tuple[int, int]) -> list[int]:
     """Unfolded product in R(SU(2)): (sum a_m chi_m)(sum b_n chi_n) = sum c_j chi_j.
@@ -470,10 +527,14 @@ class FusionElement:
             raise ValueError(f"level mismatch: {self.level} != {other.level}")
 
     def __add__(self, other: "FusionElement") -> "FusionElement":
+        if not isinstance(other, FusionElement):  # Python raises TypeError
+            return NotImplemented
         self._require_same_level(other)
         return FusionElement._trusted(self.level, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FusionElement") -> "FusionElement":
+        if not isinstance(other, FusionElement):
+            return NotImplemented
         self._require_same_level(other)
         return FusionElement._trusted(self.level, tuple(map(sub, self.coeffs, other.coeffs)))
 

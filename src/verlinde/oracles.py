@@ -273,8 +273,14 @@ def sweep_surfaces(max_k: int, max_r: int, max_h: int,
 
     The star label k/2 appears up to ``max_r`` times; the remaining pool
     labels appear at most once each.  Surfaces whose sign group exceeds
-    ``gamma_cap`` are skipped.
+    ``gamma_cap`` are skipped.  The four bounds are checked when called,
+    before the first surface is drawn: each must be an integer.
     """
+    return _sweep(*map(_check_int, (max_k, max_r, max_h, gamma_cap),
+                       ("max_k", "max_r", "max_h", "gamma_cap")))
+
+
+def _sweep(max_k: int, max_r: int, max_h: int, gamma_cap: int) -> Iterator[SurfaceData]:
     seen = set()
     for k in range(max_k + 1):
         extras_pool = sorted(m for m in {0, 1, k} if 0 <= m <= k)

@@ -335,7 +335,7 @@ def _star_patterns(r: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_gamma(surface: SurfaceData, cap: int = GAMMA_SIZE_CAP) -> list[GammaElement]:
     """All elements of Gamma, the identity first."""
-    size = surface.gamma_size()
+    size, cap = surface.gamma_size(), _check_int(cap, "cap")
     if size > cap:
         raise GroupTooLarge(f"|Gamma| = {size} exceeds cap {cap}")
     stars = surface.star_slots

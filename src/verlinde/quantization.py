@@ -11,9 +11,9 @@ Three mutually cross-checking routes are implemented:
   x(t_{k/2}), so the product is (X + mu chi) / (2^(r-1) 4^h): one exact
   base X = tau_{k/2}^r D_SU(2)^h prod tau_m per surface, and per choice
   class an integer mu and one exact division, O(k + r + h) steps.  X
-  costs O(log h) dense exact products, for D_SU(2)^h by binary powering
-  (none for h <= 1), then one linear basis step (O(k) additions) per star
-  and per label.
+  costs no dense product: one linear step (O(k) additions) per double
+  past the first, per star and per label.  A double step multiplies by
+  D_SU(2) through the tridiagonal solve ``fusion_ring._times_double``.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
   (1 for z = c, S[m,l] for z = e), taken block by block as both factor
@@ -43,8 +43,8 @@ Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
 star block's sign-group sum in ``_krawtchouk_sum``, the doubles' phases in
 ``_double_factor``, the exact division in ``_exact_divide``, the folding
-rule in ``fusion_ring._fold`` and the basis step it implies in
-``fusion_ring._times_basis``.
+rule in ``fusion_ring._fold`` and the two linear steps it implies,
+``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .fusion_ring import (
     FusionElement,
+    InexactDivision,
     NonIntegralValue,
     PrecisionExhausted,
     _add_star_idempotent,
@@ -70,6 +71,7 @@ from .fusion_ring import (
     _s_row,
     _sine_coefficients,
     _times_basis,
+    _times_double,
     _weyl_quotient,
     round_to_integer,
 )
@@ -98,14 +100,6 @@ __all__ = [
     "verlinde_baseline",
     "localization_evaluate",
 ]
-
-
-class InexactDivision(ArithmeticError):
-    """A division that integrality theorems promise to be exact was not.
-
-    Reaching this indicates an implementation bug or a wrong phase factor,
-    never bad input.
-    """
 
 
 @dataclass(frozen=True)
@@ -288,10 +282,10 @@ def _double_factor(k: int, h: int, d: int) -> int:
     return (1 + 3 * sign) ** (h - d) * (1 - sign) ** d
 
 
-def _times_labels(x: FusionElement, labels: Iterable[int]) -> FusionElement:
-    """x tau_m1 tau_m2 ...: one linear basis step (``fusion_ring._times_basis``)
-    per label on a plain list, wrapped as an element once at the end."""
-    k, coeffs = x.level, x.coeffs
+def _times_labels(k: int, coeffs: Sequence[int], labels: Iterable[int]) -> FusionElement:
+    """x tau_m1 tau_m2 ..., x the level-k element with ``coeffs``: one linear
+    basis step (``fusion_ring._times_basis``) per label on a plain list,
+    wrapped as an element once at the end."""
     for m in labels:
         coeffs = _times_basis(k, m, coeffs)
     return FusionElement._trusted(k, tuple(coeffs))
@@ -301,17 +295,19 @@ def _times_labels(x: FusionElement, labels: Iterable[int]) -> FusionElement:
 def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     """prod tau_m over ``labels``, by basis steps.  No quantization path
     reads it: ``_closed_form_base`` steps through its labels directly."""
-    return _times_labels(FusionElement.one(k), labels)
+    return _times_labels(k, FusionElement.one(k).coeffs, labels)
 
 
 @lru_cache(maxsize=512)  # one per (k, r, h): 975 of the sweep's 1,141 surfaces hit
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
-    h SO(3) doubles: D_SU(2)^h by binary powering, the only dense exact
-    products of the closed form (none for h <= 1, one for h = 2, at most
-    2 log2 h), then r basis steps by tau_{k/2}, O(r k) integer additions."""
-    doubles = quantize_double_su2(k) ** h if h else FusionElement.one(k)
-    return _times_labels(doubles, repeat(k // 2, r))
+    h SO(3) doubles, with no dense product: D_SU(2) in closed form, h - 1
+    double steps (``fusion_ring._times_double``), then r basis steps by
+    tau_{k/2}; O((h + r) k) big-integer additions."""
+    coeffs = (quantize_double_su2(k) if h else FusionElement.one(k)).coeffs
+    for _ in range(h - 1):
+        coeffs = _times_double(k, coeffs)
+    return _times_labels(k, coeffs, repeat(k // 2, r))
 
 
 def _value_at_half(m: int) -> int:
@@ -334,7 +330,7 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
     times one basis step per non-star label: no dense product."""
     k, r, h = surface.level, surface.star_count, surface.genus
-    base = _times_labels(_star_and_doubles(k, r, h), surface.nonstar_labels)
+    base = _times_labels(k, _star_and_doubles(k, r, h).coeffs, surface.nonstar_labels)
     if k % 2:  # then r = h = 0: X is the whole answer
         return _ClosedBase(base, 1, 0, 0)
     weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
@@ -386,6 +382,7 @@ class _GammaData(NamedTuple):
     reduced: float  # the reduced identity term summed over l != k/2, / |Gamma|
     nonstar: float  # prod S[m, k/2] over the non-star labels
     s0_half: float  # S[0, k/2]
+    star_half: float  # S[k/2, k/2]
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
@@ -410,11 +407,12 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
         except (OverflowError, ValueError):
             reduced = math.nan
         return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
-                          nonstar, float(row0[half]))
+                          nonstar, float(row0[half]), float(_s_row(k, half)[half]))
 
 
-def _fs_star_factor(k: int, r: int, a: int) -> float:
-    """sum_w star_sign(k, r, w) S[k/2, k/2]^(r-w) K_w(a).  For k in 4N,
+def _fs_star_factor(k: int, r: int, a: int, star_half: float) -> float:
+    """sum_w star_sign(k, r, w) S[k/2, k/2]^(r-w) K_w(a), ``star_half`` being
+    S[k/2, k/2] as the row cache holds it.  For k in 4N,
     S[k/2, k/2]^2 = 1/(k/2+1): S[k/2, k/2]^(r mod 2) E / (k/2+1)^(r//2) for
     E = ``_krawtchouk_sum``, one correctly rounded division (PrecisionExhausted
     past double range).  Else r <= 2 and S[k/2, k/2] = 0 (the float row holds
@@ -422,8 +420,7 @@ def _fs_star_factor(k: int, r: int, a: int) -> float:
     if k % 4:
         return _chi_coefficient(k, r, a) if r == 2 else 1 - r
     try:
-        return float(_s_row(k, k // 2)[k // 2]) ** (r % 2) \
-            * (_krawtchouk_sum(k, r, a) / (k // 2 + 1) ** (r // 2))
+        return star_half ** (r % 2) * (_krawtchouk_sum(k, r, a) / (k // 2 + 1) ** (r // 2))
     except OverflowError:
         raise PrecisionExhausted(f"the star factor of {r} star labels at level {k} is out "
                                  "of double range") from None
@@ -440,7 +437,7 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
     k, data = surface.level, _fs_gamma_data(surface)
     power = data.s0_half ** exponent  # 0.0 past double range: inf, which rounding reports
     return (data.nonstar / power if power else math.inf) \
-        * _fs_star_factor(k, surface.star_count, a) \
+        * _fs_star_factor(k, surface.star_count, a, data.star_half) \
         * (_double_factor(k, surface.genus, d) / surface.gamma_size())
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -10,12 +11,15 @@ from verlinde.fusion_ring import (
     DEFAULT_TOLERANCE,
     CharacterPoly,
     FusionElement,
+    InexactDivision,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _over_3_minus_tau2,
     _round_coefficients,
     _sine_coefficients,
     _times_basis,
+    _times_double,
     from_idempotent,
     integrality_tolerance,
     multiply_coeff_vectors,
@@ -119,6 +123,14 @@ class TestMultiply:
         with pytest.raises(ValueError, match="level mismatch"):
             tau(4, 2) * tau(6, 2)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    @pytest.mark.parametrize("other", [1, 1.5, "x", None, np.int64(1)])
+    def test_adding_a_non_element_raises_type_error(self, op, other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(tau(4, 2), other)
+        with pytest.raises(TypeError):
+            op(other, tau(4, 2))
+
     def test_big_coefficients_stay_exact(self):
         big = 10**30
         x = big * tau(2, 1)
@@ -141,6 +153,23 @@ class TestMultiply:
                                min_size=k + 1, max_size=k + 1))
         expected = reduce_character(k, CharacterPoly.chi(m) * CharacterPoly(dict(enumerate(b))))
         assert tuple(_times_basis(k, m, b)) == expected.coeffs
+
+    @pytest.mark.parametrize("k", [*range(61), 101, 400])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_double_step_matches_the_dense_product(self, k, data):
+        # The tridiagonal solve against the dense product, which it replaced
+        # in the closed form; at k = 0 the odd parity class is empty, at
+        # k = 0 and 1 a class has one entry.
+        b = data.draw(level_vectors(k))
+        assert _times_double(k, b) == list((quantize_double_su2(k) * FusionElement(k, b)).coeffs)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+    def test_a_fractional_quotient_raises_at_the_top_ghost(self, k):
+        # tau_0 / (3 - tau_2) is D_SU(2) / (2(k+2)), whose tau_0 coefficient
+        # (k+1) / (2(k+2)) is not an integer
+        with pytest.raises(InexactDivision, match=r"tau_0 coefficient of 1 b / \(3 - tau_2\)"):
+            _over_3_minus_tau2(k, tau(k, 0).coeffs, 1)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
     def test_basis_products_match_term_by_term(self, k):

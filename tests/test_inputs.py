@@ -22,12 +22,14 @@ from verlinde.oracles import (
     run_verification_suite,
     star_choice_class,
     structure_constants_verlinde,
+    sweep_surfaces,
 )
 from verlinde.prequant import (
     GammaElement,
     PrequantChoice,
     SurfaceData,
     canonicalize_choice,
+    enumerate_gamma,
     phase_factor,
 )
 from verlinde.quantization import (
@@ -84,6 +86,7 @@ INTEGER_ARGUMENTS = [
     ("GammaElement boundary count", lambda x: GammaElement((0, 0), (), x), 2),
     ("canonicalize_choice bit",
      lambda x: canonicalize_choice(SurfaceData(4, 0, (2, 2)), (x, 0)), 1),
+    ("enumerate_gamma cap", lambda x: enumerate_gamma(SurfaceData(4, 0, (2, 2)), cap=x), 8),
     ("phase_factor level",
      lambda x: phase_factor(x, PrequantChoice((0, 1)), GammaElement((1, 1), (0, 1), 2)), 4),
     ("chi_element", lambda x: chi_element(x), 4),
@@ -112,6 +115,10 @@ INTEGER_ARGUMENTS = [
     ("run_verification_suite max_k", lambda x: run_verification_suite(x, 1, 0), 2),
     ("run_verification_suite max_r", lambda x: run_verification_suite(2, x, 0), 1),
     ("run_verification_suite max_h", lambda x: run_verification_suite(2, 1, x), 0),
+    ("sweep_surfaces max_k", lambda x: list(sweep_surfaces(x, 2, 1)), 4),
+    ("sweep_surfaces max_r", lambda x: list(sweep_surfaces(4, x, 1)), 2),
+    ("sweep_surfaces max_h", lambda x: list(sweep_surfaces(4, 2, x)), 1),
+    ("sweep_surfaces gamma_cap", lambda x: list(sweep_surfaces(4, 2, 1, x)), 8),
 ]
 
 
@@ -167,6 +174,10 @@ SILENT_CASES = {
     "classical_verlinde_number integral float genus":
         lambda: classical_verlinde_number(4, 2.0),
     "run_verification_suite bool bound": lambda: run_verification_suite(True, 1, 0),
+    "sweep_surfaces bool bounds (the k <= 1 box), checked before the first surface":
+        lambda: sweep_surfaces(True, True, True),
+    "enumerate_gamma fractional cap":
+        lambda: enumerate_gamma(SurfaceData(4, 0, (2, 2)), cap=2.5),
 }
 
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verlinde import prequant, quantization
 from verlinde.fusion_ring import (
@@ -14,6 +15,7 @@ from verlinde.fusion_ring import (
     PrecisionExhausted,
     _sine_coefficients,
     s_matrix,
+    s_matrix_entry,
 )
 from verlinde.prequant import (
     GroupTooLarge,
@@ -269,7 +271,7 @@ def test_star_counts_out_of_double_range_exhaust_precision():
             path(surf)
     # (1 + S[4, 4])^2000 is past 2^1024 at level 8
     with pytest.raises(PrecisionExhausted, match="star factor of 2000 star labels"):
-        quantization._fs_star_factor(8, 2000, 0)
+        quantization._fs_star_factor(8, 2000, 0, s_matrix_entry(8, 4, 4))
 
 
 @pytest.mark.parametrize("r", [100, 150, 200, 400])
@@ -584,8 +586,8 @@ def test_star_sum_matches_pattern_loop(k):
             psi = (0,) * (r - a) + (1,) * a
             total, factor = _pattern_loop_star_sums(k, r, psi, s_star)
             assert quantization._chi_coefficient(k, r, a) == total
-            assert quantization._fs_star_factor(k, r, a) == pytest.approx(factor, rel=1e-12,
-                                                                          abs=1e-12)
+            assert quantization._fs_star_factor(k, r, a, s_star) \
+                == pytest.approx(factor, rel=1e-12, abs=1e-12)
             if r:
                 block = quantize_star_block(k, r, psi)
                 assert block * 2 ** (r - 1) == base + total * chi
@@ -675,33 +677,49 @@ def test_closed_form_equals_the_product_of_blocks_on_every_class():
 
 
 def test_closed_form_products_per_surface_and_class(monkeypatch):
-    # Labels and stars are basis steps; only the binary powering of
-    # D_SU(2)^h makes dense (Clebsch-Gordan) products, and a class none.
+    # Labels and stars are basis steps and each double past the first is one
+    # double step (``_times_double``), taken once per surface: at no genus
+    # does the closed form make a dense (Clebsch-Gordan) product, and a
+    # class makes no step at all.
     from verlinde import fusion_ring
-    calls = []
-    dense = fusion_ring._clebsch_gordan
+    dense, steps = [], []
+    clebsch_gordan, double_step = fusion_ring._clebsch_gordan, quantization._times_double
     monkeypatch.setattr(fusion_ring, "_clebsch_gordan",
-                        lambda *args: calls.append(len(args[0])) or dense(*args))
+                        lambda *args: dense.append(len(args[0])) or clebsch_gordan(*args))
+    monkeypatch.setattr(quantization, "_times_double",
+                        lambda k, b: steps.append(k) or double_step(k, b))
     for surf in (SurfaceData(12, 0, (6, 6, 6, 6, 5)), SurfaceData(12, 1, (6, 6, 6, 6, 5)),
                  SurfaceData(4, 1, (2,) * 40 + (1, 3)), SurfaceData(396, 1, (71, 250, 283, 343)),
-                 SurfaceData(364, 0, (134, 150, 182, 182, 182, 182, 200, 282))):
+                 SurfaceData(364, 0, (134, 150, 182, 182, 182, 182, 200, 282)),
+                 SurfaceData(288, 2, (42, 143, 144, 144, 165, 234)),
+                 SurfaceData(12, 64, (6, 6, 6, 6, 5))):  # r = 4, one non-star label
         _clear_quantization_caches()
+        steps.clear()
         for _, choice in _class_choices(surf):
             quantize_surface(surf, choice)
-        assert calls == [], surf
+        assert dense == [], surf
+        assert len(steps) == max(surf.genus - 1, 0), surf
+    assert len(list(_class_choices(surf))) == 4 * 65
+
+
+def test_a_corrupted_double_step_raises_inexact_division(monkeypatch):
+    # The double step's top-ghost division checks itself: given half its
+    # right side, it computes D_SU(2)/2 times an element, which is not
+    # integral here, and the closed form raises instead of returning it.
+    from verlinde import fusion_ring
+    monkeypatch.setattr(quantization, "_times_double",
+                        lambda k, b: fusion_ring._over_3_minus_tau2(k, b, k + 2))
     _clear_quantization_caches()
-    quantize_surface(SurfaceData(288, 2, (42, 143, 144, 144, 165, 234)))
-    assert len(calls) == 1  # D_SU(2)^2 = D_SU(2) D_SU(2)
-    calls.clear()
+    with pytest.raises(quantization.InexactDivision, match=r"/ \(3 - tau_2\) at level 12"):
+        quantize_surface(SurfaceData(12, 2, (6, 6, 6, 6, 5)))
     _clear_quantization_caches()
-    surf = SurfaceData(12, 64, (6, 6, 6, 6, 5))  # r = 4, one non-star label
-    (_, first), *rest = _class_choices(surf)
-    quantize_surface(surf, first)
-    assert len(calls) == math.log2(surf.genus)  # six squarings for D^64
-    assert len(rest) == 4 * 65 - 1
-    for _, choice in rest:
-        quantize_surface(surf, choice)
-    assert len(calls) == math.log2(surf.genus)
+
+
+@given(st.sampled_from([*range(61), 101, 400]), st.integers(0, 4), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_star_and_doubles_equals_the_dense_powers(k, r, h):
+    expected = quantize_double_su2(k) ** h * FusionElement.tau(k, k // 2) ** r
+    assert quantization._star_and_doubles.__wrapped__(k, r, h) == expected
 
 
 def test_inexact_division_is_raised(monkeypatch):
