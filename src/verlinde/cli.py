@@ -7,8 +7,9 @@ Exit codes: 0 success (``--help`` too), 1 inadmissible or malformed input
 consistency failure (an exact division or integrality rounding that a
 theorem guarantees failed, which indicates a bug or a wrong phase
 convention), 3 precision exhausted (the float S-matrix path's
-rounding-error bound reached 1/2, or its sums left double range, so it
-cannot certify the integers; not a bug).  The integrality tolerance is
+rounding-error bound reached 1/2, its sums left double range, or a value
+to round is at or above 2^53, where doubles skip integers, so it cannot
+certify the integers; not a bug).  The integrality tolerance is
 fixed at 1e-6 (``fusion_ring.DEFAULT_TOLERANCE``); no option or
 environment variable changes it.
 """

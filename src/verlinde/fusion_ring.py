@@ -90,9 +90,12 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-6
 
-# Coefficients beyond 53 bits are serialized as decimal strings so that JSON
-# consumers relying on IEEE doubles never see them silently truncated.
-_JSON_SAFE_BOUND = 2**53
+# Doubles hold every integer below 2^53 in magnitude and skip integers from
+# there on.  So a float at or above it certifies no integer (it may be the
+# double nearest a sum that was another integer), and a coefficient at or
+# above it is serialized as a decimal string, so that JSON consumers relying
+# on IEEE doubles never see it silently truncated.
+_EXACT_INTEGER_BOUND = 2**53
 
 
 class NonIntegralCoefficient(ArithmeticError):
@@ -101,8 +104,9 @@ class NonIntegralCoefficient(ArithmeticError):
 
 class PrecisionExhausted(NonIntegralCoefficient):
     """The a priori rounding-error bound of a float basis change is not below
-    1/2, or a float sum left double range, so double precision cannot
-    certify the integers.
+    1/2, a float sum left double range, or a float to be rounded is at or
+    above 2^53 in magnitude, where doubles skip integers, so double precision
+    cannot certify the integers.
 
     A limit of the float path, not an inconsistency; it subclasses
     NonIntegralCoefficient so that existing handlers still catch it.
@@ -134,10 +138,16 @@ def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralVa
     magnitude of the value (floating point error in the Verlinde-type sums
     grows with their size) but is capped below 1/2 so a genuinely
     half-integral result always raises ``exc``.  A value that is not finite
-    (a float sum out of double range) raises PrecisionExhausted.
+    (a float sum out of double range) raises PrecisionExhausted, and so does
+    one at or above 2^53 in magnitude: doubles there skip integers, so the
+    nearest one may not be the integer the sum approximates.
     """
     if not math.isfinite(value):
         raise PrecisionExhausted(f"{context} = {value!r} is out of double range")
+    if abs(value) >= _EXACT_INTEGER_BOUND:
+        raise PrecisionExhausted(f"{context} = {value!r} is not below 2^53 in magnitude, "
+                                 "where doubles skip integers: double precision cannot "
+                                 "certify it")
     nearest = round(value)
     allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
     if abs(value - nearest) > allowed:
@@ -589,7 +599,7 @@ class FusionElement:
     def to_json_dict(self) -> dict:
         return {
             "level": self.level,
-            "coeffs": [c if abs(c) < _JSON_SAFE_BOUND else str(c) for c in self.coeffs],
+            "coeffs": [c if abs(c) < _EXACT_INTEGER_BOUND else str(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -713,22 +723,27 @@ def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionEleme
 
     Raises PrecisionExhausted unless the bound is below 1/2 (nan included).
     Then every coefficient is tested at once by ``round_to_integer``'s rule:
-    the nearest integer, ties to even, within
-    min(DEFAULT_TOLERANCE (1 + |c|), 0.499).  The first coefficient that
-    fails goes to ``round_to_integer`` itself, which raises
-    NonIntegralCoefficient (PrecisionExhausted if it is not finite).
+    below 2^53 in magnitude, and the nearest integer, ties to even, within
+    min(DEFAULT_TOLERANCE (1 + |c|), 0.499).  No allowance is below
+    DEFAULT_TOLERANCE, so two maxima pass the usual vector, and only one
+    that fails them is tested coefficient by coefficient.  The first
+    coefficient that fails goes to ``round_to_integer`` itself, which
+    raises NonIntegralCoefficient (PrecisionExhausted if it is not finite
+    or not below 2^53).
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
     nearest = np.rint(coeffs)
-    allowed = np.minimum(DEFAULT_TOLERANCE * (1.0 + np.abs(coeffs)), 0.499)
-    fails = ~(np.abs(coeffs - nearest) <= allowed)
-    if fails.any():
-        m = int(fails.argmax())
-        round_to_integer(float(coeffs[m]), exc=NonIntegralCoefficient,
-                         context=f"tau_{m} coefficient")
+    deviation, magnitude = np.abs(coeffs - nearest), np.abs(coeffs)
+    if not (deviation.max() <= DEFAULT_TOLERANCE and magnitude.max() < _EXACT_INTEGER_BOUND):
+        allowed = np.minimum(DEFAULT_TOLERANCE * (1.0 + magnitude), 0.499)
+        passes = (deviation <= allowed) & (magnitude < _EXACT_INTEGER_BOUND)
+        if not passes.all():
+            m = int(passes.argmin())
+            round_to_integer(float(coeffs[m]), exc=NonIntegralCoefficient,
+                             context=f"tau_{m} coefficient")
     return FusionElement._trusted(k, tuple(map(int, nearest.tolist())))
 
 

@@ -35,7 +35,9 @@ returns the request's canonical choice with its class (a, d).  It keeps the
 last (surface, choice) pair it classified, by identity, in one slot, so the
 three paths of one request classify it once.  Each path then computes its
 result once per class (surface, a, d) in a bounded cache and wraps it with
-that choice.  The star entry points (``quantize_star_block``,
+that choice.  The float paths cache a class's outcome, a failure to certify
+its integers included, and raise a failure anew, with the same message, on
+every request for the class.  The star entry points (``quantize_star_block``,
 ``localization_evaluate``) take their class from the same front end on a
 star-only surface, after the star conditions (ii') and (iii).
 
@@ -61,6 +63,7 @@ import numpy as np
 from .fusion_ring import (
     FusionElement,
     InexactDivision,
+    NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
     _add_star_idempotent,
@@ -338,8 +341,9 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
 
 
 # Per-class results: 26,412 of the 31,324 sweep requests repeat a class.
-# lru_cache stores no exception, so a class whose division fails raises
-# again, with the same message, on every request.
+# This cache keeps successes only: its one failure, InexactDivision, is a
+# bug, so a class that raises it raises again on every request.  The float
+# paths keep failures too (``_class_outcome``).
 
 @lru_cache(maxsize=1024)
 def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
@@ -441,15 +445,10 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
         * (_double_factor(k, surface.genus, d) / surface.gamma_size())
 
 
-# Only a class whose rounding fails is read here again (``_fs_element``
-# keeps the successes), so this holds the classes of the last few surfaces
-# served, not as many as the result caches.  It pays on big_gamma, where 66
-# of 145 reads hit: without it op_p50_ms rose by a fifth.
-@lru_cache(maxsize=128)
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
     """The raw tau-coefficients of the class (a, d) and their rounding-error
-    bound, before rounding: a failing class, which ``_fs_element`` never
-    stores, only re-rounds.
+    bound, before rounding; computed once per class, on a miss of
+    ``_fs_element``, which keeps the outcome of rounding them.
 
     The class's values differ from the identity term / |Gamma| only at
     l = k/2, where they are ``_block_sum``, so the coefficients
@@ -464,13 +463,38 @@ def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, 
     return _add_star_idempotent(surface.level, data.coeffs, data.bound, delta)
 
 
-@lru_cache(maxsize=1024)  # per class, as ``_closed_form_element``
+def _class_outcome(fn):
+    """``fn``, a float path's computation for one class (surface, a, d), in
+    an lru cache of 1024 outcomes: the value, or the NonIntegralCoefficient
+    (PrecisionExhausted included) or NonIntegralValue it raised.  The
+    exception is stored as a new one of the same class and message that was
+    never raised, so it pins no traceback (frames and their per-surface
+    arrays) and no context; the caller raises a copy of it.  A class the
+    float path cannot certify is thus computed once, like any other: on
+    big_gamma 68 of the 96 requests per pass that fail ``fs_formula``
+    repeat a failing class."""
+    @lru_cache(maxsize=1024)
+    @wraps(fn)
+    def outcome(surface: SurfaceData, a: int, d: int):
+        try:
+            return fn(surface, a, d)
+        except (NonIntegralCoefficient, NonIntegralValue) as exc:
+            return type(exc)(*exc.args)
+    return outcome
+
+
+@_class_outcome
 def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
+    """The class's element, its coefficients rounded once; cached as its
+    outcome, so a class that fails to round is read back as the
+    NonIntegralCoefficient or PrecisionExhausted it raised."""
     return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
 
 
-@lru_cache(maxsize=1024)  # per class, as ``_closed_form_element``
+@_class_outcome
 def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
+    """The class's reduced value, rounded once; cached as its outcome, as
+    ``_fs_element``, a NonIntegralValue or PrecisionExhausted included."""
     value = _fs_gamma_data(surface).reduced + _block_sum(surface, a, d, surface.num_slots - 2)
     return round_to_integer(value, exc=NonIntegralValue, context="reduced quantization")
 
@@ -482,19 +506,27 @@ def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> Qu
     surface) and an update along taut_{k/2} (once per choice class), then
     integrality rounding, once per class.  Raises PrecisionExhausted when
     the rounding-error bound is not below 1/2 (a sum out of double range
-    included), and NonIntegralCoefficient when a coefficient fails to
-    round."""
+    included) or a coefficient is not below 2^53, and NonIntegralCoefficient
+    when a coefficient fails to round; a class's failure is computed once
+    and raised anew, with the same message, on every request."""
     choice, a, d = _canonical_class(surface, choice)
-    return QuantizationResult.of(_fs_element(surface, a, d), "fs_float", choice)
+    element = _fs_element(surface, a, d)
+    if isinstance(element, ArithmeticError):
+        raise type(element)(*element.args)
+    return QuantizationResult.of(element, "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None) -> int:
     """The scalar S-matrix sum (quantization of the symplectic quotient),
     summed block by block with exponent s+2h-2, once per choice class.
-    Raises PrecisionExhausted when the sum is out of double range, and
-    NonIntegralValue when it fails to round."""
+    Raises PrecisionExhausted when the sum is out of double range or not
+    below 2^53, and NonIntegralValue when it fails to round; a class's
+    failure is computed once and raised anew on every request."""
     _, a, d = _canonical_class(surface, choice)
-    return _reduced_value(surface, a, d)
+    value = _reduced_value(surface, a, d)
+    if isinstance(value, ArithmeticError):
+        raise type(value)(*value.args)
+    return value
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:

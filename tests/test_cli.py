@@ -203,6 +203,18 @@ def test_sums_out_of_double_range_exhaust_precision(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_reduced_value_past_2_53_exhausts_precision(capsys):
+    # the reduced sum is about 2.2e20, where doubles skip integers; the
+    # nearest double is not the closed form's trace, 218922995834555169026
+    code = main(["quantize", "--level", "8", "--labels", ",".join(["4"] * 100),
+                 "--path", "closed", "--reduced"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted:")
+    assert "2^53" in captured.err and "Traceback" not in captured.err
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     # force an inconsistency to check the exit-code mapping
     from verlinde import cli

@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import re
 from itertools import product
 
 import numpy as np
@@ -388,6 +389,24 @@ class TestOnePassRounding:
             assert all(type(c) is int for c in rounded.coeffs)
 
 
+    @pytest.mark.parametrize("n", range(-12, 13))
+    def test_small_allowances_are_tested_per_coefficient(self, n):
+        """Near a small integer the allowance is a few DEFAULT_TOLERANCE, so
+        a vector whose deviations are all small can still fail: one ulp
+        either side of the edge gives round_to_integer's outcome."""
+        edge = n + min(DEFAULT_TOLERANCE * (1.0 + abs(n)), 0.499)
+        for value in (float(np.nextafter(edge, -math.inf)), float(np.nextafter(edge, math.inf))):
+            try:
+                expected = round_to_integer(value, exc=NonIntegralCoefficient,
+                                            context="tau_1 coefficient")
+            except NonIntegralCoefficient as exc:
+                with pytest.raises(NonIntegralCoefficient, match=re.escape(str(exc))):
+                    _round_coefficients(2, np.array([1.0, value, 3.0]), 0.0)
+            else:
+                assert _round_coefficients(2, np.array([1.0, value, 3.0]), 0.0).coeffs == \
+                    (1, expected, 3)
+
+
 class TestRoundToInteger:
     def test_fixed_tolerance(self):
         assert integrality_tolerance() == DEFAULT_TOLERANCE == 1e-6
@@ -399,6 +418,16 @@ class TestRoundToInteger:
     def test_value_out_of_double_range_is_precision_exhausted(self, value):
         with pytest.raises(PrecisionExhausted, match="reduced quantization = .* out of double"):
             round_to_integer(value, context="reduced quantization")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_from_2_53_is_precision_exhausted(self, sign):
+        # doubles skip integers from 2^53 on: no rounded value there is certified
+        assert round_to_integer(sign * (2.0**53 - 1)) == sign * (2**53 - 1)
+        for value in (2.0**53, 2.0**53 + 2, 1e300):
+            with pytest.raises(PrecisionExhausted, match="not below 2\\^53"):
+                round_to_integer(sign * value)
+            with pytest.raises(PrecisionExhausted, match="tau_1 coefficient = .* 2\\^53"):
+                _round_coefficients(1, np.array([0.0, sign * value]), 0.0)
 
 
 class TestTrace:

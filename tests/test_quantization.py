@@ -305,15 +305,60 @@ def test_precision_bound_below_half_on_every_sweep_class():
     assert classes == 4912
 
 
-def test_failing_class_is_transformed_once():
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def _counting(fn, calls):
+    """``fn``, appending the arguments of each call to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_failing_class_is_transformed_once(monkeypatch):
+    """A class the float path cannot certify is computed once: three
+    requests raise three new exceptions of one class and message, the
+    failing step runs once, and the cached failure holds no traceback."""
     surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # fails to round at 1e-6
-    choice = enumerate_choices(surf)[1]
-    quantization._fs_coefficients.cache_clear()
-    for _ in range(3):
-        with pytest.raises(NonIntegralCoefficient):
-            fs_formula(surf, choice)
-    info = quantization._fs_coefficients.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    cases = [
+        (surf, enumerate_choices(surf)[1], fs_formula, "_round_coefficients",
+         NonIntegralCoefficient),
+        (surf, enumerate_choices(surf)[1], reduced_quantization, "round_to_integer",
+         NonIntegralValue),
+        # the star factor of 2000 star labels is past double range
+        (SurfaceData(8, 0, (4,) * 2000), None, fs_formula, "_fs_star_factor",
+         PrecisionExhausted),
+        # the reduced sum is past 2^53
+        (SurfaceData(8, 0, (4,) * 100), None, reduced_quantization, "round_to_integer",
+         PrecisionExhausted),
+    ]
+    caches = {fs_formula: quantization._fs_element,
+              reduced_quantization: quantization._reduced_value}
+    for surf, choice, path, counted, exc in cases:
+        cache, calls, raised = caches[path], [], []
+        cache.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(quantization, counted, _counting(getattr(quantization, counted), calls))
+            for _ in range(3):
+                with pytest.raises(exc) as info:
+                    path(surf, choice)
+                raised.append(info.value)
+        assert len(calls) == 1, (path, counted)
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert all(type(e) is exc for e in raised)
+        assert len({str(e) for e in raised}) == 1
+        assert len({id(e) for e in raised}) == 3
+        assert len({_traceback_depth(e) for e in raised}) == 1
+        stored = cache(surf, *prequant._canonical_class(surf, choice)[1:])
+        assert type(stored) is exc and str(stored) == str(raised[0])
+        assert stored.__traceback__ is None and stored.__context__ is None
+        assert all(stored is not e for e in raised)
 
 
 def _noncanonical_variants(surf, bits):
@@ -538,7 +583,7 @@ class TestChoiceClasses:
                 elements.add(result.element)
         assert len(elements) == 1
 
-    def test_failure_is_not_cached(self):
+    def test_failure_is_the_same_for_the_whole_class(self):
         surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # |Gamma| = 2^14
         first, same_class = enumerate_choices(surf)[1:3]
         assert _choice_class(surf, first) == _choice_class(surf, same_class)
@@ -605,8 +650,7 @@ AUDITED_CACHES = {
     "quantization.quantize_double_so3", "quantization._label_product",
     "quantization._star_and_doubles", "quantization._closed_form_base",
     "quantization._closed_form_element", "quantization._fs_gamma_data",
-    "quantization._fs_coefficients", "quantization._fs_element",
-    "quantization._reduced_value",
+    "quantization._fs_element", "quantization._reduced_value",
     "oracles._listed_gamma", "oracles._gamma_terms",
 }
 
