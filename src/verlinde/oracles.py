@@ -38,6 +38,7 @@ from .prequant import (
     GammaElement,
     PrequantChoice,
     SurfaceData,
+    _canonical_class,
     _check_bits,
     _require_conditions,
     enumerate_choices,
@@ -517,13 +518,16 @@ def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElem
 
 
 def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
-    """Closed form vs S-matrix formula vs reduced scalar, over the sweep."""
+    """Closed form vs S-matrix formula vs reduced scalar, over the sweep;
+    it counts the requests (pairs) and their distinct folded classes."""
     bad = 0
     pairs = 0
     negative = 0
+    classes = set()
     for surface in sweep_surfaces(max_k, max_r, max_h):
         for choice in enumerate_choices(surface):
             pairs += 1
+            classes.add((surface, *_canonical_class(surface, choice)[1:]))
             closed = quantize_surface(surface, choice)
             through_s = fs_formula(surface, choice)
             if closed.element != through_s.element:
@@ -534,7 +538,8 @@ def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
                 negative += 1
     return CheckResult("cross_path_equality",
                        {"max_k": max_k, "max_r": max_r, "max_h": max_h,
-                        "pairs": pairs, "negative_coefficient_results": negative},
+                        "pairs": pairs, "classes": len(classes),
+                        "negative_coefficient_results": negative},
                        bad == 0, float(bad))
 
 

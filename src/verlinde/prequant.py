@@ -373,15 +373,22 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
 
 def _classify(surface: SurfaceData,
               choice: PrequantChoice) -> tuple[PrequantChoice, int, int]:
-    """The canonical form of a PrequantChoice on ``surface`` and its class
-    (a, d), as ``_canonical_class`` describes; the surface is admissible."""
-    bits, s, stars = choice.psi_bits, surface.num_boundary, surface.star_slots
-    if (len(bits) != surface.num_slots or (stars and bits[stars[0]])
-            or sum(bits[:s]) != sum(map(bits.__getitem__, stars))):
+    """The canonical form of a PrequantChoice on ``surface`` and its folded
+    class (a, d), as ``_canonical_class`` describes; the surface is admissible."""
+    bits, stars, s = choice.psi_bits, surface.star_slots, len(surface.labels)
+    a = sum(bits[:s])
+    if (len(bits) != s + 2 * surface.genus or (stars and bits[stars[0]])
+            or a != sum(map(bits.__getitem__, stars))):
         choice = canonicalize_choice(surface, bits)
         bits = choice.psi_bits
-    # canonical: the boundary bits set are star bits
-    return choice, sum(bits[:s]), sum(map(or_, bits[s::2], bits[s + 1::2]))
+        a = sum(bits[:s])
+    # canonical: the boundary bits set are star bits; fold a and d
+    d = sum(map(or_, bits[s::2], bits[s + 1::2]))
+    if 2 * a > len(stars):
+        a = len(stars) - a
+    if d > 1:
+        d = d & 1 if surface.level % 4 else 1
+    return choice, a, d
 
 
 # The last (surface, choice, class) that ``_canonical_class`` returned.  The
@@ -395,9 +402,19 @@ _last_class: tuple = (None, None, None)
 def _canonical_class(surface: SurfaceData,
                      choice: PrequantChoice | None) -> tuple[PrequantChoice, int, int]:
     """The canonical form of ``choice`` on an admissible surface, and its
-    class (a, d): a psi bits set on star slots, and d doubles with
-    phi != (0, 0).  The phases, and so every quantization path's result,
-    depend on the choice only through this class.
+    class (a, d), folded: a psi bits set on the r star slots, and d doubles
+    with phi != (0, 0), read as min(a, r - a) and, at level k, as min(d, 1)
+    for k in 4N and d mod 2 otherwise (odd k allows no double, so d = 0).
+    The phases, and so every quantization path's result, depend on the
+    choice only through this class, as the two quantities they enter show:
+
+    * the star sum (1-x)^min(a, r-a) sum_i C(|r-2a|, 2i) x^i
+      (``quantization._krawtchouk_sum``) is unchanged by a -> r - a;
+    * the doubles' factor (1+3 sigma)^(h-d) (1-sigma)^d, sigma = (-1)^(k/2)
+      (``quantization._double_factor``), is 0 for every d >= 1 when
+      sigma = 1, and (-1)^(h-d) 2^h when sigma = -1.
+
+    Choices of one folded class thus share every per-class result.
 
     Raises NotAdmissible unless the surface is admissible.  None is the
     trivial choice.  A PrequantChoice that is already canonical (one bit

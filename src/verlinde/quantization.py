@@ -26,12 +26,19 @@ Three mutually cross-checking routes are implemented:
 the S-matrix formula directly, and ``verlinde_baseline`` the simply
 connected SU(2) product with no sign group at all.
 
-A pre-quantization choice enters every path only through its phases, which
-depend on two numbers: a, the psi bits set on star slots, and d, the
-doubles with phi != (0, 0).  One front end, ``prequant._canonical_class``,
-serves all three surface paths: it tests the admissibility boolean the
-surface computed once (the report is built only for a failure message) and
-returns the request's canonical choice with its class (a, d).  It keeps the
+A pre-quantization choice enters every path only through its phases, and
+they take fewer values than the choices do.  They depend on a, the psi bits
+set on the r star slots, only through the star sum ``_krawtchouk_sum``,
+which is unchanged by a -> r - a; and on d, the doubles with
+phi != (0, 0), only through ``_double_factor``, which is 0 for every
+d >= 1 when k is in 4N and depends on d mod 2 otherwise.  So a class is
+the folded pair (min(a, r - a), min(d, 1) or d mod 2), the rule
+``prequant._canonical_class`` states: at r = 3 the star choices fall in
+two classes and at r = 4 in three, the classes of the literal tables
+(``oracles.closed_form_tables``).  That function is the one front end of
+all three surface paths: it tests the admissibility boolean the surface
+computed once (the report is built only for a failure message) and
+returns the request's canonical choice with its folded class.  It keeps the
 last (surface, choice) pair it classified, by identity, in one slot, so the
 three paths of one request classify it once.  Each path then computes its
 result once per class (surface, a, d) in a bounded cache and wraps it with
@@ -180,11 +187,11 @@ def tau_power(k: int, r: int) -> FusionElement:
 
 
 def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
-    """k and r, checked, and a, the psi bits set in the canonical form of
-    ``psi`` on r star slots at level k, from ``_canonical_class`` on the
-    star-only surface; a = 0 for r < 2, where psi is not read.  Raises
-    NotAdmissible unless conditions (ii') and (iii) hold.  Accepts the
-    shorthand "+"/"-" for the two r = 2 choices."""
+    """k and r, checked, and a, the folded count of psi bits set in the
+    canonical form of ``psi`` on r star slots at level k, from
+    ``_canonical_class`` on the star-only surface; a = 0 for r < 2, where
+    psi is not read.  Raises NotAdmissible unless conditions (ii') and
+    (iii) hold.  Accepts the shorthand "+"/"-" for the two r = 2 choices."""
     k, r = _check_level(k), _check_int(r, "star count")
     if r < 0:
         raise ValueError(f"star count must be non-negative, got {r}")
@@ -200,7 +207,7 @@ def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
     return k, r, _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
-@lru_cache(maxsize=1024)  # one per (k, r, a): 11,218 of 11,340 sweep reads hit
+@lru_cache(maxsize=1024)  # one per (k, r, a): 7,264 of 7,360 sweep reads hit
 def _krawtchouk_sum(k: int, r: int, a: int) -> int:
     """E = sum_w star_sign(k, r, w) (k/2+1)^(w/2) K_w(a) over even w, psi
     having a bits set on the r star slots: K_w(a), the y^w coefficient of
@@ -327,7 +334,7 @@ class _ClosedBase(NamedTuple):
     weight: int  # (D_SU(2)^h prod tau_m)(t_{k/2}) = (k/2+1)^h or its negative, or 0
 
 
-@lru_cache(maxsize=512)  # one per surface, read by each class: 3,771 of 4,912 sweep reads hit
+@lru_cache(maxsize=512)  # one per surface, read by each class: 2,135 of 3,276 sweep reads hit
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     """X and the integers that give each class's multiple of chi.  X is
     ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
@@ -340,7 +347,7 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r, weight)
 
 
-# Per-class results: 26,412 of the 31,324 sweep requests repeat a class.
+# Per-class results: 28,048 of the 31,324 sweep requests repeat a class.
 # This cache keeps successes only: its one failure, InexactDivision, is a
 # bug, so a class that raises it raises again on every request.  The float
 # paths keep failures too (``_class_outcome``).
@@ -471,7 +478,7 @@ def _class_outcome(fn):
     never raised, so it pins no traceback (frames and their per-surface
     arrays) and no context; the caller raises a copy of it.  A class the
     float path cannot certify is thus computed once, like any other: on
-    big_gamma 68 of the 96 requests per pass that fail ``fs_formula``
+    big_gamma 92 of the 96 requests per pass that fail ``fs_formula``
     repeat a failing class."""
     @lru_cache(maxsize=1024)
     @wraps(fn)

@@ -3,6 +3,7 @@ import pytest
 
 from verlinde.fusion_ring import FusionElement, PrecisionExhausted
 from verlinde.oracles import (
+    check_cross_paths,
     check_negative_control,
     classical_verlinde_number,
     closed_form_tables,
@@ -12,7 +13,7 @@ from verlinde.oracles import (
     structure_constants_verlinde,
     sweep_surfaces,
 )
-from verlinde.prequant import NotAdmissible
+from verlinde.prequant import NotAdmissible, enumerate_choices
 from verlinde.quantization import quantize_star_block, tau_power
 
 
@@ -119,6 +120,24 @@ def test_negative_control_check():
     result = check_negative_control()
     assert result.passed
     assert result.params["flips"] == 16
+
+
+def test_cross_paths_counts_requests_and_folded_classes():
+    # classes: a star bits set and d doubles with phi != (0, 0), read as
+    # min(a, r - a) and as min(d, 1) for k in 4N, else d mod 2
+    result = check_cross_paths(8, 4, 2)
+    pairs, classes = 0, set()
+    for surf in sweep_surfaces(8, 4, 2):
+        r, s = surf.star_count, surf.num_boundary
+        for choice in enumerate_choices(surf):
+            bits = choice.psi_bits
+            a = sum(bits[j] for j in surf.star_slots)
+            d = sum(bits[i] | bits[i + 1] for i in range(s, surf.num_slots, 2))
+            classes.add((surf, min(a, r - a), min(d, 1) if surf.level % 4 == 0 else d % 2))
+            pairs += 1
+    assert result.passed
+    assert (result.params["pairs"], result.params["classes"]) == (pairs, len(classes))
+    assert len(classes) < pairs
 
 
 def test_suite_small_box_passes():

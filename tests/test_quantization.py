@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from verlinde.prequant import (
     enumerate_gamma,
 )
 from verlinde.quantization import (
+    QuantizationResult,
     chi_element,
     fs_formula,
     localization_evaluate,
@@ -43,6 +45,7 @@ from verlinde.oracles import (
     closed_form_tables,
     fs_formula_with_phases,
     phase_vector as _phase_vector,
+    star_choice_class,
     sweep_surfaces,
 )
 
@@ -302,7 +305,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
             direct, direct_bound = _sine_coefficients(values)
             assert np.abs(coeffs - direct).max() <= bound + direct_bound
             classes += 1
-    assert classes == 4912
+    assert classes == 3276
 
 
 def _traceback_depth(exc):
@@ -671,7 +674,8 @@ def test_caches_are_bounded():
 
 
 def _class_choices(surf):
-    """One canonical choice per class (a, d) of the surface, with the class."""
+    """One canonical choice per fine class (a, d) of the surface, with the
+    class: a psi bits set on star slots, d doubles with phi != (0, 0)."""
     r, h, s = surf.star_count, surf.genus, surf.num_boundary
     for a in range(max(r, 1)):
         for d in range(h + 1):
@@ -681,6 +685,14 @@ def _class_choices(surf):
             for i in range(d):
                 bits[s + 2 * i + 1] = 1
             yield (a, d), PrequantChoice(tuple(bits))
+
+
+def _folded(surf, a, d):
+    """The folded class of the fine class (a, d), as ``_canonical_class``
+    states it: a -> min(a, r - a), and d -> min(d, 1) for k in 4N, else
+    d -> d mod 2."""
+    k = surf.level
+    return min(a, surf.star_count - a), (min(d, 1) if k % 4 == 0 else d % 2)
 
 
 def _product_of_blocks(surf, a, d):
@@ -713,11 +725,57 @@ def test_closed_form_equals_the_product_of_blocks_on_every_class():
     classes = 0
     for surf in surfaces:
         for (a, d), choice in _class_choices(surf):
-            assert prequant._canonical_class(surf, choice)[1:] == (a, d)
+            assert prequant._canonical_class(surf, choice)[1:] == _folded(surf, a, d)
             got = quantize_surface(surf, choice).element
             assert got.coeffs == _product_of_blocks(surf, a, d).coeffs, (surf, a, d)
             classes += 1
     assert classes > 5000
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except (NonIntegralCoefficient, NonIntegralValue, quantization.InexactDivision) as exc:
+        return type(exc), str(exc)
+
+
+def test_every_fine_class_has_its_folded_class_outcome():
+    # Each path's class body, called on the fine (a, d) with no fold, gives
+    # the outcome the path gives the request through its folded class.
+    paths = ((quantize_surface, inspect.unwrap(quantization._closed_form_element)),
+             (fs_formula, inspect.unwrap(quantization._fs_element)),
+             (reduced_quantization, inspect.unwrap(quantization._reduced_value)))
+    surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES,
+                SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8)))
+    fine, folded, failed = 0, set(), 0
+    for surf in surfaces:
+        for (a, d), choice in _class_choices(surf):
+            folded.add((surf, *_folded(surf, a, d)))
+            fine += 1
+            for path, body in paths:
+                got = _outcome(path, surf, choice)
+                if isinstance(got, QuantizationResult):
+                    got = got.element
+                assert got == _outcome(body, surf, a, d), (path.__name__, surf, a, d)
+                failed += isinstance(got, tuple)
+    assert fine > 5000 and len(folded) < fine
+    assert failed > 0  # the big_gamma surfaces hold classes the float paths cannot certify
+
+
+@pytest.mark.parametrize("k,r", [*product((4, 8, 12, 16), (3, 4)), (2, 2), (4, 2), (6, 2)])
+def test_folded_star_classes_are_the_table_classes(k, r):
+    # Two canonical star choices share a folded a exactly when the literal
+    # tables put them in one class, and both get that class's table.
+    surf = SurfaceData(k, 0, (k // 2,) * r)
+    folds, tables = {}, {}
+    for choice in enumerate_choices(surf):
+        bits, table = choice.psi_bits, star_choice_class(r, choice.psi_bits)
+        folds.setdefault(prequant._canonical_class(surf, choice)[1], set()).add(bits)
+        tables.setdefault(table, set()).add(bits)
+        assert quantize_star_block(k, r, bits) == closed_form_tables(k, r, table)
+    assert sorted(map(sorted, folds.values())) == sorted(map(sorted, tables.values()))
+    assert len(folds) == {2: 2, 3: 2, 4: 3}[r]
 
 
 def test_closed_form_products_per_surface_and_class(monkeypatch):
