@@ -161,6 +161,8 @@ def _check_int(value, what: str) -> int:
     integer (``operator.index``) other than a bool, as an int; anything else,
     a float or a string too, raises TypeError.  Range checks stay with each
     entry point."""
+    if type(value) is int:  # operator.index(value) is value
+        return value
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return index(value)
@@ -744,7 +746,8 @@ def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionEleme
             m = int(passes.argmin())
             round_to_integer(float(coeffs[m]), exc=NonIntegralCoefficient,
                              context=f"tau_{m} coefficient")
-    return FusionElement._trusted(k, tuple(map(int, nearest.tolist())))
+    # every coefficient is below 2^53 now, so int64 holds it exactly
+    return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
 
 
 def reduce_character(k: int, p: CharacterPoly) -> FusionElement:

@@ -62,7 +62,14 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """Genus h surface with boundary labels m_1..m_s at a fixed level."""
+    """Genus h surface with boundary labels m_1..m_s at a fixed level.
+
+    Construction checks the fields and derives, once, what every path reads:
+    ``star_slots`` (the j with 2 m_j = k), ``star_count``, ``nonstar_labels``
+    (the other labels, in order), ``_hash`` (the key of every result cache)
+    and ``_admissible`` (whether ``_CONDITIONS`` hold; (i) holds by
+    construction).  Equality, hash and repr see the fields alone.
+    """
 
     level: int
     genus: int
@@ -76,9 +83,17 @@ class SurfaceData:
         for m in labels:
             if not 0 <= m <= k:
                 raise ValueError(f"label {m} out of range 0..{k}")
-        object.__setattr__(self, "level", k)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "labels", tuple(labels))
+        labels = tuple(labels)
+        stars = tuple(j for j, m in enumerate(labels) if 2 * m == k)
+        # Set one at a time: a write through vars(self) moves CPython's
+        # inline attribute values into a dict, where every read is slower.
+        for name, value in (
+                ("level", k), ("genus", genus), ("labels", labels),
+                ("_hash", hash((k, genus, labels))), ("star_slots", stars),
+                ("star_count", len(stars)),
+                ("nonstar_labels", tuple(m for m in labels if 2 * m != k)),
+                ("_admissible", _conditions_hold(k, genus, len(stars)))):
+            object.__setattr__(self, name, value)
 
     @property
     def num_boundary(self) -> int:
@@ -88,41 +103,17 @@ class SurfaceData:
     def num_slots(self) -> int:
         return len(self.labels) + 2 * self.genus
 
-    # Derived data, computed once per instance; cached_property stores it in
-    # the instance __dict__, so equality, hash and repr still see the fields
-    # (and a pickled surface carries it along).
-
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        """The field hash, taken once: every result cache is keyed by surface."""
-        return hash((self.level, self.genus, self.labels))
-
-    @cached_property
-    def star_slots(self) -> tuple[int, ...]:
-        """Boundary slots carrying the trace-zero class, i.e. 2*m_j = k."""
-        return tuple(j for j, m in enumerate(self.labels) if 2 * m == self.level)
-
-    @cached_property
-    def star_count(self) -> int:
-        return len(self.star_slots)
-
-    @cached_property
-    def nonstar_labels(self) -> tuple[int, ...]:
-        return tuple(m for m in self.labels if 2 * m != self.level)
+    def __setstate__(self, state: Mapping) -> None:
+        """Rebuild from the fields: a pickle without the derived data loads whole."""
+        self.__init__(state["level"], state["genus"], state["labels"])
 
     @cached_property
     def admissibility(self) -> "AdmissibilityReport":
         """The ``check_prequantization`` report of this surface."""
         return check_prequantization(self)
-
-    @cached_property
-    def _admissible(self) -> bool:
-        """Whether ``admissibility`` holds, tested on ``_CONDITIONS`` without
-        building the report.  Condition (i) holds by construction."""
-        return _conditions_hold(self.level, self.genus, self.star_count)
 
     def gamma_size(self) -> int:
         r = self.star_count
@@ -274,7 +265,7 @@ def _failure_message(conditions: Iterable[ConditionCheck]) -> str:
 
 # Conditions (ii), (iii) and (ii') on the level k, genus h and star count r,
 # as (code, description, predicate): their one statement.  The report, the
-# surface's cached boolean and every failure message read this table.
+# surface's derived boolean and every failure message read this table.
 _CONDITIONS = (
     ("(ii)", "k in 2N when genus >= 1", lambda k, h, r: h == 0 or k % 2 == 0),
     ("(iii)", "k in 4N when the star count is >= 3", lambda k, h, r: r < 3 or k % 4 == 0),
@@ -309,8 +300,8 @@ def check_prequantization(surface: SurfaceData) -> AdmissibilityReport:
 def require_admissible(surface: SurfaceData) -> None:
     """Raise NotAdmissible unless the surface admits a pre-quantization.
 
-    Tests the boolean the surface computed once (``SurfaceData._admissible``),
-    so every path that checks the same surface shares one evaluation; the
+    Tests the boolean the surface derived when it was built
+    (``SurfaceData._admissible``), so a check costs one attribute read; the
     report (``SurfaceData.admissibility``) is built only for the message.
     """
     if not surface._admissible:

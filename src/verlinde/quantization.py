@@ -37,7 +37,7 @@ the folded pair (min(a, r - a), min(d, 1) or d mod 2), the rule
 two classes and at r = 4 in three, the classes of the literal tables
 (``oracles.closed_form_tables``).  That function is the one front end of
 all three surface paths: it tests the admissibility boolean the surface
-computed once (the report is built only for a failure message) and
+derived when built (the report is built only for a failure message) and
 returns the request's canonical choice with its folded class.  It keeps the
 last (surface, choice) pair it classified, by identity, in one slot, so the
 three paths of one request classify it once.  Each path then computes its
@@ -264,7 +264,9 @@ def quantize_double_su2(k: int) -> FusionElement:
     k - j + 1 labels j/2 <= m <= k - j/2.
     """
     k = _check_level(k)
-    return FusionElement._trusted(k, tuple(0 if j % 2 else k - j + 1 for j in range(k + 1)))
+    coeffs = [0] * (k + 1)
+    coeffs[::2] = range(k + 1, 0, -2)
+    return FusionElement._trusted(k, tuple(coeffs))
 
 
 # the benchmark's tracer reads it by name

@@ -388,6 +388,20 @@ class TestOnePassRounding:
             assert rounded.coeffs == tuple(expected)
             assert all(type(c) is int for c in rounded.coeffs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((-0.0, 0.0, 2.0**53 - 1, -(2.0**53 - 1))),
+                              st.floats(-(2.0**53 - 1), 2.0**53 - 1)),
+                    min_size=1, max_size=24))
+    def test_int64_conversion_gives_the_python_ints(self, values):
+        """Every coefficient that reaches the conversion is below 2^53, where
+        int64 holds it exactly: the same tuple as int() coefficient by
+        coefficient, -0.0 as 0."""
+        nearest = np.rint(np.array(values))
+        python_ints = tuple(map(int, nearest.tolist()))
+        assert tuple(nearest.astype(np.int64).tolist()) == python_ints
+        rounded = _round_coefficients(len(values) - 1, nearest, 0.0)
+        assert rounded.coeffs == python_ints
+        assert all(type(c) is int for c in rounded.coeffs)
 
     @pytest.mark.parametrize("n", range(-12, 13))
     def test_small_allowances_are_tested_per_coefficient(self, n):

@@ -6,12 +6,16 @@ lru caches already hold, and a numpy integer gives the same result as the
 equal Python int.
 """
 
+import operator
+from enum import IntEnum
+
 import numpy as np
 import pytest
 
 from verlinde.fusion_ring import (
     CharacterPoly,
     FusionElement,
+    _check_int,
     reduce_character,
     s_matrix,
     s_matrix_entry,
@@ -193,3 +197,29 @@ def test_json_coefficients_parse_decimal_strings_only():
     for bad in (1.5, True, np.True_):
         with pytest.raises(TypeError, match="coefficients must be integers"):
             FusionElement.from_json_dict({"level": 1, "coeffs": [bad, 0]})
+
+
+def _full_integer_rule(value, what):
+    """The integer rule with no exact-int shortcut: every value is tested
+    for bools and ``__index__`` and passed through ``operator.index``."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+class _Level(IntEnum):
+    FOUR = 4
+
+
+@pytest.mark.parametrize("value", [0, -3, 2**80, np.int64(4), np.uint8(2), _Level.FOUR, True,
+                                   np.bool_(True), 1.0, np.float64(2.0), "2", None])
+def test_integer_rule_shortcut_changes_no_outcome(value):
+    """A plain int skips the full rule; every value gets the full rule's
+    result, of the same exact type, or its exception with the same message."""
+    def outcome(rule):
+        try:
+            result = rule(value, "level")
+        except Exception as exc:
+            return type(exc), str(exc)
+        return type(result), result
+    assert outcome(_check_int) == outcome(_full_integer_rule)

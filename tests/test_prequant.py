@@ -21,6 +21,16 @@ from verlinde.prequant import (
 )
 
 
+def _odd_genus_surfaces():
+    return [SurfaceData(k, h, labels) for k in range(1, 22, 2) for h in (1, 2)
+            for labels in ((), (0,), (1, k), (k,))]
+
+
+def _many_star_surfaces():
+    return [SurfaceData(k, h, (k // 2,) * r + extra) for k in range(2, 23, 4)
+            for h in (0, 1) for r in range(3, 7) for extra in ((), (1,), (0, k))]
+
+
 class TestSurfaceData:
     def test_star_count(self):
         surf = SurfaceData(4, 1, (2, 0, 2, 3))
@@ -68,7 +78,7 @@ class TestSurfaceData:
 
     def test_hash_is_taken_once_and_survives_pickling(self):
         surf = SurfaceData(8, 1, (4, 0, 4, 4))
-        assert "_hash" not in vars(surf)
+        assert vars(surf)["_hash"] == hash((8, 1, (4, 0, 4, 4)))
         first = hash(surf)
         assert vars(surf)["_hash"] == first == hash(surf)
         assert hash(SurfaceData(8, 1, [4, 0, 4, 4])) == first
@@ -77,6 +87,15 @@ class TestSurfaceData:
                      pickle.loads(pickle.dumps(SurfaceData(8, 1, (4, 0, 4, 4))))):
             assert copy == surf and hash(copy) == first
             assert {copy: 1}[surf] == 1
+
+    def test_a_pickle_of_the_fields_alone_loads_whole(self):
+        """A pickle that carries no derived data, as one written when the
+        data was derived on first use, unpickles with all of it."""
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        rebuild, args, state = surf.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
+        old = rebuild(*args)
+        old.__setstate__({name: state[name] for name in ("level", "genus", "labels")})
+        assert vars(old) == vars(surf) and hash(old) == hash(surf)
 
 
 class TestAdmissibility:
@@ -116,15 +135,33 @@ class TestAdmissibility:
     def test_boolean_matches_the_report(self):
         surfaces = list(sweep_surfaces(20, 5, 2))
         assert len(surfaces) == 1141
-        odd_genus = [SurfaceData(k, h, labels) for k in range(1, 22, 2) for h in (1, 2)
-                     for labels in ((), (0,), (1, k), (k,))]
-        many_stars = [SurfaceData(k, h, (k // 2,) * r + extra) for k in range(2, 23, 4)
-                      for h in (0, 1) for r in range(3, 7) for extra in ((), (1,), (0, k))]
+        odd_genus, many_stars = _odd_genus_surfaces(), _many_star_surfaces()
         for surf in odd_genus + many_stars:
             assert not check_prequantization(surf).admissible, surf
         for surf in surfaces + odd_genus + many_stars:
             fresh = SurfaceData(surf.level, surf.genus, surf.labels)
             assert fresh._admissible is check_prequantization(fresh).admissible, surf
+
+
+def test_derived_fields_match_a_reference():
+    """The data a surface derives when it is built, against a reference
+    taken from the raw inputs: its star slots are the j with 2 m_j = k, its
+    other labels stay in order, and its boolean is the report's verdict."""
+    surfaces = list(sweep_surfaces(20, 5, 2)) + _odd_genus_surfaces() + _many_star_surfaces()
+    inputs = [(s.level, s.genus, s.labels) for s in surfaces] + [
+        (0, 0, ()), (0, 1, (0,)), (0, 0, (0, 0, 0)), (4, 0, ()), (5, 2, ()),
+        (np.int64(8), np.int32(1), (np.int64(4), np.uint8(4), np.int16(3), 4)),
+        (np.uint8(6), np.int64(0), (np.int8(3), np.int64(0))),
+    ]
+    for level, genus, labels in inputs:
+        surf = SurfaceData(level, genus, labels)
+        k, h, ms = int(level), int(genus), tuple(map(int, labels))
+        slots = tuple(j for j, m in enumerate(ms) if 2 * m == k)
+        assert surf.star_slots == slots and surf.star_count == len(slots), surf
+        assert surf.nonstar_labels == tuple(m for j, m in enumerate(ms) if j not in slots)
+        assert surf._admissible is check_prequantization(surf).admissible, surf
+        assert vars(surf)["_hash"] == hash((k, h, ms)) == hash(surf)
+        assert all(type(x) is int for x in surf.star_slots + surf.nonstar_labels)
 
 
 class TestGammaEnumeration:

@@ -120,6 +120,12 @@ class TestBuildingBlocks:
         assert quantize_double_su2(1) == FusionElement(1, (2, 0))
         assert quantize_double_su2(2) == FusionElement(2, (3, 0, 1))
 
+    def test_double_su2_closed_form(self):
+        """sum_{j even} (k - j + 1) tau_j, term by term, for every k to 400."""
+        for k in range(401):
+            expected = tuple(0 if j % 2 else k - j + 1 for j in range(k + 1))
+            assert quantize_double_su2(k).coeffs == expected, k
+
     @pytest.mark.parametrize("k", range(0, 33))
     def test_double_su2_trace_counts_basis(self, k):
         assert quantize_double_su2(k).trace == k + 1
