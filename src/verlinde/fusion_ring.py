@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, index, mul, sub
@@ -131,7 +131,7 @@ def integrality_tolerance() -> float:
 
 
 def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralValue,
-                     context: str = "value") -> int:
+                     context: str = "value", bound: float = 0.0) -> int:
     """Round ``value`` to the nearest integer, checking it is close enough.
 
     The allowed deviation, DEFAULT_TOLERANCE (1 + |value|), scales with the
@@ -140,13 +140,19 @@ def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralVa
     half-integral result always raises ``exc``.  A value that is not finite
     (a float sum out of double range) raises PrecisionExhausted, and so does
     one at or above 2^53 in magnitude: doubles there skip integers, so the
-    nearest one may not be the integer the sum approximates.
+    nearest one may not be the integer the sum approximates.  So does a
+    value whose rounding error ``bound``, given by the caller, is not below
+    1/2 (nan included): its nearest integer may be another.
     """
     if not math.isfinite(value):
         raise PrecisionExhausted(f"{context} = {value!r} is out of double range")
     if abs(value) >= _EXACT_INTEGER_BOUND:
         raise PrecisionExhausted(f"{context} = {value!r} is not below 2^53 in magnitude, "
                                  "where doubles skip integers: double precision cannot "
+                                 "certify it")
+    if not bound < 0.5:
+        raise PrecisionExhausted(f"{context} = {value!r} has a rounding error bound of "
+                                 f"{bound:.3e}, not below 1/2: double precision cannot "
                                  "certify it")
     nearest = round(value)
     allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
@@ -496,7 +502,28 @@ def multiply_coeff_vectors(k: int, a: Sequence[int], b: Sequence[int]) -> list[i
     return out if a[m] == 1 else [a[m] * x for x in out]
 
 
-@dataclass(frozen=True)
+def _value_class(cls):
+    """``cls`` as a frozen dataclass with slots: an instance has no dict, so
+    a trusted constructor sets each field through its slot descriptor.
+
+    A pickle loads through the checked constructor from either state: the
+    list of field values this layout writes, or the field dict an instance
+    dict held before.  It is set after the class is built, so that no
+    dataclass version puts its own slots ``__setstate__`` in its place: that
+    one zips a dict's keys, not its values, into the fields."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, Mapping):
+            state = map(state.__getitem__, names)
+        self.__init__(*state)
+
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+@_value_class
 class FusionElement:
     """Element of R_k(SU(2)) as a dense exact-integer vector in the tau basis."""
 
@@ -516,7 +543,8 @@ class FusionElement:
         """An element from a checked level and a tuple of k + 1 exact ints
         (they were computed from valid elements); skips the checks."""
         self = object.__new__(cls)
-        vars(self).update(level=k, coeffs=coeffs)
+        _set_level(self, k)
+        _set_coeffs(self, coeffs)
         return self
 
     @classmethod
@@ -626,6 +654,11 @@ class FusionElement:
         for t in terms[1:]:
             text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return text
+
+
+# The slot setters of ``FusionElement._trusted``: a frozen class's
+# object.__setattr__ looks each name up, a descriptor's __set__ does not.
+_set_level, _set_coeffs = FusionElement.level.__set__, FusionElement.coeffs.__set__
 
 
 # Unit roundoff of IEEE double precision.

@@ -21,7 +21,7 @@ from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fusion_ring import _check_int, _check_ints, _check_level
+from .fusion_ring import _check_int, _check_ints, _check_level, _value_class
 
 __all__ = [
     "SurfaceData",
@@ -127,7 +127,7 @@ class SurfaceData:
         return cls(data["level"], data["genus"], data.get("labels", ()))
 
 
-@dataclass(frozen=True)
+@_value_class
 class GammaElement:
     """Element of Gamma as a bit vector over the s+2h slots (1 means c)."""
 
@@ -141,7 +141,9 @@ class GammaElement:
         """An element from bits already known to satisfy the invariants (they
         were generated, or combined from valid elements); skips the checks."""
         self = object.__new__(cls)
-        vars(self).update(bits=bits, star_slots=star_slots, num_boundary=num_boundary)
+        _set_bits(self, bits)
+        _set_star_slots(self, star_slots)
+        _set_num_boundary(self, num_boundary)
         return self
 
     def __post_init__(self):
@@ -191,7 +193,11 @@ class GammaElement:
                                      self.star_slots, self.num_boundary)
 
 
-@dataclass(frozen=True)
+_set_bits, _set_star_slots, _set_num_boundary = (
+    GammaElement.bits.__set__, GammaElement.star_slots.__set__, GammaElement.num_boundary.__set__)
+
+
+@_value_class
 class PrequantChoice:
     """Pre-quantization label: psi(gamma) = (-1)^<psi_bits, gamma bits>."""
 
@@ -202,7 +208,7 @@ class PrequantChoice:
         """A choice from a tuple of 0/1 ints already known to be valid (it
         was generated); skips the checks."""
         self = object.__new__(cls)
-        vars(self)["psi_bits"] = psi_bits
+        _set_psi_bits(self, psi_bits)
         return self
 
     def __post_init__(self):
@@ -222,6 +228,9 @@ class PrequantChoice:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PrequantChoice":
         return cls(data["psi_bits"])
+
+
+_set_psi_bits = PrequantChoice.psi_bits.__set__
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ rule in ``fusion_ring._fold`` and the two linear steps it implies,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
@@ -73,6 +72,7 @@ from .fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _UNIT_ROUNDOFF,
     _add_star_idempotent,
     _check_index,
     _check_int,
@@ -112,8 +112,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantizationResult:
+class QuantizationResult(NamedTuple):
+    """A path's element, its reduced value (the trace) and the path's name,
+    with the canonical choice for the surface paths; a named tuple, so a
+    request builds it with no instance dict."""
+
     element: FusionElement
     reduced: int
     path: str
@@ -122,11 +125,9 @@ class QuantizationResult:
     @classmethod
     def of(cls, element: FusionElement, path: str,
            choice: PrequantChoice | None = None) -> "QuantizationResult":
-        """The result for ``element``, its reduced value read off the trace;
-        built like ``FusionElement._trusted``, as no field needs a check."""
-        self = object.__new__(cls)
-        vars(self).update(element=element, reduced=element.trace, path=path, choice=choice)
-        return self
+        """The result for ``element``, its reduced value read off the trace
+        (tau_0's coefficient); one tuple.__new__, as no field needs a check."""
+        return tuple.__new__(cls, (element, element.coeffs[0], path, choice))
 
     def to_json_dict(self) -> dict:
         data = self.element.to_json_dict()
@@ -393,6 +394,7 @@ class _GammaData(NamedTuple):
     bound: float  # their rounding-error bound
     at_half: float  # the identity term / |Gamma| at l = k/2
     reduced: float  # the reduced identity term summed over l != k/2, / |Gamma|
+    mass: float  # the sum of its terms' absolute values, / |Gamma|
     nonstar: float  # prod S[m, k/2] over the non-star labels
     s0_half: float  # S[0, k/2]
     star_half: float  # S[k/2, k/2]
@@ -404,9 +406,11 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     l, taken to the tau basis by one sine transform; its reduced form
     (exponent s+2h-2) summed over l != k/2; and the factors of the block
     sum at l = k/2.  Only the S-matrix rows of the labels, 0 and k/2 are
-    read, from the row cache.  1/|Gamma| is exact, |Gamma| being a power of
-    two; a value out of double range becomes inf or nan, without a warning,
-    and its rounding raises PrecisionExhausted."""
+    read, from the row cache.  The reduced form keeps the sum of its terms'
+    absolute values beside it, the scale of its rounding error.  1/|Gamma|
+    is exact, |Gamma| being a power of two; a value out of double range
+    becomes inf or nan, without a warning, and its rounding raises
+    PrecisionExhausted."""
     k, n, half = surface.level, surface.num_slots, surface.level // 2
     inverse = 1 / surface.gamma_size()
     row0 = _s_row(k, 0)
@@ -415,11 +419,16 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     with np.errstate(all="ignore"):
         full = np.prod(rows, axis=0)
         identity = full / row0 ** n * inverse
+        terms = np.delete(full / row0 ** (n - 2), half).tolist()
         try:  # fsum raises on an intermediate overflow and on inf - inf
-            reduced = math.fsum(np.delete(full / row0 ** (n - 2), half).tolist()) * inverse
+            reduced = math.fsum(terms) * inverse
         except (OverflowError, ValueError):
             reduced = math.nan
-        return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced,
+        try:
+            mass = math.fsum(map(abs, terms)) * inverse
+        except OverflowError:
+            mass = math.inf
+        return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced, mass,
                           nonstar, float(row0[half]), float(_s_row(k, half)[half]))
 
 
@@ -500,12 +509,31 @@ def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
 
 
+# The reduced sum's rounding error per unit of sum |terms| and per factor
+# (label or slot).  A term is s entries S[m_j, l] over S[0, l]^(n-2), s the
+# label count and n the slot count; the block sum's factors at l = k/2 are
+# the same entries.  Taking each entry as computed to within 2u of its value
+# (its sine, sqrt and division), the term's relative error is at most 2u per
+# entry, S[0, l]'s multiplied by n - 2 in the power, plus u per product, the
+# power and the division: (3s + 2n - 3) u.  The fsum and the final sum add
+# 2u relative to sum |terms|, and 1/|Gamma|, a power of two, is exact; so
+# c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  The entries' angles,
+# rounded before the sine, can be off by more, so the bound is a floor:
+# a sum that reaches 1/2 is refused, one below it is not thereby certified.
+_REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
+
+
 @_class_outcome
 def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
     """The class's reduced value, rounded once; cached as its outcome, as
-    ``_fs_element``, a NonIntegralValue or PrecisionExhausted included."""
-    value = _fs_gamma_data(surface).reduced + _block_sum(surface, a, d, surface.num_slots - 2)
-    return round_to_integer(value, exc=NonIntegralValue, context="reduced quantization")
+    ``_fs_element``, a NonIntegralValue or PrecisionExhausted included.
+    PrecisionExhausted comes too when the sum's rounding error floor
+    c (s + n) u sum |terms| (``_REDUCED_ERROR``) is not below 1/2."""
+    data = _fs_gamma_data(surface)
+    block = _block_sum(surface, a, d, surface.num_slots - 2)
+    bound = _REDUCED_ERROR * (len(surface.labels) + surface.num_slots) * (data.mass + abs(block))
+    return round_to_integer(data.reduced + block, exc=NonIntegralValue,
+                            context="reduced quantization", bound=bound)
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> QuantizationResult:
@@ -528,9 +556,11 @@ def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> Qu
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None) -> int:
     """The scalar S-matrix sum (quantization of the symplectic quotient),
     summed block by block with exponent s+2h-2, once per choice class.
-    Raises PrecisionExhausted when the sum is out of double range or not
-    below 2^53, and NonIntegralValue when it fails to round; a class's
-    failure is computed once and raised anew on every request."""
+    Raises PrecisionExhausted when the sum is out of double range, not
+    below 2^53, or formed from terms so large that its rounding error floor
+    (``_REDUCED_ERROR``) is not below 1/2, and NonIntegralValue when it
+    fails to round; a class's failure is computed once and raised anew on
+    every request."""
     _, a, d = _canonical_class(surface, choice)
     value = _reduced_value(surface, a, d)
     if isinstance(value, ArithmeticError):

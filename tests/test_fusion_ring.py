@@ -443,6 +443,17 @@ class TestRoundToInteger:
             with pytest.raises(PrecisionExhausted, match="tau_1 coefficient = .* 2\\^53"):
                 _round_coefficients(1, np.array([0.0, sign * value]), 0.0)
 
+    def test_error_bound_from_one_half_is_precision_exhausted(self):
+        assert round_to_integer(3.0 + 1e-9, bound=0.499) == 3
+        for bound in (0.5, math.inf, math.nan):
+            with pytest.raises(PrecisionExhausted, match="rounding error bound of .* not below 1/2"):
+                round_to_integer(3.0, bound=bound)
+        # the range checks come first, with their own messages
+        with pytest.raises(PrecisionExhausted, match="not below 2\\^53"):
+            round_to_integer(2.0**53, bound=1.0)
+        with pytest.raises(PrecisionExhausted, match="out of double range"):
+            round_to_integer(math.inf, bound=math.inf)
+
 
 class TestTrace:
     def test_unit_trace(self):

@@ -1,5 +1,7 @@
+import copyreg
 import inspect
 import math
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -19,6 +21,7 @@ from verlinde.fusion_ring import (
     s_matrix_entry,
 )
 from verlinde.prequant import (
+    GammaElement,
     GroupTooLarge,
     NotAdmissible,
     PrequantChoice,
@@ -858,6 +861,29 @@ class TestReducedQuantization:
             assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
 
 
+def test_a_reduced_sum_that_cancels_past_its_precision_is_refused():
+    # The terms near 2e20 cancel to a value below 2^53 that rounds cleanly
+    # to -483328, while the trace is 0: the sum's rounding error floor is
+    # far above 1/2, so it is refused rather than returned.
+    surf, choice = SurfaceData(8, 0, (4,) * 100), PrequantChoice((0,) * 99 + (1,))
+    assert quantize_surface(surf, choice).reduced == 0
+    with pytest.raises(PrecisionExhausted, match="reduced quantization = .* rounding error bound"):
+        reduced_quantization(surf, choice)
+
+
+def test_the_reduced_error_floor_stays_far_below_half_on_the_sweep():
+    # A correct reduced value is never refused by the floor: on the sweep's
+    # classes it is below 1e-9.
+    worst = 0.0
+    for surf in sweep_surfaces(20, 5, 2):
+        data = quantization._fs_gamma_data(surf)
+        for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
+            block = quantization._block_sum(surf, a, d, surf.num_slots - 2)
+            worst = max(worst, quantization._REDUCED_ERROR * (len(surf.labels) + surf.num_slots)
+                        * (data.mass + abs(block)))
+    assert 0 < worst < 1e-9
+
+
 class TestVerlindeBaseline:
     def test_genus_two_level_one(self):
         assert verlinde_baseline(SurfaceData(1, 2, ())).reduced == 4
@@ -935,3 +961,107 @@ def test_r2_pair_identity():
         plus = quantize_star_block(k, 2, "+")
         minus = quantize_star_block(k, 2, "-")
         assert plus + minus == tau_power(k, 2)
+
+
+# Object layout: results are named tuples, and the value objects a request
+# builds are frozen dataclasses with slots, so a request makes no instance
+# dict (a trusted constructor that wrote through vars() made every later
+# field read slower).
+
+def _dict_state_reduce(obj):
+    """The reduce tuple of ``obj`` as the dict-based layout pickled it
+    (protocol 2 and up): the class, and the instance dict as the state."""
+    return copyreg.__newobj__, (type(obj),), {name: getattr(obj, name) for name in obj.__match_args__}
+
+
+def _load(reduce):
+    """What an unpickler builds from ``reduce``: the object, then its state."""
+    rebuild, args, state = reduce
+    obj = rebuild(*args)
+    obj.__setstate__(state)
+    return obj
+
+
+def _value_objects():
+    """Trusted objects of each slotted class, from a request's paths."""
+    surf = SurfaceData(8, 1, (4, 0, 4, 4))
+    choices = enumerate_choices(surf)
+    gammas = enumerate_gamma(surf)
+    return [quantize_surface(surf, choices[1]).element, fs_formula(surf, choices[2]).element,
+            tau(4, 2), *choices[:3], canonicalize_choice(surf, (1, 1, 0, 1, 1, 0)),
+            gammas[1], gammas[1] * gammas[2]]
+
+
+def _checked(obj):
+    """``obj`` rebuilt by its class's checked constructor."""
+    return type(obj)(*(getattr(obj, name) for name in obj.__match_args__))
+
+
+class TestObjectLayout:
+    def test_result_fields_order_and_default(self):
+        assert QuantizationResult._fields == ("element", "reduced", "path", "choice")
+        assert QuantizationResult._field_defaults == {"choice": None}
+        element = tau(4, 2)
+        assert QuantizationResult(element, 0, "closed_form") == (element, 0, "closed_form", None)
+
+    def test_results_compare_and_hash_by_their_fields(self):
+        surf = SurfaceData(4, 1, (2, 2))
+        result = quantize_surface(surf, PrequantChoice((0, 0, 1, 1)))
+        element, reduced, path, choice = result
+        same = QuantizationResult(FusionElement(4, element.coeffs), reduced, path,
+                                  PrequantChoice(choice.psi_bits))
+        assert result == same and hash(result) == hash(same)
+        assert result._asdict() == {"element": element, "reduced": 1, "path": "closed_form",
+                                    "choice": choice}
+        assert result._replace(path="fs_float") == fs_formula(surf, choice)
+        assert result != result._replace(choice=None)
+
+    def test_results_are_read_only(self):
+        result = verlinde_baseline(SurfaceData(4, 1, (2, 2)))
+        for name in QuantizationResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+
+    def test_result_json_is_unchanged(self):
+        surf, choice = SurfaceData(4, 1, (2, 2)), PrequantChoice((0, 0, 1, 1))
+        closed = {"level": 4, "coeffs": [1, 0, 2, 0, 1], "reduced": 1, "path": "closed_form",
+                  "choice": {"psi_bits": [0, 0, 1, 1]}}
+        assert quantize_surface(surf, choice).to_json_dict() == closed
+        assert fs_formula(surf, choice).to_json_dict() == {**closed, "path": "fs_float"}
+        assert verlinde_baseline(surf).to_json_dict() == {
+            "level": 4, "coeffs": [9, 0, 15, 0, 9], "reduced": 9, "path": "closed_form",
+            "choice": None}
+
+    def test_request_objects_have_no_instance_dict(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        results = [quantize_surface(surf, c) for c in enumerate_choices(surf)[:2]]
+        results += [fs_formula(surf), verlinde_baseline(surf)]
+        for obj in results + _value_objects():
+            assert not hasattr(obj, "__dict__"), obj
+        for obj in _value_objects():
+            assert obj == _checked(obj) and hash(obj) == hash(_checked(obj))
+            with pytest.raises(AttributeError):
+                object.__setattr__(obj, "extra", 1)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_value_objects_pickle_whole(self, protocol):
+        for obj in _value_objects():
+            copy = pickle.loads(pickle.dumps(obj, protocol))
+            assert copy == obj and hash(copy) == hash(obj)
+            assert not hasattr(copy, "__dict__")
+
+    def test_a_pickle_of_the_dict_layout_loads_whole(self):
+        """A pickle written when these objects kept an instance dict loads
+        through the checked constructor, as an equal object."""
+        for obj in _value_objects():
+            old = _load(_dict_state_reduce(obj))
+            assert old == obj and hash(old) == hash(obj), obj
+            assert not hasattr(old, "__dict__")
+        rebuild, args, state = _dict_state_reduce(PrequantChoice((0, 1)))
+        with pytest.raises(ValueError, match="0/1 entries"):
+            _load((rebuild, args, {"psi_bits": (0, 2)}))
+
+    def test_a_pickle_of_a_dict_layout_result_fails_loudly(self):
+        # A tuple cannot be built empty and filled in afterwards.
+        with pytest.raises(TypeError):
+            _load(_dict_state_reduce(verlinde_baseline(SurfaceData(4, 1, (2, 2)))))
