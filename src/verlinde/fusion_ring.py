@@ -39,10 +39,16 @@ orthogonal; its columns give the idempotent basis
 
     taut_l = sum_m S[0,l] S[m,l] tau_m,      taut_m(t_l) = delta_{m,l},
 
-which diagonalizes the fusion product.  All tau-basis coefficients are
-arbitrary-precision Python integers; floating point enters only through
-evaluation and the basis change, which are cross-checks against the exact
-path, never the authority.
+which diagonalizes the fusion product.  Every sine here, of an S-matrix
+entry, a special-point value or a transform weight, is sin(e pi/N) for an
+integer e, N = k+2, and ``_fold_angle`` reduces e in integers first:
+sin(e pi/N) = +-sin(f pi/N) with 0 <= f <= N/2.  So no float angle exceeds
+pi/2 in magnitude, where the sine's condition number is at most 1, and an
+S-matrix entry is within 6.36 units of roundoff of its value however large
+(m+1)(l+1) is, and exactly 0.0 where N divides (m+1)(l+1).  All tau-basis
+coefficients are arbitrary-precision Python integers; floating point enters
+only through evaluation and the basis change, which are cross-checks against
+the exact path, never the authority.
 
 Both basis changes are one type-I discrete sine transform (DST-I) of
 length k+1, computed as the real FFT of its odd extension: O(k log k) time
@@ -202,13 +208,37 @@ def s_matrix_entry(k: int, m: int, l: int) -> float:
     return float(_s_row(k, _check_index(k, m, "m"))[_check_index(k, l, "l")])
 
 
-def _s_rows(k: int, rows: Sequence[int]) -> np.ndarray:
-    """Rows ``rows`` of the level-k S-matrix as a new read-only array.  Every
-    S-matrix entry is computed by this one elementwise expression, so a row
-    read alone is bit-identical to the same row of ``s_matrix``."""
-    mm = np.arange(1, k + 2)
-    mat = np.sin(np.outer(np.asarray(rows) + 1, mm) * (math.pi / (k + 2))) \
-        / math.sqrt(k / 2 + 1)
+def _fold_angle(n: int, e):
+    """z with sin(e pi/n) = sin(z pi/(2n)) and |z| <= n, for an integer or a
+    numpy integer array e: the one angle-reduction rule of every sine in the
+    package, exact in integers.  In half steps pi/(2n) the angle is 2e; the
+    triangle wave z = n - |2n - ((2e + n) mod 4n)|, of period 4n and slope
+    +-1, equals 2e for |2e| <= n and takes every angle to one in
+    [-pi/2, pi/2] with the same sine, as sin(x + 2 pi) = sin(pi - x) = sin x.
+    It is the fold of r = e mod n to min(r, n - r), doubled and negated when
+    e mod 2n > n: z is even, z/2 an integer of absolute value at most n/2,
+    and z = 0, a sine of exactly +0.0, when n divides e."""
+    return n - abs(2 * n - (2 * e + n) % (4 * n))
+
+
+def _sin_pi(n: int, e: np.ndarray) -> np.ndarray:
+    """sin(e pi/n) for a numpy integer array e, each angle folded by
+    ``_fold_angle`` into [-pi/2, pi/2] before its sine.  z pi/(2n) rounds
+    as (z/2) pi/n does, a power of two apart."""
+    return np.sin(_fold_angle(n, e) * (math.pi / (2 * n)))
+
+
+def _s_entries(k: int, e: np.ndarray) -> np.ndarray:
+    """The level-k S-matrix entries (k/2+1)^(-1/2) sin(e pi/(k+2)) of the
+    products e = (m+1)(l+1), an integer array, as a new read-only array.
+    Every S-matrix entry is computed by this one elementwise expression, so a
+    row read alone is bit-identical to the same row of ``s_matrix``.  The
+    products, up to (k+1)^2, are reduced in integers (``_sin_pi``), so an
+    entry is exactly 0.0 where k+2 divides the product, and otherwise within
+    6.36u of its value relative, u = 2^-53: the folded angle's roundings, the
+    sine's, and the square root's and the division's
+    (tests/test_exact_angles.py derives it)."""
+    mat = _sin_pi(k + 2, e) / math.sqrt(k / 2 + 1)
     mat.setflags(write=False)
     return mat
 
@@ -217,23 +247,31 @@ def s_matrix(k: int) -> np.ndarray:
     """The full (k+1) x (k+1) S-matrix as a new read-only float array; the
     quantization paths read single rows (``_s_row``) instead."""
     k = _check_level(k)
-    return _s_rows(k, range(k + 1))
+    idx = np.arange(1, k + 2)
+    return _s_entries(k, np.outer(idx, idx))
 
 
-# Cached: 6,633 of the sweep's 6,710 row reads hit, and one _s_rows call per
+# Cached: 6,633 of the sweep's 6,710 row reads hit, and one S-matrix per
 # surface instead cut sweep ops_per_s by 7 %.
 @lru_cache(maxsize=1024)
 def _s_row(k: int, m: int) -> np.ndarray:
-    """Row m of ``s_matrix(k)`` without the matrix, read-only and bit-identical."""
-    return _s_rows(k, (m,))[0]
+    """Row m of ``s_matrix(k)`` without the matrix, read-only and bit-identical:
+    its products (m+1)(l+1) as one arithmetic progression."""
+    return _s_entries(k, np.arange(m + 1, (m + 1) * (k + 2), m + 1))
 
 
 def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
     """sum c chi_m(t_l) over the (m, c) in ``terms``, by the Weyl character
-    formula: sum c sin((m+1) theta) / sin(theta), theta the angle of t_l,
-    the sum exactly rounded (math.fsum); k and l are checked by the caller."""
-    theta = (l + 1) * math.pi / (k + 2)
-    return math.fsum(c * math.sin((m + 1) * theta) for m, c in terms) / math.sin(theta)
+    formula: sum c sin((m+1) theta) / sin(theta), theta = (l+1) pi/(k+2) the
+    angle of t_l, each multiple of theta reduced by ``_fold_angle`` before
+    its sine, and the sum exactly rounded (math.fsum); k and l are checked by
+    the caller."""
+    n, half_step = k + 2, math.pi / (2 * (k + 2))
+
+    def sine(e: int) -> float:
+        return math.sin(_fold_angle(n, e) * half_step)
+
+    return math.fsum(c * sine((m + 1) * (l + 1)) for m, c in terms) / sine(l + 1)
 
 
 class CharacterPoly:
@@ -694,8 +732,7 @@ def _fft_error(n: int) -> float:
 
 def _sines(k: int) -> np.ndarray:
     """sin((l+1) pi/(k+2)) for l = 0..k, the angle folded into (0, pi/2]."""
-    l = np.arange(1, k + 2)
-    return np.sin(np.minimum(l, k + 2 - l) * (math.pi / (k + 2)))
+    return _sin_pi(k + 2, np.arange(1, k + 2))
 
 
 def _sine_transform(y: np.ndarray) -> np.ndarray:

@@ -438,7 +438,8 @@ def _fs_star_factor(k: int, r: int, a: int, star_half: float) -> float:
     S[k/2, k/2]^2 = 1/(k/2+1): S[k/2, k/2]^(r mod 2) E / (k/2+1)^(r//2) for
     E = ``_krawtchouk_sum``, one correctly rounded division (PrecisionExhausted
     past double range).  Else r <= 2 and S[k/2, k/2] = 0 (the float row holds
-    about 1e-16): only w = r is left, 1, 0 or the chi coefficient for r = 0, 1, 2."""
+    exactly 0.0, its angle reduced in integers): only w = r is left, 1, 0 or
+    the chi coefficient for r = 0, 1, 2."""
     if k % 4:
         return _chi_coefficient(k, r, a) if r == 2 else 1 - r
     try:
@@ -517,9 +518,12 @@ def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
 # entry, S[0, l]'s multiplied by n - 2 in the power, plus u per product, the
 # power and the division: (3s + 2n - 3) u.  The fsum and the final sum add
 # 2u relative to sum |terms|, and 1/|Gamma|, a power of two, is exact; so
-# c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  The entries' angles,
-# rounded before the sine, can be off by more, so the bound is a floor:
-# a sum that reaches 1/2 is refused, one below it is not thereby certified.
+# c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  With every angle
+# reduced in integers (``fusion_ring._fold_angle``) an entry is within 6.36u
+# a priori and 2.7u measured against mpmath (tests/test_exact_angles.py),
+# at any k, and an entry that is 0 is exactly 0.0; but 2u per entry is below
+# the a priori figure, so the bound is a floor: a sum that reaches 1/2 is
+# refused, one below it is not thereby certified.
 _REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
 
 

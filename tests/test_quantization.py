@@ -337,11 +337,12 @@ def test_failing_class_is_transformed_once(monkeypatch):
     requests raise three new exceptions of one class and message, the
     failing step runs once, and the cached failure holds no traceback."""
     surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # fails to round at 1e-6
+    wide = SurfaceData(272, 2, (62, 78, 136, 136, 136, 249))  # error bound 10.8
     cases = [
         (surf, enumerate_choices(surf)[1], fs_formula, "_round_coefficients",
          NonIntegralCoefficient),
-        (surf, enumerate_choices(surf)[1], reduced_quantization, "round_to_integer",
-         NonIntegralValue),
+        (wide, enumerate_choices(wide)[1], reduced_quantization, "round_to_integer",
+         PrecisionExhausted),
         # the star factor of 2000 star labels is past double range
         (SurfaceData(8, 0, (4,) * 2000), None, fs_formula, "_fs_star_factor",
          PrecisionExhausted),
@@ -596,11 +597,13 @@ class TestChoiceClasses:
         assert len(elements) == 1
 
     def test_failure_is_the_same_for_the_whole_class(self):
-        surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))  # |Gamma| = 2^14
-        first, same_class = enumerate_choices(surf)[1:3]
-        assert _choice_class(surf, first) == _choice_class(surf, same_class)
-        for path, exc in ((fs_formula, NonIntegralCoefficient),
-                          (reduced_quantization, NonIntegralValue)):
+        for surf, path, exc in (
+                (SurfaceData(12, 6, (4, 6, 6, 6, 7)), fs_formula,  # |Gamma| = 2^14
+                 NonIntegralCoefficient),
+                (SurfaceData(272, 2, (62, 78, 136, 136, 136, 249)), reduced_quantization,
+                 PrecisionExhausted)):
+            first, same_class = enumerate_choices(surf)[1:3]
+            assert _choice_class(surf, first) == _choice_class(surf, same_class)
             messages = set()
             for choice in (first, first, same_class):
                 with pytest.raises(exc) as info:
@@ -859,6 +862,24 @@ class TestReducedQuantization:
         surf = SurfaceData(8, 1, (4, 4, 4))
         for choice in enumerate_choices(surf):
             assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
+
+    def test_equals_trace_where_products_pass_the_level(self):
+        # With the angles (m+1)(l+1) pi/126 rounded before the sine instead
+        # of reduced in integers, every one of the 64 values came out 2 too
+        # large, unrefused: 55537828315832 for 55537828315830 at psi = 0.
+        surf = SurfaceData(124, 2, (7, 24, 55, 62, 62, 62, 78))
+        choices = enumerate_choices(surf)
+        assert len(choices) == 64
+        for choice in choices:
+            assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
+
+
+def test_fs_vector_equals_the_closed_form_where_products_pass_the_level():
+    # With unreduced angles the tau_3 coefficient was off by 1.04e-6 and
+    # failed to round: NonIntegralCoefficient on valid input.
+    surf = SurfaceData(100, 3, ())
+    for choice in enumerate_choices(surf):
+        assert fs_formula(surf, choice).element == quantize_surface(surf, choice).element
 
 
 def test_a_reduced_sum_that_cancels_past_its_precision_is_refused():
