@@ -60,8 +60,10 @@ per request, and their only float cache is the S-matrix row cache
 arithmetic a priori (the FFT bound of Higham, *Accuracy and Stability of
 Numerical Algorithms*, Thm 24.2, plus the weighting of the inputs) and
 rounds only when that bound is below 1/2; otherwise it raises
-``PrecisionExhausted``.  The bound covers the basis change alone, not the
-error already in the values it is given.
+``PrecisionExhausted``.  It takes its values as exact; the S-matrix path
+of ``quantization`` passes the relative error of its values to the
+transform too, so that bound covers its whole sum, and each coefficient is
+rounded against it (``_round_coefficients``).
 """
 
 from __future__ import annotations
@@ -148,23 +150,35 @@ def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralVa
     one at or above 2^53 in magnitude: doubles there skip integers, so the
     nearest one may not be the integer the sum approximates.  So does a
     value whose rounding error ``bound``, given by the caller, is not below
-    1/2 (nan included): its nearest integer may be another.
+    1/2 (nan included): its nearest integer may be another.  A message that
+    rejects the value names that bound.
     """
+    allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
+    return _checked_round(value, allowed, bound, exc, context)
+
+
+def _checked_round(value: float, allowed: float, bound: float,
+                   exc: type[ArithmeticError], context: str) -> int:
+    """The nearest integer to ``value`` if it is finite, below 2^53 in
+    magnitude, has an error ``bound`` below 1/2 and lies within ``allowed``
+    of that integer; else PrecisionExhausted for the first three and ``exc``
+    for the last.  The one rounding rule of ``round_to_integer`` and
+    ``_round_coefficients``, which differ only in the allowance."""
     if not math.isfinite(value):
-        raise PrecisionExhausted(f"{context} = {value!r} is out of double range")
+        raise PrecisionExhausted(f"{context} = {value!r} is out of double range "
+                                 f"(error bound {bound:.3e})")
     if abs(value) >= _EXACT_INTEGER_BOUND:
         raise PrecisionExhausted(f"{context} = {value!r} is not below 2^53 in magnitude, "
                                  "where doubles skip integers: double precision cannot "
-                                 "certify it")
+                                 f"certify it (error bound {bound:.3e})")
     if not bound < 0.5:
         raise PrecisionExhausted(f"{context} = {value!r} has a rounding error bound of "
                                  f"{bound:.3e}, not below 1/2: double precision cannot "
                                  "certify it")
     nearest = round(value)
-    allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
     if abs(value - nearest) > allowed:
-        raise exc(f"{context} = {value!r} is not integral "
-                  f"(deviation {abs(value - nearest):.3e}, allowed {allowed:.3e})")
+        raise exc(f"{context} = {value!r} is not integral (deviation "
+                  f"{abs(value - nearest):.3e}, allowed {allowed:.3e}, error bound {bound:.3e})")
     return int(nearest)
 
 
@@ -743,10 +757,10 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:len(y) + 1] * -0.5
 
 
-def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
+def _sine_coefficients(values: Sequence[float],
+                       error: float = 0.0) -> tuple[np.ndarray, float]:
     """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
-    vector v (a read-only array), and an a priori bound on the rounding error
-    of computing them.
+    vector v (a read-only array), and an a priori bound on their error.
 
     c = (2/N) DST-I(x) with x_l = sin((l+1) pi/N) v_l, N = k+2.  The
     transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per entry
@@ -754,8 +768,10 @@ def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
     that, and the DST takes half an imaginary part); the weighting, the
     scaling and one later sum add at most _WEIGHT_ERROR sum |x_l| <=
     _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
-    scaled by 2/N, and _UNDERFLOW is added.  The values themselves are
-    taken as exact.
+    scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is taken as
+    within ``error`` of its true value, relative, given by the caller (0
+    for exact values): the transform is linear with weights of absolute
+    value at most 1, so that adds error (2/N) sum |x_l| to every entry.
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
@@ -763,22 +779,27 @@ def _sine_coefficients(values: Sequence[float]) -> tuple[np.ndarray, float]:
     scale = 2.0 / (n + 1)
     coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
-    norm = math.hypot(*x.tolist())  # ||x||_2; neither underflows nor overflows
+    weighted = x.tolist()
+    norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
+    if error:  # a float sum past double range is inf, with no warning
+        bound += error * scale * sum(map(abs, weighted))
     return coeffs, bound + _UNDERFLOW
 
 
-def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
-                         delta: float) -> tuple[np.ndarray, float]:
-    """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (rounding
-    error at most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2}
-    is exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
+def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float, delta: float,
+                         delta_error: float) -> tuple[np.ndarray, float]:
+    """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (error at
+    most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2} is
+    exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
     S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  The bound grows by the
     rounding of the step delta 2/N (forming delta as a difference of two
-    values, 2/N and the product: 3u) and of its part in each sum (u); the
-    sum's part from ``coeffs`` is in their bound already.  A bound that is
-    not finite certifies nothing, and the coefficients are left as they are."""
-    bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
+    values, 2/N and the product: 3u) and of its part in each sum (u), and
+    by ``delta_error`` (2/N), delta_error being the error delta carries in
+    from the values it is formed from; the sum's part from ``coeffs`` is in
+    their bound already.  A bound that is not finite certifies nothing,
+    and the coefficients are left as they are."""
+    bound += (5 * _UNIT_ROUNDOFF * abs(delta) + delta_error) * (2.0 / (k + 2))
     if not math.isfinite(bound):
         return coeffs, bound
     star = np.zeros(k + 1)
@@ -790,18 +811,22 @@ def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
 
 
 def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionElement:
-    """Round the k + 1 raw tau-coefficients ``coeffs``, whose rounding error
-    is at most ``bound``.
+    """Round the k + 1 raw tau-coefficients ``coeffs``, whose error is at
+    most ``bound`` a priori.
 
     Raises PrecisionExhausted unless the bound is below 1/2 (nan included).
-    Then every coefficient is tested at once by ``round_to_integer``'s rule:
-    below 2^53 in magnitude, and the nearest integer, ties to even, within
-    min(DEFAULT_TOLERANCE (1 + |c|), 0.499).  No allowance is below
-    DEFAULT_TOLERANCE, so two maxima pass the usual vector, and only one
-    that fails them is tested coefficient by coefficient.  The first
-    coefficient that fails goes to ``round_to_integer`` itself, which
+    Then every coefficient is tested at once: below 2^53 in magnitude, and
+    the nearest integer, ties to even, within the allowance
+    max(bound, min(DEFAULT_TOLERANCE (1 + |c|), 0.499)).  A coefficient
+    within the bound of an integer is that integer, as the bound is below
+    1/2; one further from every integer than the bound cannot be, so it
+    signals a real disagreement (a wrong phase), never a precision limit.
+    The allowance is never below ``round_to_integer``'s, so with bound 0
+    this is that rule.  No allowance is below max(bound, DEFAULT_TOLERANCE),
+    so two maxima pass the usual vector, and only one that fails them is
+    tested coefficient by coefficient.  The first coefficient that fails
     raises NonIntegralCoefficient (PrecisionExhausted if it is not finite
-    or not below 2^53).
+    or not below 2^53), naming its deviation, its allowance and the bound.
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
@@ -809,13 +834,14 @@ def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionEleme
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
     nearest = np.rint(coeffs)
     deviation, magnitude = np.abs(coeffs - nearest), np.abs(coeffs)
-    if not (deviation.max() <= DEFAULT_TOLERANCE and magnitude.max() < _EXACT_INTEGER_BOUND):
-        allowed = np.minimum(DEFAULT_TOLERANCE * (1.0 + magnitude), 0.499)
+    if not (deviation.max() <= max(bound, DEFAULT_TOLERANCE)
+            and magnitude.max() < _EXACT_INTEGER_BOUND):
+        allowed = np.maximum(np.minimum(DEFAULT_TOLERANCE * (1.0 + magnitude), 0.499), bound)
         passes = (deviation <= allowed) & (magnitude < _EXACT_INTEGER_BOUND)
         if not passes.all():
             m = int(passes.argmin())
-            round_to_integer(float(coeffs[m]), exc=NonIntegralCoefficient,
-                             context=f"tau_{m} coefficient")
+            _checked_round(float(coeffs[m]), float(allowed[m]), bound,
+                           NonIntegralCoefficient, f"tau_{m} coefficient")
     # every coefficient is below 2^53 now, so int64 holds it exactly
     return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
 
@@ -846,9 +872,10 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
     empty or not one-dimensional values raise ValueError.
 
     The coefficients come from one sine transform with an a priori bound on
-    its rounding error (``_sine_coefficients``).  Raises PrecisionExhausted
-    when that bound is not below 1/2, and NonIntegralCoefficient when a
-    coefficient is not integral within DEFAULT_TOLERANCE; the latter signals
+    its rounding error (``_sine_coefficients``, the values taken as exact).
+    Raises PrecisionExhausted when that bound is not below 1/2, and
+    NonIntegralCoefficient when a coefficient is further from an integer
+    than both that bound and DEFAULT_TOLERANCE allow; the latter signals
     an inconsistent vector (or a wrong phase factor upstream), not a
     numerical hiccup.
     """

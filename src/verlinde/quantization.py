@@ -400,10 +400,31 @@ class _GammaData(NamedTuple):
     star_half: float  # S[k/2, k/2]
 
 
+# The relative error of one value the S-matrix sum transforms: an identity
+# term prod_j S[m_j, l] / S[0, l]^n / |Gamma|, or the block sum at l = k/2.
+# Each S-matrix entry is within 6.36u of its value, relative, a priori, at
+# any k (``fusion_ring._s_entries``; tests/test_exact_angles.py derives it),
+# and a value reads s + n of them, s the label count and n the slot count,
+# S[0, l] n times through the power: 6.36 (s + n) u.  The identity term adds
+# s - 1 products, the power (within one ulp, 2u) and the division: s + 2
+# roundings.  The block sum reads at most s entries besides S[0, k/2] (the
+# non-star labels' and S[k/2, k/2] for odd r) and adds s' - 1 products of the
+# s' <= s non-star entries, the power, the division, the star factor (one
+# division of integers, one product) and its product: s' + 5 roundings.  The
+# double factor over |Gamma| and 1/|Gamma| are exact powers of two.  One
+# more u takes the second-order terms, below u while s + n < 10^6.  So
+# (6.36 (s + n) + s + 6) u bounds both.
+def _value_error(surface: SurfaceData) -> float:
+    """The relative error bound above of the surface's summed values."""
+    s = len(surface.labels)
+    return (6.36 * (s + surface.num_slots) + s + 6) * _UNIT_ROUNDOFF
+
+
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     """The identity term prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| for every
-    l, taken to the tau basis by one sine transform; its reduced form
+    l, taken to the tau basis by one sine transform, whose error bound covers
+    the values' own error (``_value_error``) as well; its reduced form
     (exponent s+2h-2) summed over l != k/2; and the factors of the block
     sum at l = k/2.  Only the S-matrix rows of the labels, 0 and k/2 are
     read, from the row cache.  The reduced form keeps the sum of its terms'
@@ -428,8 +449,9 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
             mass = math.fsum(map(abs, terms)) * inverse
         except OverflowError:
             mass = math.inf
-        return _GammaData(*_sine_coefficients(identity), float(identity[half]), reduced, mass,
-                          nonstar, float(row0[half]), float(_s_row(k, half)[half]))
+        return _GammaData(*_sine_coefficients(identity, _value_error(surface)),
+                          float(identity[half]), reduced, mass, nonstar, float(row0[half]),
+                          float(_s_row(k, half)[half]))
 
 
 def _fs_star_factor(k: int, r: int, a: int, star_half: float) -> float:
@@ -465,21 +487,27 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
 
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
-    """The raw tau-coefficients of the class (a, d) and their rounding-error
-    bound, before rounding; computed once per class, on a miss of
+    """The raw tau-coefficients of the class (a, d) and an a priori bound on
+    their error, before rounding; computed once per class, on a miss of
     ``_fs_element``, which keeps the outcome of rounding them.
 
     The class's values differ from the identity term / |Gamma| only at
     l = k/2, where they are ``_block_sum``, so the coefficients
     are the identity term's (one sine transform per surface) plus the
     difference times taut_{k/2} (``fusion_ring._add_star_idempotent``).
-    For odd k, Gamma = {e} and the identity term is the whole sum.
+    The bound is the whole sum's: the transform's, which covers the
+    identity term's own error, plus the block sum's, relative error
+    ``_value_error`` of |block|.  The identity term's value at l = k/2
+    enters the transform along taut_{k/2} and leaves with the difference,
+    so its error cancels; the transform's bound counts it anyway.  For odd
+    k, Gamma = {e} and the identity term is the whole sum.
     """
     data = _fs_gamma_data(surface)
     if surface.level % 2:
         return data.coeffs, data.bound
-    delta = _block_sum(surface, a, d, surface.num_slots) - data.at_half
-    return _add_star_idempotent(surface.level, data.coeffs, data.bound, delta)
+    block = _block_sum(surface, a, d, surface.num_slots)
+    return _add_star_idempotent(surface.level, data.coeffs, data.bound, block - data.at_half,
+                                _value_error(surface) * abs(block))
 
 
 def _class_outcome(fn):
