@@ -519,15 +519,19 @@ def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElem
 
 def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
     """Closed form vs S-matrix formula vs reduced scalar, over the sweep;
-    it counts the requests (pairs) and their distinct folded classes."""
+    it counts the requests (pairs), their distinct folded classes and the
+    classes the paths compute, those of the folded surfaces (no label 0)."""
     bad = 0
     pairs = 0
     negative = 0
     classes = set()
+    computed = set()
     for surface in sweep_surfaces(max_k, max_r, max_h):
         for choice in enumerate_choices(surface):
             pairs += 1
-            classes.add((surface, *_canonical_class(surface, choice)[1:]))
+            a_d = _canonical_class(surface, choice)[1:]
+            classes.add((surface, *a_d))
+            computed.add((surface._folded or surface, *a_d))
             closed = quantize_surface(surface, choice)
             through_s = fs_formula(surface, choice)
             if closed.element != through_s.element:
@@ -539,6 +543,7 @@ def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
     return CheckResult("cross_path_equality",
                        {"max_k": max_k, "max_r": max_r, "max_h": max_h,
                         "pairs": pairs, "classes": len(classes),
+                        "computed_classes": len(computed),
                         "negative_coefficient_results": negative},
                        bad == 0, float(bad))
 

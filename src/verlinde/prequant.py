@@ -66,9 +66,14 @@ class SurfaceData:
 
     Construction checks the fields and derives, once, what every path reads:
     ``star_slots`` (the j with 2 m_j = k), ``star_count``, ``nonstar_labels``
-    (the other labels, in order), ``_hash`` (the key of every result cache)
-    and ``_admissible`` (whether ``_CONDITIONS`` hold; (i) holds by
-    construction).  Equality, hash and repr see the fields alone.
+    (the other labels, in order), ``_hash`` (the key of every result cache),
+    ``_admissible`` (whether ``_CONDITIONS`` hold; (i) holds by
+    construction) and ``_folded``, the surface the quantization paths
+    compute on.  A boundary circle labelled 0 quantizes to tau_0, the unit,
+    so ``_folded`` is this surface with every label 0 removed when k > 0 (at
+    k = 0, label 0 is the star label and stays); it is None when there is
+    none to remove, so no surface refers to itself.  Equality, hash and repr
+    see the fields alone.
     """
 
     level: int
@@ -92,7 +97,9 @@ class SurfaceData:
                 ("_hash", hash((k, genus, labels))), ("star_slots", stars),
                 ("star_count", len(stars)),
                 ("nonstar_labels", tuple(m for m in labels if 2 * m != k)),
-                ("_admissible", _conditions_hold(k, genus, len(stars)))):
+                ("_admissible", _conditions_hold(k, genus, len(stars))),
+                ("_folded", SurfaceData(k, genus, tuple(filter(None, labels)))
+                 if k and 0 in labels else None)):
             object.__setattr__(self, name, value)
 
     @property

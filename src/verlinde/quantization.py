@@ -48,6 +48,20 @@ every request for the class.  The star entry points (``quantize_star_block``,
 ``localization_evaluate``) take their class from the same front end on a
 star-only surface, after the star conditions (ii') and (iii).
 
+A surface folds as well, to the surface its paths see.  A boundary circle
+labelled 0 quantizes to tau_0, the unit, and every path is multiplicative
+over the circles: in the closed form the basis step by tau_0 is the identity
+and tau_0(t_{k/2}) = 1 in the weight; in the S-matrix sums the label's row
+S[0, l] cancels one power of S[0, l], and |Gamma|, the class (a, d) and the
+admissibility conditions read no non-star label.  So each per-class cache
+(``_class_cache``) computes on ``SurfaceData._folded``, the surface without
+its labels 0, built once with the surface: the sweep's 1,141 surfaces fold
+to 581 and its 3,276 request classes to 1,678 computed ones.  The request
+keeps its own surface for the front end, so its result carries the
+canonical choice of all s + 2h slots.  The float paths' error bounds count
+the folded surface's entries, fewer than the request's, and stay sound
+bounds of the same sum.
+
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
 star block's sign-group sum in ``_krawtchouk_sum``, the doubles' phases in
@@ -59,7 +73,7 @@ rule in ``fusion_ring._fold`` and the two linear steps it implies,
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache, update_wrapper, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -208,7 +222,7 @@ def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
     return k, r, _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
-@lru_cache(maxsize=1024)  # one per (k, r, a): 7,264 of 7,360 sweep reads hit
+@lru_cache(maxsize=1024)  # one per (k, r, a): 3,704 of 3,800 sweep reads hit
 def _krawtchouk_sum(k: int, r: int, a: int) -> int:
     """E = sum_w star_sign(k, r, w) (k/2+1)^(w/2) K_w(a) over even w, psi
     having a bits set on the r star slots: K_w(a), the y^w coefficient of
@@ -311,7 +325,7 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     return _times_labels(k, FusionElement.one(k).coeffs, labels)
 
 
-@lru_cache(maxsize=512)  # one per (k, r, h): 975 of the sweep's 1,141 surfaces hit
+@lru_cache(maxsize=512)  # one per (k, r, h): 415 of the sweep's 581 folded surfaces hit
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
     h SO(3) doubles, with no dense product: D_SU(2) in closed form, h - 1
@@ -337,7 +351,8 @@ class _ClosedBase(NamedTuple):
     weight: int  # (D_SU(2)^h prod tau_m)(t_{k/2}) = (k/2+1)^h or its negative, or 0
 
 
-@lru_cache(maxsize=512)  # one per surface, read by each class: 2,135 of 3,276 sweep reads hit
+# one per folded surface, read by each class: 1,097 of 1,678 sweep reads hit
+@lru_cache(maxsize=512)
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     """X and the integers that give each class's multiple of chi.  X is
     ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
@@ -350,12 +365,28 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r, weight)
 
 
-# Per-class results: 28,048 of the 31,324 sweep requests repeat a class.
-# This cache keeps successes only: its one failure, InexactDivision, is a
-# bug, so a class that raises it raises again on every request.  The float
-# paths keep failures too (``_class_outcome``).
+def _class_cache(fn):
+    """``fn``, one path's computation for a class (surface, a, d), in an lru
+    cache of 1024 entries keyed by the request's surface and computed on its
+    folded surface (``SurfaceData._folded``, no label 0): a miss on a surface
+    that folds returns the cached result of its folded form, which is then
+    kept under the request's own key too, so a repeat request hits by
+    identity.  ``__wrapped__`` is ``fn``, which computes on the surface it is given."""
+    @lru_cache(maxsize=1024)
+    def cached(surface: SurfaceData, a: int, d: int):
+        folded = surface._folded
+        return fn(surface, a, d) if folded is None else cached(folded, a, d)
+    return update_wrapper(cached, fn)
 
-@lru_cache(maxsize=1024)
+
+# Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
+# their surface, and 1,598 of the 3,276 request classes are read from their
+# folded surface's entry, so 1,678 classes are computed.  This cache keeps
+# successes only: its one failure, InexactDivision, is a bug, so a class
+# that raises it raises again on every request.  The float paths keep
+# failures too (``_class_outcome``).
+
+@_class_cache
 def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     """The class (a, d)'s star block x doubles x non-star labels, as
     (X + mu chi) / (2^(r-1) 4^h).
@@ -512,15 +543,16 @@ def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, 
 
 def _class_outcome(fn):
     """``fn``, a float path's computation for one class (surface, a, d), in
-    an lru cache of 1024 outcomes: the value, or the NonIntegralCoefficient
+    a ``_class_cache`` of outcomes: the value, or the NonIntegralCoefficient
     (PrecisionExhausted included) or NonIntegralValue it raised.  The
     exception is stored as a new one of the same class and message that was
     never raised, so it pins no traceback (frames and their per-surface
     arrays) and no context; the caller raises a copy of it.  A class the
-    float path cannot certify is thus computed once, like any other: on
-    big_gamma 92 of the 96 requests per pass that fail ``fs_formula``
-    repeat a failing class."""
-    @lru_cache(maxsize=1024)
+    float path cannot certify is thus computed once, like any other, and
+    raised again on a repeat request without a new sum.  No benchmark
+    workload repeats a failing class: big_gamma fails no request, and
+    high_level's 8 failing ``fs_formula`` requests per pass are 8 classes."""
+    @_class_cache
     @wraps(fn)
     def outcome(surface: SurfaceData, a: int, d: int):
         try:
@@ -608,7 +640,8 @@ def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:
     choice-free base X = tau_{k/2}^r D_SU(2)^h prod tau_m (non-star m), read
     from the per-surface cache.
     """
-    return QuantizationResult.of(_closed_form_base(surface).element, "closed_form")
+    return QuantizationResult.of(_closed_form_base(surface._folded or surface).element,
+                                 "closed_form")
 
 
 def localization_evaluate(k: int, r: int, psi, l: int) -> float:

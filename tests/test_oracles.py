@@ -13,7 +13,7 @@ from verlinde.oracles import (
     structure_constants_verlinde,
     sweep_surfaces,
 )
-from verlinde.prequant import NotAdmissible, enumerate_choices
+from verlinde.prequant import NotAdmissible, SurfaceData, enumerate_choices
 from verlinde.quantization import quantize_star_block, tau_power
 
 
@@ -124,20 +124,26 @@ def test_negative_control_check():
 
 def test_cross_paths_counts_requests_and_folded_classes():
     # classes: a star bits set and d doubles with phi != (0, 0), read as
-    # min(a, r - a) and as min(d, 1) for k in 4N, else d mod 2
+    # min(a, r - a) and as min(d, 1) for k in 4N, else d mod 2; the paths
+    # compute a class on the surface without its labels 0 (except at k = 0,
+    # where 0 is the star label)
     result = check_cross_paths(8, 4, 2)
-    pairs, classes = 0, set()
+    pairs, classes, computed = 0, set(), set()
     for surf in sweep_surfaces(8, 4, 2):
-        r, s = surf.star_count, surf.num_boundary
+        r, s, k = surf.star_count, surf.num_boundary, surf.level
+        folded = SurfaceData(k, surf.genus, tuple(m for m in surf.labels if m or not k))
         for choice in enumerate_choices(surf):
             bits = choice.psi_bits
             a = sum(bits[j] for j in surf.star_slots)
             d = sum(bits[i] | bits[i + 1] for i in range(s, surf.num_slots, 2))
-            classes.add((surf, min(a, r - a), min(d, 1) if surf.level % 4 == 0 else d % 2))
+            a_d = min(a, r - a), min(d, 1) if k % 4 == 0 else d % 2
+            classes.add((surf, *a_d))
+            computed.add((folded, *a_d))
             pairs += 1
     assert result.passed
-    assert (result.params["pairs"], result.params["classes"]) == (pairs, len(classes))
-    assert len(classes) < pairs
+    assert (result.params["pairs"], result.params["classes"],
+            result.params["computed_classes"]) == (pairs, len(classes), len(computed))
+    assert len(computed) < len(classes) < pairs
 
 
 def test_suite_small_box_passes():

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +99,57 @@ class TestSurfaceData:
         old = rebuild(*args)
         old.__setstate__({name: state[name] for name in ("level", "genus", "labels")})
         assert vars(old) == vars(surf) and hash(old) == hash(surf)
+
+
+class TestFoldedSurface:
+    """``_folded``: the surface without its labels 0, which quantize to tau_0."""
+
+    def test_labels_zero_are_removed(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        assert surf._folded == SurfaceData(8, 1, (4, 4, 4))
+        assert surf._folded.star_slots == (0, 1, 2) and surf._folded._folded is None
+        assert SurfaceData(6, 2, (0, 0, 0))._folded == SurfaceData(6, 2, ())
+        assert SurfaceData(5, 0, (0, 1, 0, 3))._folded.labels == (1, 3)
+
+    def test_star_label_zero_stays(self):
+        # at k = 0 label 0 is the star label k/2
+        surf = SurfaceData(0, 0, (0, 0))
+        assert surf.star_count == 2 and surf._folded is None
+
+    @pytest.mark.parametrize("fields", [(8, 1, (4, 1, 8)), (4, 0, ()), (0, 1, (0,)),
+                                        (8, 1, (4, 0, 4, 4))])
+    def test_no_surface_refers_to_itself(self, fields):
+        # freed by reference counting alone, without the cyclic collector
+        surf = SurfaceData(*fields)
+        assert (surf._folded is None) == (fields[0] == 0 or 0 not in fields[2])
+        ref = weakref.ref(surf)
+        gc.disable()
+        try:
+            del surf
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_pickle_and_deepcopy_rebuild_the_folded_surface(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(surf, protocol))
+            assert loaded._folded == SurfaceData(8, 1, (4, 4, 4))
+            assert loaded._folded.star_slots == (0, 1, 2)
+        for copied in (copy.deepcopy(surf), copy.copy(surf)):
+            assert copied == surf and copied._folded == surf._folded
+        rebuild, args, state = surf.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
+        old = rebuild(*args)
+        old.__setstate__({name: state[name] for name in ("level", "genus", "labels")})
+        assert old._folded == surf._folded and old._folded._folded is None
+
+    def test_value_semantics_ignore_the_folded_surface(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        assert [f.name for f in dataclasses.fields(surf)] == ["level", "genus", "labels"]
+        assert repr(surf) == "SurfaceData(level=8, genus=1, labels=(4, 0, 4, 4))"
+        assert hash(surf) == hash((8, 1, (4, 0, 4, 4)))
+        assert surf != surf._folded and hash(surf) != hash(surf._folded)
+        assert dataclasses.astuple(surf) == (8, 1, (4, 0, 4, 4))
 
 
 class TestAdmissibility:

@@ -617,6 +617,103 @@ class TestChoiceClasses:
             assert len(messages) == 1
 
 
+def _unfolded_outcome(cache, surf, a, d):
+    """The per-class computation behind ``cache`` run on ``surf`` itself,
+    not on its folded surface: a value, or the (class, message) of a failure."""
+    value = cache.__wrapped__(surf, a, d)
+    return (type(value), str(value)) if isinstance(value, ArithmeticError) else value
+
+
+def _request_outcome(path, surf, choice):
+    try:
+        return path(surf, choice)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestFoldedSurface:
+    """Every path computes on the surface without its labels 0 (tau_0 is the unit)."""
+
+    def test_the_fold_changes_no_answer_on_the_sweep(self):
+        _clear_quantization_caches()
+        unfolded, literal = {}, 0
+        requests = 0
+        for surf in sweep_surfaces(20, 5, 2):
+            if surf._folded is None:
+                continue
+            assert 0 in surf.labels and surf._folded.labels == tuple(m for m in surf.labels if m)
+            for choice in enumerate_choices(surf):
+                requests += 1
+                a, d = prequant._canonical_class(surf, choice)[1:]
+                if (surf, a, d) not in unfolded:
+                    unfolded[surf, a, d] = (
+                        quantization._closed_form_element.__wrapped__(surf, a, d),
+                        _unfolded_outcome(quantization._fs_element, surf, a, d),
+                        _unfolded_outcome(quantization._reduced_value, surf, a, d))
+                closed, through_s, reduced = unfolded[surf, a, d]
+                got = quantize_surface(surf, choice)
+                assert got.element == closed and got.choice is choice
+                for path, want, value in ((fs_formula, through_s, closed),
+                                          (reduced_quantization, reduced, closed.coeffs[0])):
+                    outcome = _request_outcome(path, surf, choice)
+                    if isinstance(outcome, QuantizationResult):
+                        outcome = outcome.element
+                    if outcome != want:  # only a refused sum may now be certified
+                        assert want[0] is PrecisionExhausted, (surf, choice, path)
+                        assert outcome == value or outcome[0] is PrecisionExhausted
+                if surf.gamma_size() <= 2 ** 6:
+                    phases = _phase_vector(surf, choice)
+                    assert fs_formula_with_phases(surf, phases) == closed
+                    literal += 1
+        # 560 of the 1,141 sweep surfaces fold; their classes are 1,598 of 3,276
+        assert (requests, len(unfolded), literal) == (14990, 1598, 7310)
+
+    def test_a_failing_class_and_its_twin_with_a_label_zero_share_one_computation(self):
+        surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
+        twin = SurfaceData(172, 2, (86, 86, 93, 0, 135, 144))
+        assert twin._folded == surf
+        _clear_quantization_caches()
+        messages = set()
+        for s in (surf, twin, twin, surf):
+            choice = enumerate_choices(s)[1]
+            assert prequant._canonical_class(s, choice)[1:] == (0, 1)
+            with pytest.raises(PrecisionExhausted) as info:
+                fs_formula(s, choice)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert quantization._fs_gamma_data.cache_info().misses == 1
+
+    @pytest.mark.parametrize("surf,choice", [
+        (SurfaceData(114, 4, (57, 0)), PrequantChoice((0, 0, 0, 1, 0, 0, 0, 0, 0, 0))),
+        (SurfaceData(10, 11, (5, 0, 0)), None)])
+    def test_the_fold_certifies_two_reduced_sums_of_the_frontier_box(self, surf, choice):
+        # Unfolded, their error floors are 0.571: one more S[0, l] per label 0
+        a, d = prequant._canonical_class(surf, choice)[1:]
+        assert _unfolded_outcome(quantization._reduced_value, surf, a, d)[0] is PrecisionExhausted
+        assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced == 0
+
+    def test_the_sweep_builds_one_gamma_table_per_folded_surface(self):
+        _clear_quantization_caches()
+        for surf in sweep_surfaces(20, 5, 2):
+            for choice in enumerate_choices(surf):
+                quantize_surface(surf, choice)
+                fs_formula(surf, choice)
+                reduced_quantization(surf, choice)
+        assert quantization._fs_gamma_data.cache_info().misses == 581
+        assert quantization._closed_form_base.cache_info().misses == 581
+
+    def test_a_repeat_request_hits_by_identity(self):
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        choice = enumerate_choices(surf)[1]
+        _clear_quantization_caches()
+        quantize_surface(surf, choice)
+        info = quantization._closed_form_element.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        quantize_surface(surf, choice)
+        assert quantization._closed_form_element.cache_info().hits == 1
+        assert verlinde_baseline(surf).element == verlinde_baseline(surf._folded).element
+
+
 def _pattern_loop_star_sums(k, r, psi_bits, s_star):
     """The chi coefficient and the S-matrix star factor summed over the
     2^(r-1) star patterns, one pattern at a time.  A pattern of weight l has
