@@ -9,26 +9,18 @@ tau basis and the idempotent basis.
 
 import numpy as np
 
-from verlinde import (
-    CharacterPoly,
-    FusionElement,
-    from_idempotent,
-    reduce_character,
-    s_matrix,
-    to_idempotent,
-)
+from verlinde import FusionElement, from_idempotent, s_matrix, to_idempotent
 
 k = 4
 print(f"— working at level k = {k}; basis tau_0 .. tau_{k}\n")
 
-# The ideal is generated by chi_{k+1}: it folds to zero, and higher
-# characters fold back with alternating signs.
-for m in (k + 1, 6, 14):
-    image = reduce_character(k, CharacterPoly.chi(m))
-    print(f"chi_{m:<2} reduces to: {image}")
-
 # Multiplication is the Clebsch-Gordan expansion followed by folding.
-t2 = FusionElement.tau(k, 2)
+# The ideal is generated by chi_{k+1} = chi_1 chi_k - chi_{k-1}, which
+# folds to zero, and higher characters fold back with alternating signs:
+# chi_2 chi_4 = chi_6 + chi_4 + chi_2, and chi_6 folds to -tau_4.
+t1, t2, t3, t4 = (FusionElement.tau(k, m) for m in range(1, 5))
+print(f"tau_1 * tau_4 - tau_3 = {t1 * t4 - t3}       (the image of chi_{k + 1})")
+print(f"tau_2 * tau_4         = {t2 * t4}   (chi_6 folds to -tau_4)")
 print(f"\ntau_2 * tau_2     = {t2 * t2}")
 print(f"tau_2^3           = {t2 ** 3}")
 print(f"tau_2^4           = {t2 ** 4}")

@@ -7,14 +7,12 @@ independent brute-force validators and a verification suite.
 """
 
 from .fusion_ring import (
-    CharacterPoly,
     FusionElement,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
     from_idempotent,
     integrality_tolerance,
-    reduce_character,
     s_matrix,
     s_matrix_entry,
     to_idempotent,
@@ -38,7 +36,6 @@ from .quantization import (
     chi_element,
     fs_formula,
     localization_evaluate,
-    quantize_conjugacy_class,
     quantize_double_so3,
     quantize_double_su2,
     quantize_star_block,
@@ -57,19 +54,19 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacterPoly", "FusionElement",
+    "FusionElement",
     "NonIntegralCoefficient", "NonIntegralValue", "PrecisionExhausted",
     "from_idempotent",
-    "integrality_tolerance", "reduce_character", "s_matrix", "s_matrix_entry",
+    "integrality_tolerance", "s_matrix", "s_matrix_entry",
     "to_idempotent",
     "AdmissibilityReport", "GammaElement", "GroupTooLarge", "NotAdmissible",
     "PrequantChoice", "SurfaceData", "canonicalize_choice",
     "check_prequantization", "enumerate_choices", "enumerate_gamma",
     "phase_factor",
     "InexactDivision", "QuantizationResult", "chi_element", "fs_formula",
-    "localization_evaluate", "quantize_conjugacy_class",
-    "quantize_double_so3", "quantize_double_su2", "quantize_star_block",
-    "quantize_surface", "reduced_quantization", "verlinde_baseline",
+    "localization_evaluate", "quantize_double_so3", "quantize_double_su2",
+    "quantize_star_block", "quantize_surface", "reduced_quantization",
+    "verlinde_baseline",
     "VerificationReport", "classical_verlinde_number", "closed_form_tables",
     "run_verification_suite", "structure_constants_verlinde",
 ]

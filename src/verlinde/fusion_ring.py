@@ -1,4 +1,4 @@
-"""Exact arithmetic in R(SU(2)) and the level-k fusion rings R_k(SU(2)).
+"""Exact arithmetic in the level-k fusion rings R_k(SU(2)).
 
 The representation ring R(SU(2)) is the free Z-module on the irreducible
 characters chi_0, chi_1, ... with the Clebsch-Gordan product
@@ -8,10 +8,10 @@ characters chi_0, chi_1, ... with the Clebsch-Gordan product
 The level-k fusion ring is the quotient by the ideal generated by
 chi_{k+1}; it is free on the images tau_0, ..., tau_k, and chi_j maps to
 0 or +-tau_i by affine reflection.  ``_fold`` is the one statement of that
-rule: every dense product, reduction and float cross-check folds through
-it.  On basis elements it gives the level-k fusion rule
+rule: every dense product and float cross-check folds through it.  On
+basis elements it gives the level-k fusion rule
 tau_m tau_n = tau_|m-n| + tau_(|m-n|+2) + ... + tau_min(m+n, 2k-m-n),
-which ``_times_basis`` applies directly (tests check it against the fold).
+which ``_times_basis`` applies directly (tests check it term by term).
 The fold's ghosts tau_(-1) = tau_(k+1) = 0, tau_(-2) = -tau_0 and
 tau_(k+2) = -tau_k are also the boundary conditions of ``_times_double``,
 which multiplies by D_SU(2) = sum_m tau_m^2 through one tridiagonal solve.
@@ -85,11 +85,9 @@ __all__ = [
     "NonIntegralValue",
     "InexactDivision",
     "PrecisionExhausted",
-    "CharacterPoly",
     "FusionElement",
     "integrality_tolerance",
     "round_to_integer",
-    "reduce_character",
     "s_matrix_entry",
     "s_matrix",
     "to_idempotent",
@@ -286,91 +284,6 @@ def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
         return math.sin(_fold_angle(n, e) * half_step)
 
     return math.fsum(c * sine((m + 1) * (l + 1)) for m, c in terms) / sine(l + 1)
-
-
-class CharacterPoly:
-    """Finitely supported integer combination of SU(2) characters chi_m.
-
-    Stored in canonical sparse form: the coefficient map never contains
-    zeros.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        for m, c in (coeffs or {}).items():
-            m, c = _check_int(m, "character degree"), _check_int(c, "coefficient")
-            if m < 0:
-                raise ValueError(f"character degree must be non-negative, got {m}")
-            if c != 0:
-                clean[m] = c
-        self.coeffs = clean
-
-    @classmethod
-    def chi(cls, m: int, coeff: int = 1) -> "CharacterPoly":
-        return cls({m: coeff})
-
-    @classmethod
-    def zero(cls) -> "CharacterPoly":
-        return cls()
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CharacterPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "CharacterPoly") -> "CharacterPoly":
-        merged = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            merged[m] = merged.get(m, 0) + c
-        return CharacterPoly(merged)
-
-    def __neg__(self) -> "CharacterPoly":
-        return CharacterPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "CharacterPoly") -> "CharacterPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, CharacterPoly):
-            c = _check_int(other, "scalar")
-            return CharacterPoly({m: c * x for m, x in self.coeffs.items()})
-        if not (self and other):
-            return CharacterPoly()
-        a, b = _dense(self), _dense(other)
-        return CharacterPoly(dict(enumerate(_clebsch_gordan(a, _support(a), b, _support(b)))))
-
-    __rmul__ = __mul__
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
-
-    def special_point_value(self, k: int, l: int) -> float:
-        """Evaluate at the level-k special point t_l via the Weyl quotient."""
-        k = _check_level(k)
-        return _weyl_quotient(k, _check_index(k, l, "l"), self.coeffs.items())
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "CharacterPoly(0)"
-        terms = " + ".join(f"{c}*chi_{m}" for m, c in sorted(self.coeffs.items()))
-        return f"CharacterPoly({terms})"
-
-
-def _dense(p: CharacterPoly) -> list[int]:
-    """Coefficients of chi_0..chi_degree as a list."""
-    out = [0] * (p.degree + 1)
-    for m, c in p.coeffs.items():
-        out[m] = c
-    return out
 
 
 def _fold(k: int, c: Sequence) -> list:
@@ -844,16 +757,6 @@ def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionEleme
                            NonIntegralCoefficient, f"tau_{m} coefficient")
     # every coefficient is below 2^53 now, so int64 holds it exactly
     return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
-
-
-def reduce_character(k: int, p: CharacterPoly) -> FusionElement:
-    """Image of a character polynomial under R(SU(2)) -> R_k(SU(2))."""
-    k = _check_level(k)
-    period = 2 * (k + 2)
-    c = [0] * period
-    for m, x in p.coeffs.items():
-        c[m % period] += x
-    return FusionElement._trusted(k, tuple(_fold(k, c)))
 
 
 def to_idempotent(a: FusionElement) -> np.ndarray:

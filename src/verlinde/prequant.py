@@ -123,8 +123,7 @@ class SurfaceData:
         return check_prequantization(self)
 
     def gamma_size(self) -> int:
-        r = self.star_count
-        return 2 ** (2 * self.genus + r - 1) if r >= 1 else 2 ** (2 * self.genus)
+        return _gamma_size(self.genus, self.star_count)
 
     def to_json_dict(self) -> dict:
         return {"level": self.level, "genus": self.genus, "labels": list(self.labels)}
@@ -287,6 +286,11 @@ _CONDITIONS = (
     ("(iii)", "k in 4N when the star count is >= 3", lambda k, h, r: r < 3 or k % 4 == 0),
     ("(ii')", "k in 2N when the star count is >= 1", lambda k, h, r: r < 1 or k % 2 == 0),
 )
+
+
+def _gamma_size(h: int, r: int) -> int:
+    """|Gamma| of genus h with r star labels: 2^(2h + r - 1), or 2^(2h) for r = 0."""
+    return 2 ** (2 * h + max(r - 1, 0))
 
 
 def _conditions_hold(k: int, h: int, r: int) -> bool:

@@ -115,7 +115,6 @@ __all__ = [
     "chi_element",
     "tau_power",
     "quantize_star_block",
-    "quantize_conjugacy_class",
     "quantize_double_su2",
     "quantize_double_so3",
     "quantize_surface",
@@ -264,11 +263,6 @@ def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
     All divisions are checked to be exact.
     """
     return _star_block(*_star_class(k, r, psi))
-
-
-def quantize_conjugacy_class(k: int, m: int) -> FusionElement:
-    """tau_m: the quantization of the conjugacy class with label m."""
-    return FusionElement.tau(k, m)
 
 
 def quantize_double_su2(k: int) -> FusionElement:

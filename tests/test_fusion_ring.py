@@ -10,21 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from verlinde.fusion_ring import (
     DEFAULT_TOLERANCE,
-    CharacterPoly,
     FusionElement,
     InexactDivision,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _fold,
     _over_3_minus_tau2,
     _round_coefficients,
     _sine_coefficients,
     _times_basis,
     _times_double,
+    _weyl_quotient,
     from_idempotent,
     integrality_tolerance,
     multiply_coeff_vectors,
-    reduce_character,
     round_to_integer,
     s_matrix,
     s_matrix_entry,
@@ -77,31 +77,41 @@ def tau(k, m):
     return FusionElement.tau(k, m)
 
 
+FOLD_LEVELS = [0, 1, 2, 3, 4, 7, 12]
+
+
+def chi(j):
+    """The character chi_j alone, as the coefficient list that ``_fold`` takes."""
+    return [0] * j + [1]
+
+
 class TestReduceCharacter:
+    """``_fold``, the reduction of a character sum c_j chi_j into R_k, on
+    one period j <= 2k+3 of the affine reflection."""
+
     def test_ideal_generator_vanishes(self):
-        assert reduce_character(2, CharacterPoly.chi(3)).is_zero()
+        for k in FOLD_LEVELS:
+            assert _fold(k, chi(k + 1)) == [0] * (k + 1)
 
     def test_low_degrees_map_identically(self):
-        assert reduce_character(5, CharacterPoly.chi(4)) == tau(5, 4)
+        for k in FOLD_LEVELS:
+            for j in range(k + 1):
+                assert _fold(k, chi(j)) == list(tau(k, j).coeffs)
 
     def test_first_reflection_is_negative(self):
-        # chi_6 at k=4 folds to -tau_4; cross-checked against evaluation below
-        assert reduce_character(4, CharacterPoly.chi(6)) == -tau(4, 4)
+        # chi_{k+2} folds to -tau_k; cross-checked against evaluation below
+        for k in FOLD_LEVELS:
+            assert _fold(k, chi(k + 2)) == list((-tau(k, k)).coeffs)
 
-    def test_folding_period(self):
-        # period 2(k+2) = 12 at k=4
-        assert reduce_character(4, CharacterPoly.chi(14)) == tau(4, 2)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("k", FOLD_LEVELS)
     def test_matches_special_point_evaluation(self, k):
         # the evaluation-based oracle: the image must take the same values
         # as the character at every special point
-        for m in range(4 * (k + 2) + 1):
-            chi_m = CharacterPoly.chi(m)
-            image = reduce_character(k, chi_m)
+        for j in range(2 * k + 4):
+            image = FusionElement(k, _fold(k, chi(j)))
             for l in range(k + 1):
                 assert image.evaluate(l) == pytest.approx(
-                    chi_m.special_point_value(k, l), abs=1e-9)
+                    _weyl_quotient(k, l, ((j, 1),)), abs=1e-9)
 
 
 class TestMultiply:
@@ -152,8 +162,7 @@ class TestMultiply:
         m = data.draw(st.integers(min_value=0, max_value=k))
         b = data.draw(st.lists(st.integers(min_value=-2**70, max_value=2**70),
                                min_size=k + 1, max_size=k + 1))
-        expected = reduce_character(k, CharacterPoly.chi(m) * CharacterPoly(dict(enumerate(b))))
-        assert tuple(_times_basis(k, m, b)) == expected.coeffs
+        assert _times_basis(k, m, b) == term_by_term_product(k, tau(k, m).coeffs, b)
 
     @pytest.mark.parametrize("k", [*range(61), 101, 400])
     @given(data=st.data())
@@ -501,43 +510,20 @@ def test_evaluation_is_multiplicative(data):
         assert abs(ab.evaluate(l) - prod) < 1e-8 * (1 + abs(prod))
 
 
-def test_character_poly_product_rule():
-    # chi_2 chi_3 = chi_5 + chi_3 + chi_1
-    assert CharacterPoly.chi(2) * CharacterPoly.chi(3) == CharacterPoly({5: 1, 3: 1, 1: 1})
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_character_poly_product_matches_term_by_term(data):
-    polys = st.dictionaries(st.integers(0, 30), COEFFS, max_size=5).map(CharacterPoly)
-    p, q = data.draw(polys), data.draw(polys)
-    expected = {}
-    for m, cm in p.coeffs.items():
-        for n, cn in q.coeffs.items():
-            for j in range(abs(m - n), m + n + 1, 2):
-                expected[j] = expected.get(j, 0) + cm * cn
-    assert p * q == CharacterPoly(expected)
-
-
-def test_character_poly_canonical_form():
-    p = CharacterPoly({0: 1, 2: 0, 5: -3})
-    assert p.coeffs == {0: 1, 5: -3}
-
-
 def test_public_api_is_pinned():
     # A change here is a public-API change: list it in CHANGES.md.
     import verlinde
     assert sorted(verlinde.__all__) == [
-        "AdmissibilityReport", "CharacterPoly", "FusionElement", "GammaElement",
-        "GroupTooLarge", "InexactDivision", "NonIntegralCoefficient", "NonIntegralValue",
-        "NotAdmissible", "PrecisionExhausted", "PrequantChoice", "QuantizationResult",
-        "SurfaceData", "VerificationReport", "canonicalize_choice", "check_prequantization",
+        "AdmissibilityReport", "FusionElement", "GammaElement", "GroupTooLarge",
+        "InexactDivision", "NonIntegralCoefficient", "NonIntegralValue", "NotAdmissible",
+        "PrecisionExhausted", "PrequantChoice", "QuantizationResult", "SurfaceData",
+        "VerificationReport", "canonicalize_choice", "check_prequantization",
         "chi_element", "classical_verlinde_number", "closed_form_tables",
         "enumerate_choices", "enumerate_gamma", "from_idempotent", "fs_formula",
         "integrality_tolerance", "localization_evaluate", "phase_factor",
-        "quantize_conjugacy_class", "quantize_double_so3", "quantize_double_su2",
-        "quantize_star_block", "quantize_surface", "reduce_character",
-        "reduced_quantization", "run_verification_suite", "s_matrix", "s_matrix_entry",
-        "structure_constants_verlinde", "to_idempotent", "verlinde_baseline",
+        "quantize_double_so3", "quantize_double_su2", "quantize_star_block",
+        "quantize_surface", "reduced_quantization", "run_verification_suite",
+        "s_matrix", "s_matrix_entry", "structure_constants_verlinde", "to_idempotent",
+        "verlinde_baseline",
     ]
     assert all(hasattr(verlinde, name) for name in verlinde.__all__)

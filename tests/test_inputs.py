@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from verlinde.fusion_ring import (
-    CharacterPoly,
     FusionElement,
     _check_int,
-    reduce_character,
     s_matrix,
     s_matrix_entry,
 )
@@ -39,7 +37,6 @@ from verlinde.prequant import (
 from verlinde.quantization import (
     chi_element,
     localization_evaluate,
-    quantize_conjugacy_class,
     quantize_double_so3,
     quantize_double_su2,
     quantize_star_block,
@@ -61,18 +58,10 @@ INTEGER_ARGUMENTS = [
     ("FusionElement.evaluate", lambda x: FusionElement.tau(4, 2).evaluate(x), 1),
     ("FusionElement scalar", lambda x: FusionElement.tau(4, 2) * x, 3),
     ("FusionElement exponent", lambda x: FusionElement.tau(4, 1) ** x, 2),
-    ("CharacterPoly degree", lambda x: CharacterPoly({x: 1}), 2),
-    ("CharacterPoly coefficient", lambda x: CharacterPoly({1: x}), 2),
-    ("CharacterPoly scalar", lambda x: CharacterPoly({1: 1}) * x, 3),
-    ("CharacterPoly.special_point_value level",
-     lambda x: CharacterPoly({1: 1}).special_point_value(x, 1), 4),
-    ("CharacterPoly.special_point_value l",
-     lambda x: CharacterPoly({1: 1}).special_point_value(4, x), 1),
     ("s_matrix", lambda x: s_matrix(x), 3),
     ("s_matrix_entry level", lambda x: s_matrix_entry(x, 1, 0), 3),
     ("s_matrix_entry m", lambda x: s_matrix_entry(3, x, 0), 1),
     ("s_matrix_entry l", lambda x: s_matrix_entry(3, 1, x), 1),
-    ("reduce_character", lambda x: reduce_character(x, CharacterPoly({5: 1})), 3),
     ("SurfaceData level", lambda x: SurfaceData(x, 1, (2,)), 4),
     ("SurfaceData genus", lambda x: SurfaceData(4, x, (2,)), 1),
     ("SurfaceData label", lambda x: SurfaceData(4, 1, (x,)), 2),
@@ -102,8 +91,6 @@ INTEGER_ARGUMENTS = [
     ("quantize_star_block level", lambda x: quantize_star_block(x, 2, "+"), 4),
     ("quantize_star_block r", lambda x: quantize_star_block(4, x, "+"), 2),
     ("quantize_star_block psi bit", lambda x: quantize_star_block(4, 3, (0, x, 0)), 1),
-    ("quantize_conjugacy_class level", lambda x: quantize_conjugacy_class(x, 1), 4),
-    ("quantize_conjugacy_class m", lambda x: quantize_conjugacy_class(4, x), 1),
     ("localization_evaluate level", lambda x: localization_evaluate(x, 2, "+", 1), 4),
     ("localization_evaluate r", lambda x: localization_evaluate(4, x, "+", 1), 2),
     ("localization_evaluate psi bit",
@@ -154,10 +141,7 @@ SILENT_CASES = {
     "FusionElement.tau truncated m": lambda: FusionElement.tau(4, 1.5),
     "FusionElement.evaluate truncated l": lambda: FusionElement.one(4).evaluate(1.5),
     "FusionElement scaled by a bool": lambda: FusionElement.tau(4, 2) * True,
-    "CharacterPoly truncated degree and coefficient": lambda: CharacterPoly({1.7: 2.2}),
-    "CharacterPoly scaled by a bool": lambda: CharacterPoly({1: 1}) * True,
     "s_matrix_entry truncated m": lambda: s_matrix_entry(4, 1.5, 0),
-    "quantize_conjugacy_class truncated m": lambda: quantize_conjugacy_class(4, 2.7),
     "quantize_double_so3 truncated phi": lambda: quantize_double_so3(4, (0.5, 0)),
     "quantize_double_so3 bool phi from the cache":
         _from_the_cache(lambda phi: quantize_double_so3(4, phi), (1, 0), (True, False)),

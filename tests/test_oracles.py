@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,26 @@ class TestSweep:
     def test_all_admissible(self):
         from verlinde.prequant import check_prequantization
         assert all(check_prequantization(s).admissible for s in sweep_surfaces(8, 3, 1))
+
+    def test_builds_only_the_surfaces_it_yields(self, monkeypatch):
+        # k, h and the star count decide admissibility and |Gamma|, so the
+        # sweep builds only the 1,141 surfaces it yields and the 560 forms
+        # without labels 0 that they fold to, not all 1,629 keys of the box
+        built = 0
+        post_init = SurfaceData.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(SurfaceData, "__post_init__", counting)
+        surfaces = list(sweep_surfaces(20, 5, 2))
+        assert built == 1701
+        assert all(s._admissible and s.gamma_size() <= 2**9 for s in surfaces)
+        keys = repr([(s.level, s.genus, s.labels) for s in surfaces]).encode()
+        assert len(surfaces) == 1141 and hashlib.sha256(keys).hexdigest() == (
+            "4af00032aeb789551c56bf7a973961666e73162ed9389e38a10ce5b787cba0ec")
 
 
 def test_negative_control_check():

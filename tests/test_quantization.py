@@ -38,7 +38,6 @@ from verlinde.quantization import (
     chi_element,
     fs_formula,
     localization_evaluate,
-    quantize_conjugacy_class,
     quantize_double_so3,
     quantize_double_su2,
     quantize_star_block,
@@ -118,9 +117,12 @@ class TestStarBlock:
 
 class TestBuildingBlocks:
     def test_conjugacy_class(self):
-        assert quantize_conjugacy_class(5, 0) == tau(5, 0)
-        assert quantize_conjugacy_class(4, 2) == tau(4, 2)
-        assert quantize_conjugacy_class(7, 7) == tau(7, 7)
+        # a boundary circle labelled m alone quantizes to tau_m, on every path
+        for k, m in ((5, 0), (4, 2), (7, 7)):
+            surface = SurfaceData(k, 0, (m,))
+            for choice in enumerate_choices(surface):
+                assert quantize_surface(surface, choice).element == tau(k, m)
+                assert fs_formula(surface, choice).element == tau(k, m)
 
     def test_double_su2_small_levels(self):
         assert quantize_double_su2(1) == FusionElement(1, (2, 0))
