@@ -276,14 +276,20 @@ def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
     """sum c chi_m(t_l) over the (m, c) in ``terms``, by the Weyl character
     formula: sum c sin((m+1) theta) / sin(theta), theta = (l+1) pi/(k+2) the
     angle of t_l, each multiple of theta reduced by ``_fold_angle`` before
-    its sine, and the sum exactly rounded (math.fsum); k and l are checked by
-    the caller."""
+    its sine, and the sum exactly rounded (math.fsum), or PrecisionExhausted
+    out of double range; k and l are checked by the caller."""
     n, half_step = k + 2, math.pi / (2 * (k + 2))
 
     def sine(e: int) -> float:
         return math.sin(_fold_angle(n, e) * half_step)
 
-    return math.fsum(c * sine((m + 1) * (l + 1)) for m, c in terms) / sine(l + 1)
+    try:  # fsum raises past double range; the division returns inf
+        value = math.fsum(c * sine((m + 1) * (l + 1)) for m, c in terms) / sine(l + 1)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PrecisionExhausted(f"a value at t_{l} is out of double range")
+    return value
 
 
 def _fold(k: int, c: Sequence) -> list:
@@ -551,10 +557,6 @@ class FusionElement:
             c = _check_int(other, "scalar")
             return FusionElement._trusted(self.level, tuple(c * x for x in self.coeffs))
         self._require_same_level(other)
-        if self._is_unit():
-            return other
-        if other._is_unit():
-            return self
         return FusionElement._trusted(
             self.level, tuple(multiply_coeff_vectors(self.level, self.coeffs, other.coeffs)))
 
@@ -577,9 +579,6 @@ class FusionElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def _is_unit(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     @property
     def trace(self) -> int:
@@ -690,7 +689,8 @@ def _sine_coefficients(values: Sequence[float],
     n = len(v)
     x = v * _sines(n - 1)
     scale = 2.0 / (n + 1)
-    coeffs = _sine_transform(x) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the bound is >= 1/2
+        coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
     weighted = x.tolist()
     norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
@@ -763,8 +763,13 @@ def to_idempotent(a: FusionElement) -> np.ndarray:
     """Expand in the idempotent basis: the values at the special points
     t_0, ..., t_k as a read-only float64 array, entry l being
     sum_m c_m sin((m+1)(l+1) pi/N) / sin((l+1) pi/N), all at once by one
-    sine transform (``FusionElement.evaluate`` is the per-point route)."""
-    values = _sine_transform(np.array(a.coeffs, dtype=np.float64)) / _sines(a.level)
+    sine transform (``FusionElement.evaluate`` is the per-point route);
+    PrecisionExhausted when a coefficient or a value is out of double range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values = _sine_transform(np.array(a.coeffs, dtype=np.float64)) / _sines(a.level)
+    except (OverflowError, FloatingPointError):
+        raise PrecisionExhausted(f"a level-{a.level} element is out of double range") from None
     values.setflags(write=False)
     return values
 

@@ -557,7 +557,7 @@ def check_choice_sum_identity(max_k: int, max_r: int) -> CheckResult:
             total = FusionElement.zero(k)
             for bits in product((0, 1), repeat=r - 1):
                 total = total + quantize_star_block(k, r, (0,) + bits)
-            if total != tau_power(k, r):
+            if total != FusionElement.tau(k, k // 2) ** r:
                 bad += 1
     return CheckResult("choice_sum_identity", {"max_k": max_k, "max_r": max_r},
                        bad == 0, float(bad))
@@ -566,7 +566,8 @@ def check_choice_sum_identity(max_k: int, max_r: int) -> CheckResult:
 def check_r2_pair_identity(max_k: int) -> CheckResult:
     bad = 0
     for k in range(0, max_k + 1, 2):
-        if quantize_star_block(k, 2, "+") + quantize_star_block(k, 2, "-") != tau_power(k, 2):
+        pair = quantize_star_block(k, 2, "+") + quantize_star_block(k, 2, "-")
+        if pair != FusionElement.tau(k, k // 2) ** 2:
             bad += 1
     return CheckResult("r2_pair_identity", {"max_k": max_k}, bad == 0, float(bad))
 

@@ -159,6 +159,9 @@ class GammaElement:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "star_slots", stars)
         object.__setattr__(self, "num_boundary", s)
+        if s < 0 or len(bits) < s or (len(bits) - s) % 2 or not all(0 <= j < s for j in stars):
+            raise ValueError(f"need s >= 0 boundary bits, two per double and star slots "
+                             f"below s, got {len(bits)} bits, stars {stars} and s = {s}")
         for j in range(s):
             if j not in stars and bits[j]:
                 raise ValueError(f"slot {j} is not a star class, bit must be 0")

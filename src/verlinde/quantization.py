@@ -42,11 +42,12 @@ returns the request's canonical choice with its folded class.  It keeps the
 last (surface, choice) pair it classified, by identity, in one slot, so the
 three paths of one request classify it once.  Each path then computes its
 result once per class (surface, a, d) in a bounded cache and wraps it with
-that choice.  The float paths cache a class's outcome, a failure to certify
-its integers included, and raise a failure anew, with the same message, on
-every request for the class.  The star entry points (``quantize_star_block``,
-``localization_evaluate``) take their class from the same front end on a
-star-only surface, after the star conditions (ii') and (iii).
+that choice.  A class that cannot be certified raises where it fails, on
+every request, and leaves no entry.  The star entry points
+(``quantize_star_block``, ``localization_evaluate``) take their class from
+the same front end on a star-only surface, after the star conditions (ii')
+and (iii), and ``quantize_star_block`` and ``quantize_double_so3`` read the
+closed form of the star-only and the genus-1 surface.
 
 A surface folds as well, to the surface its paths see.  A boundary circle
 labelled 0 quantizes to tau_0, the unit, and every path is multiplicative
@@ -83,7 +84,6 @@ import numpy as np
 from .fusion_ring import (
     FusionElement,
     InexactDivision,
-    NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
     _UNIT_ROUNDOFF,
@@ -193,11 +193,11 @@ def _checked_cache(check):
 # the benchmark's tracer reads it by name
 @_checked_cache(lambda k, r: (_check_level(k), _check_int(r, "star count")))
 def tau_power(k: int, r: int) -> FusionElement:
-    """(tau_{k/2})^r, cached; for r >= 1, k must meet condition (ii')."""
-    if r == 0:
-        return FusionElement.one(k)
-    _require_conditions(k, 0, 1)
-    return FusionElement.tau(k, k // 2) ** r
+    """(tau_{k/2})^r by basis steps, cached; for r >= 1, k must meet condition (ii')."""
+    if r < 0:
+        raise ValueError("negative powers are not defined in the fusion ring")
+    _require_conditions(k, 0, min(r, 1))
+    return _star_and_doubles(k, r, 0)
 
 
 def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
@@ -243,10 +243,9 @@ def _chi_coefficient(k: int, r: int, a: int) -> int:
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _star_block(k: int, r: int, a: int) -> FusionElement:
-    """The star block for psi with a bits set on the r star slots (chi's
-    multiple is 0 for r <= 1)."""
-    return _exact_divide(k, _plus_chi(tau_power(k, r), _chi_coefficient(k, r, a)),
-                         2 ** (max(r, 1) - 1))
+    """The star block for psi with a bits set on the r star slots: the
+    closed form of the star-only surface."""
+    return _closed_form_element(SurfaceData(k, 0, (k // 2,) * r), a, 0)
 
 
 def quantize_star_block(k: int, r: int, psi=()) -> FusionElement:
@@ -284,11 +283,12 @@ def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     """Quantization of the SO(3) double for the choice phi in Hom(Z x Z, {+-1}).
 
     The quarter-sum (Q(D(SU2)) + (-1)^(k/2) sum_{gamma != e} phi(gamma) chi)/4,
-    exact by construction for even k; chi's multiple is ``_double_factor`` less 1.
+    exact by construction for even k: the closed form of the genus-1 surface
+    with no boundary, whose chi multiple is ``_double_factor`` less 1.
     """
-    _, _, d = _canonical_class(SurfaceData(k, 1, ()), PrequantChoice._trusted(phi))
-    e = _double_factor(k, 1, d) - 1
-    return _exact_divide(k, _plus_chi(quantize_double_su2(k), e), 4)
+    surface = SurfaceData(k, 1, ())
+    _, a, d = _canonical_class(surface, PrequantChoice._trusted(phi))
+    return _closed_form_element(surface, a, d)
 
 
 def _double_factor(k: int, h: int, d: int) -> int:
@@ -375,10 +375,10 @@ def _class_cache(fn):
 
 # Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
 # their surface, and 1,598 of the 3,276 request classes are read from their
-# folded surface's entry, so 1,678 classes are computed.  This cache keeps
-# successes only: its one failure, InexactDivision, is a bug, so a class
-# that raises it raises again on every request.  The float paths keep
-# failures too (``_class_outcome``).
+# folded surface's entry, so 1,678 classes are computed.  Each per-class
+# cache keeps values only: a class that raises (InexactDivision here, a
+# failure to certify on the float paths) raises again on every request.
+# The star entry points read this cache on their star-only surfaces.
 
 @_class_cache
 def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
@@ -513,8 +513,7 @@ def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
     """The raw tau-coefficients of the class (a, d) and an a priori bound on
-    their error, before rounding; computed once per class, on a miss of
-    ``_fs_element``, which keeps the outcome of rounding them.
+    their error, before rounding; computed on a miss of ``_fs_element``.
 
     The class's values differ from the identity term / |Gamma| only at
     l = k/2, where they are ``_block_sum``, so the coefficients
@@ -535,32 +534,11 @@ def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, 
                                 _value_error(surface) * abs(block))
 
 
-def _class_outcome(fn):
-    """``fn``, a float path's computation for one class (surface, a, d), in
-    a ``_class_cache`` of outcomes: the value, or the NonIntegralCoefficient
-    (PrecisionExhausted included) or NonIntegralValue it raised.  The
-    exception is stored as a new one of the same class and message that was
-    never raised, so it pins no traceback (frames and their per-surface
-    arrays) and no context; the caller raises a copy of it.  A class the
-    float path cannot certify is thus computed once, like any other, and
-    raised again on a repeat request without a new sum.  No benchmark
-    workload repeats a failing class: big_gamma fails no request, and
-    high_level's 8 failing ``fs_formula`` requests per pass are 8 classes."""
-    @_class_cache
-    @wraps(fn)
-    def outcome(surface: SurfaceData, a: int, d: int):
-        try:
-            return fn(surface, a, d)
-        except (NonIntegralCoefficient, NonIntegralValue) as exc:
-            return type(exc)(*exc.args)
-    return outcome
-
-
-@_class_outcome
+@_class_cache
 def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
-    """The class's element, its coefficients rounded once; cached as its
-    outcome, so a class that fails to round is read back as the
-    NonIntegralCoefficient or PrecisionExhausted it raised."""
+    """The class's element, its coefficients rounded once; a class that
+    fails to round raises NonIntegralCoefficient or PrecisionExhausted on
+    every request, and its cache keeps no entry."""
     return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
 
 
@@ -581,10 +559,10 @@ def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
 _REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
 
 
-@_class_outcome
+@_class_cache
 def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
-    """The class's reduced value, rounded once; cached as its outcome, as
-    ``_fs_element``, a NonIntegralValue or PrecisionExhausted included.
+    """The class's reduced value, rounded once; a class that fails to round
+    raises NonIntegralValue or PrecisionExhausted, as ``_fs_element`` does.
     PrecisionExhausted comes too when the sum's rounding error floor
     c (s + n) u sum |terms| (``_REDUCED_ERROR``) is not below 1/2."""
     data = _fs_gamma_data(surface)
@@ -602,13 +580,9 @@ def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> Qu
     integrality rounding, once per class.  Raises PrecisionExhausted when
     the rounding-error bound is not below 1/2 (a sum out of double range
     included) or a coefficient is not below 2^53, and NonIntegralCoefficient
-    when a coefficient fails to round; a class's failure is computed once
-    and raised anew, with the same message, on every request."""
+    when a coefficient fails to round."""
     choice, a, d = _canonical_class(surface, choice)
-    element = _fs_element(surface, a, d)
-    if isinstance(element, ArithmeticError):
-        raise type(element)(*element.args)
-    return QuantizationResult.of(element, "fs_float", choice)
+    return QuantizationResult.of(_fs_element(surface, a, d), "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None) -> int:
@@ -617,13 +591,9 @@ def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = N
     Raises PrecisionExhausted when the sum is out of double range, not
     below 2^53, or formed from terms so large that its rounding error floor
     (``_REDUCED_ERROR``) is not below 1/2, and NonIntegralValue when it
-    fails to round; a class's failure is computed once and raised anew on
-    every request."""
+    fails to round."""
     _, a, d = _canonical_class(surface, choice)
-    value = _reduced_value(surface, a, d)
-    if isinstance(value, ArithmeticError):
-        raise type(value)(*value.args)
-    return value
+    return _reduced_value(surface, a, d)
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:

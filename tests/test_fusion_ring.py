@@ -133,6 +133,15 @@ class TestMultiply:
     def test_level_mismatch(self):
         with pytest.raises(ValueError, match="level mismatch"):
             tau(4, 2) * tau(6, 2)
+        with pytest.raises(ValueError, match="level mismatch"):
+            tau(4, 2) - tau(6, 2)
+
+    def test_subtraction_undoes_addition(self):
+        x, y = FusionElement(6, (3, 0, -2, 5, 0, 1, 4)), FusionElement(6, (1, 2, 3, 4, 5, 6, 7))
+        assert x - y + y == x
+        assert x - y == FusionElement(6, (2, -2, -5, 1, -5, -5, -3))
+        assert (x - x).is_zero() and FusionElement.zero(6).is_zero()
+        assert not x.is_zero() and not FusionElement.one(0).is_zero()
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub])
     @pytest.mark.parametrize("other", [1, 1.5, "x", None, np.int64(1)])
@@ -294,6 +303,25 @@ class TestIdempotentBasis:
         assert issubclass(PrecisionExhausted, NonIntegralCoefficient)
         import verlinde
         assert verlinde.PrecisionExhausted is PrecisionExhausted
+
+    # the transform of a value past double range warns in numpy unless silenced
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[1.0, math.inf, 1.0], [1.0, math.nan, 1.0],
+                                        [1e308] * 3, [-math.inf] * 5])
+    def test_values_out_of_double_range_exhaust_precision(self, values):
+        with pytest.raises(PrecisionExhausted, match="cannot certify"):
+            from_idempotent(values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [(10**400, 0, 0, 0, 0), (0, 0, -(10**309), 0, 0),
+                                        (10**308,) * 5, (0, 0, 10**308, 0, 0)])
+    def test_coefficients_out_of_double_range_exhaust_precision(self, coeffs):
+        x = FusionElement(4, coeffs)
+        with pytest.raises(PrecisionExhausted, match="out of double range"):
+            to_idempotent(x)
+        with pytest.raises(PrecisionExhausted, match="out of double range"):
+            for l in range(5):
+                x.evaluate(l)
 
     @pytest.mark.parametrize("k", [0, 1, 7, 64, 399, 400])
     def test_to_idempotent_matches_evaluation(self, k):

@@ -175,6 +175,23 @@ def test_silent_cases_raise(call):
         call()
 
 
+# Malformed values of the right type, which the constructor once let
+# through or failed on with another error.
+MALFORMED_CASES = {
+    "GammaElement fewer bits than boundary slots": lambda: GammaElement((0,), (), 3),
+    "GammaElement negative boundary count": lambda: GammaElement((), (), -1),
+    "GammaElement odd number of double bits": lambda: GammaElement((0, 0, 1), (), 2),
+    "GammaElement star slot past the boundary": lambda: GammaElement((0, 0), (2,), 2),
+    "GammaElement negative star slot": lambda: GammaElement((0, 0), (-1,), 2),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CASES.values(), ids=MALFORMED_CASES.keys())
+def test_malformed_cases_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_json_coefficients_parse_decimal_strings_only():
     assert FusionElement.from_json_dict({"level": 1, "coeffs": ["3", -2]}) == \
         FusionElement(1, (3, -2))

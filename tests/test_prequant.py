@@ -168,6 +168,8 @@ class TestAdmissibility:
         report = check_prequantization(SurfaceData(6, 0, (3, 3, 3)))
         assert "(iii)" in report.failure_message()
         assert "4N" in report.failure_message()
+        assert [c.code for c in report.failures] == ["(iii)"]
+        assert check_prequantization(SurfaceData(4, 0, (2, 2, 2))).failures == ()
 
     def test_require_admissible_raises(self):
         with pytest.raises(NotAdmissible, match=r"\(ii\)"):
