@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fusion_ring import _check_int, _check_ints, _check_level, _value_class
@@ -60,16 +59,28 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
     return out
 
 
+def _bits_mask(bits: Sequence[int]) -> int:
+    """The int with bit j set iff bits[j] is 1, for a sequence of 0/1 ints."""
+    mask = 0
+    for bit in reversed(bits):
+        mask = mask << 1 | bit
+    return mask
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """Genus h surface with boundary labels m_1..m_s at a fixed level.
 
     Construction checks the fields and derives, once, what every path reads:
     ``star_slots`` (the j with 2 m_j = k), ``star_count``, ``nonstar_labels``
-    (the other labels, in order), ``_hash`` (the key of every result cache),
-    ``_admissible`` (whether ``_CONDITIONS`` hold; (i) holds by
-    construction) and ``_folded``, the surface the quantization paths
-    compute on.  A boundary circle labelled 0 quantizes to tau_0, the unit,
+    (the other labels, in order), ``num_slots`` (s + 2h), ``_hash`` (the key
+    of every result cache), ``_admissible`` (whether ``_CONDITIONS`` hold;
+    (i) holds by construction), ``_folded``, the surface the quantization
+    paths compute on, and three bit masks over the slots that classify a
+    choice (``_classify``): ``_star_mask`` (the star slots), ``_zero_mask``
+    (the slots a canonical choice leaves 0: the non-star boundary slots and
+    the first star slot) and ``_double_mask`` (the first slot of each double,
+    s, s + 2, ...).  A boundary circle labelled 0 quantizes to tau_0, the unit,
     so ``_folded`` is this surface with every label 0 removed when k > 0 (at
     k = 0, label 0 is the star label and stays); it is None when there is
     none to remove, so no surface refers to itself.  Equality, hash and repr
@@ -90,25 +101,25 @@ class SurfaceData:
                 raise ValueError(f"label {m} out of range 0..{k}")
         labels = tuple(labels)
         stars = tuple(j for j, m in enumerate(labels) if 2 * m == k)
+        s, star_mask = len(labels), sum(1 << j for j in stars)
         # Set one at a time: a write through vars(self) moves CPython's
         # inline attribute values into a dict, where every read is slower.
         for name, value in (
                 ("level", k), ("genus", genus), ("labels", labels),
                 ("_hash", hash((k, genus, labels))), ("star_slots", stars),
-                ("star_count", len(stars)),
+                ("star_count", len(stars)), ("num_slots", s + 2 * genus),
                 ("nonstar_labels", tuple(m for m in labels if 2 * m != k)),
                 ("_admissible", _conditions_hold(k, genus, len(stars))),
                 ("_folded", SurfaceData(k, genus, tuple(filter(None, labels)))
-                 if k and 0 in labels else None)):
+                 if k and 0 in labels else None),
+                ("_star_mask", star_mask),
+                ("_zero_mask", ((1 << s) - 1 ^ star_mask) | (star_mask & -star_mask)),
+                ("_double_mask", ((4 ** genus - 1) // 3) << s)):
             object.__setattr__(self, name, value)
 
     @property
     def num_boundary(self) -> int:
         return len(self.labels)
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.labels) + 2 * self.genus
 
     def __hash__(self) -> int:
         return self._hash
@@ -206,22 +217,36 @@ _set_bits, _set_star_slots, _set_num_boundary = (
     GammaElement.bits.__set__, GammaElement.star_slots.__set__, GammaElement.num_boundary.__set__)
 
 
+class _Masked:
+    """A slot outside the dataclass fields: ``_mask``, psi_bits as one int
+    (``_bits_mask``), which equality, hash, repr and pickle state never see."""
+
+    __slots__ = ("_mask",)
+
+
 @_value_class
-class PrequantChoice:
-    """Pre-quantization label: psi(gamma) = (-1)^<psi_bits, gamma bits>."""
+class PrequantChoice(_Masked):
+    """Pre-quantization label: psi(gamma) = (-1)^<psi_bits, gamma bits>.
+
+    Both constructors set ``_mask``, the bits as an int (bit j is slot j),
+    which ``_classify`` reads; an unpickled choice goes through the checked
+    one."""
 
     psi_bits: tuple[int, ...]
 
     @classmethod
-    def _trusted(cls, psi_bits: tuple[int, ...]) -> "PrequantChoice":
+    def _trusted(cls, psi_bits: tuple[int, ...], mask: int) -> "PrequantChoice":
         """A choice from a tuple of 0/1 ints already known to be valid (it
-        was generated); skips the checks."""
+        was generated) and its ``_bits_mask``; skips the checks."""
         self = object.__new__(cls)
         _set_psi_bits(self, psi_bits)
+        _set_mask(self, mask)
         return self
 
     def __post_init__(self):
-        object.__setattr__(self, "psi_bits", _check_bits(self.psi_bits, "psi bits"))
+        bits = _check_bits(self.psi_bits, "psi bits")
+        object.__setattr__(self, "psi_bits", bits)
+        _set_mask(self, _bits_mask(bits))
 
     def psi(self, gamma: GammaElement) -> int:
         if len(self.psi_bits) != len(gamma.bits):
@@ -239,7 +264,7 @@ class PrequantChoice:
         return cls(data["psi_bits"])
 
 
-_set_psi_bits = PrequantChoice.psi_bits.__set__
+_set_psi_bits, _set_mask = PrequantChoice.psi_bits.__set__, _Masked._mask.__set__
 
 
 @dataclass(frozen=True)
@@ -382,24 +407,26 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
     if stars and bits[stars[0]]:
         for j in stars:
             bits[j] ^= 1
-    return PrequantChoice._trusted(tuple(bits))
+    return PrequantChoice._trusted(tuple(bits), _bits_mask(bits))
 
 
 def _classify(surface: SurfaceData,
               choice: PrequantChoice) -> tuple[PrequantChoice, int, int]:
     """The canonical form of a PrequantChoice on ``surface`` and its folded
-    class (a, d), as ``_canonical_class`` describes; the surface is admissible."""
-    bits, stars, s = choice.psi_bits, surface.star_slots, len(surface.labels)
-    a = sum(bits[:s])
-    if (len(bits) != s + 2 * surface.genus or (stars and bits[stars[0]])
-            or a != sum(map(bits.__getitem__, stars))):
-        choice = canonicalize_choice(surface, bits)
-        bits = choice.psi_bits
-        a = sum(bits[:s])
-    # canonical: the boundary bits set are star bits; fold a and d
-    d = sum(map(or_, bits[s::2], bits[s + 1::2]))
-    if 2 * a > len(stars):
-        a = len(stars) - a
+    class (a, d), as ``_canonical_class`` describes; the surface is admissible.
+
+    On the masks (``SurfaceData``): a choice is canonical when it has one
+    bit per slot and none under ``_zero_mask``; a counts its bits under
+    ``_star_mask``, and d the doubles whose first or second bit is set, read
+    at the pair's first slot as (m | m >> 1) & ``_double_mask``."""
+    mask = choice._mask
+    if len(choice.psi_bits) != surface.num_slots or mask & surface._zero_mask:
+        choice = canonicalize_choice(surface, choice.psi_bits)
+        mask = choice._mask
+    a, r = (mask & surface._star_mask).bit_count(), surface.star_count
+    d = ((mask | mask >> 1) & surface._double_mask).bit_count()
+    if 2 * a > r:
+        a = r - a
     if d > 1:
         d = d & 1 if surface.level % 4 else 1
     return choice, a, d
@@ -407,10 +434,12 @@ def _classify(surface: SurfaceData,
 
 # The last (surface, choice, class) that ``_canonical_class`` returned.  The
 # three paths of one request ask for the same pair in a row, so one slot
-# classifies each request once.  It holds both objects, so neither id can
-# be reused while it is compared by identity, and both are immutable; it is
-# replaced as one tuple, never updated in place.
-_last_class: tuple = (None, None, None)
+# classifies each request once.  It holds only a pair that passed the
+# admissibility and type checks; it holds both objects, so neither id can be
+# reused while it is compared by identity, and both are immutable; it is
+# replaced as one tuple, never updated in place.  The first entry starts as
+# an object no caller holds.
+_last_class: tuple = (object(), None, None)
 
 
 def _canonical_class(surface: SurfaceData,
@@ -435,19 +464,20 @@ def _canonical_class(surface: SurfaceData,
     per slot, none on a non-star boundary slot, first star bit 0) is
     returned as it is: its bits were checked to be 0/1 when it was built.
     Any other goes through ``canonicalize_choice``, which raises for a wrong
-    length; anything that is not a PrequantChoice raises TypeError.  Both
-    checks run on every call; only then is the last pair classified read
-    back (``_last_class``), so a repeated request is classified once.
+    length; anything that is not a PrequantChoice raises TypeError.  The
+    last pair classified (``_last_class``) is read first, by identity: it
+    passed both checks, and neither object can change, so a repeated
+    request is checked and classified once.  Every other pair is checked.
     """
     global _last_class
-    require_admissible(surface)
-    if choice is None:
-        return PrequantChoice._trusted((0,) * surface.num_slots), 0, 0
-    if not isinstance(choice, PrequantChoice):
-        raise TypeError(f"choice must be a PrequantChoice or None, got {choice!r}")
     last_surface, last_choice, last = _last_class
     if last_surface is surface and last_choice is choice:
         return last
+    require_admissible(surface)
+    if choice is None:
+        return PrequantChoice._trusted((0,) * surface.num_slots, 0), 0, 0
+    if not isinstance(choice, PrequantChoice):
+        raise TypeError(f"choice must be a PrequantChoice or None, got {choice!r}")
     result = _classify(surface, choice)
     _last_class = (surface, choice, result)
     return result
@@ -458,16 +488,19 @@ def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:
     require_admissible(surface)
     if surface.gamma_size() > GAMMA_SIZE_CAP:
         raise GroupTooLarge(f"|Gamma| = {surface.gamma_size()} exceeds cap {GAMMA_SIZE_CAP}")
-    stars = surface.star_slots
+    free_stars = surface.star_slots[1:]
     s, h = surface.num_boundary, surface.genus
-    free_stars = stars[1:]
+    # the 4^h double patterns, each with its mask on slots s..s+2h-1
+    doubles = [(bits, _bits_mask(bits) << s) for bits in product((0, 1), repeat=2 * h)]
     out = []
     for star_bits in product((0, 1), repeat=len(free_stars)):
-        bits = [0] * s
+        bits, mask = [0] * s, 0
         for j, bit in zip(free_stars, star_bits):
             bits[j] = bit
-        for double_bits in product((0, 1), repeat=2 * h):
-            out.append(PrequantChoice._trusted(tuple(bits) + double_bits))
+            mask |= bit << j
+        bits = tuple(bits)
+        out += [PrequantChoice._trusted(bits + double_bits, mask | double_mask)
+                for double_bits, double_mask in doubles]
     return out
 
 

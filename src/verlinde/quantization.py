@@ -38,9 +38,12 @@ two classes and at r = 4 in three, the classes of the literal tables
 (``oracles.closed_form_tables``).  That function is the one front end of
 all three surface paths: it tests the admissibility boolean the surface
 derived when built (the report is built only for a failure message) and
-returns the request's canonical choice with its folded class.  It keeps the
-last (surface, choice) pair it classified, by identity, in one slot, so the
-three paths of one request classify it once.  Each path then computes its
+returns the request's canonical choice with its folded class, found in a
+few integer operations on the choice's bits as an int and the masks the
+surface derived when built (``prequant._classify``).  It keeps the last
+(surface, choice) pair it classified, by identity, in one slot, and reads
+that slot before its checks, which the pair has passed: the three paths of
+one request check and classify it once.  Each path then computes its
 result once per class (surface, a, d) in a bounded cache and wraps it with
 that choice.  A class that cannot be certified raises where it fails, on
 every request, and leaves no entry.  The star entry points
@@ -287,7 +290,7 @@ def quantize_double_so3(k: int, phi: tuple[int, int] = (0, 0)) -> FusionElement:
     with no boundary, whose chi multiple is ``_double_factor`` less 1.
     """
     surface = SurfaceData(k, 1, ())
-    _, a, d = _canonical_class(surface, PrequantChoice._trusted(phi))
+    _, a, d = _canonical_class(surface, PrequantChoice(phi))
     return _closed_form_element(surface, a, d)
 
 
@@ -612,10 +615,23 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     """Fixed-point value of the star-block quantization at the point t_l.
 
     Away from l = k/2 only the discrete fixed points contribute,
-    2^(1-r) tau_{k/2}(t_l)^r; at l = k/2 each nontrivial sign vector adds a
-    torus contribution weighted by its phase.
+    2^(1-r) tau_{k/2}(t_l)^r, formed as 2 (tau_{k/2}(t_l) / 2)^r (halving is
+    exact) for r >= 1; at l = k/2 each nontrivial sign vector adds a torus
+    contribution weighted by its phase, and as sigma = tau_{k/2}(t_{k/2}) is
+    -1, 0 or 1 the value is the exact rational
+    (sigma^r + (k/2+1) ``_chi_coefficient``) / 2^(r-1), rounded once.
+    Raises PrecisionExhausted only when the value is out of double range.
     """
     k, r, a = _star_class(k, r, psi)
     l, half = _check_index(k, l, "l"), k // 2
-    chi = float(half + 1) * _chi_coefficient(k, r, a) if l == half else 0.0
-    return (_weyl_quotient(k, l, ((half, 1),)) ** r + chi) / 2 ** (max(r, 1) - 1)
+    try:  # the power and the int division raise past double range; doubling returns inf
+        if l == half:
+            value = ((_value_at_half(half) ** r + (half + 1) * _chi_coefficient(k, r, a))
+                     / 2 ** (max(r, 1) - 1))
+        else:
+            value = 2 * (_weyl_quotient(k, l, ((half, 1),)) / 2) ** r if r else 1.0
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PrecisionExhausted(f"the star block's value at t_{l} is out of double range")
+    return value

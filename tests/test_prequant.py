@@ -1,13 +1,17 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
+import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlinde import prequant
 from verlinde.oracles import sweep_surfaces
 from verlinde.prequant import (
     GammaElement,
@@ -316,6 +320,83 @@ class TestChoices:
         gammas = enumerate_gamma(surf)
         raw = PrequantChoice((1, 1, 1, 0, 1))
         assert all(choice.psi(g) == raw.psi(g) for g in gammas)
+
+
+def _reference_class(surf, bits):
+    """The folded class of psi bits on ``surf``, read from the bits alone:
+    a, the bits set on star slots, and d, the double pairs other than
+    (0, 0), folded to min(a, r - a) and, for d >= 2, to 1 at k in 4N and
+    to d mod 2 otherwise."""
+    s, r = surf.num_boundary, surf.star_count
+    a = sum(bits[j] for j in surf.star_slots)
+    d = sum((bits[i], bits[i + 1]) != (0, 0) for i in range(s, len(bits), 2))
+    if d >= 2:
+        d = 1 if surf.level % 4 == 0 else d % 2
+    return min(a, r - a), d
+
+
+def _pool_surfaces(workload):
+    """The benchmark's pool surfaces of ``workload``, each with its candidate choices."""
+    with open(Path(__file__).resolve().parents[1] / "bench" / "expected.json") as fh:
+        pool = json.load(fh)[workload]["surfaces"]
+    return [(SurfaceData(s["level"], s["genus"], s["labels"]),
+             [PrequantChoice(tuple(map(int, c["psi"]))) for c in s["choices"]]) for s in pool]
+
+
+def _noncanonical(surf, rng):
+    """Random psi bits on ``surf`` with a 1 on a non-star boundary slot or
+    on the first star slot, so that the choice is not canonical."""
+    bits = [rng.randint(0, 1) for _ in range(surf.num_slots)]
+    fixed = [j for j in range(surf.num_boundary) if j not in surf.star_slots[1:]]
+    bits[rng.choice(fixed)] = 1
+    return tuple(bits)
+
+
+class TestClassReference:
+    """``prequant._classify`` against a reference that counts the bits."""
+
+    @staticmethod
+    def check(surf, choice):
+        canonical, a, d = prequant._classify(surf, choice)
+        assert (a, d) == _reference_class(surf, choice.psi_bits), (surf, choice)
+        assert canonical == canonicalize_choice(surf, choice.psi_bits)
+        assert (canonical is choice) == (canonical.psi_bits == choice.psi_bits)
+
+    def test_every_sweep_request(self):
+        requests = 0
+        for surf in sweep_surfaces(20, 5, 2):
+            for choice in enumerate_choices(surf):
+                self.check(surf, choice)
+                requests += 1
+        assert requests == 31324
+
+    @pytest.mark.parametrize("workload, candidates", [("high_level", 167), ("big_gamma", 480)])
+    def test_every_pool_candidate(self, workload, candidates):
+        checked = 0
+        for surf, choices in _pool_surfaces(workload):
+            for choice in choices:
+                self.check(surf, choice)
+                checked += 1
+        assert checked == candidates
+
+    def test_random_noncanonical_choices(self):
+        rng = random.Random(26)
+        bounded = [surf for surf in sweep_surfaces(20, 5, 2) if surf.num_boundary]
+        surfaces = rng.sample(bounded, 400)
+        surfaces += [surf for surf, _ in _pool_surfaces("big_gamma")]
+        assert {(surf.genus, surf.num_boundary) for surf in surfaces[-5:]} == \
+            {(4, 5), (3, 10), (6, 5), (5, 8), (7, 5)}
+        for surf in surfaces:
+            for _ in range(20):
+                choice = PrequantChoice(_noncanonical(surf, rng))
+                self.check(surf, choice)
+                assert prequant._classify(surf, choice)[0] is not choice
+
+    def test_wrong_length_is_rejected(self):
+        surf = SurfaceData(8, 1, (4, 4, 4, 1))
+        for bits in ((0,) * 5, (0,) * 7, (0, 0, 1, 0, 1), (0, 0, 1, 0, 1, 0, 0)):
+            with pytest.raises(ValueError, match=f"need 6 psi bits, got {len(bits)}"):
+                prequant._classify(surf, PrequantChoice(bits))
 
 
 class TestPhaseFactor:

@@ -493,7 +493,8 @@ class TestChoiceResolution:
 
 class TestClassificationMemo:
     """``prequant._canonical_class`` keeps the last (surface, choice) pair it
-    classified, by identity, after its admissibility and type checks."""
+    classified, by identity, and reads it before its admissibility and type
+    checks: the pair passed both, so only another pair is checked."""
 
     PATHS = (quantize_surface, fs_formula, reduced_quantization)
 
@@ -501,7 +502,7 @@ class TestClassificationMemo:
     def classify_calls(self, monkeypatch):
         calls = []
         classify = prequant._classify
-        monkeypatch.setattr(prequant, "_last_class", (None, None, None))
+        monkeypatch.setattr(prequant, "_last_class", (object(), None, None))
         monkeypatch.setattr(prequant, "_classify",
                             lambda surf, choice: calls.append(1) or classify(surf, choice))
         return calls
@@ -549,6 +550,46 @@ class TestClassificationMemo:
                     path(good, choice.psi_bits)
                 path(good, choice)
         assert len(classify_calls) == 1
+
+    GOOD, BAD = SurfaceData(4, 1, (2, 0, 2)), SurfaceData(6, 1, (3, 3, 3))
+
+    def remembered(self):
+        """A valid pair, classified once and held in the memo."""
+        choice = PrequantChoice((0, 0, 1, 1, 0))
+        result = prequant._canonical_class(self.GOOD, choice)
+        assert prequant._last_class == (self.GOOD, choice, result)
+        return choice, result
+
+    def test_a_repeat_skips_the_checks(self, classify_calls, monkeypatch):
+        choice, result = self.remembered()
+        monkeypatch.setattr(prequant, "require_admissible", None)  # a call would raise
+        assert prequant._canonical_class(self.GOOD, choice) is result
+        assert len(classify_calls) == 1
+
+    def test_an_inadmissible_surface_still_raises(self, classify_calls):
+        choice, result = self.remembered()
+        with pytest.raises(NotAdmissible, match="condition \\(iii\\)"):
+            prequant._canonical_class(self.BAD, choice)
+        with pytest.raises(NotAdmissible):
+            prequant._canonical_class(SurfaceData(6, 1, (3, 3, 3)), None)
+        assert prequant._last_class == (self.GOOD, choice, result)
+
+    def test_a_non_choice_still_raises(self, classify_calls):
+        choice, result = self.remembered()
+        for other in (choice.psi_bits, list(choice.psi_bits), "00110"):
+            with pytest.raises(TypeError, match="PrequantChoice"):
+                prequant._canonical_class(self.GOOD, other)
+        assert prequant._last_class == (self.GOOD, choice, result)
+        assert len(classify_calls) == 1
+
+    def test_an_equal_fresh_choice_is_classified_anew(self, classify_calls):
+        choice, result = self.remembered()
+        fresh = PrequantChoice(choice.psi_bits)
+        assert fresh == choice and fresh is not choice
+        again = prequant._canonical_class(self.GOOD, fresh)
+        assert again == result and again[0] is fresh
+        assert len(classify_calls) == 2
+        assert prequant._last_class == (self.GOOD, fresh, again)
 
 
 def _clear_quantization_caches():
@@ -1161,6 +1202,25 @@ class TestLocalization:
     def test_r3_vanishing_point(self):
         assert localization_evaluate(4, 3, (0, 0, 0), 1) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, r, l", [(8, 1600, 0), (8, 1600, 8), (8, 1600, 4),
+                                         (8, 1474, 0)])
+    def test_a_value_out_of_double_range_exhausts_precision(self, k, r, l):
+        # at (8, 1474, 0) (tau/2)^r is still finite and its double is not
+        with pytest.raises(PrecisionExhausted, match=f"at t_{l} is out of double range"):
+            localization_evaluate(k, r, (0,) * r, l)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, r, l", [(4, 1100, 0), (4, 1100, 1), (4, 1100, 2),
+                                         (4, 2000, 0), (8, 1200, 1), (8, 1200, 4)])
+    def test_many_stars_stay_in_range(self, k, r, l):
+        """The power tau_{k/2}(t_l)^r and 2^(r-1) leave double range long
+        before the value does.  (At other l the closed form's own float
+        evaluation cancels terms near 1e250 and is no reference.)"""
+        value = localization_evaluate(k, r, (0,) * r, l)
+        assert value == pytest.approx(quantize_star_block(k, r, (0,) * r).evaluate(l),
+                                      rel=1e-8, abs=1e-8)
+
     def test_matches_closed_form_evaluations(self):
         for k, r, psi in [(4, 2, "+"), (4, 2, "-"), (8, 3, (0, 1, 1)),
                           (12, 4, (0, 1, 0, 1)), (8, 5, (0, 0, 1, 1, 0)), (6, 1, ())]:
@@ -1222,6 +1282,28 @@ def _checked(obj):
 
 
 class TestObjectLayout:
+    def test_every_constructor_gives_a_choice_its_mask(self):
+        """The mask ``_classify`` reads is bit j = slot j whichever way the
+        choice was built, and every copy classifies alike."""
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        for choice in enumerate_choices(surf):
+            for bits in {choice.psi_bits} | _noncanonical_variants(surf, choice.psi_bits):
+                mask = sum(bit << j for j, bit in enumerate(bits))
+                built = PrequantChoice(bits)
+                copies = [built, PrequantChoice(tuple(map(np.int64, bits))),
+                          PrequantChoice._trusted(bits, mask), _load(_dict_state_reduce(built)),
+                          *(pickle.loads(pickle.dumps(built, protocol))
+                            for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+                if bits == choice.psi_bits:
+                    copies.append(choice)
+                for copy in copies:
+                    assert copy == built and copy._mask == mask
+                    assert type(copy._mask) is int and "_mask" not in repr(copy)
+                    assert prequant._classify(surf, copy) == prequant._classify(surf, built)
+                canonical = canonicalize_choice(surf, bits)
+                assert canonical._mask == sum(bit << j for j, bit in enumerate(canonical.psi_bits))
+                assert prequant._classify(surf, canonical) == prequant._classify(surf, built)
+
     def test_result_fields_order_and_default(self):
         assert QuantizationResult._fields == ("element", "reduced", "path", "choice")
         assert QuantizationResult._field_defaults == {"choice": None}
