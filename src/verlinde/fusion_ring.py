@@ -700,19 +700,19 @@ def _sine_coefficients(values: Sequence[float],
     return coeffs, bound + _UNDERFLOW
 
 
-def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float, delta: float,
-                         delta_error: float) -> tuple[np.ndarray, float]:
+def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
+                         delta: float) -> tuple[np.ndarray, float]:
     """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (error at
     most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2} is
     exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
-    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  The bound grows by the
-    rounding of the step delta 2/N (forming delta as a difference of two
-    values, 2/N and the product: 3u) and of its part in each sum (u), and
-    by ``delta_error`` (2/N), delta_error being the error delta carries in
-    from the values it is formed from; the sum's part from ``coeffs`` is in
-    their bound already.  A bound that is not finite certifies nothing,
-    and the coefficients are left as they are."""
-    bound += (5 * _UNIT_ROUNDOFF * abs(delta) + delta_error) * (2.0 / (k + 2))
+    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  delta is taken as the
+    correctly rounded double of an exact value.  The bound grows by the
+    rounding of the step delta 2/N (delta's own rounding, 2/N and the
+    product: 3u) and of its part in each sum (u), 5u with the second-order
+    terms; the sum's part from ``coeffs`` is in their bound already.  A
+    bound that is not finite certifies nothing, and the coefficients are
+    left as they are."""
+    bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
     if not math.isfinite(bound):
         return coeffs, bound
     star = np.zeros(k + 1)

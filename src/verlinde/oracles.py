@@ -257,7 +257,8 @@ def _gamma_terms(surface: SurfaceData) -> tuple[np.ndarray, np.ndarray]:
 def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int]) -> FusionElement:
     """The literal sum over Gamma (|Gamma| <= 2^9, ``enumerate_gamma`` order)
     of phases[gamma] prod_j S^(gamma_j)[m_j, l] / S[0, l]^(s+2h), non-identity
-    terms at l = k/2 only: the reference for ``fs_formula``'s block sum.  The
+    terms at l = k/2 only: the reference for each class's value there,
+    which every other path reads from ``quantization._half_value``.  The
     phases are applied per call to terms built once per surface.  Any wrong
     phase makes the rounding raise NonIntegralCoefficient."""
     identity, column = _gamma_terms(surface)
@@ -530,6 +531,28 @@ def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
                        bad == 0, float(bad))
 
 
+def check_literal_gamma_sum(max_k: int, max_r: int, max_h: int) -> CheckResult:
+    """Closed form vs the literal sum over Gamma with the request's phases
+    (``fs_formula_with_phases``), on every request of the sweep with
+    |Gamma| <= 2^6.  Each class's value at t_{k/2} is written once, in the
+    closed form's exact helpers, and every other path reads it there; the
+    literal sum reads none of them, so it is the check on that value."""
+    bad = 0
+    requests = 0
+    classes = set()
+    for surface in sweep_surfaces(max_k, max_r, max_h, gamma_cap=2**6):
+        for choice in enumerate_choices(surface):
+            requests += 1
+            classes.add((surface, *_canonical_class(surface, choice)[1:]))
+            literal = fs_formula_with_phases(surface, phase_vector(surface, choice))
+            if quantize_surface(surface, choice).element != literal:
+                bad += 1
+    return CheckResult("literal_gamma_sum",
+                       {"max_k": max_k, "max_r": max_r, "max_h": max_h,
+                        "requests": requests, "classes": len(classes)},
+                       bad == 0, float(bad))
+
+
 def check_localization(max_k: int, max_r: int) -> CheckResult:
     worst = 0.0
     for k in range(0, max_k + 1, 2):
@@ -679,6 +702,7 @@ def run_verification_suite(max_k: int = 20, max_r: int = 5,
         check_choices(max_k, max_r, max_h),
         check_phase_factors(max_k, max_r, max_h),
         check_cross_paths(max_k, max_r, max_h),
+        check_literal_gamma_sum(max_k, max_r, max_h),
         check_localization(max_k, max_r),
         check_choice_sum_identity(max_k, max_r),
         check_r2_pair_identity(max_k),

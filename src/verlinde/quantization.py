@@ -16,11 +16,13 @@ Three mutually cross-checking routes are implemented:
   D_SU(2) through the tridiagonal solve ``fusion_ring._times_double``.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
-  (1 for z = c, S[m,l] for z = e), taken block by block as both factor
-  over blocks.  This path is floating point; the final integrality
-  rounding doubles as a detector for wrong phase conventions.
+  (1 for z = c, S[m,l] for z = e).  At l != k/2 only gamma = e survives,
+  the identity term, in floating point; at l = k/2 the sum factors over
+  the blocks into the closed form's exact value ``_half_value``, rounded
+  once.  The final integrality rounding checks the float part; the literal
+  Gamma sum (``oracles.fs_formula_with_phases``) checks the value at t_{k/2}.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
-  block at a special point.
+  block at a special point, ``_half_value`` at t_{k/2}.
 
 ``reduced_quantization`` computes the scalar (tau_0-coefficient) variant of
 the S-matrix formula directly, and ``verlinde_baseline`` the simply
@@ -69,9 +71,10 @@ bounds of the same sum.
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
 star block's sign-group sum in ``_krawtchouk_sum``, the doubles' phases in
-``_double_factor``, the exact division in ``_exact_divide``, the folding
-rule in ``fusion_ring._fold`` and the two linear steps it implies,
-``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
+``_double_factor``, each class's value at t_{k/2}, the one point where a
+choice acts, in ``_half_value``, the exact division in ``_exact_divide``,
+the folding rule in ``fusion_ring._fold`` and the two linear steps it
+implies, ``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
 """
 
 from __future__ import annotations
@@ -334,32 +337,55 @@ def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     return _times_labels(k, coeffs, repeat(k // 2, r))
 
 
-def _value_at_half(m: int) -> int:
+def _tau_at_half(m: int) -> int:
     """tau_m(t_{k/2}) = sin((m+1) pi/2): (-1)^(m/2) for even m, else 0."""
     return 0 if m % 2 else 1 - 2 * (m // 2 % 2)
+
+
+def _half_value(surface: SurfaceData, a: int, d: int) -> int:
+    """|Gamma| times the class (a, d)'s value at t_{k/2}, k even, as an int:
+    the product of the blocks' values, each times its share of |Gamma|.  The
+    non-star labels give prod tau_m(t_{k/2}) and the choice-free part of the
+    doubles (k/2+1)^h; the star block (tau_{k/2}^r + c(a) chi) gives
+    tau_{k/2}(t_{k/2})^r + c(a) (k/2+1), c(a) = ``_chi_coefficient``; and the
+    doubles' choices ``_double_factor``.  The one statement of that value:
+    every path reads it, and only at t_{k/2} does a choice change a value."""
+    k, r, h = surface.level, surface.star_count, surface.genus
+    nonstar = (k // 2 + 1) ** h * math.prod(map(_tau_at_half, surface.nonstar_labels))
+    star = _tau_at_half(k // 2) ** r + _chi_coefficient(k, r, a) * (k // 2 + 1)
+    return nonstar * star * _double_factor(k, h, d)
+
+
+def _half_float(surface: SurfaceData, a: int, d: int, scale: int = 1) -> float:
+    """``_half_value`` / (scale |Gamma|), the class's value at t_{k/2} over
+    ``scale``, as the nearest double: an int / int division, correctly
+    rounded.  PrecisionExhausted past double range."""
+    try:
+        return _half_value(surface, a, d) / (scale * surface.gamma_size())
+    except OverflowError:
+        k = surface.level
+        raise PrecisionExhausted(f"the value of class (a={a}, d={d}) at t_{k // 2} is out of "
+                                 f"double range (t_{{k/2}} at level {k})") from None
 
 
 class _ClosedBase(NamedTuple):
     """Choice-independent data of one surface's closed form."""
 
     element: FusionElement  # X = tau_{k/2}^r D_SU(2)^h prod tau_m, non-star m
-    divisor: int  # 2^(r-1) 4^h, with 2^(r-1) read as 1 for r = 0
-    star: int  # tau_{k/2}^r at t_{k/2}, 0 or +-1
-    weight: int  # (D_SU(2)^h prod tau_m)(t_{k/2}) = (k/2+1)^h or its negative, or 0
+    at_half: int  # X(t_{k/2}) = c_0 - c_2 + c_4 - ..., read for even k
 
 
 # one per folded surface, read by each class: 1,097 of 1,678 sweep reads hit
 @lru_cache(maxsize=512)
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
-    """X and the integers that give each class's multiple of chi.  X is
-    ``_star_and_doubles``, shared by the surfaces with the same (k, r, h),
-    times one basis step per non-star label: no dense product."""
-    k, r, h = surface.level, surface.star_count, surface.genus
-    base = _times_labels(k, _star_and_doubles(k, r, h).coeffs, surface.nonstar_labels)
-    if k % 2:  # then r = h = 0: X is the whole answer
-        return _ClosedBase(base, 1, 0, 0)
-    weight = (k // 2 + 1) ** h * math.prod(map(_value_at_half, surface.nonstar_labels))
-    return _ClosedBase(base, 2 ** (max(r, 1) - 1 + 2 * h), _value_at_half(k // 2) ** r, weight)
+    """X and its value at t_{k/2}, from X's own coefficients, as
+    tau_m(t_{k/2}) = ``_tau_at_half``.  X is ``_star_and_doubles``, shared
+    by the surfaces with the same (k, r, h), times one basis step per
+    non-star label: no dense product."""
+    k = surface.level
+    base = _times_labels(k, _star_and_doubles(k, surface.star_count, surface.genus).coeffs,
+                         surface.nonstar_labels)
+    return _ClosedBase(base, sum(base.coeffs[::4]) - sum(base.coeffs[2::4]))
 
 
 def _class_cache(fn):
@@ -386,26 +412,28 @@ def _class_cache(fn):
 @_class_cache
 def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     """The class (a, d)'s star block x doubles x non-star labels, as
-    (X + mu chi) / (2^(r-1) 4^h).
+    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h.
 
     Every block is a choice-free part plus a multiple of chi: the star block
     (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
     double (D_SU(2) + e chi) / 4 (``_double_factor``).  As chi x = x(t_{k/2}) chi
     (chi vanishes at every other special point), the product is the product
     of the choice-free parts, X, plus mu chi, where mu (k/2+1) is the
-    product's value at t_{k/2} minus X's.  Those values are integers:
-    tau_m(t_{k/2}) is 0 or +-1 and D_SU(2)(t_{k/2}) = chi(t_{k/2}) = k/2+1.
-    So a class costs O(r + h) integer steps and one O(k) pass."""
-    base = _closed_form_base(surface)
-    mu = 0
-    if base.weight:
-        k, c = surface.level, surface.level // 2 + 1
-        star = base.star + _chi_coefficient(k, surface.star_count, a) * c
-        doubles = _double_factor(k, surface.genus, d)
-        mu = base.weight * (star * doubles - base.star) // c  # exact: see above
-    if not mu and base.divisor == 1:
+    product's value at t_{k/2} times |Gamma| (``_half_value``) minus X's.
+    Both values are integers, so mu is an exact division, checked: its
+    remainder raises InexactDivision.  A class costs O(r + h) integer steps
+    and one O(k) pass."""
+    base, k = _closed_form_base(surface), surface.level
+    if k % 2:  # then r = h = 0 and Gamma = {e}: X is the whole answer
         return base.element
-    return _exact_divide(surface.level, _plus_chi(base.element, mu), base.divisor)
+    excess = _half_value(surface, a, d) - base.at_half
+    if excess % (k // 2 + 1):
+        raise InexactDivision(f"the class (a={a}, d={d}) differs from X at t_{k // 2} by "
+                              f"{excess}, not divisible by {k // 2 + 1}")
+    mu, size = excess // (k // 2 + 1), surface.gamma_size()
+    if not mu and size == 1:
+        return base.element
+    return _exact_divide(k, _plus_chi(base.element, mu), size)
 
 
 def quantize_surface(surface: SurfaceData,
@@ -416,59 +444,55 @@ def quantize_surface(surface: SurfaceData,
 
 
 class _GammaData(NamedTuple):
-    """Choice-independent O(k) data of one surface's S-matrix sum."""
+    """Choice-independent O(k) data of one surface's S-matrix sum, its
+    values at t_{k/2} left out (each class adds its own)."""
 
     coeffs: np.ndarray  # tau-coefficients of the identity term / |Gamma|
     bound: float  # their rounding-error bound
-    at_half: float  # the identity term / |Gamma| at l = k/2
-    reduced: float  # the reduced identity term summed over l != k/2, / |Gamma|
+    reduced: float  # the reduced identity term summed, / |Gamma|
     mass: float  # the sum of its terms' absolute values, / |Gamma|
-    nonstar: float  # prod S[m, k/2] over the non-star labels
-    s0_half: float  # S[0, k/2]
-    star_half: float  # S[k/2, k/2]
 
 
-# The relative error of one value the S-matrix sum transforms: an identity
-# term prod_j S[m_j, l] / S[0, l]^n / |Gamma|, or the block sum at l = k/2.
-# Each S-matrix entry is within 6.36u of its value, relative, a priori, at
-# any k (``fusion_ring._s_entries``; tests/test_exact_angles.py derives it),
-# and a value reads s + n of them, s the label count and n the slot count,
-# S[0, l] n times through the power: 6.36 (s + n) u.  The identity term adds
-# s - 1 products, the power (within one ulp, 2u) and the division: s + 2
-# roundings.  The block sum reads at most s entries besides S[0, k/2] (the
-# non-star labels' and S[k/2, k/2] for odd r) and adds s' - 1 products of the
-# s' <= s non-star entries, the power, the division, the star factor (one
-# division of integers, one product) and its product: s' + 5 roundings.  The
-# double factor over |Gamma| and 1/|Gamma| are exact powers of two.  One
-# more u takes the second-order terms, below u while s + n < 10^6.  So
-# (6.36 (s + n) + s + 6) u bounds both.
+# The relative error of one value the S-matrix sum transforms, an identity
+# term prod_j S[m_j, l] / S[0, l]^n / |Gamma| at l != k/2.  Each S-matrix
+# entry is within 6.36u of its value, relative, a priori, at any k
+# (``fusion_ring._s_entries``; tests/test_exact_angles.py derives it), and a
+# value reads s + n of them, s the label count and n the slot count, S[0, l]
+# n times through the power: 6.36 (s + n) u.  The identity term adds s - 1
+# products, the power (within one ulp, 2u) and the division: s + 2
+# roundings; 1/|Gamma| is an exact power of two.  One more u takes the
+# second-order terms, below u while s + n < 10^6.  So (6.36 (s + n) + s + 3) u
+# bounds it.  (The value at t_{k/2} is one correctly rounded division of
+# integers, ``_half_float``, counted where it is added.)
 def _value_error(surface: SurfaceData) -> float:
     """The relative error bound above of the surface's summed values."""
     s = len(surface.labels)
-    return (6.36 * (s + surface.num_slots) + s + 6) * _UNIT_ROUNDOFF
+    return (6.36 * (s + surface.num_slots) + s + 3) * _UNIT_ROUNDOFF
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     """The identity term prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| for every
-    l, taken to the tau basis by one sine transform, whose error bound covers
-    the values' own error (``_value_error``) as well; its reduced form
-    (exponent s+2h-2) summed over l != k/2; and the factors of the block
-    sum at l = k/2.  Only the S-matrix rows of the labels, 0 and k/2 are
+    l != k/2, 0 at l = k/2 (k even), taken to the tau basis by one sine
+    transform, whose error bound covers the values' own error
+    (``_value_error``) as well; and its reduced form (exponent s+2h-2)
+    summed over the same l.  Only the S-matrix rows of the labels and 0 are
     read, from the row cache.  The reduced form keeps the sum of its terms'
     absolute values beside it, the scale of its rounding error.  1/|Gamma|
     is exact, |Gamma| being a power of two; a value out of double range
     becomes inf or nan, without a warning, and its rounding raises
     PrecisionExhausted."""
-    k, n, half = surface.level, surface.num_slots, surface.level // 2
+    k, n = surface.level, surface.num_slots
     inverse = 1 / surface.gamma_size()
     row0 = _s_row(k, 0)
     rows = np.array([_s_row(k, m) for m in surface.labels]).reshape(len(surface.labels), k + 1)
-    nonstar = math.prod(float(_s_row(k, m)[half]) for m in surface.nonstar_labels)
     with np.errstate(all="ignore"):
         full = np.prod(rows, axis=0)
         identity = full / row0 ** n * inverse
-        terms = np.delete(full / row0 ** (n - 2), half).tolist()
+        terms = full / row0 ** (n - 2)
+        if not k % 2:  # the class's value there is ``_half_value``
+            identity[k // 2] = terms[k // 2] = 0.0
+        terms = terms.tolist()
         try:  # fsum raises on an intermediate overflow and on inf - inf
             reduced = math.fsum(terms) * inverse
         except (OverflowError, ValueError):
@@ -477,64 +501,27 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
             mass = math.fsum(map(abs, terms)) * inverse
         except OverflowError:
             mass = math.inf
-        return _GammaData(*_sine_coefficients(identity, _value_error(surface)),
-                          float(identity[half]), reduced, mass, nonstar, float(row0[half]),
-                          float(_s_row(k, half)[half]))
-
-
-def _fs_star_factor(k: int, r: int, a: int, star_half: float) -> float:
-    """sum_w star_sign(k, r, w) S[k/2, k/2]^(r-w) K_w(a), ``star_half`` being
-    S[k/2, k/2] as the row cache holds it.  For k in 4N,
-    S[k/2, k/2]^2 = 1/(k/2+1): S[k/2, k/2]^(r mod 2) E / (k/2+1)^(r//2) for
-    E = ``_krawtchouk_sum``, one correctly rounded division (PrecisionExhausted
-    past double range).  Else r <= 2 and S[k/2, k/2] = 0 (the float row holds
-    exactly 0.0, its angle reduced in integers): only w = r is left, 1, 0 or
-    the chi coefficient for r = 0, 1, 2."""
-    if k % 4:
-        return _chi_coefficient(k, r, a) if r == 2 else 1 - r
-    try:
-        return star_half ** (r % 2) * (_krawtchouk_sum(k, r, a) / (k // 2 + 1) ** (r // 2))
-    except OverflowError:
-        raise PrecisionExhausted(f"the star factor of {r} star labels at level {k} is out "
-                                 "of double range") from None
-
-
-def _block_sum(surface: SurfaceData, a: int, d: int, exponent: int) -> float:
-    """sum_gamma phi'(gamma) prod_j S^(gamma_j)[m_j, k/2] / S[0, k/2]^exponent
-    / |Gamma| for the class (a, d), a product of block sums: the star factor
-    ``_fs_star_factor`` of the class, the non-star labels' S[m, k/2] read
-    from ``_fs_gamma_data``, and per double the four-term sum 1 + e, whose
-    product over the doubles is the exact integer ``_double_factor``.  That
-    integer and |Gamma| are powers of two (or 0), so their quotient is an
-    exact float of absolute value at most 1."""
-    k, data = surface.level, _fs_gamma_data(surface)
-    power = data.s0_half ** exponent  # 0.0 past double range: inf, which rounding reports
-    return (data.nonstar / power if power else math.inf) \
-        * _fs_star_factor(k, surface.star_count, a, data.star_half) \
-        * (_double_factor(k, surface.genus, d) / surface.gamma_size())
+        return _GammaData(*_sine_coefficients(identity, _value_error(surface)), reduced, mass)
 
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
     """The raw tau-coefficients of the class (a, d) and an a priori bound on
     their error, before rounding; computed on a miss of ``_fs_element``.
 
-    The class's values differ from the identity term / |Gamma| only at
-    l = k/2, where they are ``_block_sum``, so the coefficients
-    are the identity term's (one sine transform per surface) plus the
-    difference times taut_{k/2} (``fusion_ring._add_star_idempotent``).
+    The class's values are the identity term / |Gamma| at l != k/2, and at
+    l = k/2 its own value, ``_half_float``, so the coefficients are the
+    transform of the identity term with l = k/2 left out (one per surface)
+    plus that value times taut_{k/2} (``fusion_ring._add_star_idempotent``).
     The bound is the whole sum's: the transform's, which covers the
-    identity term's own error, plus the block sum's, relative error
-    ``_value_error`` of |block|.  The identity term's value at l = k/2
-    enters the transform along taut_{k/2} and leaves with the difference,
-    so its error cancels; the transform's bound counts it anyway.  For odd
-    k, Gamma = {e} and the identity term is the whole sum.
+    identity term's own error, plus the update's, which counts the value's
+    one rounding.  For odd k, Gamma = {e} and the identity term is the
+    whole sum.
     """
     data = _fs_gamma_data(surface)
     if surface.level % 2:
         return data.coeffs, data.bound
-    block = _block_sum(surface, a, d, surface.num_slots)
-    return _add_star_idempotent(surface.level, data.coeffs, data.bound, block - data.at_half,
-                                _value_error(surface) * abs(block))
+    return _add_star_idempotent(surface.level, data.coeffs, data.bound,
+                                _half_float(surface, a, d))
 
 
 @_class_cache
@@ -547,43 +534,47 @@ def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
 
 # The reduced sum's rounding error per unit of sum |terms| and per factor
 # (label or slot).  A term is s entries S[m_j, l] over S[0, l]^(n-2), s the
-# label count and n the slot count; the block sum's factors at l = k/2 are
-# the same entries.  Taking each entry as computed to within 2u of its value
-# (its sine, sqrt and division), the term's relative error is at most 2u per
-# entry, S[0, l]'s multiplied by n - 2 in the power, plus u per product, the
-# power and the division: (3s + 2n - 3) u.  The fsum and the final sum add
-# 2u relative to sum |terms|, and 1/|Gamma|, a power of two, is exact; so
-# c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  With every angle
-# reduced in integers (``fusion_ring._fold_angle``) an entry is within 6.36u
-# a priori and 2.7u measured against mpmath (tests/test_exact_angles.py),
-# at any k, and an entry that is 0 is exactly 0.0; but 2u per entry is below
-# the a priori figure, so the bound is a floor: a sum that reaches 1/2 is
-# refused, one below it is not thereby certified.
+# label count and n the slot count.  Taking each entry as computed to within
+# 2u of its value (its sine, sqrt and division), the term's relative error
+# is at most 2u per entry, S[0, l]'s multiplied by n - 2 in the power, plus
+# u per product, the power and the division: (3s + 2n - 3) u.  The value at
+# l = k/2 is one correctly rounded division of integers (u).  The fsum and
+# the final sum add 2u relative to sum |terms|, and 1/|Gamma|, a power of
+# two, is exact; so c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  With
+# every angle reduced in integers (``fusion_ring._fold_angle``) an entry is
+# within 6.36u a priori and 2.7u measured against mpmath
+# (tests/test_exact_angles.py), at any k, and an entry that is 0 is exactly
+# 0.0; but 2u per entry is below the a priori figure, so the bound is a
+# floor: a sum that reaches 1/2 is refused, one below it is not thereby
+# certified.
 _REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
 
 
 @_class_cache
 def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
-    """The class's reduced value, rounded once; a class that fails to round
+    """The class's reduced value, rounded once: the reduced identity term
+    summed over l != k/2 plus the class's term at l = k/2, its value times
+    S[0, k/2]^2 = 1/(k/2+1) (``_half_float``).  A class that fails to round
     raises NonIntegralValue or PrecisionExhausted, as ``_fs_element`` does.
     PrecisionExhausted comes too when the sum's rounding error floor
     c (s + n) u sum |terms| (``_REDUCED_ERROR``) is not below 1/2."""
-    data = _fs_gamma_data(surface)
-    block = _block_sum(surface, a, d, surface.num_slots - 2)
-    bound = _REDUCED_ERROR * (len(surface.labels) + surface.num_slots) * (data.mass + abs(block))
-    return round_to_integer(data.reduced + block, exc=NonIntegralValue,
+    k, data = surface.level, _fs_gamma_data(surface)
+    half = 0.0 if k % 2 else _half_float(surface, a, d, k // 2 + 1)
+    bound = _REDUCED_ERROR * (len(surface.labels) + surface.num_slots) * (data.mass + abs(half))
+    return round_to_integer(data.reduced + half, exc=NonIntegralValue,
                             context="reduced quantization", bound=bound)
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> QuantizationResult:
     """Quantization through the S-matrix formula, summed block by block:
-    the identity term / |Gamma| at l != k/2, ``_block_sum`` at l = k/2
-    (floating point), back to the tau basis by a sine transform (once per
-    surface) and an update along taut_{k/2} (once per choice class), then
-    integrality rounding, once per class.  Raises PrecisionExhausted when
-    the rounding-error bound is not below 1/2 (a sum out of double range
-    included) or a coefficient is not below 2^53, and NonIntegralCoefficient
-    when a coefficient fails to round."""
+    the identity term / |Gamma| at l != k/2 (floating point) and the
+    class's exact value at l = k/2 (``_half_value``, rounded once), back to
+    the tau basis by a sine transform (once per surface) and an update
+    along taut_{k/2} (once per choice class), then integrality rounding,
+    once per class.  Raises PrecisionExhausted when the rounding-error
+    bound is not below 1/2 (a sum out of double range included) or a
+    coefficient is not below 2^53, and NonIntegralCoefficient when a
+    coefficient fails to round."""
     choice, a, d = _canonical_class(surface, choice)
     return QuantizationResult.of(_fs_element(surface, a, d), "fs_float", choice)
 
@@ -617,19 +608,16 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     Away from l = k/2 only the discrete fixed points contribute,
     2^(1-r) tau_{k/2}(t_l)^r, formed as 2 (tau_{k/2}(t_l) / 2)^r (halving is
     exact) for r >= 1; at l = k/2 each nontrivial sign vector adds a torus
-    contribution weighted by its phase, and as sigma = tau_{k/2}(t_{k/2}) is
-    -1, 0 or 1 the value is the exact rational
-    (sigma^r + (k/2+1) ``_chi_coefficient``) / 2^(r-1), rounded once.
+    contribution weighted by its phase, and the value is the exact rational
+    ``_half_value`` / |Gamma| of the star-only surface, rounded once.
     Raises PrecisionExhausted only when the value is out of double range.
     """
     k, r, a = _star_class(k, r, psi)
     l, half = _check_index(k, l, "l"), k // 2
-    try:  # the power and the int division raise past double range; doubling returns inf
-        if l == half:
-            value = ((_value_at_half(half) ** r + (half + 1) * _chi_coefficient(k, r, a))
-                     / 2 ** (max(r, 1) - 1))
-        else:
-            value = 2 * (_weyl_quotient(k, l, ((half, 1),)) / 2) ** r if r else 1.0
+    if 2 * l == k:
+        return _half_float(SurfaceData(k, 0, (half,) * r), a, 0)
+    try:  # the power raises past double range; doubling returns inf
+        value = 2 * (_weyl_quotient(k, l, ((half, 1),)) / 2) ** r if r else 1.0
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from verlinde import oracles, prequant, quantization
 from verlinde.fusion_ring import FusionElement, PrecisionExhausted
 from verlinde.oracles import (
     check_cross_paths,
+    check_literal_gamma_sum,
     check_negative_control,
     classical_verlinde_number,
     closed_form_tables,
@@ -168,11 +170,66 @@ def test_cross_paths_counts_requests_and_folded_classes():
     assert len(computed) < len(classes) < pairs
 
 
+def _clear_quantization_caches():
+    for obj in vars(quantization).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _raising(*args):
+    raise AssertionError("the literal Gamma sum read a closed-form helper")
+
+
+def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
+    # Each class's value at t_{k/2} is written once, in these helpers; the
+    # literal side of the check must compute without them.
+    helpers = ("_half_value", "_chi_coefficient", "_krawtchouk_sum", "_double_factor",
+               "_tau_at_half")
+
+    def guarded(fn):
+        def literal(*args):
+            with monkeypatch.context() as patch:
+                for name in helpers:
+                    patch.setattr(quantization, name, _raising)
+                return fn(*args)
+        return literal
+
+    for name in ("phase_vector", "fs_formula_with_phases"):
+        monkeypatch.setattr(oracles, name, guarded(getattr(oracles, name)))
+    _clear_quantization_caches()
+    result = check_literal_gamma_sum(12, 4, 1)
+    requests, classes = 0, set()
+    for surf in sweep_surfaces(12, 4, 1, gamma_cap=2**6):
+        for choice in enumerate_choices(surf):
+            requests += 1
+            classes.add((surf, *prequant._canonical_class(surf, choice)[1:]))
+    assert result.passed
+    assert (result.params["requests"], result.params["classes"]) == (requests, len(classes))
+    assert len(classes) < requests
+
+
+def test_literal_gamma_sum_catches_a_wrong_double_sign(monkeypatch):
+    # A wrong value at t_{k/2} that every path reads alike: the paths agree
+    # with each other, and only the literal sum disagrees.
+    double_factor = quantization._double_factor
+    monkeypatch.setattr(quantization, "_double_factor",
+                        lambda k, h, d: double_factor(k, h, d) * (-1) ** d)
+    _clear_quantization_caches()
+    try:
+        literal = check_literal_gamma_sum(10, 2, 1)
+        cross = check_cross_paths(10, 2, 1)
+    finally:
+        _clear_quantization_caches()
+    assert cross.passed
+    assert not literal.passed and literal.deviation > 0
+
+
 def test_suite_small_box_passes():
     report = run_verification_suite(6, 3, 1)
     assert report.passed
     names = {c.name for c in report.checks}
     assert "cross_path_equality" in names
+    assert "literal_gamma_sum" in names
     assert "negative_control_phase_flip" in names
 
 

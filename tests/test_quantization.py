@@ -21,7 +21,6 @@ from verlinde.fusion_ring import (
     _round_coefficients,
     _sine_coefficients,
     s_matrix,
-    s_matrix_entry,
 )
 from verlinde.prequant import (
     GammaElement,
@@ -283,14 +282,19 @@ def test_fs_formula_is_exact_or_raises_across_the_precision_frontier():
 
 
 def test_star_counts_out_of_double_range_exhaust_precision():
-    # The star factor is in double range, but S[0, l]^-1100 is not
+    # The value at t_{k/2} is in double range, but S[0, l]^-1100 is not
     surf = SurfaceData(4, 0, (2,) * 1100)
     for path in (fs_formula, reduced_quantization):
         with pytest.raises(PrecisionExhausted):
             path(surf)
-    # (1 + S[4, 4])^2000 is past 2^1024 at level 8
-    with pytest.raises(PrecisionExhausted, match="star factor of 2000 star labels"):
-        quantization._fs_star_factor(8, 2000, 0, s_matrix_entry(8, 4, 4))
+    # The exact value at t_4 of 2000 star labels at level 8, over |Gamma|,
+    # is past 2^1024: every path that rounds it says so
+    surf, message = SurfaceData(8, 0, (4,) * 2000), r"\(a=0, d=0\) at t_4 is out of double range"
+    for path in (fs_formula, reduced_quantization):
+        with pytest.raises(PrecisionExhausted, match=message):
+            path(surf)
+    with pytest.raises(PrecisionExhausted, match=message):
+        localization_evaluate(8, 2000, (0,) * 2000, 4)
 
 
 @pytest.mark.parametrize("r", [100, 150, 200, 400])
@@ -305,9 +309,9 @@ def test_many_star_labels_agree_on_every_path(r):
 
 
 def test_precision_bound_below_half_on_every_sweep_class():
-    # Each class's coefficients are the surface's identity term plus an
-    # update along taut_{k/2}; a direct transform of the class's values must
-    # agree within both bounds.
+    # Each class's coefficients are the surface's identity term, l = k/2
+    # left out, plus the class's value there times taut_{k/2}; a direct
+    # transform of the class's values must agree within both bounds.
     classes = 0
     for surf in sweep_surfaces(20, 5, 2):
         k, size = surf.level, surf.gamma_size()
@@ -317,7 +321,8 @@ def test_precision_bound_below_half_on_every_sweep_class():
             coeffs, bound = quantization._fs_coefficients(surf, a, d)
             assert bound < 0.5
             values = identity.copy()
-            values[k // 2] = quantization._block_sum(surf, a, d, surf.num_slots)
+            if not k % 2:
+                values[k // 2] = quantization._half_value(surf, a, d) / size
             direct, direct_bound = _sine_coefficients(values)
             assert np.abs(coeffs - direct).max() <= bound + direct_bound
             classes += 1
@@ -752,42 +757,43 @@ class TestFoldedSurface:
         assert verlinde_baseline(surf).element == verlinde_baseline(surf._folded).element
 
 
-def _pattern_loop_star_sums(k, r, psi_bits, s_star):
-    """The chi coefficient and the S-matrix star factor summed over the
-    2^(r-1) star patterns, one pattern at a time.  A pattern of weight l has
-    phase psi times prequant.star_sign(k, r, l) = (-1)^(kl/8) for r >= 3; the
-    chi coefficient sums it times (k/2+1)^(l/2-1) over l >= 2, with the sign
-    (-1)^((k/4)(r - l/2)) for r >= 3, and the star factor times
-    S[k/2, k/2]^(r-l) over every pattern."""
-    chi_total, factor = 0, 0.0
+def _pattern_loop_star_sums(k, r, psi_bits, tau_half):
+    """The chi coefficient and |Gamma| times the star block's value at
+    t_{k/2} summed over the 2^(r-1) star patterns, one pattern at a time.
+    A pattern of weight l has phase psi times prequant.star_sign(k, r, l) =
+    (-1)^(kl/8) for r >= 3; the chi coefficient sums it times
+    (k/2+1)^(l/2-1) over l >= 2, with the sign (-1)^((k/4)(r - l/2)) for
+    r >= 3, and the value times tau_half^(r-l) (k/2+1)^(l/2) over every
+    pattern, tau_half = tau_{k/2}(t_{k/2}): each star slot gamma fixes
+    contributes S[k/2, k/2] / S[0, k/2], each slot it flips 1 / S[0, k/2]."""
+    chi_total, value = 0, 0
     for pat in product((0, 1), repeat=r):
         lw = sum(pat)
         if lw % 2:
             continue
         psi = (-1) ** sum(p & b for p, b in zip(psi_bits, pat))
-        factor += psi * (-1) ** (r >= 3 and k * lw // 8 % 2) * s_star ** (r - lw)
+        value += psi * (-1) ** (r >= 3 and k * lw // 8 % 2) \
+            * tau_half ** (r - lw) * (k // 2 + 1) ** (lw // 2)
         if lw:
             term = psi * (k // 2 + 1) ** (lw // 2 - 1)
             chi_total += -term if r >= 3 and (k // 4 * (r - lw // 2)) % 2 else term
-    return chi_total, factor
+    return chi_total, value
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 40])
 def test_star_sum_matches_pattern_loop(k):
     # Every a on up to 12 stars (k in 4N) or 2 (k = 2 mod 4, where
-    # S[k/2, k/2] = 0 leaves one term of the star factor)
+    # tau_{k/2}(t_{k/2}) = 0 leaves one term of the value)
     half = k // 2
     theta = math.pi * (half + 1) / (k + 2)
     tau_val = math.sin((half + 1) * theta) / math.sin(theta)
-    s_star = float(s_matrix(k)[half, half])
     for r in range(13 if k % 4 == 0 else 3):
         base, chi = tau_power(k, r), chi_element(k)
         for a in range(r + 1):
             psi = (0,) * (r - a) + (1,) * a
-            total, factor = _pattern_loop_star_sums(k, r, psi, s_star)
+            total, value = _pattern_loop_star_sums(k, r, psi, round(tau_val))
             assert quantization._chi_coefficient(k, r, a) == total
-            assert quantization._fs_star_factor(k, r, a, s_star) \
-                == pytest.approx(factor, rel=1e-12, abs=1e-12)
+            assert quantization._half_value(SurfaceData(k, 0, (half,) * r), a, 0) == value
             if r:
                 block = quantize_star_block(k, r, psi)
                 assert block * 2 ** (r - 1) == base + total * chi
@@ -986,15 +992,15 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
 
 
 def test_a_disagreement_past_the_bound_is_not_a_precision_limit(monkeypatch):
-    # The allowance widens to the whole sum's bound, 3.5e-3 here.  A block
-    # sum off by 7/4 moves every even coefficient by 1/4 (2/N = 1/7), which
-    # no bound below 1/2 excuses: a plain NonIntegralCoefficient, exit 2.
+    # The allowance widens to the whole sum's bound, 3.5e-3 here.  A value
+    # at t_{k/2} off by 7/4 moves every even coefficient by 1/4 (2/N = 1/7),
+    # which no bound below 1/2 excuses: a plain NonIntegralCoefficient, exit 2.
     surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))
     choice = enumerate_choices(surf)[1]
     assert 1e-3 < quantization._fs_coefficients(
         surf, *prequant._canonical_class(surf, choice)[1:])[1] < 1e-2
-    block_sum = quantization._block_sum
-    monkeypatch.setattr(quantization, "_block_sum", lambda *args: block_sum(*args) + 1.75)
+    half_value, off = quantization._half_value, 7 * surf.gamma_size() // 4
+    monkeypatch.setattr(quantization, "_half_value", lambda *args: half_value(*args) + off)
     quantization._fs_element.cache_clear()
     try:
         with pytest.raises(NonIntegralCoefficient) as info:
@@ -1080,12 +1086,16 @@ def test_star_and_doubles_equals_the_dense_powers(k, r, h):
 
 def test_inexact_division_is_raised(monkeypatch):
     surf = SurfaceData(8, 1, (4, 4, 4))
-    _clear_quantization_caches()
     base = quantization._closed_form_base(surf)
-    monkeypatch.setattr(quantization, "_closed_form_base",
-                        lambda s: base._replace(weight=base.weight + 1))
-    with pytest.raises(quantization.InexactDivision, match="not divisible by 16"):
-        quantize_surface(surf, PrequantChoice((0, 1, 0, 0, 1)))
+    for shift, message in (
+        (1, "differs from X at t_4 by .*, not divisible by 5"),  # mu's division
+        (5, "tau_0 coefficient .* is not divisible by 16"),  # the division by |Gamma|
+    ):
+        _clear_quantization_caches()
+        monkeypatch.setattr(quantization, "_closed_form_base",
+                            lambda s: base._replace(at_half=base.at_half + shift))
+        with pytest.raises(quantization.InexactDivision, match=message):
+            quantize_surface(surf, PrequantChoice((0, 1, 0, 0, 1)))
     _clear_quantization_caches()
 
 
@@ -1139,11 +1149,12 @@ def test_the_reduced_error_floor_stays_far_below_half_on_the_sweep():
     # classes it is below 1e-9.
     worst = 0.0
     for surf in sweep_surfaces(20, 5, 2):
-        data = quantization._fs_gamma_data(surf)
+        k, data = surf.level, quantization._fs_gamma_data(surf)
         for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
-            block = quantization._block_sum(surf, a, d, surf.num_slots - 2)
+            half = 0 if k % 2 else \
+                quantization._half_value(surf, a, d) / ((k // 2 + 1) * surf.gamma_size())
             worst = max(worst, quantization._REDUCED_ERROR * (len(surf.labels) + surf.num_slots)
-                        * (data.mass + abs(block)))
+                        * (data.mass + abs(half)))
     assert 0 < worst < 1e-9
 
 
