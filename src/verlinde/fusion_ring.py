@@ -51,19 +51,25 @@ only through evaluation and the basis change, which are cross-checks against
 the exact path, never the authority.
 
 Both basis changes are one type-I discrete sine transform (DST-I) of
-length k+1, computed as the real FFT of its odd extension: O(k log k) time
-and O(k) memory, with no S-matrix formed.  The odd extension and the sine
-weights are built on each call from the input alone, with no cached
-tables: the quantization paths make one transform per surface, not one
-per request, and their only float cache is the S-matrix row cache
-``_s_row``.  ``from_idempotent`` also bounds the rounding error of its own
-arithmetic a priori (the FFT bound of Higham, *Accuracy and Stability of
-Numerical Algorithms*, Thm 24.2, plus the weighting of the inputs) and
-rounds only when that bound is below 1/2; otherwise it raises
+length k+1, computed as the real FFT of its odd extension, built in one
+array: O(k log k) time and O(k) memory, with no S-matrix formed.  No table
+of sines or S-matrix rows is cached, and none of the package's 13 lru
+caches holds one: the S-matrix path of ``quantization`` forms the rows of 0
+and of a surface's labels in one fold-and-sine pass per surface, its row 0
+before the division by sqrt(k/2+1) being the transform's weights, and
+makes one transform per surface, not one per request; ``s_matrix_entry``
+computes its one entry.  ``from_idempotent`` also bounds the rounding error of
+its own arithmetic a priori (the FFT bound of Higham, *Accuracy and
+Stability of Numerical Algorithms*, Thm 24.2, plus the weighting of the
+inputs) and rounds only when that bound is below 1/2; otherwise it raises
 ``PrecisionExhausted``.  It takes its values as exact; the S-matrix path
-of ``quantization`` passes the relative error of its values to the
-transform too, so that bound covers its whole sum, and each coefficient is
-rounded against it (``_round_coefficients``).
+passes the relative error of its values to the transform too, so that
+bound covers its whole sum, and each coefficient is rounded against it
+(``_round_coefficients``).  The bound reads only the weighted values, so
+that path forms it first and refuses a surface whose bound is not below
+1/2 before any FFT.  ``FusionElement.evaluate`` bounds its sum as well,
+and raises ``PrecisionExhausted`` where cancellation leaves no certain
+digit.
 """
 
 from __future__ import annotations
@@ -71,9 +77,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, index, mul, sub
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -215,9 +220,11 @@ def _check_index(k: int, idx: int, name: str) -> int:
 
 def s_matrix_entry(k: int, m: int, l: int) -> float:
     """Kac-Peterson S-matrix entry (k/2+1)^(-1/2) sin(pi(l+1)(m+1)/(k+2)),
-    read from the row cache, so it equals ``s_matrix(k)[m, l]`` exactly."""
+    by the expression of ``s_matrix``, so it equals ``s_matrix(k)[m, l]``
+    exactly."""
     k = _check_level(k)
-    return float(_s_row(k, _check_index(k, m, "m"))[_check_index(k, l, "l")])
+    e = (_check_index(k, m, "m") + 1) * (_check_index(k, l, "l") + 1)
+    return float(_s_entries(k, _sin_pi(k + 2, np.array([e])))[0])
 
 
 def _fold_angle(n: int, e):
@@ -240,56 +247,124 @@ def _sin_pi(n: int, e: np.ndarray) -> np.ndarray:
     return np.sin(_fold_angle(n, e) * (math.pi / (2 * n)))
 
 
-def _s_entries(k: int, e: np.ndarray) -> np.ndarray:
+def _s_entries(k: int, sines: np.ndarray) -> np.ndarray:
     """The level-k S-matrix entries (k/2+1)^(-1/2) sin(e pi/(k+2)) of the
-    products e = (m+1)(l+1), an integer array, as a new read-only array.
-    Every S-matrix entry is computed by this one elementwise expression, so a
-    row read alone is bit-identical to the same row of ``s_matrix``.  The
-    products, up to (k+1)^2, are reduced in integers (``_sin_pi``), so an
-    entry is exactly 0.0 where k+2 divides the product, and otherwise within
-    6.36u of its value relative, u = 2^-53: the folded angle's roundings, the
-    sine's, and the square root's and the division's
-    (tests/test_exact_angles.py derives it)."""
-    mat = _sin_pi(k + 2, e) / math.sqrt(k / 2 + 1)
+    sines of the products e = (m+1)(l+1), as computed by ``_sin_pi``, as a
+    new read-only array.  Every S-matrix entry is this one division of that
+    one sine, so an entry or a set of rows formed alone is bit-identical to
+    the same entries of ``s_matrix``.  The products, up to (k+1)^2, are
+    reduced in integers, so an entry is exactly 0.0 where k+2 divides the
+    product, and otherwise within 6.36u of its value relative, u = 2^-53:
+    the folded angle's roundings, the sine's, and the square root's and the
+    division's (tests/test_exact_angles.py derives it)."""
+    mat = sines / math.sqrt(k / 2 + 1)
     mat.setflags(write=False)
     return mat
 
 
 def s_matrix(k: int) -> np.ndarray:
     """The full (k+1) x (k+1) S-matrix as a new read-only float array; the
-    quantization paths read single rows (``_s_row``) instead."""
+    S-matrix path forms only the rows of its labels and 0."""
     k = _check_level(k)
     idx = np.arange(1, k + 2)
-    return _s_entries(k, np.outer(idx, idx))
-
-
-# Cached: 3,310 of the sweep's 3,387 row reads hit, and one S-matrix per
-# surface instead cut sweep ops_per_s by 7 %.
-@lru_cache(maxsize=1024)
-def _s_row(k: int, m: int) -> np.ndarray:
-    """Row m of ``s_matrix(k)`` without the matrix, read-only and bit-identical:
-    its products (m+1)(l+1) as one arithmetic progression."""
-    return _s_entries(k, np.arange(m + 1, (m + 1) * (k + 2), m + 1))
+    return _s_entries(k, _sin_pi(k + 2, np.outer(idx, idx)))
 
 
 def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
     """sum c chi_m(t_l) over the (m, c) in ``terms``, by the Weyl character
     formula: sum c sin((m+1) theta) / sin(theta), theta = (l+1) pi/(k+2) the
-    angle of t_l, each multiple of theta reduced by ``_fold_angle`` before
-    its sine, and the sum exactly rounded (math.fsum), or PrecisionExhausted
-    out of double range; k and l are checked by the caller."""
+    angle of t_l; k and l are checked by the caller.
+
+    Each multiple of theta is reduced by ``_fold_angle`` to z = +-2f half
+    steps, and the sine is odd, so the coefficients of one f are summed
+    first, in integers: sum_f C_f sin(f pi/N), N = k+2, exactly rounded
+    (math.fsum).
+    Its error is bounded a priori by 13u sum_f |C_f sin_f| / |sin theta|,
+    u = 2^-53: each term's coefficient rounded to double (u), its folded
+    sine (4.36u, tests/test_exact_angles.py) and the product (u), the sum's
+    rounding (u), and the sine of theta and the division (5.36u of the
+    value, which is at most that sum over |sin theta|).  When that bound
+    reaches the value's magnitude, no digit of it is certain: the value is
+    exactly 0.0 if the sum of sines vanishes exactly (``_sines_cancel``),
+    as chi's does away from t_{k/2}, and otherwise PrecisionExhausted is
+    raised.  So is it when the value is out of double range."""
     n, half_step = k + 2, math.pi / (2 * (k + 2))
-
-    def sine(e: int) -> float:
-        return math.sin(_fold_angle(n, e) * half_step)
-
-    try:  # fsum raises past double range; the division returns inf
-        value = math.fsum(c * sine((m + 1) * (l + 1)) for m, c in terms) / sine(l + 1)
+    folded = [0] * (n // 2 + 1)  # C_f; z = 2f is even
+    for m, c in terms:
+        z = _fold_angle(n, (m + 1) * (l + 1))
+        folded[abs(z) // 2] += c if z > 0 else -c
+    try:  # float(c) and fsum raise past double range; the division returns inf
+        products = [c * math.sin(2 * f * half_step) for f, c in enumerate(folded) if c]
+        sine = math.sin(_fold_angle(n, l + 1) * half_step)
+        value = math.fsum(products) / sine
+        bound = 13 * _UNIT_ROUNDOFF * math.fsum(map(abs, products)) / abs(sine)
     except OverflowError:
-        value = math.inf
+        value = bound = math.inf
     if not math.isfinite(value):
         raise PrecisionExhausted(f"a value at t_{l} is out of double range")
+    if bound and not bound < abs(value):
+        if _sines_cancel(n, folded):
+            return 0.0
+        raise PrecisionExhausted(
+            f"the value {value!r} at t_{l} has a rounding error bound of {bound:.3e}, "
+            "not below its magnitude: double precision cannot certify any digit of it")
     return value
+
+
+def _mobius(d: int) -> int:
+    """The Moebius function: (-1)^(number of prime factors) for squarefree d,
+    else 0."""
+    sign, p = 1, 2
+    while p * p <= d:
+        if not d % p:
+            d //= p
+            if not d % p:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign
+
+
+def _cyclotomic_cofactor(m: int) -> list[int]:
+    """The coefficients of (x^m - 1) / Phi_m(x), constant first, Phi_m the
+    m-th cyclotomic polynomial: as Phi_m is the product of
+    (x^(m/d) - 1)^mu(d) over the divisors d of m, this is the product of
+    (x^(m/d) - 1)^(-mu(d)) over the divisors d > 1, the factors with
+    mu(d) = -1 multiplied first and those with mu(d) = 1 divided out
+    exactly: b (x^a - 1) = c gives b_i = b_(i-a) - c_i, so each residue
+    class of b mod a is a negated prefix sum of c's."""
+    poly = [1]
+    for power, a in sorted(((-_mobius(d), m // d) for d in range(2, m + 1) if not m % d),
+                           reverse=True):
+        if power == 1:  # times x^a - 1
+            poly = list(map(sub, [0] * a + poly, poly + [0] * a))
+        elif power == -1:  # over x^a - 1
+            quotient, top = [0] * (len(poly) - a), len(poly) - a
+            for r in range(min(a, top)):
+                quotient[r::a] = map(neg, accumulate(poly[r:top:a]))
+            poly = quotient
+    return poly
+
+
+def _sines_cancel(n: int, folded: Sequence[int]) -> bool:
+    """Whether sum_f C_f sin(f pi/n) is exactly 0, C_f = folded[f], decided
+    in integers.  With zeta = exp(i pi/n), a primitive m-th root of unity,
+    m = 2n, 2i sin(f pi/n) = zeta^f - zeta^(m-f), so the sum vanishes
+    exactly when P(x) = sum_f C_f (x^f - x^(m-f)) has zeta as a root, that
+    is when Phi_m, zeta's minimal polynomial over Q, divides P; and as
+    x^m - 1 = Phi_m Psi, that is when P Psi is 0 modulo x^m - 1.  P Psi is
+    one big-integer product of Kronecker-packed vectors, as in
+    ``_clebsch_gordan``, folded once by x^m = 1."""
+    m = 2 * n
+    p = [0] * m
+    for f, c in enumerate(folded):
+        if c and f:
+            p[f] += c
+            p[m - f] -= c
+    psi = _cyclotomic_cofactor(m)
+    width = _digit_width(sum(map(abs, p)) * max(map(abs, psi)))
+    q = _unpack(_pack(p, width) * _pack(psi, width), width, m + len(psi) - 1)
+    return not any(map(add, q[:m], q[m:] + [0] * m))
 
 
 def _fold(k: int, c: Sequence) -> list:
@@ -663,45 +738,58 @@ def _sines(k: int) -> np.ndarray:
 
 def _sine_transform(y: np.ndarray) -> np.ndarray:
     """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2: the
-    real FFT of the odd extension (0, y, 0, -reversed y) has p-th term
-    -2i sum_j y_j sin(p (j+1) pi/N)."""
-    odd = np.concatenate(([0.0], y, [0.0], -y[::-1]))
-    return np.fft.rfft(odd).imag[1:len(y) + 1] * -0.5
+    real FFT of the odd extension (0, y, 0, -reversed y), built in one
+    array, has p-th term -2i sum_j y_j sin(p (j+1) pi/N)."""
+    n = len(y)
+    odd = np.empty(2 * n + 2)
+    odd[0] = odd[n + 1] = 0.0
+    odd[1:n + 1] = y
+    np.negative(y[::-1], out=odd[n + 2:])
+    return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _sine_coefficients(values: Sequence[float],
-                       error: float = 0.0) -> tuple[np.ndarray, float]:
+def _sine_coefficients(values: Sequence[float], error: float = 0.0,
+                       sines: np.ndarray | None = None, *,
+                       refuse: bool = False) -> tuple[np.ndarray | None, float]:
     """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
     vector v (a read-only array), and an a priori bound on their error.
 
-    c = (2/N) DST-I(x) with x_l = sin((l+1) pi/N) v_l, N = k+2.  The
-    transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per entry
-    (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N) times
-    that, and the DST takes half an imaginary part); the weighting, the
-    scaling and one later sum add at most _WEIGHT_ERROR sum |x_l| <=
-    _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
-    scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is taken as
-    within ``error`` of its true value, relative, given by the caller (0
-    for exact values): the transform is linear with weights of absolute
-    value at most 1, so that adds error (2/N) sum |x_l| to every entry.
+    c = (2/N) DST-I(x) with x_l = sin((l+1) pi/N) v_l, N = k+2; ``sines``
+    holds those weights when the caller has them already (the S-matrix path
+    passes its row 0 before the division by sqrt(k/2+1), bit-identical to
+    ``_sines``).  The transform's error is at most _fft_error(2N) sqrt(N)
+    ||x||_2 per entry (the odd extension has norm sqrt(2) ||x||_2, its DFT
+    sqrt(2N) times that, and the DST takes half an imaginary part); the
+    weighting, the scaling and one later sum add at most _WEIGHT_ERROR
+    sum |x_l| <= _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.
+    Both are scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is
+    taken as within ``error`` of its true value, relative, given by the
+    caller (0 for exact values): the transform is linear with weights of
+    absolute value at most 1, so that adds error (2/N) sum |x_l| to every
+    entry.  The bound reads only x, so it is formed first; with ``refuse``,
+    a bound that is not below 1/2, which ``_round_coefficients`` refuses
+    whatever the coefficients, returns None for them and runs no transform.
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
-    x = v * _sines(n - 1)
+    x = v * (_sines(n - 1) if sines is None else sines)
     scale = 2.0 / (n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the bound is >= 1/2
-        coeffs = _sine_transform(x) * scale
-    coeffs.setflags(write=False)
     weighted = x.tolist()
     norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
     if error:  # a float sum past double range is inf, with no warning
         bound += error * scale * sum(map(abs, weighted))
-    return coeffs, bound + _UNDERFLOW
+    bound += _UNDERFLOW
+    if refuse and not bound < 0.5:
+        return None, bound
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the bound is >= 1/2
+        coeffs = _sine_transform(x) * scale
+    coeffs.setflags(write=False)
+    return coeffs, bound
 
 
-def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
-                         delta: float) -> tuple[np.ndarray, float]:
+def _add_star_idempotent(k: int, coeffs: np.ndarray | None, bound: float,
+                         delta: float) -> tuple[np.ndarray | None, float]:
     """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (error at
     most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2} is
     exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
@@ -711,9 +799,10 @@ def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
     product: 3u) and of its part in each sum (u), 5u with the second-order
     terms; the sum's part from ``coeffs`` is in their bound already.  A
     bound that is not finite certifies nothing, and the coefficients are
-    left as they are."""
+    left as they are; so are None coefficients, of a transform refused for
+    its bound."""
     bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
-    if not math.isfinite(bound):
+    if coeffs is None or not math.isfinite(bound):
         return coeffs, bound
     star = np.zeros(k + 1)
     star[0::4] = 2.0 / (k + 2)
@@ -723,11 +812,13 @@ def _add_star_idempotent(k: int, coeffs: np.ndarray, bound: float,
     return out, bound
 
 
-def _round_coefficients(k: int, coeffs: np.ndarray, bound: float) -> FusionElement:
+def _round_coefficients(k: int, coeffs: np.ndarray | None, bound: float) -> FusionElement:
     """Round the k + 1 raw tau-coefficients ``coeffs``, whose error is at
     most ``bound`` a priori.
 
-    Raises PrecisionExhausted unless the bound is below 1/2 (nan included).
+    Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
+    before it reads the coefficients, which are None when the transform
+    was refused for that bound.
     Then every coefficient is tested at once: below 2^53 in magnitude, and
     the nearest integer, ties to even, within the allowance
     max(bound, min(DEFAULT_TOLERANCE (1 + |c|), 0.499)).  A coefficient

@@ -98,7 +98,8 @@ from .fusion_ring import (
     _check_int,
     _check_level,
     _round_coefficients,
-    _s_row,
+    _s_entries,
+    _sin_pi,
     _sine_coefficients,
     _times_basis,
     _times_double,
@@ -447,7 +448,7 @@ class _GammaData(NamedTuple):
     """Choice-independent O(k) data of one surface's S-matrix sum, its
     values at t_{k/2} left out (each class adds its own)."""
 
-    coeffs: np.ndarray  # tau-coefficients of the identity term / |Gamma|
+    coeffs: np.ndarray | None  # tau-coefficients of the identity term / |Gamma|; None if refused
     bound: float  # their rounding-error bound
     reduced: float  # the reduced identity term summed, / |Gamma|
     mass: float  # the sum of its terms' absolute values, / |Gamma|
@@ -470,24 +471,37 @@ def _value_error(surface: SurfaceData) -> float:
     return (6.36 * (s + surface.num_slots) + s + 3) * _UNIT_ROUNDOFF
 
 
+def _fs_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sines sin((m+1)(l+1) pi/(k+2)) of m = 0 and of each label m, l =
+    0..k, in one ``fusion_ring._sin_pi`` pass over the (s+1) x (k+1)
+    products, and the S-matrix rows they give by one division by
+    sqrt(k/2+1) (``fusion_ring._s_entries``), bit-identical to the same
+    rows of ``s_matrix(k)``.  Row 0 of the sines is the transform's weights."""
+    sines = _sin_pi(k + 2, np.outer(np.array((0, *labels)) + 1, np.arange(1, k + 2)))
+    return sines, _s_entries(k, sines)
+
+
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     """The identity term prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| for every
     l != k/2, 0 at l = k/2 (k even), taken to the tau basis by one sine
     transform, whose error bound covers the values' own error
     (``_value_error``) as well; and its reduced form (exponent s+2h-2)
-    summed over the same l.  Only the S-matrix rows of the labels and 0 are
-    read, from the row cache.  The reduced form keeps the sum of its terms'
-    absolute values beside it, the scale of its rounding error.  1/|Gamma|
-    is exact, |Gamma| being a power of two; a value out of double range
-    becomes inf or nan, without a warning, and its rounding raises
-    PrecisionExhausted."""
+    summed over the same l.  The S-matrix rows of 0 and of the labels, and
+    the transform's weights, come from one pass (``_fs_rows``).  The bound
+    is formed before the transform, and a surface whose bound is not below
+    1/2 keeps no coefficients (None) and runs no transform: every class of
+    it is refused for that bound when it is rounded.  The reduced form keeps
+    the sum of its terms' absolute values beside it, the scale of its
+    rounding error.  1/|Gamma| is exact, |Gamma| being a power of two; a
+    value out of double range becomes inf or nan, without a warning, and
+    its rounding raises PrecisionExhausted."""
     k, n = surface.level, surface.num_slots
     inverse = 1 / surface.gamma_size()
-    row0 = _s_row(k, 0)
-    rows = np.array([_s_row(k, m) for m in surface.labels]).reshape(len(surface.labels), k + 1)
+    sines, rows = _fs_rows(k, surface.labels)
+    row0 = rows[0]
     with np.errstate(all="ignore"):
-        full = np.prod(rows, axis=0)
+        full = np.prod(rows[1:], axis=0)
         identity = full / row0 ** n * inverse
         terms = full / row0 ** (n - 2)
         if not k % 2:  # the class's value there is ``_half_value``
@@ -501,7 +515,8 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
             mass = math.fsum(map(abs, terms)) * inverse
         except OverflowError:
             mass = math.inf
-        return _GammaData(*_sine_coefficients(identity, _value_error(surface)), reduced, mass)
+        coeffs = _sine_coefficients(identity, _value_error(surface), sines[0], refuse=True)
+        return _GammaData(*coeffs, reduced, mass)
 
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:

@@ -16,9 +16,12 @@ from verlinde.fusion_ring import (
     NonIntegralValue,
     PrecisionExhausted,
     _fold,
+    _fold_angle,
     _over_3_minus_tau2,
     _round_coefficients,
     _sine_coefficients,
+    _sines,
+    _sines_cancel,
     _times_basis,
     _times_double,
     _weyl_quotient,
@@ -30,7 +33,7 @@ from verlinde.fusion_ring import (
     s_matrix_entry,
     to_idempotent,
 )
-from verlinde.quantization import quantize_double_su2
+from verlinde.quantization import _fs_rows, quantize_double_su2
 
 
 def term_by_term_product(k, a, b):
@@ -233,20 +236,23 @@ class TestSMatrix:
             for m, l in product(range(k + 1), repeat=2):
                 assert s_matrix_entry(k, m, l) == smat[m, l], (k, m, l)
 
-    def test_matrix_is_read_only_and_equals_its_rows(self):
-        from verlinde.fusion_ring import _s_row
+    def test_matrix_is_read_only(self):
         for k in (0, 1, 6, 33):
             mat = s_matrix(k)
             assert not mat.flags.writeable
             assert mat.dtype == np.float64 and mat.shape == (k + 1, k + 1)
-            assert np.array_equal(mat, np.array([_s_row(k, m) for m in range(k + 1)]))
 
-    def test_rows_are_bit_identical_to_the_matrix(self):
-        from verlinde.fusion_ring import _s_row
-        for k in (0, 1, 7, 64, 401):
-            smat = s_matrix(k)
-            for m in {0, min(1, k), k // 2, k}:
-                assert _s_row(k, m).tobytes() == smat[m].tobytes()
+    @pytest.mark.parametrize("k", [*range(31), 124, 300, 1000])
+    def test_one_pass_rows_are_bit_identical_to_the_matrix(self, k):
+        # The S-matrix path forms the rows of 0 and of every label in one
+        # pass; with every m as a label that pass holds the whole matrix,
+        # row 0 first, and its unscaled row 0 is the transform's weights.
+        sines, rows = _fs_rows(k, range(k + 1))
+        smat = s_matrix(k)
+        assert not rows.flags.writeable and rows.shape == (k + 2, k + 1)
+        assert rows[0].tobytes() == smat[0].tobytes()
+        assert rows[1:].tobytes() == smat.tobytes()
+        assert sines[0].tobytes() == _sines(k).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
@@ -273,6 +279,48 @@ class TestEvaluation:
             for l in range(k + 1):
                 assert tau(k, m).evaluate(l) == pytest.approx(
                     smat[m][l] / smat[0][l], rel=1e-10, abs=1e-10)
+
+    def test_a_value_that_vanishes_is_exactly_zero(self):
+        # chi's terms cancel to a few u in floats, within their bound, and
+        # the sum of sines vanishes exactly, so the value is 0.0.  At N = 10,
+        # 2 sin(3 pi/10) - 2 sin(pi/10) = sin(5 pi/10) relates three sines.
+        for k in range(2, 41, 2):
+            chi = FusionElement(k, tuple((1, 0, -1, 0)[m % 4] for m in range(k + 1)))
+            assert [chi.evaluate(l) for l in range(k + 1) if 2 * l != k] == [0.0] * k
+        assert FusionElement(8, (-2, 0, 2, 0, -1, 0, 0, 0, 0)).evaluate(0) == 0.0
+
+    def test_sines_cancel_exactly_when_the_exact_sum_is_zero(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        for n in (3, 6, 10, 12, 15, 30, 42):
+            for trial in range(60):
+                folded = [0] + rng.integers(-2, 3, n // 2).tolist()
+                if trial % 2:  # a combination that vanishes: chi's at t_l
+                    l = trial % (n - 1)
+                    folded = [0] * (n // 2 + 1)
+                    for m in range(0, n - 1, 2):
+                        z = _fold_angle(n, (m + 1) * (l + 1))
+                        folded[abs(z) // 2] += (1 if m % 4 == 0 else -1) * (1 if z > 0 else -1)
+                with mpmath.workdps(60):
+                    exact = mpmath.fsum(c * mpmath.sinpi(mpmath.mpf(f) / n)
+                                        for f, c in enumerate(folded))
+                assert _sines_cancel(n, folded) == (abs(exact) < mpmath.mpf(10) ** -40), \
+                    (n, folded)
+
+    def test_a_value_lost_to_cancellation_raises(self):
+        # At N = 10, -2 sin(pi/10) + 2 sin(3 pi/10) - sin(5 pi/10) = 0, so
+        # z = -2 tau_0 + 2 tau_2 - tau_4 vanishes at t_0 with no two terms
+        # equal, and c z + tau_1 has the value of tau_1 there, 2 cos(pi/10).
+        # The bound on its terms' rounding, 13u sum |terms| / sin(pi/10), is
+        # 1.8e-14 at c = 1 and 1.5e-6 at c = 10^8, and the value returns
+        # within it; at c = 10^20 it is 1.5e6, above the value, and no digit
+        # of it is certain.
+        for c, bound in ((1, 1.8e-14), (10**8, 1.5e-6)):
+            x = FusionElement(8, (-2 * c, 1, 2 * c, 0, -c, 0, 0, 0, 0))
+            assert abs(x.evaluate(0) - 2 * math.cos(math.pi / 10)) < bound
+        x = FusionElement(8, (-2 * 10**20, 1, 2 * 10**20, 0, -(10**20), 0, 0, 0, 0))
+        with pytest.raises(PrecisionExhausted, match="cannot certify any digit"):
+            x.evaluate(0)
 
 
 class TestIdempotentBasis:

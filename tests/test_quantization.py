@@ -220,12 +220,15 @@ class TestFsFormula:
                     fs_formula_with_phases(surf, flipped)
                 assert type(info.value) is NonIntegralCoefficient
 
-    def test_block_sum_matches_literal_gamma_sum(self):
+    def test_fs_and_reduced_match_the_literal_gamma_sum(self):
+        requests = 0
         for surf in sweep_surfaces(20, 5, 2, gamma_cap=2**6):
             for choice in enumerate_choices(surf):
                 literal = fs_formula_with_phases(surf, _phase_vector(surf, choice))
                 assert fs_formula(surf, choice).element == literal
                 assert reduced_quantization(surf, choice) == literal.trace
+                requests += 1
+        assert requests == 14940
 
     @pytest.mark.parametrize("surf", [SurfaceData(2, 11, ()), SurfaceData(4, 10, (2, 2, 2))])
     def test_gamma_beyond_enumeration_cap(self, surf):
@@ -344,11 +347,33 @@ def _counting(fn, calls):
     return counted
 
 
+def test_a_refused_surface_makes_no_transform(monkeypatch):
+    """The whole-sum bound is formed before the transform: a surface whose
+    bound is not below 1/2 runs no FFT, on any class or request, and is
+    refused with the same bound in its message."""
+    from verlinde import fusion_ring
+    surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
+    calls = []
+    _clear_quantization_caches()
+    monkeypatch.setattr(fusion_ring, "_sine_transform",
+                        _counting(fusion_ring._sine_transform, calls))
+    for choice in enumerate_choices(surf):
+        with pytest.raises(PrecisionExhausted, match="rounding error bound of 4.505e[+]01, "
+                                                     "not below 1/2"):
+            fs_formula(surf, choice)
+    assert calls == []
+    assert quantization._fs_gamma_data(surf).coeffs is None
+    # a surface below the bound still makes its one transform
+    fs_formula(SurfaceData(132, 2, (45, 66, 66, 66)))
+    assert len(calls) == 1
+
+
 def test_failing_class_is_transformed_once(monkeypatch):
     """A class the float path cannot certify raises on every request, and
-    its surface's sine transform runs once: three requests raise three new
-    exceptions of one class and message, and no per-class cache keeps an
-    entry for the class."""
+    its surface's sine transform is asked for once (and refused before its
+    FFT when its bound reaches 1/2, as tested above): three requests raise
+    three new exceptions of one class and message, and no per-class cache
+    keeps an entry for the class."""
     surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))  # fs error bound about 45
     wide = SurfaceData(272, 2, (62, 78, 136, 136, 136, 249))  # error bound 10.8
     cases = [
@@ -806,7 +831,6 @@ def test_star_sum_matches_pattern_loop(k):
 # the comment at its decorator).  A new cache needs a measured reason too,
 # and then a place in this list.
 AUDITED_CACHES = {
-    "fusion_ring._s_row",
     "quantization.tau_power", "quantization._krawtchouk_sum", "quantization._star_block",
     "quantization.quantize_double_so3", "quantization._label_product",
     "quantization._star_and_doubles", "quantization._closed_form_base",
@@ -948,27 +972,50 @@ def test_fs_formula_is_exact_where_only_its_transform_was_bounded(surf):
         assert fs_formula(surf, choice).element == quantize_surface(surf, choice).element
 
 
-def test_whole_sum_bound_covers_the_real_error_on_every_class():
+def _folded_classes(surf):
+    """The folded classes (a, d) of the surface's choices."""
+    return {_folded(surf, a, d) for a in range(max(surf.star_count, 1))
+            for d in range(surf.genus + 1)}
+
+
+def test_whole_sum_bound_covers_the_real_error_on_every_class(monkeypatch):
     # Every class of the sweep box and of the high_level and big_gamma
     # surfaces: each raw coefficient is within the bound of the closed
     # form's, exactly, and so rounds to it unless the bound reaches 1/2, so
     # none raises NonIntegralCoefficient.  The real error stays below 5 % of
-    # the bound; the test below moves the entries within their error.
-    classes, exhausted = 0, 0
-    for surf in (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES):
-        folded = {_folded(surf, a, d) for a in range(max(surf.star_count, 1))
-                  for d in range(surf.genus + 1)}
-        for a, d in folded:
+    # the bound; the test below moves the entries within their error.  A
+    # surface whose bound reaches 1/2 keeps no coefficients, so its classes
+    # are transformed here, with the same bound, to be checked too.
+    surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
+    refused = {}
+    for surf in surfaces:
+        for a, d in _folded_classes(surf):
             coeffs, bound = quantization._fs_coefficients(surf, a, d)
-            closed = quantization._closed_form_element(surf, a, d).coeffs
-            error = max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed))
-            assert error <= bound, (surf, a, d, float(error), bound)
-            try:
-                assert _round_coefficients(surf.level, coeffs, bound).coeffs == closed
-            except PrecisionExhausted:
-                exhausted += 1
-            classes += 1
-    assert classes > 3276 and exhausted > 0
+            if coeffs is None:
+                assert not bound < 0.5
+                refused[surf, a, d] = bound
+    transform = quantization._sine_coefficients
+    monkeypatch.setattr(quantization, "_sine_coefficients",
+                        lambda *args, refuse: transform(*args))
+    quantization._fs_gamma_data.cache_clear()
+    classes, exhausted = 0, 0
+    try:
+        for surf in surfaces:
+            for a, d in _folded_classes(surf):
+                coeffs, bound = quantization._fs_coefficients(surf, a, d)
+                assert refused.get((surf, a, d), bound) == bound
+                closed = quantization._closed_form_element(surf, a, d).coeffs
+                error = max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed))
+                assert error <= bound, (surf, a, d, float(error), bound)
+                try:
+                    assert _round_coefficients(surf.level, coeffs, bound).coeffs == closed
+                except PrecisionExhausted:
+                    exhausted += 1
+                classes += 1
+    finally:
+        quantization._fs_gamma_data.cache_clear()
+    # the refused surfaces' classes are among the exhausted ones, checked too
+    assert classes > 3276 and exhausted >= len(refused) > 0
 
 
 @pytest.mark.parametrize("surf", [SurfaceData(4, 0, (2,) * 100), SurfaceData(4, 0, (2,) * 300)],
@@ -980,8 +1027,13 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     # identity-term value then grows by 2 (s + n) u, and a coefficient whose
     # terms share a sign by 2 (s + n) u (2/N) sum |x_l|.  The bound covers
     # that; the transform's own bound alone falls short of it here.
-    row, up, down = quantization._s_row, 1 + 2.0 ** -52, 1 - 2.0 ** -52
-    monkeypatch.setattr(quantization, "_s_row", lambda k, m: row(k, m) * (down if m == 0 else up))
+    rows_of, up, down = quantization._fs_rows, 1 + 2.0 ** -52, 1 - 2.0 ** -52
+
+    def moved(k, labels):
+        sines, rows = rows_of(k, labels)
+        return sines, rows * np.array([down] + [up] * len(labels))[:, None]
+
+    monkeypatch.setattr(quantization, "_fs_rows", moved)
     quantization._fs_gamma_data.cache_clear()
     try:
         coeffs, bound = quantization._fs_coefficients(surf, 0, 0)
@@ -1227,10 +1279,27 @@ class TestLocalization:
     def test_many_stars_stay_in_range(self, k, r, l):
         """The power tau_{k/2}(t_l)^r and 2^(r-1) leave double range long
         before the value does.  (At other l the closed form's own float
-        evaluation cancels terms near 1e250 and is no reference.)"""
+        evaluation cancels terms near 1e250 and raises, as tested below.)"""
         value = localization_evaluate(k, r, (0,) * r, l)
         assert value == pytest.approx(quantize_star_block(k, r, (0,) * r).evaluate(l),
                                       rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [60, 1200])
+    def test_closed_form_evaluation_lost_to_cancellation_raises(self, r):
+        # At t_2 the star block's value is 5.78e-13 (r = 60) and 3.28e-251
+        # (r = 1200), but its coefficients reach 1e12 and 1e250 and cancel
+        # below their own rounding: the float evaluation returned 0.0 and
+        # 3.93e234.  Its bound, 5.5e-3 and 9.7e235, now refuses both; where
+        # the bound is below the value, the value is right.
+        block = quantize_star_block(8, r, (0,) * r)
+        for l in (2, 6):
+            assert localization_evaluate(8, r, (0,) * r, l) == pytest.approx(
+                {60: 5.778e-13, 1200: 3.280e-251}[r], rel=1e-3)
+            with pytest.raises(PrecisionExhausted, match=f"at t_{l} has a rounding error bound"):
+                block.evaluate(l)
+        for l in (0, 1, 3, 4, 8):
+            assert block.evaluate(l) == pytest.approx(
+                localization_evaluate(8, r, (0,) * r, l), rel=1e-8, abs=1e-8)
 
     def test_matches_closed_form_evaluations(self):
         for k, r, psi in [(4, 2, "+"), (4, 2, "-"), (8, 3, (0, 1, 1)),
