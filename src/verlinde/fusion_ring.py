@@ -65,11 +65,11 @@ inputs) and rounds only when that bound is below 1/2; otherwise it raises
 ``PrecisionExhausted``.  It takes its values as exact; the S-matrix path
 passes the relative error of its values to the transform too, so that
 bound covers its whole sum, and each coefficient is rounded against it
-(``_round_coefficients``).  The bound reads only the weighted values, so
-that path forms it first and refuses a surface whose bound is not below
-1/2 before any FFT.  ``FusionElement.evaluate`` bounds its sum as well,
-and raises ``PrecisionExhausted`` where cancellation leaves no certain
-digit.
+(``_round_coefficients``).  The bound reads only the weighted values
+(``_sine_bound``), so that path forms it first and refuses a surface
+whose bound is not below 1/2 before any FFT.  ``FusionElement.evaluate``
+bounds its sum as well, and raises ``PrecisionExhausted`` where
+cancellation leaves no certain digit.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
     Each multiple of theta is reduced by ``_fold_angle`` to z = +-2f half
     steps, and the sine is odd, so the coefficients of one f are summed
     first, in integers: sum_f C_f sin(f pi/N), N = k+2, exactly rounded
-    (math.fsum).
+    (math.fsum), the term f = 0, whose sine is 0, left out.
     Its error is bounded a priori by 13u sum_f |C_f sin_f| / |sin theta|,
     u = 2^-53: each term's coefficient rounded to double (u), its folded
     sine (4.36u, tests/test_exact_angles.py) and the product (u), the sum's
@@ -294,7 +294,7 @@ def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
         z = _fold_angle(n, (m + 1) * (l + 1))
         folded[abs(z) // 2] += c if z > 0 else -c
     try:  # float(c) and fsum raise past double range; the division returns inf
-        products = [c * math.sin(2 * f * half_step) for f, c in enumerate(folded) if c]
+        products = [c * math.sin(2 * f * half_step) for f, c in enumerate(folded) if c and f]
         sine = math.sin(_fold_angle(n, l + 1) * half_step)
         value = math.fsum(products) / sine
         bound = 13 * _UNIT_ROUNDOFF * math.fsum(map(abs, products)) / abs(sine)
@@ -748,42 +748,43 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _sine_coefficients(values: Sequence[float], error: float = 0.0,
-                       sines: np.ndarray | None = None, *,
-                       refuse: bool = False) -> tuple[np.ndarray | None, float]:
-    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
-    vector v (a read-only array), and an a priori bound on their error.
+def _sine_bound(values: Sequence[float], error: float,
+                sines: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weighted values x_l = sin((l+1) pi/N) v_l, N = k+2, of the values
+    v at t_0..t_k, given their weights ``sines`` (``_sines(k)``, or the
+    S-matrix path's row 0 before the division by sqrt(k/2+1), bit-identical
+    to it), and an a priori bound on the error of the raw tau-coefficients
+    c = (2/N) DST-I(x) that ``_sine_coefficients`` transforms them to.  The
+    bound reads only x, so a caller can form it before any transform.
 
-    c = (2/N) DST-I(x) with x_l = sin((l+1) pi/N) v_l, N = k+2; ``sines``
-    holds those weights when the caller has them already (the S-matrix path
-    passes its row 0 before the division by sqrt(k/2+1), bit-identical to
-    ``_sines``).  The transform's error is at most _fft_error(2N) sqrt(N)
-    ||x||_2 per entry (the odd extension has norm sqrt(2) ||x||_2, its DFT
-    sqrt(2N) times that, and the DST takes half an imaginary part); the
-    weighting, the scaling and one later sum add at most _WEIGHT_ERROR
-    sum |x_l| <= _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.
-    Both are scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is
-    taken as within ``error`` of its true value, relative, given by the
-    caller (0 for exact values): the transform is linear with weights of
-    absolute value at most 1, so that adds error (2/N) sum |x_l| to every
-    entry.  The bound reads only x, so it is formed first; with ``refuse``,
-    a bound that is not below 1/2, which ``_round_coefficients`` refuses
-    whatever the coefficients, returns None for them and runs no transform.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    n = len(v)
-    x = v * (_sines(n - 1) if sines is None else sines)
+    The transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per
+    entry (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N)
+    times that, and the DST takes half an imaginary part); the weighting,
+    the scaling and one later sum add at most _WEIGHT_ERROR sum |x_l| <=
+    _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
+    scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is taken as
+    within ``error`` of its true value, relative, given by the caller (0 for
+    exact values): the transform is linear with weights of absolute value
+    at most 1, so that adds error (2/N) sum |x_l| to every entry."""
+    x = np.asarray(values, dtype=np.float64) * sines
+    n = len(x)
     scale = 2.0 / (n + 1)
     weighted = x.tolist()
     norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
     if error:  # a float sum past double range is inf, with no warning
         bound += error * scale * sum(map(abs, weighted))
-    bound += _UNDERFLOW
-    if refuse and not bound < 0.5:
-        return None, bound
+    return x, bound + _UNDERFLOW
+
+
+def _sine_coefficients(values: Sequence[float], error: float = 0.0) -> tuple[np.ndarray, float]:
+    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
+    vector v (a read-only array), and an a priori bound on their error
+    (``_sine_bound``, the values within ``error`` of their true values,
+    relative): c = (2/N) DST-I(x), N = k+2, of the weighted values x."""
+    x, bound = _sine_bound(values, error, _sines(len(values) - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: the bound is >= 1/2
-        coeffs = _sine_transform(x) * scale
+        coeffs = _sine_transform(x) * (2.0 / (len(x) + 1))
     coeffs.setflags(write=False)
     return coeffs, bound
 

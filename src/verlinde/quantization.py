@@ -100,7 +100,8 @@ from .fusion_ring import (
     _round_coefficients,
     _s_entries,
     _sin_pi,
-    _sine_coefficients,
+    _sine_bound,
+    _sine_transform,
     _times_basis,
     _times_double,
     _weyl_quotient,
@@ -472,13 +473,13 @@ def _value_error(surface: SurfaceData) -> float:
 
 
 def _fs_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The sines sin((m+1)(l+1) pi/(k+2)) of m = 0 and of each label m, l =
-    0..k, in one ``fusion_ring._sin_pi`` pass over the (s+1) x (k+1)
-    products, and the S-matrix rows they give by one division by
+    """The sines sin((l+1) pi/(k+2)), l = 0..k, the transform's weights,
+    and the S-matrix rows of 0 and of each label: one ``fusion_ring._sin_pi``
+    pass over the (s+1) x (k+1) products (m+1)(l+1) and one division by
     sqrt(k/2+1) (``fusion_ring._s_entries``), bit-identical to the same
-    rows of ``s_matrix(k)``.  Row 0 of the sines is the transform's weights."""
+    rows of ``s_matrix(k)``; the weights are that pass's row 0."""
     sines = _sin_pi(k + 2, np.outer(np.array((0, *labels)) + 1, np.arange(1, k + 2)))
-    return sines, _s_entries(k, sines)
+    return sines[0], _s_entries(k, sines)
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
@@ -498,7 +499,7 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     its rounding raises PrecisionExhausted."""
     k, n = surface.level, surface.num_slots
     inverse = 1 / surface.gamma_size()
-    sines, rows = _fs_rows(k, surface.labels)
+    weights, rows = _fs_rows(k, surface.labels)
     row0 = rows[0]
     with np.errstate(all="ignore"):
         full = np.prod(rows[1:], axis=0)
@@ -515,8 +516,12 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
             mass = math.fsum(map(abs, terms)) * inverse
         except OverflowError:
             mass = math.inf
-        coeffs = _sine_coefficients(identity, _value_error(surface), sines[0], refuse=True)
-        return _GammaData(*coeffs, reduced, mass)
+        x, bound = _sine_bound(identity, _value_error(surface), weights)
+    coeffs = None
+    if bound < 0.5:  # else every class is refused for the bound, whatever its coefficients
+        coeffs = _sine_transform(x) * (2.0 / (k + 2))  # as ``_sine_coefficients``
+        coeffs.setflags(write=False)
+    return _GammaData(coeffs, bound, reduced, mass)
 
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:

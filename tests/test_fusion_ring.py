@@ -247,12 +247,12 @@ class TestSMatrix:
         # The S-matrix path forms the rows of 0 and of every label in one
         # pass; with every m as a label that pass holds the whole matrix,
         # row 0 first, and its unscaled row 0 is the transform's weights.
-        sines, rows = _fs_rows(k, range(k + 1))
+        weights, rows = _fs_rows(k, range(k + 1))
         smat = s_matrix(k)
         assert not rows.flags.writeable and rows.shape == (k + 2, k + 1)
         assert rows[0].tobytes() == smat[0].tobytes()
         assert rows[1:].tobytes() == smat.tobytes()
-        assert sines[0].tobytes() == _sines(k).tobytes()
+        assert weights.tobytes() == _sines(k).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
@@ -288,6 +288,8 @@ class TestEvaluation:
             chi = FusionElement(k, tuple((1, 0, -1, 0)[m % 4] for m in range(k + 1)))
             assert [chi.evaluate(l) for l in range(k + 1) if 2 * l != k] == [0.0] * k
         assert FusionElement(8, (-2, 0, 2, 0, -1, 0, 0, 0, 0)).evaluate(0) == 0.0
+        # a term whose sine is exactly 0 adds nothing, however large
+        assert FusionElement(2, (0, 10**400, 0)).evaluate(1) == 0.0
 
     def test_sines_cancel_exactly_when_the_exact_sum_is_zero(self):
         mpmath = pytest.importorskip("mpmath")

@@ -18,6 +18,7 @@ from verlinde.fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _add_star_idempotent,
     _round_coefficients,
     _sine_coefficients,
     s_matrix,
@@ -355,8 +356,9 @@ def test_a_refused_surface_makes_no_transform(monkeypatch):
     surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
     calls = []
     _clear_quantization_caches()
-    monkeypatch.setattr(fusion_ring, "_sine_transform",
-                        _counting(fusion_ring._sine_transform, calls))
+    counted = _counting(fusion_ring._sine_transform, calls)
+    for module in (fusion_ring, quantization):  # the S-matrix path calls it directly
+        monkeypatch.setattr(module, "_sine_transform", counted)
     for choice in enumerate_choices(surf):
         with pytest.raises(PrecisionExhausted, match="rounding error bound of 4.505e[+]01, "
                                                      "not below 1/2"):
@@ -389,8 +391,8 @@ def test_failing_class_is_transformed_once(monkeypatch):
         calls, raised = [], []
         _clear_quantization_caches()
         with monkeypatch.context() as patch:
-            patch.setattr(quantization, "_sine_coefficients",
-                          _counting(quantization._sine_coefficients, calls))
+            patch.setattr(quantization, "_sine_bound",
+                          _counting(quantization._sine_bound, calls))
             for _ in range(3):
                 with pytest.raises(PrecisionExhausted) as info:
                     path(surf, choice)
@@ -978,44 +980,51 @@ def _folded_classes(surf):
             for d in range(surf.genus + 1)}
 
 
-def test_whole_sum_bound_covers_the_real_error_on_every_class(monkeypatch):
+def _transformed_identity_term(surf):
+    """The raw coefficients and bound the S-matrix path would keep for a
+    surface it refuses: its identity term, from the rows of ``s_matrix``
+    (bit-identical to the path's own), l = k/2 left out, transformed here."""
+    k, smat = surf.level, s_matrix(surf.level)
+    identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots
+    identity /= surf.gamma_size()
+    if not k % 2:
+        identity[k // 2] = 0.0
+    return _sine_coefficients(identity, quantization._value_error(surf))
+
+
+def test_whole_sum_bound_covers_the_real_error_on_every_class():
     # Every class of the sweep box and of the high_level and big_gamma
     # surfaces: each raw coefficient is within the bound of the closed
     # form's, exactly, and so rounds to it unless the bound reaches 1/2, so
     # none raises NonIntegralCoefficient.  The real error stays below 5 % of
     # the bound; the test below moves the entries within their error.  A
     # surface whose bound reaches 1/2 keeps no coefficients, so its classes
-    # are transformed here, with the same bound, to be checked too.
+    # are transformed here, and must come out with the same bound, to be
+    # checked too.
     surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
-    refused = {}
+    classes, exhausted, refused = 0, 0, 0
     for surf in surfaces:
+        k = surf.level
         for a, d in _folded_classes(surf):
             coeffs, bound = quantization._fs_coefficients(surf, a, d)
             if coeffs is None:
                 assert not bound < 0.5
-                refused[surf, a, d] = bound
-    transform = quantization._sine_coefficients
-    monkeypatch.setattr(quantization, "_sine_coefficients",
-                        lambda *args, refuse: transform(*args))
-    quantization._fs_gamma_data.cache_clear()
-    classes, exhausted = 0, 0
-    try:
-        for surf in surfaces:
-            for a, d in _folded_classes(surf):
-                coeffs, bound = quantization._fs_coefficients(surf, a, d)
-                assert refused.get((surf, a, d), bound) == bound
-                closed = quantization._closed_form_element(surf, a, d).coeffs
-                error = max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed))
-                assert error <= bound, (surf, a, d, float(error), bound)
-                try:
-                    assert _round_coefficients(surf.level, coeffs, bound).coeffs == closed
-                except PrecisionExhausted:
-                    exhausted += 1
-                classes += 1
-    finally:
-        quantization._fs_gamma_data.cache_clear()
-    # the refused surfaces' classes are among the exhausted ones, checked too
-    assert classes > 3276 and exhausted >= len(refused) > 0
+                coeffs, again = _transformed_identity_term(surf)
+                if not k % 2:
+                    coeffs, again = _add_star_idempotent(
+                        k, coeffs, again, quantization._half_float(surf, a, d))
+                assert again == bound
+                refused += 1
+            closed = quantization._closed_form_element(surf, a, d).coeffs
+            error = max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed))
+            assert error <= bound, (surf, a, d, float(error), bound)
+            try:
+                assert _round_coefficients(k, coeffs, bound).coeffs == closed
+            except PrecisionExhausted:
+                exhausted += 1
+            classes += 1
+    # the refused classes are among the exhausted ones, checked too
+    assert classes > 3276 and exhausted >= refused > 0
 
 
 @pytest.mark.parametrize("surf", [SurfaceData(4, 0, (2,) * 100), SurfaceData(4, 0, (2,) * 300)],
@@ -1030,8 +1039,8 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     rows_of, up, down = quantization._fs_rows, 1 + 2.0 ** -52, 1 - 2.0 ** -52
 
     def moved(k, labels):
-        sines, rows = rows_of(k, labels)
-        return sines, rows * np.array([down] + [up] * len(labels))[:, None]
+        weights, rows = rows_of(k, labels)
+        return weights, rows * np.array([down] + [up] * len(labels))[:, None]
 
     monkeypatch.setattr(quantization, "_fs_rows", moved)
     quantization._fs_gamma_data.cache_clear()
