@@ -503,7 +503,7 @@ def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElem
 def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
     """Closed form vs S-matrix formula vs reduced scalar, over the sweep;
     it counts the requests (pairs), their distinct folded classes and the
-    classes the paths compute, those of the folded surfaces (no label 0)."""
+    classes the paths compute, those of the folded surfaces (no label 0 or k)."""
     bad = 0
     pairs = 0
     negative = 0

@@ -16,7 +16,7 @@ zeroes every coordinate the constraints force to act trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -80,11 +80,15 @@ class SurfaceData:
     choice (``_classify``): ``_star_mask`` (the star slots), ``_zero_mask``
     (the slots a canonical choice leaves 0: the non-star boundary slots and
     the first star slot) and ``_double_mask`` (the first slot of each double,
-    s, s + 2, ...).  A boundary circle labelled 0 quantizes to tau_0, the unit,
-    so ``_folded`` is this surface with every label 0 removed when k > 0 (at
-    k = 0, label 0 is the star label and stays); it is None when there is
-    none to remove, so no surface refers to itself.  Equality, hash and repr
-    see the fields alone.
+    s, s + 2, ...).  A boundary circle labelled 0 quantizes to tau_0, the
+    unit, and one labelled k to tau_k, the simple current: tau_k x reflects
+    x's coefficients (c_m -> c_{k-m}) and tau_k^2 = tau_0.  So when k > 0,
+    ``_folded`` is this surface with every label 0 and every label k removed,
+    and ``_reflected`` says whether the labels k were odd in number, the
+    result then being the folded surface's reflected (pairs cancel); at
+    k = 0, label 0 is the star label and stays.  ``_folded`` is None when
+    there is no label to remove, so no surface refers to itself.  Equality,
+    hash and repr see the fields alone.
     """
 
     level: int
@@ -110,8 +114,9 @@ class SurfaceData:
                 ("star_count", len(stars)), ("num_slots", s + 2 * genus),
                 ("nonstar_labels", tuple(m for m in labels if 2 * m != k)),
                 ("_admissible", _conditions_hold(k, genus, len(stars))),
-                ("_folded", SurfaceData(k, genus, tuple(filter(None, labels)))
-                 if k and 0 in labels else None),
+                ("_folded", SurfaceData(k, genus, tuple(m for m in labels if m % k))
+                 if k and (0 in labels or k in labels) else None),
+                ("_reflected", k > 0 and labels.count(k) % 2 == 1),
                 ("_star_mask", star_mask),
                 ("_zero_mask", ((1 << s) - 1 ^ star_mask) | (star_mask & -star_mask)),
                 ("_double_mask", ((4 ** genus - 1) // 3) << s)):
@@ -483,13 +488,41 @@ def _canonical_class(surface: SurfaceData,
     return result
 
 
+# A shape shares its choices when they hold at most this many psi bits in
+# all, |Gamma| choices of s + 2h bits; as |Gamma| <= 2^(s+2h), that is at
+# most 2^9 choices.  The sweep's largest shape holds 5,120.
+_SHARED_PSI_BITS = 2**13
+
+
 def enumerate_choices(surface: SurfaceData) -> list[PrequantChoice]:
-    """Canonical representatives of Hom(Gamma, {+-1}), the trivial one first."""
+    """Canonical representatives of Hom(Gamma, {+-1}), the trivial one first.
+
+    They depend only on the surface's slot shape (s, star slots, h): a shape
+    of at most ``_SHARED_PSI_BITS`` psi bits builds its choices once
+    (``_shared_choices``), and every call returns a new list of those
+    immutable choices; a larger shape builds them on every call."""
     require_admissible(surface)
-    if surface.gamma_size() > GAMMA_SIZE_CAP:
-        raise GroupTooLarge(f"|Gamma| = {surface.gamma_size()} exceeds cap {GAMMA_SIZE_CAP}")
-    free_stars = surface.star_slots[1:]
-    s, h = surface.num_boundary, surface.genus
+    size = surface.gamma_size()
+    if size > GAMMA_SIZE_CAP:
+        raise GroupTooLarge(f"|Gamma| = {size} exceeds cap {GAMMA_SIZE_CAP}")
+    shape = surface.num_boundary, surface.star_slots, surface.genus
+    if size * surface.num_slots <= _SHARED_PSI_BITS:
+        return list(_shared_choices(*shape))
+    return _choices(*shape)
+
+
+# One per slot shape: the sweep's 31,324 requests have 105 shapes and 4,662
+# distinct choices, so it builds each once; they hold 1.3 MB.  At most 128
+# shapes of ``_SHARED_PSI_BITS`` bits each: 16.5 MB measured at worst (128
+# shapes of 512 choices of 16 bits, tracemalloc).
+@lru_cache(maxsize=128)
+def _shared_choices(s: int, star_slots: tuple[int, ...], h: int) -> tuple[PrequantChoice, ...]:
+    return tuple(_choices(s, star_slots, h))
+
+
+def _choices(s: int, star_slots: tuple[int, ...], h: int) -> list[PrequantChoice]:
+    """The canonical choices of the shape (s, star slots, h), built."""
+    free_stars = star_slots[1:]
     # the 4^h double patterns, each with its mask on slots s..s+2h-1
     doubles = [(bits, _bits_mask(bits) << s) for bits in product((0, 1), repeat=2 * h)]
     out = []

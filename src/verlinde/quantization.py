@@ -55,18 +55,26 @@ and (iii), and ``quantize_star_block`` and ``quantize_double_so3`` read the
 closed form of the star-only and the genus-1 surface.
 
 A surface folds as well, to the surface its paths see.  A boundary circle
-labelled 0 quantizes to tau_0, the unit, and every path is multiplicative
-over the circles: in the closed form the basis step by tau_0 is the identity
-and tau_0(t_{k/2}) = 1 in the weight; in the S-matrix sums the label's row
-S[0, l] cancels one power of S[0, l], and |Gamma|, the class (a, d) and the
-admissibility conditions read no non-star label.  So each per-class cache
-(``_class_cache``) computes on ``SurfaceData._folded``, the surface without
-its labels 0, built once with the surface: the sweep's 1,141 surfaces fold
-to 581 and its 3,276 request classes to 1,678 computed ones.  The request
-keeps its own surface for the front end, so its result carries the
-canonical choice of all s + 2h slots.  The float paths' error bounds count
-the folded surface's entries, fewer than the request's, and stay sound
-bounds of the same sum.
+labelled 0 quantizes to tau_0, the unit, and one labelled k to tau_k, the
+simple current: tau_k x reflects x's coefficients (c_m -> c_{k-m}), its
+value at t_l is (-1)^l, and tau_k^2 = tau_0.  Every path is multiplicative
+over the circles: in the closed form the basis step by tau_0 is the
+identity; in the S-matrix sums the label's row S[0, l] cancels one power
+of S[0, l], and S[k, l] = (-1)^l S[0, l], bit for bit as every angle is
+reduced in integers; and |Gamma|, the class (a, d) and the admissibility
+conditions read no non-star label (for k > 0, neither 0 nor k is the star
+label k/2).  So each per-class cache (``_class_cache``) computes on
+``SurfaceData._folded``, the surface without its labels 0 and k, built once
+with the surface, and an odd count of labels k (``SurfaceData._reflected``)
+reflects the folded result: the closed form and fs reverse the folded
+element, reduced sums the folded terms times (-1)^l, and
+``verlinde_baseline`` reverses its product.  The sweep's 1,141 surfaces
+fold to 301 (581 with labels 0 alone) and its 3,276 request classes to 879
+computed ones (1,678).  The request keeps its own surface for the front
+end, so its result carries the canonical choice of all s + 2h slots.  The
+float paths' error bounds count the folded surface's entries, fewer than
+the request's, and stay sound bounds of the same sum, whose terms differ
+only in sign.
 
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
@@ -229,7 +237,7 @@ def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
     return k, r, _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
-@lru_cache(maxsize=1024)  # one per (k, r, a): 3,704 of 3,800 sweep reads hit
+@lru_cache(maxsize=1024)  # one per (k, r, a): 3,264 of 3,360 sweep reads hit
 def _krawtchouk_sum(k: int, r: int, a: int) -> int:
     """E = sum_w star_sign(k, r, w) (k/2+1)^(w/2) K_w(a) over even w, psi
     having a bits set on the r star slots: K_w(a), the y^w coefficient of
@@ -327,7 +335,7 @@ def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     return _times_labels(k, FusionElement.one(k).coeffs, labels)
 
 
-@lru_cache(maxsize=512)  # one per (k, r, h): 415 of the sweep's 581 folded surfaces hit
+@lru_cache(maxsize=512)  # one per (k, r, h): 135 of the sweep's 301 folded surfaces hit
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
     h SO(3) doubles, with no dense product: D_SU(2) in closed form, h - 1
@@ -377,7 +385,7 @@ class _ClosedBase(NamedTuple):
     at_half: int  # X(t_{k/2}) = c_0 - c_2 + c_4 - ..., read for even k
 
 
-# one per folded surface, read by each class: 1,097 of 1,678 sweep reads hit
+# one per folded surface, read by each class: 578 of 879 sweep reads hit
 @lru_cache(maxsize=512)
 def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
     """X and its value at t_{k/2}, from X's own coefficients, as
@@ -393,28 +401,43 @@ def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
 def _class_cache(fn):
     """``fn``, one path's computation for a class (surface, a, d), in an lru
     cache of 1024 entries keyed by the request's surface and computed on its
-    folded surface (``SurfaceData._folded``, no label 0): a miss on a surface
-    that folds returns the cached result of its folded form, which is then
-    kept under the request's own key too, so a repeat request hits by
-    identity.  ``__wrapped__`` is ``fn``, which computes on the surface it is given."""
+    folded surface (``SurfaceData._folded``, no label 0 and no label k): a
+    miss on a surface that folds returns the cached result of its folded
+    form, or, when its labels k are odd in number (``_reflected``), that
+    result times tau_k, ``fn(folded, a, d, True)``, cached under the key
+    (folded, a, d, True) for every surface that folds to the same one; it is
+    then kept under the request's own key too, so a repeat request hits by
+    identity.  ``__wrapped__`` is ``fn``, which computes on the surface it
+    is given."""
     @lru_cache(maxsize=1024)
-    def cached(surface: SurfaceData, a: int, d: int):
+    def cached(surface: SurfaceData, a: int, d: int, reflected: bool = False):
         folded = surface._folded
-        return fn(surface, a, d) if folded is None else cached(folded, a, d)
+        if folded is None:
+            return fn(surface, a, d, reflected)
+        return cached(folded, a, d, True) if surface._reflected else cached(folded, a, d)
     return update_wrapper(cached, fn)
 
 
+def _reflect(x: FusionElement) -> FusionElement:
+    """tau_k x, x at level k: its coefficients reversed, c_m -> c_{k-m}."""
+    return FusionElement._trusted(x.level, x.coeffs[::-1])
+
+
 # Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
-# their surface, and 1,598 of the 3,276 request classes are read from their
-# folded surface's entry, so 1,678 classes are computed.  Each per-class
-# cache keeps values only: a class that raises (InexactDivision here, a
-# failure to certify on the float paths) raises again on every request.
-# The star entry points read this cache on their star-only surfaces.
+# their surface, and 2,397 of the 3,276 request classes are answered from
+# their folded surface's entry or its reflection (799 reflections: an
+# element reversed, or a reduced sum alternated), so 879 classes are
+# computed.  Each
+# per-class cache keeps values only: a class that raises (InexactDivision
+# here, a failure to certify on the float paths) raises again on every
+# request.  The star entry points read this cache on their star-only surfaces.
 
 @_class_cache
-def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
+def _closed_form_element(surface: SurfaceData, a: int, d: int,
+                         reflected: bool = False) -> FusionElement:
     """The class (a, d)'s star block x doubles x non-star labels, as
-    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h.
+    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h; ``reflected``, that
+    times tau_k.
 
     Every block is a choice-free part plus a multiple of chi: the star block
     (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
@@ -425,6 +448,8 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     Both values are integers, so mu is an exact division, checked: its
     remainder raises InexactDivision.  A class costs O(r + h) integer steps
     and one O(k) pass."""
+    if reflected:
+        return _reflect(_closed_form_element(surface, a, d))
     base, k = _closed_form_base(surface), surface.level
     if k % 2:  # then r = h = 0 and Gamma = {e}: X is the whole answer
         return base.element
@@ -452,6 +477,7 @@ class _GammaData(NamedTuple):
     coeffs: np.ndarray | None  # tau-coefficients of the identity term / |Gamma|; None if refused
     bound: float  # their rounding-error bound
     reduced: float  # the reduced identity term summed, / |Gamma|
+    alternating: float  # its terms at l summed times (-1)^l, / |Gamma|
     mass: float  # the sum of its terms' absolute values, / |Gamma|
 
 
@@ -488,7 +514,8 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     l != k/2, 0 at l = k/2 (k even), taken to the tau basis by one sine
     transform, whose error bound covers the values' own error
     (``_value_error``) as well; and its reduced form (exponent s+2h-2)
-    summed over the same l.  The S-matrix rows of 0 and of the labels, and
+    summed over the same l, plainly and times (-1)^l, which is tau_k's value
+    at t_l (``_reduced_value``).  The S-matrix rows of 0 and of the labels, and
     the transform's weights, come from one pass (``_fs_rows``).  The bound
     is formed before the transform, and a surface whose bound is not below
     1/2 keeps no coefficients (None) and runs no transform: every class of
@@ -507,11 +534,10 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
         terms = full / row0 ** (n - 2)
         if not k % 2:  # the class's value there is ``_half_value``
             identity[k // 2] = terms[k // 2] = 0.0
+        reduced = _sum(terms, inverse)
+        terms[1::2] *= -1
+        alternating = _sum(terms, inverse)
         terms = terms.tolist()
-        try:  # fsum raises on an intermediate overflow and on inf - inf
-            reduced = math.fsum(terms) * inverse
-        except (OverflowError, ValueError):
-            reduced = math.nan
         try:
             mass = math.fsum(map(abs, terms)) * inverse
         except OverflowError:
@@ -521,7 +547,16 @@ def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
     if bound < 0.5:  # else every class is refused for the bound, whatever its coefficients
         coeffs = _sine_transform(x) * (2.0 / (k + 2))  # as ``_sine_coefficients``
         coeffs.setflags(write=False)
-    return _GammaData(coeffs, bound, reduced, mass)
+    return _GammaData(coeffs, bound, reduced, alternating, mass)
+
+
+def _sum(terms: np.ndarray, scale: float) -> float:
+    """The exactly rounded sum of ``terms`` times ``scale``, nan when it
+    leaves double range."""
+    try:  # fsum raises on an intermediate overflow and on inf - inf
+        return math.fsum(terms.tolist()) * scale
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
@@ -545,10 +580,13 @@ def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, 
 
 
 @_class_cache
-def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
-    """The class's element, its coefficients rounded once; a class that
-    fails to round raises NonIntegralCoefficient or PrecisionExhausted on
-    every request, and its cache keeps no entry."""
+def _fs_element(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> FusionElement:
+    """The class's element, its coefficients rounded once, and ``reflected``,
+    that times tau_k; a class that fails to round raises
+    NonIntegralCoefficient or PrecisionExhausted on every request, and its
+    cache keeps no entry."""
+    if reflected:
+        return _reflect(_fs_element(surface, a, d))
     return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
 
 
@@ -571,17 +609,23 @@ _REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
 
 
 @_class_cache
-def _reduced_value(surface: SurfaceData, a: int, d: int) -> int:
+def _reduced_value(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> int:
     """The class's reduced value, rounded once: the reduced identity term
     summed over l != k/2 plus the class's term at l = k/2, its value times
-    S[0, k/2]^2 = 1/(k/2+1) (``_half_float``).  A class that fails to round
-    raises NonIntegralValue or PrecisionExhausted, as ``_fs_element`` does.
-    PrecisionExhausted comes too when the sum's rounding error floor
-    c (s + n) u sum |terms| (``_REDUCED_ERROR``) is not below 1/2."""
+    S[0, k/2]^2 = 1/(k/2+1) (``_half_float``).  ``reflected``, the class's
+    value times tau_k, which is (-1)^l at t_l: the same terms, alternating.
+    A class that fails to round raises NonIntegralValue or
+    PrecisionExhausted, as ``_fs_element`` does.  PrecisionExhausted comes
+    too when the sum's rounding error floor c (s + n) u sum |terms|
+    (``_REDUCED_ERROR``) is not below 1/2."""
     k, data = surface.level, _fs_gamma_data(surface)
     half = 0.0 if k % 2 else _half_float(surface, a, d, k // 2 + 1)
     bound = _REDUCED_ERROR * (len(surface.labels) + surface.num_slots) * (data.mass + abs(half))
-    return round_to_integer(data.reduced + half, exc=NonIntegralValue,
+    if reflected:  # (-1)^l at l = k/2 too
+        total = data.alternating + (-half if k // 2 % 2 else half)
+    else:
+        total = data.reduced + half
+    return round_to_integer(total, exc=NonIntegralValue,
                             context="reduced quantization", bound=bound)
 
 
@@ -616,10 +660,11 @@ def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:
     No sign group acts; the reduced value is the classical SU(2) Verlinde
     number of the labelled surface.  This product is the closed form's
     choice-free base X = tau_{k/2}^r D_SU(2)^h prod tau_m (non-star m), read
-    from the per-surface cache.
+    from the per-surface cache, reflected when the surface's labels k are
+    odd in number (``SurfaceData._reflected``).
     """
-    return QuantizationResult.of(_closed_form_base(surface._folded or surface).element,
-                                 "closed_form")
+    base = _closed_form_base(surface._folded or surface).element
+    return QuantizationResult.of(_reflect(base) if surface._reflected else base, "closed_form")
 
 
 def localization_evaluate(k: int, r: int, psi, l: int) -> float:

@@ -101,6 +101,16 @@ def test_sampled_s_matrix_rows(k):
     _check(got, e, n, hi[e % (2 * n)], lo[e % (2 * n)], S_BOUND, f"S rows at k={k}")
 
 
+@pytest.mark.parametrize("k", [*range(1, 41), 124, 300, 1000])
+def test_the_row_of_k_is_the_row_of_0_alternated(k):
+    # (k+1)(l+1) = (k+2)(l+1) - (l+1) folds to the angle of l+1, negated for
+    # odd l, and the sine is odd: S[k, l] = (-1)^l S[0, l] bit for bit.  So
+    # the S-matrix sums of a surface without its labels k have the same
+    # terms up to sign, and no larger error bound.
+    smat = s_matrix(k)
+    assert np.array_equal(smat[k], np.where(np.arange(k + 1) % 2, -smat[0], smat[0]))
+
+
 def _tau_values(k: int, m: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """tau_m(t_l)^power for l = 0..k as double-doubles."""
     n, sines = k + 2, _exact_sines(k + 2)

@@ -15,6 +15,7 @@ from verlinde.fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _cyclotomic_cofactor,
     _fold,
     _fold_angle,
     _over_3_minus_tau2,
@@ -290,6 +291,16 @@ class TestEvaluation:
         assert FusionElement(8, (-2, 0, 2, 0, -1, 0, 0, 0, 0)).evaluate(0) == 0.0
         # a term whose sine is exactly 0 adds nothing, however large
         assert FusionElement(2, (0, 10**400, 0)).evaluate(1) == 0.0
+
+    def test_the_cyclotomic_cofactor_is_built_once_per_level(self):
+        # every point of chi at k = 1000 but t_500 cancels, and each reads
+        # the cofactor of m = 2(k+2)
+        _cyclotomic_cofactor.cache_clear()
+        chi = FusionElement(1000, tuple((1, 0, -1, 0)[m % 4] for m in range(1001)))
+        assert chi.evaluate(2) == chi.evaluate(700) == 0.0
+        info = _cyclotomic_cofactor.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _cyclotomic_cofactor.__wrapped__(2004) == _cyclotomic_cofactor(2004)
 
     def test_sines_cancel_exactly_when_the_exact_sum_is_zero(self):
         mpmath = pytest.importorskip("mpmath")

@@ -121,8 +121,8 @@ class TestSweep:
 
     def test_builds_only_the_surfaces_it_yields(self, monkeypatch):
         # k, h and the star count decide admissibility and |Gamma|, so the
-        # sweep builds only the 1,141 surfaces it yields and the 560 forms
-        # without labels 0 that they fold to, not all 1,629 keys of the box
+        # sweep builds only the 1,141 surfaces it yields and the 840 forms
+        # without labels 0 and k that they fold to, not all 1,629 keys of the box
         built = 0
         post_init = SurfaceData.__post_init__
 
@@ -133,7 +133,7 @@ class TestSweep:
 
         monkeypatch.setattr(SurfaceData, "__post_init__", counting)
         surfaces = list(sweep_surfaces(20, 5, 2))
-        assert built == 1701
+        assert built == 1981
         assert all(s._admissible and s.gamma_size() <= 2**9 for s in surfaces)
         keys = repr([(s.level, s.genus, s.labels) for s in surfaces]).encode()
         assert len(surfaces) == 1141 and hashlib.sha256(keys).hexdigest() == (
@@ -149,13 +149,13 @@ def test_negative_control_check():
 def test_cross_paths_counts_requests_and_folded_classes():
     # classes: a star bits set and d doubles with phi != (0, 0), read as
     # min(a, r - a) and as min(d, 1) for k in 4N, else d mod 2; the paths
-    # compute a class on the surface without its labels 0 (except at k = 0,
-    # where 0 is the star label)
+    # compute a class on the surface without its labels 0 and k (except at
+    # k = 0, where 0 is the star label)
     result = check_cross_paths(8, 4, 2)
     pairs, classes, computed = 0, set(), set()
     for surf in sweep_surfaces(8, 4, 2):
         r, s, k = surf.star_count, surf.num_boundary, surf.level
-        folded = SurfaceData(k, surf.genus, tuple(m for m in surf.labels if m or not k))
+        folded = SurfaceData(k, surf.genus, tuple(m for m in surf.labels if not k or m % k))
         for choice in enumerate_choices(surf):
             bits = choice.psi_bits
             a = sum(bits[j] for j in surf.star_slots)

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import weakref
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,9 @@ class TestSurfaceData:
 
 
 class TestFoldedSurface:
-    """``_folded``: the surface without its labels 0, which quantize to tau_0."""
+    """``_folded``: the surface without its labels 0, which quantize to tau_0,
+    and its labels k, each a reflection by tau_k; ``_reflected``: an odd
+    count of labels k."""
 
     def test_labels_zero_are_removed(self):
         surf = SurfaceData(8, 1, (4, 0, 4, 4))
@@ -114,6 +117,21 @@ class TestFoldedSurface:
         assert surf._folded.star_slots == (0, 1, 2) and surf._folded._folded is None
         assert SurfaceData(6, 2, (0, 0, 0))._folded == SurfaceData(6, 2, ())
         assert SurfaceData(5, 0, (0, 1, 0, 3))._folded.labels == (1, 3)
+        assert not surf._reflected
+
+    @pytest.mark.parametrize("fields,folded,reflected", [
+        ((8, 1, (4, 8, 8)), (8, 1, (4,)), False),
+        ((8, 1, (8, 4, 0, 8, 8)), (8, 1, (4,)), True),
+        ((1, 0, (1,)), (1, 0, ()), True),
+        ((12, 1, (1, 6, 6, 12)), (12, 1, (1, 6, 6)), True),
+        ((316, 0, (91, 156, 158, 158, 158, 194, 316)), (316, 0, (91, 156, 158, 158, 158, 194)),
+         True)])
+    def test_labels_k_are_removed_and_their_parity_kept(self, fields, folded, reflected):
+        surf = SurfaceData(*fields)
+        assert surf._folded == SurfaceData(*folded) and surf._folded._folded is None
+        assert surf._reflected is reflected and surf._folded._reflected is False
+        assert surf._folded.star_slots == tuple(
+            j for j, m in enumerate(surf._folded.labels) if 2 * m == surf.level)
 
     def test_star_label_zero_stays(self):
         # at k = 0 label 0 is the star label k/2
@@ -125,7 +143,7 @@ class TestFoldedSurface:
     def test_no_surface_refers_to_itself(self, fields):
         # freed by reference counting alone, without the cyclic collector
         surf = SurfaceData(*fields)
-        assert (surf._folded is None) == (fields[0] == 0 or 0 not in fields[2])
+        assert (surf._folded is None) == (fields[0] == 0 or not {0, fields[0]} & set(fields[2]))
         ref = weakref.ref(surf)
         gc.disable()
         try:
@@ -312,6 +330,49 @@ class TestChoices:
         signatures = {tuple(c.psi(g) for g in gammas) for c in enumerate_choices(surf)}
         assert len(signatures) == surf.gamma_size()
 
+    def test_choices_are_those_each_call_used_to_build(self):
+        # every sweep surface, and the big_gamma pool's 2^12 to 2^16 choices,
+        # past the shared cache's cap
+        surfaces = [*sweep_surfaces(20, 5, 2),
+                    *(surf for surf, _ in _pool_surfaces("big_gamma"))]
+        assert max(s.gamma_size() * s.num_slots for s in surfaces[-5:]) > prequant._SHARED_PSI_BITS
+        for surf in surfaces:
+            got = enumerate_choices(surf)
+            assert got == _reference_choices(surf), surf
+            assert [c._mask for c in got] == [prequant._bits_mask(c.psi_bits) for c in got]
+
+    def test_a_caller_that_mutates_its_list_changes_no_other_call(self):
+        surf = SurfaceData(8, 1, (4, 4, 1))
+        first = enumerate_choices(surf)
+        want = list(first)
+        first.reverse()
+        first.append(first[0])
+        del first[:2]
+        second = enumerate_choices(surf)
+        assert second == want and second is not first
+        # the choices themselves are shared, and immutable
+        assert all(a is b for a, b in zip(second, enumerate_choices(SurfaceData(12, 1, (6, 6, 5)))))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second[1].psi_bits = (0,) * surf.num_slots
+
+    def test_the_shared_choices_are_bounded(self):
+        cache = prequant._shared_choices
+        cache.cache_clear()
+        for surf in sweep_surfaces(20, 5, 2):
+            enumerate_choices(surf)
+        info = cache.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (105, 105, 128)
+        assert sum(map(len, (cache(s, stars, h) for s, stars, h in _shapes()))) == 4662
+        # a shape past the cap is built on every call and never held
+        big = SurfaceData(4, 4, (2, 2, 2, 2, 2))
+        assert big.gamma_size() * big.num_slots > prequant._SHARED_PSI_BITS
+        assert enumerate_choices(big) == enumerate_choices(big)
+        assert cache.cache_info()[1:] == info[1:]
+        # 200 shapes more leave 128
+        for n in range(1, 201):
+            enumerate_choices(SurfaceData(4, 0, (1,) * n))
+        assert cache.cache_info().currsize == 128
+
     def test_canonicalization(self):
         surf = SurfaceData(4, 1, (2, 0, 2))
         # bit on the non-star slot is dropped; star bits flip so the first is 0
@@ -320,6 +381,26 @@ class TestChoices:
         gammas = enumerate_gamma(surf)
         raw = PrequantChoice((1, 1, 1, 0, 1))
         assert all(choice.psi(g) == raw.psi(g) for g in gammas)
+
+
+def _reference_choices(surf):
+    """The canonical choices of ``surf`` as each call built them before they
+    were shared per slot shape."""
+    free_stars = surf.star_slots[1:]
+    s, h = surf.num_boundary, surf.genus
+    out = []
+    for star_bits in product((0, 1), repeat=len(free_stars)):
+        bits = [0] * s
+        for j, bit in zip(free_stars, star_bits):
+            bits[j] = bit
+        for double_bits in product((0, 1), repeat=2 * h):
+            out.append(PrequantChoice(tuple(bits) + double_bits))
+    return out
+
+
+def _shapes():
+    """The slot shapes (s, star slots, h) of the sweep's surfaces."""
+    return {(s.num_boundary, s.star_slots, s.genus) for s in sweep_surfaces(20, 5, 2)}
 
 
 def _reference_class(surf, bits):

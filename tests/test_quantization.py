@@ -702,7 +702,8 @@ def _request_outcome(path, surf, choice):
 
 
 class TestFoldedSurface:
-    """Every path computes on the surface without its labels 0 (tau_0 is the unit)."""
+    """Every path computes on the surface without its labels 0 (tau_0 is the
+    unit) and k (tau_k reflects), and reflects for an odd count of labels k."""
 
     def test_the_fold_changes_no_answer_on_the_sweep(self):
         _clear_quantization_caches()
@@ -711,7 +712,8 @@ class TestFoldedSurface:
         for surf in sweep_surfaces(20, 5, 2):
             if surf._folded is None:
                 continue
-            assert 0 in surf.labels and surf._folded.labels == tuple(m for m in surf.labels if m)
+            k = surf.level
+            assert surf._folded.labels == tuple(m for m in surf.labels if m % k) != surf.labels
             for choice in enumerate_choices(surf):
                 requests += 1
                 a, d = prequant._canonical_class(surf, choice)[1:]
@@ -735,8 +737,8 @@ class TestFoldedSurface:
                     phases = _phase_vector(surf, choice)
                     assert fs_formula_with_phases(surf, phases) == closed
                     literal += 1
-        # 560 of the 1,141 sweep surfaces fold; their classes are 1,598 of 3,276
-        assert (requests, len(unfolded), literal) == (14990, 1598, 7310)
+        # 840 of the 1,141 sweep surfaces fold; their classes are 2,397 of 3,276
+        assert (requests, len(unfolded), literal) == (22485, 2397, 10965)
 
     def test_a_failing_class_and_its_twin_with_a_label_zero_share_one_computation(self):
         surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
@@ -769,8 +771,8 @@ class TestFoldedSurface:
                 quantize_surface(surf, choice)
                 fs_formula(surf, choice)
                 reduced_quantization(surf, choice)
-        assert quantization._fs_gamma_data.cache_info().misses == 581
-        assert quantization._closed_form_base.cache_info().misses == 581
+        assert quantization._fs_gamma_data.cache_info().misses == 301
+        assert quantization._closed_form_base.cache_info().misses == 301
 
     def test_a_repeat_request_hits_by_identity(self):
         surf = SurfaceData(8, 1, (4, 0, 4, 4))
@@ -782,6 +784,89 @@ class TestFoldedSurface:
         quantize_surface(surf, choice)
         assert quantization._closed_form_element.cache_info().hits == 1
         assert verlinde_baseline(surf).element == verlinde_baseline(surf._folded).element
+
+
+def _coeffs_or_failure(fn, *args):
+    """The coefficients (or int) ``fn`` returns, or the class it raises."""
+    try:
+        result = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return result if isinstance(result, int) else getattr(result, "element", result).coeffs
+
+
+class TestSimpleCurrentFold:
+    """A label k multiplies by tau_k, the simple current, which reflects the
+    coefficients (c_m -> c_{k-m}), and tau_k^2 = tau_0.  Every path answers
+    a surface with labels k from its folded surface, reflected for an odd
+    count, and that answer is the path's own on the surface unfolded."""
+
+    @staticmethod
+    def check(surf):
+        folded, k = surf._folded, surf.level
+        assert k in surf.labels and folded._folded is None
+        flip = (lambda c: c[::-1]) if surf._reflected else (lambda c: c)
+        base = _coeffs_or_failure(verlinde_baseline, surf)
+        assert base == flip(_coeffs_or_failure(verlinde_baseline, folded))
+        assert base == quantization._closed_form_base.__wrapped__(surf).element.coeffs
+        for (_, choice), (_, twin) in zip(_class_choices(surf), _class_choices(folded)):
+            a, d = prequant._canonical_class(surf, choice)[1:]
+            closed = _coeffs_or_failure(quantize_surface, surf, choice)
+            assert closed == flip(_coeffs_or_failure(quantize_surface, folded, twin))
+            assert closed == _coeffs_or_failure(
+                quantization._closed_form_element.__wrapped__, surf, a, d)
+            # fs: the folded class's element reflected, or its failure
+            fs, want = (_coeffs_or_failure(fs_formula, s, c) for s, c in
+                        ((surf, choice), (folded, twin)))
+            assert fs == (want if isinstance(want, type) else flip(want))
+            # reduced: the folded element's c_k for a reflection, summed apart
+            reduced = _coeffs_or_failure(reduced_quantization, surf, choice)
+            assert reduced in (closed[0], PrecisionExhausted)
+            # unfolded, each float path certifies no more than folded
+            for path, got in ((quantization._fs_element, fs),
+                              (quantization._reduced_value, reduced)):
+                unfolded = _coeffs_or_failure(path.__wrapped__, surf, a, d)
+                assert got == unfolded or unfolded is PrecisionExhausted, (surf, a, d, path)
+
+    def test_every_sweep_surface_with_a_label_k(self):
+        surfaces = [s for s in sweep_surfaces(20, 5, 2) if s.level and s.level in s.labels]
+        assert (len(surfaces), sum(s._reflected for s in surfaces)) == (560, 560)
+        for surf in surfaces:
+            self.check(surf)
+
+    def test_level_one(self):
+        # tau_1 at k = 1 swaps tau_0 and tau_1
+        for labels, want in (((1,), (0, 1)), ((1, 1), (1, 0)), ((0, 1, 1, 1), (0, 1))):
+            surf = SurfaceData(1, 0, labels)
+            self.check(surf)
+            for path in (quantize_surface, fs_formula):
+                assert path(surf).element.coeffs == want
+            assert verlinde_baseline(surf).element.coeffs == want
+            assert reduced_quantization(surf) == want[0]
+
+    def test_a_high_level_surface(self):
+        surf = SurfaceData(316, 0, (91, 156, 158, 158, 158, 194, 316))
+        assert surf._reflected
+        self.check(surf)
+
+    def test_surfaces_that_fold_alike_share_one_reflection(self):
+        _clear_quantization_caches()
+        surfaces = [SurfaceData(8, 1, labels) for labels in ((4, 8), (0, 4, 8), (8, 4, 8, 8))]
+        elements = [quantize_surface(surf).element for surf in surfaces]
+        assert all(x is elements[0] for x in elements)
+        # three request keys, the folded class and, once, its reflection
+        info = quantization._closed_form_element.cache_info()
+        assert (info.misses, info.hits) == (5, 2)
+
+    def test_a_cancelling_pair(self):
+        surf, folded = SurfaceData(8, 1, (4, 8, 8)), SurfaceData(8, 1, (4,))
+        assert surf._folded == folded and not surf._reflected
+        self.check(surf)
+        for (_, choice), (_, twin) in zip(_class_choices(surf), _class_choices(folded)):
+            for path in (quantize_surface, fs_formula):
+                assert path(surf, choice).element == path(folded, twin).element
+            assert reduced_quantization(surf, choice) == reduced_quantization(folded, twin)
+        assert verlinde_baseline(surf).element == verlinde_baseline(folded).element
 
 
 def _pattern_loop_star_sums(k, r, psi_bits, tau_half):
@@ -839,6 +924,7 @@ AUDITED_CACHES = {
     "quantization._closed_form_element", "quantization._fs_gamma_data",
     "quantization._fs_element", "quantization._reduced_value",
     "oracles._listed_gamma", "oracles._gamma_terms",
+    "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor",
 }
 
 
