@@ -52,22 +52,24 @@ the exact path, never the authority.
 
 Both basis changes are one type-I discrete sine transform (DST-I) of
 length k+1, computed as the real FFT of its odd extension, built in one
-array: O(k log k) time and O(k) memory, with no S-matrix formed.  No table
-of sines or S-matrix rows is cached, and none of the package's 15 lru
-caches holds one: the S-matrix path of ``quantization`` forms the rows of 0
-and of a surface's labels in one fold-and-sine pass per surface, its row 0
-before the division by sqrt(k/2+1) being the transform's weights, and
-makes one transform per surface, not one per request; ``s_matrix_entry``
-computes its one entry.  ``from_idempotent`` also bounds the rounding error of
-its own arithmetic a priori (the FFT bound of Higham, *Accuracy and
-Stability of Numerical Algorithms*, Thm 24.2, plus the weighting of the
-inputs) and rounds only when that bound is below 1/2; otherwise it raises
-``PrecisionExhausted``.  It takes its values as exact; the S-matrix path
-passes the relative error of its values to the transform too, so that
-bound covers its whole sum, and each coefficient is rounded against it
-(``_round_coefficients``).  The bound reads only the weighted values
-(``_sine_bound``), so that path forms it first and refuses a surface
-whose bound is not below 1/2 before any FFT.  ``FusionElement.evaluate``
+array: O(k log k) time and O(k) memory, with no S-matrix formed.  One
+builder forms S-matrix rows, ``_s_rows``: the rows of 0 and of given
+labels in one fold-and-sine pass, with that pass's row 0 before the
+division by sqrt(k/2+1), the transform's weights.  ``s_matrix`` is its case
+of every label; the transforms, the S-matrix path of ``quantization`` (once
+per surface, not once per request) and the oracles form only the rows they
+read, and ``s_matrix_entry`` computes its one entry.  No table of sines or
+S-matrix rows is cached, and none of the package's 15 lru caches holds one.
+The transform to tau-coefficients, ``_sine_coefficients``, bounds the
+rounding error of its own arithmetic a priori (the FFT bound of Higham,
+*Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
+weighting of the inputs) and the error the values carry, given by the
+caller.  The bound reads only the weighted values, so it is formed first,
+and values whose bound is not below 1/2 are not transformed.
+``from_idempotent`` takes its values as exact; the S-matrix path passes the
+relative error of its values, so that bound covers its whole sum.  Each
+coefficient is rounded against it (``_round_coefficients``), and a bound
+not below 1/2 raises ``PrecisionExhausted``.  ``FusionElement.evaluate``
 bounds its sum as well, and raises ``PrecisionExhausted`` where
 cancellation leaves no certain digit.
 """
@@ -263,12 +265,22 @@ def _s_entries(k: int, sines: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _s_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sines sin((l+1) pi/(k+2)), l = 0..k, the sine transform's
+    weights, and the S-matrix rows of 0 and of each label, a new read-only
+    array: one ``_sin_pi`` pass over the (s+1) x (k+1) products (m+1)(l+1)
+    and one division by sqrt(k/2+1) (``_s_entries``), the weights being that
+    pass's row 0.  The one row builder: ``s_matrix`` is its case of every
+    label, and every other reader forms only the rows it uses."""
+    sines = _sin_pi(k + 2, np.outer(np.array((0, *labels)) + 1, np.arange(1, k + 2)))
+    return sines[0], _s_entries(k, sines)
+
+
 def s_matrix(k: int) -> np.ndarray:
-    """The full (k+1) x (k+1) S-matrix as a new read-only float array; the
-    S-matrix path forms only the rows of its labels and 0."""
+    """The full (k+1) x (k+1) S-matrix as a new read-only float array, the
+    rows of every label from ``_s_rows``."""
     k = _check_level(k)
-    idx = np.arange(1, k + 2)
-    return _s_entries(k, _sin_pi(k + 2, np.outer(idx, idx)))
+    return _s_rows(k, range(k + 1))[1][1:]
 
 
 def _weyl_quotient(k: int, l: int, terms: Iterable[tuple[int, int]]) -> float:
@@ -737,11 +749,6 @@ def _fft_error(n: int) -> float:
     return 3 * _FFT_ETA * math.ceil(math.log2(4 * n))
 
 
-def _sines(k: int) -> np.ndarray:
-    """sin((l+1) pi/(k+2)) for l = 0..k, the angle folded into (0, pi/2]."""
-    return _sin_pi(k + 2, np.arange(1, k + 2))
-
-
 def _sine_transform(y: np.ndarray) -> np.ndarray:
     """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2: the
     real FFT of the odd extension (0, y, 0, -reversed y), built in one
@@ -754,14 +761,14 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _sine_bound(values: Sequence[float], error: float,
-                sines: np.ndarray) -> tuple[np.ndarray, float]:
-    """The weighted values x_l = sin((l+1) pi/N) v_l, N = k+2, of the values
-    v at t_0..t_k, given their weights ``sines`` (``_sines(k)``, or the
-    S-matrix path's row 0 before the division by sqrt(k/2+1), bit-identical
-    to it), and an a priori bound on the error of the raw tau-coefficients
-    c = (2/N) DST-I(x) that ``_sine_coefficients`` transforms them to.  The
-    bound reads only x, so a caller can form it before any transform.
+def _sine_coefficients(values: Sequence[float], weights: np.ndarray,
+                       error: float = 0.0) -> tuple[np.ndarray | None, float]:
+    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the values v at
+    t_0..t_k (a read-only array), c = (2/N) DST-I(x), N = k+2, of the
+    weighted values x_l = sin((l+1) pi/N) v_l, given their weights (the
+    first array of ``_s_rows``); and an a priori bound on their error,
+    formed from x first: when it is not below 1/2 no transform runs and the
+    coefficients are None, as they would be refused for it.
 
     The transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per
     entry (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N)
@@ -772,7 +779,7 @@ def _sine_bound(values: Sequence[float], error: float,
     within ``error`` of its true value, relative, given by the caller (0 for
     exact values): the transform is linear with weights of absolute value
     at most 1, so that adds error (2/N) sum |x_l| to every entry."""
-    x = np.asarray(values, dtype=np.float64) * sines
+    x = np.asarray(values, dtype=np.float64) * weights
     n = len(x)
     scale = 2.0 / (n + 1)
     weighted = x.tolist()
@@ -780,17 +787,11 @@ def _sine_bound(values: Sequence[float], error: float,
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
     if error:  # a float sum past double range is inf, with no warning
         bound += error * scale * sum(map(abs, weighted))
-    return x, bound + _UNDERFLOW
-
-
-def _sine_coefficients(values: Sequence[float], error: float = 0.0) -> tuple[np.ndarray, float]:
-    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the idempotent
-    vector v (a read-only array), and an a priori bound on their error
-    (``_sine_bound``, the values within ``error`` of their true values,
-    relative): c = (2/N) DST-I(x), N = k+2, of the weighted values x."""
-    x, bound = _sine_bound(values, error, _sines(len(values) - 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: the bound is >= 1/2
-        coeffs = _sine_transform(x) * (2.0 / (len(x) + 1))
+    bound += _UNDERFLOW
+    del weighted  # held through the FFT, it raised high_level peak_rss_mb by 0.25 MB
+    if not bound < 0.5:
+        return None, bound
+    coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
     return coeffs, bound
 
@@ -865,7 +866,8 @@ def to_idempotent(a: FusionElement) -> np.ndarray:
     PrecisionExhausted when a coefficient or a value is out of double range."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            values = _sine_transform(np.array(a.coeffs, dtype=np.float64)) / _sines(a.level)
+            coeffs = np.array(a.coeffs, dtype=np.float64)
+            values = _sine_transform(coeffs) / _s_rows(a.level, ())[0]
     except (OverflowError, FloatingPointError):
         raise PrecisionExhausted(f"a level-{a.level} element is out of double range") from None
     values.setflags(write=False)
@@ -879,13 +881,14 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
 
     The coefficients come from one sine transform with an a priori bound on
     its rounding error (``_sine_coefficients``, the values taken as exact).
-    Raises PrecisionExhausted when that bound is not below 1/2, and
-    NonIntegralCoefficient when a coefficient is further from an integer
-    than both that bound and DEFAULT_TOLERANCE allow; the latter signals
-    an inconsistent vector (or a wrong phase factor upstream), not a
+    Raises PrecisionExhausted, with no transform, when that bound is not
+    below 1/2, and NonIntegralCoefficient when a coefficient is further from
+    an integer than both that bound and DEFAULT_TOLERANCE allow; the latter
+    signals an inconsistent vector (or a wrong phase factor upstream), not a
     numerical hiccup.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or not len(v):
         raise ValueError(f"need a non-empty 1-D vector of values, got shape {v.shape}")
-    return _round_coefficients(len(v) - 1, *_sine_coefficients(v))
+    k = len(v) - 1
+    return _round_coefficients(k, *_sine_coefficients(v, _s_rows(k, ())[0]))

@@ -28,6 +28,7 @@ from .fusion_ring import (
     _check_int,
     _check_level,
     _fold,
+    _s_rows,
     from_idempotent,
     round_to_integer,
     s_matrix,
@@ -132,11 +133,12 @@ def structure_constants_from_multiply(k: int) -> np.ndarray:
 
 
 def classical_verlinde_number(k: int, genus: int) -> int:
-    """Classical SU(2) Verlinde number round(sum_l S[0,l]^(2-2g))."""
+    """Classical SU(2) Verlinde number round(sum_l S[0,l]^(2-2g)), from
+    row 0 alone."""
     genus = _check_int(genus, "genus")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
-    s0 = s_matrix(k)[0]
+    s0 = _s_rows(_check_level(k), ())[1][0]
     try:  # a term or the sum out of double range: inf, which rounding reports
         value = math.fsum(float(x) ** (2 - 2 * genus) for x in s0)
     except OverflowError:
@@ -242,13 +244,15 @@ def _gamma_terms(surface: SurfaceData) -> tuple[np.ndarray, np.ndarray]:
     """The phase-free terms of the literal Gamma sum, built once per surface:
     the identity term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, and for
     every gamma (``_listed_gamma`` order) its term at l = k/2,
-    prod_{j: gamma_j = e} S[m_j, k/2] / S[0, k/2]^(s+2h)."""
-    k, half = surface.level, surface.level // 2
-    smat = s_matrix(k)
-    scale = smat[0] ** surface.num_slots
-    identity = np.prod(smat[list(surface.labels)], axis=0) / scale
-    column = np.array([math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits)
-                                 if not c) for gamma in _listed_gamma(surface)]) / scale[half]
+    prod_{j: gamma_j = e} S[m_j, k/2] / S[0, k/2]^(s+2h); from the rows of 0
+    and of the labels alone."""
+    half = surface.level // 2
+    rows = _s_rows(surface.level, surface.labels)[1]
+    scale = rows[0] ** surface.num_slots
+    identity = np.prod(rows[1:], axis=0) / scale
+    at_half = rows[1:, half].tolist()
+    column = np.array([math.prod(s for s, c in zip(at_half, gamma.bits) if not c)
+                       for gamma in _listed_gamma(surface)]) / scale[half]
     identity.setflags(write=False)
     column.setflags(write=False)
     return identity, column
@@ -557,7 +561,7 @@ def check_localization(max_k: int, max_r: int) -> CheckResult:
     worst = 0.0
     for k in range(0, max_k + 1, 2):
         for r in range(0, max_r + 1):
-            if r >= 3 and k % 4:
+            if not _conditions_hold(k, 0, r):
                 continue
             for bits in product((0, 1), repeat=max(r - 1, 0)):
                 psi = (0,) + bits if r else ()
@@ -575,7 +579,7 @@ def check_choice_sum_identity(max_k: int, max_r: int) -> CheckResult:
     bad = 0
     for k in range(0, max_k + 1, 2):
         for r in range(2, min(max_r, 6) + 1):
-            if r >= 3 and k % 4:
+            if not _conditions_hold(k, 0, r):
                 continue
             total = FusionElement.zero(k)
             for bits in product((0, 1), repeat=r - 1):
@@ -615,7 +619,7 @@ def check_tables_match(max_k: int) -> CheckResult:
             bad += 1
         if tau_power(k, 2) != closed_form_tables(k, 2, "base"):
             bad += 1
-        if k % 4:
+        if not _conditions_hold(k, 0, 3):
             continue
         for r in (3, 4):
             if tau_power(k, r) != closed_form_tables(k, r, "base"):

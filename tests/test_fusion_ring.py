@@ -20,8 +20,11 @@ from verlinde.fusion_ring import (
     _fold_angle,
     _over_3_minus_tau2,
     _round_coefficients,
+    _s_entries,
+    _s_rows,
+    _sin_pi,
     _sine_coefficients,
-    _sines,
+    _sine_transform,
     _sines_cancel,
     _times_basis,
     _times_double,
@@ -34,7 +37,7 @@ from verlinde.fusion_ring import (
     s_matrix_entry,
     to_idempotent,
 )
-from verlinde.quantization import _fs_rows, quantize_double_su2
+from verlinde.quantization import quantize_double_su2
 
 
 def term_by_term_product(k, a, b):
@@ -245,15 +248,24 @@ class TestSMatrix:
 
     @pytest.mark.parametrize("k", [*range(31), 124, 300, 1000])
     def test_one_pass_rows_are_bit_identical_to_the_matrix(self, k):
-        # The S-matrix path forms the rows of 0 and of every label in one
-        # pass; with every m as a label that pass holds the whole matrix,
-        # row 0 first, and its unscaled row 0 is the transform's weights.
-        weights, rows = _fs_rows(k, range(k + 1))
+        # One builder forms the rows of 0 and of every label in one pass;
+        # with every m as a label that pass holds the whole matrix, row 0
+        # first, and its unscaled row 0 is the transform's weights.  Both
+        # equal, bit for bit, the whole matrix's own outer-product expression
+        # and the sines of the angles (l+1) pi/(k+2) alone.
+        weights, rows = _s_rows(k, range(k + 1))
         smat = s_matrix(k)
+        idx = np.arange(1, k + 2)
+        assert smat.tobytes() == _s_entries(k, _sin_pi(k + 2, np.outer(idx, idx))).tobytes()
         assert not rows.flags.writeable and rows.shape == (k + 2, k + 1)
         assert rows[0].tobytes() == smat[0].tobytes()
         assert rows[1:].tobytes() == smat.tobytes()
-        assert weights.tobytes() == _sines(k).tobytes()
+        assert weights.tobytes() == _sin_pi(k + 2, idx).tobytes()
+        # the rows of a few labels, in any order, are those rows of the matrix
+        labels = (k, k // 2, 0, k // 2)
+        weights, rows = _s_rows(k, labels)
+        assert rows.tobytes() == smat[[0, *labels]].tobytes()
+        assert weights.tobytes() == _sin_pi(k + 2, idx).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
@@ -373,6 +385,26 @@ class TestIdempotentBasis:
         with pytest.raises(PrecisionExhausted, match="cannot certify"):
             from_idempotent(values)
 
+    @pytest.mark.parametrize("values, bound", [([1e30] * 11, "2.842e[+]16"),
+                                               ([1e16] * 5, "2.465e[+]02"),
+                                               ([math.inf] * 3, "inf"), ([math.nan] * 3, "nan")])
+    def test_a_refused_vector_makes_no_transform(self, monkeypatch, values, bound):
+        # The bound is formed from the weighted values before any FFT: a
+        # vector it refuses is not transformed, and its message is the one
+        # it had when every vector was transformed first.
+        from verlinde import fusion_ring
+        calls = []
+        transform = fusion_ring._sine_transform
+        monkeypatch.setattr(fusion_ring, "_sine_transform",
+                            lambda y: calls.append(y) or transform(y))
+        with pytest.raises(PrecisionExhausted, match=(
+                f"^the tau-coefficients at level {len(values) - 1} have a rounding error "
+                f"bound of {bound}, not below 1/2: double precision cannot certify them$")):
+            from_idempotent(values)
+        assert calls == []
+        assert from_idempotent([0.0, 0.0, 3.0, 0.0, 0.0]).coeffs == (1, 0, -1, 0, 1)
+        assert len(calls) == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs", [(10**400, 0, 0, 0, 0), (0, 0, -(10**309), 0, 0),
                                         (10**308,) * 5, (0, 0, 10**308, 0, 0)])
@@ -435,7 +467,11 @@ def test_sine_transform_within_its_bound_of_the_dense_route(data):
     magnitude = data.draw(st.sampled_from([1.0, 1e6, 1e15, 1e30]))
     values = data.draw(st.lists(st.floats(-magnitude, magnitude), min_size=k + 1,
                                 max_size=k + 1))
-    coeffs, bound = _sine_coefficients(values)
+    weights = _s_rows(k, ())[0]
+    coeffs, bound = _sine_coefficients(values, weights)
+    if coeffs is None:  # refused for its bound, which is checked all the same
+        assert not bound < 0.5
+        coeffs = _sine_transform(np.asarray(values) * weights) * (2.0 / (k + 2))
     assert len(coeffs) == k + 1
     assert max(abs(c - d) for c, d in zip(coeffs, dense_coefficients(k, values))) <= bound
 

@@ -1,16 +1,30 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from verlinde import oracles, prequant, quantization
-from verlinde.fusion_ring import FusionElement, PrecisionExhausted
+import verlinde
+from verlinde import fusion_ring, oracles, prequant, quantization
+from verlinde.fusion_ring import (
+    FusionElement,
+    NonIntegralValue,
+    PrecisionExhausted,
+    round_to_integer,
+    s_matrix,
+)
 from verlinde.oracles import (
     check_cross_paths,
     check_literal_gamma_sum,
     check_negative_control,
     classical_verlinde_number,
     closed_form_tables,
+    fs_formula_with_phases,
+    phase_vector,
     run_verification_suite,
     star_choice_class,
     structure_constants_from_multiply,
@@ -106,6 +120,85 @@ class TestClassicalVerlinde:
         # S[0, l]^(2 - 2g) overflows the Python float power at genus 100
         with pytest.raises(PrecisionExhausted, match="out of double range"):
             classical_verlinde_number(32, 100)
+
+    @pytest.mark.parametrize("k", [*range(41), 124, 300, 1000])
+    def test_reads_row_0_alone(self, monkeypatch, k):
+        # The same number, or the same exception, as the sum over row 0 of
+        # the whole matrix, with no matrix formed; at k = 1000 genus 3 is
+        # past 2^53.
+        want = [_outcome(_number_from_the_matrix, k, g) for g in range(4)]
+        _forbid_the_matrix(monkeypatch)
+        assert [_outcome(classical_verlinde_number, k, g) for g in range(4)] == want
+
+    def test_level_2000_leaves_the_peak_memory_alone(self):
+        # The whole matrix at k = 2000 holds 4 million entries, and forming
+        # it raised the peak RSS by about 92 MB; row 0 is 16 kB.
+        code = ("import resource\n"
+                "from verlinde.oracles import classical_verlinde_number\n"
+                "classical_verlinde_number(40, 1)\n"  # the first call's own allocations
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "assert classical_verlinde_number(2000, 1) == 2001\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        src = str(Path(verlinde.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, else kB
+        assert int(run.stdout) * unit < 10 * 2**20
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _number_from_the_matrix(k, genus):
+    """The classical Verlinde number as the sum over row 0 of ``s_matrix``."""
+    try:
+        value = math.fsum(float(x) ** (2 - 2 * genus) for x in s_matrix(k)[0])
+    except OverflowError:
+        value = math.inf
+    return round_to_integer(value, exc=NonIntegralValue, context="Verlinde number")
+
+
+def _no_matrix(k):
+    raise AssertionError(f"the whole S-matrix at level {k} was formed")
+
+
+def _forbid_the_matrix(monkeypatch):
+    for module in (fusion_ring, oracles):
+        monkeypatch.setattr(module, "s_matrix", _no_matrix)
+
+
+def _gamma_terms_from_the_matrix(surface):
+    """The literal Gamma sum's phase-free terms from the rows of ``s_matrix``."""
+    k, half = surface.level, surface.level // 2
+    smat = s_matrix(k)
+    scale = smat[0] ** surface.num_slots
+    identity = np.prod(smat[list(surface.labels)], axis=0) / scale
+    column = np.array([math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits)
+                                 if not c) for gamma in oracles._listed_gamma(surface)])
+    return identity, column / scale[half]
+
+
+@pytest.mark.parametrize("surfaces", [
+    lambda: sweep_surfaces(40, 3, 1, gamma_cap=2**4),
+    *(lambda k=k: [SurfaceData(k, 0, (k // 2, k // 2, 7)), SurfaceData(k, 1, (k // 2, 3, k - 1))]
+      for k in (124, 300, 1000))], ids=["k<=40", "k=124", "k=300", "k=1000"])
+def test_literal_gamma_sum_reads_only_its_rows(monkeypatch, surfaces):
+    # The terms are the whole matrix's, bit for bit, and the literal sum
+    # with every choice's phases forms no matrix.
+    cases = [(surface, _gamma_terms_from_the_matrix(surface)) for surface in surfaces()]
+    _forbid_the_matrix(monkeypatch)
+    oracles._gamma_terms.cache_clear()
+    for surface, want in cases:
+        got = oracles._gamma_terms(surface)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], surface
+        for choice in enumerate_choices(surface):
+            element = fs_formula_with_phases(surface, phase_vector(surface, choice))
+            assert element == quantization.quantize_surface(surface, choice).element, surface
 
 
 class TestSweep:

@@ -20,7 +20,9 @@ from verlinde.fusion_ring import (
     PrecisionExhausted,
     _add_star_idempotent,
     _round_coefficients,
+    _s_rows,
     _sine_coefficients,
+    _sine_transform,
     s_matrix,
 )
 from verlinde.prequant import (
@@ -327,7 +329,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
             values = identity.copy()
             if not k % 2:
                 values[k // 2] = quantization._half_value(surf, a, d) / size
-            direct, direct_bound = _sine_coefficients(values)
+            direct, direct_bound = _sine_coefficients(values, _s_rows(k, ())[0])
             assert np.abs(coeffs - direct).max() <= bound + direct_bound
             classes += 1
     assert classes == 3276
@@ -356,9 +358,10 @@ def test_a_refused_surface_makes_no_transform(monkeypatch):
     surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
     calls = []
     _clear_quantization_caches()
-    counted = _counting(fusion_ring._sine_transform, calls)
-    for module in (fusion_ring, quantization):  # the S-matrix path calls it directly
-        monkeypatch.setattr(module, "_sine_transform", counted)
+    # the S-matrix path transforms only through ``fusion_ring._sine_coefficients``
+    assert not hasattr(quantization, "_sine_transform")
+    monkeypatch.setattr(fusion_ring, "_sine_transform",
+                        _counting(fusion_ring._sine_transform, calls))
     for choice in enumerate_choices(surf):
         with pytest.raises(PrecisionExhausted, match="rounding error bound of 4.505e[+]01, "
                                                      "not below 1/2"):
@@ -375,7 +378,8 @@ def test_failing_class_is_transformed_once(monkeypatch):
     its surface's sine transform is asked for once (and refused before its
     FFT when its bound reaches 1/2, as tested above): three requests raise
     three new exceptions of one class and message, and no per-class cache
-    keeps an entry for the class."""
+    keeps an entry for the class.  The surface's bound and its transform
+    are asked for in one call, ``_sine_coefficients``, counted here."""
     surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))  # fs error bound about 45
     wide = SurfaceData(272, 2, (62, 78, 136, 136, 136, 249))  # error bound 10.8
     cases = [
@@ -391,8 +395,8 @@ def test_failing_class_is_transformed_once(monkeypatch):
         calls, raised = [], []
         _clear_quantization_caches()
         with monkeypatch.context() as patch:
-            patch.setattr(quantization, "_sine_bound",
-                          _counting(quantization._sine_bound, calls))
+            patch.setattr(quantization, "_sine_coefficients",
+                          _counting(quantization._sine_coefficients, calls))
             for _ in range(3):
                 with pytest.raises(PrecisionExhausted) as info:
                     path(surf, choice)
@@ -1069,13 +1073,20 @@ def _folded_classes(surf):
 def _transformed_identity_term(surf):
     """The raw coefficients and bound the S-matrix path would keep for a
     surface it refuses: its identity term, from the rows of ``s_matrix``
-    (bit-identical to the path's own), l = k/2 left out, transformed here."""
+    (bit-identical to the path's own), l = k/2 left out, with the bound of
+    ``_sine_coefficients``, which transforms no refused vector: the
+    transform is made here, as that function would make it."""
     k, smat = surf.level, s_matrix(surf.level)
     identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots
     identity /= surf.gamma_size()
     if not k % 2:
         identity[k // 2] = 0.0
-    return _sine_coefficients(identity, quantization._value_error(surf))
+    weights = _s_rows(k, ())[0]
+    coeffs, bound = _sine_coefficients(identity, weights, quantization._value_error(surf))
+    assert coeffs is None and not bound < 0.5
+    with np.errstate(all="ignore"):  # values past double range: the bound is inf or nan
+        coeffs = _sine_transform(identity * weights) * (2.0 / (k + 2))
+    return coeffs, bound
 
 
 def test_whole_sum_bound_covers_the_real_error_on_every_class():
@@ -1122,13 +1133,13 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     # identity-term value then grows by 2 (s + n) u, and a coefficient whose
     # terms share a sign by 2 (s + n) u (2/N) sum |x_l|.  The bound covers
     # that; the transform's own bound alone falls short of it here.
-    rows_of, up, down = quantization._fs_rows, 1 + 2.0 ** -52, 1 - 2.0 ** -52
+    rows_of, up, down = quantization._s_rows, 1 + 2.0 ** -52, 1 - 2.0 ** -52
 
     def moved(k, labels):
         weights, rows = rows_of(k, labels)
         return weights, rows * np.array([down] + [up] * len(labels))[:, None]
 
-    monkeypatch.setattr(quantization, "_fs_rows", moved)
+    monkeypatch.setattr(quantization, "_s_rows", moved)
     quantization._fs_gamma_data.cache_clear()
     try:
         coeffs, bound = quantization._fs_coefficients(surf, 0, 0)
