@@ -3,8 +3,8 @@
 Everything here recomputes results along a second route: structure
 constants through the Verlinde diagonalization sum, star-block
 quantizations through the literal multiplicity tables, classical Verlinde
-numbers through the S-matrix power sum, and the S-matrix formula as the
-literal Gamma sum.
+numbers through the S-matrix power sum, and each class's value at
+t_{k/2} as the literal Gamma sum, in integers.
 ``run_verification_suite`` packages all module invariants into a report
 over a parameter box.
 """
@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,15 +24,17 @@ import numpy as np
 from .fusion_ring import (
     DEFAULT_TOLERANCE,
     FusionElement,
+    InexactDivision,
     NonIntegralCoefficient,
     NonIntegralValue,
     _check_int,
     _check_level,
     _fold,
+    _round_coefficients,
     _s_rows,
-    from_idempotent,
     round_to_integer,
     s_matrix,
+    s_matrix_entry,
 )
 from .prequant import (
     GammaElement,
@@ -48,6 +51,7 @@ from .prequant import (
 )
 from .quantization import (
     _exact_divide,
+    _fs_coefficients,
     _plus_chi,
     fs_formula,
     localization_evaluate,
@@ -240,37 +244,39 @@ def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
 
 
 @lru_cache(maxsize=16)  # one per surface, read for each of its choices
-def _gamma_terms(surface: SurfaceData) -> tuple[np.ndarray, np.ndarray]:
-    """The phase-free terms of the literal Gamma sum, built once per surface:
-    the identity term prod_j S[m_j, l] / S[0, l]^(s+2h) for every l, and for
-    every gamma (``_listed_gamma`` order) its term at l = k/2,
-    prod_{j: gamma_j = e} S[m_j, k/2] / S[0, k/2]^(s+2h); from the rows of 0
-    and of the labels alone."""
-    half = surface.level // 2
-    rows = _s_rows(surface.level, surface.labels)[1]
-    scale = rows[0] ** surface.num_slots
-    identity = np.prod(rows[1:], axis=0) / scale
-    at_half = rows[1:, half].tolist()
-    column = np.array([math.prod(s for s, c in zip(at_half, gamma.bits) if not c)
-                       for gamma in _listed_gamma(surface)]) / scale[half]
-    identity.setflags(write=False)
-    column.setflags(write=False)
-    return identity, column
+def _gamma_terms(surface: SurfaceData) -> tuple[int, ...]:
+    """The literal Gamma sum's phase-free terms at t_{k/2}, k even, one int
+    per gamma (``_listed_gamma`` order): prod_{j: gamma_j = e} S[m_j, k/2] /
+    S[0, k/2]^(s+2h).  Angles are reduced in integers, so S[m, k/2] /
+    S[0, k/2] is exactly -1.0, 0.0 or 1.0, and S[0, k/2]^-2 = k/2+1: a term
+    is its signs times (k/2+1)^(w/2+h), gamma having star weight w."""
+    k, n = surface.level, surface.num_slots
+    unit = s_matrix_entry(k, 0, k // 2)
+    signs = [int(s_matrix_entry(k, m, k // 2) / unit) for m in surface.labels]
+    terms = []
+    for gamma in _listed_gamma(surface):
+        kept = [sign for sign, c in zip(signs, gamma.bits) if not c]
+        terms.append(math.prod(kept) * (k // 2 + 1) ** ((n - len(kept)) // 2))
+    return tuple(terms)
+
+
+def _literal_half_value(surface: SurfaceData, phases: Sequence[int]) -> int:
+    """N_lit, |Gamma| times the literal Gamma sum's value at t_{k/2}, k even."""
+    return sum(map(mul, phases, _gamma_terms(surface)))
 
 
 def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int]) -> FusionElement:
-    """The literal sum over Gamma (|Gamma| <= 2^9, ``enumerate_gamma`` order)
-    of phases[gamma] prod_j S^(gamma_j)[m_j, l] / S[0, l]^(s+2h), non-identity
-    terms at l = k/2 only: the reference for each class's value there,
-    which every other path reads from ``quantization._half_value``.  The
-    phases are applied per call to terms built once per surface.  Any wrong
-    phase makes the rounding raise NonIntegralCoefficient."""
-    identity, column = _gamma_terms(surface)
-    if len(phases) != len(column):
-        raise ValueError(f"need {len(column)} phases, got {len(phases)}")
-    values = phases[0] * identity
-    values[surface.level // 2] = np.asarray(phases, dtype=np.float64) @ column
-    return from_idempotent(values / len(column))
+    """The S-matrix sum with the given phases, one per gamma (|Gamma| <= 2^9,
+    ``enumerate_gamma`` order): fs's transform of the identity term, the
+    only term away from t_{k/2}, plus N_lit / |Gamma| (``_literal_half_value``)
+    along taut_{k/2}, by fs's per-class step (``quantization._fs_coefficients``)
+    and rounded against its whole-sum bound.  phases[0] enters only at
+    t_{k/2}, and at odd k, Gamma = {e}, not at all.  Any wrong phase makes
+    the rounding raise NonIntegralCoefficient."""
+    if len(phases) != surface.gamma_size():
+        raise ValueError(f"need {surface.gamma_size()} phases, got {len(phases)}")
+    return _round_coefficients(surface.level, *_fs_coefficients(
+        surface, lambda: _literal_half_value(surface, phases) / len(phases)))
 
 
 def sweep_surfaces(max_k: int, max_r: int, max_h: int,
@@ -535,25 +541,58 @@ def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
                        bad == 0, float(bad))
 
 
+_BOX_SEED = 2026  # of the general-label box's draws, reported with it
+
+
+def _label_box(max_k: int, max_r: int, max_h: int) -> list[SurfaceData]:
+    """30 max_k seeded admissible surfaces with |Gamma| <= 2^6: an even level
+    k in 6..10 max_k, genus at most max_h, 1-4 labels in 2..k-2 other than
+    k/2, whose values at t_{k/2} are +-1 and 0, and 0 to min(max_r, 4) stars."""
+    rng = random.Random(_BOX_SEED)
+    levels, surfaces = range(6, 10 * max_k + 1, 2), []
+    while levels and len(surfaces) < 30 * max_k:
+        k, h, r = rng.choice(levels), rng.randint(0, max_h), rng.randint(0, min(max_r, 4))
+        pool = [m for m in range(2, k - 1) if 2 * m != k]
+        labels = rng.choices(pool, k=rng.randint(1, 4))
+        if _conditions_hold(k, h, r) and _gamma_size(h, r) <= 2**6:
+            surfaces.append(SurfaceData(k, h, tuple(sorted(labels + [k // 2] * r))))
+    return surfaces
+
+
+def _literal_agrees(surface: SurfaceData, choice: PrequantChoice) -> bool:
+    """N_lit == |Gamma| times the closed form's value at t_{k/2}, c_0 - c_2 +
+    c_4 - ..., in integers; a failed exact division disagrees.  At odd k,
+    Gamma = {e} and there is no t_{k/2}."""
+    if surface.level % 2:
+        return True
+    try:
+        c = quantize_surface(surface, choice).element.coeffs
+    except InexactDivision:
+        return False
+    n_lit = _literal_half_value(surface, phase_vector(surface, choice))
+    return n_lit == surface.gamma_size() * (sum(c[::4]) - sum(c[2::4]))
+
+
 def check_literal_gamma_sum(max_k: int, max_r: int, max_h: int) -> CheckResult:
-    """Closed form vs the literal sum over Gamma with the request's phases
-    (``fs_formula_with_phases``), on every request of the sweep with
-    |Gamma| <= 2^6.  Each class's value at t_{k/2} is written once, in the
-    closed form's exact helpers, and every other path reads it there; the
-    literal sum reads none of them, so it is the check on that value."""
-    bad = 0
-    requests = 0
-    classes = set()
-    for surface in sweep_surfaces(max_k, max_r, max_h, gamma_cap=2**6):
-        for choice in enumerate_choices(surface):
-            requests += 1
-            classes.add((surface, *_canonical_class(surface, choice)[1:]))
-            literal = fs_formula_with_phases(surface, phase_vector(surface, choice))
-            if quantize_surface(surface, choice).element != literal:
-                bad += 1
+    """Each class's value at t_{k/2}, written once in the closed form's
+    helpers and read by every path, vs the literal Gamma sum, which reads
+    none of them and makes no transform (``_literal_agrees``): on every
+    sweep request with |Gamma| <= 2^6, and on the general-label box
+    (``_label_box``, reported as "box").  Away from t_{k/2},
+    ``cross_path_equality`` checks the closed form against fs."""
+    bad, counts, box = 0, [], _label_box(max_k, max_r, max_h)
+    for surfaces in (sweep_surfaces(max_k, max_r, max_h, gamma_cap=2**6), box):
+        requests, classes = 0, set()
+        for surface in surfaces:
+            for choice in enumerate_choices(surface):
+                requests += 1
+                classes.add((surface, *_canonical_class(surface, choice)[1:]))
+                bad += not _literal_agrees(surface, choice)
+        counts.append({"requests": requests, "classes": len(classes)})
     return CheckResult("literal_gamma_sum",
-                       {"max_k": max_k, "max_r": max_r, "max_h": max_h,
-                        "requests": requests, "classes": len(classes)},
+                       {"max_k": max_k, "max_r": max_r, "max_h": max_h, **counts[0],
+                        "box": {"seed": _BOX_SEED, "surfaces": len(box),
+                                "max_level": 10 * max_k, **counts[1]}},
                        bad == 0, float(bad))
 
 

@@ -20,7 +20,8 @@ Three mutually cross-checking routes are implemented:
   the identity term, in floating point; at l = k/2 the sum factors over
   the blocks into the closed form's exact value ``_half_value``, rounded
   once.  The final integrality rounding checks the float part; the literal
-  Gamma sum (``oracles.fs_formula_with_phases``) checks the value at t_{k/2}.
+  Gamma sum, in integers (``oracles.check_literal_gamma_sum``), checks the
+  value at t_{k/2}.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
   block at a special point, ``_half_value`` at t_{k/2}.
 
@@ -88,10 +89,10 @@ implies, ``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, update_wrapper, wraps
+from functools import lru_cache, partial, update_wrapper, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -544,24 +545,23 @@ def _sum(terms: np.ndarray, scale: float) -> float:
         return math.nan
 
 
-def _fs_coefficients(surface: SurfaceData, a: int, d: int) -> tuple[np.ndarray, float]:
-    """The raw tau-coefficients of the class (a, d) and an a priori bound on
-    their error, before rounding; computed on a miss of ``_fs_element``.
-
-    The class's values are the identity term / |Gamma| at l != k/2, and at
-    l = k/2 its own value, ``_half_float``, so the coefficients are the
-    transform of the identity term with l = k/2 left out (one per surface)
-    plus that value times taut_{k/2} (``fusion_ring._add_star_idempotent``).
-    The bound is the whole sum's: the transform's, which covers the
-    identity term's own error, plus the update's, which counts the value's
-    one rounding.  For odd k, Gamma = {e} and the identity term is the
-    whole sum.
-    """
+def _fs_coefficients(surface: SurfaceData,
+                     half: Callable[[], float]) -> tuple[np.ndarray | None, float]:
+    """The raw tau-coefficients of a class and an a priori bound on their
+    error, before rounding: the transform of the identity term with
+    l = k/2 left out (one per surface, ``_fs_gamma_data``) plus ``half()``,
+    the class's value at t_{k/2} as a correctly rounded double, times
+    taut_{k/2} (``fusion_ring._add_star_idempotent``).  ``half`` is called
+    after the surface's data is read, and not at odd k, where Gamma = {e}
+    and the identity term is the whole sum.  The bound is the whole sum's:
+    the transform's, which covers the identity term's own error, plus the
+    update's, which counts the value's one rounding.  ``fs_formula`` passes
+    the closed form's value (``_half_float``), and
+    ``oracles.fs_formula_with_phases`` the literal Gamma sum's."""
     data = _fs_gamma_data(surface)
     if surface.level % 2:
         return data.coeffs, data.bound
-    return _add_star_idempotent(surface.level, data.coeffs, data.bound,
-                                _half_float(surface, a, d))
+    return _add_star_idempotent(surface.level, data.coeffs, data.bound, half())
 
 
 @_class_cache
@@ -572,7 +572,8 @@ def _fs_element(surface: SurfaceData, a: int, d: int, reflected: bool = False) -
     cache keeps no entry."""
     if reflected:
         return _reflect(_fs_element(surface, a, d))
-    return _round_coefficients(surface.level, *_fs_coefficients(surface, a, d))
+    return _round_coefficients(surface.level,
+                               *_fs_coefficients(surface, partial(_half_float, surface, a, d)))
 
 
 # The reduced sum's rounding error per unit of sum |terms| and per factor

@@ -173,14 +173,14 @@ def _forbid_the_matrix(monkeypatch):
 
 
 def _gamma_terms_from_the_matrix(surface):
-    """The literal Gamma sum's phase-free terms from the rows of ``s_matrix``."""
-    k, half = surface.level, surface.level // 2
-    smat = s_matrix(k)
-    scale = smat[0] ** surface.num_slots
-    identity = np.prod(smat[list(surface.labels)], axis=0) / scale
-    column = np.array([math.prod(smat[m][half] for m, c in zip(surface.labels, gamma.bits)
-                                 if not c) for gamma in oracles._listed_gamma(surface)])
-    return identity, column / scale[half]
+    """The literal Gamma sum's phase-free terms at t_{k/2} from the rows of
+    ``s_matrix``: prod_{j: gamma_j = e} S[m_j, k/2] / S[0, k/2]^(s+2h) in
+    floating point, rounded."""
+    half = surface.level // 2
+    column = s_matrix(surface.level)[:, half]
+    return tuple(round(math.prod(column[m] for m, c in zip(surface.labels, gamma.bits) if not c)
+                       / column[0] ** surface.num_slots)
+                 for gamma in oracles._listed_gamma(surface))
 
 
 @pytest.mark.parametrize("surfaces", [
@@ -188,14 +188,16 @@ def _gamma_terms_from_the_matrix(surface):
     *(lambda k=k: [SurfaceData(k, 0, (k // 2, k // 2, 7)), SurfaceData(k, 1, (k // 2, 3, k - 1))]
       for k in (124, 300, 1000))], ids=["k<=40", "k=124", "k=300", "k=1000"])
 def test_literal_gamma_sum_reads_only_its_rows(monkeypatch, surfaces):
-    # The terms are the whole matrix's, bit for bit, and the literal sum
-    # with every choice's phases forms no matrix.
-    cases = [(surface, _gamma_terms_from_the_matrix(surface)) for surface in surfaces()]
+    # The integer terms are the whole matrix's, and the literal sum with
+    # every choice's phases forms no matrix.
+    cases = [(surface, _gamma_terms_from_the_matrix(surface) if surface.level % 2 == 0 else None)
+             for surface in surfaces()]
     _forbid_the_matrix(monkeypatch)
     oracles._gamma_terms.cache_clear()
     for surface, want in cases:
-        got = oracles._gamma_terms(surface)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], surface
+        if want is not None:  # at odd k, Gamma = {e} and there is no t_{k/2}
+            got = oracles._gamma_terms(surface)
+            assert got == want and all(type(term) is int for term in got), surface
         for choice in enumerate_choices(surface):
             element = fs_formula_with_phases(surface, phase_vector(surface, choice))
             assert element == quantization.quantize_surface(surface, choice).element, surface
@@ -275,20 +277,23 @@ def _raising(*args):
 
 def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
     # Each class's value at t_{k/2} is written once, in these helpers; the
-    # literal side of the check must compute without them.
+    # literal side of the check, and fs_formula_with_phases on it, must
+    # compute without them.
     helpers = ("_half_value", "_chi_coefficient", "_krawtchouk_sum", "_double_factor",
                "_tau_at_half")
+    calls = dict.fromkeys(("phase_vector", "_literal_half_value", "fs_formula_with_phases"), 0)
 
-    def guarded(fn):
+    def guarded(name, fn):
         def literal(*args):
+            calls[name] += 1
             with monkeypatch.context() as patch:
-                for name in helpers:
-                    patch.setattr(quantization, name, _raising)
+                for helper in helpers:
+                    patch.setattr(quantization, helper, _raising)
                 return fn(*args)
         return literal
 
-    for name in ("phase_vector", "fs_formula_with_phases"):
-        monkeypatch.setattr(oracles, name, guarded(getattr(oracles, name)))
+    for name in calls:
+        monkeypatch.setattr(oracles, name, guarded(name, getattr(oracles, name)))
     _clear_quantization_caches()
     result = check_literal_gamma_sum(12, 4, 1)
     requests, classes = 0, set()
@@ -296,9 +301,35 @@ def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
         for choice in enumerate_choices(surf):
             requests += 1
             classes.add((surf, *prequant._canonical_class(surf, choice)[1:]))
+            want = quantization.quantize_surface(surf, choice).element
+            assert oracles.fs_formula_with_phases(surf, oracles.phase_vector(surf, choice)) == want
     assert result.passed
     assert (result.params["requests"], result.params["classes"]) == (requests, len(classes))
     assert len(classes) < requests
+    assert calls["_literal_half_value"] > requests and calls["fs_formula_with_phases"] == requests
+
+
+def test_literal_gamma_sum_makes_no_transform(monkeypatch):
+    def no_transform(y):
+        raise AssertionError("the literal Gamma sum check ran a sine transform")
+
+    monkeypatch.setattr(fusion_ring, "_sine_transform", no_transform)
+    _clear_quantization_caches()
+    try:
+        result = check_literal_gamma_sum(12, 4, 1)
+    finally:
+        _clear_quantization_caches()
+    assert result.passed and result.params["box"]["requests"] > 0
+
+
+def _nonstar_sign_dropped(surface, a, d):
+    """``quantization._half_value`` with |tau_m(t_{k/2})| on the non-star labels."""
+    k, r, h = surface.level, surface.star_count, surface.genus
+    nonstar = (k // 2 + 1) ** h * math.prod(abs(quantization._tau_at_half(m))
+                                            for m in surface.nonstar_labels)
+    star = (quantization._tau_at_half(k // 2) ** r
+            + quantization._chi_coefficient(k, r, a) * (k // 2 + 1))
+    return nonstar * star * quantization._double_factor(k, h, d)
 
 
 def test_literal_gamma_sum_catches_a_wrong_double_sign(monkeypatch):
@@ -315,6 +346,38 @@ def test_literal_gamma_sum_catches_a_wrong_double_sign(monkeypatch):
         _clear_quantization_caches()
     assert cross.passed
     assert not literal.passed and literal.deviation > 0
+
+
+def test_literal_gamma_sum_catches_a_dropped_nonstar_sign(monkeypatch):
+    # The sweep's labels cannot show it (0 and k fold away, and tau_1
+    # vanishes at t_{k/2}); the general-label box does, where some classes
+    # also fail the closed form's exact division.
+    monkeypatch.setattr(quantization, "_half_value", _nonstar_sign_dropped)
+    _clear_quantization_caches()
+    try:
+        literal = check_literal_gamma_sum(10, 2, 1)
+        cross = check_cross_paths(10, 2, 1)
+    finally:
+        _clear_quantization_caches()
+    assert cross.passed
+    assert not literal.passed and literal.deviation > 0
+
+
+def test_literal_gamma_sum_past_the_float_frontier():
+    # Every choice of these surfaces made the float literal sum raise
+    # PrecisionExhausted; in integers N_lit is |Gamma| times the closed
+    # form's value at t_{k/2}, c_0 - c_2 + c_4 - ...
+    for surface, n_choices in ((SurfaceData(80, 2, (40, 40, 40, 52, 63, 52)), 64),
+                               (SurfaceData(400, 2, (91, 156, 200, 200)), 32),
+                               (SurfaceData(1000, 2, (500, 500, 7, 993)), 32),
+                               (SurfaceData(4000, 1, (2000,) * 4), 32)):
+        choices = enumerate_choices(surface)
+        assert len(choices) == n_choices
+        for choice in choices:
+            coeffs = quantization.quantize_surface(surface, choice).element.coeffs
+            value = sum(coeffs[::4]) - sum(coeffs[2::4])
+            assert oracles._literal_half_value(surface, phase_vector(surface, choice)) == (
+                surface.gamma_size() * value), (surface, choice)
 
 
 def test_suite_small_box_passes():

@@ -6,6 +6,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -314,6 +315,12 @@ def test_many_star_labels_agree_on_every_path(r):
         assert reduced_quantization(surf, choice) == closed.reduced
 
 
+def _fs_class_coefficients(surf, a, d):
+    """fs's raw coefficients of the class (a, d) and their bound, before
+    rounding, as ``quantization._fs_element`` forms them."""
+    return quantization._fs_coefficients(surf, partial(quantization._half_float, surf, a, d))
+
+
 def test_precision_bound_below_half_on_every_sweep_class():
     # Each class's coefficients are the surface's identity term, l = k/2
     # left out, plus the class's value there times taut_{k/2}; a direct
@@ -324,7 +331,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
         smat = s_matrix(k)
         identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots / size
         for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
-            coeffs, bound = quantization._fs_coefficients(surf, a, d)
+            coeffs, bound = _fs_class_coefficients(surf, a, d)
             assert bound < 0.5
             values = identity.copy()
             if not k % 2:
@@ -1103,7 +1110,7 @@ def test_whole_sum_bound_covers_the_real_error_on_every_class():
     for surf in surfaces:
         k = surf.level
         for a, d in _folded_classes(surf):
-            coeffs, bound = quantization._fs_coefficients(surf, a, d)
+            coeffs, bound = _fs_class_coefficients(surf, a, d)
             if coeffs is None:
                 assert not bound < 0.5
                 coeffs, again = _transformed_identity_term(surf)
@@ -1142,7 +1149,7 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     monkeypatch.setattr(quantization, "_s_rows", moved)
     quantization._fs_gamma_data.cache_clear()
     try:
-        coeffs, bound = quantization._fs_coefficients(surf, 0, 0)
+        coeffs, bound = _fs_class_coefficients(surf, 0, 0)
     finally:
         quantization._fs_gamma_data.cache_clear()
     closed = quantization._closed_form_element(surf, 0, 0).coeffs
@@ -1155,7 +1162,7 @@ def test_a_disagreement_past_the_bound_is_not_a_precision_limit(monkeypatch):
     # which no bound below 1/2 excuses: a plain NonIntegralCoefficient, exit 2.
     surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))
     choice = enumerate_choices(surf)[1]
-    assert 1e-3 < quantization._fs_coefficients(
+    assert 1e-3 < _fs_class_coefficients(
         surf, *prequant._canonical_class(surf, choice)[1:])[1] < 1e-2
     half_value, off = quantization._half_value, 7 * surf.gamma_size() // 4
     monkeypatch.setattr(quantization, "_half_value", lambda *args: half_value(*args) + off)
