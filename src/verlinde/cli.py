@@ -204,14 +204,15 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _print(json.dumps(report.to_json_dict()))
     elif args.format == "csv":
-        rows = [["name", "pass", "deviation", "tolerance", "params"]]
-        rows += [[c.name, c.passed, repr(c.deviation), repr(c.tolerance), json.dumps(c.params)]
-                 for c in report.checks]
+        rows = [["name", "pass", "deviation", "tolerance", "wall_s", "params"]]
+        rows += [[c.name, c.passed, repr(c.deviation), repr(c.tolerance), repr(c.wall_s),
+                  json.dumps(c.params)] for c in report.checks]
         _print(_emit_csv(rows))
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
-            _print(f"{status} {c.name}  deviation {c.deviation:.3e}  {json.dumps(c.params)}")
+            _print(f"{status} {c.name}  deviation {c.deviation:.3e}  wall {c.wall_s:.3f} s  "
+                   f"{json.dumps(c.params)}")
         _print(f"{'all checks passed' if report.passed else 'FAILURES detected'}")
     return EXIT_OK if report.passed else EXIT_INCONSISTENT
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -85,10 +86,11 @@ class CheckResult:
     passed: bool
     deviation: float = 0.0
     tolerance: float = 0.0
+    wall_s: float = field(default=0.0, repr=False, compare=False)  # a timing, not a result
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "params": self.params, "pass": self.passed,
-                "deviation": self.deviation, "tolerance": self.tolerance}
+                "deviation": self.deviation, "tolerance": self.tolerance, "wall_s": self.wall_s}
 
 
 @dataclass
@@ -232,37 +234,31 @@ def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:
 
 
 @lru_cache(maxsize=16)  # one per surface, read for each of its choices
-def _listed_gamma(surface: SurfaceData) -> tuple[GammaElement, ...]:
-    """``enumerate_gamma(surface, cap=2**9)`` as a tuple, listed once per
-    surface for all its choices (GroupTooLarge above 2^9 is not cached)."""
-    return tuple(enumerate_gamma(surface, cap=2**9))
+def _literal_table(surface: SurfaceData) -> tuple[tuple[GammaElement, ...], tuple[int, ...]]:
+    """``enumerate_gamma(surface, cap=2**9)`` as a tuple (GroupTooLarge above
+    2^9 is not cached) and, at even k, the literal Gamma sum's phase-free
+    terms at t_{k/2}, one int per gamma: prod_{j: gamma_j = e} S[m_j, k/2] /
+    S[0, k/2]^(s+2h).  Angles are reduced in integers, so S[m, k/2] /
+    S[0, k/2] is exactly -1.0, 0.0 or 1.0, and S[0, k/2]^-2 = k/2+1: a term
+    is its signs times (k/2+1)^(w/2+h), gamma having star weight w.  At odd
+    k, Gamma = {e}, there is no t_{k/2} and there are no terms."""
+    gammas, k = tuple(enumerate_gamma(surface, cap=2**9)), surface.level
+    if k % 2:
+        return gammas, ()
+    unit = s_matrix_entry(k, 0, k // 2)
+    signs = [int(s_matrix_entry(k, m, k // 2) / unit) for m in surface.labels]
+    return gammas, tuple(math.prod(sign for sign, c in zip(signs, g.bits) if not c)
+                         * (k // 2 + 1) ** (g.star_weight // 2 + surface.genus) for g in gammas)
 
 
 def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
     """phi'(gamma) for every gamma in ``enumerate_gamma`` order."""
-    return [phase_factor(surface.level, choice, gamma) for gamma in _listed_gamma(surface)]
-
-
-@lru_cache(maxsize=16)  # one per surface, read for each of its choices
-def _gamma_terms(surface: SurfaceData) -> tuple[int, ...]:
-    """The literal Gamma sum's phase-free terms at t_{k/2}, k even, one int
-    per gamma (``_listed_gamma`` order): prod_{j: gamma_j = e} S[m_j, k/2] /
-    S[0, k/2]^(s+2h).  Angles are reduced in integers, so S[m, k/2] /
-    S[0, k/2] is exactly -1.0, 0.0 or 1.0, and S[0, k/2]^-2 = k/2+1: a term
-    is its signs times (k/2+1)^(w/2+h), gamma having star weight w."""
-    k, n = surface.level, surface.num_slots
-    unit = s_matrix_entry(k, 0, k // 2)
-    signs = [int(s_matrix_entry(k, m, k // 2) / unit) for m in surface.labels]
-    terms = []
-    for gamma in _listed_gamma(surface):
-        kept = [sign for sign, c in zip(signs, gamma.bits) if not c]
-        terms.append(math.prod(kept) * (k // 2 + 1) ** ((n - len(kept)) // 2))
-    return tuple(terms)
+    return [phase_factor(surface.level, choice, gamma) for gamma in _literal_table(surface)[0]]
 
 
 def _literal_half_value(surface: SurfaceData, phases: Sequence[int]) -> int:
     """N_lit, |Gamma| times the literal Gamma sum's value at t_{k/2}, k even."""
-    return sum(map(mul, phases, _gamma_terms(surface)))
+    return sum(map(mul, phases, _literal_table(surface)[1]))
 
 
 def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int]) -> FusionElement:
@@ -479,7 +475,7 @@ def check_phase_factors(max_k: int, max_r: int, max_h: int) -> CheckResult:
             if phase_factor(k, choice, gammas[0]) != 1:
                 bad += 1
             for gamma in gammas:
-                blocks = _support_blocks(surface, gamma)
+                blocks = _support_blocks(gamma)
                 if len(blocks) < 2:
                     continue
                 prod_phases = 1
@@ -492,22 +488,13 @@ def check_phase_factors(max_k: int, max_r: int, max_h: int) -> CheckResult:
                        bad == 0, float(bad))
 
 
-def _support_blocks(surface: SurfaceData, gamma: GammaElement) -> list[GammaElement]:
-    """Split gamma into its star-block part and per-double parts."""
-    s = surface.num_boundary
-    n = surface.num_slots
-    blocks = []
-    star = [0] * n
-    star[:s] = gamma.bits[:s]
-    if any(star):
-        blocks.append(GammaElement._trusted(tuple(star), gamma.star_slots, s))
-    for i in range(surface.genus):
-        part = [0] * n
-        part[s + 2 * i] = gamma.bits[s + 2 * i]
-        part[s + 2 * i + 1] = gamma.bits[s + 2 * i + 1]
-        if any(part):
-            blocks.append(GammaElement._trusted(tuple(part), gamma.star_slots, s))
-    return blocks
+def _support_blocks(gamma: GammaElement) -> list[GammaElement]:
+    """Split gamma into its star-block part and per-double parts, the
+    nonzero ANDs of its mask with the boundary's and each double's."""
+    s, n = gamma.num_boundary, len(gamma.bits)
+    parts = [gamma._mask & block for block in [(1 << s) - 1, *(3 << j for j in range(s, n, 2))]]
+    return [GammaElement._trusted(tuple(part >> j & 1 for j in range(n)), gamma.star_slots, s, part)
+            for part in parts if part]
 
 
 def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
@@ -723,10 +710,11 @@ def run_verification_suite(max_k: int = 20, max_r: int = 5,
                            max_h: int = 2) -> VerificationReport:
     """Run every module invariant over the given parameter box.
 
-    Failures are recorded in the report, not raised.  The coefficient
-    non-negativity observation rides along inside the cross-path check as a
-    count only; it is not a pass/fail criterion.  A negative bound, which
-    would leave the box empty and every check passing, raises ValueError.
+    Each check's wall time is its ``wall_s``.  Failures are recorded in the
+    report, not raised.  The coefficient non-negativity observation rides
+    along inside the cross-path check as a count only; it is not a
+    pass/fail criterion.  A negative bound, which would leave the box empty
+    and every check passing, raises ValueError.
     """
     names = ("max_k", "max_r", "max_h")
     max_k, max_r, max_h = bounds = [_check_int(bound, f"verification bound {name}")
@@ -735,25 +723,27 @@ def run_verification_suite(max_k: int = 20, max_r: int = 5,
         if bound < 0:
             raise ValueError(f"verification bound {name} must be non-negative, got {bound}")
     report = VerificationReport()
-    for check in (
-        check_s_matrix_symmetry(max_k),
-        check_s_matrix_orthogonality(max_k),
-        check_evaluation_homomorphism(max_k),
-        check_idempotent_products(max_k),
-        check_structure_constants(max_k),
-        check_gamma_groups(max_k, max_r, max_h),
-        check_choices(max_k, max_r, max_h),
-        check_phase_factors(max_k, max_r, max_h),
-        check_cross_paths(max_k, max_r, max_h),
-        check_literal_gamma_sum(max_k, max_r, max_h),
-        check_localization(max_k, max_r),
-        check_choice_sum_identity(max_k, max_r),
-        check_r2_pair_identity(max_k),
-        check_midpoint_symmetry(max_k),
-        check_tables_match(max_k),
-        check_classical_verlinde(max_k, max_h),
-        check_double_su2_trace(max_k),
-        check_negative_control(),
+    for check, *args in (
+        (check_s_matrix_symmetry, max_k),
+        (check_s_matrix_orthogonality, max_k),
+        (check_evaluation_homomorphism, max_k),
+        (check_idempotent_products, max_k),
+        (check_structure_constants, max_k),
+        (check_gamma_groups, *bounds),
+        (check_choices, *bounds),
+        (check_phase_factors, *bounds),
+        (check_cross_paths, *bounds),
+        (check_literal_gamma_sum, *bounds),
+        (check_localization, max_k, max_r),
+        (check_choice_sum_identity, max_k, max_r),
+        (check_r2_pair_identity, max_k),
+        (check_midpoint_symmetry, max_k),
+        (check_tables_match, max_k),
+        (check_classical_verlinde, max_k, max_h),
+        (check_double_su2_trace, max_k),
+        (check_negative_control,),
     ):
-        report.add(check)
+        start = time.perf_counter()
+        result = check(*args)
+        report.add(replace(result, wall_s=time.perf_counter() - start))
     return report

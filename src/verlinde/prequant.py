@@ -11,6 +11,10 @@ Pre-quantization choices are homomorphisms psi: Gamma -> {+-1}, encoded as
 bit functionals psi(gamma) = (-1)^<psi_bits, gamma>.  Two bit vectors give
 the same choice iff they agree on Gamma; the canonical representative
 zeroes every coordinate the constraints force to act trivially.
+
+Gamma elements and choices share one bit layout, an int with bit j = slot j
+(``_Masked``), built by one loop (``_patterns``): psi is the parity of an
+AND, a weight a bit count, a product an XOR.
 """
 
 from __future__ import annotations
@@ -149,9 +153,18 @@ class SurfaceData:
         return cls(data["level"], data["genus"], data.get("labels", ()))
 
 
+class _Masked:
+    """A slot outside the dataclass fields: ``_mask``, the bits as one int
+    (``_bits_mask``), which equality, hash, repr and pickle state never see.
+    Both constructors set it; an unpickled object takes the checked one."""
+
+    __slots__ = ("_mask",)
+
+
 @_value_class
-class GammaElement:
-    """Element of Gamma as a bit vector over the s+2h slots (1 means c)."""
+class GammaElement(_Masked):
+    """Element of Gamma as a bit vector over the s+2h slots (1 means c); its
+    rules read ``_mask`` with its own boundary and bit counts, no surface's."""
 
     bits: tuple[int, ...]
     star_slots: tuple[int, ...]
@@ -159,13 +172,15 @@ class GammaElement:
 
     @classmethod
     def _trusted(cls, bits: tuple[int, ...], star_slots: tuple[int, ...],
-                 num_boundary: int) -> "GammaElement":
+                 num_boundary: int, mask: int) -> "GammaElement":
         """An element from bits already known to satisfy the invariants (they
-        were generated, or combined from valid elements); skips the checks."""
+        were generated, or combined from valid elements) and their mask;
+        skips the checks."""
         self = object.__new__(cls)
         _set_bits(self, bits)
         _set_star_slots(self, star_slots)
         _set_num_boundary(self, num_boundary)
+        _set_mask(self, mask)
         return self
 
     def __post_init__(self):
@@ -175,13 +190,14 @@ class GammaElement:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "star_slots", stars)
         object.__setattr__(self, "num_boundary", s)
+        _set_mask(self, _bits_mask(bits))
         if s < 0 or len(bits) < s or (len(bits) - s) % 2 or not all(0 <= j < s for j in stars):
             raise ValueError(f"need s >= 0 boundary bits, two per double and star slots "
                              f"below s, got {len(bits)} bits, stars {stars} and s = {s}")
         for j in range(s):
             if j not in stars and bits[j]:
                 raise ValueError(f"slot {j} is not a star class, bit must be 0")
-        if sum(bits[:s]) % 2:
+        if self.star_weight % 2:
             raise ValueError("boundary bits must have even parity")
 
     @classmethod
@@ -195,47 +211,34 @@ class GammaElement:
     @property
     def weight(self) -> int:
         """Number of c entries, l(gamma)."""
-        return sum(self.bits)
+        return self._mask.bit_count()
 
     @property
     def star_weight(self) -> int:
         """Number of c entries on boundary slots (even by the invariant)."""
-        return sum(self.bits[:self.num_boundary])
-
-    @property
-    def double_pairs(self) -> tuple[tuple[int, int], ...]:
-        s = self.num_boundary
-        tail = self.bits[s:]
-        return tuple((tail[2 * i], tail[2 * i + 1]) for i in range(len(tail) // 2))
+        return (self._mask & ((1 << self.num_boundary) - 1)).bit_count()
 
     def is_identity(self) -> bool:
-        return not any(self.bits)
+        return not self._mask
 
     def __mul__(self, other: "GammaElement") -> "GammaElement":
-        if (self.star_slots, self.num_boundary) != (other.star_slots, other.num_boundary):
+        if ((self.star_slots, self.num_boundary, len(self.bits))
+                != (other.star_slots, other.num_boundary, len(other.bits))):
             raise ValueError("gamma elements belong to different groups")
         return GammaElement._trusted(tuple(a ^ b for a, b in zip(self.bits, other.bits)),
-                                     self.star_slots, self.num_boundary)
+                                     self.star_slots, self.num_boundary,
+                                     self._mask ^ other._mask)
 
 
 _set_bits, _set_star_slots, _set_num_boundary = (
     GammaElement.bits.__set__, GammaElement.star_slots.__set__, GammaElement.num_boundary.__set__)
-
-
-class _Masked:
-    """A slot outside the dataclass fields: ``_mask``, psi_bits as one int
-    (``_bits_mask``), which equality, hash, repr and pickle state never see."""
-
-    __slots__ = ("_mask",)
+_set_mask = _Masked._mask.__set__
 
 
 @_value_class
 class PrequantChoice(_Masked):
-    """Pre-quantization label: psi(gamma) = (-1)^<psi_bits, gamma bits>.
-
-    Both constructors set ``_mask``, the bits as an int (bit j is slot j),
-    which ``_classify`` reads; an unpickled choice goes through the checked
-    one."""
+    """Pre-quantization label: psi(gamma) = (-1)^<psi_bits, gamma bits>, the
+    parity of the two ``_mask``s' AND; ``_classify`` reads the mask too."""
 
     psi_bits: tuple[int, ...]
 
@@ -256,10 +259,10 @@ class PrequantChoice(_Masked):
     def psi(self, gamma: GammaElement) -> int:
         if len(self.psi_bits) != len(gamma.bits):
             raise ValueError("psi functional and gamma have different slot counts")
-        return -1 if sum(p & b for p, b in zip(self.psi_bits, gamma.bits)) % 2 else 1
+        return -1 if (self._mask & gamma._mask).bit_count() % 2 else 1
 
     def is_trivial(self) -> bool:
-        return not any(self.psi_bits)
+        return not self._mask
 
     def to_json_dict(self) -> dict:
         return {"psi_bits": list(self.psi_bits)}
@@ -269,7 +272,7 @@ class PrequantChoice(_Masked):
         return cls(data["psi_bits"])
 
 
-_set_psi_bits, _set_mask = PrequantChoice.psi_bits.__set__, _Masked._mask.__set__
+_set_psi_bits = PrequantChoice.psi_bits.__set__
 
 
 @dataclass(frozen=True)
@@ -370,28 +373,14 @@ def _require_conditions(level: int, genus: int, star_count: int) -> None:
             f"inadmissible: {_failure_message(_condition_checks(level, genus, star_count))}")
 
 
-def _star_patterns(r: int) -> Iterator[tuple[int, ...]]:
-    # even-parity bit patterns, all-zeros first (lexicographic order)
-    for pat in product((0, 1), repeat=r):
-        if sum(pat) % 2 == 0:
-            yield pat
-
-
 def enumerate_gamma(surface: SurfaceData, cap: int = GAMMA_SIZE_CAP) -> list[GammaElement]:
     """All elements of Gamma, the identity first."""
     size, cap = surface.gamma_size(), _check_int(cap, "cap")
     if size > cap:
         raise GroupTooLarge(f"|Gamma| = {size} exceeds cap {cap}")
-    stars = surface.star_slots
-    s, h = surface.num_boundary, surface.genus
-    out = []
-    for star_pat in _star_patterns(len(stars)):
-        boundary = [0] * s
-        for j, bit in zip(stars, star_pat):
-            boundary[j] = bit
-        for double_bits in product((0, 1), repeat=2 * h):
-            out.append(GammaElement._trusted(tuple(boundary) + double_bits, stars, s))
-    return out
+    stars, s = surface.star_slots, surface.num_boundary
+    return [GammaElement._trusted(bits, stars, s, mask)
+            for bits, mask in _patterns(s, stars, surface.genus, even=True)]
 
 
 def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> PrequantChoice:
@@ -522,19 +511,25 @@ def _shared_choices(s: int, star_slots: tuple[int, ...], h: int) -> tuple[Prequa
 
 def _choices(s: int, star_slots: tuple[int, ...], h: int) -> list[PrequantChoice]:
     """The canonical choices of the shape (s, star slots, h), built."""
-    free_stars = star_slots[1:]
-    # the 4^h double patterns, each with its mask on slots s..s+2h-1
+    return [PrequantChoice._trusted(bits, mask)
+            for bits, mask in _patterns(s, star_slots[1:], h, even=False)]
+
+
+def _patterns(s: int, slots: tuple[int, ...], h: int,
+              even: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(bits, ``_bits_mask``) of s + 2h slots, lexicographic: each pattern on
+    the boundary ``slots`` (the even ones if ``even``), then each double's."""
     doubles = [(bits, _bits_mask(bits) << s) for bits in product((0, 1), repeat=2 * h)]
-    out = []
-    for star_bits in product((0, 1), repeat=len(free_stars)):
+    for slot_bits in product((0, 1), repeat=len(slots)):
+        if even and sum(slot_bits) % 2:
+            continue
         bits, mask = [0] * s, 0
-        for j, bit in zip(free_stars, star_bits):
+        for j, bit in zip(slots, slot_bits):
             bits[j] = bit
             mask |= bit << j
         bits = tuple(bits)
-        out += [PrequantChoice._trusted(bits + double_bits, mask | double_mask)
-                for double_bits, double_mask in doubles]
-    return out
+        for double_bits, double_mask in doubles:
+            yield bits + double_bits, mask | double_mask
 
 
 def star_sign(level: int, star_count: int, star_weight: int) -> int:
@@ -564,7 +559,7 @@ def phase_factor(level: int, choice: PrequantChoice, gamma: GammaElement) -> int
     """
     k = _check_level(level)
     sign = choice.psi(gamma) * star_sign(k, len(gamma.star_slots), gamma.star_weight)
-    for pair in gamma.double_pairs:
-        if pair != (0, 0):
-            sign *= double_sign(k)
-    return sign
+    s, mask = gamma.num_boundary, gamma._mask
+    firsts = (4 ** ((len(gamma.bits) - s) // 2) - 1) // 3 << s  # slots s, s + 2, ...
+    doubles = ((mask | mask >> 1) & firsts).bit_count()
+    return sign * double_sign(k) ** doubles if doubles else sign

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,21 @@ def test_verify_small_box(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_reports_each_checks_wall_time(capsys):
+    box = ["verify", "--max-level", "4", "--max-r", "2", "--max-genus", "1"]
+    code, out = run(capsys, *box)
+    lines = out.splitlines()[:-1]
+    assert code == 0 and len(lines) == 18
+    assert all(re.search(r"  wall \d+\.\d{3} s  \{", line) for line in lines)
+    code, out = run(capsys, *box, "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 18
+    assert all(type(c["wall_s"]) is float and c["wall_s"] >= 0 for c in checks)
+    assert sum(c["wall_s"] for c in checks) > 0
+    code, out = run(capsys, *box, "--format", "csv")
+    assert out.splitlines()[0] == "name,pass,deviation,tolerance,wall_s,params"
+
+
 def test_deterministic_output(capsys):
     argv = ["quantize", "--level", "8", "--labels", "4,4,4,4", "--all-choices",
             "--path", "both", "--format", "json"]
@@ -160,7 +176,8 @@ def test_tolerance_environment_is_ignored(capsys, monkeypatch, argv):
             monkeypatch.setenv("VERLINDE_TOLERANCE", value)
         code = main(argv)
         captured = capsys.readouterr()
-        outputs.add((code, captured.out, captured.err))
+        # a verify check's wall time differs from run to run; the rest may not
+        outputs.add((code, re.sub(r"wall \d+\.\d+ s", "wall", captured.out), captured.err))
     assert len(outputs) == 1
     assert outputs.pop()[0] == 0
 

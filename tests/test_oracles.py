@@ -18,6 +18,7 @@ from verlinde.fusion_ring import (
     s_matrix,
 )
 from verlinde.oracles import (
+    CheckResult,
     check_cross_paths,
     check_literal_gamma_sum,
     check_negative_control,
@@ -31,7 +32,7 @@ from verlinde.oracles import (
     structure_constants_verlinde,
     sweep_surfaces,
 )
-from verlinde.prequant import NotAdmissible, SurfaceData, enumerate_choices
+from verlinde.prequant import NotAdmissible, SurfaceData, enumerate_choices, enumerate_gamma
 from verlinde.quantization import quantize_star_block, tau_power
 
 
@@ -180,7 +181,7 @@ def _gamma_terms_from_the_matrix(surface):
     column = s_matrix(surface.level)[:, half]
     return tuple(round(math.prod(column[m] for m, c in zip(surface.labels, gamma.bits) if not c)
                        / column[0] ** surface.num_slots)
-                 for gamma in oracles._listed_gamma(surface))
+                 for gamma in oracles._literal_table(surface)[0])
 
 
 @pytest.mark.parametrize("surfaces", [
@@ -193,10 +194,10 @@ def test_literal_gamma_sum_reads_only_its_rows(monkeypatch, surfaces):
     cases = [(surface, _gamma_terms_from_the_matrix(surface) if surface.level % 2 == 0 else None)
              for surface in surfaces()]
     _forbid_the_matrix(monkeypatch)
-    oracles._gamma_terms.cache_clear()
+    oracles._literal_table.cache_clear()
     for surface, want in cases:
         if want is not None:  # at odd k, Gamma = {e} and there is no t_{k/2}
-            got = oracles._gamma_terms(surface)
+            got = oracles._literal_table(surface)[1]
             assert got == want and all(type(term) is int for term in got), surface
         for choice in enumerate_choices(surface):
             element = fs_formula_with_phases(surface, phase_vector(surface, choice))
@@ -309,6 +310,26 @@ def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
     assert calls["_literal_half_value"] > requests and calls["fs_formula_with_phases"] == requests
 
 
+def test_literal_gamma_sum_reads_no_choice_class(monkeypatch):
+    # The literal side reads Gamma's and the choice's own bits, not the
+    # closed form's classification of the choice.
+    cases = []
+    for surf in sweep_surfaces(12, 4, 2, gamma_cap=2**6):
+        for choice in enumerate_choices(surf):
+            coeffs = quantization.quantize_surface(surf, choice).element.coeffs
+            cases.append((surf, choice, surf.gamma_size() * (sum(coeffs[::4]) - sum(coeffs[2::4]))))
+    for module, name in ((prequant, "_classify"), (prequant, "_canonical_class"),
+                         (oracles, "_canonical_class")):
+        monkeypatch.setattr(module, name, _raising)
+    oracles._literal_table.cache_clear()
+    for surf, choice, want in cases:
+        phases, gammas = phase_vector(surf, choice), enumerate_gamma(surf)
+        assert phases == [prequant.phase_factor(surf.level, choice, g) for g in gammas]
+        if surf.level % 2 == 0:
+            assert oracles._literal_half_value(surf, phases) == want, (surf, choice)
+    assert len(cases) == 7004
+
+
 def test_literal_gamma_sum_makes_no_transform(monkeypatch):
     def no_transform(y):
         raise AssertionError("the literal Gamma sum check ran a sine transform")
@@ -399,6 +420,15 @@ def test_suite_trivial_box():
 def test_suite_rejects_a_negative_bound(box, name):
     with pytest.raises(ValueError, match=f"bound {name} .*non-negative, got -1"):
         run_verification_suite(*box)
+
+
+def test_each_check_reports_its_wall_time():
+    assert CheckResult("name", {}, True).wall_s == 0.0
+    report = run_verification_suite(2, 1, 0)
+    assert all(type(c.wall_s) is float and c.wall_s >= 0 for c in report.checks)
+    assert sum(c.wall_s for c in report.checks) > 0
+    assert [c["wall_s"] for c in report.to_json_dict()["checks"]] == [
+        c.wall_s for c in report.checks]
 
 
 def test_report_json_shape():

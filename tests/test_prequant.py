@@ -281,6 +281,13 @@ class TestGammaEnumeration:
                 assert product == GammaElement(product.bits, product.star_slots,
                                                product.num_boundary)
 
+    def test_elements_of_different_bit_counts_do_not_multiply(self):
+        # same star slots and boundary count, one double more
+        with pytest.raises(ValueError, match="different groups"):
+            GammaElement((0, 0), (), 2) * GammaElement((0, 0, 1, 1), (), 2)
+        with pytest.raises(ValueError, match="different groups"):
+            GammaElement((0, 0, 1, 1), (), 2) * GammaElement((0, 0), (), 2)
+
     def test_invalid_bits_rejected(self):
         surf = SurfaceData(4, 0, (2, 1))
         with pytest.raises(ValueError, match="not a star"):

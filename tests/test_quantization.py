@@ -33,8 +33,11 @@ from verlinde.prequant import (
     PrequantChoice,
     SurfaceData,
     canonicalize_choice,
+    double_sign,
     enumerate_choices,
     enumerate_gamma,
+    phase_factor,
+    star_sign,
 )
 from verlinde.quantization import (
     QuantizationResult,
@@ -934,7 +937,7 @@ AUDITED_CACHES = {
     "quantization._star_and_doubles", "quantization._closed_form_base",
     "quantization._closed_form_element", "quantization._fs_gamma_data",
     "quantization._fs_element", "quantization._reduced_value",
-    "oracles._listed_gamma", "oracles._gamma_terms",
+    "oracles._literal_table",
     "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor",
 }
 
@@ -1474,7 +1477,65 @@ def _checked(obj):
     return type(obj)(*(getattr(obj, name) for name in obj.__match_args__))
 
 
+def _tuple_walk(level, choice, gamma):
+    """psi(gamma), l(gamma), the star weight and phi'(gamma), walked over
+    the bit tuples: the reference for the mask rules."""
+    bits, s = gamma.bits, gamma.num_boundary
+    psi = -1 if sum(p & b for p, b in zip(choice.psi_bits, bits)) % 2 else 1
+    weight, star_weight = sum(bits), sum(bits[:s])
+    phase = psi * star_sign(level, len(gamma.star_slots), star_weight)
+    for i in range(s, len(bits), 2):
+        if (bits[i], bits[i + 1]) != (0, 0):
+            phase *= double_sign(level)
+    return psi, weight, star_weight, phase
+
+
+def _phase_outcome(fn, *args):
+    """fn's value, or the message of the NotAdmissible it raised."""
+    try:
+        return fn(*args)
+    except NotAdmissible as exc:
+        return str(exc)
+
+
 class TestObjectLayout:
+    def test_mask_rules_match_the_tuple_walk(self):
+        # every (gamma, choice) pair of the box, non-canonical choices too;
+        # at level k + 1 the star and double signs must raise alike
+        pairs = raised = 0
+        for surf in sweep_surfaces(12, 4, 2, gamma_cap=2**6):
+            k, gammas = surf.level, enumerate_gamma(surf)
+            for canonical in enumerate_choices(surf):
+                variants = map(PrequantChoice, _noncanonical_variants(surf, canonical.psi_bits))
+                for choice in [canonical, *variants]:
+                    pairs += len(gammas)
+                    assert [(choice.psi(g), g.weight, g.star_weight, phase_factor(k, choice, g))
+                            for g in gammas] == [_tuple_walk(k, choice, g) for g in gammas]
+                want = [_phase_outcome(lambda *a: _tuple_walk(*a)[3], k + 1, canonical, g)
+                        for g in gammas]
+                assert [_phase_outcome(phase_factor, k + 1, canonical, g) for g in gammas] == want
+                raised += sum(isinstance(outcome, str) for outcome in want)
+        assert pairs == 949879  # the 214,506 canonical pairs and their variants
+        assert raised > 0
+
+    def test_every_constructor_gives_a_gamma_its_mask(self):
+        """Bit j of ``_mask`` is slot j whichever way the element was built."""
+        surf = SurfaceData(8, 1, (4, 0, 4, 4))
+        gammas = enumerate_gamma(surf)
+        for gamma in gammas:
+            built = GammaElement(gamma.bits, gamma.star_slots, gamma.num_boundary)
+            copies = [gamma, built, GammaElement.from_surface(surf, map(np.int64, gamma.bits)),
+                      gamma * GammaElement.identity(surf), _load(_dict_state_reduce(built)),
+                      *(pickle.loads(pickle.dumps(built, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+            for copy in copies:
+                assert copy == gamma and type(copy._mask) is int and "_mask" not in repr(copy)
+                assert copy._mask == sum(bit << j for j, bit in enumerate(gamma.bits))
+            for other in gammas:
+                product = gamma * other
+                assert product._mask == sum(bit << j for j, bit in enumerate(product.bits))
+        assert GammaElement.identity(surf)._mask == 0
+
     def test_every_constructor_gives_a_choice_its_mask(self):
         """The mask ``_classify`` reads is bit j = slot j whichever way the
         choice was built, and every copy classifies alike."""
