@@ -3,8 +3,13 @@ moduli spaces of flat SO(3)-bundles over surfaces with boundary.
 
 The exact integer path (block fusion), the S-matrix summation formula and
 fixed-point localization cross-check each other; ``oracles`` adds
-independent brute-force validators and a verification suite.
+independent brute-force validators and a verification suite.  The package
+imports neither ``oracles`` nor numpy: ``oracles`` loads when one of its
+names is first read from here, and numpy when a computation first needs it
+(``fusion_ring._numpy``).
 """
+
+from importlib import import_module
 
 from .fusion_ring import (
     FusionElement,
@@ -43,15 +48,12 @@ from .quantization import (
     reduced_quantization,
     verlinde_baseline,
 )
-from .oracles import (
-    VerificationReport,
-    classical_verlinde_number,
-    closed_form_tables,
-    run_verification_suite,
-    structure_constants_verlinde,
-)
 
 __version__ = "0.1.0"
+
+# Loaded with ``oracles``, which imports numpy, on first use (PEP 562).
+_ORACLE_NAMES = ("VerificationReport", "classical_verlinde_number", "closed_form_tables",
+                 "run_verification_suite", "structure_constants_verlinde")
 
 __all__ = [
     "FusionElement",
@@ -70,3 +72,14 @@ __all__ = [
     "VerificationReport", "classical_verlinde_number", "closed_form_tables",
     "run_verification_suite", "structure_constants_verlinde",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES or name == "oracles":
+        oracles = import_module(".oracles", __name__)
+        return oracles if name == "oracles" else getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES, "oracles"})

@@ -29,7 +29,6 @@ from .fusion_ring import (
     PrecisionExhausted,
     s_matrix,
 )
-from .oracles import closed_form_tables, run_verification_suite
 from .prequant import (
     GroupTooLarge,
     NotAdmissible,
@@ -184,6 +183,7 @@ _TABLE_CLASSES = {2: ("base", "+", "-"),
 
 
 def _cmd_tables(args) -> int:
+    from .oracles import closed_form_tables  # with numpy, only for this command
     k, r = args.level, args.r
     entries = [(label, closed_form_tables(k, r, label)) for label in _TABLE_CLASSES[r]]
     if args.format == "json":
@@ -200,6 +200,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracles import run_verification_suite  # with numpy, only for this command
     report = run_verification_suite(args.max_level, args.max_r, args.max_genus)
     if args.format == "json":
         _print(json.dumps(report.to_json_dict()))

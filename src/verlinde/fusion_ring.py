@@ -53,19 +53,27 @@ the exact path, never the authority.
 Both basis changes are one type-I discrete sine transform (DST-I) of
 length k+1, computed as the real FFT of its odd extension, built in one
 array: O(k log k) time and O(k) memory, with no S-matrix formed.  One
-builder forms S-matrix rows, ``_s_rows``: the rows of 0 and of given
+builder forms S-matrix arrays, ``_s_rows``: the rows of 0 and of given
 labels in one fold-and-sine pass, with that pass's row 0 before the
 division by sqrt(k/2+1), the transform's weights.  ``s_matrix`` is its case
 of every label; the transforms, the S-matrix path of ``quantization`` (once
 per surface, not once per request) and the oracles form only the rows they
-read, and ``s_matrix_entry`` computes its one entry.  No table of sines or
-S-matrix rows is cached, and none of the package's 15 lru caches holds one.
+read, and ``s_matrix_entry`` computes its one entry.  Up to level ``K0``
+the S-matrix path and ``from_idempotent`` take plain-Python kernels
+instead, which are faster there than numpy's: rows as lists read from one
+table of 2(k+2) sines (``_s_rows_direct``), the transform as k+1 direct
+sums (``_direct_sine_transform``), and rounding coefficient by
+coefficient.  numpy, with ``numpy.fft``, is imported on first need
+(``_numpy``), so a closed-path request, or an S-matrix one up to ``K0``,
+never loads it.  No table of sines or S-matrix rows is cached, and none
+of the package's 15 lru caches holds one.
 The transform to tau-coefficients, ``_sine_coefficients``, bounds the
 rounding error of its own arithmetic a priori (the FFT bound of Higham,
 *Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
-weighting of the inputs) and the error the values carry, given by the
-caller.  The bound reads only the weighted values, so it is formed first,
-and values whose bound is not below 1/2 are not transformed.
+weighting of the inputs; it covers the direct sums too) and the error the
+values carry, given by the caller.  The bound reads only the weighted
+values, so it is formed first, and values whose bound is not below 1/2 are
+not transformed.
 ``from_idempotent`` takes its values as exact; the S-matrix path passes the
 relative error of its values, so that bound covers its whole sum.  Each
 coefficient is rounded against it (``_round_coefficients``), and a bound
@@ -77,15 +85,16 @@ cancellation leaves no certain digit.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, index, mul, neg, sub
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, cycle, repeat
+from operator import add, index, mul, neg, sub, truediv
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-import numpy.fft  # loaded with the package, not by the first transform
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -110,6 +119,36 @@ DEFAULT_TOLERANCE = 1e-6
 # above it is serialized as a decimal string, so that JSON consumers relying
 # on IEEE doubles never see it silently truncated.
 _EXACT_INTEGER_BOUND = 2**53
+
+# The highest level whose float S-matrix path (fs and reduced) runs in plain
+# Python: S-matrix rows read from one table of 2(k+2) sines
+# (``_s_rows_direct``), the sine transform as a direct sum
+# (``_direct_sine_transform``), rounding coefficient by coefficient.  Above
+# it, numpy rows and numpy's FFT.  K0 is the measured crossover of the
+# per-surface cost with numpy already loaded: over the folded surfaces of
+# the sweep box at each level (set-up, transform and one class rounded,
+# medians of 15 alternating rounds, 2-core x86-64, Python 3.11.7, numpy
+# 2.4.6) these kernels took 47-104 us at k = 4-16 against numpy's
+# 87-118 us (104 against 115 us at k = 16), and lost from k = 19 (118
+# against 113 us at k = 20; 95 against 93 us at k = 17).
+K0 = 16
+
+
+def _direct(k: int) -> bool:
+    """Whether level k takes the plain-Python kernels: k <= K0, read when
+    called."""
+    return k <= K0
+
+
+def _numpy():
+    """numpy, with numpy.fft, imported on first need: by a transform above
+    K0, the S-matrix arrays (``s_matrix``, ``s_matrix_entry``, ``_s_rows``)
+    and the idempotent basis changes (``oracles`` imports it itself).  A
+    request that needs none of them, a closed-path one or an S-matrix one up
+    to K0, never loads numpy."""
+    import numpy
+    import numpy.fft
+    return numpy
 
 
 class NonIntegralCoefficient(ArithmeticError):
@@ -192,10 +231,13 @@ def _check_int(value, what: str) -> int:
     """The one integer rule of every public entry point: a Python or numpy
     integer (``operator.index``) other than a bool, as an int; anything else,
     a float or a string too, raises TypeError.  Range checks stay with each
-    entry point."""
+    entry point.  A numpy bool exists only once numpy is loaded, so it is
+    looked for through ``sys.modules``, which loads nothing."""
     if type(value) is int:  # operator.index(value) is value
         return value
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+    numpy = sys.modules.get("numpy")
+    if (isinstance(value, bool) or not hasattr(value, "__index__")
+            or (numpy is not None and isinstance(value, numpy.bool_))):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return index(value)
 
@@ -227,7 +269,7 @@ def s_matrix_entry(k: int, m: int, l: int) -> float:
     exactly."""
     k = _check_level(k)
     e = (_check_index(k, m, "m") + 1) * (_check_index(k, l, "l") + 1)
-    return float(_s_entries(k, _sin_pi(k + 2, np.array([e])))[0])
+    return float(_s_entries(k, _sin_pi(k + 2, _numpy().array([e])))[0])
 
 
 def _fold_angle(n: int, e):
@@ -247,7 +289,7 @@ def _sin_pi(n: int, e: np.ndarray) -> np.ndarray:
     """sin(e pi/n) for a numpy integer array e, each angle folded by
     ``_fold_angle`` into [-pi/2, pi/2] before its sine.  z pi/(2n) rounds
     as (z/2) pi/n does, a power of two apart."""
-    return np.sin(_fold_angle(n, e) * (math.pi / (2 * n)))
+    return _numpy().sin(_fold_angle(n, e) * (math.pi / (2 * n)))
 
 
 def _s_entries(k: int, sines: np.ndarray) -> np.ndarray:
@@ -271,9 +313,41 @@ def _s_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     array: one ``_sin_pi`` pass over the (s+1) x (k+1) products (m+1)(l+1)
     and one division by sqrt(k/2+1) (``_s_entries``), the weights being that
     pass's row 0.  The one row builder: ``s_matrix`` is its case of every
-    label, and every other reader forms only the rows it uses."""
+    label, and every other reader forms only the rows it uses; up to K0 the
+    S-matrix path reads ``_s_rows_direct`` instead."""
+    np = _numpy()
     sines = _sin_pi(k + 2, np.outer(np.array((0, *labels)) + 1, np.arange(1, k + 2)))
     return sines[0], _s_entries(k, sines)
+
+
+def _sine_rows(weights: Sequence[float], ps: Sequence[int]) -> list[list[float]]:
+    """For each p in ``ps``, 1 <= p < N, the row sin(p j pi/N), j = 1..N-1,
+    N = len(weights) + 1, from the weights sin(e pi/N), e = 1..N-1, as
+    ``_sin_pi`` or ``_s_rows_direct`` computes them.  ``_fold_angle`` gives
+    e and N the angle 0, and e + N the negated angle of e; the sine is odd,
+    so the table of the weights, 0 and their negations holds sin(e pi/N)
+    for e = 0..2N-1 bit for bit as that rule gives it.  Entry p j mod 2N of
+    it is entry p j of the table repeated max(ps) times, so each row is one
+    slice of that list, copied in C: O(N max(ps)) pointers, O(N^2) at most."""
+    n = len(weights) + 1
+    repeated = [0.0, *weights, 0.0, *map(neg, weights)] * max(ps)
+    return [repeated[p:p * n:p] for p in ps]
+
+
+def _s_rows_direct(k: int, labels: Sequence[int]) -> tuple[list[float], list[list[float]]]:
+    """``_s_rows`` in plain Python, the S-matrix path's rows up to K0: the
+    weights sin((l+1) pi/(k+2)), l = 0..k, each by math.sin of its angle
+    folded by ``_fold_angle``, and the rows of 0 and of each label, entry
+    (m+1)(l+1) mod 2(k+2) of the weights' table (``_sine_rows``) over
+    sqrt(k/2+1).  One
+    division of one folded sine, as in ``_s_entries``: the same bound of
+    6.36u relative, exactly 0.0 where k+2 divides (m+1)(l+1), and the row of
+    k the row of 0 times (-1)^l, bit for bit."""
+    n, half_step = k + 2, math.pi / (2 * (k + 2))
+    weights = [math.sin(_fold_angle(n, e) * half_step) for e in range(1, n)]
+    root = math.sqrt(k / 2 + 1)
+    return weights, [list(map(truediv, row, repeat(root)))
+                     for row in _sine_rows(weights, [m + 1 for m in (0, *labels)])]
 
 
 def s_matrix(k: int) -> np.ndarray:
@@ -753,6 +827,7 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     """The type-I DST sum_j y_j sin((i+1)(j+1) pi/N), i = 0..k, N = k+2: the
     real FFT of the odd extension (0, y, 0, -reversed y), built in one
     array, has p-th term -2i sum_j y_j sin(p (j+1) pi/N)."""
+    np = _numpy()
     n = len(y)
     odd = np.empty(2 * n + 2)
     odd[0] = odd[n + 1] = 0.0
@@ -761,14 +836,33 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _sine_coefficients(values: Sequence[float], weights: np.ndarray,
-                       error: float = 0.0) -> tuple[np.ndarray | None, float]:
+def _direct_sine_transform(x: Sequence[float], weights: Sequence[float]) -> list[float]:
+    """The DST-I of ``_sine_transform`` as k + 1 direct sums, the kernel up
+    to K0: sum_j x_j sin((i+1)(j+1) pi/N), each sum exactly rounded
+    (math.fsum) over its products with the sines of the weights' table
+    (``_sine_rows``); O(k^2) steps, iterated in C.
+
+    The FFT's bound formula in ``_sine_coefficients`` covers it.  Each sine
+    is within 4.36u of its value (the folded angle and one ulp,
+    tests/test_exact_angles.py), each product rounds once and the sum once,
+    so an entry errs by at most 6.36u sum_j |x_j| <= 6.36u sqrt(N) ||x||_2,
+    second-order terms aside, where the formula allows
+    _fft_error(2N) sqrt(N) ||x||_2, and _fft_error(2N) >= 96u at every
+    N >= 2.  The weighting and the scaling are the FFT's, bounded alike."""
+    return [math.fsum(map(mul, x, row)) for row in _sine_rows(weights, range(1, len(weights) + 1))]
+
+
+def _sine_coefficients(values: Sequence[float], weights: Sequence[float],
+                       error: float = 0.0) -> tuple[Sequence[float] | None, float]:
     """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the values v at
-    t_0..t_k (a read-only array), c = (2/N) DST-I(x), N = k+2, of the
-    weighted values x_l = sin((l+1) pi/N) v_l, given their weights (the
-    first array of ``_s_rows``); and an a priori bound on their error,
-    formed from x first: when it is not below 1/2 no transform runs and the
-    coefficients are None, as they would be refused for it.
+    t_0..t_k, c = (2/N) DST-I(x), N = k+2, of the weighted values
+    x_l = sin((l+1) pi/N) v_l, given their weights (the first list of
+    ``_s_rows_direct`` or array of ``_s_rows``); and an a priori bound on
+    their error, formed from x first: when it is not below 1/2 no transform
+    runs and the coefficients are None, as they would be refused for it.
+    The level selects the kernel: up to K0 the direct sums of
+    ``_direct_sine_transform``, a tuple; above it numpy's FFT, a read-only
+    array.
 
     The transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per
     entry (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N)
@@ -779,10 +873,15 @@ def _sine_coefficients(values: Sequence[float], weights: np.ndarray,
     within ``error`` of its true value, relative, given by the caller (0 for
     exact values): the transform is linear with weights of absolute value
     at most 1, so that adds error (2/N) sum |x_l| to every entry."""
-    x = np.asarray(values, dtype=np.float64) * weights
-    n = len(x)
+    n = len(values)
+    direct = _direct(n - 1)
+    if direct:
+        x = weighted = list(map(mul, values, weights))
+    else:
+        np = _numpy()
+        x = np.asarray(values, dtype=np.float64) * weights
+        weighted = x.tolist()
     scale = 2.0 / (n + 1)
-    weighted = x.tolist()
     norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
     if error:  # a float sum past double range is inf, with no warning
@@ -791,63 +890,82 @@ def _sine_coefficients(values: Sequence[float], weights: np.ndarray,
     del weighted  # held through the FFT, it raised high_level peak_rss_mb by 0.25 MB
     if not bound < 0.5:
         return None, bound
+    if direct:
+        return tuple(c * scale for c in _direct_sine_transform(x, weights)), bound
     coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
     return coeffs, bound
 
 
-def _add_star_idempotent(k: int, coeffs: np.ndarray | None, bound: float,
-                         delta: float) -> tuple[np.ndarray | None, float]:
+def _add_star_idempotent(k: int, coeffs: Sequence[float] | None, bound: float,
+                         delta: float) -> tuple[Sequence[float] | None, float]:
     """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (error at
     most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2} is
     exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
-    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2).  delta is taken as the
-    correctly rounded double of an exact value.  The bound grows by the
-    rounding of the step delta 2/N (delta's own rounding, 2/N and the
-    product: 3u) and of its part in each sum (u), 5u with the second-order
-    terms; the sum's part from ``coeffs`` is in their bound already.  A
-    bound that is not finite certifies nothing, and the coefficients are
-    left as they are; so are None coefficients, of a transform refused for
-    its bound."""
+    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2): the step delta 2/N added
+    to every coefficient m = 0 mod 4 and subtracted from every m = 2 mod 4,
+    in the kernel of the level.  delta is taken as the correctly rounded
+    double of an exact value.  The bound grows by the rounding of the step
+    (delta's own rounding, 2/N and the product: 3u) and of its part in each
+    sum (u), 5u with the second-order terms; the sum's part from ``coeffs``
+    is in their bound already.  A bound that is not finite certifies
+    nothing, and the coefficients are left as they are; so are None
+    coefficients, of a transform refused for its bound."""
     bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
     if coeffs is None or not math.isfinite(bound):
         return coeffs, bound
-    star = np.zeros(k + 1)
-    star[0::4] = 2.0 / (k + 2)
-    star[2::4] = -2.0 / (k + 2)
-    out = coeffs + delta * star
+    step = delta * (2.0 / (k + 2))
+    if _direct(k):
+        return tuple(map(add, coeffs, cycle((step, 0.0, -step, 0.0)))), bound
+    star = _numpy().zeros(k + 1)
+    star[0::4] = step
+    star[2::4] = -step
+    out = coeffs + star
     out.setflags(write=False)
     return out, bound
 
 
-def _round_coefficients(k: int, coeffs: np.ndarray | None, bound: float) -> FusionElement:
+def _round_coefficients(k: int, coeffs: Sequence[float] | None, bound: float) -> FusionElement:
     """Round the k + 1 raw tau-coefficients ``coeffs``, whose error is at
     most ``bound`` a priori.
 
     Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
     before it reads the coefficients, which are None when the transform
     was refused for that bound.
-    Then every coefficient is tested at once: below 2^53 in magnitude, and
-    the nearest integer, ties to even, within the allowance
+    Then every coefficient is tested: below 2^53 in magnitude, and the
+    nearest integer, ties to even, within the allowance
     max(bound, min(DEFAULT_TOLERANCE (1 + |c|), 0.499)).  A coefficient
     within the bound of an integer is that integer, as the bound is below
     1/2; one further from every integer than the bound cannot be, so it
     signals a real disagreement (a wrong phase), never a precision limit.
     The allowance is never below ``round_to_integer``'s, so with bound 0
     this is that rule.  No allowance is below max(bound, DEFAULT_TOLERANCE),
-    so two maxima pass the usual vector, and only one that fails them is
-    tested coefficient by coefficient.  The first coefficient that fails
-    raises NonIntegralCoefficient (PrecisionExhausted if it is not finite
-    or not below 2^53), naming its deviation, its allowance and the bound.
+    so a coefficient within that of its integer passes at once, and only
+    one that is not is tested against its own allowance: up to K0 one
+    coefficient at a time, in plain Python, above it the whole array at
+    once, in numpy.  The first coefficient that fails raises
+    NonIntegralCoefficient (PrecisionExhausted if it is not finite or not
+    below 2^53), naming its deviation, its allowance and the bound.
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
+    lenient = max(bound, DEFAULT_TOLERANCE)
+    if _direct(k):
+        out = []
+        for m, c in enumerate(coeffs):
+            nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
+            if nearest is None or abs(c - nearest) > lenient:
+                allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(c)), 0.499), bound)
+                nearest = _checked_round(float(c), allowed, bound, NonIntegralCoefficient,
+                                         f"tau_{m} coefficient")
+            out.append(nearest)
+        return FusionElement._trusted(k, tuple(out))
+    np = _numpy()
     nearest = np.rint(coeffs)
     deviation, magnitude = np.abs(coeffs - nearest), np.abs(coeffs)
-    if not (deviation.max() <= max(bound, DEFAULT_TOLERANCE)
-            and magnitude.max() < _EXACT_INTEGER_BOUND):
+    if not (deviation.max() <= lenient and magnitude.max() < _EXACT_INTEGER_BOUND):
         allowed = np.maximum(np.minimum(DEFAULT_TOLERANCE * (1.0 + magnitude), 0.499), bound)
         passes = (deviation <= allowed) & (magnitude < _EXACT_INTEGER_BOUND)
         if not passes.all():
@@ -864,6 +982,7 @@ def to_idempotent(a: FusionElement) -> np.ndarray:
     sum_m c_m sin((m+1)(l+1) pi/N) / sin((l+1) pi/N), all at once by one
     sine transform (``FusionElement.evaluate`` is the per-point route);
     PrecisionExhausted when a coefficient or a value is out of double range."""
+    np = _numpy()
     try:
         with np.errstate(over="raise", invalid="raise"):
             coeffs = np.array(a.coeffs, dtype=np.float64)
@@ -879,14 +998,16 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
     from the values v at t_0, ..., t_k; the level k is len(values) - 1, and
     empty or not one-dimensional values raise ValueError.
 
-    The coefficients come from one sine transform with an a priori bound on
-    its rounding error (``_sine_coefficients``, the values taken as exact).
+    The coefficients come from one sine transform, in the kernel of the
+    level, with an a priori bound on its rounding error
+    (``_sine_coefficients``, the values taken as exact).
     Raises PrecisionExhausted, with no transform, when that bound is not
     below 1/2, and NonIntegralCoefficient when a coefficient is further from
     an integer than both that bound and DEFAULT_TOLERANCE allow; the latter
     signals an inconsistent vector (or a wrong phase factor upstream), not a
     numerical hiccup.
     """
+    np = _numpy()
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or not len(v):
         raise ValueError(f"need a non-empty 1-D vector of values, got shape {v.shape}")

@@ -191,9 +191,11 @@ class GammaElement(_Masked):
         object.__setattr__(self, "star_slots", stars)
         object.__setattr__(self, "num_boundary", s)
         _set_mask(self, _bits_mask(bits))
-        if s < 0 or len(bits) < s or (len(bits) - s) % 2 or not all(0 <= j < s for j in stars):
-            raise ValueError(f"need s >= 0 boundary bits, two per double and star slots "
-                             f"below s, got {len(bits)} bits, stars {stars} and s = {s}")
+        if (s < 0 or len(bits) < s or (len(bits) - s) % 2
+                or not all(i < j for i, j in zip((-1, *stars), (*stars, s)))):
+            raise ValueError(f"need s >= 0 boundary bits, two per double and strictly "
+                             f"increasing star slots below s, got {len(bits)} bits, stars "
+                             f"{stars} and s = {s}")
         for j in range(s):
             if j not in stars and bits[j]:
                 raise ValueError(f"slot {j} is not a star class, bit must be 0")

@@ -19,9 +19,13 @@ Three mutually cross-checking routes are implemented:
   (1 for z = c, S[m,l] for z = e).  At l != k/2 only gamma = e survives,
   the identity term, in floating point; at l = k/2 the sum factors over
   the blocks into the closed form's exact value ``_half_value``, rounded
-  once.  The final integrality rounding checks the float part; the literal
-  Gamma sum, in integers (``oracles.check_literal_gamma_sum``), checks the
-  value at t_{k/2}.
+  once.  Back to the tau basis by one sine transform per surface: up to
+  ``fusion_ring.K0`` in plain Python, S-matrix rows as lists and the
+  transform as direct sums, with no numpy; above it numpy rows and numpy's
+  FFT.  Both are rounded against the same whole-sum bound.  The final
+  integrality rounding checks the float part; the literal Gamma sum, in
+  integers (``oracles.check_literal_gamma_sum``), checks the value at
+  t_{k/2}.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
   block at a special point, ``_half_value`` at t_{k/2}.
 
@@ -91,10 +95,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial, update_wrapper, wraps
 from itertools import cycle, repeat
-from operator import add, and_, rshift
+from operator import add, and_, neg, rshift
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .fusion_ring import (
     FusionElement,
@@ -106,8 +108,11 @@ from .fusion_ring import (
     _check_index,
     _check_int,
     _check_level,
+    _direct,
+    _numpy,
     _round_coefficients,
     _s_rows,
+    _s_rows_direct,
     _sine_coefficients,
     _times_basis,
     _times_double,
@@ -474,7 +479,7 @@ class _GammaData(NamedTuple):
     """Choice-independent O(k) data of one surface's S-matrix sum, its
     values at t_{k/2} left out (each class adds its own)."""
 
-    coeffs: np.ndarray | None  # tau-coefficients of the identity term / |Gamma|; None if refused
+    coeffs: Sequence[float] | None  # tau-coefficients of the identity term / |Gamma|; None if refused
     bound: float  # their rounding-error bound
     reduced: float  # the reduced identity term summed, / |Gamma|
     alternating: float  # its terms at l summed times (-1)^l, / |Gamma|
@@ -498,55 +503,83 @@ def _value_error(surface: SurfaceData) -> float:
     return (6.36 * (s + surface.num_slots) + s + 3) * _UNIT_ROUNDOFF
 
 
-@lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
-def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
-    """The identity term prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| for every
-    l != k/2, 0 at l = k/2 (k even), taken to the tau basis by one sine
-    transform, whose error bound covers the values' own error
-    (``_value_error``) as well; and its reduced form (exponent s+2h-2)
-    summed over the same l, plainly and times (-1)^l, which is tau_k's value
-    at t_l (``_reduced_value``).  The S-matrix rows of 0 and of the labels, and
-    the transform's weights, come from one pass (``fusion_ring._s_rows``).
-    A surface whose bound is not below 1/2 keeps no coefficients (None) and
-    runs no transform (``fusion_ring._sine_coefficients``): every class of
-    it is refused for that bound when it is rounded.  The reduced form keeps
-    the sum of its terms' absolute values beside it, the scale of its
-    rounding error.  1/|Gamma| is exact, |Gamma| being a power of two; a
-    value out of double range becomes inf or nan, without a warning, and
-    its rounding raises PrecisionExhausted."""
+def _identity_terms(surface: SurfaceData) -> tuple[Sequence[float], Sequence[float], list[float]]:
+    """The transform's weights, the identity term
+    prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| and the reduced terms
+    prod_j S[m_j, l] / S[0, l]^(s+2h-2) at l = 0..k, both 0 at l = k/2
+    (k even), where the class's value is ``_half_value``.  The level selects
+    the kernel.  Up to K0 the rows are lists (``fusion_ring._s_rows_direct``)
+    and a division by a power that underflowed to 0 raises in Python where
+    numpy gives inf or nan: the identity term is then inf throughout, which
+    the transform's bound refuses, and the reduced terms nan, whose sum
+    rounding refuses, so both kernels raise PrecisionExhausted on the same
+    surfaces.  Above K0 the rows are numpy arrays (``fusion_ring._s_rows``),
+    a value out of double range becomes inf or nan without a warning, and
+    the identity term stays an array for the FFT.  The reduced terms are a
+    list either way."""
     k, n = surface.level, surface.num_slots
     inverse = 1 / surface.gamma_size()
-    weights, rows = _s_rows(k, surface.labels)
-    row0 = rows[0]
-    with np.errstate(all="ignore"):
-        full = np.prod(rows[1:], axis=0)
-        identity = full / row0 ** n * inverse
-        terms = full / row0 ** (n - 2)
-        if not k % 2:  # the class's value there is ``_half_value``
-            identity[k // 2] = terms[k // 2] = 0.0
-        reduced = _sum(terms, inverse)
-        terms[1::2] *= -1
-        alternating = _sum(terms, inverse)
-        terms = terms.tolist()
+    if _direct(k):
+        weights, (row0, *label_rows) = _s_rows_direct(k, surface.labels)
+        full = [math.prod(column) for column in zip(*label_rows)] or [1.0] * (k + 1)
         try:
-            mass = math.fsum(map(abs, terms)) * inverse
-        except OverflowError:
-            mass = math.inf
-        coeffs, bound = _sine_coefficients(identity, weights, _value_error(surface))
+            identity = [f / s0 ** n * inverse for f, s0 in zip(full, row0)]
+        except (ZeroDivisionError, OverflowError):
+            identity = [math.inf] * (k + 1)
+        try:
+            terms = [f / s0 ** (n - 2) for f, s0 in zip(full, row0)]
+        except (ZeroDivisionError, OverflowError):
+            terms = [math.nan] * (k + 1)
+    else:
+        np = _numpy()
+        weights, rows = _s_rows(k, surface.labels)
+        with np.errstate(all="ignore"):
+            full = np.prod(rows[1:], axis=0)
+            identity = full / rows[0] ** n * inverse
+            terms = (full / rows[0] ** (n - 2)).tolist()
+    if not k % 2:
+        identity[k // 2] = terms[k // 2] = 0.0
+    return weights, identity, terms
+
+
+@lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
+def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
+    """The identity term at every l != k/2 (``_identity_terms``), taken to
+    the tau basis by one sine transform, whose error bound covers the
+    values' own error (``_value_error``) as well; and the reduced terms
+    summed over the same l, plainly and times (-1)^l, which is tau_k's value
+    at t_l (``_reduced_value``).  The S-matrix rows of 0 and of the labels,
+    and the transform's weights, come from one pass.  A surface whose bound
+    is not below 1/2 keeps no coefficients (None) and runs no transform
+    (``fusion_ring._sine_coefficients``): every class of it is refused for
+    that bound when it is rounded.  The reduced form keeps the sum of its
+    terms' absolute values beside it, the scale of its rounding error.
+    1/|Gamma| is exact, |Gamma| being a power of two; a value out of double
+    range becomes inf or nan, and its rounding raises PrecisionExhausted."""
+    weights, identity, terms = _identity_terms(surface)
+    inverse = 1 / surface.gamma_size()
+    reduced = _sum(terms, inverse)
+    terms[1::2] = map(neg, terms[1::2])
+    alternating = _sum(terms, inverse)
+    try:
+        mass = math.fsum(map(abs, terms)) * inverse
+    except OverflowError:
+        mass = math.inf
+    coeffs, bound = _sine_coefficients(identity, weights, _value_error(surface))
     return _GammaData(coeffs, bound, reduced, alternating, mass)
 
 
-def _sum(terms: np.ndarray, scale: float) -> float:
+def _sum(terms: list[float], scale: float) -> float:
     """The exactly rounded sum of ``terms`` times ``scale``, nan when it
     leaves double range."""
     try:  # fsum raises on an intermediate overflow and on inf - inf
-        return math.fsum(terms.tolist()) * scale
+        return math.fsum(terms) * scale
     except (OverflowError, ValueError):
         return math.nan
 
 
 def _fs_coefficients(surface: SurfaceData,
-                     half: Callable[[], float]) -> tuple[np.ndarray | None, float]:
+                     half: Callable[[], float]) -> tuple[Sequence[float] | None, float]:
     """The raw tau-coefficients of a class and an a priori bound on their
     error, before rounding: the transform of the identity term with
     l = k/2 left out (one per surface, ``_fs_gamma_data``) plus ``half()``,

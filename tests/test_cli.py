@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import verlinde
 from verlinde.cli import main
-from verlinde.fusion_ring import FusionElement
+from verlinde.fusion_ring import K0, FusionElement
 from verlinde.prequant import SurfaceData, enumerate_choices
 
 
@@ -263,3 +268,71 @@ def test_malformed_arguments_exit_1(capsys, argv):
 def test_help_exits_0(capsys, argv):
     assert main(argv) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package; its
+    standard output."""
+    src = str(Path(verlinde.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_import_loads_neither_numpy_nor_oracles():
+    # numpy and the oracles load on first need; the public names resolve all
+    # the same (tests/test_fusion_ring.py pins them), and the integer rule
+    # still refuses a numpy bool once numpy is there.
+    _run_python(
+        "import sys\n"
+        "import verlinde\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n"
+        "assert 'verlinde.oracles' not in sys.modules, 'oracles'\n"
+        "missing = [name for name in verlinde.__all__ if not hasattr(verlinde, name)]\n"
+        "assert not missing, missing\n"
+        "assert set(verlinde.__all__) <= set(dir(verlinde))\n"
+        "assert 'numpy' in sys.modules and verlinde.oracles is sys.modules['verlinde.oracles']\n"
+        "import numpy as np\n"
+        "from verlinde.fusion_ring import _check_int\n"
+        "try:\n"
+        "    _check_int(np.bool_(True), 'level')\n"
+        "except TypeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a numpy bool passed the integer rule')\n")
+
+
+# name: (argv, whether it loads numpy).  The S-matrix path loads it above
+# K0, not up to it; verify and tables load it with the oracles.
+_COLD_REQUESTS = {
+    "setup": (["quantize", "--level", "4", "--labels", "2,2", "--psi", "0,0", "--path", "both",
+               "--reduced", "--format", "json"], False),
+    "prequant": (["prequant", "--level", "4", "--labels", "2,2"], False),
+    "fusion-mult": (["fusion", "mult", "--level", "4", "--a", "0,1,0,0,0", "--b", "0,0,1,0,0"],
+                    False),
+    "closed": (["quantize", "--level", "12", "--genus", "1", "--labels", "1,6,6"], False),
+    "both-at-K0": (["quantize", "--level", str(K0), "--genus", "1", "--labels", "1,1",
+                    "--path", "both", "--reduced", "--all-choices"], False),
+    "fs-past-K0": (["quantize", "--level", str(K0 + 1), "--labels", "1,1", "--path", "fs"], True),
+    "tables": (["tables", "--r", "2", "--level", "4"], True),
+}
+
+
+@pytest.mark.parametrize("argv, loads", _COLD_REQUESTS.values(), ids=_COLD_REQUESTS)
+def test_requests_import_numpy_only_on_need(argv, loads):
+    out = _run_python(
+        "import sys\n"
+        "from verlinde.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    assert out.splitlines()[-1] == str(loads)
+
+
+def test_setup_request_output_is_unchanged(capsys):
+    code, out = run(capsys, *_COLD_REQUESTS["setup"][0])
+    assert code == 0
+    assert out == ('[{"level": 4, "coeffs": [1, 0, 0, 0, 1], "reduced": 1, "path": '
+                   '"closed_form", "choice": {"psi_bits": [0, 0]}}, {"level": 4, "coeffs": '
+                   '[1, 0, 0, 0, 1], "reduced": 1, "path": "fs_float", "choice": {"psi_bits": '
+                   '[0, 0]}}]\n')

@@ -389,21 +389,27 @@ class TestIdempotentBasis:
                                                ([1e16] * 5, "2.465e[+]02"),
                                                ([math.inf] * 3, "inf"), ([math.nan] * 3, "nan")])
     def test_a_refused_vector_makes_no_transform(self, monkeypatch, values, bound):
-        # The bound is formed from the weighted values before any FFT: a
-        # vector it refuses is not transformed, and its message is the one
-        # it had when every vector was transformed first.
+        # The bound is formed from the weighted values before any transform,
+        # on either kernel: a vector it refuses is not transformed, and its
+        # message is the one it had when every vector was transformed first.
         from verlinde import fusion_ring
-        calls = []
-        transform = fusion_ring._sine_transform
-        monkeypatch.setattr(fusion_ring, "_sine_transform",
-                            lambda y: calls.append(y) or transform(y))
-        with pytest.raises(PrecisionExhausted, match=(
-                f"^the tau-coefficients at level {len(values) - 1} have a rounding error "
-                f"bound of {bound}, not below 1/2: double precision cannot certify them$")):
-            from_idempotent(values)
-        assert calls == []
-        assert from_idempotent([0.0, 0.0, 3.0, 0.0, 0.0]).coeffs == (1, 0, -1, 0, 1)
-        assert len(calls) == 1
+        fft, direct = fusion_ring._sine_transform, fusion_ring._direct_sine_transform
+        for k0 in (fusion_ring.K0, -1):  # these levels on the direct sums, then on the FFT
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(fusion_ring, "K0", k0)
+                patch.setattr(fusion_ring, "_sine_transform",
+                              lambda y: calls.append(y) or fft(y))
+                patch.setattr(fusion_ring, "_direct_sine_transform",
+                              lambda x, w: calls.append(x) or direct(x, w))
+                with pytest.raises(PrecisionExhausted, match=(
+                        f"^the tau-coefficients at level {len(values) - 1} have a rounding "
+                        f"error bound of {bound}, not below 1/2: double precision cannot "
+                        "certify them$")):
+                    from_idempotent(values)
+                assert calls == []
+                assert from_idempotent([0.0, 0.0, 3.0, 0.0, 0.0]).coeffs == (1, 0, -1, 0, 1)
+                assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs", [(10**400, 0, 0, 0, 0), (0, 0, -(10**309), 0, 0),

@@ -331,10 +331,12 @@ def test_literal_gamma_sum_reads_no_choice_class(monkeypatch):
 
 
 def test_literal_gamma_sum_makes_no_transform(monkeypatch):
-    def no_transform(y):
+    def no_transform(*args):
         raise AssertionError("the literal Gamma sum check ran a sine transform")
 
+    # neither kernel: the FFT above K0, the direct sums up to it
     monkeypatch.setattr(fusion_ring, "_sine_transform", no_transform)
+    monkeypatch.setattr(fusion_ring, "_direct_sine_transform", no_transform)
     _clear_quantization_caches()
     try:
         result = check_literal_gamma_sum(12, 4, 1)

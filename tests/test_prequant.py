@@ -288,6 +288,17 @@ class TestGammaEnumeration:
         with pytest.raises(ValueError, match="different groups"):
             GammaElement((0, 0, 1, 1), (), 2) * GammaElement((0, 0), (), 2)
 
+    def test_star_slots_strictly_increase_below_s(self):
+        # A duplicate slot once counted as a third star, so phase_factor read
+        # the three-star sign rule here and gave -1 where the element of
+        # slots (0, 1) gives 1; an unsorted slot list made an unequal twin.
+        good = GammaElement((1, 1), (0, 1), 2)
+        assert phase_factor(4, PrequantChoice((0, 0)), good) == 1
+        for stars in ((0, 0, 1), (1, 0), (0, 2), (-1, 1), (0, 1, 1)):
+            with pytest.raises(ValueError, match="strictly increasing star slots below s"):
+                GammaElement((1, 1), stars, 2)
+        assert GammaElement((0, 0), (), 2).star_slots == ()
+
     def test_invalid_bits_rejected(self):
         surf = SurfaceData(4, 0, (2, 1))
         with pytest.raises(ValueError, match="not a star"):

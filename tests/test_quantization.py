@@ -5,21 +5,24 @@ import pickle
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde import prequant, quantization
+from verlinde import fusion_ring, prequant, quantization
 from verlinde.fusion_ring import (
     FusionElement,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
     _add_star_idempotent,
+    _direct_sine_transform,
     _round_coefficients,
     _s_rows,
     _sine_coefficients,
@@ -340,7 +343,7 @@ def test_precision_bound_below_half_on_every_sweep_class():
             if not k % 2:
                 values[k // 2] = quantization._half_value(surf, a, d) / size
             direct, direct_bound = _sine_coefficients(values, _s_rows(k, ())[0])
-            assert np.abs(coeffs - direct).max() <= bound + direct_bound
+            assert np.abs(np.subtract(coeffs, direct)).max() <= bound + direct_bound
             classes += 1
     assert classes == 3276
 
@@ -642,6 +645,24 @@ def _clear_quantization_caches():
     for obj in vars(quantization).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
+
+
+# K0 values that send every level the tests reach to one kernel: the direct
+# sums in plain Python, or numpy's FFT
+KERNEL_K0 = {"direct": 10**6, "fft": -1}
+
+
+@contextmanager
+def _kernel(monkeypatch, kernel):
+    """Every level on ``kernel`` (a key of KERNEL_K0), with the quantization
+    caches cleared on entry and on exit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion_ring, "K0", KERNEL_K0[kernel])
+        _clear_quantization_caches()
+        try:
+            yield patch
+        finally:
+            _clear_quantization_caches()
 
 
 def _choice_class(surf, choice):
@@ -1082,56 +1103,58 @@ def _folded_classes(surf):
 
 def _transformed_identity_term(surf):
     """The raw coefficients and bound the S-matrix path would keep for a
-    surface it refuses: its identity term, from the rows of ``s_matrix``
-    (bit-identical to the path's own), l = k/2 left out, with the bound of
-    ``_sine_coefficients``, which transforms no refused vector: the
-    transform is made here, as that function would make it."""
-    k, smat = surf.level, s_matrix(surf.level)
-    identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots
-    identity /= surf.gamma_size()
-    if not k % 2:
-        identity[k // 2] = 0.0
-    weights = _s_rows(k, ())[0]
+    surface it refuses: its identity term, l = k/2 left out
+    (``quantization._identity_terms``, the path's own values), with the
+    bound of ``_sine_coefficients``, which transforms no refused vector: the
+    transform is made here, in the kernel of the level, as that function
+    would make it."""
+    k = surf.level
+    weights, identity, _ = quantization._identity_terms(surf)
     coeffs, bound = _sine_coefficients(identity, weights, quantization._value_error(surf))
     assert coeffs is None and not bound < 0.5
+    scale = 2.0 / (k + 2)
+    if fusion_ring._direct(k):
+        x = list(map(mul, identity, weights))
+        return tuple(c * scale for c in _direct_sine_transform(x, weights)), bound
     with np.errstate(all="ignore"):  # values past double range: the bound is inf or nan
-        coeffs = _sine_transform(identity * weights) * (2.0 / (k + 2))
-    return coeffs, bound
+        return _sine_transform(identity * weights) * scale, bound
 
 
-def test_whole_sum_bound_covers_the_real_error_on_every_class():
+def test_whole_sum_bound_covers_the_real_error_on_every_class(monkeypatch):
     # Every class of the sweep box and of the high_level and big_gamma
-    # surfaces: each raw coefficient is within the bound of the closed
-    # form's, exactly, and so rounds to it unless the bound reaches 1/2, so
-    # none raises NonIntegralCoefficient.  The real error stays below 5 % of
-    # the bound; the test below moves the entries within their error.  A
-    # surface whose bound reaches 1/2 keeps no coefficients, so its classes
-    # are transformed here, and must come out with the same bound, to be
-    # checked too.
+    # surfaces, on each kernel at every level: each raw coefficient is
+    # within the bound of the closed form's, exactly, and so rounds to it
+    # unless the bound reaches 1/2, so none raises NonIntegralCoefficient.
+    # The real error stays below 5 % of the bound; the test below moves the
+    # entries within their error.  A surface whose bound reaches 1/2 keeps
+    # no coefficients, so its classes are transformed here, and must come
+    # out with the same bound, to be checked too.
     surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
-    classes, exhausted, refused = 0, 0, 0
-    for surf in surfaces:
-        k = surf.level
-        for a, d in _folded_classes(surf):
-            coeffs, bound = _fs_class_coefficients(surf, a, d)
-            if coeffs is None:
-                assert not bound < 0.5
-                coeffs, again = _transformed_identity_term(surf)
-                if not k % 2:
-                    coeffs, again = _add_star_idempotent(
-                        k, coeffs, again, quantization._half_float(surf, a, d))
-                assert again == bound
-                refused += 1
-            closed = quantization._closed_form_element(surf, a, d).coeffs
-            error = max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed))
-            assert error <= bound, (surf, a, d, float(error), bound)
-            try:
-                assert _round_coefficients(k, coeffs, bound).coeffs == closed
-            except PrecisionExhausted:
-                exhausted += 1
-            classes += 1
-    # the refused classes are among the exhausted ones, checked too
-    assert classes > 3276 and exhausted >= refused > 0
+    for kernel in KERNEL_K0:
+        classes, exhausted, refused = 0, 0, 0
+        with _kernel(monkeypatch, kernel):
+            for surf in surfaces:
+                k = surf.level
+                for a, d in _folded_classes(surf):
+                    coeffs, bound = _fs_class_coefficients(surf, a, d)
+                    if coeffs is None:
+                        assert not bound < 0.5
+                        coeffs, again = _transformed_identity_term(surf)
+                        if not k % 2:
+                            coeffs, again = _add_star_idempotent(
+                                k, coeffs, again, quantization._half_float(surf, a, d))
+                        assert again == bound
+                        refused += 1
+                    closed = quantization._closed_form_element(surf, a, d).coeffs
+                    error = max(abs(Fraction(c) - e) for c, e in zip(map(float, coeffs), closed))
+                    assert error <= bound, (kernel, surf, a, d, float(error), bound)
+                    try:
+                        assert _round_coefficients(k, coeffs, bound).coeffs == closed
+                    except PrecisionExhausted:
+                        exhausted += 1
+                    classes += 1
+        # the refused classes are among the exhausted ones, checked too
+        assert classes > 3276 and exhausted >= refused > 0, kernel
 
 
 @pytest.mark.parametrize("surf", [SurfaceData(4, 0, (2,) * 100), SurfaceData(4, 0, (2,) * 300)],
@@ -1142,21 +1165,64 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     # the label rows up and S[0, l] down, could be the computed ones: every
     # identity-term value then grows by 2 (s + n) u, and a coefficient whose
     # terms share a sign by 2 (s + n) u (2/N) sum |x_l|.  The bound covers
-    # that; the transform's own bound alone falls short of it here.
-    rows_of, up, down = quantization._s_rows, 1 + 2.0 ** -52, 1 - 2.0 ** -52
+    # that, on each kernel; the transform's own bound alone falls short of
+    # it here.
+    up, down = 1 + 2.0 ** -52, 1 - 2.0 ** -52
 
-    def moved(k, labels):
-        weights, rows = rows_of(k, labels)
-        return weights, rows * np.array([down] + [up] * len(labels))[:, None]
+    def moved(rows_of):
+        def builder(k, labels):
+            weights, rows = rows_of(k, labels)
+            shifted = np.asarray(rows) * np.array([down] + [up] * len(labels))[:, None]
+            return weights, shifted.tolist() if isinstance(rows, list) else shifted
+        return builder
 
-    monkeypatch.setattr(quantization, "_s_rows", moved)
-    quantization._fs_gamma_data.cache_clear()
-    try:
-        coeffs, bound = _fs_class_coefficients(surf, 0, 0)
-    finally:
-        quantization._fs_gamma_data.cache_clear()
     closed = quantization._closed_form_element(surf, 0, 0).coeffs
-    assert max(abs(Fraction(c) - e) for c, e in zip(coeffs.tolist(), closed)) <= bound < 0.5
+    for kernel, builder in (("direct", "_s_rows_direct"), ("fft", "_s_rows")):
+        with _kernel(monkeypatch, kernel) as patch:
+            patch.setattr(quantization, builder, moved(getattr(quantization, builder)))
+            coeffs, bound = _fs_class_coefficients(surf, 0, 0)
+        assert max(abs(Fraction(c) - e) for c, e in zip(map(float, coeffs), closed)) \
+            <= bound < 0.5, kernel
+
+
+def _float_path_outcomes(surfaces):
+    """fs's element and the reduced value of one request per fine class of
+    each surface, or the class of the exception each raised."""
+    out = []
+    for surf in surfaces:
+        for _, choice in _class_choices(surf):
+            for path in (fs_formula, reduced_quantization):
+                try:
+                    got = path(surf, choice)
+                except ArithmeticError as exc:
+                    got = type(exc)
+                out.append(got.element if isinstance(got, QuantizationResult) else got)
+    return out
+
+
+def test_both_kernels_agree_at_the_crossover(monkeypatch):
+    # Each level on each side of K0 on each kernel: the same rounded
+    # elements and reduced values, and the same refusals.  The surfaces are
+    # the sweep box's at k = K0 and K0 + 1, and some whose values leave
+    # double range (a power of S[0, l] underflows to 0.0, which plain Python
+    # divides by with an exception and numpy without) or pass 2^53.
+    k0 = fusion_ring.K0
+    surfaces = [s for s in sweep_surfaces(k0 + 1, 5, 2) if s.level >= k0]
+    for k in (k0, k0 + 1):
+        star = (k // 2,) if k % 4 == 0 else (1,)
+        surfaces += [SurfaceData(k, 0, star * 600), SurfaceData(k, 0, (1,) * 2000),
+                     SurfaceData(k, 0, (1,) * 60), SurfaceData(k, 0, (3,) * 700)]
+        if k % 2 == 0:
+            surfaces += [SurfaceData(k, 300, ()), SurfaceData(k, 2, star * 20)]
+    outcomes = {}
+    for kernel in KERNEL_K0:
+        with _kernel(monkeypatch, kernel):
+            outcomes[kernel] = {k: _float_path_outcomes([s for s in surfaces if s.level == k])
+                                for k in (k0, k0 + 1)}
+    assert outcomes["direct"] == outcomes["fft"]
+    for k, got in outcomes["fft"].items():
+        kinds = Counter(x if isinstance(x, type) else int for x in got)
+        assert kinds[int] >= 16 and kinds[PrecisionExhausted] >= 8 and len(kinds) == 2, (k, kinds)
 
 
 def test_a_disagreement_past_the_bound_is_not_a_precision_limit(monkeypatch):
