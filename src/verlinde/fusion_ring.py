@@ -52,21 +52,25 @@ the exact path, never the authority.
 
 Both basis changes are one type-I discrete sine transform (DST-I) of
 length k+1, computed as the real FFT of its odd extension, built in one
-array: O(k log k) time and O(k) memory, with no S-matrix formed.  One
+array: O(k log k) time and O(k) memory, with no S-matrix formed.  Every
+S-matrix row is read from one table per level of sin(e pi/N),
+e = 0..2N-1, each entry folded by ``_fold_angle``, whose period in e is
+2N: entry (m+1)(l+1) mod 2N is the sine of that product, bit for bit.  One
 builder forms S-matrix arrays, ``_s_rows``: the rows of 0 and of given
-labels in one fold-and-sine pass, with that pass's row 0 before the
-division by sqrt(k/2+1), the transform's weights.  ``s_matrix`` is its case
-of every label; the transforms, the S-matrix path of ``quantization`` (once
-per surface, not once per request) and the oracles form only the rows they
-read, and ``s_matrix_entry`` computes its one entry.  Up to level ``K0``
-the S-matrix path and ``from_idempotent`` take plain-Python kernels
-instead, which are faster there than numpy's: rows as lists read from one
-table of 2(k+2) sines (``_s_rows_direct``), the transform as k+1 direct
-sums (``_direct_sine_transform``), and rounding coefficient by
-coefficient.  numpy, with ``numpy.fft``, is imported on first need
-(``_numpy``), so a closed-path request, or an S-matrix one up to ``K0``,
-never loads it.  No table of sines or S-matrix rows is cached, and none
-of the package's 15 lru caches holds one.
+labels gathered from the table in one pass, with that pass's row 0 before
+the division by sqrt(k/2+1), the transform's weights.  ``s_matrix`` is its
+case of every label; the transforms, the S-matrix path of ``quantization``
+(once per surface, not once per request) and the oracles form only the
+rows they read, and ``s_matrix_entry`` computes its one entry.  Up to level
+``K0`` the S-matrix path and ``from_idempotent`` take plain-Python kernels
+instead, which are faster there than numpy's: rows as tuples sliced from
+the table (``_s_rows_direct``), the transform as k+1 direct sums
+(``_direct_sine_transform``), and rounding coefficient by coefficient.
+Those levels' tables are cached: ``_level_rows`` keeps each level's
+S-matrix rows and sine-transform rows, one of the package's 15 lru caches
+and the only one that holds sines.  numpy, with ``numpy.fft``, is imported
+on first need (``_numpy``), so a closed-path request, or an S-matrix one up
+to ``K0``, never loads it.
 The transform to tau-coefficients, ``_sine_coefficients``, bounds the
 rounding error of its own arithmetic a priori (the FFT bound of Higham,
 *Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
@@ -120,18 +124,25 @@ DEFAULT_TOLERANCE = 1e-6
 # on IEEE doubles never see it silently truncated.
 _EXACT_INTEGER_BOUND = 2**53
 
-# The highest level whose float S-matrix path (fs and reduced) runs in plain
-# Python: S-matrix rows read from one table of 2(k+2) sines
-# (``_s_rows_direct``), the sine transform as a direct sum
+# The highest level whose float S-matrix path (fs and reduced) and
+# ``from_idempotent`` run in plain Python: S-matrix rows sliced from one
+# table of 2(k+2) sines, cached per level (``_s_rows_direct``,
+# ``_level_rows``), the sine transform as direct sums
 # (``_direct_sine_transform``), rounding coefficient by coefficient.  Above
-# it, numpy rows and numpy's FFT.  K0 is the measured crossover of the
-# per-surface cost with numpy already loaded: over the folded surfaces of
-# the sweep box at each level (set-up, transform and one class rounded,
-# medians of 15 alternating rounds, 2-core x86-64, Python 3.11.7, numpy
-# 2.4.6) these kernels took 47-104 us at k = 4-16 against numpy's
-# 87-118 us (104 against 115 us at k = 16), and lost from k = 19 (118
-# against 113 us at k = 20; 95 against 93 us at k = 17).
-K0 = 16
+# it, numpy rows and numpy's FFT.  K0 is the measured crossover of the cold
+# per-surface cost.  Method: a fresh interpreter per level and kernel, with
+# numpy and numpy.fft loaded and both kernels warmed at k = 4, as the
+# benchmark's workers and ``verify`` run, visits each fold-free sweep
+# surface of the level (labels from {1, k/2}, r <= 5, h <= 2) once and times
+# fs and reduced on its first choice; three sets of 11, 21 and 15
+# alternating rounds, 2-core x86-64, Python 3.11.7, numpy 2.4.6.  At even
+# levels (18 or 36 surfaces) plain Python won in every set through k = 26
+# (82-140 us against 106-165 us at k = 20-26), won 7 of 11 and 16 of 21
+# rounds at k = 28, was mixed at k = 30 and lost from k = 32.  At odd
+# levels (2 surfaces, so building the table is most of the cost) it tied
+# at k = 21-25 and lost at k = 27 and 29 (228-237 against 185-203 us).  So
+# the criterion-4 box (k <= 20) runs with no numpy at all.
+K0 = 26
 
 
 def _direct(k: int) -> bool:
@@ -142,10 +153,10 @@ def _direct(k: int) -> bool:
 
 def _numpy():
     """numpy, with numpy.fft, imported on first need: by a transform above
-    K0, the S-matrix arrays (``s_matrix``, ``s_matrix_entry``, ``_s_rows``)
-    and the idempotent basis changes (``oracles`` imports it itself).  A
-    request that needs none of them, a closed-path one or an S-matrix one up
-    to K0, never loads numpy."""
+    K0, the S-matrix arrays (``s_matrix``, ``s_matrix_entry``, ``_s_rows``),
+    ``to_idempotent`` and ``from_idempotent`` on an array or above K0
+    (``oracles`` imports it itself).  A request that needs none of them, a
+    closed-path one or an S-matrix one up to K0, never loads numpy."""
     import numpy
     import numpy.fft
     return numpy
@@ -310,44 +321,67 @@ def _s_entries(k: int, sines: np.ndarray) -> np.ndarray:
 def _s_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The sines sin((l+1) pi/(k+2)), l = 0..k, the sine transform's
     weights, and the S-matrix rows of 0 and of each label, a new read-only
-    array: one ``_sin_pi`` pass over the (s+1) x (k+1) products (m+1)(l+1)
-    and one division by sqrt(k/2+1) (``_s_entries``), the weights being that
-    pass's row 0.  The one row builder: ``s_matrix`` is its case of every
-    label, and every other reader forms only the rows it uses; up to K0 the
-    S-matrix path reads ``_s_rows_direct`` instead."""
+    array: the level's table of sin(e pi/N), e = 0..2N-1, N = k+2, one
+    ``_sin_pi`` pass, gathered at the (s+1) x (k+1) products (m+1)(l+1)
+    mod 2N, and one division by sqrt(k/2+1) (``_s_entries``), the weights
+    being the gather's row 0.  ``_fold_angle`` has period 2N in e, so each
+    gathered sine is the one ``_sin_pi`` gives the product itself, bit for
+    bit.  The one row builder: ``s_matrix`` is its case of every label, and
+    every other reader forms only the rows it uses; up to K0 the S-matrix
+    path reads ``_s_rows_direct`` instead."""
     np = _numpy()
-    sines = _sin_pi(k + 2, np.outer(np.array((0, *labels)) + 1, np.arange(1, k + 2)))
+    n = k + 2
+    table = _sin_pi(n, np.arange(2 * n))
+    sines = table[np.outer(np.array((0, *labels)) + 1, np.arange(1, n)) % (2 * n)]
     return sines[0], _s_entries(k, sines)
 
 
-def _sine_rows(weights: Sequence[float], ps: Sequence[int]) -> list[list[float]]:
-    """For each p in ``ps``, 1 <= p < N, the row sin(p j pi/N), j = 1..N-1,
-    N = len(weights) + 1, from the weights sin(e pi/N), e = 1..N-1, as
-    ``_sin_pi`` or ``_s_rows_direct`` computes them.  ``_fold_angle`` gives
-    e and N the angle 0, and e + N the negated angle of e; the sine is odd,
-    so the table of the weights, 0 and their negations holds sin(e pi/N)
-    for e = 0..2N-1 bit for bit as that rule gives it.  Entry p j mod 2N of
-    it is entry p j of the table repeated max(ps) times, so each row is one
-    slice of that list, copied in C: O(N max(ps)) pointers, O(N^2) at most."""
-    n = len(weights) + 1
-    repeated = [0.0, *weights, 0.0, *map(neg, weights)] * max(ps)
-    return [repeated[p:p * n:p] for p in ps]
+# The levels whose plain-Python rows ``_level_rows`` keeps: 0..K0 as
+# shipped, fixed here, so that a K0 raised at run time (the tests send every
+# level to one kernel so) caches no O(k^2) rows past these levels.
+_CACHED_LEVELS = K0 + 1
 
 
-def _s_rows_direct(k: int, labels: Sequence[int]) -> tuple[list[float], list[list[float]]]:
-    """``_s_rows`` in plain Python, the S-matrix path's rows up to K0: the
-    weights sin((l+1) pi/(k+2)), l = 0..k, each by math.sin of its angle
-    folded by ``_fold_angle``, and the rows of 0 and of each label, entry
-    (m+1)(l+1) mod 2(k+2) of the weights' table (``_sine_rows``) over
-    sqrt(k/2+1).  One
-    division of one folded sine, as in ``_s_entries``: the same bound of
-    6.36u relative, exactly 0.0 where k+2 divides (m+1)(l+1), and the row of
-    k the row of 0 times (-1)^l, bit for bit."""
+# One per level up to K0: every surface of a level reads the same rows, and
+# forming them was most of each surface's first request on the S-matrix
+# path.  An entry holds (k+1)^2 new floats and (k+1)^2 pointers to the
+# table's, in tuples, about 44 (k+1)^2 bytes: 305 kB for levels 0..26,
+# measured with tracemalloc.
+@lru_cache(maxsize=_CACHED_LEVELS)
+def _level_rows(k: int) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """The plain-Python kernels' rows at level k, N = k+2: the sine rows
+    sin(p j pi/N), j = 1..N-1, for p = 1..N-1, which are the sine
+    transform's rows (``_direct_sine_transform``) and, at p = 1, its
+    weights; and the S-matrix rows m = 0..k, the sine rows p = m+1 over
+    sqrt(k/2+1).  Each is read from one table of sin(e pi/N),
+    e = 0..2N-1, each entry math.sin of its angle folded by ``_fold_angle``:
+    as that rule has period 2N in e, entry p j mod 2N is the sine of p j
+    folded, bit for bit, and it is entry p j of the table repeated N-1
+    times, so each row is one slice of that list, copied in C.  Callers read
+    it through ``_direct_rows``."""
     n, half_step = k + 2, math.pi / (2 * (k + 2))
-    weights = [math.sin(_fold_angle(n, e) * half_step) for e in range(1, n)]
+    repeated = [math.sin(_fold_angle(n, e) * half_step) for e in range(2 * n)] * (n - 1)
+    sines = tuple(tuple(repeated[p:p * n:p]) for p in range(1, n))
     root = math.sqrt(k / 2 + 1)
-    return weights, [list(map(truediv, row, repeat(root)))
-                     for row in _sine_rows(weights, [m + 1 for m in (0, *labels)])]
+    return sines, tuple(tuple(map(truediv, row, repeat(root))) for row in sines)
+
+
+def _direct_rows(k: int) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """``_level_rows(k)``, from the cache up to K0 as shipped, built afresh
+    above it."""
+    return _level_rows(k) if k < _CACHED_LEVELS else _level_rows.__wrapped__(k)
+
+
+def _s_rows_direct(k: int, labels: Sequence[int]) -> tuple[tuple[float, ...],
+                                                           list[tuple[float, ...]]]:
+    """``_s_rows`` in plain Python, the S-matrix path's rows up to K0: the
+    weights sin((l+1) pi/(k+2)), l = 0..k, and the rows of 0 and of each
+    label, read from the level's rows (``_direct_rows``).  One division of
+    one folded sine, as in ``_s_entries``: the same bound of 6.36u relative,
+    exactly 0.0 where k+2 divides (m+1)(l+1), and the row of k the row of 0
+    times (-1)^l, bit for bit."""
+    sines, rows = _direct_rows(k)
+    return sines[0], [rows[m] for m in (0, *labels)]
 
 
 def s_matrix(k: int) -> np.ndarray:
@@ -836,11 +870,11 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _direct_sine_transform(x: Sequence[float], weights: Sequence[float]) -> list[float]:
+def _direct_sine_transform(x: Sequence[float]) -> list[float]:
     """The DST-I of ``_sine_transform`` as k + 1 direct sums, the kernel up
-    to K0: sum_j x_j sin((i+1)(j+1) pi/N), each sum exactly rounded
-    (math.fsum) over its products with the sines of the weights' table
-    (``_sine_rows``); O(k^2) steps, iterated in C.
+    to K0: sum_j x_j sin((i+1)(j+1) pi/N), k = len(x) - 1, each sum exactly
+    rounded (math.fsum) over its products with the level's sine rows
+    (``_direct_rows``); O(k^2) steps, iterated in C.
 
     The FFT's bound formula in ``_sine_coefficients`` covers it.  Each sine
     is within 4.36u of its value (the folded angle and one ulp,
@@ -849,14 +883,14 @@ def _direct_sine_transform(x: Sequence[float], weights: Sequence[float]) -> list
     second-order terms aside, where the formula allows
     _fft_error(2N) sqrt(N) ||x||_2, and _fft_error(2N) >= 96u at every
     N >= 2.  The weighting and the scaling are the FFT's, bounded alike."""
-    return [math.fsum(map(mul, x, row)) for row in _sine_rows(weights, range(1, len(weights) + 1))]
+    return [math.fsum(map(mul, x, row)) for row in _direct_rows(len(x) - 1)[0]]
 
 
 def _sine_coefficients(values: Sequence[float], weights: Sequence[float],
                        error: float = 0.0) -> tuple[Sequence[float] | None, float]:
     """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the values v at
     t_0..t_k, c = (2/N) DST-I(x), N = k+2, of the weighted values
-    x_l = sin((l+1) pi/N) v_l, given their weights (the first list of
+    x_l = sin((l+1) pi/N) v_l, given their weights (the first tuple of
     ``_s_rows_direct`` or array of ``_s_rows``); and an a priori bound on
     their error, formed from x first: when it is not below 1/2 no transform
     runs and the coefficients are None, as they would be refused for it.
@@ -891,7 +925,7 @@ def _sine_coefficients(values: Sequence[float], weights: Sequence[float],
     if not bound < 0.5:
         return None, bound
     if direct:
-        return tuple(c * scale for c in _direct_sine_transform(x, weights)), bound
+        return tuple(c * scale for c in _direct_sine_transform(x)), bound
     coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
     return coeffs, bound
@@ -1006,10 +1040,18 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
     an integer than both that bound and DEFAULT_TOLERANCE allow; the latter
     signals an inconsistent vector (or a wrong phase factor upstream), not a
     numerical hiccup.
+
+    A list or tuple of Python numbers is read as it is, so up to K0 no
+    numpy is loaded; anything else, an array included, is read by numpy.
     """
-    np = _numpy()
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or not len(v):
-        raise ValueError(f"need a non-empty 1-D vector of values, got shape {v.shape}")
-    k = len(v) - 1
-    return _round_coefficients(k, *_sine_coefficients(v, _s_rows(k, ())[0]))
+    if not (isinstance(values, (list, tuple))
+            and all(isinstance(v, (int, float)) for v in values)):
+        np = _numpy()
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError(f"need a non-empty 1-D vector of values, got shape {values.shape}")
+    if not len(values):
+        raise ValueError("need a non-empty 1-D vector of values, got shape (0,)")
+    k = len(values) - 1
+    weights = _s_rows_direct(k, ())[0] if _direct(k) else _s_rows(k, ())[0]
+    return _round_coefficients(k, *_sine_coefficients(values, weights))

@@ -20,12 +20,12 @@ Three mutually cross-checking routes are implemented:
   the identity term, in floating point; at l = k/2 the sum factors over
   the blocks into the closed form's exact value ``_half_value``, rounded
   once.  Back to the tau basis by one sine transform per surface: up to
-  ``fusion_ring.K0`` in plain Python, S-matrix rows as lists and the
-  transform as direct sums, with no numpy; above it numpy rows and numpy's
-  FFT.  Both are rounded against the same whole-sum bound.  The final
-  integrality rounding checks the float part; the literal Gamma sum, in
-  integers (``oracles.check_literal_gamma_sum``), checks the value at
-  t_{k/2}.
+  ``fusion_ring.K0`` in plain Python, S-matrix rows as tuples cached per
+  level and the transform as direct sums, with no numpy; above it numpy
+  rows and numpy's FFT.  Both are rounded against the same whole-sum
+  bound.  The final integrality rounding checks the float part; the
+  literal Gamma sum, in integers (``oracles.check_literal_gamma_sum``),
+  checks the value at t_{k/2}.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
   block at a special point, ``_half_value`` at t_{k/2}.
 
@@ -508,12 +508,12 @@ def _identity_terms(surface: SurfaceData) -> tuple[Sequence[float], Sequence[flo
     prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| and the reduced terms
     prod_j S[m_j, l] / S[0, l]^(s+2h-2) at l = 0..k, both 0 at l = k/2
     (k even), where the class's value is ``_half_value``.  The level selects
-    the kernel.  Up to K0 the rows are lists (``fusion_ring._s_rows_direct``)
-    and a division by a power that underflowed to 0 raises in Python where
-    numpy gives inf or nan: the identity term is then inf throughout, which
-    the transform's bound refuses, and the reduced terms nan, whose sum
-    rounding refuses, so both kernels raise PrecisionExhausted on the same
-    surfaces.  Above K0 the rows are numpy arrays (``fusion_ring._s_rows``),
+    the kernel.  Up to K0 the rows are the level's cached tuples
+    (``fusion_ring._s_rows_direct``) and a division by a power that
+    underflowed to 0 raises in Python where numpy gives inf or nan: the
+    identity term is then inf throughout, which the transform's bound
+    refuses, and the reduced terms nan, whose sum rounding refuses, so both
+    kernels raise PrecisionExhausted on the same surfaces.  Above K0 the rows are numpy arrays (``fusion_ring._s_rows``),
     a value out of double range becomes inf or nan without a warning, and
     the identity term stays an array for the FFT.  The reduced terms are a
     list either way."""

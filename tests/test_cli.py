@@ -10,6 +10,7 @@ import pytest
 import verlinde
 from verlinde.cli import main
 from verlinde.fusion_ring import K0, FusionElement
+from verlinde.oracles import sweep_surfaces
 from verlinde.prequant import SurfaceData, enumerate_choices
 
 
@@ -327,6 +328,47 @@ def test_requests_import_numpy_only_on_need(argv, loads):
         f"assert main({argv!r}) == 0\n"
         "print('numpy' in sys.modules)\n")
     assert out.splitlines()[-1] == str(loads)
+
+
+def test_from_idempotent_up_to_k0_loads_no_numpy():
+    # A list or tuple of Python numbers at a level up to K0 is validated and
+    # transformed from the level's rows in plain Python.
+    _run_python(
+        "import sys\n"
+        "from verlinde.fusion_ring import K0, from_idempotent\n"
+        "assert from_idempotent([1.0] * (K0 + 1)).coeffs == (1,) + (0,) * K0\n"
+        "assert from_idempotent((0, 0, 3, 0.0, 0)).coeffs == (1, 0, -1, 0, 1)\n"
+        "try:\n"
+        "    from_idempotent([])\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an empty vector passed')\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n")
+
+
+def test_criterion_4_box_loads_no_numpy():
+    # Every request of the box (k <= 20) on the closed, fs and reduced
+    # paths, as verify and the benchmark's sweep send them, runs with K0 at
+    # least 20: no numpy array, no numpy.fft.  The surfaces are built here,
+    # as the oracles that list them import numpy themselves.
+    assert K0 >= 20
+    surfaces = [(s.level, s.genus, s.labels) for s in sweep_surfaces(20, 5, 2)]
+    out = _run_python(
+        "import sys\n"
+        "from verlinde.prequant import SurfaceData, enumerate_choices\n"
+        "from verlinde.quantization import fs_formula, quantize_surface, reduced_quantization\n"
+        "requests = 0\n"
+        f"for args in {surfaces!r}:\n"
+        "    surf = SurfaceData(*args)\n"
+        "    for choice in enumerate_choices(surf):\n"
+        "        exact = quantize_surface(surf, choice).element\n"
+        "        assert fs_formula(surf, choice).element == exact, (surf, choice)\n"
+        "        assert reduced_quantization(surf, choice) == exact.trace, (surf, choice)\n"
+        "        requests += 1\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n"
+        "print(requests)\n")
+    assert out.split() == ["31324"]
 
 
 def test_setup_request_output_is_unchanged(capsys):

@@ -2,14 +2,18 @@ import json
 import math
 import operator
 import re
+import tracemalloc
+from array import array
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlinde import fusion_ring
 from verlinde.fusion_ring import (
     DEFAULT_TOLERANCE,
+    K0,
     FusionElement,
     InexactDivision,
     NonIntegralCoefficient,
@@ -22,6 +26,7 @@ from verlinde.fusion_ring import (
     _round_coefficients,
     _s_entries,
     _s_rows,
+    _s_rows_direct,
     _sin_pi,
     _sine_coefficients,
     _sine_transform,
@@ -219,6 +224,11 @@ class TestMultiply:
             assert star ** r == repeated
 
 
+def _row_bytes(rows):
+    """The doubles of ``rows``, row after row, as bytes: -0.0 differs from 0.0."""
+    return array("d", [x for row in rows for x in row]).tobytes()
+
+
 class TestSMatrix:
     def test_column_of_unit_row(self):
         assert s_matrix_entry(4, 0, 2) == pytest.approx(3 ** -0.5)
@@ -235,10 +245,29 @@ class TestSMatrix:
             s_matrix_entry(4, 5, 0)
 
     def test_entry_equals_the_matrix_exactly(self):
+        # s_matrix_entry takes the sine of its own product; the matrix gathers
+        # the level's table: every entry up to k = 30, 200 seeded ones above
         for k in range(31):
             smat = s_matrix(k)
             for m, l in product(range(k + 1), repeat=2):
                 assert s_matrix_entry(k, m, l) == smat[m, l], (k, m, l)
+        for k in (124, 1000, 2000):
+            smat = s_matrix(k)
+            for m, l in np.random.default_rng(k).integers(0, k + 1, (200, 2)).tolist():
+                assert s_matrix_entry(k, m, l) == smat[m, l], (k, m, l)
+
+    def test_whole_matrix_peak_memory(self):
+        # The gather holds its index array and the gathered sines at once,
+        # two matrices' worth; the per-product fold held three (96.2 MB at
+        # k = 2000, measured with tracemalloc, which numpy reports to).
+        s_matrix(4)
+        tracemalloc.start()
+        try:
+            smat = s_matrix(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * smat.nbytes + 2**20, peak
 
     def test_matrix_is_read_only(self):
         for k in (0, 1, 6, 33):
@@ -246,13 +275,15 @@ class TestSMatrix:
             assert not mat.flags.writeable
             assert mat.dtype == np.float64 and mat.shape == (k + 1, k + 1)
 
-    @pytest.mark.parametrize("k", [*range(31), 124, 300, 1000])
+    @pytest.mark.parametrize("k", [*range(201), 300, 512, 701, 1000, 1361, 2000])
     def test_one_pass_rows_are_bit_identical_to_the_matrix(self, k):
-        # One builder forms the rows of 0 and of every label in one pass;
-        # with every m as a label that pass holds the whole matrix, row 0
-        # first, and its unscaled row 0 is the transform's weights.  Both
-        # equal, bit for bit, the whole matrix's own outer-product expression
-        # and the sines of the angles (l+1) pi/(k+2) alone.
+        # One builder forms the rows of 0 and of every label in one pass,
+        # gathered from the level's table of 2(k+2) sines; with every m as a
+        # label that pass holds the whole matrix, row 0 first, and its
+        # unscaled row 0 is the transform's weights.  Both equal, byte for
+        # byte (so signed zeros count), the sines of the products
+        # (m+1)(l+1) themselves, folded, and of the angles (l+1) pi/(k+2)
+        # alone, at every level up to 200 and at sampled levels to 2000.
         weights, rows = _s_rows(k, range(k + 1))
         smat = s_matrix(k)
         idx = np.arange(1, k + 2)
@@ -266,6 +297,23 @@ class TestSMatrix:
         weights, rows = _s_rows(k, labels)
         assert rows.tobytes() == smat[[0, *labels]].tobytes()
         assert weights.tobytes() == _sin_pi(k + 2, idx).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, K0 - 1, K0, K0 + 1, 64])
+    def test_direct_rows_are_the_products_own_sines(self, k):
+        # The plain kernel's rows are slices of one table of 2(k+2) sines,
+        # kept per level up to K0: read from the cache or built afresh, they
+        # are, byte for byte, math.sin of each product (m+1)(l+1) folded,
+        # over sqrt(k/2+1), and the sine rows p = 1..k+1 the unscaled ones.
+        n, half_step, root = k + 2, math.pi / (2 * (k + 2)), math.sqrt(k / 2 + 1)
+        own = [[math.sin(_fold_angle(n, p * j) * half_step) for j in range(1, n)]
+               for p in range(1, n)]
+        sines, rows = fusion_ring._level_rows.__wrapped__(k)
+        weights, read = _s_rows_direct(k, range(k + 1))
+        assert _row_bytes(sines) == _row_bytes(own) and weights == sines[0]
+        assert _row_bytes(rows) == _row_bytes([[x / root for x in row] for row in own])
+        assert _row_bytes(read) == _row_bytes([rows[0], *rows])
+        if k <= K0:  # the cached rows themselves, not a copy
+            assert read[1] is _s_rows_direct(k, (0,))[1][1] is fusion_ring._direct_rows(k)[1][0]
 
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
@@ -392,7 +440,6 @@ class TestIdempotentBasis:
         # The bound is formed from the weighted values before any transform,
         # on either kernel: a vector it refuses is not transformed, and its
         # message is the one it had when every vector was transformed first.
-        from verlinde import fusion_ring
         fft, direct = fusion_ring._sine_transform, fusion_ring._direct_sine_transform
         for k0 in (fusion_ring.K0, -1):  # these levels on the direct sums, then on the FFT
             calls = []
@@ -401,7 +448,7 @@ class TestIdempotentBasis:
                 patch.setattr(fusion_ring, "_sine_transform",
                               lambda y: calls.append(y) or fft(y))
                 patch.setattr(fusion_ring, "_direct_sine_transform",
-                              lambda x, w: calls.append(x) or direct(x, w))
+                              lambda x: calls.append(x) or direct(x))
                 with pytest.raises(PrecisionExhausted, match=(
                         f"^the tau-coefficients at level {len(values) - 1} have a rounding "
                         f"error bound of {bound}, not below 1/2: double precision cannot "

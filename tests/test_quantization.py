@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,6 +28,7 @@ from verlinde.fusion_ring import (
     _s_rows,
     _sine_coefficients,
     _sine_transform,
+    from_idempotent,
     s_matrix,
 )
 from verlinde.prequant import (
@@ -959,7 +961,7 @@ AUDITED_CACHES = {
     "quantization._closed_form_element", "quantization._fs_gamma_data",
     "quantization._fs_element", "quantization._reduced_value",
     "oracles._literal_table",
-    "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor",
+    "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor", "fusion_ring._level_rows",
 }
 
 
@@ -976,6 +978,34 @@ def test_caches_are_bounded():
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
                 caches.add(f"{obj.__module__.removeprefix('verlinde.')}.{obj.__qualname__}")
     assert caches == AUDITED_CACHES
+
+
+def test_level_rows_are_cached_only_up_to_the_shipped_k0(monkeypatch):
+    # The plain kernel's rows are kept per level up to K0 as shipped, in
+    # 64 (k+1)^2 bytes a level at most (tracemalloc).  With K0 raised, as
+    # KERNEL_K0["direct"] does, a level above the shipped one takes the
+    # plain kernel with rows built afresh, so the tests that send k <= 400
+    # there cache no O(k^2) rows.
+    k0, rows = fusion_ring.K0, fusion_ring._level_rows
+    rows.cache_clear()
+    try:
+        with _kernel(monkeypatch, "direct"):
+            for surf in (*(s for s in sweep_surfaces(k0 + 2, 2, 1) if s.level > k0),
+                         *HIGH_LEVEL_SURFACES[:3]):
+                quantization._fs_gamma_data(surf)
+            from_idempotent([1.0] * (k0 + 3))
+            assert rows.cache_info().currsize == 0
+        tracemalloc.start()
+        try:
+            for k in range(k0 + 1):
+                fusion_ring._direct_rows(k)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows.cache_info().currsize == k0 + 1
+        assert size < 64 * sum((k + 1) ** 2 for k in range(k0 + 1)), size
+    finally:
+        rows.cache_clear()
 
 
 def _class_choices(surf):
@@ -1115,7 +1145,7 @@ def _transformed_identity_term(surf):
     scale = 2.0 / (k + 2)
     if fusion_ring._direct(k):
         x = list(map(mul, identity, weights))
-        return tuple(c * scale for c in _direct_sine_transform(x, weights)), bound
+        return tuple(c * scale for c in _direct_sine_transform(x)), bound
     with np.errstate(all="ignore"):  # values past double range: the bound is inf or nan
         return _sine_transform(identity * weights) * scale, bound
 
