@@ -65,7 +65,7 @@ rows they read, and ``s_matrix_entry`` computes its one entry.  Up to level
 ``K0`` the S-matrix path and ``from_idempotent`` take plain-Python kernels
 instead, which are faster there than numpy's: rows as tuples sliced from
 the table (``_s_rows_direct``), the transform as k+1 direct sums
-(``_direct_sine_transform``), and rounding coefficient by coefficient.
+(``_direct_sine_transform``).
 Those levels' tables are cached: ``_level_rows`` keeps each level's
 S-matrix rows and sine-transform rows, one of the package's 15 lru caches
 and the only one that holds sines.  numpy, with ``numpy.fft``, is imported
@@ -128,7 +128,7 @@ _EXACT_INTEGER_BOUND = 2**53
 # ``from_idempotent`` run in plain Python: S-matrix rows sliced from one
 # table of 2(k+2) sines, cached per level (``_s_rows_direct``,
 # ``_level_rows``), the sine transform as direct sums
-# (``_direct_sine_transform``), rounding coefficient by coefficient.  Above
+# (``_direct_sine_transform``).  Above
 # it, numpy rows and numpy's FFT.  K0 is the measured crossover of the cold
 # per-surface cost.  Method: a fresh interpreter per level and kernel, with
 # numpy and numpy.fft loaded and both kernels warmed at k = 4, as the
@@ -973,41 +973,37 @@ def _round_coefficients(k: int, coeffs: Sequence[float] | None, bound: float) ->
     1/2; one further from every integer than the bound cannot be, so it
     signals a real disagreement (a wrong phase), never a precision limit.
     The allowance is never below ``round_to_integer``'s, so with bound 0
-    this is that rule.  No allowance is below max(bound, DEFAULT_TOLERANCE),
-    so a coefficient within that of its integer passes at once, and only
-    one that is not is tested against its own allowance: up to K0 one
-    coefficient at a time, in plain Python, above it the whole array at
-    once, in numpy.  The first coefficient that fails raises
+    this is that rule.  It is written once, as a loop over the coefficients
+    in plain Python; the first coefficient that fails raises
     NonIntegralCoefficient (PrecisionExhausted if it is not finite or not
-    below 2^53), naming its deviation, its allowance and the bound.
+    below 2^53), naming its deviation, its allowance and the bound.  No
+    allowance is below max(bound, DEFAULT_TOLERANCE), so above K0 numpy
+    first accepts, in one pass, a whole array within that of its nearest
+    integers and below 2^53; a correct answer always passes, its deviation
+    being at most the bound, so the loop reads an array only to raise.
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
     lenient = max(bound, DEFAULT_TOLERANCE)
-    if _direct(k):
-        out = []
-        for m, c in enumerate(coeffs):
-            nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
-            if nearest is None or abs(c - nearest) > lenient:
-                allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(c)), 0.499), bound)
-                nearest = _checked_round(float(c), allowed, bound, NonIntegralCoefficient,
-                                         f"tau_{m} coefficient")
-            out.append(nearest)
-        return FusionElement._trusted(k, tuple(out))
-    np = _numpy()
-    nearest = np.rint(coeffs)
-    deviation, magnitude = np.abs(coeffs - nearest), np.abs(coeffs)
-    if not (deviation.max() <= lenient and magnitude.max() < _EXACT_INTEGER_BOUND):
-        allowed = np.maximum(np.minimum(DEFAULT_TOLERANCE * (1.0 + magnitude), 0.499), bound)
-        passes = (deviation <= allowed) & (magnitude < _EXACT_INTEGER_BOUND)
-        if not passes.all():
-            m = int(passes.argmin())
-            _checked_round(float(coeffs[m]), float(allowed[m]), bound,
-                           NonIntegralCoefficient, f"tau_{m} coefficient")
-    # every coefficient is below 2^53 now, so int64 holds it exactly
-    return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
+    if not _direct(k):
+        np = _numpy()
+        nearest = np.rint(coeffs)
+        if (np.abs(coeffs - nearest).max() <= lenient
+                and np.abs(coeffs).max() < _EXACT_INTEGER_BOUND):
+            # every coefficient is below 2^53, so int64 holds it exactly
+            return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
+        coeffs = coeffs.tolist()
+    out = []
+    for m, c in enumerate(coeffs):
+        nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
+        if nearest is None or abs(c - nearest) > lenient:
+            allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(c)), 0.499), bound)
+            nearest = _checked_round(float(c), allowed, bound, NonIntegralCoefficient,
+                                     f"tau_{m} coefficient")
+        out.append(nearest)
+    return FusionElement._trusted(k, tuple(out))
 
 
 def to_idempotent(a: FusionElement) -> np.ndarray:

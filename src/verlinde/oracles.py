@@ -31,11 +31,11 @@ from .fusion_ring import (
     _check_int,
     _check_level,
     _fold,
+    _fold_angle,
     _round_coefficients,
     _s_rows,
     round_to_integer,
     s_matrix,
-    s_matrix_entry,
 )
 from .prequant import (
     GammaElement,
@@ -238,15 +238,17 @@ def _literal_table(surface: SurfaceData) -> tuple[tuple[GammaElement, ...], tupl
     """``enumerate_gamma(surface, cap=2**9)`` as a tuple (GroupTooLarge above
     2^9 is not cached) and, at even k, the literal Gamma sum's phase-free
     terms at t_{k/2}, one int per gamma: prod_{j: gamma_j = e} S[m_j, k/2] /
-    S[0, k/2]^(s+2h).  Angles are reduced in integers, so S[m, k/2] /
-    S[0, k/2] is exactly -1.0, 0.0 or 1.0, and S[0, k/2]^-2 = k/2+1: a term
-    is its signs times (k/2+1)^(w/2+h), gamma having star weight w.  At odd
-    k, Gamma = {e}, there is no t_{k/2} and there are no terms."""
+    S[0, k/2]^(s+2h).  S[m, k/2] / S[0, k/2] = sin((m+1) pi/2), read in
+    integers: the angle (m+1) N/2 of sin(e pi/N), N = k+2, folds
+    (``fusion_ring._fold_angle``) to -N, 0 or N half steps, so the sign is
+    that over N.  With S[0, k/2]^-2 = k/2+1, a term is its signs times
+    (k/2+1)^(w/2+h), gamma having star weight w.  At odd k, Gamma = {e},
+    there is no t_{k/2} and there are no terms."""
     gammas, k = tuple(enumerate_gamma(surface, cap=2**9)), surface.level
     if k % 2:
         return gammas, ()
-    unit = s_matrix_entry(k, 0, k // 2)
-    signs = [int(s_matrix_entry(k, m, k // 2) / unit) for m in surface.labels]
+    n = k + 2
+    signs = [_fold_angle(n, (m + 1) * n // 2) // n for m in surface.labels]
     return gammas, tuple(math.prod(sign for sign, c in zip(signs, g.bits) if not c)
                          * (k // 2 + 1) ** (g.star_weight // 2 + surface.genus) for g in gammas)
 

@@ -22,7 +22,8 @@ Three mutually cross-checking routes are implemented:
   once.  Back to the tau basis by one sine transform per surface: up to
   ``fusion_ring.K0`` in plain Python, S-matrix rows as tuples cached per
   level and the transform as direct sums, with no numpy; above it numpy
-  rows and numpy's FFT.  Both are rounded against the same whole-sum
+  rows and numpy's FFT.  Both kernels' coefficients are rounded by one
+  rule (``fusion_ring._round_coefficients``) against the same whole-sum
   bound.  The final integrality rounding checks the float part; the
   literal Gamma sum, in integers (``oracles.check_literal_gamma_sum``),
   checks the value at t_{k/2}.
@@ -30,8 +31,10 @@ Three mutually cross-checking routes are implemented:
   block at a special point, ``_half_value`` at t_{k/2}.
 
 ``reduced_quantization`` computes the scalar (tau_0-coefficient) variant of
-the S-matrix formula directly, and ``verlinde_baseline`` the simply
-connected SU(2) product with no sign group at all.
+the S-matrix formula directly, bounded by fs's error model
+(``_value_error``), which is stated once for both sums, and
+``verlinde_baseline`` the simply connected SU(2) product with no sign group
+at all.
 
 A pre-quantization choice enters every path only through its phases, and
 they take fewer values than the choices do.  They depend on a, the psi bits
@@ -486,21 +489,29 @@ class _GammaData(NamedTuple):
     mass: float  # the sum of its terms' absolute values, / |Gamma|
 
 
-# The relative error of one value the S-matrix sum transforms, an identity
-# term prod_j S[m_j, l] / S[0, l]^n / |Gamma| at l != k/2.  Each S-matrix
-# entry is within 6.36u of its value, relative, a priori, at any k
-# (``fusion_ring._s_entries``; tests/test_exact_angles.py derives it), and a
-# value reads s + n of them, s the label count and n the slot count, S[0, l]
-# n times through the power: 6.36 (s + n) u.  The identity term adds s - 1
-# products, the power (within one ulp, 2u) and the division: s + 2
+# The relative error of one value either S-matrix sum adds, s the label
+# count and n the slot count.  Each S-matrix entry is within 6.36u of its
+# value, relative, a priori, at any k (``fusion_ring._s_entries``;
+# tests/test_exact_angles.py derives it).  fs transforms the identity term
+# prod_j S[m_j, l] / S[0, l]^n / |Gamma| at l != k/2: s label entries and
+# S[0, l] n times through the power, then s - 1 products (none at s = 0),
+# the power (within one ulp, 2u) and the division: max(s, 1) + 2
 # roundings; 1/|Gamma| is an exact power of two.  One more u takes the
-# second-order terms, below u while s + n < 10^6.  So (6.36 (s + n) + s + 3) u
-# bounds it.  (The value at t_{k/2} is one correctly rounded division of
-# integers, ``_half_float``, counted where it is added.)
+# second-order terms, below u while s + n < 10^6.  The reduced sum adds the
+# terms prod_j S[m_j, l] / S[0, l]^(n-2): the same label entries and
+# roundings, with S[0, l] read |n - 2| times.  Counting it |n - 2| + 2
+# times, n for n >= 2, covers both terms, and the reduced one with 12.72u
+# to spare: that takes the sum's own roundings, the fsum's (u of sum
+# |terms|), the class's term at l = k/2 (one correctly rounded division of
+# integers, ``_half_float``) and its addition.  So
+# (6.36 (s + |n - 2| + 2) + max(s, 1) + 3) u bounds a value fs transforms,
+# relative, and times sum |terms| + |the term at k/2| the reduced value's
+# error (``_reduced_value``).  fs counts its value at t_{k/2} where it is
+# added (``fusion_ring._add_star_idempotent``).
 def _value_error(surface: SurfaceData) -> float:
     """The relative error bound above of the surface's summed values."""
     s = len(surface.labels)
-    return (6.36 * (s + surface.num_slots) + s + 3) * _UNIT_ROUNDOFF
+    return (6.36 * (s + abs(surface.num_slots - 2) + 2) + max(s, 1) + 3) * _UNIT_ROUNDOFF
 
 
 def _identity_terms(surface: SurfaceData) -> tuple[Sequence[float], Sequence[float], list[float]]:
@@ -609,24 +620,6 @@ def _fs_element(surface: SurfaceData, a: int, d: int, reflected: bool = False) -
                                *_fs_coefficients(surface, partial(_half_float, surface, a, d)))
 
 
-# The reduced sum's rounding error per unit of sum |terms| and per factor
-# (label or slot).  A term is s entries S[m_j, l] over S[0, l]^(n-2), s the
-# label count and n the slot count.  Taking each entry as computed to within
-# 2u of its value (its sine, sqrt and division), the term's relative error
-# is at most 2u per entry, S[0, l]'s multiplied by n - 2 in the power, plus
-# u per product, the power and the division: (3s + 2n - 3) u.  The value at
-# l = k/2 is one correctly rounded division of integers (u).  The fsum and
-# the final sum add 2u relative to sum |terms|, and 1/|Gamma|, a power of
-# two, is exact; so c = 3 covers the sum, as 3s + 2n - 1 <= 3 (s + n).  With
-# every angle reduced in integers (``fusion_ring._fold_angle``) an entry is
-# within 6.36u a priori and 2.7u measured against mpmath
-# (tests/test_exact_angles.py), at any k, and an entry that is 0 is exactly
-# 0.0; but 2u per entry is below the a priori figure, so the bound is a
-# floor: a sum that reaches 1/2 is refused, one below it is not thereby
-# certified.
-_REDUCED_ERROR = 3 * _UNIT_ROUNDOFF
-
-
 @_class_cache
 def _reduced_value(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> int:
     """The class's reduced value, rounded once: the reduced identity term
@@ -634,12 +627,13 @@ def _reduced_value(surface: SurfaceData, a: int, d: int, reflected: bool = False
     S[0, k/2]^2 = 1/(k/2+1) (``_half_float``).  ``reflected``, the class's
     value times tau_k, which is (-1)^l at t_l: the same terms, alternating.
     A class that fails to round raises NonIntegralValue or
-    PrecisionExhausted, as ``_fs_element`` does.  PrecisionExhausted comes
-    too when the sum's rounding error floor c (s + n) u sum |terms|
-    (``_REDUCED_ERROR``) is not below 1/2."""
+    PrecisionExhausted, as ``_fs_element`` does.  The sum's error is at most
+    fs's relative value error (``_value_error``) times sum |terms| plus
+    |its term at l = k/2|, and PrecisionExhausted comes too when that bound
+    is not below 1/2."""
     k, data = surface.level, _fs_gamma_data(surface)
     half = 0.0 if k % 2 else _half_float(surface, a, d, k // 2 + 1)
-    bound = _REDUCED_ERROR * (len(surface.labels) + surface.num_slots) * (data.mass + abs(half))
+    bound = _value_error(surface) * (data.mass + abs(half))
     if reflected:  # (-1)^l at l = k/2 too
         total = data.alternating + (-half if k // 2 % 2 else half)
     else:
@@ -666,9 +660,9 @@ def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = N
     """The scalar S-matrix sum (quantization of the symplectic quotient),
     summed block by block with exponent s+2h-2, once per choice class.
     Raises PrecisionExhausted when the sum is out of double range, not
-    below 2^53, or formed from terms so large that its rounding error floor
-    (``_REDUCED_ERROR``) is not below 1/2, and NonIntegralValue when it
-    fails to round."""
+    below 2^53, or formed from terms so large that its a priori error bound
+    (``_value_error`` times sum |terms|, fs's error model) is not below 1/2,
+    and NonIntegralValue when it fails to round."""
     _, a, d = _canonical_class(surface, choice)
     return _reduced_value(surface, a, d)
 

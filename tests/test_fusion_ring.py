@@ -575,6 +575,24 @@ class TestOnePassRounding:
             assert rounded.coeffs == tuple(expected)
             assert all(type(c) is int for c in rounded.coeffs)
 
+    # inf - inf warns in numpy's accept; the loop then raises as for a tuple
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bound", [0.0, 0.01])
+    @pytest.mark.parametrize("bad", [2.0**53, -2.0**60, math.nan, math.inf, 7.25],
+                             ids=["2^53", "-2^60", "nan", "inf", "past"])
+    def test_both_kernels_raise_alike(self, bad, bound):
+        """The one rounding rule: a tuple at K0, rounded in plain Python,
+        and a numpy array above it, accepted or not in one numpy pass, fail
+        at the same first coefficient with the same exception and message."""
+        failures = set()
+        for k, wrap in ((K0, tuple), (K0 + 1, np.array)):
+            coeffs = [float(m) for m in range(k + 1)]
+            coeffs[3], coeffs[5] = bad, 5.5
+            with pytest.raises(NonIntegralCoefficient, match="^tau_3 coefficient = ") as info:
+                _round_coefficients(k, wrap(coeffs), bound)
+            failures.add((type(info.value), str(info.value)))
+        assert len(failures) == 1
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from((-0.0, 0.0, 2.0**53 - 1, -(2.0**53 - 1))),
                               st.floats(-(2.0**53 - 1), 2.0**53 - 1)),

@@ -329,6 +329,18 @@ def _fs_class_coefficients(surf, a, d):
     return quantization._fs_coefficients(surf, partial(quantization._half_float, surf, a, d))
 
 
+def _reduced_total(monkeypatch, surf, a, d, reflected=False):
+    """The class's raw reduced sum (alternating when ``reflected``) and its
+    bound, before rounding, as ``quantization._reduced_value`` hands them to
+    ``round_to_integer``; computed on ``surf`` itself, not its folded form."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(quantization, "round_to_integer",
+                      lambda total, bound, **_: seen.append((total, bound)))
+        quantization._reduced_value.__wrapped__(surf, a, d, reflected)
+    return seen[0]
+
+
 def test_precision_bound_below_half_on_every_sweep_class():
     # Each class's coefficients are the surface's identity term, l = k/2
     # left out, plus the class's value there times taut_{k/2}; a direct
@@ -793,13 +805,24 @@ class TestFoldedSurface:
         assert quantization._fs_gamma_data.cache_info().misses == 1
 
     @pytest.mark.parametrize("surf,choice", [
+        (SurfaceData(4, 28, (1, 0, 1)), None),
         (SurfaceData(114, 4, (57, 0)), PrequantChoice((0, 0, 0, 1, 0, 0, 0, 0, 0, 0))),
-        (SurfaceData(10, 11, (5, 0, 0)), None)])
-    def test_the_fold_certifies_two_reduced_sums_of_the_frontier_box(self, surf, choice):
-        # Unfolded, their error floors are 0.571: one more S[0, l] per label 0
+        (SurfaceData(10, 11, (5, 0, 0)), None)], ids=["k4_certified", "k114", "k10"])
+    def test_the_fold_lowers_the_reduced_bound(self, monkeypatch, surf, choice):
+        # Each label 0 puts one more S[0, l] in every term and one more label
+        # and slot in the bound.  Unfolded, the bounds read 0.508, 1.29 and
+        # 1.25, folded 0.491, 1.07 and 1.06: the fold certifies the first, a
+        # request of the frontier box, and the others stay refused.
         a, d = prequant._canonical_class(surf, choice)[1:]
+        unfolded = _reduced_total(monkeypatch, surf, a, d)[1]
+        folded = _reduced_total(monkeypatch, surf._folded, a, d)[1]
+        assert 0.5 <= unfolded and folded < unfolded
         assert _unfolded_outcome(quantization._reduced_value, surf, a, d)[0] is PrecisionExhausted
-        assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced == 0
+        if folded < 0.5:
+            assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
+        else:
+            with pytest.raises(PrecisionExhausted):
+                reduced_quantization(surf, choice)
 
     def test_the_sweep_builds_one_gamma_table_per_folded_surface(self):
         _clear_quantization_caches()
@@ -1197,22 +1220,71 @@ def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch,
     # terms share a sign by 2 (s + n) u (2/N) sum |x_l|.  The bound covers
     # that, on each kernel; the transform's own bound alone falls short of
     # it here.
-    up, down = 1 + 2.0 ** -52, 1 - 2.0 ** -52
-
-    def moved(rows_of):
-        def builder(k, labels):
-            weights, rows = rows_of(k, labels)
-            shifted = np.asarray(rows) * np.array([down] + [up] * len(labels))[:, None]
-            return weights, shifted.tolist() if isinstance(rows, list) else shifted
-        return builder
-
     closed = quantization._closed_form_element(surf, 0, 0).coeffs
     for kernel, builder in (("direct", "_s_rows_direct"), ("fft", "_s_rows")):
         with _kernel(monkeypatch, kernel) as patch:
-            patch.setattr(quantization, builder, moved(getattr(quantization, builder)))
+            patch.setattr(quantization, builder, _moved_rows(getattr(quantization, builder), 1))
             coeffs, bound = _fs_class_coefficients(surf, 0, 0)
         assert max(abs(Fraction(c) - e) for c, e in zip(map(float, coeffs), closed)) \
             <= bound < 0.5, kernel
+
+
+def _moved_rows(rows_of, ulps):
+    """``rows_of``, a row builder of ``quantization``, with the label rows
+    moved up and the row of 0 down by ``ulps`` ulps of 1.0, 2u each."""
+    up, down = 1 + ulps * 2.0 ** -52, 1 - ulps * 2.0 ** -52
+
+    def builder(k, labels):
+        weights, rows = rows_of(k, labels)
+        shifted = np.asarray(rows) * np.array([down] + [up] * len(labels))[:, None]
+        return weights, shifted.tolist() if isinstance(rows, list) else shifted
+    return builder
+
+
+def test_reduced_bound_covers_the_real_error_on_every_class(monkeypatch):
+    # The reduced twin of the fs test above: on the same classes and
+    # kernels, each raw reduced sum, plain and alternating (the class times
+    # tau_k, whose trace is the class's tau_k coefficient), is within its
+    # bound of the closed form's value, exactly.  The real error stays below
+    # 17 % of the bound.  A bound of 2u per entry, 3 (s + n) u times the sum
+    # of |terms|, counts no entry on a sphere with no label, whose terms
+    # S[0, l]^2 read two: it is 0 on SurfaceData(1, 0, ()), whose sum is
+    # 1 + 2u.  So the bound counts S[0, l] |n - 2| + 2 times.
+    surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
+    for kernel in KERNEL_K0:
+        sums, refused = 0, 0
+        with _kernel(monkeypatch, kernel):
+            for surf in surfaces:
+                for a, d in _folded_classes(surf):
+                    closed = quantization._closed_form_element(surf, a, d).coeffs
+                    for reflected, exact in ((False, closed[0]), (True, closed[-1])):
+                        total, bound = _reduced_total(monkeypatch, surf, a, d, reflected)
+                        assert abs(Fraction(total) - exact) <= bound, \
+                            (kernel, surf, a, d, reflected, total, bound)
+                        refused += not bound < 0.5
+                        sums += 1
+        assert sums > 2 * 3276 and refused > 0, kernel
+
+
+@pytest.mark.parametrize("ulps", [1, 3])
+@pytest.mark.parametrize("surf", [SurfaceData(8, 10, (4, 4)), SurfaceData(3, 0, (1,) * 60)],
+                         ids=["genus10", "labels60"])
+def test_reduced_bound_covers_entries_anywhere_within_their_error(monkeypatch, surf, ulps):
+    # The reduced twin of the fs test above, on surfaces whose reduced sums
+    # are certified and whose terms share a sign.  With the label rows moved
+    # up and S[0, l] down by one ulp (2u), as there, or by three (6u, inside
+    # the a priori 6.36u), every term grows by up to 2u or 6u per entry read,
+    # s + |n - 2| of them, and so does the sum.  The bound covers it on each
+    # kernel.  A bound of 2u per entry, 3 (s + n) u times the same sum of
+    # |terms|, falls short at three ulps: the error is 1.84 times it on the
+    # genus-10 surface and 2.02 times it on the 60 labels, on both kernels.
+    for kernel, builder in (("direct", "_s_rows_direct"), ("fft", "_s_rows")):
+        with _kernel(monkeypatch, kernel) as patch:
+            patch.setattr(quantization, builder, _moved_rows(getattr(quantization, builder), ulps))
+            closed = quantization._closed_form_element(surf, 0, 0).coeffs
+            for reflected, exact in ((False, closed[0]), (True, closed[-1])):
+                total, bound = _reduced_total(monkeypatch, surf, 0, 0, reflected)
+                assert abs(Fraction(total) - exact) <= bound < 0.5, (kernel, reflected)
 
 
 def _float_path_outcomes(surfaces):
@@ -1379,15 +1451,25 @@ class TestReducedQuantization:
         for choice in enumerate_choices(surf):
             assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
 
-    def test_equals_trace_where_products_pass_the_level(self):
+    def test_is_refused_where_products_pass_the_level(self, monkeypatch):
         # With the angles (m+1)(l+1) pi/126 rounded before the sine instead
         # of reduced in integers, every one of the 64 values came out 2 too
-        # large, unrefused: 55537828315832 for 55537828315830 at psi = 0.
+        # large: 55537828315832 for 55537828315830 at psi = 0.  With angles
+        # reduced, each raw sum is within its bound of the trace, but the
+        # bound, 0.768 at psi = 0, is not below 1/2: all 64 are refused.
         surf = SurfaceData(124, 2, (7, 24, 55, 62, 62, 62, 78))
         choices = enumerate_choices(surf)
         assert len(choices) == 64
+        assert quantize_surface(surf, choices[0]).reduced == 55537828315830
         for choice in choices:
-            assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
+            trace = quantize_surface(surf, choice).reduced
+            total, bound = _reduced_total(monkeypatch, surf,
+                                          *prequant._canonical_class(surf, choice)[1:])
+            assert abs(Fraction(total) - trace) <= bound and not bound < 0.5
+            with pytest.raises(PrecisionExhausted, match="rounding error bound of"):
+                reduced_quantization(surf, choice)
+        with pytest.raises(PrecisionExhausted, match=r"= 55537828315830\.02 .* of 7\.677e-01"):
+            reduced_quantization(surf, choices[0])
 
 
 def test_fs_vector_equals_the_closed_form_where_products_pass_the_level():
@@ -1400,26 +1482,26 @@ def test_fs_vector_equals_the_closed_form_where_products_pass_the_level():
 
 def test_a_reduced_sum_that_cancels_past_its_precision_is_refused():
     # The terms near 2e20 cancel to a value below 2^53 that rounds cleanly
-    # to -483328, while the trace is 0: the sum's rounding error floor is
-    # far above 1/2, so it is refused rather than returned.
+    # (262144.0), while the trace is 0: the sum's error bound is far above
+    # 1/2, so it is refused rather than returned.
     surf, choice = SurfaceData(8, 0, (4,) * 100), PrequantChoice((0,) * 99 + (1,))
     assert quantize_surface(surf, choice).reduced == 0
     with pytest.raises(PrecisionExhausted, match="reduced quantization = .* rounding error bound"):
         reduced_quantization(surf, choice)
 
 
-def test_the_reduced_error_floor_stays_far_below_half_on_the_sweep():
-    # A correct reduced value is never refused by the floor: on the sweep's
-    # classes it is below 1e-9.
+def test_the_reduced_error_bound_stays_far_below_half_on_the_sweep():
+    # A correct reduced value on the sweep is never refused: its bound,
+    # fs's value error times sum |terms| plus the term at t_{k/2}, is
+    # 2.21e-9 at worst over the sweep's classes.
     worst = 0.0
     for surf in sweep_surfaces(20, 5, 2):
         k, data = surf.level, quantization._fs_gamma_data(surf)
         for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
             half = 0 if k % 2 else \
                 quantization._half_value(surf, a, d) / ((k // 2 + 1) * surf.gamma_size())
-            worst = max(worst, quantization._REDUCED_ERROR * (len(surf.labels) + surf.num_slots)
-                        * (data.mass + abs(half)))
-    assert 0 < worst < 1e-9
+            worst = max(worst, quantization._value_error(surf) * (data.mass + abs(half)))
+    assert 0 < worst < 1e-8
 
 
 class TestVerlindeBaseline:
