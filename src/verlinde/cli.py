@@ -4,14 +4,15 @@ verification sweep.
 
 Exit codes: 0 success (``--help`` too), 1 inadmissible or malformed input
 (a usage error included, where argparse alone would exit 2), 2 internal
-consistency failure (an exact division or integrality rounding that a
-theorem guarantees failed, which indicates a bug or a wrong phase
-convention), 3 precision exhausted (the float S-matrix path's
-rounding-error bound reached 1/2, its sums left double range, or a value
-to round is at or above 2^53, where doubles skip integers, so it cannot
-certify the integers; not a bug).  The integrality tolerance is
-fixed at 1e-6 (``fusion_ring.DEFAULT_TOLERANCE``); no option or
-environment variable changes it.
+consistency failure (an exact division, an integrality rounding or a
+certificate of the closed form against the S-matrix formula that a theorem
+guarantees failed, which indicates a bug or a wrong phase convention), 3
+precision exhausted (``PrecisionExhausted``, not a bug).  Every quantize
+path answers exactly, so exit 3 comes only from the float API that no
+command reads: ``FusionElement.evaluate``, ``localization_evaluate`` and
+``from_idempotent``.  The integrality tolerance is fixed at 1e-6
+(``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
+changes it.
 """
 
 from __future__ import annotations

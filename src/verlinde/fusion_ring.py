@@ -59,29 +59,19 @@ e = 0..2N-1, each entry folded by ``_fold_angle``, whose period in e is
 builder forms S-matrix arrays, ``_s_rows``: the rows of 0 and of given
 labels gathered from the table in one pass, with that pass's row 0 before
 the division by sqrt(k/2+1), the transform's weights.  ``s_matrix`` is its
-case of every label; the transforms, the S-matrix path of ``quantization``
-(once per surface, not once per request) and the oracles form only the
-rows they read, and ``s_matrix_entry`` computes its one entry.  Up to level
-``K0`` the S-matrix path and ``from_idempotent`` take plain-Python kernels
-instead, which are faster there than numpy's: rows as tuples sliced from
-the table (``_s_rows_direct``), the transform as k+1 direct sums
-(``_direct_sine_transform``).
-Those levels' tables are cached: ``_level_rows`` keeps each level's
-S-matrix rows and sine-transform rows, one of the package's 15 lru caches
-and the only one that holds sines.  numpy, with ``numpy.fft``, is imported
-on first need (``_numpy``), so a closed-path request, or an S-matrix one up
-to ``K0``, never loads it.
+case of every label; the transforms and the oracles form only the rows
+they read, and ``s_matrix_entry`` computes its one entry.  numpy, with
+``numpy.fft``, is imported on first need (``_numpy``), and no quantization
+path needs it: the S-matrix formula is certified in integers
+(``galois``), so no request loads numpy.
 The transform to tau-coefficients, ``_sine_coefficients``, bounds the
 rounding error of its own arithmetic a priori (the FFT bound of Higham,
 *Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
-weighting of the inputs; it covers the direct sums too) and the error the
-values carry, given by the caller.  The bound reads only the weighted
-values, so it is formed first, and values whose bound is not below 1/2 are
-not transformed.
-``from_idempotent`` takes its values as exact; the S-matrix path passes the
-relative error of its values, so that bound covers its whole sum.  Each
-coefficient is rounded against it (``_round_coefficients``), and a bound
-not below 1/2 raises ``PrecisionExhausted``.  ``FusionElement.evaluate``
+weighting of the inputs).  The bound reads only the weighted values, so it
+is formed first, and values whose bound is not below 1/2 are not
+transformed.  ``from_idempotent`` takes its values as exact and rounds each
+coefficient against that bound (``_round_coefficients``); a bound not
+below 1/2 raises ``PrecisionExhausted``.  ``FusionElement.evaluate``
 bounds its sum as well, and raises ``PrecisionExhausted`` where
 cancellation leaves no certain digit.
 """
@@ -93,8 +83,8 @@ import sys
 from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, cycle, repeat
-from operator import add, index, mul, neg, sub, truediv
+from itertools import accumulate, repeat
+from operator import add, index, mul, neg, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -124,39 +114,11 @@ DEFAULT_TOLERANCE = 1e-6
 # on IEEE doubles never see it silently truncated.
 _EXACT_INTEGER_BOUND = 2**53
 
-# The highest level whose float S-matrix path (fs and reduced) and
-# ``from_idempotent`` run in plain Python: S-matrix rows sliced from one
-# table of 2(k+2) sines, cached per level (``_s_rows_direct``,
-# ``_level_rows``), the sine transform as direct sums
-# (``_direct_sine_transform``).  Above
-# it, numpy rows and numpy's FFT.  K0 is the measured crossover of the cold
-# per-surface cost.  Method: a fresh interpreter per level and kernel, with
-# numpy and numpy.fft loaded and both kernels warmed at k = 4, as the
-# benchmark's workers and ``verify`` run, visits each fold-free sweep
-# surface of the level (labels from {1, k/2}, r <= 5, h <= 2) once and times
-# fs and reduced on its first choice; three sets of 11, 21 and 15
-# alternating rounds, 2-core x86-64, Python 3.11.7, numpy 2.4.6.  At even
-# levels (18 or 36 surfaces) plain Python won in every set through k = 26
-# (82-140 us against 106-165 us at k = 20-26), won 7 of 11 and 16 of 21
-# rounds at k = 28, was mixed at k = 30 and lost from k = 32.  At odd
-# levels (2 surfaces, so building the table is most of the cost) it tied
-# at k = 21-25 and lost at k = 27 and 29 (228-237 against 185-203 us).  So
-# the criterion-4 box (k <= 20) runs with no numpy at all.
-K0 = 26
-
-
-def _direct(k: int) -> bool:
-    """Whether level k takes the plain-Python kernels: k <= K0, read when
-    called."""
-    return k <= K0
-
-
 def _numpy():
-    """numpy, with numpy.fft, imported on first need: by a transform above
-    K0, the S-matrix arrays (``s_matrix``, ``s_matrix_entry``, ``_s_rows``),
-    ``to_idempotent`` and ``from_idempotent`` on an array or above K0
-    (``oracles`` imports it itself).  A request that needs none of them, a
-    closed-path one or an S-matrix one up to K0, never loads numpy."""
+    """numpy, with numpy.fft, imported on first need: by the S-matrix arrays
+    (``s_matrix``, ``s_matrix_entry``, ``_s_rows``), ``to_idempotent`` and
+    ``from_idempotent`` (``oracles`` imports it itself).  No quantization
+    request needs any of them, so none loads numpy."""
     import numpy
     import numpy.fft
     return numpy
@@ -327,61 +289,12 @@ def _s_rows(k: int, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     being the gather's row 0.  ``_fold_angle`` has period 2N in e, so each
     gathered sine is the one ``_sin_pi`` gives the product itself, bit for
     bit.  The one row builder: ``s_matrix`` is its case of every label, and
-    every other reader forms only the rows it uses; up to K0 the S-matrix
-    path reads ``_s_rows_direct`` instead."""
+    every other reader forms only the rows it uses."""
     np = _numpy()
     n = k + 2
     table = _sin_pi(n, np.arange(2 * n))
     sines = table[np.outer(np.array((0, *labels)) + 1, np.arange(1, n)) % (2 * n)]
     return sines[0], _s_entries(k, sines)
-
-
-# The levels whose plain-Python rows ``_level_rows`` keeps: 0..K0 as
-# shipped, fixed here, so that a K0 raised at run time (the tests send every
-# level to one kernel so) caches no O(k^2) rows past these levels.
-_CACHED_LEVELS = K0 + 1
-
-
-# One per level up to K0: every surface of a level reads the same rows, and
-# forming them was most of each surface's first request on the S-matrix
-# path.  An entry holds (k+1)^2 new floats and (k+1)^2 pointers to the
-# table's, in tuples, about 44 (k+1)^2 bytes: 305 kB for levels 0..26,
-# measured with tracemalloc.
-@lru_cache(maxsize=_CACHED_LEVELS)
-def _level_rows(k: int) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-    """The plain-Python kernels' rows at level k, N = k+2: the sine rows
-    sin(p j pi/N), j = 1..N-1, for p = 1..N-1, which are the sine
-    transform's rows (``_direct_sine_transform``) and, at p = 1, its
-    weights; and the S-matrix rows m = 0..k, the sine rows p = m+1 over
-    sqrt(k/2+1).  Each is read from one table of sin(e pi/N),
-    e = 0..2N-1, each entry math.sin of its angle folded by ``_fold_angle``:
-    as that rule has period 2N in e, entry p j mod 2N is the sine of p j
-    folded, bit for bit, and it is entry p j of the table repeated N-1
-    times, so each row is one slice of that list, copied in C.  Callers read
-    it through ``_direct_rows``."""
-    n, half_step = k + 2, math.pi / (2 * (k + 2))
-    repeated = [math.sin(_fold_angle(n, e) * half_step) for e in range(2 * n)] * (n - 1)
-    sines = tuple(tuple(repeated[p:p * n:p]) for p in range(1, n))
-    root = math.sqrt(k / 2 + 1)
-    return sines, tuple(tuple(map(truediv, row, repeat(root))) for row in sines)
-
-
-def _direct_rows(k: int) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-    """``_level_rows(k)``, from the cache up to K0 as shipped, built afresh
-    above it."""
-    return _level_rows(k) if k < _CACHED_LEVELS else _level_rows.__wrapped__(k)
-
-
-def _s_rows_direct(k: int, labels: Sequence[int]) -> tuple[tuple[float, ...],
-                                                           list[tuple[float, ...]]]:
-    """``_s_rows`` in plain Python, the S-matrix path's rows up to K0: the
-    weights sin((l+1) pi/(k+2)), l = 0..k, and the rows of 0 and of each
-    label, read from the level's rows (``_direct_rows``).  One division of
-    one folded sine, as in ``_s_entries``: the same bound of 6.36u relative,
-    exactly 0.0 where k+2 divides (m+1)(l+1), and the row of k the row of 0
-    times (-1)^l, bit for bit."""
-    sines, rows = _direct_rows(k)
-    return sines[0], [rows[m] for m in (0, *labels)]
 
 
 def s_matrix(k: int) -> np.ndarray:
@@ -836,11 +749,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # factors.  For mu <= u, eta < 6.7u; 8u also absorbs the denominator.
 _FFT_ETA = 8 * _UNIT_ROUNDOFF
 
-# Relative error of a weighted input sin(theta_l) v_l, of the final 2/N
-# scaling and of one later sum per coefficient (``_add_star_idempotent``):
-# the angle (three roundings; folded to theta <= pi/2, where the sine's
-# condition number is at most 1), the sine (4 ulp = 8u), two products and
-# the sum.
+# Relative error of a weighted input sin(theta_l) v_l and of the final 2/N
+# scaling: the angle (three roundings; folded to theta <= pi/2, where the
+# sine's condition number is at most 1), the sine (4 ulp = 8u), two
+# products, and one u to spare.
 _WEIGHT_ERROR = 13 * _UNIT_ROUNDOFF
 
 # Absolute allowance for gradual underflow: each operation loses at most
@@ -870,98 +782,38 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _direct_sine_transform(x: Sequence[float]) -> list[float]:
-    """The DST-I of ``_sine_transform`` as k + 1 direct sums, the kernel up
-    to K0: sum_j x_j sin((i+1)(j+1) pi/N), k = len(x) - 1, each sum exactly
-    rounded (math.fsum) over its products with the level's sine rows
-    (``_direct_rows``); O(k^2) steps, iterated in C.
-
-    The FFT's bound formula in ``_sine_coefficients`` covers it.  Each sine
-    is within 4.36u of its value (the folded angle and one ulp,
-    tests/test_exact_angles.py), each product rounds once and the sum once,
-    so an entry errs by at most 6.36u sum_j |x_j| <= 6.36u sqrt(N) ||x||_2,
-    second-order terms aside, where the formula allows
-    _fft_error(2N) sqrt(N) ||x||_2, and _fft_error(2N) >= 96u at every
-    N >= 2.  The weighting and the scaling are the FFT's, bounded alike."""
-    return [math.fsum(map(mul, x, row)) for row in _direct_rows(len(x) - 1)[0]]
-
-
-def _sine_coefficients(values: Sequence[float], weights: Sequence[float],
-                       error: float = 0.0) -> tuple[Sequence[float] | None, float]:
+def _sine_coefficients(values: Sequence[float],
+                       weights: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the values v at
     t_0..t_k, c = (2/N) DST-I(x), N = k+2, of the weighted values
-    x_l = sin((l+1) pi/N) v_l, given their weights (the first tuple of
-    ``_s_rows_direct`` or array of ``_s_rows``); and an a priori bound on
-    their error, formed from x first: when it is not below 1/2 no transform
-    runs and the coefficients are None, as they would be refused for it.
-    The level selects the kernel: up to K0 the direct sums of
-    ``_direct_sine_transform``, a tuple; above it numpy's FFT, a read-only
-    array.
+    x_l = sin((l+1) pi/N) v_l, given their weights (the first array of
+    ``_s_rows``), as a read-only array; and an a priori bound on their
+    error, formed from x first: when it is not below 1/2 no transform runs
+    and the coefficients are None, as they would be refused for it.
 
     The transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per
     entry (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N)
-    times that, and the DST takes half an imaginary part); the weighting,
-    the scaling and one later sum add at most _WEIGHT_ERROR sum |x_l| <=
+    times that, and the DST takes half an imaginary part); the weighting
+    and the scaling add at most _WEIGHT_ERROR sum |x_l| <=
     _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
-    scaled by 2/N, and _UNDERFLOW is added.  Each value v_l is taken as
-    within ``error`` of its true value, relative, given by the caller (0 for
-    exact values): the transform is linear with weights of absolute value
-    at most 1, so that adds error (2/N) sum |x_l| to every entry."""
+    scaled by 2/N, and _UNDERFLOW is added.  The values are taken as exact."""
+    np = _numpy()
     n = len(values)
-    direct = _direct(n - 1)
-    if direct:
-        x = weighted = list(map(mul, values, weights))
-    else:
-        np = _numpy()
-        x = np.asarray(values, dtype=np.float64) * weights
-        weighted = x.tolist()
+    x = np.asarray(values, dtype=np.float64) * weights
     scale = 2.0 / (n + 1)
-    norm = math.hypot(*weighted)  # ||x||_2; neither underflows nor overflows
+    norm = math.hypot(*x.tolist())  # ||x||_2; neither underflows nor overflows
     bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
-    if error:  # a float sum past double range is inf, with no warning
-        bound += error * scale * sum(map(abs, weighted))
     bound += _UNDERFLOW
-    del weighted  # held through the FFT, it raised high_level peak_rss_mb by 0.25 MB
     if not bound < 0.5:
         return None, bound
-    if direct:
-        return tuple(c * scale for c in _direct_sine_transform(x)), bound
     coeffs = _sine_transform(x) * scale
     coeffs.setflags(write=False)
     return coeffs, bound
 
 
-def _add_star_idempotent(k: int, coeffs: Sequence[float] | None, bound: float,
-                         delta: float) -> tuple[Sequence[float] | None, float]:
-    """Raw tau-coefficients ``coeffs`` from ``_sine_coefficients`` (error at
-    most ``bound``) plus delta taut_{k/2}, k even, where taut_{k/2} is
-    exactly (2/N)(tau_0 - tau_2 + tau_4 - ...), N = k+2, as
-    S[m, k/2] S[0, k/2] = (2/N) sin((m+1) pi/2): the step delta 2/N added
-    to every coefficient m = 0 mod 4 and subtracted from every m = 2 mod 4,
-    in the kernel of the level.  delta is taken as the correctly rounded
-    double of an exact value.  The bound grows by the rounding of the step
-    (delta's own rounding, 2/N and the product: 3u) and of its part in each
-    sum (u), 5u with the second-order terms; the sum's part from ``coeffs``
-    is in their bound already.  A bound that is not finite certifies
-    nothing, and the coefficients are left as they are; so are None
-    coefficients, of a transform refused for its bound."""
-    bound += 5 * _UNIT_ROUNDOFF * abs(delta) * (2.0 / (k + 2))
-    if coeffs is None or not math.isfinite(bound):
-        return coeffs, bound
-    step = delta * (2.0 / (k + 2))
-    if _direct(k):
-        return tuple(map(add, coeffs, cycle((step, 0.0, -step, 0.0)))), bound
-    star = _numpy().zeros(k + 1)
-    star[0::4] = step
-    star[2::4] = -step
-    out = coeffs + star
-    out.setflags(write=False)
-    return out, bound
-
-
-def _round_coefficients(k: int, coeffs: Sequence[float] | None, bound: float) -> FusionElement:
-    """Round the k + 1 raw tau-coefficients ``coeffs``, whose error is at
-    most ``bound`` a priori.
+def _round_coefficients(k: int, coeffs: np.ndarray | None, bound: float) -> FusionElement:
+    """Round the k + 1 raw tau-coefficients ``coeffs``, an array whose
+    error is at most ``bound`` a priori.
 
     Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
     before it reads the coefficients, which are None when the transform
@@ -971,36 +823,34 @@ def _round_coefficients(k: int, coeffs: Sequence[float] | None, bound: float) ->
     max(bound, min(DEFAULT_TOLERANCE (1 + |c|), 0.499)).  A coefficient
     within the bound of an integer is that integer, as the bound is below
     1/2; one further from every integer than the bound cannot be, so it
-    signals a real disagreement (a wrong phase), never a precision limit.
-    The allowance is never below ``round_to_integer``'s, so with bound 0
-    this is that rule.  It is written once, as a loop over the coefficients
-    in plain Python; the first coefficient that fails raises
-    NonIntegralCoefficient (PrecisionExhausted if it is not finite or not
-    below 2^53), naming its deviation, its allowance and the bound.  No
-    allowance is below max(bound, DEFAULT_TOLERANCE), so above K0 numpy
-    first accepts, in one pass, a whole array within that of its nearest
-    integers and below 2^53; a correct answer always passes, its deviation
-    being at most the bound, so the loop reads an array only to raise.
+    signals an inconsistent vector, never a precision limit.  The allowance
+    is never below ``round_to_integer``'s, so with bound 0 this is that
+    rule.  It is written once, as a loop over the coefficients in plain
+    Python; the first coefficient that fails raises NonIntegralCoefficient
+    (PrecisionExhausted if it is not finite or not below 2^53), naming its
+    deviation, its allowance and the bound.  No allowance is below
+    max(bound, DEFAULT_TOLERANCE), so numpy first accepts, in one pass, a
+    whole array within that of its nearest integers and below 2^53; a
+    correct answer always passes, its deviation being at most the bound, so
+    the loop reads an array only to raise.
     """
     if not bound < 0.5:
         raise PrecisionExhausted(
             f"the tau-coefficients at level {k} have a rounding error bound of "
             f"{bound:.3e}, not below 1/2: double precision cannot certify them")
     lenient = max(bound, DEFAULT_TOLERANCE)
-    if not _direct(k):
-        np = _numpy()
-        nearest = np.rint(coeffs)
-        if (np.abs(coeffs - nearest).max() <= lenient
-                and np.abs(coeffs).max() < _EXACT_INTEGER_BOUND):
-            # every coefficient is below 2^53, so int64 holds it exactly
-            return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
-        coeffs = coeffs.tolist()
+    np = _numpy()
+    nearest = np.rint(coeffs)
+    if (np.abs(coeffs - nearest).max() <= lenient
+            and np.abs(coeffs).max() < _EXACT_INTEGER_BOUND):
+        # every coefficient is below 2^53, so int64 holds it exactly
+        return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
     out = []
-    for m, c in enumerate(coeffs):
+    for m, c in enumerate(coeffs.tolist()):
         nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
         if nearest is None or abs(c - nearest) > lenient:
             allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(c)), 0.499), bound)
-            nearest = _checked_round(float(c), allowed, bound, NonIntegralCoefficient,
+            nearest = _checked_round(c, allowed, bound, NonIntegralCoefficient,
                                      f"tau_{m} coefficient")
         out.append(nearest)
     return FusionElement._trusted(k, tuple(out))
@@ -1028,26 +878,16 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
     from the values v at t_0, ..., t_k; the level k is len(values) - 1, and
     empty or not one-dimensional values raise ValueError.
 
-    The coefficients come from one sine transform, in the kernel of the
-    level, with an a priori bound on its rounding error
-    (``_sine_coefficients``, the values taken as exact).
+    The coefficients come from one sine transform with an a priori bound on
+    its rounding error (``_sine_coefficients``, the values taken as exact).
     Raises PrecisionExhausted, with no transform, when that bound is not
     below 1/2, and NonIntegralCoefficient when a coefficient is further from
     an integer than both that bound and DEFAULT_TOLERANCE allow; the latter
     signals an inconsistent vector (or a wrong phase factor upstream), not a
-    numerical hiccup.
-
-    A list or tuple of Python numbers is read as it is, so up to K0 no
-    numpy is loaded; anything else, an array included, is read by numpy.
+    numerical hiccup.  The values are read by numpy, which it loads.
     """
-    if not (isinstance(values, (list, tuple))
-            and all(isinstance(v, (int, float)) for v in values)):
-        np = _numpy()
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"need a non-empty 1-D vector of values, got shape {values.shape}")
-    if not len(values):
-        raise ValueError("need a non-empty 1-D vector of values, got shape (0,)")
+    values = _numpy().asarray(values, dtype=float)
+    if values.ndim != 1 or not len(values):
+        raise ValueError(f"need a non-empty 1-D vector of values, got shape {values.shape}")
     k = len(values) - 1
-    weights = _s_rows_direct(k, ())[0] if _direct(k) else _s_rows(k, ())[0]
-    return _round_coefficients(k, *_sine_coefficients(values, weights))
+    return _round_coefficients(k, *_sine_coefficients(values, _s_rows(k, ())[0]))

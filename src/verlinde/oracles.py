@@ -26,13 +26,11 @@ from .fusion_ring import (
     DEFAULT_TOLERANCE,
     FusionElement,
     InexactDivision,
-    NonIntegralCoefficient,
     NonIntegralValue,
     _check_int,
     _check_level,
     _fold,
     _fold_angle,
-    _round_coefficients,
     _s_rows,
     round_to_integer,
     s_matrix,
@@ -52,7 +50,7 @@ from .prequant import (
 )
 from .quantization import (
     _exact_divide,
-    _fs_coefficients,
+    _fs_gamma_data,
     _plus_chi,
     fs_formula,
     localization_evaluate,
@@ -74,7 +72,6 @@ __all__ = [
     "classical_verlinde_number",
     "sweep_surfaces",
     "phase_vector",
-    "fs_formula_with_phases",
     "run_verification_suite",
 ]
 
@@ -261,20 +258,6 @@ def phase_vector(surface: SurfaceData, choice: PrequantChoice) -> list[int]:
 def _literal_half_value(surface: SurfaceData, phases: Sequence[int]) -> int:
     """N_lit, |Gamma| times the literal Gamma sum's value at t_{k/2}, k even."""
     return sum(map(mul, phases, _literal_table(surface)[1]))
-
-
-def fs_formula_with_phases(surface: SurfaceData, phases: Sequence[int]) -> FusionElement:
-    """The S-matrix sum with the given phases, one per gamma (|Gamma| <= 2^9,
-    ``enumerate_gamma`` order): fs's transform of the identity term, the
-    only term away from t_{k/2}, plus N_lit / |Gamma| (``_literal_half_value``)
-    along taut_{k/2}, by fs's per-class step (``quantization._fs_coefficients``)
-    and rounded against its whole-sum bound.  phases[0] enters only at
-    t_{k/2}, and at odd k, Gamma = {e}, not at all.  Any wrong phase makes
-    the rounding raise NonIntegralCoefficient."""
-    if len(phases) != surface.gamma_size():
-        raise ValueError(f"need {surface.gamma_size()} phases, got {len(phases)}")
-    return _round_coefficients(surface.level, *_fs_coefficients(
-        surface, lambda: _literal_half_value(surface, phases) / len(phases)))
 
 
 def sweep_surfaces(max_k: int, max_r: int, max_h: int,
@@ -499,35 +482,64 @@ def _support_blocks(gamma: GammaElement) -> list[GammaElement]:
             for part in parts if part]
 
 
+def _agreed(surface: SurfaceData, choice: PrequantChoice) -> FusionElement | None:
+    """The closed form's element if fs and reduced answer the request as it
+    does, else None: a failed certificate (CertificateMismatch) or exact
+    division disagrees."""
+    try:
+        closed = quantize_surface(surface, choice)
+        if (fs_formula(surface, choice).element == closed.element
+                and reduced_quantization(surface, choice) == closed.reduced):
+            return closed.element
+    except InexactDivision:
+        pass
+    return None
+
+
 def check_cross_paths(max_k: int, max_r: int, max_h: int) -> CheckResult:
-    """Closed form vs S-matrix formula vs reduced scalar, over the sweep;
-    it counts the requests (pairs), their distinct folded classes and the
-    classes the paths compute, those of the folded surfaces (no label 0 or k)."""
-    bad = 0
-    pairs = 0
-    negative = 0
-    classes = set()
-    computed = set()
+    """Closed form vs S-matrix formula vs reduced scalar, over the sweep and
+    the general-label box (``_label_box``, reported as "box").  fs answers
+    with the closed form's element once ``galois`` has certified it, so the
+    check counts what was certified: the folded surfaces, their orbit points
+    (one per Galois orbit but t_{k/2}) and, on the sweep, the requests
+    (pairs), their distinct folded classes and the classes the paths
+    compute, those of the folded surfaces (no label 0 or k), each checked at
+    t_{k/2} as well."""
+    bad = pairs = negative = box_requests = 0
+    classes, computed = set(), set()
     for surface in sweep_surfaces(max_k, max_r, max_h):
         for choice in enumerate_choices(surface):
             pairs += 1
             a_d = _canonical_class(surface, choice)[1:]
             classes.add((surface, *a_d))
             computed.add((surface._folded or surface, *a_d))
-            closed = quantize_surface(surface, choice)
-            through_s = fs_formula(surface, choice)
-            if closed.element != through_s.element:
-                bad += 1
-            if reduced_quantization(surface, choice) != closed.reduced:
-                bad += 1
-            if any(c < 0 for c in closed.element.coeffs):
-                negative += 1
+            element = _agreed(surface, choice)
+            bad += element is None
+            negative += element is not None and any(c < 0 for c in element.coeffs)
+    box = _label_box(max_k, max_r, max_h)
+    for surface in box:
+        for choice in enumerate_choices(surface):
+            box_requests += 1
+            bad += _agreed(surface, choice) is None
+    surfaces = {key[0] for key in computed} | {s._folded or s for s in box}
+    orbits = [n for n in map(_orbit_points, surfaces) if n is not None]
     return CheckResult("cross_path_equality",
                        {"max_k": max_k, "max_r": max_r, "max_h": max_h,
                         "pairs": pairs, "classes": len(classes),
                         "computed_classes": len(computed),
+                        "certified_surfaces": len(orbits), "orbit_points": sum(orbits),
+                        "box": {"seed": _BOX_SEED, "requests": box_requests},
                         "negative_coefficient_results": negative},
                        bad == 0, float(bad))
+
+
+def _orbit_points(surface: SurfaceData) -> int | None:
+    """The orbit points of the surface's certificate (``_fs_gamma_data``),
+    None where it fails."""
+    try:
+        return len(_fs_gamma_data(surface)[1])
+    except InexactDivision:
+        return None
 
 
 _BOX_SEED = 2026  # of the general-label box's draws, reported with it
@@ -548,18 +560,24 @@ def _label_box(max_k: int, max_r: int, max_h: int) -> list[SurfaceData]:
     return surfaces
 
 
+def _closed_half_value(surface: SurfaceData, choice: PrequantChoice) -> int:
+    """|Gamma| times the closed form's value at t_{k/2}, k even,
+    c_0 - c_2 + c_4 - ..., in integers."""
+    c = quantize_surface(surface, choice).element.coeffs
+    return surface.gamma_size() * (sum(c[::4]) - sum(c[2::4]))
+
+
 def _literal_agrees(surface: SurfaceData, choice: PrequantChoice) -> bool:
-    """N_lit == |Gamma| times the closed form's value at t_{k/2}, c_0 - c_2 +
-    c_4 - ..., in integers; a failed exact division disagrees.  At odd k,
-    Gamma = {e} and there is no t_{k/2}."""
+    """N_lit == |Gamma| times the closed form's value at t_{k/2}; a failed
+    exact division disagrees.  At odd k, Gamma = {e} and there is no
+    t_{k/2}."""
     if surface.level % 2:
         return True
     try:
-        c = quantize_surface(surface, choice).element.coeffs
+        want = _closed_half_value(surface, choice)
     except InexactDivision:
         return False
-    n_lit = _literal_half_value(surface, phase_vector(surface, choice))
-    return n_lit == surface.gamma_size() * (sum(c[::4]) - sum(c[2::4]))
+    return _literal_half_value(surface, phase_vector(surface, choice)) == want
 
 
 def check_literal_gamma_sum(max_k: int, max_r: int, max_h: int) -> CheckResult:
@@ -567,8 +585,8 @@ def check_literal_gamma_sum(max_k: int, max_r: int, max_h: int) -> CheckResult:
     helpers and read by every path, vs the literal Gamma sum, which reads
     none of them and makes no transform (``_literal_agrees``): on every
     sweep request with |Gamma| <= 2^6, and on the general-label box
-    (``_label_box``, reported as "box").  Away from t_{k/2},
-    ``cross_path_equality`` checks the closed form against fs."""
+    (``_label_box``, reported as "box").  Away from t_{k/2}, fs's
+    certificate checks the closed form (``cross_path_equality``)."""
     bad, counts, box = 0, [], _label_box(max_k, max_r, max_h)
     for surfaces in (sweep_surfaces(max_k, max_r, max_h, gamma_cap=2**6), box):
         requests, classes = 0, set()
@@ -688,21 +706,19 @@ def check_double_su2_trace(max_k: int) -> CheckResult:
 
 
 def check_negative_control() -> CheckResult:
-    """Flipping any single phase in a star-only r=3 run must be detected."""
+    """Flipping any single phase in a star-only r=3 run must be detected:
+    each flip must make N_lit differ from |Gamma| times the closed form's
+    value at t_{k/2}."""
     surface = SurfaceData(4, 0, (2, 2, 2))
     undetected = 0
     flips = 0
     for choice in enumerate_choices(surface):
-        phases = phase_vector(surface, choice)
+        phases, want = phase_vector(surface, choice), _closed_half_value(surface, choice)
         for i in range(len(phases)):
             flips += 1
             corrupted = list(phases)
             corrupted[i] = -corrupted[i]
-            try:
-                fs_formula_with_phases(surface, corrupted)
-            except NonIntegralCoefficient:
-                continue
-            undetected += 1
+            undetected += _literal_half_value(surface, corrupted) == want
     return CheckResult("negative_control_phase_flip",
                        {"surface": surface.to_json_dict(), "flips": flips},
                        undetected == 0, float(undetected))

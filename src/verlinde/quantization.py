@@ -16,23 +16,19 @@ Three mutually cross-checking routes are implemented:
   D_SU(2) through the tridiagonal solve ``fusion_ring._times_double``.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
-  (1 for z = c, S[m,l] for z = e).  At l != k/2 only gamma = e survives,
-  the identity term, in floating point; at l = k/2 the sum factors over
-  the blocks into the closed form's exact value ``_half_value``, rounded
-  once.  Back to the tau basis by one sine transform per surface: up to
-  ``fusion_ring.K0`` in plain Python, S-matrix rows as tuples cached per
-  level and the transform as direct sums, with no numpy; above it numpy
-  rows and numpy's FFT.  Both kernels' coefficients are rounded by one
-  rule (``fusion_ring._round_coefficients``) against the same whole-sum
-  bound.  The final integrality rounding checks the float part; the
-  literal Gamma sum, in integers (``oracles.check_literal_gamma_sum``),
-  checks the value at t_{k/2}.
+  (1 for z = c, S[m,l] for z = e), answered exactly.  At l != k/2 only
+  gamma = e survives, the identity term, whose value is the product formula
+  of X; at l = k/2 the sum factors over the blocks.  So fs returns the
+  closed form's element once ``galois`` has certified it: X against the
+  product formula mod one prime at one point per Galois orbit, once per
+  surface, and each class's value at t_{k/2} against the blocks' literal
+  sums, once per class.  A disagreement raises CertificateMismatch, exit 2
+  at the command line; no valid request raises PrecisionExhausted.
 * ``localization_evaluate`` - the fixed-point sum for the value of a star
   block at a special point, ``_half_value`` at t_{k/2}.
 
-``reduced_quantization`` computes the scalar (tau_0-coefficient) variant of
-the S-matrix formula directly, bounded by fs's error model
-(``_value_error``), which is stated once for both sums, and
+``reduced_quantization`` is the scalar (tau_0-coefficient) variant of the
+S-matrix formula, the trace of fs's certified element, and
 ``verlinde_baseline`` the simply connected SU(2) product with no sign group
 at all.
 
@@ -75,14 +71,11 @@ label k/2).  So each per-class cache (``_class_cache``) computes on
 ``SurfaceData._folded``, the surface without its labels 0 and k, built once
 with the surface, and an odd count of labels k (``SurfaceData._reflected``)
 reflects the folded result: the closed form and fs reverse the folded
-element, reduced sums the folded terms times (-1)^l, and
+element, reduced reads the reversed element's trace, and
 ``verlinde_baseline`` reverses its product.  The sweep's 1,141 surfaces
 fold to 301 (581 with labels 0 alone) and its 3,276 request classes to 879
 computed ones (1,678).  The request keeps its own surface for the front
-end, so its result carries the canonical choice of all s + 2h slots.  The
-float paths' error bounds count the folded surface's entries, fewer than
-the request's, and stay sound bounds of the same sum, whose terms differ
-only in sign.
+end, so its result carries the canonical choice of all s + 2h slots.
 
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
@@ -96,32 +89,23 @@ implies, ``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial, update_wrapper, wraps
+from functools import lru_cache, update_wrapper, wraps
 from itertools import cycle, repeat
-from operator import add, and_, neg, rshift
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, and_, rshift
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fusion_ring import (
     FusionElement,
     InexactDivision,
-    NonIntegralValue,
     PrecisionExhausted,
-    _UNIT_ROUNDOFF,
-    _add_star_idempotent,
     _check_index,
     _check_int,
     _check_level,
-    _direct,
-    _numpy,
-    _round_coefficients,
-    _s_rows,
-    _s_rows_direct,
-    _sine_coefficients,
     _times_basis,
     _times_double,
     _weyl_quotient,
-    round_to_integer,
 )
+from .galois import certify, check_half
 from .prequant import (
     PrequantChoice,
     SurfaceData,
@@ -434,11 +418,10 @@ def _reflect(x: FusionElement) -> FusionElement:
 # Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
 # their surface, and 2,397 of the 3,276 request classes are answered from
 # their folded surface's entry or its reflection (799 reflections: an
-# element reversed, or a reduced sum alternated), so 879 classes are
-# computed.  Each
-# per-class cache keeps values only: a class that raises (InexactDivision
-# here, a failure to certify on the float paths) raises again on every
-# request.  The star entry points read this cache on their star-only surfaces.
+# element reversed), so 879 classes are computed.  Each per-class cache
+# keeps values only: a class that raises (InexactDivision here, a failed
+# certificate on fs) raises again on every request.  The star entry points
+# read this cache on their star-only surfaces.
 
 @_class_cache
 def _closed_form_element(surface: SurfaceData, a: int, d: int,
@@ -478,193 +461,49 @@ def quantize_surface(surface: SurfaceData,
     return QuantizationResult.of(_closed_form_element(surface, a, d), "closed_form", choice)
 
 
-class _GammaData(NamedTuple):
-    """Choice-independent O(k) data of one surface's S-matrix sum, its
-    values at t_{k/2} left out (each class adds its own)."""
-
-    coeffs: Sequence[float] | None  # tau-coefficients of the identity term / |Gamma|; None if refused
-    bound: float  # their rounding-error bound
-    reduced: float  # the reduced identity term summed, / |Gamma|
-    alternating: float  # its terms at l summed times (-1)^l, / |Gamma|
-    mass: float  # the sum of its terms' absolute values, / |Gamma|
-
-
-# The relative error of one value either S-matrix sum adds, s the label
-# count and n the slot count.  Each S-matrix entry is within 6.36u of its
-# value, relative, a priori, at any k (``fusion_ring._s_entries``;
-# tests/test_exact_angles.py derives it).  fs transforms the identity term
-# prod_j S[m_j, l] / S[0, l]^n / |Gamma| at l != k/2: s label entries and
-# S[0, l] n times through the power, then s - 1 products (none at s = 0),
-# the power (within one ulp, 2u) and the division: max(s, 1) + 2
-# roundings; 1/|Gamma| is an exact power of two.  One more u takes the
-# second-order terms, below u while s + n < 10^6.  The reduced sum adds the
-# terms prod_j S[m_j, l] / S[0, l]^(n-2): the same label entries and
-# roundings, with S[0, l] read |n - 2| times.  Counting it |n - 2| + 2
-# times, n for n >= 2, covers both terms, and the reduced one with 12.72u
-# to spare: that takes the sum's own roundings, the fsum's (u of sum
-# |terms|), the class's term at l = k/2 (one correctly rounded division of
-# integers, ``_half_float``) and its addition.  So
-# (6.36 (s + |n - 2| + 2) + max(s, 1) + 3) u bounds a value fs transforms,
-# relative, and times sum |terms| + |the term at k/2| the reduced value's
-# error (``_reduced_value``).  fs counts its value at t_{k/2} where it is
-# added (``fusion_ring._add_star_idempotent``).
-def _value_error(surface: SurfaceData) -> float:
-    """The relative error bound above of the surface's summed values."""
-    s = len(surface.labels)
-    return (6.36 * (s + abs(surface.num_slots - 2) + 2) + max(s, 1) + 3) * _UNIT_ROUNDOFF
-
-
-def _identity_terms(surface: SurfaceData) -> tuple[Sequence[float], Sequence[float], list[float]]:
-    """The transform's weights, the identity term
-    prod_j S[m_j, l] / S[0, l]^(s+2h) / |Gamma| and the reduced terms
-    prod_j S[m_j, l] / S[0, l]^(s+2h-2) at l = 0..k, both 0 at l = k/2
-    (k even), where the class's value is ``_half_value``.  The level selects
-    the kernel.  Up to K0 the rows are the level's cached tuples
-    (``fusion_ring._s_rows_direct``) and a division by a power that
-    underflowed to 0 raises in Python where numpy gives inf or nan: the
-    identity term is then inf throughout, which the transform's bound
-    refuses, and the reduced terms nan, whose sum rounding refuses, so both
-    kernels raise PrecisionExhausted on the same surfaces.  Above K0 the rows are numpy arrays (``fusion_ring._s_rows``),
-    a value out of double range becomes inf or nan without a warning, and
-    the identity term stays an array for the FFT.  The reduced terms are a
-    list either way."""
-    k, n = surface.level, surface.num_slots
-    inverse = 1 / surface.gamma_size()
-    if _direct(k):
-        weights, (row0, *label_rows) = _s_rows_direct(k, surface.labels)
-        full = [math.prod(column) for column in zip(*label_rows)] or [1.0] * (k + 1)
-        try:
-            identity = [f / s0 ** n * inverse for f, s0 in zip(full, row0)]
-        except (ZeroDivisionError, OverflowError):
-            identity = [math.inf] * (k + 1)
-        try:
-            terms = [f / s0 ** (n - 2) for f, s0 in zip(full, row0)]
-        except (ZeroDivisionError, OverflowError):
-            terms = [math.nan] * (k + 1)
-    else:
-        np = _numpy()
-        weights, rows = _s_rows(k, surface.labels)
-        with np.errstate(all="ignore"):
-            full = np.prod(rows[1:], axis=0)
-            identity = full / rows[0] ** n * inverse
-            terms = (full / rows[0] ** (n - 2)).tolist()
-    if not k % 2:
-        identity[k // 2] = terms[k // 2] = 0.0
-    return weights, identity, terms
-
-
-@lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
-def _fs_gamma_data(surface: SurfaceData) -> _GammaData:
-    """The identity term at every l != k/2 (``_identity_terms``), taken to
-    the tau basis by one sine transform, whose error bound covers the
-    values' own error (``_value_error``) as well; and the reduced terms
-    summed over the same l, plainly and times (-1)^l, which is tau_k's value
-    at t_l (``_reduced_value``).  The S-matrix rows of 0 and of the labels,
-    and the transform's weights, come from one pass.  A surface whose bound
-    is not below 1/2 keeps no coefficients (None) and runs no transform
-    (``fusion_ring._sine_coefficients``): every class of it is refused for
-    that bound when it is rounded.  The reduced form keeps the sum of its
-    terms' absolute values beside it, the scale of its rounding error.
-    1/|Gamma| is exact, |Gamma| being a power of two; a value out of double
-    range becomes inf or nan, and its rounding raises PrecisionExhausted."""
-    weights, identity, terms = _identity_terms(surface)
-    inverse = 1 / surface.gamma_size()
-    reduced = _sum(terms, inverse)
-    terms[1::2] = map(neg, terms[1::2])
-    alternating = _sum(terms, inverse)
-    try:
-        mass = math.fsum(map(abs, terms)) * inverse
-    except OverflowError:
-        mass = math.inf
-    coeffs, bound = _sine_coefficients(identity, weights, _value_error(surface))
-    return _GammaData(coeffs, bound, reduced, alternating, mass)
-
-
-def _sum(terms: list[float], scale: float) -> float:
-    """The exactly rounded sum of ``terms`` times ``scale``, nan when it
-    leaves double range."""
-    try:  # fsum raises on an intermediate overflow and on inf - inf
-        return math.fsum(terms) * scale
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _fs_coefficients(surface: SurfaceData,
-                     half: Callable[[], float]) -> tuple[Sequence[float] | None, float]:
-    """The raw tau-coefficients of a class and an a priori bound on their
-    error, before rounding: the transform of the identity term with
-    l = k/2 left out (one per surface, ``_fs_gamma_data``) plus ``half()``,
-    the class's value at t_{k/2} as a correctly rounded double, times
-    taut_{k/2} (``fusion_ring._add_star_idempotent``).  ``half`` is called
-    after the surface's data is read, and not at odd k, where Gamma = {e}
-    and the identity term is the whole sum.  The bound is the whole sum's:
-    the transform's, which covers the identity term's own error, plus the
-    update's, which counts the value's one rounding.  ``fs_formula`` passes
-    the closed form's value (``_half_float``), and
-    ``oracles.fs_formula_with_phases`` the literal Gamma sum's."""
-    data = _fs_gamma_data(surface)
-    if surface.level % 2:
-        return data.coeffs, data.bound
-    return _add_star_idempotent(surface.level, data.coeffs, data.bound, half())
+# The benchmark's tracer reads this cache by name, and fs results keep the
+# path name "fs_float", which the benchmark's expected output pins.
+@lru_cache(maxsize=512)  # one per folded surface, read by each of its classes
+def _fs_gamma_data(surface: SurfaceData) -> tuple[int, tuple[int, ...]]:
+    """The surface's certificate, the prime and the orbits checked: X, its
+    closed-form base, against the S-matrix product formula mod one prime at
+    one point per Galois orbit but t_{k/2} (``galois.certify``).  A surface
+    that fails raises CertificateMismatch on every request, and this cache
+    keeps no entry."""
+    return certify(surface, _closed_form_base(surface).element)
 
 
 @_class_cache
 def _fs_element(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> FusionElement:
-    """The class's element, its coefficients rounded once, and ``reflected``,
-    that times tau_k; a class that fails to round raises
-    NonIntegralCoefficient or PrecisionExhausted on every request, and its
-    cache keeps no entry."""
+    """The class's closed-form element once it is certified, and
+    ``reflected``, that times tau_k: its surface's X at every orbit but
+    t_{k/2} (``_fs_gamma_data``), which the element shares over |Gamma|
+    there, and at even k its value at t_{k/2} against the literal block
+    sums (``galois.check_half``).  A class that fails raises
+    CertificateMismatch on every request, and its cache keeps no entry."""
     if reflected:
         return _reflect(_fs_element(surface, a, d))
-    return _round_coefficients(surface.level,
-                               *_fs_coefficients(surface, partial(_half_float, surface, a, d)))
-
-
-@_class_cache
-def _reduced_value(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> int:
-    """The class's reduced value, rounded once: the reduced identity term
-    summed over l != k/2 plus the class's term at l = k/2, its value times
-    S[0, k/2]^2 = 1/(k/2+1) (``_half_float``).  ``reflected``, the class's
-    value times tau_k, which is (-1)^l at t_l: the same terms, alternating.
-    A class that fails to round raises NonIntegralValue or
-    PrecisionExhausted, as ``_fs_element`` does.  The sum's error is at most
-    fs's relative value error (``_value_error``) times sum |terms| plus
-    |its term at l = k/2|, and PrecisionExhausted comes too when that bound
-    is not below 1/2."""
-    k, data = surface.level, _fs_gamma_data(surface)
-    half = 0.0 if k % 2 else _half_float(surface, a, d, k // 2 + 1)
-    bound = _value_error(surface) * (data.mass + abs(half))
-    if reflected:  # (-1)^l at l = k/2 too
-        total = data.alternating + (-half if k // 2 % 2 else half)
-    else:
-        total = data.reduced + half
-    return round_to_integer(total, exc=NonIntegralValue,
-                            context="reduced quantization", bound=bound)
+    element = _closed_form_element(surface, a, d)
+    _fs_gamma_data(surface)
+    if not surface.level % 2:
+        check_half(surface, a, d, element)
+    return element
 
 
 def fs_formula(surface: SurfaceData, choice: PrequantChoice | None = None) -> QuantizationResult:
-    """Quantization through the S-matrix formula, summed block by block:
-    the identity term / |Gamma| at l != k/2 (floating point) and the
-    class's exact value at l = k/2 (``_half_value``, rounded once), back to
-    the tau basis by a sine transform (once per surface) and an update
-    along taut_{k/2} (once per choice class), then integrality rounding,
-    once per class.  Raises PrecisionExhausted when the rounding-error
-    bound is not below 1/2 (a sum out of double range included) or a
-    coefficient is not below 2^53, and NonIntegralCoefficient when a
-    coefficient fails to round."""
+    """Quantization through the S-matrix (generalized Verlinde) formula,
+    answered exactly: the closed form's element, certified to equal the
+    formula at every special point (``_fs_element``).  Raises
+    CertificateMismatch, an InexactDivision, where they disagree."""
     choice, a, d = _canonical_class(surface, choice)
     return QuantizationResult.of(_fs_element(surface, a, d), "fs_float", choice)
 
 
 def reduced_quantization(surface: SurfaceData, choice: PrequantChoice | None = None) -> int:
-    """The scalar S-matrix sum (quantization of the symplectic quotient),
-    summed block by block with exponent s+2h-2, once per choice class.
-    Raises PrecisionExhausted when the sum is out of double range, not
-    below 2^53, or formed from terms so large that its a priori error bound
-    (``_value_error`` times sum |terms|, fs's error model) is not below 1/2,
-    and NonIntegralValue when it fails to round."""
+    """The scalar S-matrix sum (quantization of the symplectic quotient):
+    the trace of fs's certified element, exact."""
     _, a, d = _canonical_class(surface, choice)
-    return _reduced_value(surface, a, d)
+    return _fs_element(surface, a, d).coeffs[0]
 
 
 def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:

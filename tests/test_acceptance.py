@@ -12,15 +12,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from verlinde import oracles
 from verlinde.fusion_ring import (
     DEFAULT_TOLERANCE,
     FusionElement,
-    NonIntegralCoefficient,
     s_matrix,
 )
 from verlinde.oracles import (
     classical_verlinde_number,
-    fs_formula_with_phases,
     phase_vector as _phase_vector,
     star_choice_class,
     structure_constants_from_multiply,
@@ -208,14 +207,18 @@ def test_criterion_8_ring_properties():
 
 
 def test_criterion_9_negative_control():
+    # Each single flip moves the literal Gamma sum at t_{k/2} off |Gamma|
+    # times the closed form's value there, which fs certifies.
     start = time.perf_counter()
     surface = SurfaceData(4, 0, (2, 2, 2))
     for choice in enumerate_choices(surface):
         phases = list(_phase_vector(surface, choice))
+        coeffs = fs_formula(surface, choice).element.coeffs
+        want = surface.gamma_size() * (sum(coeffs[::4]) - sum(coeffs[2::4]))
+        assert oracles._literal_half_value(surface, phases) == want
         for i in range(len(phases)):
             corrupted = list(phases)
             corrupted[i] = -corrupted[i]
-            with pytest.raises(NonIntegralCoefficient):
-                fs_formula_with_phases(surface, corrupted)
+            assert oracles._literal_half_value(surface, corrupted) != want
     elapsed = time.perf_counter() - start
     _report(9, "every single phase flip detected (16 flips)", elapsed, 5)

@@ -9,7 +9,7 @@ import pytest
 
 import verlinde
 from verlinde.cli import main
-from verlinde.fusion_ring import K0, FusionElement
+from verlinde.fusion_ring import FusionElement, PrecisionExhausted
 from verlinde.oracles import sweep_surfaces
 from verlinde.prequant import SurfaceData, enumerate_choices
 
@@ -195,8 +195,20 @@ def test_quantize_beyond_gamma_enumeration_cap(capsys):
     assert "coeffs [0, 0, 1]  reduced 0" in out
 
 
-def test_precision_exhausted_exit_code(capsys):
-    # the float path cannot certify coefficients near 1e89: exit 3, no output
+def test_precision_exhausted_exit_code(capsys, monkeypatch):
+    # The float fs path refused coefficients near 1e89 here with exit 3; fs
+    # now answers it exactly.  Exit 3 stays mapped for the float API.
+    argv = ["quantize", "--level", "60", "--genus", "30", "--format", "json"]
+    assert main([*argv, "--path", "fs"]) == 0
+    fs = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--path", "closed"]) == 0
+    assert fs == {**json.loads(capsys.readouterr().out), "path": "fs_float"}
+    from verlinde import cli
+
+    def exhausted(*args, **kwargs):
+        raise PrecisionExhausted("forced")
+
+    monkeypatch.setattr(cli, "fs_formula", exhausted)
     code = main(["quantize", "--level", "60", "--genus", "30", "--path", "fs"])
     captured = capsys.readouterr()
     assert code == 3
@@ -204,9 +216,19 @@ def test_precision_exhausted_exit_code(capsys):
     assert captured.err.startswith("precision exhausted:")
 
 
-# Float sums out of double range: an inf to round, |Gamma| = 2^2003 past
-# float conversion, 4^h in the double factor, +inf and -inf in one reduced
-# sum, and an infinite block sum beside a finite identity term.
+def _closed_answer(capsys, argv):
+    """The coefficients and reduced value of ``argv`` on the closed path."""
+    path = argv.index("--path")
+    assert main(["quantize", *argv[:path], "--path", "closed", "--format", "json"]) == 0
+    closed = json.loads(capsys.readouterr().out)
+    return closed["coeffs"], closed["reduced"]
+
+
+# The requests whose float sums left double range and exhausted double
+# precision: an inf to round, |Gamma| = 2^2003 past float conversion, 4^h
+# in the double factor, +inf and -inf in one reduced sum, and an infinite
+# block sum beside a finite identity term.  fs and reduced now answer each
+# exactly, as the closed form does.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["--level", "8", "--genus", "300", "--path", "closed", "--reduced"],
@@ -218,24 +240,22 @@ def test_precision_exhausted_exit_code(capsys):
     ["--level", "100", "--genus", "180", "--labels", "50,50,50,50", "--path", "fs"],
 ])
 def test_sums_out_of_double_range_exhaust_precision(capsys, argv):
-    code = main(["quantize", *argv])
+    code = main(["quantize", *argv, "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("precision exhausted:")
-    assert captured.err.count("\n") == 1
+    assert code == 0 and captured.err == ""
+    got = json.loads(captured.out)
+    assert (got["coeffs"], got["reduced"]) == _closed_answer(capsys, argv)
 
 
 def test_reduced_value_past_2_53_exhausts_precision(capsys):
-    # the reduced sum is about 2.2e20, where doubles skip integers; the
-    # nearest double is not the closed form's trace, 218922995834555169026
-    code = main(["quantize", "--level", "8", "--labels", ",".join(["4"] * 100),
-                 "--path", "closed", "--reduced"])
+    # The float reduced sum was about 2.2e20, where doubles skip integers,
+    # and was refused; the reduced value is now the trace itself.
+    argv = ["--level", "8", "--labels", ",".join(["4"] * 100), "--path", "closed", "--reduced"]
+    code = main(["quantize", *argv, "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("precision exhausted:")
-    assert "2^53" in captured.err and "Traceback" not in captured.err
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["reduced"] == 218922995834555169026
+    assert _closed_answer(capsys, argv)[1] == 218922995834555169026
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):
@@ -304,8 +324,10 @@ def test_import_loads_neither_numpy_nor_oracles():
         "    raise AssertionError('a numpy bool passed the integer rule')\n")
 
 
-# name: (argv, whether it loads numpy).  The S-matrix path loads it above
-# K0, not up to it; verify and tables load it with the oracles.
+# name: (argv, whether it loads numpy).  No quantize request loads it: fs
+# and reduced are certified in integers.  K0 = 26 was the level above which
+# the float S-matrix path took numpy.  verify and tables load it with the
+# oracles.
 _COLD_REQUESTS = {
     "setup": (["quantize", "--level", "4", "--labels", "2,2", "--psi", "0,0", "--path", "both",
                "--reduced", "--format", "json"], False),
@@ -313,9 +335,11 @@ _COLD_REQUESTS = {
     "fusion-mult": (["fusion", "mult", "--level", "4", "--a", "0,1,0,0,0", "--b", "0,0,1,0,0"],
                     False),
     "closed": (["quantize", "--level", "12", "--genus", "1", "--labels", "1,6,6"], False),
-    "both-at-K0": (["quantize", "--level", str(K0), "--genus", "1", "--labels", "1,1",
+    "both-at-K0": (["quantize", "--level", "26", "--genus", "1", "--labels", "1,1",
                     "--path", "both", "--reduced", "--all-choices"], False),
-    "fs-past-K0": (["quantize", "--level", str(K0 + 1), "--labels", "1,1", "--path", "fs"], True),
+    "fs-past-K0": (["quantize", "--level", "27", "--labels", "1,1", "--path", "fs"], False),
+    "high-level": (["quantize", "--level", "396", "--genus", "2", "--labels", "71,250,283,343",
+                    "--path", "both", "--reduced"], False),
     "tables": (["tables", "--r", "2", "--level", "4"], True),
 }
 
@@ -330,13 +354,14 @@ def test_requests_import_numpy_only_on_need(argv, loads):
     assert out.splitlines()[-1] == str(loads)
 
 
-def test_from_idempotent_up_to_k0_loads_no_numpy():
-    # A list or tuple of Python numbers at a level up to K0 is validated and
-    # transformed from the level's rows in plain Python.
+def test_from_idempotent_loads_numpy_when_called():
+    # from_idempotent is the public float API: importing it loads no numpy,
+    # and a call loads it, to read any vector, a list of Python numbers too.
     _run_python(
         "import sys\n"
-        "from verlinde.fusion_ring import K0, from_idempotent\n"
-        "assert from_idempotent([1.0] * (K0 + 1)).coeffs == (1,) + (0,) * K0\n"
+        "from verlinde.fusion_ring import from_idempotent\n"
+        "assert 'numpy' not in sys.modules, 'numpy on import'\n"
+        "assert from_idempotent([1.0] * 27).coeffs == (1,) + (0,) * 26\n"
         "assert from_idempotent((0, 0, 3, 0.0, 0)).coeffs == (1, 0, -1, 0, 1)\n"
         "try:\n"
         "    from_idempotent([])\n"
@@ -344,15 +369,14 @@ def test_from_idempotent_up_to_k0_loads_no_numpy():
         "    pass\n"
         "else:\n"
         "    raise AssertionError('an empty vector passed')\n"
-        "assert 'numpy' not in sys.modules, 'numpy'\n")
+        "assert 'numpy' in sys.modules, 'numpy'\n")
 
 
 def test_criterion_4_box_loads_no_numpy():
     # Every request of the box (k <= 20) on the closed, fs and reduced
-    # paths, as verify and the benchmark's sweep send them, runs with K0 at
-    # least 20: no numpy array, no numpy.fft.  The surfaces are built here,
-    # as the oracles that list them import numpy themselves.
-    assert K0 >= 20
+    # paths, as verify and the benchmark's sweep send them: no numpy array,
+    # no numpy.fft.  The surfaces are built here, as the oracles that list
+    # them import numpy themselves.
     surfaces = [(s.level, s.genus, s.labels) for s in sweep_surfaces(20, 5, 2)]
     out = _run_python(
         "import sys\n"

@@ -14,7 +14,7 @@ rounding the bound up:
   most 1, so the angle's error passes through at most 2.36u; the sine itself
   adds at most one ulp, 2u (libm's and numpy's double sines are within one
   ulp, and odd, so the sign the fold gives costs nothing).  So a sine is
-  within 4.36u: ``SINE_BOUND``.
+  within 4.36u.
 * An S-matrix entry divides the sine by sqrt(k/2+1): k/2+1 is exact, and the
   square root and the division round once each.  6.36u: ``S_BOUND``.
 * tau_m(t_l) = sin((m+1)(l+1) pi/N) / sin((l+1) pi/N) sums one term c sin
@@ -34,13 +34,12 @@ sine; these bounds rule that out.
 import numpy as np
 import pytest
 
-from verlinde.fusion_ring import K0, FusionElement, _s_rows_direct, s_matrix, s_matrix_entry
+from verlinde.fusion_ring import FusionElement, s_matrix, s_matrix_entry
 from verlinde.quantization import localization_evaluate
 
 mpmath = pytest.importorskip("mpmath")
 
 U = 2.0 ** -53
-SINE_BOUND = 4.5 * U
 S_BOUND = 6.5 * U
 EVALUATE_BOUND = 10 * U
 LOCALIZATION_BOUND = 22 * U
@@ -89,26 +88,22 @@ def test_every_s_matrix_entry(k):
     _check(s_matrix(k), e, n, hi[e % (2 * n)], lo[e % (2 * n)], S_BOUND, f"S at k={k}")
 
 
-@pytest.mark.parametrize("k", range(K0 + 1))
+@pytest.mark.parametrize("k", range(27))
 def test_every_direct_s_matrix_entry(k):
-    # Up to K0 the S-matrix path reads its rows from one table of math.sin
-    # values (``fusion_ring._s_rows_direct``), not from numpy's: every entry
-    # and every weight within its bound, the zeros exact, the row of 0 read
-    # first and again as the label 0.
+    # ``s_matrix_entry`` forms each entry alone, from its own product's
+    # folded sine, not from a matrix: at every level up to 26 (the levels a
+    # plain-Python S-matrix kernel once served), every entry within its
+    # bound, the zeros exact, and the row of k the row of 0 times (-1)^l,
+    # bit for bit.
     n = k + 2
-    sines = _exact_sines(n)
     with mpmath.workprec(160):
         scale = 1 / mpmath.sqrt(mpmath.mpf(k) / 2 + 1)
-        hi, lo = _split([s * scale for s in sines])
-    weights, rows = _s_rows_direct(k, range(k + 1))
+        hi, lo = _split([s * scale for s in _exact_sines(n)])
+    rows = np.array([[s_matrix_entry(k, m, l) for l in range(k + 1)] for m in range(k + 1)])
     idx = np.arange(1, k + 2)
     e = np.outer(idx, idx)
-    rows = np.array(rows)
-    assert rows.shape == (k + 2, k + 1) and rows[0].tobytes() == rows[1].tobytes()
-    # the row of k is the row of 0 times (-1)^l, bit for bit, as with numpy's rows
-    assert rows[k + 1].tobytes() == np.where(idx % 2, rows[0], -rows[0]).tobytes()
-    _check(rows[1:], e, n, hi[e % (2 * n)], lo[e % (2 * n)], S_BOUND, f"direct S at k={k}")
-    _check(np.array(weights), idx, n, *_split(sines[1:n]), SINE_BOUND, f"weights at k={k}")
+    assert rows[k].tobytes() == np.where(idx % 2, rows[0], -rows[0]).tobytes()
+    _check(rows, e, n, hi[e % (2 * n)], lo[e % (2 * n)], S_BOUND, f"direct S at k={k}")
 
 
 @pytest.mark.parametrize("k", [1000, 4000])

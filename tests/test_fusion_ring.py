@@ -3,17 +3,15 @@ import math
 import operator
 import re
 import tracemalloc
-from array import array
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde import fusion_ring
+from verlinde import fusion_ring, galois
 from verlinde.fusion_ring import (
     DEFAULT_TOLERANCE,
-    K0,
     FusionElement,
     InexactDivision,
     NonIntegralCoefficient,
@@ -26,7 +24,6 @@ from verlinde.fusion_ring import (
     _round_coefficients,
     _s_entries,
     _s_rows,
-    _s_rows_direct,
     _sin_pi,
     _sine_coefficients,
     _sine_transform,
@@ -224,11 +221,6 @@ class TestMultiply:
             assert star ** r == repeated
 
 
-def _row_bytes(rows):
-    """The doubles of ``rows``, row after row, as bytes: -0.0 differs from 0.0."""
-    return array("d", [x for row in rows for x in row]).tobytes()
-
-
 class TestSMatrix:
     def test_column_of_unit_row(self):
         assert s_matrix_entry(4, 0, 2) == pytest.approx(3 ** -0.5)
@@ -298,22 +290,23 @@ class TestSMatrix:
         assert rows.tobytes() == smat[[0, *labels]].tobytes()
         assert weights.tobytes() == _sin_pi(k + 2, idx).tobytes()
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 7, K0 - 1, K0, K0 + 1, 64])
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 25, 26, 27, 64])
     def test_direct_rows_are_the_products_own_sines(self, k):
-        # The plain kernel's rows are slices of one table of 2(k+2) sines,
-        # kept per level up to K0: read from the cache or built afresh, they
-        # are, byte for byte, math.sin of each product (m+1)(l+1) folded,
-        # over sqrt(k/2+1), and the sine rows p = 1..k+1 the unscaled ones.
-        n, half_step, root = k + 2, math.pi / (2 * (k + 2)), math.sqrt(k / 2 + 1)
-        own = [[math.sin(_fold_angle(n, p * j) * half_step) for j in range(1, n)]
-               for p in range(1, n)]
-        sines, rows = fusion_ring._level_rows.__wrapped__(k)
-        weights, read = _s_rows_direct(k, range(k + 1))
-        assert _row_bytes(sines) == _row_bytes(own) and weights == sines[0]
-        assert _row_bytes(rows) == _row_bytes([[x / root for x in row] for row in own])
-        assert _row_bytes(read) == _row_bytes([rows[0], *rows])
-        if k <= K0:  # the cached rows themselves, not a copy
-            assert read[1] is _s_rows_direct(k, (0,))[1][1] is fusion_ring._direct_rows(k)[1][0]
+        # The exact S-matrix rows mod the level's prime, as the certificate
+        # reads them (``galois._level``): 2i sin(e pi/N) maps to
+        # w_e = z^e - z^-e, and for every product e = (m+1)(l+1) the entry
+        # read from the table, built from x < N by w_(x+N) = -w_x, is
+        # z^e - z^-e by direct powers of z, z = (c + w_1)/2 from
+        # c = z + 1/z = w_2 / w_1.  z has order 2N: z^N = -1.
+        level, n = galois._level(k), k + 2
+        p = level.prime
+        w1, w2 = (v % p for v in level.w[1:3])
+        z = (w2 * pow(w1, -1, p) + w1) * pow(2, -1, p) % p
+        assert pow(z, n, p) == p - 1
+        for m in range(k + 1):
+            for l in range(k + 1):
+                e = (m + 1) * (l + 1)
+                assert (level.w[e % (2 * n)] - pow(z, e, p) + pow(z, -e, p)) % p == 0
 
     @pytest.mark.parametrize("k", [0, 1, 5, 20, 64, 100])
     def test_symmetry_and_orthogonality(self, k):
@@ -437,26 +430,19 @@ class TestIdempotentBasis:
                                                ([1e16] * 5, "2.465e[+]02"),
                                                ([math.inf] * 3, "inf"), ([math.nan] * 3, "nan")])
     def test_a_refused_vector_makes_no_transform(self, monkeypatch, values, bound):
-        # The bound is formed from the weighted values before any transform,
-        # on either kernel: a vector it refuses is not transformed, and its
-        # message is the one it had when every vector was transformed first.
-        fft, direct = fusion_ring._sine_transform, fusion_ring._direct_sine_transform
-        for k0 in (fusion_ring.K0, -1):  # these levels on the direct sums, then on the FFT
-            calls = []
-            with monkeypatch.context() as patch:
-                patch.setattr(fusion_ring, "K0", k0)
-                patch.setattr(fusion_ring, "_sine_transform",
-                              lambda y: calls.append(y) or fft(y))
-                patch.setattr(fusion_ring, "_direct_sine_transform",
-                              lambda x: calls.append(x) or direct(x))
-                with pytest.raises(PrecisionExhausted, match=(
-                        f"^the tau-coefficients at level {len(values) - 1} have a rounding "
-                        f"error bound of {bound}, not below 1/2: double precision cannot "
-                        "certify them$")):
-                    from_idempotent(values)
-                assert calls == []
-                assert from_idempotent([0.0, 0.0, 3.0, 0.0, 0.0]).coeffs == (1, 0, -1, 0, 1)
-                assert len(calls) == 1
+        # The bound is formed from the weighted values before any transform:
+        # a vector it refuses is not transformed, and its message is the one
+        # it had when every vector was transformed first.
+        fft, calls = fusion_ring._sine_transform, []
+        monkeypatch.setattr(fusion_ring, "_sine_transform", lambda y: calls.append(y) or fft(y))
+        with pytest.raises(PrecisionExhausted, match=(
+                f"^the tau-coefficients at level {len(values) - 1} have a rounding "
+                f"error bound of {bound}, not below 1/2: double precision cannot "
+                "certify them$")):
+            from_idempotent(values)
+        assert calls == []
+        assert from_idempotent([0.0, 0.0, 3.0, 0.0, 0.0]).coeffs == (1, 0, -1, 0, 1)
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs", [(10**400, 0, 0, 0, 0), (0, 0, -(10**309), 0, 0),
@@ -581,17 +567,20 @@ class TestOnePassRounding:
     @pytest.mark.parametrize("bad", [2.0**53, -2.0**60, math.nan, math.inf, 7.25],
                              ids=["2^53", "-2^60", "nan", "inf", "past"])
     def test_both_kernels_raise_alike(self, bad, bound):
-        """The one rounding rule: a tuple at K0, rounded in plain Python,
-        and a numpy array above it, accepted or not in one numpy pass, fail
-        at the same first coefficient with the same exception and message."""
-        failures = set()
-        for k, wrap in ((K0, tuple), (K0 + 1, np.array)):
+        """The one rounding rule: an array that numpy's one pass does not
+        accept fails in the per-coefficient loop at its first bad
+        coefficient, with the exception and message the scalar rule
+        (``_checked_round``) gives that coefficient alone."""
+        allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(bad)), 0.499), bound)
+        with pytest.raises(NonIntegralCoefficient) as scalar:
+            fusion_ring._checked_round(bad, allowed, bound, NonIntegralCoefficient,
+                                       "tau_3 coefficient")
+        for k in (5, 27):
             coeffs = [float(m) for m in range(k + 1)]
             coeffs[3], coeffs[5] = bad, 5.5
             with pytest.raises(NonIntegralCoefficient, match="^tau_3 coefficient = ") as info:
-                _round_coefficients(k, wrap(coeffs), bound)
-            failures.add((type(info.value), str(info.value)))
-        assert len(failures) == 1
+                _round_coefficients(k, np.array(coeffs), bound)
+            assert (type(info.value), str(info.value)) == (type(scalar.value), str(scalar.value))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from((-0.0, 0.0, 2.0**53 - 1, -(2.0**53 - 1))),

@@ -24,7 +24,6 @@ from verlinde.oracles import (
     check_negative_control,
     classical_verlinde_number,
     closed_form_tables,
-    fs_formula_with_phases,
     phase_vector,
     run_verification_suite,
     star_choice_class,
@@ -196,12 +195,13 @@ def test_literal_gamma_sum_reads_only_its_rows(monkeypatch, surfaces):
     _forbid_the_matrix(monkeypatch)
     oracles._literal_table.cache_clear()
     for surface, want in cases:
-        if want is not None:  # at odd k, Gamma = {e} and there is no t_{k/2}
-            got = oracles._literal_table(surface)[1]
-            assert got == want and all(type(term) is int for term in got), surface
+        if want is None:  # at odd k, Gamma = {e} and there is no t_{k/2}
+            continue
+        got = oracles._literal_table(surface)[1]
+        assert got == want and all(type(term) is int for term in got), surface
         for choice in enumerate_choices(surface):
-            element = fs_formula_with_phases(surface, phase_vector(surface, choice))
-            assert element == quantization.quantize_surface(surface, choice).element, surface
+            assert oracles._literal_half_value(surface, phase_vector(surface, choice)) == \
+                oracles._closed_half_value(surface, choice), surface
 
 
 class TestSweep:
@@ -278,11 +278,10 @@ def _raising(*args):
 
 def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
     # Each class's value at t_{k/2} is written once, in these helpers; the
-    # literal side of the check, and fs_formula_with_phases on it, must
-    # compute without them.
+    # literal side of the check must compute without them.
     helpers = ("_half_value", "_chi_coefficient", "_krawtchouk_sum", "_double_factor",
                "_tau_at_half")
-    calls = dict.fromkeys(("phase_vector", "_literal_half_value", "fs_formula_with_phases"), 0)
+    calls = dict.fromkeys(("phase_vector", "_literal_half_value"), 0)
 
     def guarded(name, fn):
         def literal(*args):
@@ -302,12 +301,14 @@ def test_literal_gamma_sum_reads_no_closed_form_helper(monkeypatch):
         for choice in enumerate_choices(surf):
             requests += 1
             classes.add((surf, *prequant._canonical_class(surf, choice)[1:]))
-            want = quantization.quantize_surface(surf, choice).element
-            assert oracles.fs_formula_with_phases(surf, oracles.phase_vector(surf, choice)) == want
+            if surf.level % 2 == 0:
+                want = oracles._closed_half_value(surf, choice)
+                phases = oracles.phase_vector(surf, choice)
+                assert oracles._literal_half_value(surf, phases) == want
     assert result.passed
     assert (result.params["requests"], result.params["classes"]) == (requests, len(classes))
     assert len(classes) < requests
-    assert calls["_literal_half_value"] > requests and calls["fs_formula_with_phases"] == requests
+    assert calls["_literal_half_value"] > requests
 
 
 def test_literal_gamma_sum_reads_no_choice_class(monkeypatch):
@@ -334,9 +335,7 @@ def test_literal_gamma_sum_makes_no_transform(monkeypatch):
     def no_transform(*args):
         raise AssertionError("the literal Gamma sum check ran a sine transform")
 
-    # neither kernel: the FFT above K0, the direct sums up to it
     monkeypatch.setattr(fusion_ring, "_sine_transform", no_transform)
-    monkeypatch.setattr(fusion_ring, "_direct_sine_transform", no_transform)
     _clear_quantization_caches()
     try:
         result = check_literal_gamma_sum(12, 4, 1)
@@ -356,8 +355,9 @@ def _nonstar_sign_dropped(surface, a, d):
 
 
 def test_literal_gamma_sum_catches_a_wrong_double_sign(monkeypatch):
-    # A wrong value at t_{k/2} that every path reads alike: the paths agree
-    # with each other, and only the literal sum disagrees.
+    # A wrong value at t_{k/2} that every path reads alike: the literal sum
+    # disagrees, and so does fs's check at t_{k/2}, which reads none of the
+    # closed form's helpers either.
     double_factor = quantization._double_factor
     monkeypatch.setattr(quantization, "_double_factor",
                         lambda k, h, d: double_factor(k, h, d) * (-1) ** d)
@@ -367,14 +367,15 @@ def test_literal_gamma_sum_catches_a_wrong_double_sign(monkeypatch):
         cross = check_cross_paths(10, 2, 1)
     finally:
         _clear_quantization_caches()
-    assert cross.passed
+    assert not cross.passed and cross.deviation > 0
     assert not literal.passed and literal.deviation > 0
 
 
 def test_literal_gamma_sum_catches_a_dropped_nonstar_sign(monkeypatch):
     # The sweep's labels cannot show it (0 and k fold away, and tau_1
     # vanishes at t_{k/2}); the general-label box does, where some classes
-    # also fail the closed form's exact division.
+    # also fail the closed form's exact division, on the literal check and
+    # on fs's check at t_{k/2}.
     monkeypatch.setattr(quantization, "_half_value", _nonstar_sign_dropped)
     _clear_quantization_caches()
     try:
@@ -382,7 +383,7 @@ def test_literal_gamma_sum_catches_a_dropped_nonstar_sign(monkeypatch):
         cross = check_cross_paths(10, 2, 1)
     finally:
         _clear_quantization_caches()
-    assert cross.passed
+    assert not cross.passed and cross.deviation > 0
     assert not literal.passed and literal.deviation > 0
 
 

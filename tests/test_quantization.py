@@ -3,33 +3,18 @@ import inspect
 import math
 import pickle
 import random
-import re
-import tracemalloc
-from collections import Counter
-from contextlib import contextmanager
-from fractions import Fraction
-from functools import partial
 from itertools import product
-from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde import fusion_ring, prequant, quantization
+from verlinde import fusion_ring, galois, oracles, prequant, quantization
 from verlinde.fusion_ring import (
     FusionElement,
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
-    _add_star_idempotent,
-    _direct_sine_transform,
-    _round_coefficients,
-    _s_rows,
-    _sine_coefficients,
-    _sine_transform,
-    from_idempotent,
-    s_matrix,
 )
 from verlinde.prequant import (
     GammaElement,
@@ -59,7 +44,6 @@ from verlinde.quantization import (
 )
 from verlinde.oracles import (
     closed_form_tables,
-    fs_formula_with_phases,
     phase_vector as _phase_vector,
     star_choice_class,
     sweep_surfaces,
@@ -222,23 +206,26 @@ class TestFsFormula:
         assert res.path == "fs_float"
 
     def test_flipped_phase_detected(self):
-        # by the rounding, not by the precision bound
+        # the literal Gamma sum at t_{k/2} with one phase flipped leaves
+        # |Gamma| times fs's value there
         surf = SurfaceData(4, 0, (2, 2, 2))
         for choice in enumerate_choices(surf):
             phases = _phase_vector(surf, choice)
+            want = _scaled_half_value(surf, fs_formula(surf, choice).element)
+            assert oracles._literal_half_value(surf, phases) == want
             for i in range(len(phases)):
                 flipped = phases[:i] + [-phases[i]] + phases[i + 1:]
-                with pytest.raises(NonIntegralCoefficient) as info:
-                    fs_formula_with_phases(surf, flipped)
-                assert type(info.value) is NonIntegralCoefficient
+                assert oracles._literal_half_value(surf, flipped) != want
 
     def test_fs_and_reduced_match_the_literal_gamma_sum(self):
         requests = 0
         for surf in sweep_surfaces(20, 5, 2, gamma_cap=2**6):
             for choice in enumerate_choices(surf):
-                literal = fs_formula_with_phases(surf, _phase_vector(surf, choice))
-                assert fs_formula(surf, choice).element == literal
-                assert reduced_quantization(surf, choice) == literal.trace
+                element = fs_formula(surf, choice).element
+                if surf.level % 2 == 0:
+                    literal = oracles._literal_half_value(surf, _phase_vector(surf, choice))
+                    assert _scaled_half_value(surf, element) == literal
+                assert reduced_quantization(surf, choice) == element.trace
                 requests += 1
         assert requests == 14940
 
@@ -254,6 +241,12 @@ class TestFsFormula:
             enumerate_gamma(surf)
         with pytest.raises(GroupTooLarge):
             enumerate_choices(surf)
+
+
+def _scaled_half_value(surf, element):
+    """|Gamma| times ``element``'s value at t_{k/2}, c_0 - c_2 + c_4 - ..."""
+    c = element.coeffs
+    return surf.gamma_size() * (sum(c[::4]) - sum(c[2::4]))
 
 
 def _frontier_box(seed, n):
@@ -277,89 +270,37 @@ def _frontier_box(seed, n):
     return box
 
 
-def test_fs_formula_is_exact_or_raises_across_the_precision_frontier():
-    # Past 2^53 the float path used to return wrong integers silently.
-    outcomes = Counter()
+def test_fs_formula_is_exact_across_the_precision_frontier():
+    # Past 2^53 the float path used to return wrong integers silently, and
+    # then refused 2,325 of these requests; fs and reduced now answer all.
     for surf, choice in _frontier_box(2026, 4000):
-        closed = quantize_surface(surf, choice).element
-        try:
-            element = fs_formula(surf, choice).element
-        except PrecisionExhausted:
-            outcomes["exhausted"] += 1
-        except NonIntegralCoefficient:
-            outcomes["non-integral"] += 1
-        else:
-            assert element == closed, (surf, choice)
-            outcomes["exact"] += 1
-    assert min(outcomes["exact"], outcomes["exhausted"]) > 500, outcomes
-    # the whole sum is bounded, so a valid surface is never a disagreement
-    assert outcomes["non-integral"] == 0, outcomes
+        closed = quantize_surface(surf, choice)
+        assert fs_formula(surf, choice).element == closed.element, (surf, choice)
+        assert reduced_quantization(surf, choice) == closed.reduced, (surf, choice)
 
 
 def test_star_counts_out_of_double_range_exhaust_precision():
-    # The value at t_{k/2} is in double range, but S[0, l]^-1100 is not
-    surf = SurfaceData(4, 0, (2,) * 1100)
-    for path in (fs_formula, reduced_quantization):
-        with pytest.raises(PrecisionExhausted):
-            path(surf)
-    # The exact value at t_4 of 2000 star labels at level 8, over |Gamma|,
-    # is past 2^1024: every path that rounds it says so
-    surf, message = SurfaceData(8, 0, (4,) * 2000), r"\(a=0, d=0\) at t_4 is out of double range"
-    for path in (fs_formula, reduced_quantization):
-        with pytest.raises(PrecisionExhausted, match=message):
-            path(surf)
-    with pytest.raises(PrecisionExhausted, match=message):
+    # S[0, l]^-1100 is out of double range, and the value at t_4 of 2000
+    # star labels at level 8, over |Gamma|, is past 2^1024: the float sums
+    # exhausted double precision, and fs and reduced now answer exactly.
+    # Localization still rounds that value to a double, and says so.
+    for surf in (SurfaceData(4, 0, (2,) * 1100), SurfaceData(8, 0, (4,) * 2000)):
+        closed = quantize_surface(surf)
+        assert fs_formula(surf).element == closed.element
+        assert reduced_quantization(surf) == closed.reduced
+    with pytest.raises(PrecisionExhausted, match=r"\(a=0, d=0\) at t_4 is out of double range"):
         localization_evaluate(8, 2000, (0,) * 2000, 4)
 
 
 @pytest.mark.parametrize("r", [100, 150, 200, 400])
 def test_many_star_labels_agree_on_every_path(r):
-    # The float star factor comes from one exact integer, so no counts cancel
+    # Every path reads the star sum as one exact integer, so no counts cancel
     surf = SurfaceData(4, 0, (2,) * r)
     for a in (0, 1):
         choice = PrequantChoice((0,) * (r - a) + (1,) * a)
         closed = quantize_surface(surf, choice)
         assert fs_formula(surf, choice).element == closed.element
         assert reduced_quantization(surf, choice) == closed.reduced
-
-
-def _fs_class_coefficients(surf, a, d):
-    """fs's raw coefficients of the class (a, d) and their bound, before
-    rounding, as ``quantization._fs_element`` forms them."""
-    return quantization._fs_coefficients(surf, partial(quantization._half_float, surf, a, d))
-
-
-def _reduced_total(monkeypatch, surf, a, d, reflected=False):
-    """The class's raw reduced sum (alternating when ``reflected``) and its
-    bound, before rounding, as ``quantization._reduced_value`` hands them to
-    ``round_to_integer``; computed on ``surf`` itself, not its folded form."""
-    seen = []
-    with monkeypatch.context() as patch:
-        patch.setattr(quantization, "round_to_integer",
-                      lambda total, bound, **_: seen.append((total, bound)))
-        quantization._reduced_value.__wrapped__(surf, a, d, reflected)
-    return seen[0]
-
-
-def test_precision_bound_below_half_on_every_sweep_class():
-    # Each class's coefficients are the surface's identity term, l = k/2
-    # left out, plus the class's value there times taut_{k/2}; a direct
-    # transform of the class's values must agree within both bounds.
-    classes = 0
-    for surf in sweep_surfaces(20, 5, 2):
-        k, size = surf.level, surf.gamma_size()
-        smat = s_matrix(k)
-        identity = np.prod(smat[list(surf.labels)], axis=0) / smat[0] ** surf.num_slots / size
-        for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
-            coeffs, bound = _fs_class_coefficients(surf, a, d)
-            assert bound < 0.5
-            values = identity.copy()
-            if not k % 2:
-                values[k // 2] = quantization._half_value(surf, a, d) / size
-            direct, direct_bound = _sine_coefficients(values, _s_rows(k, ())[0])
-            assert np.abs(np.subtract(coeffs, direct)).max() <= bound + direct_bound
-            classes += 1
-    assert classes == 3276
 
 
 def _traceback_depth(exc):
@@ -378,63 +319,58 @@ def _counting(fn, calls):
 
 
 def test_a_refused_surface_makes_no_transform(monkeypatch):
-    """The whole-sum bound is formed before the transform: a surface whose
-    bound is not below 1/2 runs no FFT, on any class or request, and is
-    refused with the same bound in its message."""
+    """The surface whose float sum's bound (about 45) made fs refuse every
+    class is answered exactly, with no sine transform and no numpy."""
     from verlinde import fusion_ring
     surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
-    calls = []
     _clear_quantization_caches()
-    # the S-matrix path transforms only through ``fusion_ring._sine_coefficients``
     assert not hasattr(quantization, "_sine_transform")
-    monkeypatch.setattr(fusion_ring, "_sine_transform",
-                        _counting(fusion_ring._sine_transform, calls))
+    monkeypatch.setattr(fusion_ring, "_numpy", _no_float_path)
     for choice in enumerate_choices(surf):
-        with pytest.raises(PrecisionExhausted, match="rounding error bound of 4.505e[+]01, "
-                                                     "not below 1/2"):
-            fs_formula(surf, choice)
-    assert calls == []
-    assert quantization._fs_gamma_data(surf).coeffs is None
-    # a surface below the bound still makes its one transform
-    fs_formula(SurfaceData(132, 2, (45, 66, 66, 66)))
-    assert len(calls) == 1
+        closed = quantize_surface(surf, choice)
+        assert fs_formula(surf, choice).element == closed.element
+        assert reduced_quantization(surf, choice) == closed.reduced
+    assert quantization._fs_gamma_data.cache_info().misses == 1
+
+
+def _no_float_path(*args):
+    raise AssertionError("a quantization path read numpy")
+
+
+def _double_sign_flipped(monkeypatch):
+    """Patch ``quantization._double_factor`` to (-1)^d times itself, a wrong
+    value at t_{k/2} on the classes with d odd at k = 2 mod 4 (at k in 4N
+    the factor is 0 for d >= 1), and clear the caches."""
+    double_factor = quantization._double_factor
+    monkeypatch.setattr(quantization, "_double_factor",
+                        lambda k, h, d: double_factor(k, h, d) * (-1) ** d)
+    _clear_quantization_caches()
 
 
 def test_failing_class_is_transformed_once(monkeypatch):
-    """A class the float path cannot certify raises on every request, and
-    its surface's sine transform is asked for once (and refused before its
-    FFT when its bound reaches 1/2, as tested above): three requests raise
-    three new exceptions of one class and message, and no per-class cache
-    keeps an entry for the class.  The surface's bound and its transform
-    are asked for in one call, ``_sine_coefficients``, counted here."""
-    surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))  # fs error bound about 45
-    wide = SurfaceData(272, 2, (62, 78, 136, 136, 136, 249))  # error bound 10.8
-    cases = [
-        (surf, enumerate_choices(surf)[1], fs_formula),
-        (wide, enumerate_choices(wide)[1], reduced_quantization),
-        # the star factor of 2000 star labels is past double range
-        (SurfaceData(8, 0, (4,) * 2000), None, fs_formula),
-        # the reduced sum is past 2^53
-        (SurfaceData(8, 0, (4,) * 100), None, reduced_quantization),
-    ]
-    caches = (quantization._fs_element, quantization._reduced_value)
-    for surf, choice, path in cases:
-        calls, raised = [], []
-        _clear_quantization_caches()
-        with monkeypatch.context() as patch:
-            patch.setattr(quantization, "_sine_coefficients",
-                          _counting(quantization._sine_coefficients, calls))
+    """A class that fails its check at t_{k/2} raises on every request,
+    while its surface's certificate, the per-surface work, runs once: three
+    requests raise three new exceptions of one class and message, and no
+    per-class cache keeps an entry for the class."""
+    surf = SurfaceData(130, 2, (65, 65, 92, 6))  # k = 2 mod 4: the flip shows at d = 1
+    choice = enumerate_choices(surf)[1]
+    assert prequant._canonical_class(surf, choice)[1:] == (0, 1)
+    _double_sign_flipped(monkeypatch)
+    try:
+        for path in (fs_formula, reduced_quantization):
+            raised = []
             for _ in range(3):
-                with pytest.raises(PrecisionExhausted) as info:
+                with pytest.raises(galois.CertificateMismatch) as info:
                     path(surf, choice)
                 raised.append(info.value)
-        assert len(calls) == 1, path
-        assert quantization._fs_gamma_data.cache_info().misses == 1
-        assert all(type(e) is PrecisionExhausted for e in raised)
-        assert len({str(e) for e in raised}) == 1
-        assert len({id(e) for e in raised}) == 3
-        assert len({_traceback_depth(e) for e in raised}) == 1
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0], path
+            assert quantization._fs_gamma_data.cache_info().misses == 1
+            assert all(type(e) is galois.CertificateMismatch for e in raised)
+            assert len({str(e) for e in raised}) == 1
+            assert len({id(e) for e in raised}) == 3
+            assert len({_traceback_depth(e) for e in raised}) == 1
+            assert quantization._fs_element.cache_info().currsize == 0
+    finally:
+        _clear_quantization_caches()
 
 
 def _noncanonical_variants(surf, bits):
@@ -661,24 +597,6 @@ def _clear_quantization_caches():
             obj.cache_clear()
 
 
-# K0 values that send every level the tests reach to one kernel: the direct
-# sums in plain Python, or numpy's FFT
-KERNEL_K0 = {"direct": 10**6, "fft": -1}
-
-
-@contextmanager
-def _kernel(monkeypatch, kernel):
-    """Every level on ``kernel`` (a key of KERNEL_K0), with the quantization
-    caches cleared on entry and on exit."""
-    with monkeypatch.context() as patch:
-        patch.setattr(fusion_ring, "K0", KERNEL_K0[kernel])
-        _clear_quantization_caches()
-        try:
-            yield patch
-        finally:
-            _clear_quantization_caches()
-
-
 def _choice_class(surf, choice):
     """(psi bits set on star slots, doubles with phi != (0, 0))."""
     bits, s = choice.psi_bits, surf.num_boundary
@@ -718,20 +636,22 @@ class TestChoiceClasses:
                 elements.add(result.element)
         assert len(elements) == 1
 
-    def test_failure_is_the_same_for_the_whole_class(self):
-        for surf, path, exc in (
-                (SurfaceData(172, 2, (86, 86, 93, 135, 144)), fs_formula,  # bound about 45
-                 PrecisionExhausted),
-                (SurfaceData(272, 2, (62, 78, 136, 136, 136, 249)), reduced_quantization,
-                 PrecisionExhausted)):
-            first, same_class = enumerate_choices(surf)[1:3]
-            assert _choice_class(surf, first) == _choice_class(surf, same_class)
-            messages = set()
-            for choice in (first, first, same_class):
-                with pytest.raises(exc) as info:
-                    path(surf, choice)
-                messages.add(str(info.value))
-            assert len(messages) == 1
+    def test_failure_is_the_same_for_the_whole_class(self, monkeypatch):
+        _double_sign_flipped(monkeypatch)
+        try:
+            for surf, path in ((SurfaceData(130, 2, (65, 65, 92, 6)), fs_formula),
+                               (SurfaceData(274, 2, (62, 78, 137, 137, 248)),
+                                reduced_quantization)):
+                first, same_class = enumerate_choices(surf)[1:3]
+                assert _choice_class(surf, first) == _choice_class(surf, same_class)
+                messages = set()
+                for choice in (first, first, same_class):
+                    with pytest.raises(galois.CertificateMismatch) as info:
+                        path(surf, choice)
+                    messages.add(str(info.value))
+                assert len(messages) == 1
+        finally:
+            _clear_quantization_caches()
 
 
 def _unfolded_outcome(cache, surf, a, d):
@@ -769,60 +689,39 @@ class TestFoldedSurface:
                 if (surf, a, d) not in unfolded:
                     unfolded[surf, a, d] = (
                         quantization._closed_form_element.__wrapped__(surf, a, d),
-                        _unfolded_outcome(quantization._fs_element, surf, a, d),
-                        _unfolded_outcome(quantization._reduced_value, surf, a, d))
-                closed, through_s, reduced = unfolded[surf, a, d]
+                        _unfolded_outcome(quantization._fs_element, surf, a, d))
+                closed, through_s = unfolded[surf, a, d]
                 got = quantize_surface(surf, choice)
                 assert got.element == closed and got.choice is choice
-                for path, want, value in ((fs_formula, through_s, closed),
-                                          (reduced_quantization, reduced, closed.coeffs[0])):
-                    outcome = _request_outcome(path, surf, choice)
-                    if isinstance(outcome, QuantizationResult):
-                        outcome = outcome.element
-                    if outcome != want:  # only a refused sum may now be certified
-                        assert want[0] is PrecisionExhausted, (surf, choice, path)
-                        assert outcome == value or outcome[0] is PrecisionExhausted
+                assert fs_formula(surf, choice).element == through_s == closed
+                assert reduced_quantization(surf, choice) == closed.coeffs[0]
                 if surf.gamma_size() <= 2 ** 6:
-                    phases = _phase_vector(surf, choice)
-                    assert fs_formula_with_phases(surf, phases) == closed
+                    if k % 2 == 0:  # at odd k, Gamma = {e} and there is no t_{k/2}
+                        phases = _phase_vector(surf, choice)
+                        assert oracles._literal_half_value(surf, phases) == \
+                            _scaled_half_value(surf, closed)
                     literal += 1
         # 840 of the 1,141 sweep surfaces fold; their classes are 2,397 of 3,276
         assert (requests, len(unfolded), literal) == (22485, 2397, 10965)
 
-    def test_a_failing_class_and_its_twin_with_a_label_zero_share_one_computation(self):
-        surf = SurfaceData(172, 2, (86, 86, 93, 135, 144))
-        twin = SurfaceData(172, 2, (86, 86, 93, 0, 135, 144))
+    def test_a_failing_class_and_its_twin_with_a_label_zero_share_one_computation(
+            self, monkeypatch):
+        surf = SurfaceData(130, 2, (65, 65, 92, 6))
+        twin = SurfaceData(130, 2, (65, 65, 92, 0, 6))
         assert twin._folded == surf
-        _clear_quantization_caches()
-        messages = set()
-        for s in (surf, twin, twin, surf):
-            choice = enumerate_choices(s)[1]
-            assert prequant._canonical_class(s, choice)[1:] == (0, 1)
-            with pytest.raises(PrecisionExhausted) as info:
-                fs_formula(s, choice)
-            messages.add(str(info.value))
-        assert len(messages) == 1
-        assert quantization._fs_gamma_data.cache_info().misses == 1
-
-    @pytest.mark.parametrize("surf,choice", [
-        (SurfaceData(4, 28, (1, 0, 1)), None),
-        (SurfaceData(114, 4, (57, 0)), PrequantChoice((0, 0, 0, 1, 0, 0, 0, 0, 0, 0))),
-        (SurfaceData(10, 11, (5, 0, 0)), None)], ids=["k4_certified", "k114", "k10"])
-    def test_the_fold_lowers_the_reduced_bound(self, monkeypatch, surf, choice):
-        # Each label 0 puts one more S[0, l] in every term and one more label
-        # and slot in the bound.  Unfolded, the bounds read 0.508, 1.29 and
-        # 1.25, folded 0.491, 1.07 and 1.06: the fold certifies the first, a
-        # request of the frontier box, and the others stay refused.
-        a, d = prequant._canonical_class(surf, choice)[1:]
-        unfolded = _reduced_total(monkeypatch, surf, a, d)[1]
-        folded = _reduced_total(monkeypatch, surf._folded, a, d)[1]
-        assert 0.5 <= unfolded and folded < unfolded
-        assert _unfolded_outcome(quantization._reduced_value, surf, a, d)[0] is PrecisionExhausted
-        if folded < 0.5:
-            assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
-        else:
-            with pytest.raises(PrecisionExhausted):
-                reduced_quantization(surf, choice)
+        _double_sign_flipped(monkeypatch)
+        try:
+            messages = set()
+            for s in (surf, twin, twin, surf):
+                choice = enumerate_choices(s)[1]
+                assert prequant._canonical_class(s, choice)[1:] == (0, 1)
+                with pytest.raises(galois.CertificateMismatch) as info:
+                    fs_formula(s, choice)
+                messages.add(str(info.value))
+            assert len(messages) == 1
+            assert quantization._fs_gamma_data.cache_info().misses == 1
+        finally:
+            _clear_quantization_caches()
 
     def test_the_sweep_builds_one_gamma_table_per_folded_surface(self):
         _clear_quantization_caches()
@@ -879,14 +778,10 @@ class TestSimpleCurrentFold:
             fs, want = (_coeffs_or_failure(fs_formula, s, c) for s, c in
                         ((surf, choice), (folded, twin)))
             assert fs == (want if isinstance(want, type) else flip(want))
-            # reduced: the folded element's c_k for a reflection, summed apart
-            reduced = _coeffs_or_failure(reduced_quantization, surf, choice)
-            assert reduced in (closed[0], PrecisionExhausted)
-            # unfolded, each float path certifies no more than folded
-            for path, got in ((quantization._fs_element, fs),
-                              (quantization._reduced_value, reduced)):
-                unfolded = _coeffs_or_failure(path.__wrapped__, surf, a, d)
-                assert got == unfolded or unfolded is PrecisionExhausted, (surf, a, d, path)
+            # reduced: the folded element's c_k for a reflection
+            assert _coeffs_or_failure(reduced_quantization, surf, choice) == closed[0]
+            # unfolded, fs certifies the same element
+            assert fs == _coeffs_or_failure(quantization._fs_element.__wrapped__, surf, a, d)
 
     def test_every_sweep_surface_with_a_label_k(self):
         surfaces = [s for s in sweep_surfaces(20, 5, 2) if s.level and s.level in s.labels]
@@ -982,9 +877,8 @@ AUDITED_CACHES = {
     "quantization.quantize_double_so3", "quantization._label_product",
     "quantization._star_and_doubles", "quantization._closed_form_base",
     "quantization._closed_form_element", "quantization._fs_gamma_data",
-    "quantization._fs_element", "quantization._reduced_value",
-    "oracles._literal_table",
-    "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor", "fusion_ring._level_rows",
+    "quantization._fs_element", "oracles._literal_table",
+    "prequant._shared_choices", "fusion_ring._cyclotomic_cofactor", "galois._level",
 }
 
 
@@ -1001,34 +895,6 @@ def test_caches_are_bounded():
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
                 caches.add(f"{obj.__module__.removeprefix('verlinde.')}.{obj.__qualname__}")
     assert caches == AUDITED_CACHES
-
-
-def test_level_rows_are_cached_only_up_to_the_shipped_k0(monkeypatch):
-    # The plain kernel's rows are kept per level up to K0 as shipped, in
-    # 64 (k+1)^2 bytes a level at most (tracemalloc).  With K0 raised, as
-    # KERNEL_K0["direct"] does, a level above the shipped one takes the
-    # plain kernel with rows built afresh, so the tests that send k <= 400
-    # there cache no O(k^2) rows.
-    k0, rows = fusion_ring.K0, fusion_ring._level_rows
-    rows.cache_clear()
-    try:
-        with _kernel(monkeypatch, "direct"):
-            for surf in (*(s for s in sweep_surfaces(k0 + 2, 2, 1) if s.level > k0),
-                         *HIGH_LEVEL_SURFACES[:3]):
-                quantization._fs_gamma_data(surf)
-            from_idempotent([1.0] * (k0 + 3))
-            assert rows.cache_info().currsize == 0
-        tracemalloc.start()
-        try:
-            for k in range(k0 + 1):
-                fusion_ring._direct_rows(k)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert rows.cache_info().currsize == k0 + 1
-        assert size < 64 * sum((k + 1) ** 2 for k in range(k0 + 1)), size
-    finally:
-        rows.cache_clear()
 
 
 def _class_choices(surf):
@@ -1101,9 +967,10 @@ def _outcome(fn, *args):
 def test_every_fine_class_has_its_folded_class_outcome():
     # Each path's class body, called on the fine (a, d) with no fold, gives
     # the outcome the path gives the request through its folded class.
+    fs_body = inspect.unwrap(quantization._fs_element)
     paths = ((quantize_surface, inspect.unwrap(quantization._closed_form_element)),
-             (fs_formula, inspect.unwrap(quantization._fs_element)),
-             (reduced_quantization, inspect.unwrap(quantization._reduced_value)))
+             (fs_formula, fs_body),
+             (reduced_quantization, lambda *args: fs_body(*args).coeffs[0]))
     surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES,
                 SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8)))
     fine, folded, failed = 0, set(), 0
@@ -1118,7 +985,7 @@ def test_every_fine_class_has_its_folded_class_outcome():
                 assert got == _outcome(body, surf, a, d), (path.__name__, surf, a, d)
                 failed += isinstance(got, tuple)
     assert fine > 5000 and len(folded) < fine
-    assert failed > 0  # the big_gamma surfaces hold classes the float paths cannot certify
+    assert failed == 0  # the float paths could not certify some big_gamma classes
 
 
 # the 25 surfaces of the benchmark's high_level workload (bench/expected.json)
@@ -1148,205 +1015,32 @@ def test_fs_formula_is_exact_where_only_its_transform_was_bounded(surf):
         assert fs_formula(surf, choice).element == quantize_surface(surf, choice).element
 
 
-def _folded_classes(surf):
-    """The folded classes (a, d) of the surface's choices."""
-    return {_folded(surf, a, d) for a in range(max(surf.star_count, 1))
-            for d in range(surf.genus + 1)}
-
-
-def _transformed_identity_term(surf):
-    """The raw coefficients and bound the S-matrix path would keep for a
-    surface it refuses: its identity term, l = k/2 left out
-    (``quantization._identity_terms``, the path's own values), with the
-    bound of ``_sine_coefficients``, which transforms no refused vector: the
-    transform is made here, in the kernel of the level, as that function
-    would make it."""
-    k = surf.level
-    weights, identity, _ = quantization._identity_terms(surf)
-    coeffs, bound = _sine_coefficients(identity, weights, quantization._value_error(surf))
-    assert coeffs is None and not bound < 0.5
-    scale = 2.0 / (k + 2)
-    if fusion_ring._direct(k):
-        x = list(map(mul, identity, weights))
-        return tuple(c * scale for c in _direct_sine_transform(x)), bound
-    with np.errstate(all="ignore"):  # values past double range: the bound is inf or nan
-        return _sine_transform(identity * weights) * scale, bound
-
-
-def test_whole_sum_bound_covers_the_real_error_on_every_class(monkeypatch):
-    # Every class of the sweep box and of the high_level and big_gamma
-    # surfaces, on each kernel at every level: each raw coefficient is
-    # within the bound of the closed form's, exactly, and so rounds to it
-    # unless the bound reaches 1/2, so none raises NonIntegralCoefficient.
-    # The real error stays below 5 % of the bound; the test below moves the
-    # entries within their error.  A surface whose bound reaches 1/2 keeps
-    # no coefficients, so its classes are transformed here, and must come
-    # out with the same bound, to be checked too.
-    surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
-    for kernel in KERNEL_K0:
-        classes, exhausted, refused = 0, 0, 0
-        with _kernel(monkeypatch, kernel):
-            for surf in surfaces:
-                k = surf.level
-                for a, d in _folded_classes(surf):
-                    coeffs, bound = _fs_class_coefficients(surf, a, d)
-                    if coeffs is None:
-                        assert not bound < 0.5
-                        coeffs, again = _transformed_identity_term(surf)
-                        if not k % 2:
-                            coeffs, again = _add_star_idempotent(
-                                k, coeffs, again, quantization._half_float(surf, a, d))
-                        assert again == bound
-                        refused += 1
-                    closed = quantization._closed_form_element(surf, a, d).coeffs
-                    error = max(abs(Fraction(c) - e) for c, e in zip(map(float, coeffs), closed))
-                    assert error <= bound, (kernel, surf, a, d, float(error), bound)
-                    try:
-                        assert _round_coefficients(k, coeffs, bound).coeffs == closed
-                    except PrecisionExhausted:
-                        exhausted += 1
-                    classes += 1
-        # the refused classes are among the exhausted ones, checked too
-        assert classes > 3276 and exhausted >= refused > 0, kernel
-
-
-@pytest.mark.parametrize("surf", [SurfaceData(4, 0, (2,) * 100), SurfaceData(4, 0, (2,) * 300)],
-                         ids=lambda s: f"stars{s.star_count}")
-def test_whole_sum_bound_covers_entries_anywhere_within_their_error(monkeypatch, surf):
-    # An S-matrix entry is within 6.36u of its value a priori and 2.7u
-    # measured (tests/test_exact_angles.py), so entries moved by 2u more,
-    # the label rows up and S[0, l] down, could be the computed ones: every
-    # identity-term value then grows by 2 (s + n) u, and a coefficient whose
-    # terms share a sign by 2 (s + n) u (2/N) sum |x_l|.  The bound covers
-    # that, on each kernel; the transform's own bound alone falls short of
-    # it here.
-    closed = quantization._closed_form_element(surf, 0, 0).coeffs
-    for kernel, builder in (("direct", "_s_rows_direct"), ("fft", "_s_rows")):
-        with _kernel(monkeypatch, kernel) as patch:
-            patch.setattr(quantization, builder, _moved_rows(getattr(quantization, builder), 1))
-            coeffs, bound = _fs_class_coefficients(surf, 0, 0)
-        assert max(abs(Fraction(c) - e) for c, e in zip(map(float, coeffs), closed)) \
-            <= bound < 0.5, kernel
-
-
-def _moved_rows(rows_of, ulps):
-    """``rows_of``, a row builder of ``quantization``, with the label rows
-    moved up and the row of 0 down by ``ulps`` ulps of 1.0, 2u each."""
-    up, down = 1 + ulps * 2.0 ** -52, 1 - ulps * 2.0 ** -52
-
-    def builder(k, labels):
-        weights, rows = rows_of(k, labels)
-        shifted = np.asarray(rows) * np.array([down] + [up] * len(labels))[:, None]
-        return weights, shifted.tolist() if isinstance(rows, list) else shifted
-    return builder
-
-
-def test_reduced_bound_covers_the_real_error_on_every_class(monkeypatch):
-    # The reduced twin of the fs test above: on the same classes and
-    # kernels, each raw reduced sum, plain and alternating (the class times
-    # tau_k, whose trace is the class's tau_k coefficient), is within its
-    # bound of the closed form's value, exactly.  The real error stays below
-    # 17 % of the bound.  A bound of 2u per entry, 3 (s + n) u times the sum
-    # of |terms|, counts no entry on a sphere with no label, whose terms
-    # S[0, l]^2 read two: it is 0 on SurfaceData(1, 0, ()), whose sum is
-    # 1 + 2u.  So the bound counts S[0, l] |n - 2| + 2 times.
-    surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES, *HIGH_LEVEL_SURFACES)
-    for kernel in KERNEL_K0:
-        sums, refused = 0, 0
-        with _kernel(monkeypatch, kernel):
-            for surf in surfaces:
-                for a, d in _folded_classes(surf):
-                    closed = quantization._closed_form_element(surf, a, d).coeffs
-                    for reflected, exact in ((False, closed[0]), (True, closed[-1])):
-                        total, bound = _reduced_total(monkeypatch, surf, a, d, reflected)
-                        assert abs(Fraction(total) - exact) <= bound, \
-                            (kernel, surf, a, d, reflected, total, bound)
-                        refused += not bound < 0.5
-                        sums += 1
-        assert sums > 2 * 3276 and refused > 0, kernel
-
-
-@pytest.mark.parametrize("ulps", [1, 3])
-@pytest.mark.parametrize("surf", [SurfaceData(8, 10, (4, 4)), SurfaceData(3, 0, (1,) * 60)],
-                         ids=["genus10", "labels60"])
-def test_reduced_bound_covers_entries_anywhere_within_their_error(monkeypatch, surf, ulps):
-    # The reduced twin of the fs test above, on surfaces whose reduced sums
-    # are certified and whose terms share a sign.  With the label rows moved
-    # up and S[0, l] down by one ulp (2u), as there, or by three (6u, inside
-    # the a priori 6.36u), every term grows by up to 2u or 6u per entry read,
-    # s + |n - 2| of them, and so does the sum.  The bound covers it on each
-    # kernel.  A bound of 2u per entry, 3 (s + n) u times the same sum of
-    # |terms|, falls short at three ulps: the error is 1.84 times it on the
-    # genus-10 surface and 2.02 times it on the 60 labels, on both kernels.
-    for kernel, builder in (("direct", "_s_rows_direct"), ("fft", "_s_rows")):
-        with _kernel(monkeypatch, kernel) as patch:
-            patch.setattr(quantization, builder, _moved_rows(getattr(quantization, builder), ulps))
-            closed = quantization._closed_form_element(surf, 0, 0).coeffs
-            for reflected, exact in ((False, closed[0]), (True, closed[-1])):
-                total, bound = _reduced_total(monkeypatch, surf, 0, 0, reflected)
-                assert abs(Fraction(total) - exact) <= bound < 0.5, (kernel, reflected)
-
-
-def _float_path_outcomes(surfaces):
-    """fs's element and the reduced value of one request per fine class of
-    each surface, or the class of the exception each raised."""
-    out = []
-    for surf in surfaces:
-        for _, choice in _class_choices(surf):
-            for path in (fs_formula, reduced_quantization):
-                try:
-                    got = path(surf, choice)
-                except ArithmeticError as exc:
-                    got = type(exc)
-                out.append(got.element if isinstance(got, QuantizationResult) else got)
-    return out
-
-
-def test_both_kernels_agree_at_the_crossover(monkeypatch):
-    # Each level on each side of K0 on each kernel: the same rounded
-    # elements and reduced values, and the same refusals.  The surfaces are
-    # the sweep box's at k = K0 and K0 + 1, and some whose values leave
-    # double range (a power of S[0, l] underflows to 0.0, which plain Python
-    # divides by with an exception and numpy without) or pass 2^53.
-    k0 = fusion_ring.K0
-    surfaces = [s for s in sweep_surfaces(k0 + 1, 5, 2) if s.level >= k0]
-    for k in (k0, k0 + 1):
-        star = (k // 2,) if k % 4 == 0 else (1,)
-        surfaces += [SurfaceData(k, 0, star * 600), SurfaceData(k, 0, (1,) * 2000),
-                     SurfaceData(k, 0, (1,) * 60), SurfaceData(k, 0, (3,) * 700)]
-        if k % 2 == 0:
-            surfaces += [SurfaceData(k, 300, ()), SurfaceData(k, 2, star * 20)]
-    outcomes = {}
-    for kernel in KERNEL_K0:
-        with _kernel(monkeypatch, kernel):
-            outcomes[kernel] = {k: _float_path_outcomes([s for s in surfaces if s.level == k])
-                                for k in (k0, k0 + 1)}
-    assert outcomes["direct"] == outcomes["fft"]
-    for k, got in outcomes["fft"].items():
-        kinds = Counter(x if isinstance(x, type) else int for x in got)
-        assert kinds[int] >= 16 and kinds[PrecisionExhausted] >= 8 and len(kinds) == 2, (k, kinds)
-
-
 def test_a_disagreement_past_the_bound_is_not_a_precision_limit(monkeypatch):
-    # The allowance widens to the whole sum's bound, 3.5e-3 here.  A value
-    # at t_{k/2} off by 7/4 moves every even coefficient by 1/4 (2/N = 1/7),
-    # which no bound below 1/2 excuses: a plain NonIntegralCoefficient, exit 2.
+    # A value at t_{k/2} off by (k/2+1) |Gamma| divides exactly, so the
+    # closed form returns an element one chi too large; fs's check at
+    # t_{k/2} refuses it as a disagreement (exit 2), naming the class, the
+    # surface and the prime, never as a precision limit.
     surf = SurfaceData(12, 6, (4, 6, 6, 6, 7))
     choice = enumerate_choices(surf)[1]
-    assert 1e-3 < _fs_class_coefficients(
-        surf, *prequant._canonical_class(surf, choice)[1:])[1] < 1e-2
-    half_value, off = quantization._half_value, 7 * surf.gamma_size() // 4
+    a, d = prequant._canonical_class(surf, choice)[1:]
+    half_value, off = quantization._half_value, 7 * surf.gamma_size()
     monkeypatch.setattr(quantization, "_half_value", lambda *args: half_value(*args) + off)
-    quantization._fs_element.cache_clear()
+    _clear_quantization_caches()
     try:
-        with pytest.raises(NonIntegralCoefficient) as info:
+        assert quantize_surface(surf, choice).element == \
+            quantization._closed_form_element.__wrapped__(surf, a, d)
+        with pytest.raises(quantization.InexactDivision) as info:
             fs_formula(surf, choice)
     finally:
-        quantization._fs_element.cache_clear()
-    assert type(info.value) is NonIntegralCoefficient
-    # the message names the deviation, its allowance and the bound
-    assert re.search(r"tau_0 coefficient = .* \(deviation 2\.[45]\d\de-01, "
-                     r"allowed 3\.\d{3}e-03, error bound 3\.\d{3}e-03\)", str(info.value))
+        _clear_quantization_caches()
+    assert type(info.value) is galois.CertificateMismatch
+    assert not isinstance(info.value, PrecisionExhausted)
+    prime = galois._level(12).prime
+    assert str(info.value) == (
+        f"the class (a={a}, d={d}) of {surf} has "
+        f"{_scaled_half_value(surf, quantize_surface(surf, choice).element)} as |Gamma| times "
+        f"its value at t_6, the orbit of j = N/2 = 7, where the literal block sums give "
+        f"{half_value(surf, a, d)} (signs mod the prime {prime})")
 
 
 @pytest.mark.parametrize("k,r", [*product((4, 8, 12, 16), (3, 4)), (2, 2), (4, 2), (6, 2)])
@@ -1451,25 +1145,18 @@ class TestReducedQuantization:
         for choice in enumerate_choices(surf):
             assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
 
-    def test_is_refused_where_products_pass_the_level(self, monkeypatch):
+    def test_is_exact_where_products_pass_the_level(self):
         # With the angles (m+1)(l+1) pi/126 rounded before the sine instead
-        # of reduced in integers, every one of the 64 values came out 2 too
-        # large: 55537828315832 for 55537828315830 at psi = 0.  With angles
-        # reduced, each raw sum is within its bound of the trace, but the
-        # bound, 0.768 at psi = 0, is not below 1/2: all 64 are refused.
+        # of reduced in integers, every one of the 64 float sums came out 2
+        # too large: 55537828315832 for 55537828315830 at psi = 0.  With
+        # angles reduced, the float sum's bound, 0.768, refused all 64; the
+        # reduced value is now the trace, exactly.
         surf = SurfaceData(124, 2, (7, 24, 55, 62, 62, 62, 78))
         choices = enumerate_choices(surf)
         assert len(choices) == 64
-        assert quantize_surface(surf, choices[0]).reduced == 55537828315830
+        assert reduced_quantization(surf, choices[0]) == 55537828315830
         for choice in choices:
-            trace = quantize_surface(surf, choice).reduced
-            total, bound = _reduced_total(monkeypatch, surf,
-                                          *prequant._canonical_class(surf, choice)[1:])
-            assert abs(Fraction(total) - trace) <= bound and not bound < 0.5
-            with pytest.raises(PrecisionExhausted, match="rounding error bound of"):
-                reduced_quantization(surf, choice)
-        with pytest.raises(PrecisionExhausted, match=r"= 55537828315830\.02 .* of 7\.677e-01"):
-            reduced_quantization(surf, choices[0])
+            assert reduced_quantization(surf, choice) == quantize_surface(surf, choice).reduced
 
 
 def test_fs_vector_equals_the_closed_form_where_products_pass_the_level():
@@ -1480,28 +1167,13 @@ def test_fs_vector_equals_the_closed_form_where_products_pass_the_level():
         assert fs_formula(surf, choice).element == quantize_surface(surf, choice).element
 
 
-def test_a_reduced_sum_that_cancels_past_its_precision_is_refused():
-    # The terms near 2e20 cancel to a value below 2^53 that rounds cleanly
-    # (262144.0), while the trace is 0: the sum's error bound is far above
-    # 1/2, so it is refused rather than returned.
+def test_a_reduced_sum_that_cancels_past_double_precision_is_exact():
+    # The float terms near 2e20 cancelled to a value below 2^53 that rounded
+    # cleanly (262144.0), while the trace is 0; the float sum was refused
+    # for its error bound, and the reduced value is now the trace.
     surf, choice = SurfaceData(8, 0, (4,) * 100), PrequantChoice((0,) * 99 + (1,))
     assert quantize_surface(surf, choice).reduced == 0
-    with pytest.raises(PrecisionExhausted, match="reduced quantization = .* rounding error bound"):
-        reduced_quantization(surf, choice)
-
-
-def test_the_reduced_error_bound_stays_far_below_half_on_the_sweep():
-    # A correct reduced value on the sweep is never refused: its bound,
-    # fs's value error times sum |terms| plus the term at t_{k/2}, is
-    # 2.21e-9 at worst over the sweep's classes.
-    worst = 0.0
-    for surf in sweep_surfaces(20, 5, 2):
-        k, data = surf.level, quantization._fs_gamma_data(surf)
-        for a, d in {prequant._canonical_class(surf, c)[1:] for c in enumerate_choices(surf)}:
-            half = 0 if k % 2 else \
-                quantization._half_value(surf, a, d) / ((k // 2 + 1) * surf.gamma_size())
-            worst = max(worst, quantization._value_error(surf) * (data.mass + abs(half)))
-    assert 0 < worst < 1e-8
+    assert reduced_quantization(surf, choice) == 0
 
 
 class TestVerlindeBaseline:
