@@ -16,12 +16,12 @@ Mod a prime p = 1 mod 2N, z of order 2N, Z[zeta] maps to F_p by zeta -> z,
 and 2i sin(x pi/N) to w_x = z^x - z^-x.  So tau_m(t_l) maps to
 w_((m+1)j) / w_j and D_SU(2)(t_l) = S[0, l]^-2 = N / (2 sin^2(j pi/N)) to
 -2N / w_j^2.  Per level, ``_level`` holds p, drawn by a seeded search below
-2^31 (in [2^28, 2^29)) and tested by deterministic Miller-Rabin, the table
-w and the orbit representatives.  Per surface, ``certify`` compares, at each
-representative other than N/2, the value of X = tau_{k/2}^r D_SU(2)^h
-prod tau_m (non-star m) from its coefficients mod p,
-sum_m c_m w_((m+1)j) / w_j, with the product formula, both sides times a
-power of w_j so that no inverse is taken.  A class's element
+2^31 (in [2^28, 2^29) where it has one) and tested by deterministic
+Miller-Rabin, the table w and the orbit representatives.  Per surface,
+``certify`` compares, at each representative other than N/2, the value of
+X = tau_{k/2}^r D_SU(2)^h prod tau_m (non-star m) from its coefficients
+mod p, sum_m c_m w_((m+1)j) / w_j, with the product formula, both sides
+times a power of w_j so that no inverse is taken.  A class's element
 (X + mu chi) / |Gamma| takes X / |Gamma|'s value away from t_{k/2}, so that
 covers every class of the surface there.  At t_{k/2}, ``check_half``
 recomputes |Gamma| times each class's value from the blocks' literal sums.
@@ -57,7 +57,7 @@ _SEED = 0x5EED  # of the per-level prime draws
 
 
 def _is_prime(n: int) -> bool:
-    """Whether the odd n in [2^28, 2^29) is prime: trial division by the
+    """Whether the odd n in [2^28, 2^31) is prime: trial division by the
     primes below 50, then Miller-Rabin to the bases 2, 7 and 61, which is
     exact below 4,759,123,141."""
     if math.gcd(n, _SMALL_PRIMES) != 1:
@@ -87,18 +87,20 @@ def _mix(x: int) -> int:
 
 
 def _draw_prime(m: int, seed: int) -> int:
-    """A prime p = m t + 1 in [2^28, 2^29): the first one from a point of
-    that range drawn from ``seed``, searched upward and wrapped once.  Below
-    2^29 a sum of two residues is still below 2^30, one digit of a CPython
-    int, where products and remainders take the fast paths: they cost half
-    what they do at 31 bits."""
-    low, high = -(-(2**28 - 1) // m), (2**29 - 2) // m
-    span, start = high - low + 1, _mix(seed)
-    for i in range(span):
-        p = m * (low + (start + i) % span) + 1
-        if _is_prime(p):
-            return p
-    raise ValueError(f"no prime = 1 mod {m} in [2^28, 2^29)")
+    """A prime p = m t + 1 below 2^31: the first one from a point drawn from
+    ``seed`` in [2^28, 2^29), searched upward and wrapped once, else in
+    [2^29, 2^31), which only levels past about 10^7 reach.  Below 2^29 a sum
+    of two residues is still below 2^30, one digit of a CPython int, where
+    products and remainders take the fast paths: they cost half what they
+    do at 31 bits."""
+    for bottom, top in ((2**28, 2**29), (2**29, 2**31)):
+        low, high = -(-(bottom - 1) // m), (top - 2) // m
+        span, start = high - low + 1, _mix(seed)
+        for i in range(span):
+            p = m * (low + (start + i) % span) + 1
+            if _is_prime(p):
+                return p
+    raise ValueError(f"no prime = 1 mod {m} below 2^31")
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -63,6 +63,15 @@ def test_the_level_context(k):
     assert galois._level.__wrapped__(k) == level  # the draw is seeded
 
 
+def test_a_level_with_no_prime_below_2_29_draws_one_below_2_31():
+    # 2N = 10^8 has no prime t 2N + 1 in [2^28, 2^29): the search goes on
+    # in [2^29, 2^31), where Miller-Rabin to the bases 2, 7, 61 is still exact
+    m = 10**8
+    assert not any(galois._is_prime(m * t + 1) for t in range(3, 6))
+    p = galois._draw_prime(m, 0)
+    assert 2**29 <= p < 2**31 and p % m == 1 and all(p % q for q in SMALL_PRIMES)
+
+
 def _orbit_element(k, g):
     """E_g, with coefficients c_q(m) - c_q(m+2), q = 2N/g, c_q(n) Ramanujan's
     sum, the sum over d | gcd(n, q) of mu(q/d) d: 2N times the sum of the
