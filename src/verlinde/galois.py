@@ -53,7 +53,8 @@ class CertificateMismatch(InexactDivision):
 # Trial division before Miller-Rabin: the odd primes below 50, as one gcd.
 _SMALL_PRIMES = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
-_SEED = 0x5EED  # of the per-level prime draws
+_SEED = 0x5EED  # of the per-level prime draws, with Knuth's multiplicative hash
+_HASH = 2654435761
 
 
 def _is_prime(n: int) -> bool:
@@ -78,14 +79,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _mix(x: int) -> int:
-    """SplitMix64's output function: a 64-bit hash of x."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    x = (x ^ x >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-    return x ^ x >> 31
-
-
 def _draw_prime(m: int, seed: int) -> int:
     """A prime p = m t + 1 below 2^31: the first one from a point drawn from
     ``seed`` in [2^28, 2^29), searched upward and wrapped once, else in
@@ -95,7 +88,7 @@ def _draw_prime(m: int, seed: int) -> int:
     do at 31 bits."""
     for bottom, top in ((2**28, 2**29), (2**29, 2**31)):
         low, high = -(-(bottom - 1) // m), (top - 2) // m
-        span, start = high - low + 1, _mix(seed)
+        span, start = high - low + 1, seed * _HASH
         for i in range(span):
             p = m * (low + (start + i) % span) + 1
             if _is_prime(p):
@@ -135,16 +128,33 @@ def _level(k: int) -> _Level:
     from a z of order 2N, and the orbit representatives: the divisors g < N
     of 2N other than N/2, each with its parent g / (least prime factor of
     g), a divisor of g and a representative itself (it is below N/2).
+    z is the product over the primes q of 2N, q^v its power in 2N, of
+    y^(2N/q^v), y = a^((p-1)/2N) for the first prime a whose y has the full
+    q-part, y^(2N/q) != 1: elements of the coprime orders q^v, found with
+    about half the powers that one a for every q at once needs.
     z^-x = z^N z^(N-x) = -z^(N-x), so w_x = z^x + z^(N-x) for x < N, and
     w_(x+N) = -w_x, kept as 2p - w_x; the powers z^x, x <= N, are products
     of a baby and a giant step.  The entries are residues in [0, 2p], left
     unreduced, and every reader reduces what it sums or compares."""
     n = k + 2
     m = 2 * n
-    p = _draw_prime(m, _SEED * 1_000_003 + k)
+    p = _draw_prime(m, _SEED + k)
     factors = _prime_factors(m)
-    z = next(z for z in (pow(a, (p - 1) // m, p) for a in range(2, p))
-             if all(pow(z, m // q, p) != 1 for q in factors))
+    divisors, parts = [1], {}  # parts[q] = q^v, the power of q in 2N
+    for q in factors:
+        parts[q], multiples = 1, []
+        while not m // parts[q] % q:
+            parts[q] *= q
+            multiples += [d * parts[q] for d in divisors]
+        divisors += multiples
+    t, z, missing = (p - 1) // m, 1, set(factors)
+    for a in (a for a in range(2, p) if all(a % d for d in range(2, math.isqrt(a) + 1))):
+        y = pow(a, t, p)
+        for q in [q for q in missing if pow(y, m // q, p) != 1]:
+            z = z * pow(y, m // parts[q], p) % p
+            missing.remove(q)
+        if not missing:
+            break
     baby = [1]
     for _ in range(math.isqrt(n)):
         baby.append(baby[-1] * z % p)
@@ -153,13 +163,6 @@ def _level(k: int) -> _Level:
         giant.append(giant[-1] * stride % p)
     powers = [g * b % p for g in giant for b in baby]
     w = list(map(add, powers[:n], powers[n:0:-1]))
-    divisors = [1]
-    for q in factors:
-        rest, power, multiples = m, 1, []
-        while not rest % q:
-            rest, power = rest // q, power * q
-            multiples += [d * power for d in divisors]
-        divisors += multiples
     orbits = tuple(sorted(g for g in divisors if g < n and 2 * g != n))
     parents = tuple(g // next(q for q in factors if not g % q) if g > 1 else 0
                     for g in orbits)
