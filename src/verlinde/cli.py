@@ -4,12 +4,12 @@ verification sweep.
 
 Exit codes: 0 success (``--help`` too), 1 inadmissible or malformed input
 (a usage error included, where argparse alone would exit 2), 2 internal
-consistency failure (an exact division, an integrality rounding or a
-certificate of the closed form against the S-matrix formula that a theorem
-guarantees failed, which indicates a bug or a wrong phase convention), 3
-precision exhausted (``PrecisionExhausted``, not a bug).  Every quantize
-path answers exactly, so exit 3 comes only from the float API that no
-command reads: ``FusionElement.evaluate``, ``localization_evaluate`` and
+consistency failure (an exact division or a certificate of the closed form
+against the S-matrix formula that a theorem guarantees failed, which
+indicates a bug or a wrong phase convention), 3 precision exhausted
+(``PrecisionExhausted``, not a bug).  Every quantize path answers exactly,
+so exit 3 comes only from the float API that no command reads:
+``FusionElement.evaluate``, ``localization_evaluate`` and
 ``from_idempotent``.  The integrality tolerance is fixed at 1e-6
 (``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
 changes it.
@@ -135,21 +135,17 @@ def _cmd_prequant(args) -> int:
 
 def _quantize_one(surface: SurfaceData, choice: PrequantChoice | None,
                   path: str, want_reduced: bool) -> list[QuantizationResult]:
+    """The results of ``path`` for one choice.  fs returns the closed form's
+    element once its certificate holds, and the reduced scalar is that
+    element's trace, so neither is compared again here; ``want_reduced``
+    runs the reduced formula, and with it the certificate, on every path."""
     results = []
     if path in ("closed", "both"):
         results.append(quantize_surface(surface, choice))
     if path in ("fs", "both"):
         results.append(fs_formula(surface, choice))
-    if path == "both" and results[0].element != results[1].element:
-        raise InexactDivision(
-            f"paths disagree: closed {list(results[0].element.coeffs)} "
-            f"vs fs {list(results[1].element.coeffs)}")
     if want_reduced:
-        reduced = reduced_quantization(surface, choice)
-        for res in results:
-            if res.reduced != reduced:
-                raise NonIntegralValue(
-                    f"reduced formula gives {reduced}, trace gives {res.reduced}")
+        reduced_quantization(surface, choice)
     return results
 
 
@@ -260,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-choices", action="store_true")
     quant.add_argument("--path", choices=("closed", "fs", "both"), default="closed")
     quant.add_argument("--reduced", action="store_true",
-                       help="also verify the scalar reduced formula")
+                       help="also run the scalar reduced formula, which certifies "
+                            "the closed form against the S-matrix formula")
     add_format(quant)
     quant.set_defaults(func=_cmd_quantize)
 

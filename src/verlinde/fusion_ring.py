@@ -64,14 +64,13 @@ they read, and ``s_matrix_entry`` computes its one entry.  numpy, with
 ``numpy.fft``, is imported on first need (``_numpy``), and no quantization
 path needs it: the S-matrix formula is certified in integers
 (``galois``), so no request loads numpy.
-The transform to tau-coefficients, ``_sine_coefficients``, bounds the
-rounding error of its own arithmetic a priori (the FFT bound of Higham,
-*Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
+``from_idempotent`` takes its values as exact and bounds the rounding error
+of its own transform a priori (``_transform_bound``: the FFT bound of
+Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 24.2, plus the
 weighting of the inputs).  The bound reads only the weighted values, so it
-is formed first, and values whose bound is not below 1/2 are not
-transformed.  ``from_idempotent`` takes its values as exact and rounds each
-coefficient against that bound (``_round_coefficients``); a bound not
-below 1/2 raises ``PrecisionExhausted``.  ``FusionElement.evaluate``
+is formed first: a bound not below 1/2 raises ``PrecisionExhausted`` with
+no transform, and otherwise each coefficient is rounded against it by
+``round_to_integer``, the one rounding rule.  ``FusionElement.evaluate``
 bounds its sum as well, and raises ``PrecisionExhausted`` where
 cancellation leaves no certain digit.
 """
@@ -158,30 +157,22 @@ def integrality_tolerance() -> float:
 
 def round_to_integer(value: float, *, exc: type[ArithmeticError] = NonIntegralValue,
                      context: str = "value", bound: float = 0.0) -> int:
-    """Round ``value`` to the nearest integer, checking it is close enough.
+    """Round ``value`` to the nearest integer, checking it is close enough:
+    the one rounding rule of the package.
 
-    The allowed deviation, DEFAULT_TOLERANCE (1 + |value|), scales with the
-    magnitude of the value (floating point error in the Verlinde-type sums
-    grows with their size) but is capped below 1/2 so a genuinely
-    half-integral result always raises ``exc``.  A value that is not finite
-    (a float sum out of double range) raises PrecisionExhausted, and so does
-    one at or above 2^53 in magnitude: doubles there skip integers, so the
-    nearest one may not be the integer the sum approximates.  So does a
-    value whose rounding error ``bound``, given by the caller, is not below
-    1/2 (nan included): its nearest integer may be another.  A message that
-    rejects the value names that bound.
+    A value that is not finite (a float sum out of double range) raises
+    PrecisionExhausted, and so does one at or above 2^53 in magnitude:
+    doubles there skip integers, so the nearest one may not be the integer
+    the sum approximates.  So does a value whose rounding error ``bound``,
+    given by the caller, is not below 1/2 (nan included): its nearest
+    integer may be another.  Otherwise the allowed deviation is
+    max(bound, min(DEFAULT_TOLERANCE (1 + |value|), 0.499)): the tolerance
+    scales with the magnitude of the value but is capped below 1/2, so with
+    bound 0 a genuinely half-integral result raises ``exc``; and a value
+    within its bound of an integer is that integer, as the bound is below
+    1/2.  A message that rejects the value names its deviation, the
+    allowance and the bound.
     """
-    allowed = min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499)
-    return _checked_round(value, allowed, bound, exc, context)
-
-
-def _checked_round(value: float, allowed: float, bound: float,
-                   exc: type[ArithmeticError], context: str) -> int:
-    """The nearest integer to ``value`` if it is finite, below 2^53 in
-    magnitude, has an error ``bound`` below 1/2 and lies within ``allowed``
-    of that integer; else PrecisionExhausted for the first three and ``exc``
-    for the last.  The one rounding rule of ``round_to_integer`` and
-    ``_round_coefficients``, which differ only in the allowance."""
     if not math.isfinite(value):
         raise PrecisionExhausted(f"{context} = {value!r} is out of double range "
                                  f"(error bound {bound:.3e})")
@@ -193,6 +184,7 @@ def _checked_round(value: float, allowed: float, bound: float,
         raise PrecisionExhausted(f"{context} = {value!r} has a rounding error bound of "
                                  f"{bound:.3e}, not below 1/2: double precision cannot "
                                  "certify it")
+    allowed = max(bound, min(DEFAULT_TOLERANCE * (1.0 + abs(value)), 0.499))
     nearest = round(value)
     if abs(value - nearest) > allowed:
         raise exc(f"{context} = {value!r} is not integral (deviation "
@@ -782,78 +774,19 @@ def _sine_transform(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd).imag[1:n + 1] * -0.5
 
 
-def _sine_coefficients(values: Sequence[float],
-                       weights: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Raw tau-coefficients c_m = sum_l v_l S[0,l] S[m,l] of the values v at
-    t_0..t_k, c = (2/N) DST-I(x), N = k+2, of the weighted values
-    x_l = sin((l+1) pi/N) v_l, given their weights (the first array of
-    ``_s_rows``), as a read-only array; and an a priori bound on their
-    error, formed from x first: when it is not below 1/2 no transform runs
-    and the coefficients are None, as they would be refused for it.
-
-    The transform's error is at most _fft_error(2N) sqrt(N) ||x||_2 per
-    entry (the odd extension has norm sqrt(2) ||x||_2, its DFT sqrt(2N)
-    times that, and the DST takes half an imaginary part); the weighting
-    and the scaling add at most _WEIGHT_ERROR sum |x_l| <=
+def _transform_bound(x: np.ndarray) -> float:
+    """An a priori bound on the error of every raw tau-coefficient
+    c = (2/N) DST-I(x), N = len(x) + 1, of the weighted values x, which are
+    taken as exact.  The transform's error is at most _fft_error(2N)
+    sqrt(N) ||x||_2 per entry (the odd extension has norm sqrt(2) ||x||_2,
+    its DFT sqrt(2N) times that, and the DST takes half an imaginary part);
+    the weighting and the scaling add at most _WEIGHT_ERROR sum |x_l| <=
     _WEIGHT_ERROR sqrt(N) ||x||_2, as |c_m| <= (2/N) sum |x_l|.  Both are
-    scaled by 2/N, and _UNDERFLOW is added.  The values are taken as exact."""
-    np = _numpy()
-    n = len(values)
-    x = np.asarray(values, dtype=np.float64) * weights
-    scale = 2.0 / (n + 1)
+    scaled by 2/N, and _UNDERFLOW is added.  It reads x alone, so it is
+    formed before any transform; inf or nan in x make it inf or nan."""
+    n = len(x) + 1
     norm = math.hypot(*x.tolist())  # ||x||_2; neither underflows nor overflows
-    bound = scale * math.sqrt(n + 1) * norm * (_fft_error(2 * n + 2) + _WEIGHT_ERROR)
-    bound += _UNDERFLOW
-    if not bound < 0.5:
-        return None, bound
-    coeffs = _sine_transform(x) * scale
-    coeffs.setflags(write=False)
-    return coeffs, bound
-
-
-def _round_coefficients(k: int, coeffs: np.ndarray | None, bound: float) -> FusionElement:
-    """Round the k + 1 raw tau-coefficients ``coeffs``, an array whose
-    error is at most ``bound`` a priori.
-
-    Raises PrecisionExhausted unless the bound is below 1/2 (nan included),
-    before it reads the coefficients, which are None when the transform
-    was refused for that bound.
-    Then every coefficient is tested: below 2^53 in magnitude, and the
-    nearest integer, ties to even, within the allowance
-    max(bound, min(DEFAULT_TOLERANCE (1 + |c|), 0.499)).  A coefficient
-    within the bound of an integer is that integer, as the bound is below
-    1/2; one further from every integer than the bound cannot be, so it
-    signals an inconsistent vector, never a precision limit.  The allowance
-    is never below ``round_to_integer``'s, so with bound 0 this is that
-    rule.  It is written once, as a loop over the coefficients in plain
-    Python; the first coefficient that fails raises NonIntegralCoefficient
-    (PrecisionExhausted if it is not finite or not below 2^53), naming its
-    deviation, its allowance and the bound.  No allowance is below
-    max(bound, DEFAULT_TOLERANCE), so numpy first accepts, in one pass, a
-    whole array within that of its nearest integers and below 2^53; a
-    correct answer always passes, its deviation being at most the bound, so
-    the loop reads an array only to raise.
-    """
-    if not bound < 0.5:
-        raise PrecisionExhausted(
-            f"the tau-coefficients at level {k} have a rounding error bound of "
-            f"{bound:.3e}, not below 1/2: double precision cannot certify them")
-    lenient = max(bound, DEFAULT_TOLERANCE)
-    np = _numpy()
-    nearest = np.rint(coeffs)
-    if (np.abs(coeffs - nearest).max() <= lenient
-            and np.abs(coeffs).max() < _EXACT_INTEGER_BOUND):
-        # every coefficient is below 2^53, so int64 holds it exactly
-        return FusionElement._trusted(k, tuple(nearest.astype(np.int64).tolist()))
-    out = []
-    for m, c in enumerate(coeffs.tolist()):
-        nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
-        if nearest is None or abs(c - nearest) > lenient:
-            allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(c)), 0.499), bound)
-            nearest = _checked_round(c, allowed, bound, NonIntegralCoefficient,
-                                     f"tau_{m} coefficient")
-        out.append(nearest)
-    return FusionElement._trusted(k, tuple(out))
+    return 2.0 / n * math.sqrt(n) * norm * (_fft_error(2 * n) + _WEIGHT_ERROR) + _UNDERFLOW
 
 
 def to_idempotent(a: FusionElement) -> np.ndarray:
@@ -878,16 +811,37 @@ def from_idempotent(values: Sequence[float]) -> FusionElement:
     from the values v at t_0, ..., t_k; the level k is len(values) - 1, and
     empty or not one-dimensional values raise ValueError.
 
-    The coefficients come from one sine transform with an a priori bound on
-    its rounding error (``_sine_coefficients``, the values taken as exact).
-    Raises PrecisionExhausted, with no transform, when that bound is not
-    below 1/2, and NonIntegralCoefficient when a coefficient is further from
-    an integer than both that bound and DEFAULT_TOLERANCE allow; the latter
-    signals an inconsistent vector (or a wrong phase factor upstream), not a
-    numerical hiccup.  The values are read by numpy, which it loads.
+    The raw coefficients are c = (2/N) DST-I(x), N = k+2, of the weighted
+    values x_l = sin((l+1) pi/N) v_l, by one sine transform, and their
+    error is bounded a priori from x (``_transform_bound``, the values taken
+    as exact).  When that bound is not below 1/2, PrecisionExhausted is
+    raised and no transform runs.  Each coefficient is then rounded by
+    ``round_to_integer`` with that bound: NonIntegralCoefficient when it is
+    further from an integer than both the bound and DEFAULT_TOLERANCE
+    allow, which signals an inconsistent vector (or a wrong phase factor
+    upstream), not a numerical hiccup; PrecisionExhausted when it is not
+    finite or not below 2^53.  No allowance is below
+    max(bound, DEFAULT_TOLERANCE), so a coefficient within that of its
+    nearest integer, and below 2^53, is that integer without the full rule.
+    The values are read by numpy, which it loads.
     """
-    values = _numpy().asarray(values, dtype=float)
+    np = _numpy()
+    values = np.asarray(values, dtype=float)
     if values.ndim != 1 or not len(values):
         raise ValueError(f"need a non-empty 1-D vector of values, got shape {values.shape}")
     k = len(values) - 1
-    return _round_coefficients(k, *_sine_coefficients(values, _s_rows(k, ())[0]))
+    x = values * _s_rows(k, ())[0]
+    bound = _transform_bound(x)
+    if not bound < 0.5:
+        raise PrecisionExhausted(
+            f"the tau-coefficients at level {k} have a rounding error bound of "
+            f"{bound:.3e}, not below 1/2: double precision cannot certify them")
+    lenient = max(bound, DEFAULT_TOLERANCE)
+    out = []
+    for m, c in enumerate((_sine_transform(x) * (2.0 / (k + 2))).tolist()):
+        nearest = round(c) if abs(c) < _EXACT_INTEGER_BOUND else None
+        if nearest is None or abs(c - nearest) > lenient:
+            nearest = round_to_integer(c, exc=NonIntegralCoefficient,
+                                       context=f"tau_{m} coefficient", bound=bound)
+        out.append(nearest)
+    return FusionElement._trusted(k, tuple(out))

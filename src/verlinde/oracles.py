@@ -146,7 +146,7 @@ def classical_verlinde_number(k: int, genus: int) -> int:
         value = math.fsum(float(x) ** (2 - 2 * genus) for x in s0)
     except OverflowError:
         value = math.inf
-    return round_to_integer(value, exc=NonIntegralValue, context="Verlinde number")
+    return round_to_integer(value, context="Verlinde number")
 
 
 def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:

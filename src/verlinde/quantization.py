@@ -357,18 +357,6 @@ def _half_value(surface: SurfaceData, a: int, d: int) -> int:
     return nonstar * star * _double_factor(k, h, d)
 
 
-def _half_float(surface: SurfaceData, a: int, d: int, scale: int = 1) -> float:
-    """``_half_value`` / (scale |Gamma|), the class's value at t_{k/2} over
-    ``scale``, as the nearest double: an int / int division, correctly
-    rounded.  PrecisionExhausted past double range."""
-    try:
-        return _half_value(surface, a, d) / (scale * surface.gamma_size())
-    except OverflowError:
-        k = surface.level
-        raise PrecisionExhausted(f"the value of class (a={a}, d={d}) at t_{k // 2} is out of "
-                                 f"double range (t_{{k/2}} at level {k})") from None
-
-
 class _ClosedBase(NamedTuple):
     """Choice-independent data of one surface's closed form."""
 
@@ -532,7 +520,12 @@ def localization_evaluate(k: int, r: int, psi, l: int) -> float:
     k, r, a = _star_class(k, r, psi)
     l, half = _check_index(k, l, "l"), k // 2
     if 2 * l == k:
-        return _half_float(SurfaceData(k, 0, (half,) * r), a, 0)
+        surface = SurfaceData(k, 0, (half,) * r)
+        try:  # an int / int division, correctly rounded
+            return _half_value(surface, a, 0) / surface.gamma_size()
+        except OverflowError:
+            raise PrecisionExhausted(f"the value of class (a={a}, d=0) at t_{half} is out of "
+                                     f"double range (t_{{k/2}} at level {k})") from None
     try:  # the power raises past double range; doubling returns inf
         value = 2 * (_weyl_quotient(k, l, ((half, 1),)) / 2) ** r if r else 1.0
     except OverflowError:

@@ -21,15 +21,14 @@ from verlinde.fusion_ring import (
     _fold,
     _fold_angle,
     _over_3_minus_tau2,
-    _round_coefficients,
     _s_entries,
     _s_rows,
     _sin_pi,
-    _sine_coefficients,
     _sine_transform,
     _sines_cancel,
     _times_basis,
     _times_double,
+    _transform_bound,
     _weyl_quotient,
     from_idempotent,
     integrality_tolerance,
@@ -501,18 +500,53 @@ def dense_coefficients(k, values):
 def test_sine_transform_within_its_bound_of_the_dense_route(data):
     # The dense route errs too: its S-matrix entries carry the rounding of
     # angles up to about (k+2) pi, which on random inputs stays below half
-    # the transform's bound for k <= 400.
+    # the transform's bound for k <= 400.  A bound not below 1/2, which
+    # from_idempotent refuses, is checked all the same.
     k = data.draw(st.integers(min_value=0, max_value=400))
     magnitude = data.draw(st.sampled_from([1.0, 1e6, 1e15, 1e30]))
     values = data.draw(st.lists(st.floats(-magnitude, magnitude), min_size=k + 1,
                                 max_size=k + 1))
-    weights = _s_rows(k, ())[0]
-    coeffs, bound = _sine_coefficients(values, weights)
-    if coeffs is None:  # refused for its bound, which is checked all the same
-        assert not bound < 0.5
-        coeffs = _sine_transform(np.asarray(values) * weights) * (2.0 / (k + 2))
+    x = np.asarray(values) * _s_rows(k, ())[0]
+    coeffs = _sine_transform(x) * (2.0 / (k + 2))
     assert len(coeffs) == k + 1
-    assert max(abs(c - d) for c, d in zip(coeffs, dense_coefficients(k, values))) <= bound
+    assert max(abs(c - d) for c, d in zip(coeffs, dense_coefficients(k, values))) <= \
+        _transform_bound(x)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the ArithmeticError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _round_raw(raw, magnitude=0.0):
+    """from_idempotent's rounding of the raw tau-coefficients ``raw``: the
+    coefficients it gives them, or the type and message of what it raises,
+    and the bound it rounds against.  Its sine transform is patched to
+    return raw, padded with zeros, at the least level k with k + 1 >= len(raw)
+    and k + 2 a power of two, where the scaling by 2/(k+2) is exact; the
+    values it bounds are ``magnitude`` at every point."""
+    k = (1 << len(raw).bit_length()) - 2
+    values = np.full(k + 1, magnitude)
+    transformed = np.array([*raw, *[0.0] * (k + 1 - len(raw))]) * ((k + 2) / 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fusion_ring, "_sine_transform", lambda x: transformed)
+        rounded = _outcome(from_idempotent, values)
+    if isinstance(rounded, FusionElement):
+        assert all(type(c) is int for c in rounded.coeffs)
+        assert not any(rounded.coeffs[len(raw):])
+        rounded = rounded.coeffs[:len(raw)]
+    return rounded, _transform_bound(values * _s_rows(k, ())[0])
+
+
+def _round_each(raw, bound):
+    """round_to_integer's outcome for the coefficients ``raw`` in turn: their
+    integers, or the type and message of the first exception."""
+    return _outcome(lambda: tuple(round_to_integer(c, exc=NonIntegralCoefficient,
+                                                   context=f"tau_{m} coefficient", bound=bound)
+                                  for m, c in enumerate(raw)))
 
 
 @st.composite
@@ -520,7 +554,8 @@ def _raw_coefficient(draw):
     """An integer, a half-integer, a float past 2^53, a value at (or one ulp
     either side of) the edge of round_to_integer's allowance, n +- 0.499
     with |n| large enough that the allowance is capped at 0.499, or any
-    float."""
+    float up to 1e300 in magnitude, inf or nan (a larger finite one would
+    not survive ``_round_raw``'s patch)."""
     kind = draw(st.sampled_from(("integer", "half", "large", "edge", "cap", "any")))
     sign = draw(st.sampled_from((1, -1)))
     if kind == "cap":
@@ -535,67 +570,23 @@ def _raw_coefficient(draw):
         n = draw(st.integers(-2**30, 2**30))
         edge = n + sign * min(DEFAULT_TOLERANCE * (1.0 + abs(n)), 0.499)
         return float(np.nextafter(edge, edge + draw(st.sampled_from((-1, 0, 1)))))
-    return draw(st.floats())
+    return draw(st.floats(-1e300, 1e300) | st.sampled_from((math.inf, -math.inf, math.nan)))
 
 
 class TestOnePassRounding:
-    # inf - inf warns; such a coefficient must still fail as round_to_integer fails
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    """from_idempotent rounds its coefficients in one loop, each by
+    round_to_integer with the transform's bound."""
+
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(_raw_coefficient(), min_size=1, max_size=24))
-    def test_matches_round_to_integer_per_coefficient(self, values):
+    @given(st.lists(_raw_coefficient(), min_size=1, max_size=24),
+           st.sampled_from((0.0, 1e12)))
+    def test_matches_round_to_integer_per_coefficient(self, raw, magnitude):
         """The same integers as round_to_integer coefficient by coefficient,
         or the same exception, with the same message, at the same first
-        coefficient."""
-        coeffs = np.array(values)
-        try:
-            expected = [round_to_integer(c, exc=NonIntegralCoefficient,
-                                         context=f"tau_{m} coefficient")
-                        for m, c in enumerate(values)]
-        except ArithmeticError as exc:
-            with pytest.raises(type(exc)) as info:
-                _round_coefficients(len(values) - 1, coeffs, 0.0)
-            assert type(info.value) is type(exc) and str(info.value) == str(exc)
-        else:
-            rounded = _round_coefficients(len(values) - 1, coeffs, 0.0)
-            assert rounded.coeffs == tuple(expected)
-            assert all(type(c) is int for c in rounded.coeffs)
-
-    # inf - inf warns in numpy's accept; the loop then raises as for a tuple
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("bound", [0.0, 0.01])
-    @pytest.mark.parametrize("bad", [2.0**53, -2.0**60, math.nan, math.inf, 7.25],
-                             ids=["2^53", "-2^60", "nan", "inf", "past"])
-    def test_both_kernels_raise_alike(self, bad, bound):
-        """The one rounding rule: an array that numpy's one pass does not
-        accept fails in the per-coefficient loop at its first bad
-        coefficient, with the exception and message the scalar rule
-        (``_checked_round``) gives that coefficient alone."""
-        allowed = max(min(DEFAULT_TOLERANCE * (1.0 + abs(bad)), 0.499), bound)
-        with pytest.raises(NonIntegralCoefficient) as scalar:
-            fusion_ring._checked_round(bad, allowed, bound, NonIntegralCoefficient,
-                                       "tau_3 coefficient")
-        for k in (5, 27):
-            coeffs = [float(m) for m in range(k + 1)]
-            coeffs[3], coeffs[5] = bad, 5.5
-            with pytest.raises(NonIntegralCoefficient, match="^tau_3 coefficient = ") as info:
-                _round_coefficients(k, np.array(coeffs), bound)
-            assert (type(info.value), str(info.value)) == (type(scalar.value), str(scalar.value))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from((-0.0, 0.0, 2.0**53 - 1, -(2.0**53 - 1))),
-                              st.floats(-(2.0**53 - 1), 2.0**53 - 1)),
-                    min_size=1, max_size=24))
-    def test_int64_conversion_gives_the_python_ints(self, values):
-        """Every coefficient that reaches the conversion is below 2^53, where
-        int64 holds it exactly: the same tuple as int() coefficient by
-        coefficient, -0.0 as 0."""
-        nearest = np.rint(np.array(values))
-        python_ints = tuple(map(int, nearest.tolist()))
-        assert tuple(nearest.astype(np.int64).tolist()) == python_ints
-        rounded = _round_coefficients(len(values) - 1, nearest, 0.0)
-        assert rounded.coeffs == python_ints
-        assert all(type(c) is int for c in rounded.coeffs)
+        coefficient, with the bound of values of either magnitude: about
+        2e-308 and about 0.02."""
+        rounded, bound = _round_raw(raw, magnitude)
+        assert rounded == _round_each(raw, bound)
 
     @pytest.mark.parametrize("n", range(-12, 13))
     def test_small_allowances_are_tested_per_coefficient(self, n):
@@ -604,15 +595,15 @@ class TestOnePassRounding:
         either side of the edge gives round_to_integer's outcome."""
         edge = n + min(DEFAULT_TOLERANCE * (1.0 + abs(n)), 0.499)
         for value in (float(np.nextafter(edge, -math.inf)), float(np.nextafter(edge, math.inf))):
-            try:
-                expected = round_to_integer(value, exc=NonIntegralCoefficient,
-                                            context="tau_1 coefficient")
-            except NonIntegralCoefficient as exc:
-                with pytest.raises(NonIntegralCoefficient, match=re.escape(str(exc))):
-                    _round_coefficients(2, np.array([1.0, value, 3.0]), 0.0)
-            else:
-                assert _round_coefficients(2, np.array([1.0, value, 3.0]), 0.0).coeffs == \
-                    (1, expected, 3)
+            rounded, bound = _round_raw([1.0, value, 3.0])
+            assert rounded == _round_each([1.0, value, 3.0], bound)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_from_2_53_is_precision_exhausted(self, sign):
+        for value in (2.0**53, 2.0**53 + 2, 1e300):
+            rounded, _ = _round_raw([0.0, sign * value])
+            assert rounded[0] is PrecisionExhausted
+            assert re.match("tau_1 coefficient = .* 2\\^53", rounded[1])
 
 
 class TestRoundToInteger:
@@ -634,8 +625,6 @@ class TestRoundToInteger:
         for value in (2.0**53, 2.0**53 + 2, 1e300):
             with pytest.raises(PrecisionExhausted, match="not below 2\\^53"):
                 round_to_integer(sign * value)
-            with pytest.raises(PrecisionExhausted, match="tau_1 coefficient = .* 2\\^53"):
-                _round_coefficients(1, np.array([0.0, sign * value]), 0.0)
 
     def test_error_bound_from_one_half_is_precision_exhausted(self):
         assert round_to_integer(3.0 + 1e-9, bound=0.499) == 3
@@ -647,6 +636,19 @@ class TestRoundToInteger:
             round_to_integer(2.0**53, bound=1.0)
         with pytest.raises(PrecisionExhausted, match="out of double range"):
             round_to_integer(math.inf, bound=math.inf)
+
+    def test_error_bound_widens_the_allowance(self):
+        # a value within its error bound of an integer is that integer
+        assert round_to_integer(3.1, bound=0.2) == 3
+        assert round_to_integer(-3.1, bound=0.2) == -3
+        assert type(round_to_integer(3.1, bound=0.2)) is int
+        # past both the bound and the tolerance it is not integral
+        with pytest.raises(NonIntegralValue, match=re.escape(
+                "value = 3.3 is not integral (deviation 3.000e-01, allowed 2.000e-01, "
+                "error bound 2.000e-01)")):
+            round_to_integer(3.3, bound=0.2)
+        # the tolerance still rules where it exceeds the bound
+        assert round_to_integer(1e5 + 0.05, bound=1e-3) == 100000
 
 
 class TestTrace:

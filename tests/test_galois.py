@@ -218,11 +218,13 @@ def test_a_mismatch_exits_2_naming_the_surface_prime_and_orbit(monkeypatch, caps
     _with_base(monkeypatch, lambda s: _graded(s, _orbit_element(s.level, 2)) * s.gamma_size())
     argv = ["quantize", "--level", "64", "--genus", "2", "--labels", "32,32,32,32,57"]
     assert main(argv) == 0  # the closed path reads no certificate
-    assert main([*argv, "--path", "fs"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("internal consistency failure: the closed form of "
-                          "SurfaceData(level=64, genus=2, labels=(32, 32, 32, 32, 57))")
-    assert f"t_1, the orbit of j = 2 mod 2N = 132, mod the prime {galois._level(64).prime}" in err
+    for path in (["--path", "fs"], ["--path", "closed", "--reduced"]):  # but --reduced does
+        assert main([*argv, *path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: the closed form of "
+                              "SurfaceData(level=64, genus=2, labels=(32, 32, 32, 32, 57))")
+        assert (f"t_1, the orbit of j = 2 mod 2N = 132, mod the prime "
+                f"{galois._level(64).prime}") in err
 
 
 def _raising(*args):
