@@ -8,11 +8,13 @@ consistency failure (an exact division or a certificate of the closed form
 against the S-matrix formula that a theorem guarantees failed, which
 indicates a bug or a wrong phase convention), 3 precision exhausted
 (``PrecisionExhausted``, not a bug).  Every quantize path answers exactly,
-so exit 3 comes only from the float API that no command reads:
-``FusionElement.evaluate``, ``localization_evaluate`` and
-``from_idempotent``.  The integrality tolerance is fixed at 1e-6
-(``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
-changes it.
+so exit 3 comes only from the float API, and ``verify`` reads it:
+``FusionElement.evaluate`` in the evaluation_homomorphism and
+localization_agreement checks, ``localization_evaluate`` in the latter,
+and ``round_to_integer`` in ``classical_verlinde_number``
+(``from_idempotent`` no command reads).  The integrality tolerance is
+fixed at 1e-6 (``fusion_ring.DEFAULT_TOLERANCE``); no option or
+environment variable changes it.
 """
 
 from __future__ import annotations

@@ -390,20 +390,20 @@ def canonicalize_choice(surface: SurfaceData, psi_bits: Sequence[int]) -> Prequa
 
     Bits on non-star boundary slots never see a 1 in Gamma, and flipping all
     star-slot bits at once changes nothing by the parity constraint, so we
-    zero the former and force the first star bit to 0.
+    zero the former and force the first star bit to 0: on the surface's
+    masks, as ``_classify`` reads them, the bits under ``_zero_mask`` but
+    the first star slot's are cleared, and ``_star_mask`` is flipped when
+    the first star bit is set.
     """
-    bits = list(_check_bits(psi_bits, "psi bits"))
+    bits = _check_bits(psi_bits, "psi bits")
     if len(bits) != surface.num_slots:
         raise ValueError(f"need {surface.num_slots} psi bits, got {len(bits)}")
-    stars = surface.star_slots
-    star_set = set(stars)
-    for j in range(surface.num_boundary):
-        if j not in star_set:
-            bits[j] = 0
-    if stars and bits[stars[0]]:
-        for j in stars:
-            bits[j] ^= 1
-    return PrequantChoice._trusted(tuple(bits), _bits_mask(bits))
+    stars = surface._star_mask
+    first = stars & -stars
+    mask = _bits_mask(bits) & ~(surface._zero_mask ^ first)
+    if mask & first:
+        mask ^= stars
+    return PrequantChoice._trusted(tuple(mask >> j & 1 for j in range(len(bits))), mask)
 
 
 def _classify(surface: SurfaceData,

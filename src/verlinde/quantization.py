@@ -49,10 +49,11 @@ few integer operations on the choice's bits as an int and the masks the
 surface derived when built (``prequant._classify``).  It keeps the last
 (surface, choice) pair it classified, by identity, in one slot, and reads
 that slot before its checks, which the pair has passed: the three paths of
-one request check and classify it once.  Each path then computes its
-result once per class (surface, a, d) in a bounded cache and wraps it with
-that choice.  A class that cannot be certified raises where it fails, on
-every request, and leaves no entry.  The star entry points
+one request check and classify it once.  The closed form computes its
+element once per class (surface, a, d) in a bounded cache; fs certifies
+the class once in its own and returns that same element, and each path
+wraps it with the choice.  A class that cannot be certified raises where
+it fails, on every request, and leaves no entry.  The star entry points
 (``quantize_star_block``, ``localization_evaluate``) take their class from
 the same front end on a star-only surface, after the star conditions (ii')
 and (iii), and ``quantize_star_block`` and ``quantize_double_so3`` read the
@@ -67,15 +68,16 @@ identity; in the S-matrix sums the label's row S[0, l] cancels one power
 of S[0, l], and S[k, l] = (-1)^l S[0, l], bit for bit as every angle is
 reduced in integers; and |Gamma|, the class (a, d) and the admissibility
 conditions read no non-star label (for k > 0, neither 0 nor k is the star
-label k/2).  So each per-class cache (``_class_cache``) computes on
-``SurfaceData._folded``, the surface without its labels 0 and k, built once
-with the surface, and an odd count of labels k (``SurfaceData._reflected``)
-reflects the folded result: the closed form and fs reverse the folded
-element, reduced reads the reversed element's trace, and
-``verlinde_baseline`` reverses its product.  The sweep's 1,141 surfaces
-fold to 301 (581 with labels 0 alone) and its 3,276 request classes to 879
-computed ones (1,678).  The request keeps its own surface for the front
-end, so its result carries the canonical choice of all s + 2h slots.
+label k/2).  So the closed form's per-class cache (``_closed_form_element``)
+computes on ``SurfaceData._folded``, the surface without its labels 0 and
+k, built once with the surface, and an odd count of labels k
+(``SurfaceData._reflected``) reverses the folded element; fs certifies the
+folded class and returns the closed form's element, reduced reads its
+trace, and ``verlinde_baseline`` reverses its product.  The sweep's 1,141
+surfaces fold to 301 (581 with labels 0 alone) and its 3,276 request
+classes to 879 computed ones (1,678).  The request keeps its own surface
+for the front end, so its result carries the canonical choice of all
+s + 2h slots.
 
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
@@ -89,7 +91,7 @@ implies, ``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, update_wrapper, wraps
+from functools import lru_cache, wraps
 from itertools import cycle, repeat
 from operator import add, and_, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -228,7 +230,8 @@ def _star_class(k: int, r: int, psi) -> tuple[int, int, int]:
     return k, r, _canonical_class(SurfaceData(k, 0, (k // 2,) * r), PrequantChoice(tuple(psi)))[1]
 
 
-@lru_cache(maxsize=1024)  # one per (k, r, a): 3,264 of 3,360 sweep reads hit
+# Not cached: a cold sweep pass makes 860 calls on 96 distinct (k, r, a),
+# and a cache would save 764 of them at 2.1 us each, about 1 % of the pass.
 def _krawtchouk_sum(k: int, r: int, a: int) -> int:
     """E = sum_w star_sign(k, r, w) (k/2+1)^(w/2) K_w(a) over even w, psi
     having a bits set on the r star slots: K_w(a), the y^w coefficient of
@@ -357,45 +360,17 @@ def _half_value(surface: SurfaceData, a: int, d: int) -> int:
     return nonstar * star * _double_factor(k, h, d)
 
 
-class _ClosedBase(NamedTuple):
-    """Choice-independent data of one surface's closed form."""
-
-    element: FusionElement  # X = tau_{k/2}^r D_SU(2)^h prod tau_m, non-star m
-    at_half: int  # X(t_{k/2}) = c_0 - c_2 + c_4 - ..., read for even k
-
-
-# one per folded surface, read by each class: 578 of 879 sweep reads hit
+# one per folded surface, read by each class and by the surface's
+# certificate: 879 of 1,180 sweep reads hit
 @lru_cache(maxsize=512)
-def _closed_form_base(surface: SurfaceData) -> _ClosedBase:
-    """X and its value at t_{k/2}, from X's own coefficients, as
-    tau_m(t_{k/2}) = ``_tau_at_half``.  X is ``_star_and_doubles``, shared
-    by the surfaces with the same (k, r, h), times one basis step per
-    non-star label: no dense product."""
+def _closed_form_base(surface: SurfaceData) -> FusionElement:
+    """X = tau_{k/2}^r D_SU(2)^h prod tau_m over the non-star m, the closed
+    form's choice-free base: ``_star_and_doubles``, shared by the surfaces
+    with the same (k, r, h), times one basis step per non-star label, no
+    dense product."""
     k = surface.level
-    base = _times_labels(k, _star_and_doubles(k, surface.star_count, surface.genus).coeffs,
+    return _times_labels(k, _star_and_doubles(k, surface.star_count, surface.genus).coeffs,
                          surface.nonstar_labels)
-    return _ClosedBase(base, sum(base.coeffs[::4]) - sum(base.coeffs[2::4]))
-
-
-def _class_cache(fn):
-    """``fn``, one path's computation for a class (surface, a, d), in an lru
-    cache of 1024 entries keyed by the request's surface and computed on its
-    folded surface (``SurfaceData._folded``, no label 0 and no label k): a
-    miss on a surface that folds returns the cached result of its folded
-    form, or, when its labels k are odd in number (``_reflected``), that
-    result times tau_k, ``fn(folded, a, d, True)``, cached under the key
-    (folded, a, d, True) for every surface that folds to the same one; it is
-    then kept under the request's own key too, so a repeat request hits by
-    identity: without that entry a sweep pass made 47,367
-    ``SurfaceData.__eq__`` calls, not 7,191, and its op_p50_ms rose 16 %.
-    ``__wrapped__`` is ``fn``, which computes on the surface it is given."""
-    @lru_cache(maxsize=1024)
-    def cached(surface: SurfaceData, a: int, d: int, reflected: bool = False):
-        folded = surface._folded
-        if folded is None:
-            return fn(surface, a, d, reflected)
-        return cached(folded, a, d, True) if surface._reflected else cached(folded, a, d)
-    return update_wrapper(cached, fn)
 
 
 def _reflect(x: FusionElement) -> FusionElement:
@@ -406,40 +381,51 @@ def _reflect(x: FusionElement) -> FusionElement:
 # Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
 # their surface, and 2,397 of the 3,276 request classes are answered from
 # their folded surface's entry or its reflection (799 reflections: an
-# element reversed), so 879 classes are computed.  Each per-class cache
-# keeps values only: a class that raises (InexactDivision here, a failed
-# certificate on fs) raises again on every request.  The star entry points
-# read this cache on their star-only surfaces.
-
-@_class_cache
+# element reversed), so 879 classes are computed.  A miss on a surface that
+# folds returns its folded class's entry, or, for an odd count of labels k,
+# that entry reversed, kept under (folded, a, d, True) for every surface
+# that folds to the same one; it is then kept under the request's own key
+# too, so a repeat request hits by identity: without that entry a sweep
+# pass makes 90,739 ``SurfaceData.__eq__`` calls, not 4,794 (the
+# benchmark's sweep op_p50_ms was 16 % higher without it).  The cache keeps values only: a class that raises
+# (InexactDivision) raises again on every request.  fs and reduced return
+# these elements, and the star entry points read this cache on their
+# star-only surfaces.
+@lru_cache(maxsize=1024)
 def _closed_form_element(surface: SurfaceData, a: int, d: int,
                          reflected: bool = False) -> FusionElement:
     """The class (a, d)'s star block x doubles x non-star labels, as
-    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h; ``reflected``, that
-    times tau_k.
+    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h, computed on the folded
+    surface (``SurfaceData._folded``); ``reflected``, that times tau_k.
 
     Every block is a choice-free part plus a multiple of chi: the star block
     (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
     double (D_SU(2) + e chi) / 4 (``_double_factor``).  As chi x = x(t_{k/2}) chi
     (chi vanishes at every other special point), the product is the product
     of the choice-free parts, X, plus mu chi, where mu (k/2+1) is the
-    product's value at t_{k/2} times |Gamma| (``_half_value``) minus X's.
-    Both values are integers, so mu is an exact division, checked: its
-    remainder raises InexactDivision.  A class costs O(r + h) integer steps
-    and one O(k) pass."""
+    product's value at t_{k/2} times |Gamma| (``_half_value``) minus X's,
+    c_0 - c_2 + c_4 - ... as tau_m(t_{k/2}) = ``_tau_at_half``.  Both values
+    are integers, so mu is an exact division, checked: its remainder raises
+    InexactDivision.  A class costs O(r + h) integer steps and two O(k)
+    passes."""
+    folded = surface._folded
+    if folded is not None:
+        if surface._reflected:
+            return _closed_form_element(folded, a, d, True)
+        return _closed_form_element(folded, a, d)
     if reflected:
         return _reflect(_closed_form_element(surface, a, d))
     base, k = _closed_form_base(surface), surface.level
     if k % 2:  # then r = h = 0 and Gamma = {e}: X is the whole answer
-        return base.element
-    excess = _half_value(surface, a, d) - base.at_half
+        return base
+    excess = _half_value(surface, a, d) - (sum(base.coeffs[::4]) - sum(base.coeffs[2::4]))
     if excess % (k // 2 + 1):
         raise InexactDivision(f"the class (a={a}, d={d}) differs from X at t_{k // 2} by "
                               f"{excess}, not divisible by {k // 2 + 1}")
     mu, size = excess // (k // 2 + 1), surface.gamma_size()
     if not mu and size == 1:
-        return base.element
-    return _exact_divide(k, _plus_chi(base.element, mu), size)
+        return base
+    return _exact_divide(k, _plus_chi(base, mu), size)
 
 
 def quantize_surface(surface: SurfaceData,
@@ -450,31 +436,40 @@ def quantize_surface(surface: SurfaceData,
 
 
 # The benchmark's tracer reads this cache by name, and fs results keep the
-# path name "fs_float", which the benchmark's expected output pins.
-@lru_cache(maxsize=512)  # one per folded surface, read by each of its classes
+# path name "fs_float", which the benchmark's expected output pins.  One
+# entry per folded surface, read by each of its classes: 578 of 879 sweep
+# reads hit.
+@lru_cache(maxsize=512)
 def _fs_gamma_data(surface: SurfaceData) -> tuple[int, tuple[int, ...]]:
     """The surface's certificate, the prime and the orbits checked: X, its
     closed-form base, against the S-matrix product formula mod one prime at
     one point per Galois orbit but t_{k/2} (``galois.certify``).  A surface
     that fails raises CertificateMismatch on every request, and this cache
     keeps no entry."""
-    return certify(surface, _closed_form_base(surface).element)
+    return certify(surface, _closed_form_base(surface))
 
 
-@_class_cache
-def _fs_element(surface: SurfaceData, a: int, d: int, reflected: bool = False) -> FusionElement:
-    """The class's closed-form element once it is certified, and
-    ``reflected``, that times tau_k: its surface's X at every orbit but
+# One entry per request class: a miss on a surface that folds certifies
+# through its folded class's entry, so a cold sweep pass makes 860
+# ``check_half`` calls, one per folded class at even k; one per request
+# class made 3,200, 24 ms more at 10 us each.
+@lru_cache(maxsize=1024)
+def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
+    """The class's closed-form element, the closed form's own object, once
+    its folded class is certified: the folded surface's X at every orbit but
     t_{k/2} (``_fs_gamma_data``), which the element shares over |Gamma|
     there, and at even k its value at t_{k/2} against the literal block
-    sums (``galois.check_half``).  A class that fails raises
+    sums (``galois.check_half``).  A label 0 or k changes neither check
+    (every path is multiplicative over the circles), so the folded class's
+    certificate covers the request's.  A class that fails raises
     CertificateMismatch on every request, and its cache keeps no entry."""
-    if reflected:
-        return _reflect(_fs_element(surface, a, d))
-    element = _closed_form_element(surface, a, d)
-    _fs_gamma_data(surface)
-    if not surface.level % 2:
-        check_half(surface, a, d, element)
+    element, folded = _closed_form_element(surface, a, d), surface._folded
+    if folded is not None:
+        _fs_element(folded, a, d)
+    else:
+        _fs_gamma_data(surface)
+        if not surface.level % 2:
+            check_half(surface, a, d, element)
     return element
 
 
@@ -503,7 +498,7 @@ def verlinde_baseline(surface: SurfaceData) -> QuantizationResult:
     from the per-surface cache, reflected when the surface's labels k are
     odd in number (``SurfaceData._reflected``).
     """
-    base = _closed_form_base(surface._folded or surface).element
+    base = _closed_form_base(surface._folded or surface)
     return QuantizationResult.of(_reflect(base) if surface._reflected else base, "closed_form")
 
 

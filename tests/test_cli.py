@@ -216,6 +216,21 @@ def test_precision_exhausted_exit_code(capsys, monkeypatch):
     assert captured.err.startswith("precision exhausted:")
 
 
+def test_verify_exits_3_when_a_check_exhausts_precision(capsys, monkeypatch):
+    # verify reads the float API (FusionElement.evaluate in the
+    # evaluation_homomorphism check): its PrecisionExhausted exits 3, with
+    # the message on stderr and no partial report on stdout.
+    def exhausted(self, l):
+        raise PrecisionExhausted(f"forced at t_{l}")
+
+    monkeypatch.setattr(FusionElement, "evaluate", exhausted)
+    code = main(["verify", "--max-level", "4", "--max-r", "2", "--max-genus", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "precision exhausted: forced at t_0\n"
+
+
 def _closed_answer(capsys, argv):
     """The coefficients and reduced value of ``argv`` on the closed path."""
     path = argv.index("--path")

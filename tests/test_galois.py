@@ -88,9 +88,8 @@ _BASE = quantization._closed_form_base
 
 def _with_base(monkeypatch, shift):
     """``quantization._closed_form_base`` with ``shift`` (a function of the
-    surface) added to X, its value at t_{k/2} kept, and the caches cleared."""
-    monkeypatch.setattr(quantization, "_closed_form_base",
-                        lambda s: _BASE(s)._replace(element=_BASE(s).element + shift(s)))
+    surface) added to X, and the caches cleared."""
+    monkeypatch.setattr(quantization, "_closed_form_base", lambda s: _BASE(s) + shift(s))
     _clear_quantization_caches()
 
 

@@ -733,6 +733,30 @@ class TestFoldedSurface:
         assert quantization._fs_gamma_data.cache_info().misses == 301
         assert quantization._closed_form_base.cache_info().misses == 301
 
+    def test_fs_answers_with_the_closed_forms_own_element(self, monkeypatch):
+        # fs and reduced hold no element of their own: each sweep request's
+        # fs element is the very object the closed form returns, and one
+        # cold pass computes and certifies each folded class once.
+        counted = dict.fromkeys(("_half_value", "check_half"), 0)
+        for name in counted:
+            def count(*args, name=name, fn=getattr(quantization, name)):
+                counted[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(quantization, name, count)
+        _clear_quantization_caches()
+        requests = 0
+        try:
+            for surf in sweep_surfaces(20, 5, 2):
+                for choice in enumerate_choices(surf):
+                    assert fs_formula(surf, choice).element is \
+                        quantize_surface(surf, choice).element
+                    requests += 1
+            assert requests == 31324
+            assert counted == {"_half_value": 860, "check_half": 860}
+            assert quantization._closed_form_base.cache_info().misses == 301
+        finally:
+            _clear_quantization_caches()
+
     def test_a_repeat_request_hits_by_identity(self):
         surf = SurfaceData(8, 1, (4, 0, 4, 4))
         choice = enumerate_choices(surf)[1]
@@ -767,7 +791,7 @@ class TestSimpleCurrentFold:
         flip = (lambda c: c[::-1]) if surf._reflected else (lambda c: c)
         base = _coeffs_or_failure(verlinde_baseline, surf)
         assert base == flip(_coeffs_or_failure(verlinde_baseline, folded))
-        assert base == quantization._closed_form_base.__wrapped__(surf).element.coeffs
+        assert base == quantization._closed_form_base.__wrapped__(surf).coeffs
         for (_, choice), (_, twin) in zip(_class_choices(surf), _class_choices(folded)):
             a, d = prequant._canonical_class(surf, choice)[1:]
             closed = _coeffs_or_failure(quantize_surface, surf, choice)
@@ -873,7 +897,7 @@ def test_star_sum_matches_pattern_loop(k):
 # the comment at its decorator).  A new cache needs a measured reason too,
 # and then a place in this list.
 AUDITED_CACHES = {
-    "quantization.tau_power", "quantization._krawtchouk_sum", "quantization._star_block",
+    "quantization.tau_power", "quantization._star_block",
     "quantization.quantize_double_so3", "quantization._label_product",
     "quantization._star_and_doubles", "quantization._closed_form_base",
     "quantization._closed_form_element", "quantization._fs_gamma_data",
@@ -1116,14 +1140,14 @@ def test_star_and_doubles_equals_the_dense_powers(k, r, h):
 
 def test_inexact_division_is_raised(monkeypatch):
     surf = SurfaceData(8, 1, (4, 4, 4))
-    base = quantization._closed_form_base(surf)
+    half_value = quantization._half_value
     for shift, message in (
         (1, "differs from X at t_4 by .*, not divisible by 5"),  # mu's division
         (5, "tau_0 coefficient .* is not divisible by 16"),  # the division by |Gamma|
     ):
         _clear_quantization_caches()
-        monkeypatch.setattr(quantization, "_closed_form_base",
-                            lambda s: base._replace(at_half=base.at_half + shift))
+        monkeypatch.setattr(quantization, "_half_value",
+                            lambda *args: half_value(*args) - shift)
         with pytest.raises(quantization.InexactDivision, match=message):
             quantize_surface(surf, PrequantChoice((0, 1, 0, 0, 1)))
     _clear_quantization_caches()
