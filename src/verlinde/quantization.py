@@ -380,23 +380,30 @@ def _reflect(x: FusionElement) -> FusionElement:
 
 # Per-class results: 28,048 of the 31,324 sweep requests repeat a class of
 # their surface, and 2,397 of the 3,276 request classes are answered from
-# their folded surface's entry or its reflection (799 reflections: an
-# element reversed), so 879 classes are computed.  A miss on a surface that
-# folds returns its folded class's entry, or, for an odd count of labels k,
-# that entry reversed, kept under (folded, a, d, True) for every surface
-# that folds to the same one; it is then kept under the request's own key
-# too, so a repeat request hits by identity: without that entry a sweep
-# pass makes 90,739 ``SurfaceData.__eq__`` calls, not 4,794 (the
-# benchmark's sweep op_p50_ms was 16 % higher without it).  The cache keeps values only: a class that raises
-# (InexactDivision) raises again on every request.  fs and reduced return
-# these elements, and the star entry points read this cache on their
-# star-only surfaces.
+# their folded surface's entry or its reflection (799 reflections), so 879
+# classes are computed.  A folding surface's answer is kept under its own
+# key too, so a repeat request hits by identity: without that entry a
+# sweep pass makes 90,739 ``SurfaceData.__eq__`` calls, not 4,794.  Values
+# only: a class that raises (InexactDivision) raises on every request.
 @lru_cache(maxsize=1024)
 def _closed_form_element(surface: SurfaceData, a: int, d: int,
                          reflected: bool = False) -> FusionElement:
+    """``_class_element`` on the folded surface (``SurfaceData._folded``),
+    kept under (folded, a, d), or, for an odd count of labels k, that times
+    tau_k, kept under (folded, a, d, True).  fs and reduced return these
+    elements, and the star entry points read them on star-only surfaces."""
+    folded = surface._folded
+    if folded is not None:
+        return (_closed_form_element(folded, a, d, True) if surface._reflected
+                else _closed_form_element(folded, a, d))
+    if reflected:
+        return _reflect(_closed_form_element(surface, a, d))
+    return _class_element(surface, a, d)
+
+
+def _class_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     """The class (a, d)'s star block x doubles x non-star labels, as
-    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h, computed on the folded
-    surface (``SurfaceData._folded``); ``reflected``, that times tau_k.
+    (X + mu chi) / |Gamma|, |Gamma| = 2^(r-1) 4^h, on the surface given.
 
     Every block is a choice-free part plus a multiple of chi: the star block
     (tau_{k/2}^r + c(a) chi) / 2^(r-1), c(a) = ``_chi_coefficient``, and each
@@ -406,15 +413,7 @@ def _closed_form_element(surface: SurfaceData, a: int, d: int,
     product's value at t_{k/2} times |Gamma| (``_half_value``) minus X's,
     c_0 - c_2 + c_4 - ... as tau_m(t_{k/2}) = ``_tau_at_half``.  Both values
     are integers, so mu is an exact division, checked: its remainder raises
-    InexactDivision.  A class costs O(r + h) integer steps and two O(k)
-    passes."""
-    folded = surface._folded
-    if folded is not None:
-        if surface._reflected:
-            return _closed_form_element(folded, a, d, True)
-        return _closed_form_element(folded, a, d)
-    if reflected:
-        return _reflect(_closed_form_element(surface, a, d))
+    InexactDivision.  A class costs O(r + h) integer steps, two O(k) passes."""
     base, k = _closed_form_base(surface), surface.level
     if k % 2:  # then r = h = 0 and Gamma = {e}: X is the whole answer
         return base
@@ -449,27 +448,30 @@ def _fs_gamma_data(surface: SurfaceData) -> tuple[int, tuple[int, ...]]:
     return certify(surface, _closed_form_base(surface))
 
 
-# One entry per request class: a miss on a surface that folds certifies
-# through its folded class's entry, so a cold sweep pass makes 860
-# ``check_half`` calls, one per folded class at even k; one per request
-# class made 3,200, 24 ms more at 10 us each.
+def _certified(surface: SurfaceData, a: int, d: int, element: FusionElement) -> FusionElement:
+    """``element`` once it is certified as the class (a, d) of the surface
+    given: X at every orbit but t_{k/2} (``_fs_gamma_data``), which the
+    element shares over |Gamma| there, and at even k its value at t_{k/2}
+    against the literal block sums (``galois.check_half``)."""
+    _fs_gamma_data(surface)
+    if not surface.level % 2:
+        check_half(surface, a, d, element)
+    return element
+
+
+# One entry per request class.  A surface that folds certifies through its
+# folded class's entry: a cold sweep pass makes 860 ``check_half`` calls,
+# not the 3,200 of one per request class (24 ms more at 10 us each).
 @lru_cache(maxsize=1024)
 def _fs_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     """The class's closed-form element, the closed form's own object, once
-    its folded class is certified: the folded surface's X at every orbit but
-    t_{k/2} (``_fs_gamma_data``), which the element shares over |Gamma|
-    there, and at even k its value at t_{k/2} against the literal block
-    sums (``galois.check_half``).  A label 0 or k changes neither check
-    (every path is multiplicative over the circles), so the folded class's
-    certificate covers the request's.  A class that fails raises
-    CertificateMismatch on every request, and its cache keeps no entry."""
+    its folded class is ``_certified``: a label 0 or k changes neither check
+    (every path is multiplicative over the circles).  A class that fails
+    raises CertificateMismatch on every request and leaves no entry."""
     element, folded = _closed_form_element(surface, a, d), surface._folded
-    if folded is not None:
-        _fs_element(folded, a, d)
-    else:
-        _fs_gamma_data(surface)
-        if not surface.level % 2:
-            check_half(surface, a, d, element)
+    if folded is None:
+        return _certified(surface, a, d, element)
+    _fs_element(folded, a, d)
     return element
 
 

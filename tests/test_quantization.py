@@ -1,5 +1,4 @@
 import copyreg
-import inspect
 import math
 import pickle
 import random
@@ -654,11 +653,17 @@ class TestChoiceClasses:
             _clear_quantization_caches()
 
 
-def _unfolded_outcome(cache, surf, a, d):
-    """The per-class computation behind ``cache`` run on ``surf`` itself,
-    not on its folded surface: a value, or the (class, message) of a failure."""
+def _unfolded_fs(surf, a, d):
+    """fs's class body run on ``surf`` itself, not on its folded surface:
+    the closed form's class computation, certified on ``surf``."""
+    return quantization._certified(surf, a, d, quantization._class_element(surf, a, d))
+
+
+def _unfolded_outcome(body, surf, a, d):
+    """``body`` run on ``surf`` itself, not on its folded surface: a value,
+    or the (class, message) of a failure."""
     try:
-        return cache.__wrapped__(surf, a, d)
+        return body(surf, a, d)
     except ArithmeticError as exc:
         return type(exc), str(exc)
 
@@ -687,9 +692,8 @@ class TestFoldedSurface:
                 requests += 1
                 a, d = prequant._canonical_class(surf, choice)[1:]
                 if (surf, a, d) not in unfolded:
-                    unfolded[surf, a, d] = (
-                        quantization._closed_form_element.__wrapped__(surf, a, d),
-                        _unfolded_outcome(quantization._fs_element, surf, a, d))
+                    unfolded[surf, a, d] = (quantization._class_element(surf, a, d),
+                                            _unfolded_outcome(_unfolded_fs, surf, a, d))
                 closed, through_s = unfolded[surf, a, d]
                 got = quantize_surface(surf, choice)
                 assert got.element == closed and got.choice is choice
@@ -723,20 +727,10 @@ class TestFoldedSurface:
         finally:
             _clear_quantization_caches()
 
-    def test_the_sweep_builds_one_gamma_table_per_folded_surface(self):
-        _clear_quantization_caches()
-        for surf in sweep_surfaces(20, 5, 2):
-            for choice in enumerate_choices(surf):
-                quantize_surface(surf, choice)
-                fs_formula(surf, choice)
-                reduced_quantization(surf, choice)
-        assert quantization._fs_gamma_data.cache_info().misses == 301
-        assert quantization._closed_form_base.cache_info().misses == 301
-
-    def test_fs_answers_with_the_closed_forms_own_element(self, monkeypatch):
-        # fs and reduced hold no element of their own: each sweep request's
-        # fs element is the very object the closed form returns, and one
-        # cold pass computes and certifies each folded class once.
+    def test_the_sweep_builds_one_gamma_table_per_folded_surface(self, monkeypatch):
+        # One cold pass computes and certifies each folded class once, and
+        # fs and reduced hold no element of their own: each request's fs
+        # element is the very object the closed form returns.
         counted = dict.fromkeys(("_half_value", "check_half"), 0)
         for name in counted:
             def count(*args, name=name, fn=getattr(quantization, name)):
@@ -748,11 +742,13 @@ class TestFoldedSurface:
         try:
             for surf in sweep_surfaces(20, 5, 2):
                 for choice in enumerate_choices(surf):
-                    assert fs_formula(surf, choice).element is \
-                        quantize_surface(surf, choice).element
+                    closed = quantize_surface(surf, choice)
+                    assert fs_formula(surf, choice).element is closed.element
+                    reduced_quantization(surf, choice)
                     requests += 1
             assert requests == 31324
             assert counted == {"_half_value": 860, "check_half": 860}
+            assert quantization._fs_gamma_data.cache_info().misses == 301
             assert quantization._closed_form_base.cache_info().misses == 301
         finally:
             _clear_quantization_caches()
@@ -796,8 +792,7 @@ class TestSimpleCurrentFold:
             a, d = prequant._canonical_class(surf, choice)[1:]
             closed = _coeffs_or_failure(quantize_surface, surf, choice)
             assert closed == flip(_coeffs_or_failure(quantize_surface, folded, twin))
-            assert closed == _coeffs_or_failure(
-                quantization._closed_form_element.__wrapped__, surf, a, d)
+            assert closed == _coeffs_or_failure(quantization._class_element, surf, a, d)
             # fs: the folded class's element reflected, or its failure
             fs, want = (_coeffs_or_failure(fs_formula, s, c) for s, c in
                         ((surf, choice), (folded, twin)))
@@ -805,7 +800,7 @@ class TestSimpleCurrentFold:
             # reduced: the folded element's c_k for a reflection
             assert _coeffs_or_failure(reduced_quantization, surf, choice) == closed[0]
             # unfolded, fs certifies the same element
-            assert fs == _coeffs_or_failure(quantization._fs_element.__wrapped__, surf, a, d)
+            assert fs == _coeffs_or_failure(_unfolded_fs, surf, a, d)
 
     def test_every_sweep_surface_with_a_label_k(self):
         surfaces = [s for s in sweep_surfaces(20, 5, 2) if s.level and s.level in s.labels]
@@ -991,10 +986,9 @@ def _outcome(fn, *args):
 def test_every_fine_class_has_its_folded_class_outcome():
     # Each path's class body, called on the fine (a, d) with no fold, gives
     # the outcome the path gives the request through its folded class.
-    fs_body = inspect.unwrap(quantization._fs_element)
-    paths = ((quantize_surface, inspect.unwrap(quantization._closed_form_element)),
-             (fs_formula, fs_body),
-             (reduced_quantization, lambda *args: fs_body(*args).coeffs[0]))
+    paths = ((quantize_surface, quantization._class_element),
+             (fs_formula, _unfolded_fs),
+             (reduced_quantization, lambda *args: _unfolded_fs(*args).coeffs[0]))
     surfaces = (*sweep_surfaces(20, 5, 2), *BIG_GAMMA_SURFACES,
                 SurfaceData(12, 40, (6, 6, 6, 6, 4)), SurfaceData(100, 60, (50, 50, 50, 50, 8)))
     fine, folded, failed = 0, set(), 0
@@ -1052,7 +1046,7 @@ def test_a_disagreement_past_the_bound_is_not_a_precision_limit(monkeypatch):
     _clear_quantization_caches()
     try:
         assert quantize_surface(surf, choice).element == \
-            quantization._closed_form_element.__wrapped__(surf, a, d)
+            quantization._class_element(surf, a, d)
         with pytest.raises(quantization.InexactDivision) as info:
             fs_formula(surf, choice)
     finally:
