@@ -7,14 +7,16 @@ Exit codes: 0 success (``--help`` too), 1 inadmissible or malformed input
 consistency failure (an exact division or a certificate of the closed form
 against the S-matrix formula that a theorem guarantees failed, which
 indicates a bug or a wrong phase convention), 3 precision exhausted
-(``PrecisionExhausted``, not a bug).  Every quantize path answers exactly,
-so exit 3 comes only from the float API, and ``verify`` reads it:
-``FusionElement.evaluate`` in the evaluation_homomorphism and
-localization_agreement checks, ``localization_evaluate`` in the latter,
-and ``round_to_integer`` in ``classical_verlinde_number``
-(``from_idempotent`` no command reads).  The integrality tolerance is
-fixed at 1e-6 (``fusion_ring.DEFAULT_TOLERANCE``); no option or
-environment variable changes it.
+(``PrecisionExhausted``, not a bug), 141 standard output closed early (as
+by ``| head``; 128 + SIGPIPE), with nothing on standard error.  Every
+quantize path answers exactly, so exit 3 comes only from the float API,
+and ``verify`` reads it: ``FusionElement.evaluate`` in the
+evaluation_homomorphism and localization_agreement checks,
+``localization_evaluate`` in the latter, and ``round_to_integer`` in
+``classical_verlinde_number`` (``from_idempotent`` no command reads).
+The integrality tolerance is fixed at 1e-6
+(``fusion_ring.DEFAULT_TOLERANCE``); no option or environment variable
+changes it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .fusion_ring import (
@@ -53,6 +56,7 @@ EXIT_OK = 0
 EXIT_NOT_ADMISSIBLE = 1
 EXIT_INCONSISTENT = 2
 EXIT_PRECISION_EXHAUSTED = 3
+EXIT_OUTPUT_CLOSED = 141
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -280,6 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:  # a closed stdout ends quietly, as in the Python docs' note on SIGPIPE
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # and the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error

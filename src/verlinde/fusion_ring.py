@@ -22,7 +22,12 @@ tau_m costs one linear pass (``_times_basis``): each coefficient of the
 product is a difference of two parity-strided prefix sums of the other
 factor, so it takes O(k) additions, with no fold.  So does the factor
 D_SU(2) (``_times_double``), which the closed form applies once per double.
-For two dense factors, by the Weyl character formula
+Each step carries one parity class (``_basis_step``, ``_double_step``):
+the ring is graded by m mod 2, tau_m moving a class by m and D_SU(2) being
+even, so a product of basis elements and D_SU(2), as the closed form's
+is, lives on one class, and its steps read and write k/2 + 1 coefficients,
+not k + 1.  The dense steps are one graded step per class.  For two dense
+factors, by the Weyl character formula
 chi_m = (x^(m+1) - x^(-m-1))/(x - 1/x), the product's Weyl numerator is the
 numerator of one factor times the Laurent expansion of the other, whose
 coefficients are O(k) suffix sums.  Both are packed into Python ints with
@@ -453,66 +458,87 @@ def _unpack(x: int, width: int, n: int) -> list[int]:
             for i in range(0, width * n, width)]
 
 
-def _times_basis(k: int, m: int, b: Sequence[int]) -> list[int]:
-    """tau_m * b at level k, b the k + 1 tau-coefficients of any element.
+def _basis_step(k: int, m: int, p: int, v: Sequence[int]) -> list[int]:
+    """tau_m * b at level k, b having v = b[p::2] on the class p and 0 on
+    the other: the product's coefficients on its class, p + m mod 2.
 
     By the level-k fusion rule, tau_m tau_n has tau_j for j = |m-n|,
     |m-n|+2, ..., min(m+n, 2k-m-n), a set symmetric in n and j; so the tau_j
     coefficient is b_lo + b_(lo+2) + ... + b_hi, lo = |j-m| and
-    hi = min(j+m, 2k-j-m), a difference P[hi+2] - P[lo] of the parity-strided
-    prefix sums P[i] = sum_{n < i, n = i mod 2} b_n.  As j runs over 0..k,
-    hi+2 and lo each trace one rising and one falling run of P: four slices.
-    """
-    prefix = [0, 0, *b]
-    prefix[0::2] = accumulate(prefix[0::2])
-    prefix[1::2] = accumulate(prefix[1::2])
-    upper = prefix[m + 2:k + 3] + prefix[k + 1:k - m + 1:-1]
-    lower = prefix[m:0:-1] + prefix[:k - m + 1]
+    hi = min(j+m, 2k-j-m), a difference P[hi+2] - P[lo] of the prefix sums
+    P[p + 2i] = v_0 + ... + v_(i-1), kept at ``prefix[i + 1]`` behind one
+    ghost.  As j runs over the class, hi+2 and lo each trace one rising and
+    one falling run of them: four slices."""
+    q = (p + m) % 2
+    size, rise, fall = (k - q) // 2 + 1, (k - m - q) // 2 + 1, (m - q + 1) // 2
+    up, down = (q + m - p) // 2 + 2, (q - m - p) // 2 + 1  # indices at j = q
+    top = k + 4 - p - up  # the falling run's index at j = q
+    prefix = [0, 0, *accumulate(v)]
+    upper = prefix[up:] + prefix[top - rise:top - size:-1]
+    lower = prefix[2 - p - down:2 - p - down - fall:-1] + prefix[down + fall:down + size]
     return list(map(sub, upper, lower))
 
 
+def _times_basis(k: int, m: int, b: Sequence[int]) -> list[int]:
+    """tau_m * b at level k, b any k + 1 coefficients: one step per class."""
+    out = [0] * (k + 1)
+    for p in (0, 1):
+        out[(p + m) % 2::2] = _basis_step(k, m, p, b[p::2])
+    return out
+
+
+def _double_step(k: int, p: int, v: Sequence[int]) -> list[int]:
+    """D_SU(2) * b at level k, b having v = b[p::2] on the class p and 0 on
+    the other: the product's coefficients on the same class, D_SU(2) being
+    even.  At t_l, theta = (l+1) pi/(k+2), D_SU(2) = sum_m tau_m^2 is
+    S[0, l]^-2 = (k+2)/(2 sin^2 theta) and 3 - tau_2 is 4 sin^2 theta, so
+    D_SU(2) = 2(k+2) / (3 - tau_2)."""
+    return _class_quotient(k, p, v, 2 * (k + 2))
+
+
 def _times_double(k: int, b: Sequence[int]) -> list[int]:
-    """D_SU(2) * b at level k, b the k + 1 tau-coefficients of any element,
-    D_SU(2) = sum_m tau_m^2, with no dense product.  At t_l,
-    theta = (l+1) pi/(k+2), D_SU(2) is S[0, l]^-2 = (k+2)/(2 sin^2 theta) and
-    3 - tau_2 is 4 sin^2 theta, so D_SU(2) = 2(k+2) / (3 - tau_2)."""
+    """D_SU(2) * b at level k, b any k + 1 coefficients."""
     return _over_3_minus_tau2(k, b, 2 * (k + 2))
 
 
 def _over_3_minus_tau2(k: int, b: Sequence[int], scale: int) -> list[int]:
-    """scale b / (3 - tau_2) at level k, which must have integer coefficients:
-    the solution y of (3 - tau_2) y = scale b, in O(k) additions.
+    """scale b / (3 - tau_2) at level k, which must be integral: one
+    ``_class_quotient`` per class."""
+    out = [0] * (k + 1)
+    for p in (0, 1):
+        out[p::2] = _class_quotient(k, p, b[p::2], scale)
+    return out
+
+
+def _class_quotient(k: int, p: int, v: Sequence[int], scale: int) -> list[int]:
+    """z_i = y_(2i+p), the class p of y = scale b / (3 - tau_2) at level k,
+    b having v = b[p::2] there, which must be integral: O(k) additions.
 
     As tau_2 tau_n = tau_(n-2) + tau_n + tau_(n+2) with the ghosts that
     ``_fold`` gives, tau_(-1) = tau_(k+1) = 0, tau_(-2) = -tau_0 and
     tau_(k+2) = -tau_k, this is a second difference
-    2 z_i - z_(i-1) - z_(i+1) = scale b_(2i+p) on each parity class
-    z_i = y_(2i+p).  Shooting from the bottom ghost (z_(-1) = -z_0 on the
-    even class, 0 on the odd one) gives z_i = s A_i + scale B_i, with
-    A_i = 2i+1 on the even class and i+1 on the odd one, and B the negated
-    double prefix sum of the class's b.  The top ghost (z_n = 0 or
-    -z_(n-1)) fixes the start s by one integer division; y is integral
-    exactly when every such division is, so a remainder raises
-    InexactDivision.
+    2 z_i - z_(i-1) - z_(i+1) = scale v_i on the class alone.  Shooting from
+    the bottom ghost (z_(-1) = -z_0 on the even class, 0 on the odd one)
+    gives z_i = s A_i + scale B_i, with A_i = 2i+1 on the even class and
+    i+1 on the odd one, and B the negated double prefix sum of v.  The top
+    ghost (z_n = 0 or -z_(n-1)) fixes the start s by one integer division;
+    z is integral exactly when it is, so a remainder raises InexactDivision.
     """
-    out = [0] * (k + 1)
-    for p in (0, 1):
-        n = len(out[p::2])
-        if not n:  # the odd class at k = 0
-            continue
-        neg = list(accumulate(accumulate(b[p::2]), sub, initial=0))  # B_0..B_n
-        step = 2 - p  # A_i = step i + 1
-        if p + 2 * n == k + 2:  # top ghost tau_(k+2) = -tau_k: z_n + z_(n-1) = 0
-            num, den = -scale * (neg[n] + neg[n - 1]), step * (2 * n - 1) + 2
-        else:  # top ghost tau_(k+1) = 0: z_n = 0
-            num, den = -scale * neg[n], step * n + 1
-        s, rem = divmod(num, den)
-        if rem:
-            raise InexactDivision(f"the tau_{p} coefficient of {scale} b / (3 - tau_2) "
-                                  f"at level {k}, {num}/{den}, is not an integer")
-        out[p::2] = map(add, accumulate(repeat(step * s, n - 1), initial=s),
-                        map(mul, repeat(scale), neg[:n]))
-    return out
+    n = len(v)
+    if not n:  # the odd class at k = 0
+        return []
+    neg = list(accumulate(accumulate(v), sub, initial=0))  # B_0..B_n
+    step = 2 - p  # A_i = step i + 1
+    if p + 2 * n == k + 2:  # top ghost tau_(k+2) = -tau_k: z_n + z_(n-1) = 0
+        num, den = -scale * (neg[n] + neg[n - 1]), step * (2 * n - 1) + 2
+    else:  # top ghost tau_(k+1) = 0: z_n = 0
+        num, den = -scale * neg[n], step * n + 1
+    s, rem = divmod(num, den)
+    if rem:
+        raise InexactDivision(f"the tau_{p} coefficient of {scale} b / (3 - tau_2) "
+                              f"at level {k}, {num}/{den}, is not an integer")
+    return list(map(add, accumulate(repeat(step * s, n - 1), initial=s),
+                    map(mul, repeat(scale), neg[:n])))
 
 
 def _clebsch_gordan(a: Sequence[int], support_a: tuple[int, int],

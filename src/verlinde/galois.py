@@ -112,16 +112,16 @@ class _Level(NamedTuple):
     """The arithmetic of one level mod its prime."""
 
     prime: int
-    w: list[int]  # w_x mod p in [0, 2p], x = 0..6N-1, three periods of 2N: w_(x+N) = -w_x
+    w: list[int]  # w_x mod p in [0, p], x = 0..6N-1, three periods of 2N: w_(x+N) = -w_x
     orbits: tuple[int, ...]  # one representative j = g per orbit, g = N/2 left out
     parents: tuple[int, ...]  # g / (its least prime factor), 0 for g = 1 (``certify``)
 
 
 # One per level: every surface of a level reads it, and the sweep and
-# verify visit their levels in turn.  An entry holds 2N ints below 2^30 and
-# 6N references to them, about 110 N bytes: 44 kB at k = 400, 440 kB at
-# k = 4000.  Eight entries: a workload of one request per level, as the
-# benchmark's high_level, gets no hit from any.
+# verify visit their levels in turn.  An entry holds 3N/2 ints below 2^30
+# (w_(N-x) is w_x's object) and 6N references, about 98 N bytes: 39 kB at
+# k = 400, 385 kB at k = 4000.  Eight entries: a workload of one request
+# per level, as the benchmark's high_level, gets no hit from any.
 @lru_cache(maxsize=8)
 def _level(k: int) -> _Level:
     """Level k's prime p = 1 mod 2N, N = k+2, its table w_x = z^x - z^-x
@@ -131,11 +131,11 @@ def _level(k: int) -> _Level:
     z is the product over the primes q of 2N, q^v its power in 2N, of
     y^(2N/q^v), y = a^((p-1)/2N) for the first prime a whose y has the full
     q-part, y^(2N/q) != 1: elements of the coprime orders q^v, found with
-    about half the powers that one a for every q at once needs.
-    z^-x = z^N z^(N-x) = -z^(N-x), so w_x = z^x + z^(N-x) for x < N, and
-    w_(x+N) = -w_x, kept as 2p - w_x; the powers z^x, x <= N, are products
-    of a baby and a giant step.  The entries are residues in [0, 2p], left
-    unreduced, and every reader reduces what it sums or compares."""
+    about half the powers that one a for every q at once needs.  w_0..w_(N/2)
+    follow w_(x+1) = c w_x - w_(x-1), c = z + z^-1, from w_0 = 0, with
+    z^-1 = z^N z^(N-1) = -z^(N-1); then w_(N-x) = w_x, as z^N = -1, and
+    w_(x+N) = -w_x, kept as p - w_x, so entries lie in [0, p]: every reader
+    reduces what it sums or compares."""
     n = k + 2
     m = 2 * n
     p = _draw_prime(m, _SEED + k)
@@ -155,18 +155,15 @@ def _level(k: int) -> _Level:
             missing.remove(q)
         if not missing:
             break
-    baby = [1]
-    for _ in range(math.isqrt(n)):
-        baby.append(baby[-1] * z % p)
-    giant, stride = [1], baby.pop()
-    while len(giant) * len(baby) <= n:
-        giant.append(giant[-1] * stride % p)
-    powers = [g * b % p for g in giant for b in baby]
-    w = list(map(add, powers[:n], powers[n:0:-1]))
+    z_inv = -pow(z, n - 1, p)
+    w, c = [0, (z - z_inv) % p], (z + z_inv) % p
+    for _ in range(n // 2 - 1):
+        w.append((c * w[-1] - w[-2]) % p)
+    w += w[(n - 1) // 2:0:-1]  # w_(N-x) = w_x
     orbits = tuple(sorted(g for g in divisors if g < n and 2 * g != n))
     parents = tuple(g // next(q for q in factors if not g % q) if g > 1 else 0
                     for g in orbits)
-    return _Level(p, (w + list(map(sub, repeat(2 * p, n), w))) * 3, orbits, parents)
+    return _Level(p, (w + list(map(sub, repeat(p, n), w))) * 3, orbits, parents)
 
 
 def _residues(e: list[int], period: int) -> list[int]:
@@ -197,11 +194,11 @@ def certify(surface: SurfaceData, x: FusionElement) -> tuple[int, tuple[int, ...
     The fusion ring is graded by m mod 2, D_SU(2) is even, and so X has
     the grade pi of r k/2 plus the non-star labels: c_m = 0 for the other
     m, checked in integers first.  The sum reads the c_m of grade pi alone,
-    e_i = c_(pi + 2i), each times w_((pi + 1 + 2i) g).  That factor has
-    period L = 2N/g in i, or N/g when g divides N, so e is summed into its
-    L residues and dotted with one slice of L entries of the table.  The
-    residues mod L are those of the parent's residues, mod a multiple of L,
-    so each orbit folds its parent's, not all of e.
+    reduced mod p once, e_i = c_(pi + 2i), each times w_((pi + 1 + 2i) g).
+    That factor has period L = 2N/g in i, or N/g when g divides N, so e is
+    summed into its L residues and dotted with one slice of L entries of
+    the table.  The residues mod L are those of the parent's residues, mod
+    a multiple of L, so each orbit folds its parent's, not all of e.
     Raises CertificateMismatch naming the surface, the prime and the orbit."""
     k, r, h = surface.level, surface.star_count, surface.genus
     labels = surface.nonstar_labels
@@ -214,7 +211,7 @@ def certify(surface: SurfaceData, x: FusionElement) -> tuple[int, tuple[int, ...
             f"the closed form of {surface} disagrees with the S-matrix formula: its "
             f"tau_m coefficients with m + {grade} odd are not all 0, as the formula's "
             f"grade {grade} requires (prime {p})")
-    residues = {0: list(x.coeffs[grade::2])}  # the parent of g = 1: e
+    residues = {0: [c % p for c in x.coeffs[grade::2]]}  # the parent of g = 1: e mod p
     power, doubles = r + 2 * h + len(labels) - 1, pow(-m, h, p)
     for g, parent in zip(level.orbits, level.parents):
         period = m // g if (n // g) * g != n else n // g

@@ -49,6 +49,7 @@ from .prequant import (
     phase_factor,
 )
 from .quantization import (
+    _element,
     _exact_divide,
     _fs_gamma_data,
     _plus_chi,
@@ -195,7 +196,7 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
         for j in range(half + 1):
             base = min(2 * j, k - 2 * j) + 1
             coeffs[2 * j] = base + (4 * d - 1) * (-1) ** j
-        return _exact_divide(k, coeffs, 4)
+        return _element(k, 0, _exact_divide(0, coeffs[::2], 4))
 
     chi_coeff = {
         "trivial": 6 * (-1) ** (k // 4) + (half + 1),
@@ -205,7 +206,8 @@ def closed_form_tables(k: int, r: int, choice_class: str) -> FusionElement:
     if chi_coeff is None:
         raise ValueError(
             f"r=4 classes are 'trivial', 'sum_zero', 'sum_minus_two', got {choice_class!r}")
-    return _exact_divide(k, _plus_chi(closed_form_tables(k, 4, "base"), chi_coeff), 8)
+    base = closed_form_tables(k, 4, "base").coeffs[::2]
+    return _element(k, 0, _exact_divide(0, _plus_chi(base, chi_coeff), 8))
 
 
 def star_choice_class(r: int, psi_bits: Sequence[int]) -> str:

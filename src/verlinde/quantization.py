@@ -13,7 +13,10 @@ Three mutually cross-checking routes are implemented:
   class an integer mu and one exact division, O(k + r + h) steps.  X
   costs no dense product: one linear step (O(k) additions) per double
   past the first, per star and per label.  A double step multiplies by
-  D_SU(2) through the tridiagonal solve ``fusion_ring._times_double``.
+  D_SU(2) through the tridiagonal solve ``fusion_ring._double_step``.
+  Each step, chi's +-mu and the division read one parity class, X's (the
+  labels' sum mod 2): tau_m moves a class by m, D_SU(2) and chi are even,
+  and mu = 0 at odd grade.  Each cached element is interleaved once.
 * ``fs_formula`` - the S-matrix (generalized Verlinde) formula: the sum
   over Gamma of phase factors phi'(gamma) times twisted entries S^(z)[m,l]
   (1 for z = c, S[m,l] for z = e), answered exactly.  At l != k/2 only
@@ -32,28 +35,20 @@ S-matrix formula, the trace of fs's certified element, and
 ``verlinde_baseline`` the simply connected SU(2) product with no sign group
 at all.
 
-A pre-quantization choice enters every path only through its phases, and
-they take fewer values than the choices do.  They depend on a, the psi bits
-set on the r star slots, only through the star sum ``_krawtchouk_sum``,
-which is unchanged by a -> r - a; and on d, the doubles with
-phi != (0, 0), only through ``_double_factor``, which is 0 for every
-d >= 1 when k is in 4N and depends on d mod 2 otherwise.  So a class is
-the folded pair (min(a, r - a), min(d, 1) or d mod 2), the rule
-``prequant._canonical_class`` states: at r = 3 the star choices fall in
-two classes and at r = 4 in three, the classes of the literal tables
-(``oracles.closed_form_tables``).  That function is the one front end of
-all three surface paths: it tests the admissibility boolean the surface
-derived when built (the report is built only for a failure message) and
-returns the request's canonical choice with its folded class, found in a
-few integer operations on the choice's bits as an int and the masks the
-surface derived when built (``prequant._classify``).  It keeps the last
-(surface, choice) pair it classified, by identity, in one slot, and reads
-that slot before its checks, which the pair has passed: the three paths of
-one request check and classify it once.  The closed form computes its
-element once per class (surface, a, d) in a bounded cache; fs certifies
-the class once in its own and returns that same element, and each path
-wraps it with the choice.  A class that cannot be certified raises where
-it fails, on every request, and leaves no entry.  The star entry points
+A pre-quantization choice enters every path only through its phases, which
+depend on it only through its folded class (a, d): a psi bits on the r star
+slots, read as min(a, r - a) (``_krawtchouk_sum``), and d doubles with
+phi != (0, 0), read as min(d, 1) for k in 4N and d mod 2 otherwise
+(``_double_factor``).  At r = 3 the star choices fall in two classes and at
+r = 4 in three, the classes of the literal tables
+(``oracles.closed_form_tables``).  ``prequant._canonical_class``, the one
+front end of the three surface paths, checks a request's admissibility
+and returns its canonical choice and class, once per request (it keeps the
+last pair it classified).  The closed form computes its element once per
+class (surface, a, d) in a bounded cache; fs certifies the class once in
+its own and returns that same element, and each path wraps it with the
+choice.  A class that cannot be certified raises where it fails, on every
+request, and leaves no entry.  The star entry points
 (``quantize_star_block``, ``localization_evaluate``) take their class from
 the same front end on a star-only surface, after the star conditions (ii')
 and (iii), and ``quantize_star_block`` and ``quantize_double_so3`` read the
@@ -61,23 +56,17 @@ closed form of the star-only and the genus-1 surface.
 
 A surface folds as well, to the surface its paths see.  A boundary circle
 labelled 0 quantizes to tau_0, the unit, and one labelled k to tau_k, the
-simple current: tau_k x reflects x's coefficients (c_m -> c_{k-m}), its
-value at t_l is (-1)^l, and tau_k^2 = tau_0.  Every path is multiplicative
-over the circles: in the closed form the basis step by tau_0 is the
-identity; in the S-matrix sums the label's row S[0, l] cancels one power
-of S[0, l], and S[k, l] = (-1)^l S[0, l], bit for bit as every angle is
-reduced in integers; and |Gamma|, the class (a, d) and the admissibility
-conditions read no non-star label (for k > 0, neither 0 nor k is the star
-label k/2).  So the closed form's per-class cache (``_closed_form_element``)
-computes on ``SurfaceData._folded``, the surface without its labels 0 and
-k, built once with the surface, and an odd count of labels k
-(``SurfaceData._reflected``) reverses the folded element; fs certifies the
-folded class and returns the closed form's element, reduced reads its
-trace, and ``verlinde_baseline`` reverses its product.  The sweep's 1,141
-surfaces fold to 301 (581 with labels 0 alone) and its 3,276 request
-classes to 879 computed ones (1,678).  The request keeps its own surface
-for the front end, so its result carries the canonical choice of all
-s + 2h slots.
+simple current, which reflects coefficients (c_m -> c_{k-m}); every path is
+multiplicative over the circles (S[k, l] = (-1)^l S[0, l]), and |Gamma|,
+the class and the admissibility conditions read no non-star label.  So the
+per-class cache (``_closed_form_element``) computes on
+``SurfaceData._folded``, the surface without its labels 0 and k, and
+reverses the folded element for an odd count of labels k
+(``SurfaceData._reflected``); fs certifies the folded class, reduced reads
+its trace, and ``verlinde_baseline`` reverses its product.  The sweep's
+1,141 surfaces fold to 301 and its 3,276 request classes to 879 computed
+ones.  The request keeps its own surface for the front end, so its result
+carries the canonical choice of all s + 2h slots.
 
 Each shared rule is written once: the admissibility conditions in
 ``prequant._CONDITIONS``, the star signs in ``prequant.star_sign``, the
@@ -85,7 +74,7 @@ star block's sign-group sum in ``_krawtchouk_sum``, the doubles' phases in
 ``_double_factor``, each class's value at t_{k/2}, the one point where a
 choice acts, in ``_half_value``, the exact division in ``_exact_divide``,
 the folding rule in ``fusion_ring._fold`` and the two linear steps it
-implies, ``fusion_ring._times_basis`` and ``fusion_ring._times_double``.
+implies, ``fusion_ring._basis_step`` and ``fusion_ring._double_step``.
 """
 
 from __future__ import annotations
@@ -100,11 +89,11 @@ from .fusion_ring import (
     FusionElement,
     InexactDivision,
     PrecisionExhausted,
+    _basis_step,
     _check_index,
     _check_int,
     _check_level,
-    _times_basis,
-    _times_double,
+    _double_step,
     _weyl_quotient,
 )
 from .galois import certify, check_half
@@ -159,20 +148,28 @@ class QuantizationResult(NamedTuple):
         return data
 
 
-def _exact_divide(k: int, coeffs: Iterable[int], divisor: int) -> FusionElement:
-    """The level-k element with coefficients ``coeffs`` / ``divisor``, a
+def _element(k: int, p: int, v: Iterable[int]) -> FusionElement:
+    """The level-k element with coefficients v on the class m = p mod 2 and
+    0 on the other: a graded computation's one interleave."""
+    coeffs = [0] * (k + 1)
+    coeffs[p::2] = v
+    return FusionElement._trusted(k, tuple(coeffs))
+
+
+def _exact_divide(p: int, v: Iterable[int], divisor: int) -> Iterator[int]:
+    """v / divisor, lazily, v the class p (c_p, c_(p+2), ...) and divisor a
     power of two; raises InexactDivision at the first remainder."""
-    coeffs, mask = list(coeffs), divisor - 1
-    if any(map(and_, coeffs, repeat(mask))):
-        m, c = next((m, c) for m, c in enumerate(coeffs) if c & mask)
-        raise InexactDivision(f"tau_{m} coefficient {c} is not divisible by {divisor}")
-    return FusionElement._trusted(k, tuple(map(rshift, coeffs, repeat(mask.bit_length()))))
+    v, mask = list(v), divisor - 1
+    if any(map(and_, v, repeat(mask))):
+        i, c = next((i, c) for i, c in enumerate(v) if c & mask)
+        raise InexactDivision(f"tau_{p + 2 * i} coefficient {c} is not divisible by {divisor}")
+    return map(rshift, v, repeat(mask.bit_length()))
 
 
-def _plus_chi(x: FusionElement, mu: int) -> Iterator[int]:
-    """The tau-coefficients of x + mu chi, lazily: chi is +1 at m = 0 mod 4,
-    -1 at m = 2 mod 4 and 0 at odd m."""
-    return map(add, x.coeffs, cycle((mu, 0, -mu, 0)))
+def _plus_chi(v: Iterable[int], mu: int) -> Iterable[int]:
+    """The even coefficients c_0, c_2, ... of x + mu chi, lazily, v being
+    x's: chi is +1 at m = 0 mod 4, -1 at m = 2 mod 4 and 0 at odd m."""
+    return map(add, v, cycle((mu, -mu))) if mu else v
 
 
 def chi_element(k: int) -> FusionElement:
@@ -184,7 +181,7 @@ def chi_element(k: int) -> FusionElement:
     k = _check_level(k)
     if k % 2:
         raise ValueError(f"the alternating element needs an even level, got {k}")
-    return FusionElement._trusted(k, tuple(_plus_chi(FusionElement.zero(k), 1)))
+    return _element(k, 0, _plus_chi(repeat(0, k // 2 + 1), 1))
 
 
 def _checked_cache(check):
@@ -282,9 +279,7 @@ def quantize_double_su2(k: int) -> FusionElement:
     k - j + 1 labels j/2 <= m <= k - j/2.
     """
     k = _check_level(k)
-    coeffs = [0] * (k + 1)
-    coeffs[::2] = range(k + 1, 0, -2)
-    return FusionElement._trusted(k, tuple(coeffs))
+    return _element(k, 0, range(k + 1, 0, -2))
 
 
 # the benchmark's tracer reads it by name
@@ -313,32 +308,32 @@ def _double_factor(k: int, h: int, d: int) -> int:
     return (1 + 3 * sign) ** (h - d) * (1 - sign) ** d
 
 
-def _times_labels(k: int, coeffs: Sequence[int], labels: Iterable[int]) -> FusionElement:
-    """x tau_m1 tau_m2 ..., x the level-k element with ``coeffs``: one linear
-    basis step (``fusion_ring._times_basis``) per label on a plain list,
-    wrapped as an element once at the end."""
+def _times_labels(k: int, p: int, v: Sequence[int], labels: Iterable[int]) -> tuple:
+    """(p, v) times tau_m1 tau_m2 ..., (p, v) the level-k element with v on
+    the class p and 0 on the other: one ``fusion_ring._basis_step`` a label."""
     for m in labels:
-        coeffs = _times_basis(k, m, coeffs)
-    return FusionElement._trusted(k, tuple(coeffs))
+        p, v = (p + m) % 2, _basis_step(k, m, p, v)
+    return p, v
 
 
 @lru_cache(maxsize=512)  # the benchmark's tracer reads it by name
 def _label_product(k: int, labels: tuple[int, ...]) -> FusionElement:
     """prod tau_m over ``labels``, by basis steps.  No quantization path
     reads it: ``_closed_form_base`` steps through its labels directly."""
-    return _times_labels(k, FusionElement.one(k).coeffs, labels)
+    return _element(k, *_times_labels(k, 0, FusionElement.one(k).coeffs[::2], labels))
 
 
 @lru_cache(maxsize=512)  # one per (k, r, h): 135 of the sweep's 301 folded surfaces hit
 def _star_and_doubles(k: int, r: int, h: int) -> FusionElement:
     """tau_{k/2}^r D_SU(2)^h, the choice-free part of the star block and the
     h SO(3) doubles, with no dense product: D_SU(2) in closed form, h - 1
-    double steps (``fusion_ring._times_double``), then r basis steps by
-    tau_{k/2}; O((h + r) k) big-integer additions."""
-    coeffs = (quantize_double_su2(k) if h else FusionElement.one(k)).coeffs
+    double steps (``fusion_ring._double_step``), then r basis steps by
+    tau_{k/2}, all on the even class where D_SU(2) lives and then the class
+    of r k/2; O((h + r) k) big-integer additions."""
+    v = range(k + 1, 0, -2) if h else FusionElement.one(k).coeffs[::2]
     for _ in range(h - 1):
-        coeffs = _times_double(k, coeffs)
-    return _times_labels(k, coeffs, repeat(k // 2, r))
+        v = _double_step(k, 0, v)
+    return _element(k, *_times_labels(k, 0, v, repeat(k // 2, r)))
 
 
 def _tau_at_half(m: int) -> int:
@@ -366,11 +361,12 @@ def _half_value(surface: SurfaceData, a: int, d: int) -> int:
 def _closed_form_base(surface: SurfaceData) -> FusionElement:
     """X = tau_{k/2}^r D_SU(2)^h prod tau_m over the non-star m, the closed
     form's choice-free base: ``_star_and_doubles``, shared by the surfaces
-    with the same (k, r, h), times one basis step per non-star label, no
-    dense product."""
-    k = surface.level
-    return _times_labels(k, _star_and_doubles(k, surface.star_count, surface.genus).coeffs,
-                         surface.nonstar_labels)
+    with the same (k, r, h), times one basis step per non-star label on its
+    live class, that of r k/2, no dense product."""
+    k, r = surface.level, surface.star_count
+    p = r * (k // 2) % 2
+    x = _star_and_doubles(k, r, surface.genus).coeffs[p::2]
+    return _element(k, *_times_labels(k, p, x, surface.nonstar_labels))
 
 
 def _reflect(x: FusionElement) -> FusionElement:
@@ -413,18 +409,29 @@ def _class_element(surface: SurfaceData, a: int, d: int) -> FusionElement:
     product's value at t_{k/2} times |Gamma| (``_half_value``) minus X's,
     c_0 - c_2 + c_4 - ... as tau_m(t_{k/2}) = ``_tau_at_half``.  Both values
     are integers, so mu is an exact division, checked: its remainder raises
-    InexactDivision.  A class costs O(r + h) integer steps, two O(k) passes."""
+    InexactDivision.  X lives on the class of the labels' sum mod 2, chi on
+    the even one, and at odd grade mu = 0: X has no even coefficient, and
+    ``_half_value`` the factor tau_m(t_{k/2}) = 0 of an odd non-star label
+    or, at odd k/2, of the r = 1 star (condition (iii) puts r >= 3 in 4N),
+    whose c(a) is 0.  So the division reads X's class alone: O(r + h)
+    integer steps and two O(k/2) passes."""
     base, k = _closed_form_base(surface), surface.level
     if k % 2:  # then r = h = 0 and Gamma = {e}: X is the whole answer
         return base
-    excess = _half_value(surface, a, d) - (sum(base.coeffs[::4]) - sum(base.coeffs[2::4]))
+    p, size = sum(surface.labels) % 2, surface.gamma_size()
+    at_half = 0 if p else sum(base.coeffs[::4]) - sum(base.coeffs[2::4])  # 0 at odd grade
+    excess = _half_value(surface, a, d) - at_half
     if excess % (k // 2 + 1):
         raise InexactDivision(f"the class (a={a}, d={d}) differs from X at t_{k // 2} by "
                               f"{excess}, not divisible by {k // 2 + 1}")
-    mu, size = excess // (k // 2 + 1), surface.gamma_size()
+    mu = excess // (k // 2 + 1)
     if not mu and size == 1:
         return base
-    return _exact_divide(k, _plus_chi(base, mu), size)
+    coeffs = [0] * (k + 1)
+    for q in {0, p} if mu else (p,):  # X's class, and chi's, the even one, if mu != 0
+        v = base.coeffs[q::2]
+        coeffs[q::2] = _exact_divide(q, v if q else _plus_chi(v, mu), size)
+    return FusionElement._trusted(k, tuple(coeffs))
 
 
 def quantize_surface(surface: SurfaceData,

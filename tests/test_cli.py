@@ -306,6 +306,23 @@ def test_help_exits_0(capsys, argv):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_a_closed_stdout_ends_quietly():
+    # The reader is gone before the first write, as after ``| head -c 10``:
+    # the command exits 141 with no traceback, and the flush at interpreter
+    # exit writes nowhere.
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(verlinde.__file__).resolve().parents[1])
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "verlinde", "quantize", "--level", "1001", "--labels",
+             "1,500,999", "--path", "both", "--reduced"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, "")
+
+
 def _run_python(code):
     """Run ``code`` in a fresh interpreter that imports this package; its
     standard output."""

@@ -17,7 +17,9 @@ from verlinde.fusion_ring import (
     NonIntegralCoefficient,
     NonIntegralValue,
     PrecisionExhausted,
+    _basis_step,
     _cyclotomic_cofactor,
+    _double_step,
     _fold,
     _fold_angle,
     _over_3_minus_tau2,
@@ -190,6 +192,30 @@ class TestMultiply:
         # k = 0 and 1 a class has one entry.
         b = data.draw(level_vectors(k))
         assert _times_double(k, b) == list((quantize_double_su2(k) * FusionElement(k, b)).coeffs)
+
+    @pytest.mark.parametrize("k", [*range(61), 101, 400])
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_graded_steps_match_the_dense_ones_on_each_class(self, k, data):
+        # A vector on one parity class p: tau_m moves it to the class p + m
+        # and D_SU(2) keeps it there, so each graded step is the dense one
+        # restricted to its class, and the dense one is 0 on the other.  At
+        # k = 400 the vector is sparse: the reference costs O(m) per nonzero.
+        p = data.draw(st.integers(0, 1))
+        if k < 400:
+            b = data.draw(level_vectors(k))
+        else:
+            b = [0] * (k + 1)
+            for m, c in data.draw(st.dictionaries(st.integers(0, k), COEFFS, max_size=12)).items():
+                b[m] = c
+        b[1 - p::2] = [0] * len(b[1 - p::2])
+        for m in range(k + 1):
+            q, dense = (p + m) % 2, term_by_term_product(k, tau(k, m).coeffs, b)
+            assert _basis_step(k, m, p, b[p::2]) == dense[q::2], m
+            assert not any(dense[1 - q::2]), m
+        dense = _times_double(k, b)
+        assert _double_step(k, p, b[p::2]) == dense[p::2]
+        assert not any(dense[1 - p::2])
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
     def test_a_fractional_quotient_raises_at_the_top_ghost(self, k):

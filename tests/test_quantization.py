@@ -1078,16 +1078,16 @@ def test_folded_star_classes_are_the_table_classes(k, r):
 
 def test_closed_form_products_per_surface_and_class(monkeypatch):
     # Labels and stars are basis steps and each double past the first is one
-    # double step (``_times_double``), taken once per surface: at no genus
-    # does the closed form make a dense (Clebsch-Gordan) product, and a
-    # class makes no step at all.
+    # graded double step (``_double_step``) on the even class, taken once per
+    # surface: at no genus does the closed form make a dense (Clebsch-Gordan)
+    # product, and a class makes no step at all.
     from verlinde import fusion_ring
     dense, steps = [], []
-    clebsch_gordan, double_step = fusion_ring._clebsch_gordan, quantization._times_double
+    clebsch_gordan, double_step = fusion_ring._clebsch_gordan, quantization._double_step
     monkeypatch.setattr(fusion_ring, "_clebsch_gordan",
                         lambda *args: dense.append(len(args[0])) or clebsch_gordan(*args))
-    monkeypatch.setattr(quantization, "_times_double",
-                        lambda k, b: steps.append(k) or double_step(k, b))
+    monkeypatch.setattr(quantization, "_double_step",
+                        lambda k, p, v: steps.append((k, p)) or double_step(k, p, v))
     for surf in (SurfaceData(12, 0, (6, 6, 6, 6, 5)), SurfaceData(12, 1, (6, 6, 6, 6, 5)),
                  SurfaceData(4, 1, (2,) * 40 + (1, 3)), SurfaceData(396, 1, (71, 250, 283, 343)),
                  SurfaceData(364, 0, (134, 150, 182, 182, 182, 182, 200, 282)),
@@ -1098,7 +1098,7 @@ def test_closed_form_products_per_surface_and_class(monkeypatch):
         for _, choice in _class_choices(surf):
             quantize_surface(surf, choice)
         assert dense == [], surf
-        assert len(steps) == max(surf.genus - 1, 0), surf
+        assert steps == [(surf.level, 0)] * max(surf.genus - 1, 0), surf
     assert len(list(_class_choices(surf))) == 4 * 65
     # the star entry points read the same closed form on their own surfaces
     _clear_quantization_caches()
@@ -1117,8 +1117,8 @@ def test_a_corrupted_double_step_raises_inexact_division(monkeypatch):
     # right side, it computes D_SU(2)/2 times an element, which is not
     # integral here, and the closed form raises instead of returning it.
     from verlinde import fusion_ring
-    monkeypatch.setattr(quantization, "_times_double",
-                        lambda k, b: fusion_ring._over_3_minus_tau2(k, b, k + 2))
+    monkeypatch.setattr(quantization, "_double_step",
+                        lambda k, p, v: fusion_ring._class_quotient(k, p, v, k + 2))
     _clear_quantization_caches()
     with pytest.raises(quantization.InexactDivision, match=r"/ \(3 - tau_2\) at level 12"):
         quantize_surface(SurfaceData(12, 2, (6, 6, 6, 6, 5)))
@@ -1130,6 +1130,27 @@ def test_a_corrupted_double_step_raises_inexact_division(monkeypatch):
 def test_star_and_doubles_equals_the_dense_powers(k, r, h):
     expected = quantize_double_su2(k) ** h * FusionElement.tau(k, k // 2) ** r
     assert quantization._star_and_doubles.__wrapped__(k, r, h) == expected
+
+
+@given(st.integers(1, 120), st.integers(0, 3), st.integers(0, 4),
+       st.lists(st.integers(0, 240), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_an_odd_grade_has_no_chi_multiple(half, h, r, labels):
+    # X = tau_{k/2}^r D_SU(2)^h prod tau_m lives on the class of its labels'
+    # sum mod 2.  At odd grade and even k, X(t_{k/2}) = c_0 - c_2 + ... and
+    # every class's ``_half_value`` vanish (an odd non-star label, or r = 1
+    # at odd k/2), so mu = 0 and the class element divides X's class alone.
+    k = 2 * half
+    surf = SurfaceData(k, h, tuple(m % (k + 1) for m in labels) + (half,) * r)
+    if not (surf._admissible and sum(surf.labels) % 2):
+        return
+    base = quantization._closed_form_base(surf)
+    assert not any(base.coeffs[::2]) and any(base.coeffs[1::2])
+    size = surf.gamma_size()
+    for (a, d), _ in _class_choices(surf):
+        assert quantization._half_value(surf, a, d) == 0
+        element = quantization._class_element(surf, a, d)
+        assert element * size == base
 
 
 def test_inexact_division_is_raised(monkeypatch):
